@@ -138,10 +138,9 @@ def request_reply_point(
     # WAN queueing under load can exceed the library's default suspicion
     # timeout; benchmark deployments use wide-area-appropriate settings so
     # measurements reflect steady state rather than false-suspicion churn
-    group_config = GroupConfig(
+    group_options = dict(
         ordering=ordering,
         liveliness=Liveliness.EVENT_DRIVEN,
-        sequencer_hint="s0",
         suspicion_timeout=10.0,
         flush_timeout=5.0,
     )
@@ -150,21 +149,15 @@ def request_reply_point(
         RandomNumberServant,
         replicas,
         policy=policy,
-        config=group_config,
+        config=GroupConfig(sequencer_hint="s0", **group_options),
         async_forwarding=async_forwarding,
     )
     clients = env.add_clients(n_clients)
     bindings = []
     for service in clients:
         bindings.append(
-            service.bind(
-                "rand",
-                style=style,
-                ordering=ordering,
-                restricted=restricted,
-                suspicion_timeout=10.0,
-                flush_timeout=5.0,
-            )
+            # the client/server groups run the served group's parameters
+            service.bind("rand", style=style, restricted=restricted, **group_options)
         )
         env.run(0.05)
     env.settle(1.5)
@@ -223,20 +216,18 @@ def peer_point(
     multicasts: Optional[int] = None,
     seed: int = 42,
     obs=None,
-    ordering_config=None,
+    **group_config,
 ) -> ExperimentPoint:
     """One peer-participation measurement: a lively group of ``n_members``
     all multicasting 100-character strings as fast as group-wide delivery
     allows; reports mean multicast-to-everywhere latency and aggregate
-    message throughput (the paper's msgs/sec metric).  ``ordering_config``
-    optionally tunes ticket batching / ack piggybacking."""
+    message throughput (the paper's msgs/sec metric).  Extra keywords are
+    ``GroupConfig`` fields on top of the peer preset (e.g. an
+    ``ordering_config`` that tunes ticket batching / ack piggybacking)."""
     multicasts = multicasts or (100 if full_run() else 30)
     env = Environment(config=config, seed=seed, obs=obs)
     services = env.add_peers(n_members)
-    overrides = {}
-    if ordering_config is not None:
-        overrides["ordering_config"] = ordering_config
-    peer_config = make_peer_config(ordering=ordering, **overrides)
+    peer_config = make_peer_config(ordering=ordering, **group_config)
     sessions = [services[0].create_peer_group("conf", peer_config)]
     for service in services[1:]:
         sessions.append(service.join_peer_group("conf", services[0].name))

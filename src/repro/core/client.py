@@ -37,13 +37,7 @@ from repro.errors import (
     ConfigurationError,
     Overloaded,
 )
-from repro.groupcomm.config import (
-    GroupConfig,
-    Liveliness,
-    LivelinessConfig,
-    Ordering,
-    OrderingConfig,
-)
+from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.obs.phases import PHASE_NAMES
 from repro.orb.ior import IOR
@@ -88,6 +82,51 @@ class InvocationResult:
         return f"InvocationResult({len(self.replies)} replies)"
 
 
+def shape_reply(binding, fut: Future, issued_at: float) -> Tuple[bool, Any]:
+    """Settle a gathered-replies future under ``binding.scheme.reply``.
+
+    Returns ``(True, value)`` — the reduced value for ``combine``, the first
+    successful reply's otherwise — or ``(False, exception)``.  The one place
+    reply schemes turn replies into an outcome: used by
+    :class:`GroupBinding` and by the root of a
+    :class:`~repro.core.combined.CombinedBinding`.
+    """
+    if fut.failed:
+        return False, fut.exception
+    result = fut.result()
+    if result is None:  # one-way mode under a value-bearing scheme
+        return True, None
+    try:
+        if binding.scheme.reply != ReplyScheme.COMBINE:
+            return True, result.value
+        by_member = result.by_member()
+        if not by_member:
+            raise ApplicationError("no successful replies to combine")
+        binding._reduce_inputs.record(len(by_member))
+        value = reduce_sorted(binding.scheme.reducer, by_member)
+        binding._reduce_latency.record(binding.sim.now - issued_at)
+        return True, value
+    except Exception as exc:  # noqa: BLE001 - servant/reducer error
+        return False, exc
+
+
+def forward_reply(binding, operation: str, seq: int, ok: bool, value: Any) -> None:
+    """Hand a settled reply to the scheme's ``forward_to`` target (a failed
+    one travels as ``ok=False`` with the error text)."""
+    forwarded = ForwardedReply(
+        binding.client_id,
+        binding.service_name,
+        operation,
+        seq,
+        ok,
+        value if ok else str(value),
+    )
+    target = binding.scheme.forward_to
+    sink = IOR(target, "RootPOA", client_sink_id(target))
+    binding.orb.invoke(sink, "deliver_forwarded", (forwarded,), oneway=True)
+    binding.sim.obs.metrics.counter("gmi.forwarded").inc()
+
+
 class _PendingCall:
     """Client-side state for one outstanding invocation."""
 
@@ -127,21 +166,12 @@ class GroupBinding:
         service,
         service_name: str,
         style: str = BindingStyle.OPEN,
-        ordering: str = Ordering.ASYMMETRIC,
-        liveliness: str = Liveliness.EVENT_DRIVEN,
         restricted: bool = True,
-        manager: Optional[str] = None,
-        auto_rebind: bool = True,
-        null_delay: float = 1e-3,
-        suspicion_timeout: float = 300e-3,
-        flush_timeout: float = 150e-3,
-        liveliness_config: Optional[LivelinessConfig] = None,
-        ordering_config: Optional[OrderingConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        trace_sample: Optional[float] = None,
-        metric_tag: Optional[str] = None,
         scheme: Optional[SchemeConfig] = None,
         admission: Optional[AdmissionConfig] = None,
+        metric_tag: Optional[str] = None,
+        **group_config: Any,
     ):
         if style not in BindingStyle.ALL_STYLES:
             raise ValueError(f"unknown binding style {style!r}")
@@ -150,29 +180,21 @@ class GroupBinding:
                 f"combined scheme {scheme.invocation!r} needs a CombinedBinding "
                 f"(service.bind_combined), not a plain GroupBinding"
             )
-        if trace_sample is not None and not 0.0 <= trace_sample <= 1.0:
-            raise ValueError(f"trace_sample must be in [0, 1], got {trace_sample}")
+        #: the client/server group's parameters: every keyword that is not
+        #: a binding-level option is a :class:`GroupConfig` field, validated
+        #: here — an unknown one is a ``TypeError`` at bind time.  Each
+        #: (re)bind pins the sequencer with ``replace(sequencer_hint=...)``.
+        self.config = GroupConfig.for_invocation(**group_config)
         self.service = service
         self.sim = service.sim
         self.orb = service.orb
         self.client_id = service.orb.node.name
         self.service_name = service_name
         self.style = style
-        self.ordering = ordering
-        self.liveliness = liveliness
         self.restricted = restricted
-        self.manager_override = manager
-        self.auto_rebind = auto_rebind
-        self.null_delay = null_delay
-        self.suspicion_timeout = suspicion_timeout
-        self.flush_timeout = flush_timeout
-        self.liveliness_config = liveliness_config
-        self.ordering_config = ordering_config
         self.retry_policy = (
             retry_policy if retry_policy is not None and retry_policy.enabled else None
         )
-        #: per-binding head-sampling override (None: the tracer's configured rate)
-        self.trace_sample = trace_sample
         #: extra metrics dimension (the shard layer tags each sub-binding so
         #: latency/phase histograms and spans are attributable per shard)
         self.metric_tag = metric_tag
@@ -209,9 +231,8 @@ class GroupBinding:
             self._tag_phase_hists = None
         if scheme is not None:
             self._gmi_scatter_hist = obs.metrics.histogram("gmi.scatter.width")
-            self._gmi_reduce_inputs = obs.metrics.histogram("gmi.reduce.inputs")
-            self._gmi_reduce_latency = obs.metrics.histogram("gmi.reduce.latency")
-            self._gmi_forward_counter = obs.metrics.counter("gmi.forwarded")
+            self._reduce_inputs = obs.metrics.histogram("gmi.reduce.inputs")
+            self._reduce_latency = obs.metrics.histogram("gmi.reduce.latency")
         self._forward_seq = 0
         self._invocations_counter = obs.metrics.counter("client.invocations")
         self._rebind_counter = obs.metrics.counter("client.rebinds")
@@ -269,17 +290,9 @@ class GroupBinding:
             self.manager = targets[0]
             hint = targets[0]
         gc_name = f"cs:{self.client_id}:{self.service_name}:{self._epoch_no}"
-        config = GroupConfig(
-            ordering=self.ordering,
-            liveliness=self.liveliness,
-            null_delay=self.null_delay,
-            suspicion_timeout=self.suspicion_timeout,
-            flush_timeout=self.flush_timeout,
-            sequencer_hint=hint,
-            liveliness_config=self.liveliness_config,
-            ordering_config=self.ordering_config,
+        self._gc = self.service.gcs.create_group(
+            gc_name, self.config.replace(sequencer_hint=hint)
         )
-        self._gc = self.service.gcs.create_group(gc_name, config)
         self._gc.on_deliver = self._on_gc_deliver
         self._gc.on_view = self._on_gc_view
         joins = []
@@ -296,8 +309,6 @@ class GroupBinding:
         all_of(joins).add_done_callback(lambda f: self._on_joins_done(f, len(targets)))
 
     def _choose_manager(self, members: List[str]) -> str:
-        if self.manager_override and self.manager_override in members:
-            return self.manager_override
         if self.restricted:
             # restricted group optimisation: everyone uses the designated
             # manager — the server group's first member (its sequencer)
@@ -334,10 +345,10 @@ class GroupBinding:
         self.ready.try_resolve(self)
         queued, self._queued = self._queued, []
         for pending in queued:
-            self._transmit(pending)
+            self._send_invoke(pending)
 
     def _handle_bind_failure(self, exc: BaseException) -> None:
-        if isinstance(exc, (CommFailure,)) and self.auto_rebind and self.style == BindingStyle.OPEN:
+        if isinstance(exc, CommFailure) and self.style == BindingStyle.OPEN:
             self._rebind(exclude=self.manager)
             return
         self.ready.try_fail(exc)
@@ -410,54 +421,19 @@ class GroupBinding:
         outer = Future(name=f"{reply}:{operation}@{self.client_id}")
         issued_at = self.sim.now
 
-        def shape(fut: Future) -> None:
+        def settle(fut: Future) -> None:
+            ok, value = shape_reply(self, fut, issued_at)
             if reply == ReplyScheme.FORWARD:
-                self._forward_reply(operation, fut)
+                self._forward_seq += 1
+                forward_reply(self, operation, self._forward_seq, ok, value)
                 outer.try_resolve(None)
-                return
-            if fut.failed:
-                outer.try_fail(fut.exception)
-                return
-            result = fut.result()
-            if result is None:  # one-way mode under a value-bearing scheme
-                outer.try_resolve(None)
-                return
-            try:
-                if reply == ReplyScheme.COMBINE:
-                    by_member = result.by_member()
-                    if not by_member:
-                        raise ApplicationError("no successful replies to combine")
-                    self._gmi_reduce_inputs.record(len(by_member))
-                    value = reduce_sorted(self.scheme.reducer, by_member)
-                    self._gmi_reduce_latency.record(self.sim.now - issued_at)
-                else:  # RETURN_ONE
-                    value = result.value
-            except Exception as exc:  # noqa: BLE001 - servant/reducer error
-                outer.try_fail(exc)
-                return
-            outer.try_resolve(value)
+            elif ok:
+                outer.try_resolve(value)
+            else:
+                outer.try_fail(value)
 
-        inner.add_done_callback(shape)
+        inner.add_done_callback(settle)
         return outer
-
-    def _forward_reply(self, operation: str, fut: Future) -> None:
-        """Hand the gathered reply to the scheme's forward target."""
-        if fut.failed:
-            ok, value = False, str(fut.exception)
-        else:
-            result = fut.result()
-            try:
-                ok, value = True, (result.value if result is not None else None)
-            except Exception as exc:  # noqa: BLE001 - all replies failed
-                ok, value = False, str(exc)
-        self._forward_seq += 1
-        forwarded = ForwardedReply(
-            self.client_id, self.service_name, operation, self._forward_seq, ok, value
-        )
-        target = self.scheme.forward_to
-        sink = IOR(target, "RootPOA", client_sink_id(target))
-        self.orb.invoke(sink, "deliver_forwarded", (forwarded,), oneway=True)
-        self._gmi_forward_counter.inc()
 
     def _invoke_plain(
         self,
@@ -510,7 +486,6 @@ class GroupBinding:
                 kind="client",
                 node=self.client_id,
                 parent=None,
-                sample_rate=self.trace_sample,
                 attrs=attrs,
             )
         if mode == Mode.ONE_WAY:
@@ -530,7 +505,7 @@ class GroupBinding:
                 timeout, self._on_call_timeout, call_no
             )
         if self._bound:
-            self._transmit(pending)
+            self._send_invoke(pending)
         else:
             self._queued.append(pending)
         return future
@@ -558,9 +533,6 @@ class GroupBinding:
 
         inner.add_done_callback(unwrap)
         return result
-
-    def _transmit(self, pending: _PendingCall) -> None:
-        self._send_invoke(pending)
 
     def _send_invoke(self, pending: _PendingCall) -> None:
         message = InvokeMsg(
@@ -599,6 +571,32 @@ class GroupBinding:
         if pending.mode == Mode.ONE_WAY:
             self._tracer.end_span(pending.span, outcome="shed")
             return
+        self._retry_or_fail(
+            pending,
+            Overloaded(
+                f"call #{pending.call_no} ({pending.operation}) shed at "
+                f"{self.client_id} (send queue full)",
+                retry_after=hint,
+            ),
+            hint,
+        )
+
+    # ------------------------------------------------------------------
+    # the call lifecycle's two exits: retry-or-fail, and teardown
+    # ------------------------------------------------------------------
+    def _retry_or_fail(
+        self, pending: _PendingCall, failure: BaseException, hint: float = 0.0
+    ) -> bool:
+        """Retransmit ``pending`` after a backoff if the retry policy still
+        allows it (returns True), else fail it with ``failure``.
+
+        Retries always reuse the call number.  A call that timed out may
+        have executed: the servers' reply caches turn its retransmission
+        into a replay, not a re-run.  A call that was shed executed nowhere
+        and nothing was cached for it, so its retry runs fresh — either way
+        it completes exactly once.  ``hint`` is the shedder's retry-after
+        (0: plain exponential backoff).
+        """
         policy = self.retry_policy
         if (
             policy is not None
@@ -609,26 +607,24 @@ class GroupBinding:
             self._retry_counter.inc()
             if pending.timer is not None:
                 pending.timer.cancel()
-            delay = policy.retry_after_delay(
-                hint, pending.attempts, self._backoff_rng
-            )
+            delay = policy.retry_after_delay(hint, pending.attempts, self._backoff_rng)
             pending.timer = self.sim.schedule(
                 delay, self._retry_call, pending.call_no
             )
-            return
+            return True
+        self._drop(pending).try_fail(failure)
+        return False
+
+    def _drop(self, pending: _PendingCall) -> Future:
+        """Forget an outstanding call, however it ended; returns its future
+        for the caller to settle."""
         self._pending.pop(pending.call_no, None)
         if pending in self._queued:
             self._queued.remove(pending)
         self.service.unregister_pending(pending.call_no)
         if pending.timer is not None:
             pending.timer.cancel()
-        pending.future.try_fail(
-            Overloaded(
-                f"call #{pending.call_no} ({pending.operation}) shed at "
-                f"{self.client_id} (send queue full)",
-                retry_after=hint,
-            )
-        )
+        return pending.future
 
     def _finish_invoke(self, pending: _PendingCall, fut: Future) -> None:
         if self.admission is not None:
@@ -661,29 +657,10 @@ class GroupBinding:
 
     def _on_call_timeout(self, call_no: int) -> None:
         pending = self._pending.get(call_no)
-        if pending is None:
-            return
-        policy = self.retry_policy
-        if (
-            policy is not None
-            and not self._closed
-            and pending.attempts < policy.max_attempts
+        if pending is not None and not self._retry_or_fail(
+            pending, CommFailure(f"call #{call_no} ({pending.operation}) timed out")
         ):
-            # bounded retry under the *same* call number: the servers' reply
-            # caches turn the retransmission into a replay, not a re-run
-            pending.attempts += 1
-            self._retry_counter.inc()
-            delay = policy.delay(pending.attempts, self._backoff_rng)
-            pending.timer = self.sim.schedule(delay, self._retry_call, call_no)
-            return
-        del self._pending[call_no]
-        if pending in self._queued:
-            self._queued.remove(pending)
-        self._timeout_counter.inc()
-        self.service.unregister_pending(call_no)
-        pending.future.try_fail(
-            CommFailure(f"call #{call_no} ({pending.operation}) timed out")
-        )
+            self._timeout_counter.inc()
 
     def _retry_call(self, call_no: int) -> None:
         pending = self._pending.get(call_no)
@@ -697,7 +674,7 @@ class GroupBinding:
         else:
             pending.timer = None
         if self._bound:
-            self._transmit(pending)
+            self._send_invoke(pending)
         elif pending not in self._queued:
             # mid-rebind: the new binding will flush the queue on ready
             self._queued.append(pending)
@@ -708,52 +685,23 @@ class GroupBinding:
     def _on_gc_deliver(self, sender: str, payload: Any) -> None:
         """Open-style replies (ReplySets, sheds) coming back through the gc."""
         if isinstance(payload, ReplySet):
-            pending = self._pending.pop(payload.call_no, None)
-            if pending is None:
-                return
-            self.service.unregister_pending(payload.call_no)
-            if pending.timer is not None:
-                pending.timer.cancel()
-            pending.future.try_resolve(InvocationResult(payload.replies))
+            pending = self._pending.get(payload.call_no)
+            if pending is not None:
+                self._drop(pending).try_resolve(InvocationResult(payload.replies))
         elif isinstance(payload, ShedReply):
-            self._on_shed(payload)
-
-    def _on_shed(self, shed: ShedReply) -> None:
-        """The manager refused the call before execution: back off and retry
-        under the same call number, or fail with :class:`Overloaded`."""
-        pending = self._pending.get(shed.call_no)
-        if pending is None:
-            return
-        policy = self.retry_policy
-        if (
-            policy is not None
-            and not self._closed
-            and pending.attempts < policy.max_attempts
-        ):
-            # nothing was executed or cached for a shed call, so the retry
-            # runs fresh under the original call number — still exactly once
-            pending.attempts += 1
-            self._retry_counter.inc()
-            self._retry_after_counter.inc()
-            if pending.timer is not None:
-                pending.timer.cancel()
-            delay = policy.retry_after_delay(
-                shed.retry_after, pending.attempts, self._backoff_rng
-            )
-            pending.timer = self.sim.schedule(delay, self._retry_call, shed.call_no)
-            return
-        del self._pending[shed.call_no]
-        if pending in self._queued:
-            self._queued.remove(pending)
-        self.service.unregister_pending(shed.call_no)
-        if pending.timer is not None:
-            pending.timer.cancel()
-        pending.future.try_fail(
-            Overloaded(
-                f"call #{shed.call_no} ({pending.operation}) shed by {shed.member}",
-                retry_after=shed.retry_after,
-            )
-        )
+            # the manager refused the call before execution: back off and
+            # retry under the same call number, or fail with Overloaded
+            pending = self._pending.get(payload.call_no)
+            if pending is not None and self._retry_or_fail(
+                pending,
+                Overloaded(
+                    f"call #{payload.call_no} ({pending.operation}) shed by "
+                    f"{payload.member}",
+                    retry_after=payload.retry_after,
+                ),
+                payload.retry_after,
+            ):
+                self._retry_after_counter.inc()
 
     def on_direct_reply(self, reply: ReplyMsg) -> None:
         """Closed-style replies arriving point-to-point at the client sink."""
@@ -770,11 +718,9 @@ class GroupBinding:
         needed = replies_needed(pending.mode, server_count)
         if len(pending.replies) < needed:
             return
-        self._pending.pop(pending.call_no, None)
-        self.service.unregister_pending(pending.call_no)
-        if pending.timer is not None:
-            pending.timer.cancel()
-        pending.future.try_resolve(InvocationResult(list(pending.replies.values())))
+        self._drop(pending).try_resolve(
+            InvocationResult(list(pending.replies.values()))
+        )
 
     def _closed_server_count(self) -> int:
         # before the view forms, go by the advertised membership; afterwards
@@ -796,17 +742,9 @@ class GroupBinding:
                 self._check_satisfied(pending)
             return
         if self._bound and self.manager in left:
-            self._manager_failed()
-
-    def _manager_failed(self) -> None:
-        failed_manager = self.manager
-        self._bound = False
-        if not self.auto_rebind:
-            self._fail_outstanding(
-                BindingBroken(f"request manager {failed_manager} failed")
-            )
-            return
-        self._rebind(exclude=failed_manager)
+            # the smart proxy: rebind around a surviving member
+            self._bound = False
+            self._rebind(exclude=self.manager)
 
     #: how many times a rebind retries an unreachable registry before the
     #: binding is declared broken, and the backoff envelope between attempts
@@ -869,14 +807,15 @@ class GroupBinding:
         lookup.add_done_callback(on_lookup)
 
     def _fail_outstanding(self, exc: BaseException) -> None:
-        pending_calls = list(self._pending.values()) + self._queued
-        self._pending.clear()
-        self._queued = []
-        for pending in pending_calls:
-            self.service.unregister_pending(pending.call_no)
-            if pending.timer is not None:
-                pending.timer.cancel()
-            pending.future.try_fail(exc)
+        # forget every call before failing any: a failure callback may
+        # re-enter the binding (a closed-loop client invoking again, the
+        # shard layer closing this binding to remap)
+        futures = [
+            self._drop(pending)
+            for pending in list(self._pending.values()) + self._queued
+        ]
+        for future in futures:
+            future.try_fail(exc)
 
     # ------------------------------------------------------------------
     # teardown

@@ -29,11 +29,10 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.client import GroupBinding
-from repro.core.messages import CombinedReply, Contribution, ForwardedReply
+from repro.core.client import GroupBinding, forward_reply, shape_reply
+from repro.core.messages import CombinedReply, Contribution
 from repro.core.modes import ReplyScheme
-from repro.core.registry import client_sink_id
-from repro.core.scheme import SchemeConfig, reduce_sorted
+from repro.core.scheme import SchemeConfig
 from repro.errors import ApplicationError, BindingBroken, CommFailure, ConfigurationError
 from repro.orb.ior import IOR
 from repro.sim.futures import Future
@@ -270,42 +269,13 @@ class CombinedBinding:
     def _on_result(
         self, call_no: int, operation: str, issued_at: float, fut: Future
     ) -> None:
-        reply = self.scheme.reply
-        if fut.failed:
-            if reply == ReplyScheme.FORWARD:
-                self._forward(operation, call_no, False, str(fut.exception))
-            self._fan_reply(call_no, False, str(fut.exception))
-            return
-        result = fut.result()
-        try:
-            if reply == ReplyScheme.COMBINE:
-                by_member = result.by_member()
-                if not by_member:
-                    raise ApplicationError("no successful replies to combine")
-                self._reduce_inputs.record(len(by_member))
-                value = reduce_sorted(self.scheme.reducer, by_member)
-                self._reduce_latency.record(self.sim.now - issued_at)
-            else:  # RETURN_ONE or FORWARD
-                value = result.value
-        except Exception as exc:  # noqa: BLE001 - servant/reducer error
-            if reply == ReplyScheme.FORWARD:
-                self._forward(operation, call_no, False, str(exc))
-            self._fan_reply(call_no, False, str(exc))
-            return
-        if reply == ReplyScheme.FORWARD:
-            self._forward(operation, call_no, True, value)
-            # the cohort still learns the call completed, just not the value
-            self._fan_reply(call_no, True, None)
-            return
-        self._fan_reply(call_no, True, value)
-
-    def _forward(self, operation: str, call_no: int, ok: bool, value: Any) -> None:
-        forwarded = ForwardedReply(
-            self.client_id, self.service_name, operation, call_no, ok, value
-        )
-        target = self.scheme.forward_to
-        sink = IOR(target, "RootPOA", client_sink_id(target))
-        self.orb.invoke(sink, "deliver_forwarded", (forwarded,), oneway=True)
+        ok, value = shape_reply(self, fut, issued_at)
+        if self.scheme.reply == ReplyScheme.FORWARD:
+            forward_reply(self, operation, call_no, ok, value)
+            if ok:
+                # the cohort still learns the call completed, just not the value
+                value = None
+        self._fan_reply(call_no, ok, value if ok else str(value))
 
     def _fan_reply(self, call_no: int, ok: bool, value: Any) -> None:
         message = CombinedReply(self.combine_id, call_no, ok, value)

@@ -21,11 +21,11 @@ import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.client import InvocationResult
-from repro.core.messages import InvokeMsg, ReplySet
+from repro.core.messages import InvokeMsg, ReplySet, ShedReply
 from repro.core.modes import Mode
 from repro.core.registry import server_servant_id
-from repro.errors import BindingBroken
-from repro.groupcomm.config import GroupConfig, Liveliness, Ordering
+from repro.errors import BindingBroken, Overloaded
+from repro.groupcomm.config import GroupConfig
 from repro.orb.ior import IOR
 from repro.sim.futures import Future
 
@@ -41,9 +41,7 @@ class GroupToGroupBinding:
         client_group: str,
         client_members: List[str],
         target_service: str,
-        manager: Optional[str] = None,
-        ordering: str = Ordering.ASYMMETRIC,
-        liveliness: str = Liveliness.EVENT_DRIVEN,
+        **group_config: Any,
     ):
         self.service = service
         self.sim = service.sim
@@ -52,9 +50,10 @@ class GroupToGroupBinding:
         self.client_group = client_group
         self.client_members = list(client_members)
         self.target_service = target_service
-        self.manager = manager
-        self.ordering = ordering
-        self.liveliness = liveliness
+        #: the monitor group's parameters (gz); the manager becomes its
+        #: sequencer once the registry names it
+        self.config = GroupConfig.for_invocation(**group_config)
+        self.manager: Optional[str] = None
 
         obs = service.sim.obs
         self._tracer = obs.tracer
@@ -74,9 +73,6 @@ class GroupToGroupBinding:
     # setup: build the client monitor group gz
     # ------------------------------------------------------------------
     def _start(self) -> None:
-        if self.manager is not None:
-            self._build_monitor()
-            return
         lookup = self.service.registry.lookup(self.target_service)
 
         def on_lookup(fut: Future) -> None:
@@ -92,11 +88,7 @@ class GroupToGroupBinding:
         lookup.add_done_callback(on_lookup)
 
     def _build_monitor(self) -> None:
-        config = GroupConfig(
-            ordering=self.ordering,
-            liveliness=self.liveliness,
-            sequencer_hint=self.manager,
-        )
+        config = self.config.replace(sequencer_hint=self.manager)
         initiator = self.client_members[0]
         if self.member_id == initiator:
             self._monitor = self.service.gcs.create_group(self.monitor_name, config)
@@ -178,10 +170,22 @@ class GroupToGroupBinding:
         return future
 
     def _on_monitor_deliver(self, sender: str, payload: Any) -> None:
-        if not isinstance(payload, ReplySet):
+        if not isinstance(payload, (ReplySet, ShedReply)):
             return  # other members' request copies; the manager filters them
         future = self._pending.pop(payload.call_no, None)
         span, sent_at = self._spans.pop(payload.call_no, (None, None))
+        if isinstance(payload, ShedReply):
+            # the manager refused the call before forwarding it; the refusal
+            # is one multicast in gz, so every gx member fails the call alike
+            self._tracer.end_span(span, outcome="shed")
+            if future is not None:
+                future.try_fail(
+                    Overloaded(
+                        f"g2g call #{payload.call_no} shed by {payload.member}",
+                        retry_after=payload.retry_after,
+                    )
+                )
+            return
         if sent_at is not None:
             self._latency_hist.record(self.sim.now - sent_at)
         self._tracer.end_span(span, outcome="ok", replies=len(payload.replies))

@@ -16,8 +16,7 @@ service.  It wires the application servant to group communication:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.messages import (
     InvokeMsg,
@@ -45,12 +44,21 @@ __all__ = ["ObjectGroupServer", "EXECUTION_OVERHEAD", "REPLY_CACHE_SIZE"]
 #: declared cost.
 EXECUTION_OVERHEAD = 40e-6
 
-#: Retained (client, call_no) -> ReplySet entries for duplicate suppression.
+#: Retained entries per duplicate-suppression cache (reply sets, own
+#: replies, async-forwarding and group-to-group markers alike).
 REPLY_CACHE_SIZE = 2048
 
 #: Retry-after hint when a bounded flow queue sheds without an admission
 #: controller configured (the client's RetryPolicy caps and jitters it).
 DEFAULT_OVERFLOW_RETRY_AFTER = 200e-3
+
+
+def _remember(cache: Dict, key: Any, value: Any) -> None:
+    """Insert into a duplicate-suppression cache, evicting the oldest
+    entries beyond :data:`REPLY_CACHE_SIZE`."""
+    cache[key] = value
+    while len(cache) > REPLY_CACHE_SIZE:
+        del cache[next(iter(cache))]
 
 
 class _Collector:
@@ -61,7 +69,7 @@ class _Collector:
     def __init__(self, mode: str, reply_group: str, admitted: bool = False):
         self.mode = mode
         self.reply_group = reply_group
-        self.replies: "OrderedDict[str, ReplyMsg]" = OrderedDict()
+        self.replies: Dict[str, ReplyMsg] = {}
         self.done = False
         #: holds an admission-controller inflight slot to give back on finish
         self.admitted = admitted
@@ -109,7 +117,7 @@ class ObjectGroupServer:
         self.service_name = service_name
         self.servant = servant
         self.policy = policy
-        self.config = config or GroupConfig(ordering="asymmetric")
+        self.config = config or GroupConfig.for_invocation()
         #: request managers answer wait_for_first locally and forward one-way
         self.async_forwarding = async_forwarding
         #: admission control at this request manager (None = admit all)
@@ -128,7 +136,7 @@ class ObjectGroupServer:
         self._collectors: Dict[Tuple[str, int], _Collector] = {}
         self._g2g_seen: Dict[Tuple[str, int], bool] = {}
         self._async_handled: Dict[Tuple[str, int], bool] = {}
-        self._reply_cache: "OrderedDict[Tuple[str, int], ReplySet]" = OrderedDict()
+        self._reply_cache: Dict[Tuple[str, int], ReplySet] = {}
         self._own_replies: Dict[Tuple[str, int], ReplyMsg] = {}
         obs = service.sim.obs
         self._tracer = obs.tracer
@@ -390,13 +398,13 @@ class ObjectGroupServer:
             set_state(snapshot.servant_state)
         # re-seed duplicate suppression with what the group already answered;
         # entries this member answered since (re)joining take precedence
-        for reply_set in snapshot.reply_sets:
-            self._reply_cache.setdefault(reply_set.call_id, reply_set)
-        while len(self._reply_cache) > REPLY_CACHE_SIZE:
-            self._reply_cache.popitem(last=False)
-        for reply in snapshot.own_replies:
-            self._own_replies.setdefault(reply.call_id, reply)
-        self._prune_own_replies()
+        for cache, entries in (
+            (self._reply_cache, snapshot.reply_sets),
+            (self._own_replies, snapshot.own_replies),
+        ):
+            for entry in entries:
+                if entry.call_id not in cache:
+                    _remember(cache, entry.call_id, entry)
 
     # ------------------------------------------------------------------
     # client/server group management
@@ -452,42 +460,78 @@ class ObjectGroupServer:
             return  # ReplySets travelling back to the client
         style, _client = self._client_group_styles.get(group_name, ("open", sender))
         if payload.reply_group:
-            self._handle_g2g_request(payload)
+            # group-to-group (§4.3): replies go to the client monitor group
+            self._handle_request(payload, payload.reply_group)
         elif style == "closed":
-            self._handle_closed_request(payload)
+            # every server got the request directly and answers point-to-point
+            self._serve(payload, self._reply_directly)
         else:
-            self._handle_open_request(group_name, payload)
+            self._handle_request(payload, group_name)
 
-    # -- closed groups: every server got the request directly --------------
-    def _handle_closed_request(self, invoke: InvokeMsg) -> None:
-        cached = self._own_replies.get(invoke.call_id)
-        if cached is not None:
-            # client-side retry re-multicast the call: replay, don't re-run
+    # -- the replica stage: dedupe -> execute -> log -> reply ---------------
+    def _serve(self, invoke: InvokeMsg, reply_to: Callable[[ReplyMsg], None]) -> None:
+        """Answer a request that reached this replica, at most once.
+
+        ``reply_to`` is how the reply travels: point-to-point to the client
+        (closed groups) or multicast within the server group (forwarded
+        requests, §4.1 iii).
+        """
+        logged = self._own_replies.get(invoke.call_id)
+        if logged is not None:
+            # a retried or re-forwarded call: replay, don't re-run
             self._dup_counter.inc()
             if invoke.mode != Mode.ONE_WAY:
-                self._reply_directly(invoke.client, cached)
+                reply_to(logged)
             return
-        executes = self.policy == ReplicationPolicy.ACTIVE or self.is_primary
-        if not executes:
-            return  # passive backup: the primary's StateUpdate will follow
-        self._execute(invoke, lambda reply: self._after_closed_execution(invoke, reply))
+        if self.policy == ReplicationPolicy.ACTIVE or self.is_primary:
+            self._execute(
+                invoke, lambda reply: self._after_execution(invoke, reply, reply_to)
+            )
+        # else a passive backup: the primary's StateUpdate will follow
 
-    def _after_closed_execution(self, invoke: InvokeMsg, reply: ReplyMsg) -> None:
-        if invoke.mode != Mode.ONE_WAY:
-            self._own_replies[invoke.call_id] = reply
-            self._prune_own_replies()
+    def _after_execution(
+        self, invoke: InvokeMsg, reply: ReplyMsg, reply_to: Callable[[ReplyMsg], None]
+    ) -> None:
+        if invoke.forwarded or invoke.mode != Mode.ONE_WAY:
+            # logged before anything is sent: if this member was removed from
+            # the view while the servant ran nobody hears the reply now, but
+            # after a rejoin a re-forwarded duplicate replays it instead of
+            # re-executing.  Forwarded one-way calls are logged too — with
+            # async forwarding they stand for a wait_for_first call that the
+            # client may retry through another manager.
+            _remember(self._own_replies, invoke.call_id, reply)
         if self.policy == ReplicationPolicy.PASSIVE:
             self._broadcast_state_update(invoke, reply)
         if invoke.mode != Mode.ONE_WAY:
-            self._reply_directly(invoke.client, reply)
+            reply_to(reply)
 
-    def _reply_directly(self, client: str, reply: ReplyMsg) -> None:
-        target = IOR(client, "RootPOA", client_sink_id(client))
+    def _reply_directly(self, reply: ReplyMsg) -> None:
+        target = IOR(reply.client, "RootPOA", client_sink_id(reply.client))
         self.orb.invoke(target, "deliver_reply", (reply,), oneway=True)
 
-    # -- open groups: we are this client's request manager -----------------
-    def _handle_open_request(self, group_name: str, invoke: InvokeMsg) -> None:
+    def _multicast_executed(self, payload: Any) -> None:
+        """Multicast a reply or state update within the server group (§4.1 iii).
+
+        The work behind it already ran, so a bounded flow queue must not
+        refuse it.  A member excluded (or restarted) while a servant
+        execution was in flight drops the send rather than raise out of the
+        completion callback.
+        """
+        if self.group is not None and self.group.state != "closed":
+            self.group.send(payload, admitted=True)
+
+    # -- the request-manager stage: dedupe -> admit -> collect -> forward ---
+    def _handle_request(self, invoke: InvokeMsg, reply_group: str) -> None:
+        """We are this call's request manager: for an open client/server
+        group, or for a client monitor group on a group-to-group call.  The
+        gathered replies travel back through ``reply_group``."""
         call_id = invoke.call_id
+        if invoke.reply_group:
+            # every gx member multicasts its own copy (§4.3): forward one
+            if call_id in self._g2g_seen:
+                self._g2g_dup_counter.inc()
+                return
+            _remember(self._g2g_seen, call_id, True)
         cached = self._reply_cache.get(call_id)
         if cached is not None:
             # retried call (client rebind after a manager failure): replay
@@ -495,7 +539,7 @@ class ObjectGroupServer:
             self._tracer.event(
                 "manager.reply_cache_hit", client=invoke.client, call_no=invoke.call_no
             )
-            self._send_reply_set(group_name, cached)
+            self._send_reply_set(reply_group, cached)
             return
         if call_id in self._collectors or call_id in self._async_handled:
             # a retried call still being collected (or answered locally with
@@ -504,7 +548,7 @@ class ObjectGroupServer:
             self._dup_counter.inc()
             return
         if invoke.mode == Mode.ONE_WAY:
-            self._forward(invoke, Mode.ONE_WAY)
+            self._forward(invoke, Mode.ONE_WAY, reply_group)
             return
         # admission control: decide *before* the re-multicast and before
         # anything is cached, so a shed call is never partially executed and
@@ -514,36 +558,37 @@ class ObjectGroupServer:
             pushback = self.group.group_pushback() if self.group is not None else 0.0
             hint = self.admission.try_admit(pushback)
             if hint is not None:
-                self._send_shed(group_name, invoke, hint)
+                self._send_shed(reply_group, invoke, hint)
                 return
             admitted = True
         if self.async_forwarding and invoke.mode == Mode.FIRST:
             # §4.2: answer locally, forward one-way — no reply gathering.
             # Mark the call so our own loopback of the forward is skipped.
-            self._async_handled[call_id] = True
-            while len(self._async_handled) > REPLY_CACHE_SIZE:
-                self._async_handled.pop(next(iter(self._async_handled)))
-            try:
-                self._forward(invoke, Mode.ONE_WAY)
-            except FlowQueueFull:
+            _remember(self._async_handled, call_id, True)
+            if not self._forward(invoke, Mode.ONE_WAY, reply_group, admitted):
                 del self._async_handled[call_id]
-                self._shed_on_overflow(group_name, invoke, admitted)
                 return
             self._execute(
                 invoke,
-                lambda reply: self._finish_async_forwarded(group_name, invoke, reply),
+                lambda reply: self._finish_async_forwarded(
+                    reply_group, invoke, reply, admitted
+                ),
             )
             return
-        collector = _Collector(invoke.mode, group_name, admitted=admitted)
-        self._collectors[call_id] = collector
-        try:
-            self._forward(invoke, invoke.mode)
-        except FlowQueueFull:
+        self._collectors[call_id] = _Collector(invoke.mode, reply_group, admitted)
+        if not self._forward(invoke, invoke.mode, reply_group, admitted):
             del self._collectors[call_id]
-            self._shed_on_overflow(group_name, invoke, admitted)
 
-    def _forward(self, invoke: InvokeMsg, mode: str) -> None:
-        """Re-issue the client's request inside the server group (§4.1 ii)."""
+    def _forward(
+        self, invoke: InvokeMsg, mode: str, reply_group: str, admitted: bool = False
+    ) -> bool:
+        """Re-issue the client's request inside the server group (§4.1 ii).
+
+        The one place a request enters the server group.  Returns False if
+        a bounded flow queue (``flow_max_queue``) refused the re-multicast:
+        nothing was forwarded, so nothing executed anywhere, and the call
+        is shed (a one-way call is counted and dropped).
+        """
         # the paper's m2: the request manager re-multicasts into the server
         # group; the ambient span here is the delivery of the client's m1
         self._tracer.event(
@@ -558,22 +603,46 @@ class ObjectGroupServer:
             True,
             "",
         )
-        self.group.send(forwarded)
+        try:
+            self.group.send(forwarded)
+        except FlowQueueFull:
+            if self.admission is not None:
+                if admitted:
+                    self.admission.release()
+                hint = self.admission.config.retry_after * 4.0
+                self.admission.count_shed()
+            else:
+                hint = DEFAULT_OVERFLOW_RETRY_AFTER
+                self.sim.obs.metrics.counter("overload.shed").inc()
+            if invoke.mode != Mode.ONE_WAY:
+                self._send_shed(reply_group, invoke, hint)
+            return False
+        return True
 
     def _finish_async_forwarded(
-        self, group_name: str, invoke: InvokeMsg, reply: ReplyMsg
+        self, reply_group: str, invoke: InvokeMsg, reply: ReplyMsg, admitted: bool
     ) -> None:
-        if self.admission is not None:
-            self.admission.release()
-        if self.policy == ReplicationPolicy.PASSIVE and self._group_open():
+        if self.policy == ReplicationPolicy.PASSIVE:
             self._broadcast_state_update(invoke, reply)
-        reply_set = ReplySet(invoke.client, invoke.call_no, [reply])
-        self._cache_reply(reply_set)
-        self._send_reply_set(group_name, reply_set)
+        self._answer(invoke.call_id, reply_group, [reply], admitted)
+
+    def _answer(
+        self,
+        call_id: Tuple[str, int],
+        reply_group: str,
+        replies: List[ReplyMsg],
+        admitted: bool,
+    ) -> None:
+        """The call is decided: cache its reply set and send it to the client."""
+        if admitted:
+            self.admission.release()
+        reply_set = ReplySet(call_id[0], call_id[1], replies)
+        _remember(self._reply_cache, call_id, reply_set)
+        self._send_reply_set(reply_group, reply_set)
 
     # -- shedding: refuse before execution, hint the client when to retry --
-    def _send_shed(self, group_name: str, invoke: InvokeMsg, hint: float) -> None:
-        session = self._client_groups.get(group_name)
+    def _send_shed(self, reply_group: str, invoke: InvokeMsg, hint: float) -> None:
+        session = self._client_groups.get(reply_group)
         if session is not None and session.state != "closed":
             self._tracer.event(
                 "manager.shed",
@@ -582,33 +651,16 @@ class ObjectGroupServer:
                 retry_after=hint,
             )
             self._flight.record(
-                self.member_id, "shed", group_name,
+                self.member_id, "shed", reply_group,
                 f"{invoke.client}#{invoke.call_no}",
             )
             session.send(
-                ShedReply(invoke.client, invoke.call_no, self.member_id, hint)
+                ShedReply(invoke.client, invoke.call_no, self.member_id, hint),
+                admitted=True,
             )
 
-    def _shed_on_overflow(
-        self, group_name: str, invoke: InvokeMsg, admitted: bool
-    ) -> None:
-        """The server-group flow queue refused the re-multicast: shed.
-
-        Reached only with a bounded flow queue (``flow_max_queue``); the
-        call was never forwarded, so nothing executed anywhere.
-        """
-        if self.admission is not None:
-            if admitted:
-                self.admission.release()
-            hint = self.admission.config.retry_after * 4.0
-            self.admission.count_shed()
-        else:
-            hint = DEFAULT_OVERFLOW_RETRY_AFTER
-            self.sim.obs.metrics.counter("overload.shed").inc()
-        self._send_shed(group_name, invoke, hint)
-
-    def _send_reply_set(self, group_name: str, reply_set: ReplySet) -> None:
-        session = self._client_groups.get(group_name)
+    def _send_reply_set(self, reply_group: str, reply_set: ReplySet) -> None:
+        session = self._client_groups.get(reply_group)
         if session is not None and session.state != "closed":
             # the paper's m6: the gathered replies travel back to the client
             self._tracer.event(
@@ -617,71 +669,21 @@ class ObjectGroupServer:
                 call_no=reply_set.call_no,
                 replies=len(reply_set.replies),
             )
-            session.send(reply_set)
-
-    # -- group-to-group: filter duplicates from gx members (§4.3) ----------
-    def _handle_g2g_request(self, invoke: InvokeMsg) -> None:
-        call_id = invoke.call_id
-        if call_id in self._g2g_seen:
-            self._g2g_dup_counter.inc()
-            return  # already forwarded on behalf of another gx member
-        self._g2g_seen[call_id] = True
-        cached = self._reply_cache.get(call_id)
-        if cached is not None:
-            self._send_reply_set(invoke.reply_group, cached)
-            return
-        if invoke.mode == Mode.ONE_WAY:
-            self._forward(invoke, Mode.ONE_WAY)
-            return
-        collector = _Collector(invoke.mode, invoke.reply_group)
-        self._collectors[call_id] = collector
-        self._forward(invoke, invoke.mode)
+            session.send(reply_set, admitted=True)
 
     # ------------------------------------------------------------------
     # deliveries from the server group
     # ------------------------------------------------------------------
     def _on_group_deliver(self, sender: str, payload: Any) -> None:
         if isinstance(payload, InvokeMsg):
-            self._handle_forwarded(payload)
+            # a forwarded request — unless we answered it locally before
+            # forwarding it ourselves (§4.2)
+            if payload.call_id not in self._async_handled:
+                self._serve(payload, self._multicast_executed)
         elif isinstance(payload, ReplyMsg):
             self._collect_reply(payload)
         elif isinstance(payload, StateUpdate):
             self._apply_state_update(sender, payload)
-
-    def _handle_forwarded(self, invoke: InvokeMsg) -> None:
-        call_id = invoke.call_id
-        if call_id in self._async_handled:
-            return  # we answered this locally before forwarding (§4.2)
-        if call_id in self._own_replies:
-            # duplicate (e.g. re-forwarded after a manager failure): replay
-            self._dup_counter.inc()
-            if invoke.mode != Mode.ONE_WAY and self._group_open():
-                self.group.send(self._own_replies[call_id])
-            return
-        executes = self.policy == ReplicationPolicy.ACTIVE or self.is_primary
-        if not executes:
-            return
-        self._execute(invoke, lambda reply: self._after_forwarded_execution(invoke, reply))
-
-    def _after_forwarded_execution(self, invoke: InvokeMsg, reply: ReplyMsg) -> None:
-        self._own_replies[invoke.call_id] = reply
-        self._prune_own_replies()
-        if not self._group_open():
-            # removed from the view while the servant ran: nobody hears the
-            # multicast now, but the reply is logged above, so after a rejoin
-            # a re-forwarded duplicate replays it instead of re-executing
-            return
-        if self.policy == ReplicationPolicy.PASSIVE:
-            self._broadcast_state_update(invoke, reply)
-        if invoke.mode != Mode.ONE_WAY:
-            # §4.1 (iii): members multicast replies within the server group
-            self.group.send(reply)
-
-    def _group_open(self) -> bool:
-        """Can we still multicast into the server group?  A member excluded
-        (or restarted) while a servant execution was in flight must drop the
-        send rather than raise out of the completion callback."""
-        return self.group is not None and self.group.state != "closed"
 
     def _collect_reply(self, reply: ReplyMsg) -> None:
         collector = self._collectors.get(reply.call_id)
@@ -701,11 +703,12 @@ class ObjectGroupServer:
             return
         collector.done = True
         del self._collectors[call_id]
-        if collector.admitted and self.admission is not None:
-            self.admission.release()
-        reply_set = ReplySet(call_id[0], call_id[1], list(collector.replies.values()))
-        self._cache_reply(reply_set)
-        self._send_reply_set(collector.reply_group, reply_set)
+        self._answer(
+            call_id,
+            collector.reply_group,
+            list(collector.replies.values()),
+            collector.admitted,
+        )
 
     # ------------------------------------------------------------------
     # passive replication
@@ -713,7 +716,9 @@ class ObjectGroupServer:
     def _broadcast_state_update(self, invoke: InvokeMsg, reply: ReplyMsg) -> None:
         get_state = getattr(self.servant, "get_state", None)
         state = get_state() if get_state is not None else None
-        self.group.send(StateUpdate(invoke.client, invoke.call_no, state, reply))
+        self._multicast_executed(
+            StateUpdate(invoke.client, invoke.call_no, state, reply)
+        )
 
     def _apply_state_update(self, sender: str, update: StateUpdate) -> None:
         if sender == self.member_id:
@@ -721,8 +726,7 @@ class ObjectGroupServer:
         set_state = getattr(self.servant, "set_state", None)
         if set_state is not None and update.state is not None:
             set_state(update.state)
-        self._own_replies[(update.client, update.call_no)] = update.reply
-        self._prune_own_replies()
+        _remember(self._own_replies, (update.client, update.call_no), update.reply)
 
     # ------------------------------------------------------------------
     # execution
@@ -778,18 +782,6 @@ class ObjectGroupServer:
             done(ReplyMsg(invoke.client, invoke.call_no, self.member_id, False, str(exc)))
             return
         done(ReplyMsg(invoke.client, invoke.call_no, self.member_id, True, value))
-
-    # ------------------------------------------------------------------
-    # caches
-    # ------------------------------------------------------------------
-    def _cache_reply(self, reply_set: ReplySet) -> None:
-        self._reply_cache[reply_set.call_id] = reply_set
-        while len(self._reply_cache) > REPLY_CACHE_SIZE:
-            self._reply_cache.popitem(last=False)
-
-    def _prune_own_replies(self) -> None:
-        while len(self._own_replies) > REPLY_CACHE_SIZE:
-            self._own_replies.pop(next(iter(self._own_replies)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ObjectGroupServer {self.service_name}@{self.member_id} {self.policy}>"

@@ -5,7 +5,8 @@ group communication service, the service registry client, and the client
 reply sink, and exposes the high-level operations applications use:
 
 - ``serve(name, servant, ...)`` — host a member of a replicated service;
-- ``bind(name, style=..., ...)`` — bind as a client (closed or open);
+- ``bind(name, style=..., **group_config)`` — bind as a client (closed or
+  open); every non-binding keyword is a ``GroupConfig`` field;
 - ``bind_group_to_group(...)`` — invoke another group from a group;
 - ``create_peer_group`` / ``join_peer_group`` — peer-participation groups
   (conferencing-style one-way multicasting, §5.2).
@@ -14,7 +15,7 @@ reply sink, and exposes the high-level operations applications use:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.client import GroupBinding
 from repro.core.combined import CombinedBinding
@@ -25,13 +26,7 @@ from repro.core.scheme import SchemeConfig
 from repro.core.registry import ServiceRegistry, client_sink_id
 from repro.core.server import ObjectGroupServer
 from repro.errors import GroupError
-from repro.groupcomm.config import (
-    GroupConfig,
-    Liveliness,
-    LivelinessConfig,
-    Ordering,
-    OrderingConfig,
-)
+from repro.groupcomm.config import GroupConfig, Liveliness
 from repro.groupcomm.service import GroupCommService
 from repro.groupcomm.session import GroupSession
 from repro.overload import AdmissionConfig
@@ -103,35 +98,20 @@ class NewTopService:
         ``contact`` override discovery for explicit deployments.  Await
         ``server.ready``.
         """
-        if service_name in self.servers:
-            raise GroupError(f"{self.name} already serves {service_name!r}")
-        server = ObjectGroupServer(
-            self,
+        return self._host(
             service_name,
-            servant,
-            policy=policy,
-            config=config,
-            async_forwarding=async_forwarding,
-            admission=admission,
+            lambda: ObjectGroupServer(
+                self,
+                service_name,
+                servant,
+                policy=policy,
+                config=config,
+                async_forwarding=async_forwarding,
+                admission=admission,
+            ),
+            create,
+            contact,
         )
-        self.servers[service_name] = server
-        if create is True or (create is None and self.registry is None):
-            server.start_as_creator()
-            return server
-        if contact is not None:
-            server.start_as_joiner(contact)
-            return server
-        lookup = self.registry.lookup(service_name)
-
-        def on_lookup(fut: Future) -> None:
-            if fut.failed:
-                server.start_as_creator()
-            else:
-                members = self.registry.members_of(fut.result())
-                server.start_as_joiner(members[0])
-
-        lookup.add_done_callback(on_lookup)
-        return server
 
     def serve_sharded(
         self,
@@ -158,37 +138,51 @@ class NewTopService:
         """
         from repro.shard.server import ShardedServer  # local: avoid cycle
 
+        return self._host(
+            service_name,
+            lambda: ShardedServer(
+                self,
+                service_name,
+                servant_factory,
+                num_shards,
+                layout=layout,
+                min_members_per_shard=min_members_per_shard,
+                policy=policy,
+                config=config,
+                async_forwarding=async_forwarding,
+                admission=admission,
+            ),
+            create,
+            contact,
+        )
+
+    def _host(
+        self,
+        service_name: str,
+        make_server: Callable[[], Any],
+        create: Optional[bool],
+        contact: Optional[str],
+    ):
+        """Build this node's server for ``service_name`` and start it: as
+        the group's creator, through an explicit ``contact``, or — the
+        default — whichever the registry lookup calls for."""
         if service_name in self.servers:
             raise GroupError(f"{self.name} already serves {service_name!r}")
-        server = ShardedServer(
-            self,
-            service_name,
-            servant_factory,
-            num_shards,
-            layout=layout,
-            min_members_per_shard=min_members_per_shard,
-            policy=policy,
-            config=config,
-            async_forwarding=async_forwarding,
-            admission=admission,
-        )
-        self.servers[service_name] = server
+        server = self.servers[service_name] = make_server()
         if create is True or (create is None and self.registry is None):
             server.start_as_creator()
-            return server
-        if contact is not None:
+        elif contact is not None:
             server.start_as_joiner(contact)
-            return server
-        lookup = self.registry.lookup(service_name)
+        else:
 
-        def on_lookup(fut: Future) -> None:
-            if fut.failed:
-                server.start_as_creator()
-            else:
-                members = self.registry.members_of(fut.result())
-                server.start_as_joiner(members[0])
+            def on_lookup(fut: Future) -> None:
+                if fut.failed:
+                    server.start_as_creator()
+                else:
+                    members = self.registry.members_of(fut.result())
+                    server.start_as_joiner(members[0])
 
-        lookup.add_done_callback(on_lookup)
+            self.registry.lookup(service_name).add_done_callback(on_lookup)
         return server
 
     # ------------------------------------------------------------------
@@ -198,45 +192,34 @@ class NewTopService:
         self,
         service_name: str,
         style: str = BindingStyle.OPEN,
-        ordering: str = Ordering.ASYMMETRIC,
-        liveliness: str = Liveliness.EVENT_DRIVEN,
         restricted: bool = True,
-        manager: Optional[str] = None,
-        auto_rebind: bool = True,
-        null_delay: float = 1e-3,
-        suspicion_timeout: float = 300e-3,
-        flush_timeout: float = 150e-3,
-        liveliness_config: Optional[LivelinessConfig] = None,
-        ordering_config: Optional[OrderingConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        trace_sample: Optional[float] = None,
         scheme: Optional[SchemeConfig] = None,
         admission: Optional[AdmissionConfig] = None,
+        **group_config: Any,
     ) -> GroupBinding:
         """Bind to a replicated service.  Await ``binding.ready``.
 
-        ``scheme`` selects a cell of the invocation-scheme × reply-scheme
-        matrix (single/personalized × discard/return_one/forward/combine);
-        combined schemes go through :meth:`bind_combined` instead.
+        The five named options belong to the binding: closed or open
+        ``style``, the ``restricted`` (designated-manager) optimisation, the
+        per-call ``retry_policy``, a ``scheme`` (one cell of the
+        invocation-scheme × reply-scheme matrix: single/personalized ×
+        discard/return_one/forward/combine — combined schemes go through
+        :meth:`bind_combined` instead) and client-side ``admission``.
+        Every other keyword is a :class:`~repro.groupcomm.config.GroupConfig`
+        field of the client/server group — ``ordering`` (asymmetric unless
+        given), ``liveliness``, ``suspicion_timeout``, ... — validated at
+        bind time.
         """
         return GroupBinding(
             self,
             service_name,
             style=style,
-            ordering=ordering,
-            liveliness=liveliness,
             restricted=restricted,
-            manager=manager,
-            auto_rebind=auto_rebind,
-            null_delay=null_delay,
-            suspicion_timeout=suspicion_timeout,
-            flush_timeout=flush_timeout,
-            liveliness_config=liveliness_config,
-            ordering_config=ordering_config,
             retry_policy=retry_policy,
-            trace_sample=trace_sample,
             scheme=scheme,
             admission=admission,
+            **group_config,
         )
 
     def bind_combined(
@@ -249,8 +232,8 @@ class NewTopService:
 
         Every member of ``scheme.callers`` must call this with the same
         scheme; only the rank-0 root actually binds to the service (extra
-        keyword arguments configure that underlying binding).  Await
-        ``binding.ready``.
+        keyword arguments are :meth:`bind`'s, for that underlying binding).
+        Await ``binding.ready``.
         """
         return CombinedBinding(self, service_name, scheme, **bind_kwargs)
 
@@ -262,8 +245,8 @@ class NewTopService:
     ):
         """Bind to a sharded service: one sub-binding per shard, key-routed
         invocation and scatter/gather on top.  Await ``binding.ready``.
-        Keyword arguments are passed through to each per-shard
-        :meth:`bind`-style :class:`~repro.core.client.GroupBinding`.
+        Extra keyword arguments are :meth:`bind`'s, for each per-shard
+        :class:`~repro.core.client.GroupBinding`.
         """
         from repro.shard.binding import ShardedBinding  # local: avoid cycle
 
@@ -274,17 +257,13 @@ class NewTopService:
         client_group: str,
         client_members: List[str],
         target_service: str,
-        manager: Optional[str] = None,
-        ordering: str = Ordering.ASYMMETRIC,
+        **group_config: Any,
     ) -> GroupToGroupBinding:
-        """Bind a member of ``client_group`` for group-to-group invocation."""
+        """Bind a member of ``client_group`` for group-to-group invocation;
+        keyword arguments are the client monitor group's
+        :class:`~repro.groupcomm.config.GroupConfig` fields."""
         return GroupToGroupBinding(
-            self,
-            client_group,
-            client_members,
-            target_service,
-            manager=manager,
-            ordering=ordering,
+            self, client_group, client_members, target_service, **group_config
         )
 
     # ------------------------------------------------------------------

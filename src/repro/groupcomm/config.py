@@ -218,6 +218,20 @@ class GroupConfig:
         self.liveliness_config = liveliness_config or LivelinessConfig()
         self.ordering_config = ordering_config or OrderingConfig()
 
+    @classmethod
+    def for_invocation(cls, **fields) -> "GroupConfig":
+        """The invocation layer's groups (server, client/server, monitor)
+        default to sequencer order, so that sequencer = request manager =
+        primary can be pinned with ``sequencer_hint`` (§4.2)."""
+        fields.setdefault("ordering", Ordering.ASYMMETRIC)
+        return cls(**fields)
+
+    def replace(self, **changes) -> "GroupConfig":
+        """A copy with ``changes`` applied, validated like a fresh config."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        return GroupConfig(**fields)
+
     @property
     def is_total(self) -> bool:
         return self.ordering in Ordering.TOTAL

@@ -144,13 +144,15 @@ class GroupSession:
             return hint
         return self.view.members[0] if self.view else ""
 
-    def send(self, payload: Any) -> None:
+    def send(self, payload: Any, admitted: bool = False) -> None:
         """Multicast ``payload`` to the group with the configured ordering.
 
         One-way (asynchronous) send: returns immediately; delivery happens
         at every member — including the sender — via ``on_deliver``.  Sends
         beyond the flow-control window are queued and go out as earlier
-        messages stabilise.
+        messages stabilise.  ``admitted`` marks a payload whose work already
+        ran (a reply, a state update): like a view-change replay it queues
+        past ``flow_max_queue`` instead of raising.
         """
         if self.state == "closed":
             raise NotMember(f"{self.member_id} is not a member of {self.group}")
@@ -161,9 +163,10 @@ class GroupSession:
                 self._phases.on_flush_hold((payload.client, payload.call_no))
             self._queued_sends.append(payload)
             return
-        if not self.flow.try_acquire(payload):
-            # window full: queued inside the flow controller (raises
-            # FlowQueueFull past max_queue — the caller sheds)
+        acquire = self.flow.requeue if admitted else self.flow.try_acquire
+        if not acquire(payload):
+            # window full: queued inside the flow controller (try_acquire
+            # raises FlowQueueFull past max_queue — the caller sheds)
             self._update_flow_gauges()
             return
         self._update_flow_gauges()

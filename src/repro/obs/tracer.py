@@ -207,7 +207,7 @@ class Tracer:
         self._next_id = 1
         self._stash: "OrderedDict[Any, Span]" = OrderedDict()
         #: systematic-sampling accumulators, one per distinct rate in use
-        self._sample_acc: Dict[float, float] = {}
+        self._sample_acc = 0.0
 
     @property
     def recording(self) -> bool:
@@ -223,22 +223,22 @@ class Tracer:
         """Whether head-sampling is active (some roots will be dropped)."""
         return self.enabled and self.config.sample_rate < 1.0
 
-    def _sample_root(self, rate: Optional[float]) -> bool:
+    def _sample_root(self) -> bool:
         """Head decision for a would-be trace root.  Systematic: an
-        accumulator per rate records exactly ``rate`` of the roots."""
-        r = self.config.sample_rate if rate is None else rate
+        accumulator records exactly ``sample_rate`` of the roots."""
+        r = self.config.sample_rate
         if r >= 1.0:
             self.sampled_roots += 1
             return True
         if r <= 0.0:
             self.unsampled_roots += 1
             return False
-        acc = self._sample_acc.get(r, 0.0) + r
+        acc = self._sample_acc + r
         if acc >= 1.0:
-            self._sample_acc[r] = acc - 1.0
+            self._sample_acc = acc - 1.0
             self.sampled_roots += 1
             return True
-        self._sample_acc[r] = acc
+        self._sample_acc = acc
         self.unsampled_roots += 1
         return False
 
@@ -252,14 +252,13 @@ class Tracer:
         node: Optional[str] = None,
         attrs: Optional[Dict[str, Any]] = None,
         parent: Any = "ambient",
-        sample_rate: Optional[float] = None,
     ) -> Optional[Span]:
         """Open a span.  ``parent`` defaults to the ambient span; pass an
         explicit :class:`Span` (or None for a new trace root) to override.
         Returns None when tracing is disabled, when the ambient context
         belongs to an unsampled trace, or when this would root a new trace
-        and the head-sampling decision (``sample_rate``, defaulting to the
-        config's) says no."""
+        and the head-sampling decision (the config's ``sample_rate``) says
+        no."""
         if not self.enabled:
             return None
         if parent == "ambient":
@@ -267,7 +266,7 @@ class Tracer:
             if ctx is not None and not ctx.sampled:
                 return None
             parent = ctx.span if ctx is not None else None
-        if parent is None and not self._sample_root(sample_rate):
+        if parent is None and not self._sample_root():
             return None
         span_id = self._next_id
         self._next_id += 1

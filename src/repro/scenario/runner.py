@@ -25,7 +25,7 @@ from repro.apps.mapreduce import MapReduceServant
 from repro.apps.randserver import RandomNumberServant
 from repro.apps.sharded_kvstore import ShardKVServant, ShardedKVClient
 from repro.core.modes import BindingStyle, InvocationScheme
-from repro.groupcomm.config import GroupConfig, Liveliness
+from repro.groupcomm.config import GroupConfig
 from repro.obs import Observability
 from repro.obs.phases import PHASE_NAMES
 from repro.recovery import RecoveryManager, convergence_status
@@ -243,19 +243,9 @@ def run_scenario(source, obs=None) -> Dict:
 # ---------------------------------------------------------------------------
 # deployment wiring
 # ---------------------------------------------------------------------------
-def _group_config(spec: ScenarioSpec, sequencer_hint: str) -> GroupConfig:
-    group = spec.group
-    return GroupConfig(
-        ordering=group.ordering,
-        liveliness=group.liveliness,
-        silence_period=group.silence_period,
-        suspicion_timeout=group.suspicion_timeout,
-        flush_timeout=group.flush_timeout,
-        sequencer_hint=sequencer_hint,
-        flow_max_queue=group.flow_max_queue,
-        liveliness_config=group.build_liveliness_config(),
-        ordering_config=group.build_ordering_config(),
-    )
+def _served_config(spec: ScenarioSpec) -> GroupConfig:
+    """The served group's config, its sequencer pinned to the first replica."""
+    return spec.group.build_group_config().replace(sequencer_hint="s0")
 
 
 def _setup_request_reply(env: Environment, spec: ScenarioSpec):
@@ -270,33 +260,27 @@ def _setup_request_reply(env: Environment, spec: ScenarioSpec):
         RandomNumberServant,
         group.replicas,
         policy=group.policy,
-        config=_group_config(spec, "s0"),
+        config=_served_config(spec),
         async_forwarding=group.async_forwarding,
         # open bindings route through a request manager: it backstops the
         # bindings with the group-knowledge signals (watermark, pushback)
         admission=_manager_admission(admission) if open_style else None,
     )
     clients = env.add_clients(traffic.bindings)
-    retry_policy = group.build_retry_policy()
+    bind_options = group.bind_options()
     scheme = traffic.build_scheme_config()
     bindings = []
     for service in clients:
         bindings.append(
             service.bind(
                 SERVICE_NAME,
-                style=group.style,
-                ordering=group.ordering,
-                liveliness=group.liveliness,
-                restricted=group.restricted,
-                suspicion_timeout=group.suspicion_timeout,
-                flush_timeout=group.flush_timeout,
-                retry_policy=retry_policy,
                 scheme=scheme,
                 # the binding is the true ingress: shedding here keeps
                 # refused work out of the send queues entirely (for open
                 # bindings the manager's admission is the group-knowledge
                 # backstop behind it)
                 admission=admission,
+                **bind_options,
             )
         )
         env.run(0.05)
@@ -361,7 +345,7 @@ def _setup_sharded(env: Environment, spec: ScenarioSpec):
                 layout=group.layout,
                 min_members_per_shard=group.min_members_per_shard,
                 policy=group.policy,
-                config=_group_config(spec, "s0"),
+                config=_served_config(spec),
                 async_forwarding=group.async_forwarding,
                 admission=_manager_admission(admission) if open_style else None,
             )
@@ -378,20 +362,11 @@ def _setup_sharded(env: Environment, spec: ScenarioSpec):
                 f"shard(s) of >= {group.min_members_per_shard}"
             )
     clients = env.add_clients(traffic.bindings)
-    retry_policy = group.build_retry_policy()
+    bind_options = group.bind_options()
     kv_clients = []
     for service in clients:
         binding = service.bind_sharded(
-            SERVICE_NAME,
-            group.shards,
-            style=group.style,
-            ordering=group.ordering,
-            liveliness=group.liveliness,
-            restricted=group.restricted,
-            suspicion_timeout=group.suspicion_timeout,
-            flush_timeout=group.flush_timeout,
-            retry_policy=retry_policy,
-            admission=admission,
+            SERVICE_NAME, group.shards, admission=admission, **bind_options
         )
         kv_clients.append(
             ShardedKVClient(binding, mode=traffic.mode, timeout=traffic.timeout)
@@ -451,28 +426,16 @@ def _setup_map_reduce(env: Environment, spec: ScenarioSpec):
         MapReduceServant,
         group.replicas,
         policy=group.policy,
-        config=_group_config(spec, "s0"),
+        config=_served_config(spec),
         async_forwarding=group.async_forwarding,
     )
     cohort_services = env.add_clients(traffic.callers)
     cohort = [service.name for service in cohort_services]
     scheme = traffic.build_scheme_config(cohort)
-    retry_policy = group.build_retry_policy()
+    bind_options = group.bind_options()
     bindings = []
     for service in cohort_services:
-        bindings.append(
-            service.bind_combined(
-                SERVICE_NAME,
-                scheme,
-                style=group.style,
-                ordering=group.ordering,
-                liveliness=group.liveliness,
-                restricted=group.restricted,
-                suspicion_timeout=group.suspicion_timeout,
-                flush_timeout=group.flush_timeout,
-                retry_policy=retry_policy,
-            )
-        )
+        bindings.append(service.bind_combined(SERVICE_NAME, scheme, **bind_options))
         env.run(0.05)
     env.settle(max(spec.settle, 0.5))
     for binding in bindings:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.modes import (
     BindingStyle,
@@ -22,7 +22,13 @@ from repro.core.modes import (
     ReplicationPolicy,
     ReplyScheme,
 )
-from repro.groupcomm.config import Liveliness, LivelinessConfig, Ordering, OrderingConfig
+from repro.groupcomm.config import (
+    GroupConfig,
+    Liveliness,
+    LivelinessConfig,
+    Ordering,
+    OrderingConfig,
+)
 from repro.obs import TraceConfig
 from repro.recovery.policy import RetryPolicy
 from repro.scenario.arrivals import arrival_process_from_spec
@@ -138,6 +144,34 @@ class GroupSpec:
             return OrderingConfig(**self.ordering_config)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"group.ordering_config: {exc}") from exc
+
+    def build_group_config(self) -> GroupConfig:
+        """The served group's protocol parameters."""
+        return GroupConfig(
+            ordering=self.ordering,
+            liveliness=self.liveliness,
+            silence_period=self.silence_period,
+            suspicion_timeout=self.suspicion_timeout,
+            flush_timeout=self.flush_timeout,
+            flow_max_queue=self.flow_max_queue,
+            liveliness_config=self.build_liveliness_config(),
+            ordering_config=self.build_ordering_config(),
+        )
+
+    def bind_options(self) -> Dict[str, Any]:
+        """Keyword arguments every client ``bind*()`` of this group shares:
+        the binding-level options plus the client/server groups' share of
+        the group parameters (order, liveliness regime and timers; the
+        silence/flow/tuning fields stay at the library defaults there)."""
+        return dict(
+            style=self.style,
+            restricted=self.restricted,
+            retry_policy=self.build_retry_policy(),
+            ordering=self.ordering,
+            liveliness=self.liveliness,
+            suspicion_timeout=self.suspicion_timeout,
+            flush_timeout=self.flush_timeout,
+        )
 
     def build_trace_config(self) -> Optional[TraceConfig]:
         """Per-scenario tracing policy (empty dict = tracing off, seed

@@ -184,7 +184,6 @@ class ShardedServer:
         self.layout_fn = resolve_layout(layout)
         self.min_members_per_shard = min_members_per_shard
         self.policy = policy
-        self.config = config or GroupConfig(ordering="asymmetric")
         self.async_forwarding = async_forwarding
         self.admission = admission
 
@@ -194,8 +193,10 @@ class ShardedServer:
             service_name,
             _ShardDirectory(self),
             policy=ReplicationPolicy.ACTIVE,
-            config=self.config,
+            config=config,
         )
+        #: one config for the parent group and (sequencer aside) every shard
+        self.config: GroupConfig = self.parent.config
         #: shard_no -> local ObjectGroupServer for shards this member hosts
         self.shard_servers: Dict[int, ObjectGroupServer] = {}
         #: the last successfully computed assignment (None = unprovisioned)
@@ -336,7 +337,8 @@ class ShardedServer:
             sub_name,
             self.servant_factory(),
             policy=self.policy,
-            config=self._shard_config(assigned[0]),
+            # each shard orders through its own anchor (first assigned member)
+            config=self.config.replace(sequencer_hint=assigned[0]),
             async_forwarding=self.async_forwarding,
             admission=self.admission,
         )
@@ -345,23 +347,6 @@ class ShardedServer:
         self._started_counter.inc()
         self._flight.record(self.member_id, "shard.join", f"svc:{sub_name}")
         server.start_via_registry(is_anchor=(assigned[0] == self.member_id))
-
-    def _shard_config(self, anchor: str) -> GroupConfig:
-        cfg = self.config
-        return GroupConfig(
-            ordering=cfg.ordering,
-            liveliness=cfg.liveliness,
-            null_delay=cfg.null_delay,
-            ack_delay=cfg.ack_delay,
-            silence_period=cfg.silence_period,
-            suspicion_timeout=cfg.suspicion_timeout,
-            flush_timeout=cfg.flush_timeout,
-            sequencer_hint=anchor,
-            send_window=cfg.send_window,
-            flow_max_queue=cfg.flow_max_queue,
-            liveliness_config=cfg.liveliness_config,
-            ordering_config=cfg.ordering_config,
-        )
 
     # ------------------------------------------------------------------
     # leaving a shard: retiring handover

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.core import BindingStyle, Mode, ReplicationPolicy
-from repro.errors import ApplicationError, BindingBroken
-from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.core import BindingStyle, Mode, ReplicationPolicy, SchemeConfig
+from repro.errors import ApplicationError, ConfigurationError
+from repro.groupcomm import (
+    GroupConfig,
+    Liveliness,
+    LivelinessConfig,
+    Ordering,
+    OrderingConfig,
+)
 from repro.sim import run_process
 from tests.core_helpers import AppCluster, Counter, bind_scheme as bound_binding
 
@@ -157,34 +163,11 @@ def test_open_manager_failure_rebinds_and_retries():
     assert [s.servant.value for s in servers[1:]] == [2, 2]
 
 
-def test_open_no_auto_rebind_breaks_binding():
-    c = AppCluster(servers=2, clients=1)
-    c.serve_all("svc", Counter, config=LIVELY_FAST)
-    binding = bound_binding(
-        c,
-        style=BindingStyle.OPEN,
-        restricted=True,
-        auto_rebind=False,
-        liveliness=Liveliness.LIVELY,
-    )
-    c.net.crash("s0")
-    fut = binding.invoke("get", (), mode=Mode.FIRST)
-    c.run(3.0)
-    assert fut.failed and isinstance(fut.exception, BindingBroken)
-
-
 def test_unrestricted_manager_is_some_member():
     c = AppCluster(servers=3, clients=1)
     c.serve_all("svc", Counter)
     binding = bound_binding(c, style=BindingStyle.OPEN, restricted=False)
     assert binding.manager in ("s0", "s1", "s2")
-
-
-def test_manager_override():
-    c = AppCluster(servers=3, clients=1)
-    c.serve_all("svc", Counter)
-    binding = bound_binding(c, style=BindingStyle.OPEN, manager="s1")
-    assert binding.manager == "s1"
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +304,113 @@ def test_joining_server_receives_state_transfer():
 
 
 # ---------------------------------------------------------------------------
+# bind(service, style=..., **group_config): the config reaches the group
+# ---------------------------------------------------------------------------
+def _bind_plain(c, **kwargs):
+    servers = c.serve_all("svc", Counter)
+    return c.client(0).bind("svc", **kwargs), servers
+
+
+def _bind_sharded(c, **kwargs):
+    sharded = [c.services[n].serve_sharded("svc", Counter, 1) for n in c.server_names]
+    c.run(2.0)
+    servers = [s.shard_server(0) for s in sharded]
+    return c.client(0).bind_sharded("svc", 1, **kwargs).binding(0), servers
+
+
+def _bind_combined(c, **kwargs):
+    servers = c.serve_all("svc", Counter)
+    scheme = SchemeConfig("combined_flat", callers=["c0"])
+    return c.client(0).bind_combined("svc", scheme, **kwargs)._binding, servers
+
+
+BINDERS = pytest.mark.parametrize(
+    "binder", [_bind_plain, _bind_sharded, _bind_combined], ids=lambda f: f.__name__
+)
+
+
+@BINDERS
+def test_group_keywords_reach_the_client_server_group(binder):
+    """Every group-level bind keyword lands, once, on the GroupConfig of the
+    client/server group — at the client and at the server that joined it."""
+    keywords = dict(
+        ordering=Ordering.SYMMETRIC,
+        liveliness=Liveliness.LIVELY,
+        suspicion_timeout=0.4,
+        flush_timeout=0.2,
+        liveliness_config=LivelinessConfig(max_silence_factor=4.0),
+        ordering_config=OrderingConfig(ticket_batch_max=3),
+    )
+    c = AppCluster(servers=2, clients=1)
+    binding, servers = binder(c, style=BindingStyle.OPEN, **keywords)
+    c.run(1.5)
+    assert binding.ready.done and not binding.ready.failed
+    manager = next(s for s in servers if s.member_id == binding.manager)
+    for config in (
+        binding._gc.config,
+        manager._client_groups[binding.group_name].config,
+    ):
+        assert config.ordering == Ordering.SYMMETRIC
+        assert config.liveliness == Liveliness.LIVELY
+        assert config.suspicion_timeout == 0.4
+        assert config.flush_timeout == 0.2
+        assert config.liveliness_config.max_silence_factor == 4.0
+        assert config.ordering_config.ticket_batch_max == 3
+        assert config.sequencer_hint == binding.manager
+
+
+def test_bare_bind_defaults_do_not_drift():
+    """The binding's defaults are not GroupConfig's: a client/server group
+    is sequencer-ordered (GroupConfig alone defaults to symmetric)."""
+    c = AppCluster(servers=2, clients=1)
+    c.serve_all("svc", Counter)
+    binding = bound_binding(c)
+    assert binding.style == BindingStyle.OPEN and binding.restricted
+    config = binding._gc.config
+    assert config.ordering == Ordering.ASYMMETRIC
+    assert config.liveliness == Liveliness.EVENT_DRIVEN
+    assert GroupConfig().ordering == Ordering.SYMMETRIC
+    defaults = GroupConfig()
+    for name in ("null_delay", "suspicion_timeout", "flush_timeout", "send_window"):
+        assert getattr(config, name) == getattr(defaults, name)
+
+
+@BINDERS
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"no_such_option": 1},
+        # deleted knobs are gone, not silently ignored
+        {"auto_rebind": False},
+        {"manager": "s1"},
+        {"trace_sample": 0.5},
+    ],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_unknown_bind_keyword_is_a_type_error_at_bind_time(binder, bad):
+    c = AppCluster(servers=2, clients=1)
+    with pytest.raises(TypeError):
+        binder(c, **bad)
+
+
+def test_bad_combinations_raise_before_any_message_is_sent():
+    c = AppCluster(servers=2, clients=1)
+    c.serve_all("svc", Counter)
+    sent = c.sim.obs.metrics.counter("net.sent")
+    before, queued = sent.value, c.sim.pending_count()
+    client = c.client(0)
+    with pytest.raises(ConfigurationError):
+        client.bind("svc", scheme=SchemeConfig("combined_flat", callers=["c0"]))
+    with pytest.raises(ValueError):
+        client.bind("svc", style="ajar")
+    with pytest.raises(ValueError):
+        client.bind("svc", ordering="alphabetical")
+    with pytest.raises(ValueError):
+        client.bind("svc", send_window=0)
+    assert (sent.value, c.sim.pending_count()) == (before, queued)
+
+
+# ---------------------------------------------------------------------------
 # group-to-group
 # ---------------------------------------------------------------------------
 def test_group_to_group_invocation():
@@ -344,6 +434,33 @@ def test_group_to_group_invocation():
     assert len(r0) == 3 and len(r1) == 3
     # the manager filtered duplicates: the call executed exactly once
     assert [s.servant.value for s in servers] == [1, 1, 1]
+
+
+def test_group_to_group_duplicate_filter_is_bounded(monkeypatch):
+    """``_g2g_seen`` is capped like the other duplicate-suppression caches
+    (it used to grow by one entry per group-to-group call, forever)."""
+    import repro.core.server as server_module
+
+    size, extra = 8, 3
+    monkeypatch.setattr(server_module, "REPLY_CACHE_SIZE", size)
+    c = AppCluster(servers=2, clients=2)
+    servers = c.serve_all("svc", Counter)
+    c.client(0).create_peer_group("gx")
+    c.client(1).join_peer_group("gx", "c0")
+    c.run(1.0)
+    b0 = c.client(0).bind_group_to_group("gx", ["c0", "c1"], "svc")
+    b1 = c.client(1).bind_group_to_group("gx", ["c0", "c1"], "svc")
+    c.run(1.0)
+    for _ in range(size + extra):
+        futures = [b.invoke("incr", (1,), mode=Mode.ALL) for b in (b0, b1)]
+        c.run(0.5)
+        assert all(f.done and not f.failed for f in futures)
+    manager = next(s for s in servers if s.member_id == b0.manager)
+    assert len(manager._g2g_seen) == size
+    assert len(manager._reply_cache) == size
+    assert all(len(s._own_replies) == size for s in servers)
+    # the filter still worked for every call: each ran once per replica
+    assert [s.servant.value for s in servers] == [size + extra] * 2
 
 
 def test_group_to_group_one_way():

@@ -295,6 +295,44 @@ def test_manager_crash_while_shedding_stays_exactly_once():
     assert values == {stats.completed}
 
 
+@pytest.mark.parametrize("mode", [Mode.ALL, Mode.ONE_WAY])
+def test_full_flow_queue_sheds_and_never_escapes_the_simulator(mode):
+    """A saturated bounded flow queue refuses *new* forwards (shed) but
+    never a reply or state update, and no FlowQueueFull escapes a callback.
+
+    Regression: with ``Mode.ALL`` the exception used to escape through the
+    replicas' reply multicast, with ``Mode.ONE_WAY`` through the manager's
+    forward of a one-way call; either aborted ``sim.run``.
+    """
+    c = AppCluster(servers=3, clients=2)
+    servers = c.serve_all(
+        "svc",
+        Counter,
+        config=GroupConfig(
+            ordering=Ordering.ASYMMETRIC,
+            sequencer_hint="s0",
+            send_window=1,
+            flow_max_queue=1,
+        ),
+    )
+    bindings = [c.client(i).bind("svc", style=BindingStyle.OPEN) for i in range(2)]
+    c.run(1.0)
+    assert all(b.ready.done for b in bindings)
+
+    futures = [b.invoke("incr", (1,), mode=mode) for b in bindings for _ in range(200)]
+    c.run(30.0)
+
+    assert all(f.done for f in futures)
+    shed = c.sim.obs.metrics.counter("overload.shed").value
+    assert shed > 0
+    if mode == Mode.ALL:
+        failures = [f.exception for f in futures if f.failed]
+        assert len(failures) == shed
+        assert all(isinstance(exc, Overloaded) for exc in failures)
+    # a shed call ran nowhere, every other call ran once on every replica
+    assert {s.servant.value for s in servers} == {len(futures) - shed}
+
+
 # ---------------------------------------------------------------------------
 # scenario integration: sheds are not protocol failures
 # ---------------------------------------------------------------------------

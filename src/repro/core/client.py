@@ -42,7 +42,7 @@ from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.obs.phases import PHASE_NAMES
 from repro.orb.ior import IOR
 from repro.overload import AdmissionConfig, AdmissionController
-from repro.recovery.policy import RetryPolicy, backoff_delay
+from repro.recovery.policy import RetryPolicy
 from repro.sim.futures import Future
 from repro.sim.process import all_of
 
@@ -750,22 +750,7 @@ class GroupBinding:
     #: binding is declared broken, and the backoff envelope between attempts
     #: (jittered so the clients a dead manager strands don't all hammer the
     #: registry — and then the same surviving member — in lockstep)
-    REBIND_ATTEMPTS = 10
-    REBIND_BASE_DELAY = 0.25
-    REBIND_BACKOFF_FACTOR = 2.0
-    REBIND_MAX_DELAY = 1.5
-    REBIND_JITTER = 0.5
-
-    def _rebind_delay(self, attempt: int) -> float:
-        """Jittered exponential backoff before rebind ``attempt`` (0-based)."""
-        return backoff_delay(
-            attempt + 1,
-            self.REBIND_BASE_DELAY,
-            self.REBIND_BACKOFF_FACTOR,
-            self.REBIND_MAX_DELAY,
-            self.REBIND_JITTER,
-            self._backoff_rng,
-        )
+    REBIND = RetryPolicy(max_attempts=10, base_delay=0.25, factor=2.0, max_delay=1.5)
 
     def _rebind(self, exclude: Optional[str], attempt: int = 0) -> None:
         """Create a fresh client/server group around a surviving member."""
@@ -783,9 +768,12 @@ class GroupBinding:
             if fut.failed:
                 # the registry may be temporarily unreachable (e.g. we are
                 # on the wrong side of a partition): retry with backoff
-                if attempt + 1 < self.REBIND_ATTEMPTS:
+                if attempt + 1 < self.REBIND.max_attempts:
                     self.sim.schedule(
-                        self._rebind_delay(attempt), self._rebind, exclude, attempt + 1
+                        self.REBIND.delay(attempt + 1, self._backoff_rng),
+                        self._rebind,
+                        exclude,
+                        attempt + 1,
                     )
                 else:
                     self._fail_outstanding(BindingBroken("rebind lookup failed"))

@@ -34,7 +34,7 @@ from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.orb.ior import IOR
 from repro.overload import AdmissionConfig, AdmissionController
-from repro.recovery.policy import backoff_delay
+from repro.recovery.policy import RetryPolicy
 from repro.sim.futures import Future
 
 __all__ = ["ObjectGroupServer", "EXECUTION_OVERHEAD", "REPLY_CACHE_SIZE"]
@@ -196,11 +196,7 @@ class ObjectGroupServer:
     # ------------------------------------------------------------------
     #: rejoin attempts (registry lookup + join) before the restart is
     #: declared failed, and the backoff envelope between them
-    REJOIN_ATTEMPTS = 10
-    REJOIN_BASE_DELAY = 0.2
-    REJOIN_BACKOFF_FACTOR = 2.0
-    REJOIN_MAX_DELAY = 2.0
-    REJOIN_JITTER = 0.5
+    REJOIN = RetryPolicy(max_attempts=10, base_delay=0.2, factor=2.0, max_delay=2.0)
     #: lookups that name no contact but us before we re-create the group
     RECREATE_AFTER = 2
 
@@ -250,7 +246,7 @@ class ObjectGroupServer:
     def _rejoin_attempt(self, attempt: int, epoch: int) -> None:
         if epoch != self._restart_epoch:
             return  # a newer restart superseded this rejoin loop
-        if attempt >= self.REJOIN_ATTEMPTS:
+        if attempt >= self.REJOIN.max_attempts:
             self._rejoin_contact = None
             self._rejoin_failed_counter.inc()
             self.ready.try_fail(
@@ -339,14 +335,7 @@ class ObjectGroupServer:
         self.group = None
 
     def _schedule_rejoin_retry(self, attempt: int, epoch: int) -> None:
-        delay = backoff_delay(
-            attempt + 1,
-            self.REJOIN_BASE_DELAY,
-            self.REJOIN_BACKOFF_FACTOR,
-            self.REJOIN_MAX_DELAY,
-            self.REJOIN_JITTER,
-            self._rejoin_rng,
-        )
+        delay = self.REJOIN.delay(attempt + 1, self._rejoin_rng)
         self.sim.schedule(delay, self._rejoin_attempt, attempt + 1, epoch)
 
     @property

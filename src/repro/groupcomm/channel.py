@@ -117,10 +117,6 @@ class ChannelManager:
         self._in: Dict[str, _Incoming] = {}
         self.retransmissions = 0
         self.nacks_sent = 0
-        #: piggyback the cumulative receive ack on reverse-direction data
-        #: frames; a standalone ChanAck then only fires when the reverse
-        #: direction stays silent past the ack deadline
-        self.ack_piggyback = True
         #: True while ``transport`` is being invoked for a *retransmitted*
         #: frame — the service reads this to classify the send under its own
         #: ``retransmit`` traffic kind instead of the frame's payload kind.
@@ -187,9 +183,9 @@ class ChannelManager:
 
     def _attach_ack(self, peer: str, frame: ChanData) -> None:
         """Piggyback our cumulative receive ack for ``peer`` on an outgoing
-        data frame, discharging any pending standalone-ack debt."""
-        if not self.ack_piggyback:
-            return
+        data frame, discharging any pending standalone-ack debt: a
+        standalone ``ChanAck`` then only fires when the reverse direction
+        stays silent past the ack deadline."""
         inc = self._in.get(peer)
         if inc is None or inc.expected <= 1:
             return

@@ -38,65 +38,38 @@ class Liveliness:
 class LivelinessConfig:
     """Quiescence-aware tuning of the time-silence mechanism.
 
-    With ``adaptive`` on (lively groups only), the heartbeat interval backs
-    off exponentially while the member is quiescent — no unstable-ack or
-    timestamp debt, no pending reactive NULL — up to
+    With ``adaptive`` on (lively groups only), the heartbeat interval
+    doubles per silence period while the member is quiescent — no
+    unstable-ack or timestamp debt, no pending reactive NULL — up to
     ``silence_period * max_silence_factor``, and snaps back to
     ``silence_period`` on the first data send or receive.  Every outgoing
     message advertises the sender's committed interval so peers scale their
-    suspicion deadline to ``advertised * suspicion_periods`` instead of the
-    static config.
+    suspicion deadline to three advertised periods instead of the static
+    config (both constants live in :mod:`repro.groupcomm.failuredetector`).
 
     ``ack_coalesce_factor`` stretches the pure-stability-ack NULL delay to
     ``silence_period * ack_coalesce_factor`` (bounded by the advertised
     interval and half the suspicion timeout) so acks ride on the next data
     message whenever traffic is flowing.  Ordering-critical NULLs
     (symmetric timestamp progress) keep ``null_delay`` untouched.
-
-    ``quiescence_fallback`` reproduces the paper's event-driven regime as
-    the limit case: after ``fallback_after`` seconds of deep quiescence
-    (nothing unstable anywhere, all peers' delivery frontiers caught up)
-    the lively heartbeat disarms entirely until the next message.
     """
 
-    __slots__ = (
-        "adaptive",
-        "backoff_factor",
-        "max_silence_factor",
-        "suspicion_periods",
-        "ack_coalesce_factor",
-        "quiescence_fallback",
-        "fallback_after",
-    )
+    __slots__ = ("adaptive", "max_silence_factor", "ack_coalesce_factor")
     _fields = __slots__
 
     def __init__(
         self,
         adaptive: bool = True,
-        backoff_factor: float = 2.0,
         max_silence_factor: float = 8.0,
-        suspicion_periods: float = 3.0,
         ack_coalesce_factor: float = 4.0,
-        quiescence_fallback: bool = False,
-        fallback_after: float = 1.0,
     ):
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
         if max_silence_factor < 1.0:
             raise ValueError("max_silence_factor must be >= 1.0")
-        if suspicion_periods < 1.0:
-            raise ValueError("suspicion_periods must be >= 1.0")
         if ack_coalesce_factor < 0.0:
             raise ValueError("ack_coalesce_factor must be >= 0")
-        if fallback_after <= 0.0:
-            raise ValueError("fallback_after must be positive")
         self.adaptive = bool(adaptive)
-        self.backoff_factor = backoff_factor
         self.max_silence_factor = max_silence_factor
-        self.suspicion_periods = suspicion_periods
         self.ack_coalesce_factor = ack_coalesce_factor
-        self.quiescence_fallback = bool(quiescence_fallback)
-        self.fallback_after = fallback_after
 
     def __repr__(self) -> str:
         mode = "adaptive" if self.adaptive else "static"
@@ -105,7 +78,7 @@ class LivelinessConfig:
 
 @corba_struct
 class OrderingConfig:
-    """Ordering-layer traffic tuning: ticket batching and ack piggybacking.
+    """Ordering-layer traffic tuning: sequencer ticket batching.
 
     ``ticket_batch_max``/``ticket_batch_delay`` let an asymmetric group's
     sequencer coalesce ticket assignments: tickets accumulate until either
@@ -114,28 +87,18 @@ class OrderingConfig:
     whichever comes first, then go out as one batched ticket multicast.
     The defaults (batch of 1) preserve one-TicketMsg-per-data-message wire
     behaviour exactly.
-
-    ``ack_piggyback`` lets the reliable channel carry its cumulative ack on
-    reverse-direction data frames, so standalone ``ChanAck`` messages only
-    fire when the reverse direction stays silent past the ack deadline.
     """
 
-    __slots__ = ("ticket_batch_max", "ticket_batch_delay", "ack_piggyback")
+    __slots__ = ("ticket_batch_max", "ticket_batch_delay")
     _fields = __slots__
 
-    def __init__(
-        self,
-        ticket_batch_max: int = 1,
-        ticket_batch_delay: float = 2e-3,
-        ack_piggyback: bool = True,
-    ):
+    def __init__(self, ticket_batch_max: int = 1, ticket_batch_delay: float = 2e-3):
         if ticket_batch_max < 1:
             raise ValueError("ticket_batch_max must be at least 1")
         if ticket_batch_delay < 0.0:
             raise ValueError("ticket_batch_delay must be >= 0")
         self.ticket_batch_max = int(ticket_batch_max)
         self.ticket_batch_delay = ticket_batch_delay
-        self.ack_piggyback = bool(ack_piggyback)
 
     def __repr__(self) -> str:
         batch = (
@@ -143,8 +106,7 @@ class OrderingConfig:
             if self.ticket_batch_max > 1
             else "unbatched"
         )
-        ack = "piggyback" if self.ack_piggyback else "timed-ack"
-        return f"OrderingConfig({batch}, {ack})"
+        return f"OrderingConfig({batch})"
 
 
 @corba_struct

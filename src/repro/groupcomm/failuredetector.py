@@ -13,21 +13,16 @@ baselines are refreshed so that re-arming cannot produce instant false
 suspicion.
 
 Adaptive suppression (``LivelinessConfig.adaptive``, lively groups only):
-while the member is quiescent the committed interval backs off
-exponentially with idle time, capped at ``silence_period *
+while the member is quiescent the committed interval doubles per idle base
+period (``BACKOFF_FACTOR``), capped at ``silence_period *
 max_silence_factor``, and snaps back to ``silence_period`` on the first
 data send or receive.  The interval is *forward-looking*: every outgoing
 message advertises the interval computed from the idle time at send, so
 the last message before a long gap already announces the long gap.
 Receivers record the advertisement and scale each member's suspicion
-deadline to ``max(suspicion_timeout, advertised * suspicion_periods)`` —
+deadline to ``max(suspicion_timeout, advertised * SUSPICION_PERIODS)`` —
 failure detection latency degrades gracefully with the advertised period
 instead of breaking.
-
-With ``quiescence_fallback`` on, a deeply quiescent lively group (nothing
-unstable, every peer's delivery frontier caught up) disarms entirely after
-``fallback_after`` seconds — the paper's event-driven regime as the limit
-case of adaptive backoff.
 """
 
 from __future__ import annotations
@@ -38,6 +33,10 @@ from repro.groupcomm.config import Liveliness
 
 __all__ = ["FailureDetector"]
 
+#: growth of the adaptive heartbeat interval per idle base period
+BACKOFF_FACTOR = 2.0
+#: advertised heartbeat intervals a member may stay silent before suspicion
+SUSPICION_PERIODS = 3.0
 #: beyond this many base periods of idleness the backoff is certainly capped;
 #: guards the exponential against overflow
 _MAX_BACKOFF_STEPS = 64.0
@@ -61,8 +60,6 @@ class FailureDetector:
         self.max_period = (
             self.base_period * live.max_silence_factor if self.adaptive else self.base_period
         )
-        self.backoff_factor = max(1.0, live.backoff_factor)
-        self.suspicion_periods = live.suspicion_periods
         #: the interval this member has committed to (and advertised);
         #: peers hold us to it, so we must never be silent longer
         self.committed_period = self.base_period
@@ -142,7 +139,7 @@ class FailureDetector:
             period = self.base_period
         else:
             steps = min(idle / self.base_period, _MAX_BACKOFF_STEPS)
-            period = min(self.max_period, self.base_period * (self.backoff_factor ** steps))
+            period = min(self.max_period, self.base_period * (BACKOFF_FACTOR ** steps))
         period = max(self.base_period, period)
         if period != self.committed_period:
             self.committed_period = period
@@ -159,7 +156,7 @@ class FailureDetector:
         """
         timeout = self.session.config.suspicion_timeout
         advertised = self.peer_periods.get(member, 0.0)
-        return max(timeout, advertised * self.suspicion_periods)
+        return max(timeout, advertised * SUSPICION_PERIODS)
 
     def is_suspected(self, member: str) -> bool:
         return member in self.suspected
@@ -167,17 +164,8 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # the periodic tick
     # ------------------------------------------------------------------
-    def _armed(self, now: float) -> bool:
-        config = self.session.config
-        if config.liveliness == Liveliness.LIVELY:
-            live = config.liveliness_config
-            if (
-                self.adaptive
-                and live.quiescence_fallback
-                and now - self.last_activity >= live.fallback_after
-                and self.session.is_deeply_quiescent()
-            ):
-                return False
+    def _armed(self) -> bool:
+        if self.session.config.liveliness == Liveliness.LIVELY:
             return True
         return self.session.has_outstanding()
 
@@ -188,9 +176,9 @@ class FailureDetector:
         if not self.session.service.node.alive:
             return  # crash-stop: a dead member's timers die with it
         now = self.sim.now
-        if not self._armed(now):
-            # quiesced event-driven group (or lively fallback): refresh
-            # baselines so arming later does not instantly suspect everyone
+        if not self._armed():
+            # quiesced event-driven group: refresh baselines so arming later
+            # does not instantly suspect everyone
             self.last_sent = now
             self._quiet_mark = now
             for member in self.session.view.members:

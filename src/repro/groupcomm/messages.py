@@ -57,9 +57,6 @@ class DataMsg:
     - ``hb_period``: the sender's committed heartbeat interval (seconds);
       receivers scale their suspicion deadline to it so adaptive NULL
       suppression never causes false suspicion (0 = not advertised).
-    - ``frontier``: the sender's delivery frontier in the ordering
-      protocol's own coordinates, piggybacked so peers can tell when the
-      whole group is caught up (quiescence fallback).
     - ``era``: the group incarnation id of the sender's view
       (:attr:`~repro.groupcomm.views.GroupView.era`).  Channels outlive
       group sessions across a member restart, so a frame from a dead
@@ -77,7 +74,7 @@ class DataMsg:
     __slots__ = (
         "group", "sender", "view_id", "gseq", "ts",
         "kind", "payload", "ticket", "vector", "acks",
-        "hb_period", "frontier", "era", "pushback", "_mid",
+        "hb_period", "era", "pushback", "_mid",
     )
     #: wire fields only — ``_mid`` is a lazily built identity cache,
     #: never marshalled (identity fields are immutable after construction)
@@ -96,7 +93,6 @@ class DataMsg:
         vector: Optional[Dict[str, int]],
         acks: Dict[str, int],
         hb_period: float = 0.0,
-        frontier: Any = None,
         era: str = "",
         pushback: float = 0.0,
     ):
@@ -111,7 +107,6 @@ class DataMsg:
         self.vector = vector
         self.acks = acks
         self.hb_period = hb_period
-        self.frontier = frontier
         self.era = era
         self.pushback = pushback
         self._mid: Optional[Tuple[int, str, int]] = None
@@ -158,6 +153,11 @@ class TicketMsg:
         self.target_sender = target_sender
         self.target_gseq = target_gseq
         self.era = era
+
+    @property
+    def tickets(self) -> List[Tuple[int, str, int]]:
+        """The assignment as a run of one, in ``TicketBatchMsg.tickets`` form."""
+        return [(self.ticket, self.target_sender, self.target_gseq)]
 
     def __repr__(self) -> str:
         return (
@@ -317,9 +317,9 @@ class ViewInstall:
 class ChanData:
     """Reliable-channel frame: sequenced carrier for one protocol message.
 
-    ``ack`` optionally piggybacks the sender's cumulative receive
-    acknowledgement for the reverse direction of the channel (same meaning
-    as ``ChanAck.cum_seq``; None when piggybacking is off).
+    ``ack`` piggybacks the sender's cumulative receive acknowledgement for
+    the reverse direction of the channel (same meaning as
+    ``ChanAck.cum_seq``; None while nothing has been received yet).
     """
 
     __slots__ = ("seq", "inner", "ack")

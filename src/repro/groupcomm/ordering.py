@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.groupcomm.messages import DataMsg, TicketBatchMsg, TicketMsg
+from repro.groupcomm.messages import DataMsg
 from repro.groupcomm.vectorclock import VectorClock
 
 __all__ = [
@@ -49,40 +49,52 @@ class OrderingStrategy:
 
     The session feeds it FIFO-ordered events (own sends, remote data,
     tickets); the strategy decides when messages clear group-level ordering
-    and hands them back via ``session._cleared(msg)`` (symmetric routes
-    through the shared-clock merger; others deliver directly).
+    and releases them through ``session._deliver_app(msg)`` — directly, or
+    through the service's cross-group merger for its protocol, which the
+    strategy alone talks to (symmetric: the shared-clock merger;
+    asymmetric: the ticket merger and the ticket batcher).
     """
 
-    name = "base"
     needs_nulls = False
 
     def __init__(self, session):
         self.session = session
 
+    # -- merger registration ----------------------------------------------
+    def attach(self) -> None:
+        """The session entered a view: join the cross-group merge."""
+
+    def detach(self) -> None:
+        """The session is leaving its view (or closing): withdraw whatever
+        it still has queued with the service's shared machinery."""
+
     # -- event intake ---------------------------------------------------
+    def stamp(self) -> Tuple[Optional[int], Optional[Dict[str, int]]]:
+        """(embedded ticket, vector stamp) for the next outgoing data message."""
+        return None, None
+
     def on_local_send(self, msg: DataMsg) -> None:
         raise NotImplementedError
 
     def on_data(self, msg: DataMsg) -> None:
         raise NotImplementedError
 
-    def on_ticket(self, ticket: TicketMsg) -> None:
-        pass  # only meaningful for asymmetric ordering
-
-    def on_ticket_batch(self, batch: TicketBatchMsg) -> None:
-        pass  # only meaningful for asymmetric ordering
+    def on_tickets(self, tickets: List[Tuple[int, str, int]]) -> None:
+        """A run of ``(ticket, target_sender, target_gseq)`` assignments
+        arrived from the sequencer (asymmetric ordering only)."""
 
     # -- state queries ----------------------------------------------------
     def pending_count(self) -> int:
         raise NotImplementedError
 
-    def has_work(self) -> bool:
-        return self.pending_count() > 0
-
     # -- flush support ----------------------------------------------------
     def frontier(self) -> Any:
         """Opaque delivery-frontier token for FlushOk."""
         raise NotImplementedError
+
+    def flush_tickets(self) -> List[Tuple[int, str, int]]:
+        """Ticket assignments this member knows of, for FlushOk."""
+        return []
 
     def finalize(
         self, union_msgs: List[DataMsg], union_tickets: List[Tuple[int, str, int]]
@@ -105,15 +117,23 @@ class OrderingStrategy:
 class SymmetricOrder(OrderingStrategy):
     """Total order by (Lamport timestamp, sender id)."""
 
-    name = "symmetric"
     needs_nulls = True
 
     def __init__(self, session):
         super().__init__(session)
+        #: releases cleared messages across this NSO's symmetric sessions
+        #: in global (timestamp, sender) order
+        self._merger = session.service.clock_merger
         self.latest_ts: Dict[str, int] = {}
         self._pending: List[Tuple[int, str, DataMsg]] = []  # heap
         self._last_delivered_key: Tuple[Any, str] = (0, "")
         self.reset(list(session.view.members) if session.view else [])
+
+    def attach(self) -> None:
+        self._merger.register(self.session)
+
+    def detach(self) -> None:
+        self._merger.unregister(self.session)
 
     # -- intake ---------------------------------------------------------
     def on_local_send(self, msg: DataMsg) -> None:
@@ -150,17 +170,17 @@ class SymmetricOrder(OrderingStrategy):
         return True
 
     def _drain(self) -> None:
+        """Hand every message that cleared group-level ordering to the
+        merger, then let the merger release what no other session gates."""
+        session = self.session
         while self._pending:
             ts, sender, msg = self._pending[0]
             if not self._deliverable(ts, sender):
-                return
+                break
             heapq.heappop(self._pending)
             self._last_delivered_key = (ts, sender)
-            self.session._cleared(msg, key=(ts, sender))
-
-    def advance(self) -> None:
-        """Re-evaluate deliverability (e.g. after a view of latest_ts changed)."""
-        self._drain()
+            self._merger.push(session, msg, (ts, sender))
+        self._merger.drain()
 
     # -- merger support ---------------------------------------------------
     def frontier_key(self) -> Tuple[Any, str]:
@@ -208,20 +228,26 @@ class SymmetricOrder(OrderingStrategy):
 class AsymmetricOrder(OrderingStrategy):
     """Sequencer-based total order with globally increasing tickets."""
 
-    name = "asymmetric"
     needs_nulls = False
 
     def __init__(self, session):
         super().__init__(session)
+        service = session.service
+        #: releases ticketed messages across this NSO's asymmetric sessions,
+        #: per sequencer, in ticket-arrival order
+        self._merger = service.ticket_merger
+        #: coalesces the ticket announcements this member makes as sequencer
+        self._batcher = service.ticket_batcher
+        self._next_ticket = service.next_ticket
         #: data messages awaiting delivery, by (sender, gseq)
         self.arrived: Dict[Tuple[str, int], DataMsg] = {}
         #: tickets already known, by (sender, gseq) -> ticket value
         self.known_tickets: Dict[Tuple[str, int], int] = {}
         self.last_delivered_ticket = -1
 
-    @property
-    def sequencer(self) -> str:
-        return self.session.sequencer
+    def detach(self) -> None:
+        self._merger.purge(self.session)
+        self._batcher.purge(self.session)
 
     # -- intake ---------------------------------------------------------
     def _learn_ticket(self, ticket: int, key: Tuple[str, int]) -> None:
@@ -229,40 +255,46 @@ class AsymmetricOrder(OrderingStrategy):
         enqueue it with the cross-group merger (which delivers tickets from
         one sequencer in arrival order)."""
         self.known_tickets[key] = ticket
-        self.session._enqueue_ticket(ticket, key)
+        session = self.session
+        self._merger.enqueue(session.sequencer, session, ticket, key)
+
+    def stamp(self) -> Tuple[Optional[int], Optional[Dict[str, int]]]:
+        session = self.session
+        if session.member_id != session.sequencer:
+            return None, None  # the sequencer's ticket follows our data
+        # self-sequenced: the ticket rides embedded in the data message.
+        # Tickets batched for earlier remote messages must reach the channels
+        # first, or peers would see this (larger) embedded ticket before them
+        # and the cross-group arrival order would no longer be increasing
+        self._batcher.flush()
+        return self._next_ticket(), None
 
     def on_local_send(self, msg: DataMsg) -> None:
-        if msg.is_null:
-            return
-        key = (msg.sender, msg.gseq)
-        self.arrived[key] = msg
-        if msg.ticket is not None:
-            # self-sequenced: we are the sequencer
-            self._learn_ticket(msg.ticket, key)
-        # non-sequencer senders wait for the sequencer's ticket
+        if not msg.is_null:
+            key = (msg.sender, msg.gseq)
+            self.arrived[key] = msg
+            if msg.ticket is not None:
+                self._learn_ticket(msg.ticket, key)
+        self._merger.drain()
 
     def on_data(self, msg: DataMsg) -> None:
-        if msg.is_null:
-            return
-        key = (msg.sender, msg.gseq)
-        self.arrived[key] = msg
-        if msg.ticket is not None:
-            self._learn_ticket(msg.ticket, key)
-        elif self.session.member_id == self.sequencer:
-            # we are the sequencer: assign and announce a ticket
-            ticket = self.session.service.next_ticket()
-            self._learn_ticket(ticket, key)
-            self.session._announce_ticket(ticket, key)
-        self.session._drain_tickets()
+        if not msg.is_null:
+            key = (msg.sender, msg.gseq)
+            self.arrived[key] = msg
+            if msg.ticket is not None:
+                self._learn_ticket(msg.ticket, key)
+            elif self.session.member_id == self.session.sequencer:
+                # we are the sequencer: assign and announce a ticket (via the
+                # batcher, which may coalesce it with neighbouring ones)
+                ticket = self._next_ticket()
+                self._learn_ticket(ticket, key)
+                self._batcher.announce(self.session, ticket, key)
+        self._merger.drain()
 
-    def on_ticket(self, ticket: TicketMsg) -> None:
-        self._learn_ticket(ticket.ticket, (ticket.target_sender, ticket.target_gseq))
-        self.session._drain_tickets()
-
-    def on_ticket_batch(self, batch: TicketBatchMsg) -> None:
-        for value, target_sender, target_gseq in batch.tickets:
-            self._learn_ticket(value, (target_sender, target_gseq))
-        self.session._drain_tickets()
+    def on_tickets(self, tickets: List[Tuple[int, str, int]]) -> None:
+        for ticket, target_sender, target_gseq in tickets:
+            self._learn_ticket(ticket, (target_sender, target_gseq))
+        self._merger.drain()
 
     # -- delivery (driven by the ticket merger) ---------------------------
     def take_if_arrived(self, key: Tuple[str, int]) -> Optional[DataMsg]:
@@ -280,6 +312,12 @@ class AsymmetricOrder(OrderingStrategy):
     # -- flush ------------------------------------------------------------
     def frontier(self) -> Any:
         return self.last_delivered_ticket
+
+    def flush_tickets(self) -> List[Tuple[int, str, int]]:
+        return [
+            (ticket, sender, gseq)
+            for (sender, gseq), ticket in self.known_tickets.items()
+        ]
 
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:
         messages: Dict[Tuple[str, int], DataMsg] = {}
@@ -320,7 +358,6 @@ class AsymmetricOrder(OrderingStrategy):
 class CausalOrder(OrderingStrategy):
     """Causal order via per-group vector clocks (CBCAST-style)."""
 
-    name = "causal"
     needs_nulls = False
 
     def __init__(self, session):
@@ -328,16 +365,16 @@ class CausalOrder(OrderingStrategy):
         self.delivered_vc = VectorClock()
         self._buffer: List[DataMsg] = []
 
-    def stamp(self) -> Dict[str, int]:
+    def stamp(self) -> Tuple[Optional[int], Optional[Dict[str, int]]]:
         """Vector stamp for an outgoing message (send counted first)."""
         self.delivered_vc.increment(self.session.member_id)
-        return dict(self.delivered_vc.counts)
+        return None, dict(self.delivered_vc.counts)
 
     def on_local_send(self, msg: DataMsg) -> None:
         if not msg.is_null:
             # own messages are causally ready by construction; the send was
             # already counted by stamp()
-            self.session._cleared(msg, key=(msg.ts, msg.sender))
+            self.session._deliver_app(msg)
 
     def on_data(self, msg: DataMsg) -> None:
         if msg.is_null:
@@ -354,7 +391,7 @@ class CausalOrder(OrderingStrategy):
                 if vector.causally_ready(msg.sender, self.delivered_vc):
                     self._buffer.remove(msg)
                     self.delivered_vc.increment(msg.sender)
-                    self.session._cleared(msg, key=(msg.ts, msg.sender))
+                    self.session._deliver_app(msg)
                     progressed = True
 
     def pending_count(self) -> int:
@@ -389,7 +426,6 @@ class CausalOrder(OrderingStrategy):
 class FifoOrder(OrderingStrategy):
     """Per-sender FIFO only; the channel layer already provides it."""
 
-    name = "fifo"
     needs_nulls = False
 
     def __init__(self, session):
@@ -399,12 +435,12 @@ class FifoOrder(OrderingStrategy):
     def on_local_send(self, msg: DataMsg) -> None:
         if not msg.is_null:
             self.delivered_gseq[msg.sender] = msg.gseq
-            self.session._cleared(msg, key=(msg.ts, msg.sender))
+            self.session._deliver_app(msg)
 
     def on_data(self, msg: DataMsg) -> None:
         if not msg.is_null:
             self.delivered_gseq[msg.sender] = msg.gseq
-            self.session._cleared(msg, key=(msg.ts, msg.sender))
+            self.session._deliver_app(msg)
 
     def pending_count(self) -> int:
         return 0

@@ -15,12 +15,13 @@ The service owns the resources shared by all of its client's groups:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import GroupError
 from repro.groupcomm.channel import ChannelManager
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.lamport import LamportClock
+from repro.groupcomm.membership import MembershipEngine
 from repro.groupcomm.merger import SharedClockMerger, TicketMerger
 from repro.groupcomm.messages import (
     ChanData,
@@ -28,7 +29,6 @@ from repro.groupcomm.messages import (
     FlushOk,
     FlushReq,
     JoinReq,
-    KIND_NULL,
     LeaveReq,
     SuspectMsg,
     TicketBatchMsg,
@@ -49,6 +49,28 @@ __all__ = ["GroupCommService", "CombinerRendezvous", "PROTOCOL_COST", "NSO_OBJEC
 PROTOCOL_COST = 200e-6
 
 NSO_OBJECT_ID = "NSO"
+
+
+def _membership(handler: Callable) -> Tuple[str, Callable]:
+    return "membership", lambda session, peer, msg: handler(session.membership, msg)
+
+
+#: The one table of protocol messages that travel inside channel frames:
+#: class -> (traffic kind, ``consume(session, peer, message)``).  A
+#: ``DataMsg``'s kind is its own ``kind`` field ("data" or "null"); whatever
+#: is not listed (the channel layer's own acks, nacks and resets) is
+#: "control" traffic and never reaches a session.
+_PROTOCOL: Dict[type, Tuple[Optional[str], Callable]] = {
+    DataMsg: (None, GroupSession.receive),
+    TicketMsg: ("ticket", GroupSession.receive),
+    TicketBatchMsg: ("ticket", GroupSession.receive),
+    JoinReq: _membership(MembershipEngine.on_join_req),
+    LeaveReq: _membership(MembershipEngine.on_leave_req),
+    SuspectMsg: _membership(MembershipEngine.on_suspect_msg),
+    FlushReq: _membership(MembershipEngine.on_flush_req),
+    FlushOk: _membership(MembershipEngine.on_flush_ok),
+    ViewInstall: _membership(MembershipEngine.on_view_install),
+}
 
 
 class _NsoServant:
@@ -230,14 +252,11 @@ class GroupCommService:
 
     @staticmethod
     def _classify(message: Any) -> str:
-        inner = message.inner if isinstance(message, ChanData) else message
-        if isinstance(inner, DataMsg):
-            return "null" if inner.kind == KIND_NULL else "data"
-        if isinstance(inner, (TicketMsg, TicketBatchMsg)):
-            return "ticket"
-        if isinstance(inner, (JoinReq, LeaveReq, SuspectMsg, FlushReq, FlushOk, ViewInstall)):
-            return "membership"
-        return "control"
+        inner = message.inner if type(message) is ChanData else message
+        row = _PROTOCOL.get(type(inner))
+        if row is None:
+            return "control"
+        return row[0] or inner.kind
 
     def send_protocol(self, peer: str, message: Any) -> None:
         """Send a membership-protocol message (reliably, FIFO with data)."""
@@ -257,24 +276,9 @@ class GroupCommService:
         # long; they must not starve the failure detector)
         if peer != self.name and session.view is not None and peer in session.view.members:
             session.detector.heard_from(peer)
-        if isinstance(message, DataMsg):
-            session.on_data(peer, message)
-        elif isinstance(message, TicketMsg):
-            session.on_ticket(peer, message)
-        elif isinstance(message, TicketBatchMsg):
-            session.on_ticket_batch(peer, message)
-        elif isinstance(message, JoinReq):
-            session.membership.on_join_req(message)
-        elif isinstance(message, LeaveReq):
-            session.membership.on_leave_req(message)
-        elif isinstance(message, SuspectMsg):
-            session.membership.on_suspect_msg(message)
-        elif isinstance(message, FlushReq):
-            session.membership.on_flush_req(message)
-        elif isinstance(message, FlushOk):
-            session.membership.on_flush_ok(message)
-        elif isinstance(message, ViewInstall):
-            session.membership.on_view_install(message)
+        row = _PROTOCOL.get(type(message))
+        if row is not None:
+            row[1](session, peer, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<GroupCommService {self.name} groups={sorted(self.sessions)}>"

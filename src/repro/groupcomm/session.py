@@ -13,10 +13,23 @@ using group communication directly) hold on a group.  It owns
 
 Sends issued while the session is joining or flushing are queued and go out
 in the next active period, preserving the caller's FIFO order.
+
+The file is staged in the order a message travels:
+
+1. **send** — ``send`` (state, flow control) → ``_do_send`` (stamp, build
+   the ``DataMsg``) → ``_multicast``, the one fan-out loop, which ticket
+   announcements (``send_tickets``) share;
+2. **receive** — ``receive``, the one view/era/state gate for data and
+   tickets alike → stability (``_ingest_acks``) → NULL debt
+   (``_arm_null_timer``) → the ordering strategy;
+3. **deliver** — ``_deliver_app``, the one upcall seam the strategies and
+   mergers release messages through;
+4. **view install** — ``apply_view_install`` / ``_close``.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NotMember
@@ -41,6 +54,19 @@ __all__ = ["GroupSession"]
 #: CPU cost of handing one delivered message up to the application object
 #: (the local m3/m6 invocations of the paper's fig. 9).
 DELIVER_COST = 30e-6
+
+#: delivery scope when tracing is off: nothing to activate
+_NO_SCOPE = nullcontext()
+
+
+def _call_id(payload: Any) -> Optional[Tuple[str, int]]:
+    """The one place group communication looks inside a payload: a forwarded
+    invocation request names the ``(client, call_no)`` the
+    :class:`~repro.obs.phases.PhaseAccountant` keys its latency tiling on;
+    every other payload is opaque (None)."""
+    if getattr(payload, "forwarded", None) is not None:
+        return (payload.client, payload.call_no)
+    return None
 
 
 class SessionStats:
@@ -67,7 +93,6 @@ class GroupSession:
         self.sim = service.sim
         self.member_id = service.name
         self.group = group
-        self.config = config
         self.view: Optional[GroupView] = initial_view
         self.state = "active" if initial_view is not None else "joining"
 
@@ -94,8 +119,6 @@ class GroupSession:
         self._self_ack_owed = False
         self._null_timer = None
         self._leaving = False
-        #: delivery frontiers peers piggybacked on their latest message
-        self._peer_frontiers: Dict[str, Any] = {}
         #: send-path pressure peers piggybacked on their latest message
         self._peer_pushback: Dict[str, float] = {}
         #: optional extra pressure folded into our advertised pushback —
@@ -115,19 +138,22 @@ class GroupSession:
         self._flow_queued_g = obs.metrics.gauge("gc.flow.queued")
         #: last (in_flight, queued) reported to the aggregate flow gauges
         self._flow_reported = (0, 0)
-        self.flow = FlowController(
-            config.send_window, config.flow_max_queue or None
-        )
+        self._adopt_config(config)
+        self.membership = MembershipEngine(self)
+        if initial_view is not None:
+            self.ordering.attach()
+            self.detector.start()
+
+    def _adopt_config(self, config: GroupConfig) -> None:
+        """Build everything the group's configuration decides: at
+        construction, and again when a joiner's first ``ViewInstall`` brings
+        the group's real configuration (the creator's)."""
+        self.config = config
+        self.flow = FlowController(config.send_window, config.flow_max_queue or None)
         #: ordering backlog that reads as pushback 1.0 (a few windows' worth)
         self._pushback_pending_bound = 4.0 * config.send_window
         self.ordering = make_ordering(config.ordering, self)
         self.detector = FailureDetector(self)
-        self.membership = MembershipEngine(self)
-        if not config.ordering_config.ack_piggyback:
-            service.channels.ack_piggyback = False
-        if initial_view is not None:
-            self._register_with_mergers()
-            self.detector.start()
 
     # ------------------------------------------------------------------
     # public API
@@ -157,10 +183,11 @@ class GroupSession:
         if self.state == "closed":
             raise NotMember(f"{self.member_id} is not a member of {self.group}")
         if self.state in ("joining", "flushing"):
-            if getattr(payload, "forwarded", None) is not None:
+            call = _call_id(payload)
+            if call is not None:
                 # an invocation held behind a membership flush: start its
                 # flush-wait clock (released when the send finally goes out)
-                self._phases.on_flush_hold((payload.client, payload.call_no))
+                self._phases.on_flush_hold(call)
             self._queued_sends.append(payload)
             return
         acquire = self.flow.requeue if admitted else self.flow.try_acquire
@@ -207,25 +234,6 @@ class GroupSession:
     def _needs_ts_progress(self) -> bool:
         return self.ordering.needs_nulls and self._last_sent_ts < self._max_seen_ts
 
-    def is_quiescent(self) -> bool:
-        """No undischarged protocol debt of our own: the adaptive heartbeat
-        may back off.  Unstable messages do *not* block quiescence — their
-        stability needs the peers' acks, not more NULLs from us."""
-        return not (
-            self._acks_owed
-            or self._self_ack_owed
-            or self._needs_ts_progress()
-            or self._null_timer is not None
-            or self.ordering.pending_count() > 0
-            or self._queued_sends
-        )
-
-    def is_deeply_quiescent(self) -> bool:
-        """Quiescent *and* provably caught up group-wide: nothing unstable
-        here and every peer's piggybacked delivery frontier has reached ours.
-        Gate for the optional quiescence -> event-driven fallback."""
-        return self.is_quiescent() and not self.unstable and self._frontier_caught_up()
-
     def local_pushback(self) -> float:
         """This member's own send-path pressure in [0, 1].
 
@@ -262,25 +270,6 @@ class GroupSession:
             self._flow_queued_g.add(now[1] - last[1])
             self._flow_reported = now
 
-    def _frontier_caught_up(self) -> bool:
-        if self.view is None:
-            return False
-        mine = self.ordering.frontier()
-        for member in self.view.members:
-            if member == self.member_id:
-                continue
-            theirs = self._peer_frontiers.get(member)
-            if theirs is None:
-                return False
-            try:
-                if theirs < mine:
-                    return False
-            except TypeError:
-                # causal/FIFO frontiers are maps, not totally ordered: never
-                # claim deep quiescence for them
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # sending machinery
     # ------------------------------------------------------------------
@@ -299,27 +288,13 @@ class GroupSession:
         ts = self.service.clock.tick()
         self._last_sent_ts = ts
         self._acks_owed = False
-        if kind == KIND_DATA:
+        data = kind == KIND_DATA
+        gseq = 0
+        ticket = vector = None
+        if data:
             gseq = self._gseq_next
             self._gseq_next += 1
-        else:
-            gseq = 0
-        ticket = None
-        vector = None
-        if kind == KIND_DATA:
-            if (
-                self.ordering.name == "asymmetric"
-                and self.member_id == self.sequencer
-            ):
-                # tickets batched for earlier remote messages must reach the
-                # channels before this self-ticketed data message, or peers
-                # would see this (larger) embedded ticket first and the
-                # cross-group arrival order would no longer be increasing
-                self.service.ticket_batcher.flush()
-                ticket = self.service.next_ticket()
-            elif self.ordering.name == "causal":
-                vector = self.ordering.stamp()
-        if kind == KIND_DATA:
+            ticket, vector = self.ordering.stamp()
             self.detector.note_activity()
         msg = DataMsg(
             self.group,
@@ -333,20 +308,20 @@ class GroupSession:
             vector,
             self._current_acks(),
             self.detector.advertise_period(),
-            self.ordering.frontier(),
             era=self.view.era,
             pushback=self.local_pushback(),
         )
-        if kind == KIND_DATA:
+        if data:
             self.unstable[msg.msg_id] = msg
             self.stats.sent += 1
             self._unstable_hist.record(float(len(self.unstable)))
             self._flight.record(
                 self.member_id, "send", self.group, f"{self.member_id}#{gseq}"
             )
-            if self._phases.flush_pending and getattr(payload, "forwarded", None) is not None:
-                self._phases.on_flush_release((payload.client, payload.call_no))
-        self.detector.sent_something()
+            if self._phases.flush_pending:
+                call = _call_id(payload)
+                if call is not None:
+                    self._phases.on_flush_release(call)
         tracer = self._tracer
         span = None
         if tracer.enabled and tracer.recording:
@@ -362,33 +337,63 @@ class GroupSession:
                     "fanout": len(self.view.members) - 1,
                 },
             )
-            if kind == KIND_DATA:
+            if data:
                 # group-ordered delivery is unblocked by *later* protocol
                 # traffic, so deliverers cannot rely on scheduler context for
                 # causality; they look the sender's span up by message id
                 tracer.stash_parent((self.group, msg.msg_id), span)
-        with tracer.use(span):
-            for member in self.view.members:
-                if member != self.member_id:
-                    self.service.channels.send(member, msg)
-            self.ordering.on_local_send(msg)
-        tracer.end_span(span)
+        self._multicast(msg, span)
         # symmetric ordering: peers can only deliver our message once they
         # hold a *later* timestamp from us — if nothing else goes out soon,
         # a NULL must follow (the sender-side half of the protocol traffic)
-        if kind == KIND_DATA and self.ordering.needs_nulls:
-            self._self_ack_owed = True
-            deadline = self.sim.now + self.config.null_delay
-            if self._null_timer is not None and deadline < self._null_timer.time:
-                self._null_timer.cancel()
-                self._null_timer = None
-            if self._null_timer is None:
-                self._null_timer = self.sim.schedule(
-                    self.config.null_delay, self._null_timer_fired
-                )
+        self._self_ack_owed = data and self.ordering.needs_nulls
+        if self._self_ack_owed:
+            self._arm_null_timer(self.config.null_delay)
+        self.ordering.on_local_send(msg)
+
+    def send_tickets(self, tickets: List[Tuple[int, str, int]]) -> None:
+        """Multicast a run of ``(ticket, target_sender, target_gseq)``
+        assignments this member made as sequencer: a ``TicketMsg`` for a run
+        of one, a ``TicketBatchMsg`` otherwise."""
+        view = self.view
+        first, sender, gseq = tickets[0]
+        batch = len(tickets) > 1
+        if batch:
+            msg = TicketBatchMsg(
+                self.group, self.member_id, view.view_id, tickets, era=view.era
+            )
+            label = f"batch[{len(tickets)}] {first}..{tickets[-1][0]}"
         else:
-            self._self_ack_owed = False
-        self._post_event_drain()
+            msg = TicketMsg(
+                self.group, self.member_id, view.view_id, first, sender, gseq, era=view.era
+            )
+            label = f"{first}->{sender}#{gseq}"
+        self._flight.record(self.member_id, "ticket", self.group, label)
+        tracer = self._tracer
+        span = None
+        if tracer.enabled and tracer.recording:
+            attrs = {"group": self.group, "ticket": first}
+            if batch:
+                attrs.update(batch=len(tickets), span=f"{first}..{tickets[-1][0]}")
+            else:
+                attrs["for"] = f"{sender}#{gseq}"
+            span = tracer.start_span(
+                "gc.ticket", kind="producer", node=self.member_id, attrs=attrs
+            )
+        self._multicast(msg, span)
+
+    def _multicast(self, msg: Any, span) -> None:
+        """The one fan-out: ``msg`` to every other member of the view, in
+        view order, under the producer ``span`` (None when not recording)."""
+        tracer = self._tracer
+        channels = self.service.channels
+        me = self.member_id
+        with tracer.use(span):
+            for member in self.view.members:
+                if member != me:
+                    channels.send(member, msg)
+        tracer.end_span(span)
+        self.detector.sent_something()
 
     def _current_acks(self) -> Dict[str, int]:
         acks = dict(self._recv_gseq)
@@ -396,81 +401,60 @@ class GroupSession:
         return acks
 
     # ------------------------------------------------------------------
-    # receive path (called by the service's channel upcall)
+    # receive path (the service's channel upcall for data and tickets)
     # ------------------------------------------------------------------
-    def on_data(self, peer: str, msg: DataMsg) -> None:
-        if self.state == "closed":
+    def receive(self, peer: str, msg: Any) -> None:
+        """Admit a ``DataMsg``, ``TicketMsg`` or ``TicketBatchMsg`` through
+        the one view/era/state gate and hand it to its stage.
+
+        Liveness evidence (``detector.heard_from``) was already taken by the
+        service's router, which sees every kind of protocol message.
+        """
+        state = self.state
+        if state == "closed":
             return
-        self.service.clock.observe(msg.ts)
-        if self.state == "joining":
+        is_data = type(msg) is DataMsg
+        if is_data:
+            self.service.clock.observe(msg.ts)
+        if state == "joining":
             # no view (hence no era) to judge against yet; the replay after
-            # our install applies the era check to everything buffered here
+            # our install applies the checks below to everything buffered here
             self._future_buffer.append((peer, msg))
             return
-        if msg.era != self.view.era:
+        view = self.view
+        if msg.era != view.era:
             # a frame from another incarnation of the group: channels outlive
             # sessions across restarts, so a dead incarnation's retransmitted
             # frames can surface here with view ids that alias ours
             return
-        if msg.view_id > self.view.view_id:
+        if msg.view_id > view.view_id:
             self._future_buffer.append((peer, msg))
             return
-        if msg.view_id < self.view.view_id or msg.sender not in self.view.members:
+        if msg.view_id < view.view_id or msg.sender not in view.members:
             return
-        self.detector.heard_from(msg.sender)
-        self.detector.observe_period(msg.sender, msg.hb_period)
-        if msg.frontier is not None:
-            self._peer_frontiers[msg.sender] = msg.frontier
-        self._peer_pushback[msg.sender] = msg.pushback
-        if not msg.is_null:
+        if is_data:
+            self._on_data(msg)
+        else:
+            self.ordering.on_tickets(msg.tickets)
+
+    def _on_data(self, msg: DataMsg) -> None:
+        sender = msg.sender
+        self.detector.observe_period(sender, msg.hb_period)
+        self._peer_pushback[sender] = msg.pushback
+        is_null = msg.is_null
+        if not is_null:
             self.detector.note_activity()
-            self._recv_gseq[msg.sender] = msg.gseq
+            self._recv_gseq[sender] = msg.gseq
             self.unstable[msg.msg_id] = msg
-            payload = msg.payload
-            if getattr(payload, "forwarded", None) is not None:
+            call = _call_id(msg.payload)
+            if call is not None:
                 # raw request arrival at this member (before ordering):
                 # the ordering-wait clock for this member starts here
-                self._phases.on_arrival(
-                    (payload.client, payload.call_no), self.member_id
-                )
-        self._ingest_acks(msg.sender, msg.acks)
-        self._consider_null_reply(msg)
+                self._phases.on_arrival(call, self.member_id)
+        self._ingest_acks(sender, msg.acks)
+        if not is_null:
+            self._owe_null_reply(msg.ts)
         self.ordering.on_data(msg)
-        self._post_event_drain()
-
-    def on_ticket(self, peer: str, msg: TicketMsg) -> None:
-        if self.state == "closed" or self.view is None:
-            return
-        if msg.era != self.view.era:
-            return  # ticket from another incarnation of the group
-        if self.state == "joining" or msg.view_id > self.view.view_id:
-            self._future_buffer.append((peer, msg))
-            return
-        if msg.view_id < self.view.view_id:
-            return
-        self.detector.heard_from(msg.sender)
-        self.ordering.on_ticket(msg)
-        self._post_event_drain()
-
-    def on_ticket_batch(self, peer: str, msg: TicketBatchMsg) -> None:
-        if self.state == "closed" or self.view is None:
-            return
-        if msg.era != self.view.era:
-            return  # tickets from another incarnation of the group
-        if self.state == "joining" or msg.view_id > self.view.view_id:
-            self._future_buffer.append((peer, msg))
-            return
-        if msg.view_id < self.view.view_id:
-            return
-        self.detector.heard_from(msg.sender)
-        self.ordering.on_ticket_batch(msg)
-        self._post_event_drain()
-
-    def _post_event_drain(self) -> None:
-        if self.ordering.name == "symmetric":
-            self.service.clock_merger.drain()
-        elif self.ordering.name == "asymmetric":
-            self.service.ticket_merger.drain()
 
     # ------------------------------------------------------------------
     # stability tracking
@@ -536,25 +520,28 @@ class GroupSession:
     #   quiesce).
     # Sending anything (data or null) within ``null_delay`` cancels the debt.
     # ------------------------------------------------------------------
-    def _consider_null_reply(self, msg: DataMsg) -> None:
-        if msg.is_null:
-            return
-        if msg.ts > self._max_seen_ts:
-            self._max_seen_ts = msg.ts
+    def _owe_null_reply(self, ts: int) -> None:
+        """A data message stamped ``ts`` arrived: we owe the group a reply."""
+        if ts > self._max_seen_ts:
+            self._max_seen_ts = ts
         self._acks_owed = True
         # ordering progress needs a prompt NULL (null_delay); a pure
         # stability ack may be batched for longer, and in adaptive lively
         # groups long enough that it usually rides on the next data message
         if self._needs_ts_progress():
-            delay = self.config.null_delay
+            self._arm_null_timer(self.config.null_delay)
         else:
-            delay = self._ack_flush_delay()
-        deadline = self.sim.now + delay
-        if self._null_timer is not None and deadline < self._null_timer.time:
-            self._null_timer.cancel()
-            self._null_timer = None
-        if self._null_timer is None:
-            self._null_timer = self.sim.schedule(delay, self._null_timer_fired)
+            self._arm_null_timer(self._ack_flush_delay())
+
+    def _arm_null_timer(self, delay: float) -> None:
+        """Have the NULL debt checked within ``delay`` (an earlier pending
+        check stands; a later one is pulled forward)."""
+        timer = self._null_timer
+        if timer is not None:
+            if self.sim.now + delay >= timer.time:
+                return
+            timer.cancel()
+        self._null_timer = self.sim.schedule(delay, self._null_timer_fired)
 
     def _ack_flush_delay(self) -> float:
         """How long a pure stability ack may wait for a data message to
@@ -576,94 +563,8 @@ class GroupSession:
             self.send_null()
 
     # ------------------------------------------------------------------
-    # ordering-layer callbacks
+    # delivery (the one upcall seam: strategies and mergers release here)
     # ------------------------------------------------------------------
-    def _cleared(self, msg: DataMsg, key: Tuple[int, str]) -> None:
-        """A message cleared group-level ordering."""
-        if self.ordering.name == "symmetric":
-            self.service.clock_merger.push(self, msg, key)
-        else:
-            self._deliver_app(msg)
-
-    def _enqueue_ticket(self, ticket: int, key: Tuple[str, int]) -> None:
-        self.service.ticket_merger.enqueue(self.sequencer, self, ticket, key)
-
-    def _announce_ticket(self, ticket: int, key: Tuple[str, int]) -> None:
-        """Announce a ticket assignment to the group (via the batcher, which
-        may coalesce it with neighbouring assignments)."""
-        self.service.ticket_batcher.announce(self, ticket, key)
-
-    def _emit_ticket(self, ticket: int, key: Tuple[str, int]) -> None:
-        """Multicast one ticket assignment (the unbatched wire format)."""
-        sender, gseq = key
-        msg = TicketMsg(
-            self.group,
-            self.member_id,
-            self.view.view_id,
-            ticket,
-            sender,
-            gseq,
-            era=self.view.era,
-        )
-        self._flight.record(
-            self.member_id, "ticket", self.group, f"{ticket}->{sender}#{gseq}"
-        )
-        tracer = self._tracer
-        span = None
-        if tracer.enabled and tracer.recording:
-            span = tracer.start_span(
-                "gc.ticket",
-                kind="producer",
-                node=self.member_id,
-                attrs={"group": self.group, "ticket": ticket, "for": f"{sender}#{gseq}"},
-            )
-        with tracer.use(span):
-            for member in self.view.members:
-                if member != self.member_id:
-                    self.service.channels.send(member, msg)
-        tracer.end_span(span)
-        self.detector.sent_something()
-
-    def _emit_ticket_batch(self, entries: List[Tuple[int, Tuple[str, int]]]) -> None:
-        """Multicast a coalesced run of ticket assignments as one message."""
-        msg = TicketBatchMsg(
-            self.group,
-            self.member_id,
-            self.view.view_id,
-            [(ticket, key[0], key[1]) for ticket, key in entries],
-            era=self.view.era,
-        )
-        self._flight.record(
-            self.member_id,
-            "ticket",
-            self.group,
-            f"batch[{len(entries)}] {entries[0][0]}..{entries[-1][0]}",
-        )
-        tracer = self._tracer
-        span = None
-        if tracer.enabled and tracer.recording:
-            first, last = entries[0][0], entries[-1][0]
-            span = tracer.start_span(
-                "gc.ticket",
-                kind="producer",
-                node=self.member_id,
-                attrs={
-                    "group": self.group,
-                    "ticket": first,
-                    "batch": len(entries),
-                    "span": f"{first}..{last}",
-                },
-            )
-        with tracer.use(span):
-            for member in self.view.members:
-                if member != self.member_id:
-                    self.service.channels.send(member, msg)
-        tracer.end_span(span)
-        self.detector.sent_something()
-
-    def _drain_tickets(self) -> None:
-        self.service.ticket_merger.drain()
-
     def _deliver_app(self, msg: DataMsg) -> None:
         if msg.is_null:
             return
@@ -672,66 +573,44 @@ class GroupSession:
         self._flight.record(
             self.member_id, "deliver", self.group, f"{msg.sender}#{msg.gseq}"
         )
-        payload = msg.payload
-        if getattr(payload, "forwarded", None) is not None:
+        call = _call_id(msg.payload)
+        if call is not None:
             # ordering released the request to the app: ordering wait ends
-            self._phases.on_cleared((payload.client, payload.call_no), self.member_id)
+            self._phases.on_cleared(call, self.member_id)
         if self.on_deliver is None:
             return
         tracer = self._tracer
+        span = None
+        scope = _NO_SCOPE
         if tracer.enabled:
             # parent on the *sender's* gc.send span (looked up by message id):
             # the scheduler context here belongs to whichever protocol message
             # unblocked ordering, not to the message's causal origin
             parent = tracer.stashed_parent((self.group, msg.msg_id))
-            span = None
-            if parent is not None:
-                # even if the ambient (unblocking) trace is unsampled, a
-                # stashed parent means the *origin* was sampled — record
+            # a stashed parent means the *origin* was sampled — record even if
+            # the ambient (unblocking) trace is unsampled; under full tracing
+            # a stash miss (cap eviction) falls back to the ambient span
+            # rather than losing the delivery entirely
+            if parent is not None or (not tracer.sampling and tracer.recording):
                 span = tracer.start_span(
                     "gc.deliver",
                     kind="consumer",
                     node=self.member_id,
-                    parent=parent,
+                    parent="ambient" if parent is None else parent,
                     attrs={"group": self.group, "sender": msg.sender, "gseq": msg.gseq},
                 )
-            elif not tracer.sampling and tracer.recording:
-                # full tracing: a stash miss (cap eviction) falls back to the
-                # ambient span rather than losing the delivery entirely
-                span = tracer.start_span(
-                    "gc.deliver",
-                    kind="consumer",
-                    node=self.member_id,
-                    attrs={"group": self.group, "sender": msg.sender, "gseq": msg.gseq},
-                )
-            if span is not None:
-                with tracer.use(span):
-                    self.service.node.execute(
-                        DELIVER_COST, self._upcall_traced, span, msg.sender, msg.payload
-                    )
-            elif tracer.sampling:
-                # unsampled origin: run the upcall under an explicitly
-                # unsampled context so its downstream work allocates no spans
-                with tracer.use_root(None):
-                    self.service.node.execute(
-                        DELIVER_COST, self._upcall, msg.sender, msg.payload
-                    )
-            else:
-                self.service.node.execute(
-                    DELIVER_COST, self._upcall, msg.sender, msg.payload
-                )
-        else:
-            self.service.node.execute(
-                DELIVER_COST, self._upcall, msg.sender, msg.payload
-            )
+            # no span under sampling means an unsampled origin: use_root then
+            # pushes an explicitly unsampled context, so the upcall's
+            # downstream work allocates no spans either
+            scope = tracer.use_root(span)
+        with scope:
+            self.service.node.execute(DELIVER_COST, self._upcall, span, msg.sender, msg.payload)
 
-    def _upcall(self, sender: str, payload: Any) -> None:
+    def _upcall(self, span, sender: str, payload: Any) -> None:
         if self.state != "closed" and self.on_deliver is not None:
             self.on_deliver(sender, payload)
-
-    def _upcall_traced(self, span, sender: str, payload: Any) -> None:
-        self._upcall(sender, payload)
-        self._tracer.end_span(span)
+        if span is not None:
+            self._tracer.end_span(span)
 
     # ------------------------------------------------------------------
     # flush / view change support
@@ -740,32 +619,16 @@ class GroupSession:
         """(unstable messages, known tickets, delivery frontier) for FlushOk."""
         if self.view is None:
             return [], [], None
-        unstable = list(self.unstable.values())
-        tickets = []
-        if self.ordering.name == "asymmetric":
-            tickets = [
-                (value, sender, gseq)
-                for (sender, gseq), value in self.ordering.known_tickets.items()
-            ]
-        return unstable, tickets, self.ordering.frontier()
+        ordering = self.ordering
+        return list(self.unstable.values()), ordering.flush_tickets(), ordering.frontier()
 
     def apply_view_install(self, install: ViewInstall) -> None:
         """Deliver the closing set, then adopt the new view."""
-        first_view = self.view is None
         joining = self.state == "joining"
         if joining:
-            # adopt the group's real configuration (the creator's)
-            self.config = install.config
-            self.ordering = make_ordering(install.config.ordering, self)
-            self.detector = FailureDetector(self)
-            self.flow = FlowController(
-                install.config.send_window, install.config.flow_max_queue or None
-            )
-            self._pushback_pending_bound = 4.0 * install.config.send_window
-            if not install.config.ordering_config.ack_piggyback:
-                self.service.channels.ack_piggyback = False
+            self._adopt_config(install.config)
         else:
-            self._unregister_from_mergers()
+            self.ordering.detach()
             for msg in self.ordering.finalize(install.unstable, install.tickets):
                 self._deliver_app(msg)
 
@@ -775,22 +638,7 @@ class GroupSession:
         joined = [m for m in install.view.members if m not in old_members]
         left = sorted(old_members - new_members)
 
-        # fresh per-view state
-        self.ordering.reset(install.view.members)
-        self._gseq_next = 1
-        self._recv_gseq = {m: 0 for m in install.view.members}
-        self._acked = {}
-        self.unstable = {}
-        self._last_sent_ts = self.service.clock.value
-        self._max_seen_ts = 0
-        self._acks_owed = False
-        self._self_ack_owed = False
-        self._peer_frontiers = {}
-        self._peer_pushback = {}
-        if self._null_timer is not None:
-            self._null_timer.cancel()
-            self._null_timer = None
-
+        self._reset_view_state(install.view.members)
         self.state = "active"
         self.stats.views += 1
         self._views_counter.inc()
@@ -809,10 +657,10 @@ class GroupSession:
             joined=len(joined),
             left=len(left),
         )
-        self._register_with_mergers()
+        self.ordering.attach()
         self.detector.on_view_change()
         self.detector.start()
-        if first_view or joining:
+        if joining:
             self.joined.try_resolve(install.view)
         if self.on_view is not None:
             self.on_view(install.view, joined, left)
@@ -821,12 +669,7 @@ class GroupSession:
         # (both the flush-time queue and anything flow control held back)
         buffered, self._future_buffer = self._future_buffer, []
         for peer, message in buffered:
-            if isinstance(message, DataMsg):
-                self.on_data(peer, message)
-            elif isinstance(message, TicketBatchMsg):
-                self.on_ticket_batch(peer, message)
-            else:
-                self.on_ticket(peer, message)
+            self.receive(peer, message)
         held = self.flow.pop_all_queued()
         self.flow.reset()
         queued, self._queued_sends = self._queued_sends, []
@@ -844,37 +687,37 @@ class GroupSession:
             else:
                 self.membership.request_leave()
 
-    def _register_with_mergers(self) -> None:
-        if self.ordering.name == "symmetric":
-            self.service.clock_merger.register(self)
-
-    def _unregister_from_mergers(self) -> None:
-        self.service.clock_merger.unregister(self)
-        self.service.ticket_merger.purge(self)
-        self.service.ticket_batcher.purge(self)
+    def _reset_view_state(self, members: List[str]) -> None:
+        """Per-view message state starts fresh — at every install, and at
+        close: a stale NULL debt (or its timer) must not survive into any
+        later use of this member identity."""
+        self.ordering.reset(members)
+        self._gseq_next = 1
+        self._recv_gseq = {m: 0 for m in members}
+        self._acked = {}
+        self.unstable = {}
+        self._last_sent_ts = self.service.clock.value
+        self._max_seen_ts = 0
+        self._acks_owed = False
+        self._self_ack_owed = False
+        self._peer_pushback = {}
+        if self._null_timer is not None:
+            self._null_timer.cancel()
+            self._null_timer = None
 
     def _close(self) -> None:
         if self.state == "closed":
             return
         self.state = "closed"
         self.detector.stop()
-        self._unregister_from_mergers()
-        # clear the reactive NULL debt with the timer: a stale debt must not
-        # survive into any later use of this member identity
-        self._acks_owed = False
-        self._self_ack_owed = False
-        self._max_seen_ts = 0
-        self._peer_frontiers = {}
-        self._peer_pushback = {}
+        self.ordering.detach()
+        self._reset_view_state([])
         # retire this session's contribution to the aggregate flow gauges
         last = self._flow_reported
         if last != (0, 0):
             self._flow_inflight_g.add(-last[0])
             self._flow_queued_g.add(-last[1])
             self._flow_reported = (0, 0)
-        if self._null_timer is not None:
-            self._null_timer.cancel()
-            self._null_timer = None
         self.service.drop_session(self.group)
         self.left.try_resolve(None)
         self.joined.try_fail(NotMember(f"{self.group}: membership ended"))

@@ -14,7 +14,7 @@ FIFO).  A per-group batcher could delay group A's ticket 7 past group B's
 ticket 8 and reorder them on the wire; flushing *all* pending assignments
 in assignment order whenever any batch closes preserves the global
 sequence.  For the same reason the sequencer's own self-ticketed data
-messages force a flush first (see ``GroupSession._do_send``).
+messages force a flush first (see ``AsymmetricOrder.stamp``).
 
 Pending (announced-but-unsent) tickets are safe across view changes: the
 assignment is already in the ordering strategy's ``known_tickets``, so the
@@ -75,10 +75,10 @@ class TicketBatcher:
     def flush(self) -> None:
         """Multicast every pending assignment, in global ticket order.
 
-        Consecutive runs of assignments for the same session become one
-        ``TicketBatchMsg``; isolated assignments keep the single-ticket
-        wire format.  Entries whose session's view moved on are dropped —
-        their tickets travelled with the flush protocol instead.
+        Each consecutive run of assignments for the same session goes out
+        as one multicast (``GroupSession.send_tickets`` picks the wire
+        format by run length).  Entries whose session's view moved on are
+        dropped — their tickets travelled with the flush protocol instead.
         """
         if self._timer is not None:
             self._timer.cancel()
@@ -99,11 +99,8 @@ class TicketBatcher:
                 and live[index + len(run)].session is run[0].session
             ):
                 run.append(live[index + len(run)])
-            session = run[0].session
-            if len(run) == 1:
-                session._emit_ticket(run[0].ticket, run[0].key)
-            else:
-                session._emit_ticket_batch([(e.ticket, e.key) for e in run])
+            run[0].session.send_tickets([(e.ticket, *e.key) for e in run])
+            if len(run) > 1:
                 self._batched_counter.inc(len(run))
             index += len(run)
 

@@ -206,7 +206,7 @@ class Tracer:
         self.unsampled_roots = 0
         self._next_id = 1
         self._stash: "OrderedDict[Any, Span]" = OrderedDict()
-        #: systematic-sampling accumulators, one per distinct rate in use
+        #: systematic-sampling accumulator for ``config.sample_rate``
         self._sample_acc = 0.0
 
     @property

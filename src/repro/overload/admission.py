@@ -13,9 +13,10 @@ signals, cheapest first:
    window/queue/ordering backlog saturates, before the damage spreads.
 3. **Queue-delay watermark** — the windowed mean of the
    ``inv.phase.queue`` histogram (the residual queueing phase of the
-   obs latency decomposition), probed every ``probe_interval`` of
-   virtual time with high/low hysteresis.  This is the slow signal that
-   catches creeping saturation the instantaneous ones miss.
+   obs latency decomposition), probed every ``PROBE_INTERVAL`` of
+   virtual time with hysteresis: shedding starts at ``queue_delay_high``
+   and stops at half of it.  This is the slow signal that catches
+   creeping saturation the instantaneous ones miss.
 
 A shed returns a retry-after hint scaled by the observed pressure; the
 client's :class:`~repro.recovery.RetryPolicy` caps and jitters it.
@@ -23,72 +24,47 @@ client's :class:`~repro.recovery.RetryPolicy` caps and jitters it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional
 
 __all__ = ["AdmissionConfig", "AdmissionController"]
+
+#: group pushback in [0, 1] at or above which a call is shed
+PUSHBACK_HIGH = 0.95
+#: virtual seconds between queue-delay watermark probes
+PROBE_INTERVAL = 100e-3
 
 
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Admission policy for one binding/manager (all signals optional).
 
-    ``max_inflight=0`` disables the inflight bound, ``queue_delay_high=0``
-    the watermark, and any ``pushback_high > 1`` effectively disables
-    pushback shedding; with everything disabled the controller admits all.
+    ``max_inflight=0`` disables the inflight bound and
+    ``queue_delay_high=0`` the watermark; pushback at or above
+    ``PUSHBACK_HIGH`` always sheds.
     """
 
     max_inflight: int = 64
     queue_delay_high: float = 0.0  # seconds; 0 = watermark off
-    queue_delay_low: float = 0.0  # 0 = half of high
-    pushback_high: float = 0.95  # group pushback in [0,1] that sheds
     retry_after: float = 50e-3  # base hint; scaled by observed pressure
-    probe_interval: float = 100e-3  # virtual seconds between probes
 
     def __post_init__(self):
         if self.max_inflight < 0:
             raise ValueError("admission.max_inflight must be >= 0")
         if self.queue_delay_high < 0:
             raise ValueError("admission.queue_delay_high must be >= 0")
-        if self.queue_delay_low < 0:
-            raise ValueError("admission.queue_delay_low must be >= 0")
-        if self.queue_delay_high and self.queue_delay_low > self.queue_delay_high:
-            raise ValueError("admission.queue_delay_low must be <= high")
-        if not 0.0 < self.pushback_high:
-            raise ValueError("admission.pushback_high must be > 0")
         if self.retry_after <= 0:
             raise ValueError("admission.retry_after must be > 0")
-        if self.probe_interval <= 0:
-            raise ValueError("admission.probe_interval must be > 0")
-
-    @property
-    def effective_low(self) -> float:
-        return self.queue_delay_low or self.queue_delay_high / 2.0
 
     @classmethod
     def from_dict(cls, data: Dict) -> "AdmissionConfig":
-        allowed = {
-            "max_inflight",
-            "queue_delay_high",
-            "queue_delay_low",
-            "pushback_high",
-            "retry_after",
-            "probe_interval",
-        }
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"admission spec has unknown keys {sorted(unknown)}")
         return cls(**data)
 
     def to_dict(self) -> Dict:
-        return {
-            "max_inflight": self.max_inflight,
-            "queue_delay_high": self.queue_delay_high,
-            "queue_delay_low": self.queue_delay_low,
-            "pushback_high": self.pushback_high,
-            "retry_after": self.retry_after,
-            "probe_interval": self.probe_interval,
-        }
+        return asdict(self)
 
 
 class AdmissionController:
@@ -139,7 +115,7 @@ class AdmissionController:
         cfg = self.config
         if cfg.max_inflight and self.inflight >= cfg.max_inflight:
             return self._shed(1.0)
-        if pushback >= cfg.pushback_high:
+        if pushback >= PUSHBACK_HIGH:
             return self._shed(pushback)
         if cfg.queue_delay_high > 0 and self._over_watermark():
             return self._shed(0.75)
@@ -176,11 +152,11 @@ class AdmissionController:
             window_total = hist.total - self._seen_total
             self._seen_count = hist.count
             self._seen_total = hist.total
-            self._probe_at = now + self.config.probe_interval
+            self._probe_at = now + PROBE_INTERVAL
             if window_count > 0:
                 mean = window_total / window_count
                 if self._shedding:
-                    if mean <= self.config.effective_low:
+                    if mean <= self.config.queue_delay_high / 2.0:
                         self._shedding = False
                 elif mean >= self.config.queue_delay_high:
                     self._shedding = True

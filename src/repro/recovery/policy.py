@@ -10,33 +10,29 @@ registry and the surviving members in lockstep).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict
 
 __all__ = ["RetryPolicy", "backoff_delay"]
 
+#: every backoff is spread uniformly over ``[d * (1 - J/2), d * (1 + J/2))``
+JITTER = 0.5
 
-def backoff_delay(
-    attempt: int,
-    base: float,
-    factor: float,
-    max_delay: float,
-    jitter: float,
-    rng,
-) -> float:
+
+def _jittered(delay: float, rng) -> float:
+    return delay * (1.0 - JITTER / 2.0 + JITTER * rng.random())
+
+
+def backoff_delay(attempt: int, base: float, factor: float, max_delay: float, rng) -> float:
     """Delay before retry ``attempt`` (1-based): capped exponential, jittered.
 
-    The deterministic envelope is ``min(max_delay, base * factor**(attempt-1))``;
-    ``jitter`` spreads the result uniformly over ``[d*(1-j/2), d*(1+j/2)]``
-    using ``rng`` (a seeded ``random.Random`` stream, so runs stay
-    reproducible).
+    The deterministic envelope is ``min(max_delay, base * factor**(attempt-1))``,
+    spread by ``JITTER`` using ``rng`` (a seeded ``random.Random`` stream, so
+    runs stay reproducible).
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")
-    delay = min(max_delay, base * factor ** (attempt - 1))
-    if jitter > 0:
-        delay *= 1.0 - jitter / 2.0 + jitter * rng.random()
-    return delay
+    return _jittered(min(max_delay, base * factor ** (attempt - 1)), rng)
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,6 @@ class RetryPolicy:
     base_delay: float = 50e-3
     factor: float = 2.0
     max_delay: float = 2.0
-    jitter: float = 0.5
 
     def __post_init__(self):
         if self.max_attempts < 0:
@@ -64,8 +59,6 @@ class RetryPolicy:
             raise ValueError("retry.factor must be >= 1")
         if self.max_delay < self.base_delay:
             raise ValueError("retry.max_delay must be >= base_delay")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("retry.jitter must be in [0, 1]")
 
     @property
     def enabled(self) -> bool:
@@ -73,9 +66,7 @@ class RetryPolicy:
 
     def delay(self, attempt: int, rng) -> float:
         """Backoff before retry ``attempt`` (1-based)."""
-        return backoff_delay(
-            attempt, self.base_delay, self.factor, self.max_delay, self.jitter, rng
-        )
+        return backoff_delay(attempt, self.base_delay, self.factor, self.max_delay, rng)
 
     def retry_after_delay(self, hint: float, attempt: int, rng) -> float:
         """Backoff honoring a server-supplied retry-after ``hint``.
@@ -89,24 +80,14 @@ class RetryPolicy:
         """
         if hint <= 0:
             return self.delay(attempt, rng)
-        envelope = min(self.max_delay, max(self.base_delay, hint))
-        if self.jitter > 0:
-            envelope *= 1.0 - self.jitter / 2.0 + self.jitter * rng.random()
-        return envelope
+        return _jittered(min(self.max_delay, max(self.base_delay, hint)), rng)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RetryPolicy":
-        allowed = {"max_attempts", "base_delay", "factor", "max_delay", "jitter"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"retry spec has unknown keys {sorted(unknown)}")
         return cls(**data)
 
     def to_dict(self) -> Dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay": self.base_delay,
-            "factor": self.factor,
-            "max_delay": self.max_delay,
-            "jitter": self.jitter,
-        }
+        return asdict(self)

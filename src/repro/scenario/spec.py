@@ -137,7 +137,7 @@ class GroupSpec:
             raise ValueError(f"group.liveliness_config: {exc}") from exc
 
     def build_ordering_config(self) -> OrderingConfig:
-        """Ticket batching / ack piggybacking (empty dict = library defaults)."""
+        """Sequencer ticket batching (empty dict = library defaults)."""
         if not isinstance(self.ordering_config, dict):
             raise ValueError("group.ordering_config must be an object")
         try:

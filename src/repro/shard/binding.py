@@ -32,7 +32,7 @@ from repro.core.client import GroupBinding, InvocationResult
 from repro.core.modes import Mode
 from repro.core.scheme import scatter_parts
 from repro.errors import ApplicationError, BindingBroken
-from repro.recovery.policy import backoff_delay
+from repro.recovery.policy import RetryPolicy
 from repro.shard.layout import key_to_shard, shard_service_name
 from repro.sim.futures import Future
 from repro.sim.process import all_of
@@ -46,11 +46,7 @@ class ShardedBinding:
     #: bounded remap attempts after a sub-binding breaks, and the jittered
     #: backoff envelope between them (fresh lookup each time — the shard's
     #: new members advertise as soon as their first view installs)
-    REMAP_ATTEMPTS = 4
-    REMAP_BASE_DELAY = 0.3
-    REMAP_BACKOFF_FACTOR = 2.0
-    REMAP_MAX_DELAY = 2.0
-    REMAP_JITTER = 0.5
+    REMAP = RetryPolicy(max_attempts=4, base_delay=0.3, factor=2.0, max_delay=2.0)
 
     def __init__(
         self,
@@ -278,14 +274,14 @@ class ShardedBinding:
             if (
                 isinstance(exc, BindingBroken)
                 and not self._closed
-                and attempt < self.REMAP_ATTEMPTS
+                and attempt < self.REMAP.max_attempts
             ):
                 # every member the sub-binding knew is gone: a re-layout (or
                 # multi-crash) moved the shard.  Remap — fresh binding, fresh
                 # registry lookup — instead of retrying the stale membership.
                 self._remap(shard_no, binding)
                 self.sim.schedule(
-                    self._remap_delay(attempt),
+                    self.REMAP.delay(attempt + 1, self._remap_rng),
                     self._attempt,
                     shard_no,
                     operation,
@@ -299,16 +295,6 @@ class ShardedBinding:
             result.try_fail(exc)
 
         inner.add_done_callback(on_done)
-
-    def _remap_delay(self, attempt: int) -> float:
-        return backoff_delay(
-            attempt + 1,
-            self.REMAP_BASE_DELAY,
-            self.REMAP_BACKOFF_FACTOR,
-            self.REMAP_MAX_DELAY,
-            self.REMAP_JITTER,
-            self._remap_rng,
-        )
 
     def _remap(self, shard_no: int, failed_binding: GroupBinding) -> None:
         if self._bindings[shard_no] is not failed_binding:

@@ -241,33 +241,3 @@ def test_silent_reverse_direction_falls_back_to_timed_acks():
     assert pipe.delivered_b == ["one-way"]
     assert len(acks) == 1
     assert pipe.a.outstanding_to("b") == 0
-
-
-def test_ack_piggyback_disabled_restores_standalone_acks():
-    """With the knob off, frames carry no ack field and ChanAcks flow."""
-    sim = Simulator()
-    pipe = Pipe(sim)
-    pipe.a.ack_piggyback = False
-    pipe.b.ack_piggyback = False
-    frames = []
-    orig_transport = pipe.b.transport
-
-    def recording_transport(peer, message):
-        if isinstance(message, ChanData):
-            frames.append(message)
-        orig_transport(peer, message)
-
-    pipe.b.transport = recording_transport
-
-    def pong(peer, inner):
-        pipe.delivered_b.append(inner)
-        pipe.b.send("a", f"re:{inner}")
-
-    pipe.b.upcall = pong
-    for i in range(ACK_EVERY + 1):
-        pipe.a.send("b", i)
-        sim.run(until=sim.now + 5e-3)
-    sim.run(until=sim.now + 0.1)
-    assert all(frame.ack is None for frame in frames)
-    assert pipe.a.outstanding_to("b") == 0  # standalone acks did the work
-    assert sim.obs.metrics.counter_value("gc.channel.acks_piggybacked") == 0

@@ -18,6 +18,7 @@ import pytest
 
 from repro.groupcomm import GroupConfig, Liveliness, Ordering, OrderingConfig
 from repro.groupcomm.ordering import AsymmetricOrder
+from repro.net import Topology
 from repro.scenario import run_scenario
 from tests.conftest import Cluster
 from tests.invariants import (
@@ -113,13 +114,12 @@ def test_sweep_delivers_same_messages_batched_or_not():
 def test_checker_catches_reordered_ticket_batch(monkeypatch):
     """Deliberately deliver batched tickets in reverse order; the total-order
     (or FIFO) invariant must flag it — proving the checker has teeth."""
-    original = AsymmetricOrder.on_ticket_batch
+    original = AsymmetricOrder.on_tickets
 
-    def sabotaged(self, batch):
-        batch.tickets = list(reversed(batch.tickets))
-        original(self, batch)
+    def sabotaged(self, tickets):
+        original(self, list(reversed(tickets)))
 
-    monkeypatch.setattr(AsymmetricOrder, "on_ticket_batch", sabotaged)
+    monkeypatch.setattr(AsymmetricOrder, "on_tickets", sabotaged)
     with record_protocol() as record:
         run_scenario(sweep_spec(7, "asymmetric", True, "none"))
     violations = check_invariants(record, total_order=True)
@@ -491,3 +491,42 @@ def test_sequencer_failover_mid_batch():
         assert len(delivered[0]) == 6
     violations = check_invariants(record, total_order=True, exclude={"n0"})
     assert violations == []
+
+
+# ---------------------------------------------------------------------------
+# join-under-loss: joins while traffic flows, sequencer != coordinator
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("batch", BATCHING)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_join_under_loss_sweep(seed, batch):
+    """Two members join a lossy asymmetric group in mid-traffic.  The
+    sequencer is hinted to n1 while n0 coordinates the view changes, so a
+    joiner hears tickets and its ViewInstall on different channels, and a
+    2% frame loss reorders them freely: whatever reaches a joiner before
+    its first view must be replayed after it, never dropped."""
+    topology = Topology()
+    topology.add_site("lan", loss=0.02)
+    c = Cluster(5, topology=topology, seed=seed)
+    config = GroupConfig(
+        ordering=Ordering.ASYMMETRIC,
+        sequencer_hint="n1",
+        suspicion_timeout=5.0,
+        flush_timeout=2.0,
+        ordering_config=OrderingConfig(
+            ticket_batch_max=6 if batch else 1, ticket_batch_delay=2e-3
+        ),
+    )
+    with record_protocol() as record:
+        sessions = build_group(c, config, members=["n0", "n1", "n2"])
+        for tick in range(60):
+            for session in sessions:
+                c.sim.schedule(
+                    tick * 10e-3, session.send, f"{session.member_id}-{tick}"
+                )
+        for at, joiner in ((0.15, "n3"), (0.35, "n4")):
+            c.sim.schedule(at, c.services[joiner].join_group, "g", "n0")
+        c.run(6.0)
+    views = {name: c.services[name].session("g").view for name in c.names}
+    assert all(set(view.members) == set(c.names) for view in views.values()), views
+    assert len(record.deliveries("g", "n0")) == 180
+    assert check_invariants(record, total_order=True) == []

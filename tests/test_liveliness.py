@@ -106,32 +106,6 @@ def test_static_config_disables_backoff():
 
 
 # ---------------------------------------------------------------------------
-# quiescence -> event-driven fallback
-# ---------------------------------------------------------------------------
-def test_quiescence_fallback_goes_fully_silent_then_wakes():
-    c = Cluster(3)
-    config = GroupConfig(
-        ordering=Ordering.ASYMMETRIC,
-        liveliness_config=LivelinessConfig(
-            quiescence_fallback=True, fallback_after=0.5
-        ),
-        **LIVELY_FAST,
-    )
-    sessions = build_group(c, config)
-    collectors = [Collector(s) for s in sessions]
-    sessions[0].send("warm-up")
-    c.run(3.0)  # settle + pass fallback_after with frontiers caught up
-    sent_before = c.net.stats.messages_sent
-    c.run(2.0)
-    assert c.net.stats.messages_sent == sent_before  # total quiescence
-    # the group is still functional: a new multicast re-arms and delivers
-    sessions[1].send("wake")
-    c.run(0.5)
-    for col in collectors:
-        assert [p for _, p in col.deliveries] == ["warm-up", "wake"]
-
-
-# ---------------------------------------------------------------------------
 # state resets (view install / close)
 # ---------------------------------------------------------------------------
 def test_view_install_resets_adaptive_state_and_null_debt():
@@ -145,7 +119,7 @@ def test_view_install_resets_adaptive_state_and_null_debt():
     assert set(survivor.view.members) == {"n0", "n1"}
     # stale advertisements from the old view must not linger
     assert "n2" not in survivor.detector.peer_periods
-    assert "n2" not in survivor._peer_frontiers
+    assert "n2" not in survivor._peer_pushback
     # the reactive NULL debt was cleared with the install
     assert not survivor._acks_owed
     assert survivor._max_seen_ts == 0

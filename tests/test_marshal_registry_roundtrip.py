@@ -24,11 +24,14 @@ import repro.groupcomm.messages  # noqa: F401
 import repro.orb.ior  # noqa: F401
 import repro.orb.messages  # noqa: F401
 from repro.core.messages import ReplyMsg, ReplySet, ScatterArgs
-from repro.groupcomm.config import GroupConfig, Ordering
+from repro.groupcomm.config import GroupConfig, LivelinessConfig, Ordering, OrderingConfig
 from repro.groupcomm.messages import DataMsg
 from repro.groupcomm.views import GroupView
 from repro.orb.ior import IOR
 from repro.orb.marshal import _STRUCT_REGISTRY, decode, encode, wire_size
+from repro.overload import AdmissionConfig
+from repro.recovery import RetryPolicy
+from repro.scenario import load_spec
 
 
 def _sample_data_msg() -> DataMsg:
@@ -44,7 +47,6 @@ def _sample_data_msg() -> DataMsg:
         vector={"m1": 3, "m2": 1},
         acks={"m1": 7, "m2": 6},
         hb_period=0.05,
-        frontier=(31, "m1"),
         era="era-1",
         pushback=0.25,
     )
@@ -212,3 +214,68 @@ def test_registry_is_nonempty_and_imports_cover_the_tree():
     # covering a module that registers structs — the parametrised test
     # above would silently shrink with it
     assert len(_STRUCT_REGISTRY) >= 26
+
+
+# ---------------------------------------------------------------------------
+# the wire format, pinned where it is decided
+# ---------------------------------------------------------------------------
+#: struct -> (exact wire fields, encoded size of this file's sample).  A field
+#: added to or dropped from a group-communication message or a config carried
+#: in ``ViewInstall`` shifts every frame size, hence the virtual clock of
+#: every benchmark: it must show up here as a visible diff.
+WIRE_PINS = {
+    "DataMsg": (
+        ("group", "sender", "view_id", "gseq", "ts", "kind", "payload", "ticket",
+         "vector", "acks", "hb_period", "era", "pushback"),
+        184,
+    ),
+    "TicketMsg": (
+        ("group", "sender", "view_id", "ticket", "target_sender", "target_gseq", "era"),
+        71,
+    ),
+    "TicketBatchMsg": (("group", "sender", "view_id", "tickets", "era"), 116),
+    "ViewInstall": (("group", "view", "attempt", "config", "unstable", "tickets"), 529),
+    "GroupConfig": (
+        ("ordering", "liveliness", "null_delay", "ack_delay", "silence_period",
+         "suspicion_timeout", "flush_timeout", "sequencer_hint", "send_window",
+         "flow_max_queue", "liveliness_config", "ordering_config"),
+        186,
+    ),
+    "LivelinessConfig": (("adaptive", "max_silence_factor", "ack_coalesce_factor"), 40),
+    "OrderingConfig": (("ticket_batch_max", "ticket_batch_delay"), 37),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_PINS))
+def test_wire_fields_and_sizes_are_pinned(name):
+    fields, size = WIRE_PINS[name]
+    cls, registered = _STRUCT_REGISTRY[name]
+    assert tuple(cls._fields) == tuple(registered) == fields
+    sample = _build_sample(name, cls, registered)
+    assert wire_size(sample) == len(encode(sample)) == size
+
+
+#: options deleted because no benchmark, scenario or example ever set them:
+#: (config class, deleted keyword, scenario spec section that names it)
+DELETED_OPTIONS = [
+    (LivelinessConfig, "backoff_factor", "liveliness_config"),
+    (LivelinessConfig, "suspicion_periods", "liveliness_config"),
+    (LivelinessConfig, "quiescence_fallback", "liveliness_config"),
+    (LivelinessConfig, "fallback_after", "liveliness_config"),
+    (OrderingConfig, "ack_piggyback", "ordering_config"),
+    (AdmissionConfig, "queue_delay_low", "admission"),
+    (AdmissionConfig, "pushback_high", "admission"),
+    (AdmissionConfig, "probe_interval", "admission"),
+    (RetryPolicy, "jitter", "retry"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, option, section", DELETED_OPTIONS, ids=[row[1] for row in DELETED_OPTIONS]
+)
+def test_deleted_options_are_rejected_by_name(cls, option, section):
+    with pytest.raises(TypeError, match=option):
+        cls(**{option: 1})
+    spec = {"name": "deleted-option", "group": {section: {option: 1}}}
+    with pytest.raises(ValueError, match=rf"group\.{section}.*{option}"):
+        load_spec(spec)

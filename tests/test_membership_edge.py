@@ -4,6 +4,7 @@ import pytest
 
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from tests.conftest import Cluster, Collector
+from tests.invariants import check_invariants, record_protocol
 from tests.test_groupcomm_basic import build_group
 
 LIVELY_FAST = dict(
@@ -76,7 +77,7 @@ def test_stale_data_from_old_view_is_dropped():
     col = Collector(sessions[1])
     current_view = sessions[1].view.view_id
     stale = DataMsg("g", "n0", current_view - 1, 1, 99, KIND_DATA, "ghost", None, None, {})
-    sessions[1].on_data("n0", stale)
+    sessions[1].receive("n0", stale)
     c.run(0.5)
     assert ("n0", "ghost") not in col.deliveries
 
@@ -132,3 +133,55 @@ def test_delivery_continues_across_churn():
     c.run(2.0)
     assert col0.deliveries == col1.deliveries
     assert len(col0.deliveries) == 10
+
+
+def test_joiner_keeps_tickets_that_arrive_before_its_first_view():
+    """The sequencer (n1) is not the coordinator (n0), so its tickets reach
+    the joiner (n2) on another channel than the coordinator's ViewInstall.
+    When that one frame is lost and repaired by the channel a millisecond
+    late, the tickets arrive while n2 is still joining: they must be
+    buffered like data and replayed after the install, not dropped."""
+    from repro.groupcomm.messages import ChanData, ViewInstall
+    from repro.orb import marshal
+
+    c = Cluster(3, seed=3)
+    config = GroupConfig(
+        ordering=Ordering.ASYMMETRIC,
+        sequencer_hint="n1",
+        suspicion_timeout=5.0,
+        flush_timeout=2.0,
+    )
+    transmit = c.net.transmit
+    dropped = []
+
+    def drop_first_install_to_joiner(src, dst, service, payload, size, kind=None):
+        if not dropped and (src, dst) == ("n0", "n2"):
+            frame = marshal.decode(payload).args[1]
+            if isinstance(frame, ChanData) and isinstance(frame.inner, ViewInstall):
+                dropped.append(frame.seq)
+                c.net.stats.record_send(service, size, kind=kind)
+                c.net.stats.record_drop()
+                return
+        transmit(src, dst, service, payload, size, kind)
+
+    with record_protocol() as record:
+        creator = c.service(0).create_group("g", config)
+        sessions = [creator, c.service(1).join_group("g", "n0")]
+        c.run(1.0)
+        c.net.transmit = drop_first_install_to_joiner
+
+        def send_on_full_view(view, joined, left):
+            if len(view.members) == 3:
+                for i in range(3):
+                    creator.send(f"m{i}")
+
+        creator.on_view = send_on_full_view
+        sessions.append(c.service(2).join_group("g", "n0"))
+        delivered = {}
+        for session in sessions:
+            log = delivered[session.member_id] = []
+            session.on_deliver = lambda _sender, payload, log=log: log.append(payload)
+        c.run(3.0)
+    assert dropped, "the scenario must actually lose the joiner's ViewInstall"
+    assert delivered == {name: ["m0", "m1", "m2"] for name in ("n0", "n1", "n2")}
+    assert check_invariants(record, total_order=True) == []

@@ -320,41 +320,6 @@ def test_ticket_batching_and_piggyback_metrics():
         assert sent == hops, f"{kind}: gc sent {sent} but net recorded {hops} hops"
 
 
-def test_piggybacked_acks_reduce_control_traffic():
-    """Same workload, piggybacking on vs off: control sends drop, delivered
-    data identical."""
-    from repro.groupcomm import Liveliness, OrderingConfig
-
-    results = {}
-    for piggyback in (False, True):
-        c = Cluster(3, seed=6)
-        config = GroupConfig(
-            ordering=Ordering.ASYMMETRIC,
-            suspicion_timeout=2.0,
-            flush_timeout=1.0,
-            ordering_config=OrderingConfig(ack_piggyback=piggyback),
-        )
-        creator = c.service(0)
-        sessions = [creator.create_group("g", config)]
-        for name in c.names[1:]:
-            sessions.append(c.services[name].join_group("g", c.names[0]))
-        c.run(1.0)
-        collectors = [Collector(s) for s in sessions]
-        for i in range(30):
-            for s in sessions:
-                s.send(f"{s.member_id}-{i}")
-        c.run(3.0)
-        assert all(len(col.deliveries) == 90 for col in collectors)
-        counters = c.sim.obs.metrics.snapshot()["counters"]
-        results[piggyback] = counters
-    assert results[True].get("gc.channel.acks_piggybacked", 0) > 0
-    assert results[False].get("gc.channel.acks_piggybacked", 0) == 0
-    assert results[True].get("gc.sent.control", 0) < results[False].get(
-        "gc.sent.control", 0
-    )
-    assert results[True]["gc.delivered"] == results[False]["gc.delivered"]
-
-
 # ---------------------------------------------------------------------------
 # CLI integration
 # ---------------------------------------------------------------------------

@@ -207,13 +207,12 @@ def test_failed_slo_report_attaches_causal_flight_excerpt():
 def test_invariant_violation_carries_flight_excerpt(monkeypatch):
     """A mutated protocol must fail post-mortem-first: the checker's output
     ends with the merged flight excerpt of the broken run."""
-    original = AsymmetricOrder.on_ticket_batch
+    original = AsymmetricOrder.on_tickets
 
-    def sabotaged(self, batch):
-        batch.tickets = list(reversed(batch.tickets))
-        original(self, batch)
+    def sabotaged(self, tickets):
+        original(self, list(reversed(tickets)))
 
-    monkeypatch.setattr(AsymmetricOrder, "on_ticket_batch", sabotaged)
+    monkeypatch.setattr(AsymmetricOrder, "on_tickets", sabotaged)
     with record_protocol() as record:
         run_scenario(sweep_spec(7, "asymmetric", True, "none"))
     violations = check_invariants(record, total_order=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.groupcomm.merger import SharedClockMerger, TicketMerger
-from repro.groupcomm.messages import DataMsg, KIND_DATA, KIND_NULL, TicketMsg
+from repro.groupcomm.messages import DataMsg, KIND_DATA, KIND_NULL
 from repro.groupcomm.ordering import (
     AsymmetricOrder,
     CausalOrder,
@@ -14,10 +14,27 @@ from repro.groupcomm.ordering import (
 from repro.groupcomm.views import GroupView
 
 
+class StubBatcher:
+    """Records the sequencer's ticket announcements instead of sending them."""
+
+    def __init__(self):
+        self.announced = []
+
+    def announce(self, session, ticket, key):
+        self.announced.append((ticket, key))
+
+    def flush(self):
+        pass
+
+    def purge(self, session):
+        pass
+
+
 class StubService:
     def __init__(self):
         self.clock_merger = SharedClockMerger()
         self.ticket_merger = TicketMerger()
+        self.ticket_batcher = StubBatcher()
         self._ticket = 0
 
     def next_ticket(self):
@@ -26,38 +43,22 @@ class StubService:
 
 
 class StubSession:
-    """Just enough session surface to drive a strategy directly."""
+    """Just enough session surface to drive a strategy directly: identity,
+    view, the service's shared machinery, and the one upcall seam."""
 
     def __init__(self, member_id, members, service=None):
         self.member_id = member_id
         self.view = GroupView("g", 1, members)
         self.service = service or StubService()
         self.delivered = []
-        self.announced = []
         self.ordering = None
 
     @property
     def sequencer(self):
         return self.view.members[0]
 
-    def _cleared(self, msg, key):
-        if self.ordering is not None and self.ordering.name == "symmetric":
-            self.service.clock_merger.push(self, msg, key)
-            self.service.clock_merger.drain()
-        else:
-            self._deliver_app(msg)
-
     def _deliver_app(self, msg):
         self.delivered.append((msg.sender, msg.payload))
-
-    def _enqueue_ticket(self, ticket, key):
-        self.service.ticket_merger.enqueue(self.sequencer, self, ticket, key)
-
-    def _announce_ticket(self, ticket, key):
-        self.announced.append((ticket, key))
-
-    def _drain_tickets(self):
-        self.service.ticket_merger.drain()
 
 
 def data(group, sender, gseq, ts, payload=None, kind=KIND_DATA, ticket=None, vector=None):
@@ -67,7 +68,7 @@ def data(group, sender, gseq, ts, payload=None, kind=KIND_DATA, ticket=None, vec
 def make(session, name):
     strategy = make_ordering(name, session)
     session.ordering = strategy
-    session.service.clock_merger.register(session)
+    strategy.attach()
     return strategy
 
 
@@ -137,7 +138,7 @@ class TestAsymmetric:
         s = StubSession("seq", ["seq", "x"])
         asym = make(s, "asymmetric")
         asym.on_data(data("g", "x", 1, ts=3))
-        assert s.announced == [(1, ("x", 1))]
+        assert s.service.ticket_batcher.announced == [(1, ("x", 1))]
         assert s.delivered == [("x", "x#1")]
 
     def test_member_waits_for_ticket(self):
@@ -145,7 +146,7 @@ class TestAsymmetric:
         asym = make(s, "asymmetric")
         asym.on_data(data("g", "seq", 1, ts=3))  # no embedded ticket
         assert s.delivered == []
-        asym.on_ticket(TicketMsg("g", "seq", 1, 1, "seq", 1))
+        asym.on_tickets([(1, "seq", 1)])
         assert s.delivered == [("seq", "seq#1")]
 
     def test_embedded_ticket_delivers_immediately(self):
@@ -158,7 +159,7 @@ class TestAsymmetric:
         s = StubSession("x", ["seq", "x", "y"])
         asym = make(s, "asymmetric")
         # tickets 1 (y's msg) then 2 (seq's msg); y's data arrives last
-        asym.on_ticket(TicketMsg("g", "seq", 1, 1, "y", 1))
+        asym.on_tickets([(1, "y", 1)])
         asym.on_data(data("g", "seq", 1, ts=5, ticket=2))
         assert s.delivered == []  # ticket 1's data still missing
         asym.on_data(data("g", "y", 1, ts=4))
@@ -268,7 +269,7 @@ class TestTicketMerger:
         service = StubService()
         s = StubSession("x", ["seq", "x"], service)
         asym = make(s, "asymmetric")
-        asym.on_ticket(TicketMsg("g", "seq", 1, 1, "y", 1))  # data never comes
+        asym.on_tickets([(1, "y", 1)])  # data never comes
         assert service.ticket_merger.queued_count() == 1
         service.ticket_merger.purge(s)
         assert service.ticket_merger.queued_count() == 0

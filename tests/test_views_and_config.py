@@ -1,11 +1,17 @@
 """Unit tests for views, group configuration, and invocation modes."""
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
 
 from repro.core.modes import BindingStyle, Mode, ReplicationPolicy, replies_needed
-from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering, OrderingConfig
 from repro.groupcomm.views import GroupView
 from repro.orb.marshal import decode, encode
+from repro.overload import AdmissionConfig
+from repro.recovery import RetryPolicy
 
 
 class TestGroupView:
@@ -98,3 +104,60 @@ class TestModes:
         assert set(Mode.ALL_MODES) == {"one_way", "first", "majority", "all"}
         assert set(BindingStyle.ALL_STYLES) == {"closed", "open"}
         assert set(ReplicationPolicy.ALL_POLICIES) == {"active", "passive"}
+
+
+# ---------------------------------------------------------------------------
+# the knob audit, executable
+# ---------------------------------------------------------------------------
+#: where a deployment that needs a non-default value would show up
+KNOB_USERS = (
+    "benchmarks", "examples", "src/repro/bench", "src/repro/scenario", "src/repro/apps",
+)
+
+#: options no benchmark, scenario, example or app sets, kept regardless.
+#: Each needs its reason; an option that is neither set under KNOB_USERS
+#: nor listed here fails the audit and should be deleted instead.
+KNOB_ALLOW_LIST = {
+    # test_flowcontrol / test_overload reach the window-full path (queueing,
+    # drain on stability, shed past flow_max_queue) through windows of 1-4;
+    # the default of 64 never fills in a test-sized run
+    "GroupConfig.send_window",
+    # test_groupcomm_basic stretches it past the run length to show that
+    # asymmetric delivery does not wait for time-silence NULLs
+    "GroupConfig.null_delay",
+    # test_session_internals stretches it to show acks ride on reverse data
+    # and no ack-NULL fires while the members keep talking
+    "GroupConfig.ack_delay",
+}
+
+
+def _option_names(cls):
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    return list(cls._fields)
+
+
+def test_every_option_is_set_by_a_benchmark_scenario_or_example():
+    """A parameter earns its place through a deployment that needs a
+    different value: every field of the group, liveliness, ordering,
+    admission and retry configs is set (keyword ``name=`` or JSON
+    ``"name":``) somewhere outside ``tests/``, or allow-listed with a
+    reason."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    corpus = "\n".join(
+        path.read_text(encoding="utf-8")
+        for top in KNOB_USERS
+        for path in sorted((root / top).rglob("*"))
+        if path.suffix in (".py", ".json")
+    )
+    unset = {
+        f"{cls.__name__}.{name}"
+        for cls in (GroupConfig, LivelinessConfig, OrderingConfig, AdmissionConfig, RetryPolicy)
+        for name in _option_names(cls)
+        if not re.search(rf'\b{name}=|"{name}":', corpus)
+    }
+    assert unset == KNOB_ALLOW_LIST, (
+        "options nobody outside tests/ sets (delete them, or allow-list them "
+        "with a reason), and allow-listed options that are set after all: "
+        f"{sorted(unset ^ KNOB_ALLOW_LIST)}"
+    )

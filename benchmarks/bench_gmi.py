@@ -18,72 +18,49 @@ from 8 callers up.  This benchmark pins that crossover:
   cohort size >= ``CROSSOVER_AT`` (8), and the tree's advantage must grow
   monotonically with the cohort size.
 - **Behaviour** (deterministic): per-configuration completed-call,
-  contribution and latency figures must exactly match the committed
-  ``gmi`` section of ``BENCH_kernel.json`` under ``--check`` — virtual
-  time makes the sweep reproducible, so any drift means the combined
-  machinery changed.
+  contribution and latency figures must exactly match the ``gmi`` section
+  of ``benchmarks/gates.json`` under ``--check`` (see repro.bench.gate) —
+  virtual time makes the sweep reproducible, so any drift means the
+  combined machinery changed.
 
-Run ``python benchmarks/bench_gmi.py`` to refresh the baseline section;
-results also append to bench_report.txt via the usual emit() path.
+Without ``--check`` the section is rewritten; results also append to
+bench_report.txt via the usual emit() path.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
 
 from repro.apps.mapreduce import MapReduceServant
-from repro.bench.baseline import read_section, write_section
+from repro.bench import gate
 from repro.bench.env import Environment
 from repro.bench.report import emit, format_table
-from repro.bench.workloads import run_until_done
+from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.core import SchemeConfig
 from repro.groupcomm.config import GroupConfig, Liveliness, Ordering
 from repro.obs import Observability
-from repro.sim import spawn
 from repro.sim.process import all_of
 
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_kernel.json"
-)
 SECTION = "gmi"
-
 COHORTS = (2, 4, 8, 16)
+WORKLOAD = {
+    "topology": "lan",
+    "replicas": 3,
+    "requests": 30,  # timed logical calls per configuration
+    "warmup": 3,  # untimed logical calls per configuration
+    "cohorts": COHORTS,
+    "seed": 42,
+}
+EXACT = ("completed", "contributions", "combined_calls", "mean_latency_ms")
+
 SHAPES = ("combined_flat", "combined_tree")
 CROSSOVER_AT = 8  # tree must beat flat from this cohort size up
 
 
-class CombinedDriver:
-    """Closed-loop cohort: every iteration is one logical combined call."""
-
-    def __init__(self, sim, bindings, requests: int, warmup: int):
-        self.sim = sim
-        self.bindings = bindings
-        self.requests = requests
-        self.warmup = warmup
-        self.completed = 0
-        self.latency_sum = 0.0
-        self.done = spawn(sim, self._loop(), name="gmi-driver")
-
-    def _loop(self):
-        for i in range(self.warmup + self.requests):
-            timed = i >= self.warmup
-            start = self.sim.now
-            futures = [
-                binding.invoke("aggregate", (i + binding.rank,), timeout=60.0)
-                for binding in self.bindings
-            ]
-            yield all_of(futures)
-            if timed:
-                self.completed += 1
-                self.latency_sum += self.sim.now - start
-
-
-def run_config(shape: str, callers: int, args) -> dict:
+def run_config(shape: str, callers: int) -> dict:
     obs = Observability()
-    env = Environment(config="lan", seed=args.seed, obs=obs)
+    env = Environment(config=WORKLOAD["topology"], seed=WORKLOAD["seed"], obs=obs)
     config = GroupConfig(
         ordering=Ordering.ASYMMETRIC,
         liveliness=Liveliness.EVENT_DRIVEN,
@@ -91,7 +68,7 @@ def run_config(shape: str, callers: int, args) -> dict:
         suspicion_timeout=10.0,
         flush_timeout=5.0,
     )
-    env.serve_replicas("agg", MapReduceServant, args.replicas, config=config)
+    env.serve_replicas("agg", MapReduceServant, WORKLOAD["replicas"], config=config)
 
     cohort_services = env.add_clients(callers)
     scheme = SchemeConfig(
@@ -115,29 +92,36 @@ def run_config(shape: str, callers: int, args) -> dict:
         if not binding.ready.done:
             raise SystemExit(f"combined binding failed to bind: {binding!r}")
 
-    driver = CombinedDriver(env.sim, bindings, args.requests, args.warmup)
-    wall_start = time.process_time()
+    # closed-loop cohort: every iteration is one logical combined call
+    driver = ClosedLoopClient(
+        env.sim,
+        issue=lambda i: all_of(
+            [
+                binding.invoke("aggregate", (i + binding.rank,), timeout=60.0)
+                for binding in bindings
+            ]
+        ),
+        requests=WORKLOAD["requests"],
+        warmup=WORKLOAD["warmup"],
+        name="gmi-driver",
+    )
     run_until_done(env.sim, [driver.done], deadline=env.sim.now + 600.0)
-    cpu_s = time.process_time() - wall_start
 
-    mean_latency = driver.latency_sum / max(driver.completed, 1)
+    completed = len(driver.latencies.values)
     return {
-        "shape": shape,
-        "callers": callers,
-        "completed": driver.completed,
+        "completed": completed,
         "contributions": obs.metrics.counter_value("gmi.contributions"),
         "combined_calls": obs.metrics.counter_value("gmi.combined.calls"),
-        "mean_latency_ms": round(mean_latency * 1e3, 3),
-        "cpu_s": round(cpu_s, 3),  # informational; never compared
+        "mean_latency_ms": round(driver.latency_sum / max(completed, 1) * 1e3, 3),
     }
 
 
-def measure(args) -> dict:
-    results = {}
-    for shape in SHAPES:
-        for callers in COHORTS:
-            results[f"{shape}/{callers}"] = run_config(shape, callers, args)
-    return results
+def measure() -> dict:
+    return {
+        f"{shape}/{callers}": run_config(shape, callers)
+        for shape in SHAPES
+        for callers in COHORTS
+    }
 
 
 def crossover_failures(results) -> list:
@@ -163,7 +147,7 @@ def crossover_failures(results) -> list:
     return failures
 
 
-def report(results, args) -> None:
+def report(results) -> None:
     rows = []
     for callers in COHORTS:
         flat = results[f"combined_flat/{callers}"]
@@ -186,106 +170,26 @@ def report(results, args) -> None:
              "flat/tree", "winner"],
             rows,
             title=(
-                f"Combined fan-in crossover: {args.replicas} replicas, "
-                f"{args.requests} logical calls per cohort "
-                f"(lan, seed {args.seed}; tree must win from "
-                f"{CROSSOVER_AT} callers)"
+                "Combined fan-in crossover: {replicas} replicas, "
+                "{requests} logical calls per cohort "
+                "({topology}, seed {seed}; tree must win from "
+                "{crossover} callers)".format(crossover=CROSSOVER_AT, **WORKLOAD)
             ),
         )
     )
 
 
-def payload(results, args) -> dict:
-    return {
-        "benchmark": "gmi-fanin",
-        "workload": {
-            "topology": "lan",
-            "replicas": args.replicas,
-            "requests": args.requests,
-            "warmup": args.warmup,
-            "cohorts": list(COHORTS),
-            "seed": args.seed,
-        },
-        "results": {
-            key: {k: v for k, v in result.items() if k != "cpu_s"}
-            for key, result in results.items()
-        },
-        "crossover_at": CROSSOVER_AT,
-        "tree_advantage_16": round(
-            results["combined_flat/16"]["mean_latency_ms"]
-            / results["combined_tree/16"]["mean_latency_ms"],
-            3,
-        ),
-    }
-
-
-def check(results, args) -> int:
-    """CI gate: crossover bars plus exact behaviour match vs the baseline."""
-    baseline = read_section(args.baseline, SECTION)
-    if baseline is None:
-        print(f"FAIL no {SECTION!r} section in baseline {args.baseline!r}")
-        return 1
-    failures = list(crossover_failures(results))
-    for key, base in baseline["results"].items():
-        result = results.get(key)
-        if result is None:
-            failures.append(f"no result for configuration {key!r}")
-            continue
-        # deterministic in virtual time: every behaviour field must match
-        # exactly, or the combined machinery changed underneath the bench
-        for field in ("completed", "contributions", "combined_calls",
-                      "mean_latency_ms"):
-            if result[field] != base[field]:
-                failures.append(
-                    f"{key} {field}: {result[field]} vs baseline "
-                    f"{base[field]} (regenerate the {SECTION!r} section of "
-                    "BENCH_kernel.json if the machinery legitimately changed)"
-                )
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    advantage = (
-        results["combined_flat/16"]["mean_latency_ms"]
-        / results["combined_tree/16"]["mean_latency_ms"]
-    )
-    print(
-        f"ok tree beats flat from {CROSSOVER_AT} callers "
-        f"({advantage:.2f}x at 16); behaviour matches baseline exactly"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--replicas", type=int, default=3)
-    parser.add_argument("--requests", type=int, default=30,
-                        help="timed logical calls per configuration")
-    parser.add_argument("--warmup", type=int, default=3,
-                        help="untimed logical calls per configuration")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help="baseline JSON path (default: repo-root BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: compare against the baseline instead of rewriting it",
-    )
+    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
     args = parser.parse_args(argv)
 
-    results = measure(args)
-    report(results, args)
-    if args.check:
-        return check(results, args)
-    failures = crossover_failures(results)
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    write_section(args.baseline, SECTION, payload(results, args))
-    print(f"baseline section {SECTION!r} written to {args.baseline}")
-    return 0
+    results = measure()
+    report(results)
+    return gate.run(
+        SECTION, WORKLOAD, results, exact=EXACT,
+        predicates=[crossover_failures], check=args.check,
+    )
 
 
 if __name__ == "__main__":

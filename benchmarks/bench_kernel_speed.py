@@ -10,44 +10,48 @@ tracking, the ORB dispatch path — in one deterministic run.
 
 Two kinds of result, mirroring bench_obs_overhead.py:
 
-- **Behaviour** (deterministic, machine-independent): the run must process
-  *exactly* the committed number of simulation events and deliver exactly
-  the committed number of group messages.  An optimisation that changes
-  either count changed the simulation, not just its speed — that is a hard
-  failure, never a tolerance.
-- **Speed** (machine-dependent): events/sec and delivered-msgs/sec, best
-  of ``--repeats`` after one discarded warmup, measured with
-  ``time.process_time`` so a busy CI neighbour cannot fail the gate.
+- **Behaviour** (``exact``: deterministic, machine-independent): the run
+  must process *exactly* the committed number of simulation events, deliver
+  exactly the committed number of group messages and see the committed
+  mean latency.  An optimisation that changes any of them changed the
+  simulation, not just its speed — a hard failure, never a tolerance.
+- **Speed** (``timed``: machine-dependent): events/sec and
+  delivered-msgs/sec, best of ``repeats`` after one discarded warmup,
+  measured with ``time.process_time`` so a busy CI neighbour cannot fail
+  the gate.  events/sec is floored against the committed value.
 
-``--check`` is the CI gate: exact behaviour-counter match against the
-``kernel_speed`` section of the committed ``BENCH_kernel.json``, plus an
-events/sec floor of ``--tolerance`` (default 10%) below the baseline.
-
-Run ``python benchmarks/bench_kernel_speed.py`` to refresh the baseline
-(only its own section is rewritten; see repro.bench.baseline).
+``--check`` gates the run against the ``kernel_speed`` section of
+``benchmarks/gates.json`` (see repro.bench.gate); without it the section is
+rewritten.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 import time
 
-from repro.bench.baseline import read_section, write_section
+from repro.bench import gate
 from repro.bench.harness import peer_point
 from repro.bench.report import emit, format_table
 from repro.obs import Observability
 
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_kernel.json"
-)
 SECTION = "kernel_speed"
+WORKLOAD = {
+    "topology": "lan",
+    "members": 6,
+    "ordering": "asymmetric",
+    "multicasts": 300,  # per member
+    "seed": 42,
+    "repeats": 5,  # best-of-N CPU times
+}
+EXACT = ("events", "delivered", "latency_ms")
+FLOORS = ("events_per_sec",)
 
 
-def run_once(args):
-    """One run: CPU time plus the deterministic behaviour counters."""
+def run_once():
+    """One run: CPU time plus the deterministic behaviour values."""
     obs = Observability()
     # collector cycles land on repeats at random, so time with GC off
     # (timeit-style); collect before enabling to start from a clean heap
@@ -56,11 +60,11 @@ def run_once(args):
     try:
         start = time.process_time()
         point = peer_point(
-            args.config,
-            args.members,
-            args.ordering,
-            multicasts=args.multicasts,
-            seed=args.seed,
+            WORKLOAD["topology"],
+            WORKLOAD["members"],
+            WORKLOAD["ordering"],
+            multicasts=WORKLOAD["multicasts"],
+            seed=WORKLOAD["seed"],
             obs=obs,
         )
         cpu = time.process_time() - start
@@ -78,13 +82,13 @@ def run_once(args):
     }
 
 
-def measure(args):
-    warmup = run_once(args)  # discarded: pays import/allocator/branch warmup
+def measure():
+    warmup = run_once()  # discarded: pays import/allocator/branch warmup
     best = None
-    for _ in range(args.repeats):
-        result = run_once(args)
-        # the deterministic counters must not wobble between repeats
-        for key in ("events", "delivered"):
+    for _ in range(WORKLOAD["repeats"]):
+        result = run_once()
+        # the deterministic values must not wobble between repeats
+        for key in EXACT:
             if result[key] != warmup[key]:
                 raise SystemExit(
                     f"NONDETERMINISM: {key} changed between repeats "
@@ -96,7 +100,7 @@ def measure(args):
     return best
 
 
-def report(result, args) -> None:
+def report(result) -> None:
     emit(
         format_table(
             ["sim events", "delivered", "cpu (s)", "events/sec", "delivered/sec"],
@@ -109,100 +113,24 @@ def report(result, args) -> None:
             ]],
             title=(
                 "Kernel speed "
-                f"({args.config}, {args.members}-member {args.ordering} peer group "
-                f"x {args.multicasts} multicasts, seed {args.seed}, "
-                f"best of {args.repeats})"
+                "({topology}, {members}-member {ordering} peer group "
+                "x {multicasts} multicasts, seed {seed}, "
+                "best of {repeats})".format(**WORKLOAD)
             ),
         )
     )
 
 
-def write_baseline(result, args) -> None:
-    payload = {
-        "benchmark": "kernel-speed",
-        "workload": {
-            "topology": args.config,
-            "members": args.members,
-            "ordering": args.ordering,
-            "multicasts": args.multicasts,
-            "seed": args.seed,
-            "repeats": args.repeats,
-        },
-        "result": result,
-    }
-    write_section(args.baseline, SECTION, payload)
-    print(f"baseline section {SECTION!r} written to {args.baseline}")
-
-
-def check(result, args) -> int:
-    """CI gate against the committed baseline.  Returns an exit code."""
-    baseline = read_section(args.baseline, SECTION)
-    if baseline is None:
-        print(f"FAIL no {SECTION!r} section in baseline {args.baseline!r}")
-        return 1
-    base = baseline["result"]
-    failures = []
-
-    # the workload is deterministic: any count drift means the simulation's
-    # behaviour changed, which a pure speed optimisation must never do
-    for key in ("events", "delivered"):
-        if result[key] != base[key]:
-            failures.append(
-                f"{key}: {result[key]} vs baseline {base[key]} — behaviour "
-                "drift (regenerate BENCH_kernel.json only if the protocol "
-                "legitimately changed)"
-            )
-
-    floor = base["events_per_sec"] * (1.0 - args.tolerance)
-    if result["events_per_sec"] < floor:
-        failures.append(
-            f"events/sec regressed: {result['events_per_sec']:.0f} < "
-            f"{floor:.0f} ({args.tolerance:.0%} below baseline "
-            f"{base['events_per_sec']:.0f})"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print(
-        f"ok {result['events']} events / {result['delivered']} delivered "
-        f"(exact match); {result['events_per_sec']:.0f} ev/s "
-        f"(baseline {base['events_per_sec']:.0f}, floor {floor:.0f})"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", default="lan", choices=["lan", "mixed", "wan"])
-    parser.add_argument("--members", type=int, default=6)
-    parser.add_argument(
-        "--ordering", default="asymmetric", choices=["symmetric", "asymmetric"]
-    )
-    parser.add_argument("--multicasts", type=int, default=300, help="per member")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--repeats", type=int, default=5, help="best-of-N CPU times")
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help="baseline JSON path (default: repo-root BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: compare against the baseline instead of rewriting it",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="allowed fractional events/sec regression in --check (default 0.10)",
-    )
+    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
     args = parser.parse_args(argv)
 
-    result = measure(args)
-    report(result, args)
-    if args.check:
-        return check(result, args)
-    write_baseline(result, args)
-    return 0
+    result = measure()
+    report(result)
+    return gate.run(
+        SECTION, WORKLOAD, result, exact=EXACT, floors=FLOORS, check=args.check
+    )
 
 
 if __name__ == "__main__":

@@ -14,45 +14,50 @@ Two kinds of result:
   identical number of group messages.  Tracing observes the protocol; it
   must never perturb it.
 - **Speed** (machine-dependent): events/sec per configuration, best of
-  ``--repeats`` after one discarded warmup pass per configuration,
+  ``repeats`` after one discarded warmup pass per configuration,
   measured in process CPU time (``time.process_time``) so a busy CI
   neighbour cannot fail the gate.  Relative overhead is the *median* of
   per-repeat paired ratios (each repeat runs the configurations
   back-to-back, so frequency drift mostly cancels within a pair); the
   median is robust to the odd noisy repeat in either direction, where the
   earlier min-of-ratios estimator was biased negative — it reported
-  whichever repeat caught trace-off at its slowest.  The
-  ``obs_overhead`` section of
-  the committed ``BENCH_kernel.json`` records the baseline (shared with
-  bench_kernel_speed.py; each benchmark rewrites only its own section).
+  whichever repeat caught trace-off at its slowest.
 
-``--check`` is the CI gate: it fails if the behaviour counters drift from
-the committed baseline at all, if trace-off events/sec regresses more than
-``--tolerance`` (default 10%) against the baseline, or if 1%-sampled
-tracing costs more than 8% versus trace-off *measured in the same process*
-(so the sampling gate is hardware-independent).
-
-Run ``python benchmarks/bench_obs_overhead.py`` to refresh the baseline;
-results are also appended to bench_report.txt via the usual emit() path.
+In either mode the run fails if 1%-sampled tracing costs more than 8%
+versus trace-off *measured in the same process* (so the sampling budget is
+hardware-independent).  ``--check`` gates the run against the
+``obs_overhead`` section of ``benchmarks/gates.json`` (see
+repro.bench.gate): events, deliveries, span counts and latency of all
+three configurations exactly, trace-off events/sec against its floor.
+Without it the section is rewritten; results are also appended to
+bench_report.txt via the usual emit() path.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 import time
 
-from repro.bench.baseline import read_section, write_section
+from repro.bench import gate
 from repro.bench.report import emit, format_table
 from repro.bench.harness import request_reply_point
-from repro.core.modes import BindingStyle, Mode
+from repro.core.modes import Mode
 from repro.obs import Observability, TraceConfig
 
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_kernel.json"
-)
+SECTION = "obs_overhead"
+WORKLOAD = {
+    "topology": "lan",
+    "clients": 4,
+    "requests": 60,  # per client
+    "replicas": 3,
+    "style": "closed",
+    "seed": 42,
+    "repeats": 10,  # best-of-N CPU times
+}
+EXACT = ("events", "delivered", "spans", "latency_ms")
+FLOORS = ("trace-off.events_per_sec",)
 
 #: the three measured configurations, in report order
 CONFIGS = (
@@ -61,7 +66,6 @@ CONFIGS = (
     ("full-trace", lambda: Observability(trace=True)),
 )
 
-SECTION = "obs_overhead"
 #: 1%-sampling may cost at most this vs trace-off.  The budget is relative
 #: to a kernel that the hot-path overhaul made ~1.9x faster: sampling's
 #: (unchanged) absolute per-root cost is now a larger fraction of each run,
@@ -70,7 +74,7 @@ SECTION = "obs_overhead"
 SAMPLED_BUDGET_PCT = 8.0
 
 
-def run_once(make_obs, args):
+def run_once(make_obs):
     """One run: CPU time plus the deterministic behaviour counters."""
     obs = make_obs()
     # collector cycles land on repeats at random, so time with GC off
@@ -80,13 +84,13 @@ def run_once(make_obs, args):
     try:
         start = time.process_time()
         point = request_reply_point(
-            "lan",
-            args.clients,
-            replicas=3,
-            style=BindingStyle.CLOSED,
+            WORKLOAD["topology"],
+            WORKLOAD["clients"],
+            replicas=WORKLOAD["replicas"],
+            style=WORKLOAD["style"],
             mode=Mode.ALL,
-            requests=args.requests,
-            seed=args.seed,
+            requests=WORKLOAD["requests"],
+            seed=WORKLOAD["seed"],
             obs=obs,
         )
         cpu = time.process_time() - start
@@ -104,20 +108,20 @@ def run_once(make_obs, args):
     }
 
 
-def measure(args):
+def measure():
     # one discarded warmup per configuration: the first run of a process
     # pays import, allocator, and branch-predictor warmup that would
     # otherwise be charged to whichever configuration happened to go first
     for _name, make_obs in CONFIGS:
-        run_once(make_obs, args)
+        run_once(make_obs)
     # interleave the timed repeats (off, sampled, full, off, sampled, ...)
     # so CPU frequency / cache drift hits every configuration equally
     # instead of biasing whichever block ran last; keep the best time each
     results = {}
     cpu_per_repeat = {name: [] for name, _ in CONFIGS}
-    for _ in range(args.repeats):
+    for _ in range(WORKLOAD["repeats"]):
         for name, make_obs in CONFIGS:
-            result = run_once(make_obs, args)
+            result = run_once(make_obs)
             cpu_per_repeat[name].append(result["cpu_s"])
             if name not in results or result["cpu_s"] < results[name]["cpu_s"]:
                 results[name] = result
@@ -161,7 +165,7 @@ def measure(args):
     return results
 
 
-def report(results, args) -> None:
+def report(results) -> None:
     rows = [
         [
             name,
@@ -181,106 +185,35 @@ def report(results, args) -> None:
             rows,
             title=(
                 "Observability overhead: kernel event rate "
-                f"(lan, {args.clients} closed clients x {args.requests} requests, "
-                f"seed {args.seed}, best of {args.repeats})"
+                "({topology}, {clients} {style} clients x {requests} requests, "
+                "seed {seed}, best of {repeats})".format(**WORKLOAD)
             ),
         )
     )
 
 
-def write_baseline(results, args) -> None:
-    payload = {
-        "benchmark": "obs-overhead",
-        "workload": {
-            "topology": "lan",
-            "clients": args.clients,
-            "requests": args.requests,
-            "replicas": 3,
-            "style": "closed",
-            "seed": args.seed,
-            "repeats": args.repeats,
-        },
-        "results": results,
-        "sampled_overhead_pct": results["sampled-1pct"]["overhead_pct"],
-        "full_overhead_pct": results["full-trace"]["overhead_pct"],
-    }
-    write_section(args.baseline, SECTION, payload)
-    print(f"baseline section {SECTION!r} written to {args.baseline}")
-
-
-def check(results, args) -> int:
-    """CI gate against the committed baseline.  Returns an exit code."""
-    baseline = read_section(args.baseline, SECTION)
-    if baseline is None:
-        print(f"FAIL no {SECTION!r} section in baseline {args.baseline!r}")
-        return 1
-    failures = []
-    base_results = baseline["results"]
-    base_off = base_results["trace-off"]
-    off = results["trace-off"]
-
-    # behaviour counters are deterministic — any drift means the protocol
-    # (or its instrumentation) changed and the baseline needs regenerating
-    for key in ("events", "delivered"):
-        if off[key] != base_off[key]:
-            failures.append(
-                f"trace-off {key}: {off[key]} vs baseline {base_off[key]} "
-                "(regenerate BENCH_kernel.json if the protocol legitimately changed)"
-            )
-
-    floor = base_off["events_per_sec"] * (1.0 - args.tolerance)
-    if off["events_per_sec"] < floor:
-        failures.append(
-            f"trace-off events/sec regressed: {off['events_per_sec']:.0f} < "
-            f"{floor:.0f} ({args.tolerance:.0%} below baseline "
-            f"{base_off['events_per_sec']:.0f})"
-        )
-
+def sampling_failures(results) -> list:
+    """The sampling budget; relative within one process, enforced in every mode."""
     sampled_cost = results["sampled-1pct"]["overhead_pct"]
     if sampled_cost > SAMPLED_BUDGET_PCT:
-        failures.append(
+        return [
             f"1%-sampled tracing costs {sampled_cost:.1f}% vs trace-off "
             f"(budget {SAMPLED_BUDGET_PCT:.0f}%)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print(
-        f"ok trace-off {off['events_per_sec']:.0f} ev/s "
-        f"(baseline {base_off['events_per_sec']:.0f}, floor {floor:.0f}); "
-        f"1%-sampling overhead {sampled_cost:+.1f}% (budget {SAMPLED_BUDGET_PCT:.0f}%)"
-    )
-    return 0
+        ]
+    return []
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--requests", type=int, default=60, help="per client")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--repeats", type=int, default=10, help="best-of-N CPU times")
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help="baseline JSON path (default: repo-root BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: compare against the baseline instead of rewriting it",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="allowed fractional events/sec regression in --check (default 0.10)",
-    )
+    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
     args = parser.parse_args(argv)
 
-    results = measure(args)
-    report(results, args)
-    if args.check:
-        return check(results, args)
-    write_baseline(results, args)
-    return 0
+    results = measure()
+    report(results)
+    return gate.run(
+        SECTION, WORKLOAD, results, exact=EXACT, floors=FLOORS,
+        predicates=[sampling_failures], check=args.check,
+    )
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ deployment:
    but with the generator's ``max_in_flight`` cap keeping a fixed closed-
    loop-like concurrency.  The completion rate is the group's sustainable
    capacity in requests/second; everything below is judged against it.
-2. **Overload + admission** — offered load at ``OVERLOAD_FACTOR`` times
+2. **Overload + admission** — offered load at ``overload_factor`` (7) times
    the measured capacity, with per-binding admission control
    (``repro.overload``) and bounded flow-control queues.  The run embeds a
    ``degradation`` SLO — goodput at least ``GOODPUT_FLOOR`` of capacity,
@@ -25,31 +25,41 @@ Gates:
 
 - **Ablation contrast** (deterministic): run 2 passes its degradation SLO
   and run 3 fails it.
-- **Behaviour** (deterministic): per-run completed/shed/error counts and
-  goodput must exactly match the committed ``BENCH_overload.json`` under
-  ``--check`` — any drift means the admission or protocol behaviour
+- **Behaviour** (deterministic): capacity, offered rate and every per-run
+  count, goodput, latency and verdict must exactly match the ``overload``
+  section of ``benchmarks/gates.json`` under ``--check`` (see
+  repro.bench.gate) — any drift means the admission or protocol behaviour
   changed underneath the bench.
 
-Run ``python benchmarks/bench_overload.py`` to refresh the baseline;
-results also append to bench_report.txt via the usual emit() path.
+Without ``--check`` the section is rewritten; results also append to
+bench_report.txt via the usual emit() path.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-import time
 
+from repro.bench import gate
 from repro.bench.report import emit, format_table
 from repro.scenario.runner import run_scenario
 
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_overload.json"
-)
+SECTION = "overload"
+WORKLOAD = {
+    "topology": "lan",
+    "replicas": 3,
+    "bindings": 4,
+    "duration": 5.0,  # traffic window per run (virtual seconds)
+    "drain": 25.0,
+    "timeout": 10.0,  # per call: what uncontrolled overload runs into
+    "seed": 42,
+    "overload_factor": 7.0,  # offered load as a multiple of measured capacity
+    "admission": {"max_inflight": 12, "retry_after": 0.05},
+    "flow_max_queue": 256,
+}
+# every value of a run comes out of the scenario report: virtual time or counts
+EXACT = ("capacity_per_s", "offered_rate_per_s", "runs")
 
-OVERLOAD_FACTOR = 7.0  # offered load as a multiple of measured capacity
 GOODPUT_FLOOR = 0.8  # goodput must stay >= this fraction of capacity
 ADMITTED_P99_MS = 250.0  # latency bound on the calls that were admitted
 MAX_SHED_RATIO = 0.95  # even under 7x load, some work must get through
@@ -57,29 +67,26 @@ MAX_SHED_RATIO = 0.95  # even under 7x load, some work must get through
 CAPACITY_PROBE_RATE = 2000.0  # far above capacity; the in-flight cap governs
 CAPACITY_IN_FLIGHT = 16
 
-ADMISSION = {"max_inflight": 12, "retry_after": 0.05}
-FLOW_MAX_QUEUE = 256
 
-
-def base_spec(name: str, args) -> dict:
+def base_spec(name: str) -> dict:
     return {
         "name": name,
-        "seed": args.seed,
-        "topology": "lan",
+        "seed": WORKLOAD["seed"],
+        "topology": WORKLOAD["topology"],
         "group": {
-            "replicas": args.replicas,
+            "replicas": WORKLOAD["replicas"],
             "style": "open",
             "ordering": "asymmetric",
         },
         "traffic": {
             "arrivals": {"kind": "poisson", "rate": CAPACITY_PROBE_RATE},
             "churn": {"initial": 1},
-            "duration": args.duration,
-            "drain": args.drain,
+            "duration": WORKLOAD["duration"],
+            "drain": WORKLOAD["drain"],
             "workload": "request_reply",
             "mode": "first",
-            "bindings": args.bindings,
-            "timeout": args.timeout,
+            "bindings": WORKLOAD["bindings"],
+            "timeout": WORKLOAD["timeout"],
         },
         "slos": [],
     }
@@ -98,18 +105,17 @@ def degradation_slo(capacity: float) -> dict:
     }
 
 
-def summarize(label: str, report: dict, duration: float) -> dict:
+def summarize(report: dict) -> dict:
     traffic = report["traffic"]
     counters = report["metrics"]["counters"]
     slos = {slo["name"]: slo["ok"] for slo in report["slos"]}
     return {
-        "label": label,
         "offered": traffic["offered"],
         "completed": traffic["completed"],
         "errors": traffic["errors"],
         "shed": traffic["shed"],
         "lost": traffic["lost"],
-        "goodput_per_s": round(traffic["completed"] / duration, 2),
+        "goodput_per_s": round(traffic["completed"] / WORKLOAD["duration"], 2),
         "p95_ms": round(traffic["latency_ms"].get("p95", 0.0), 3),
         "max_ms": round(traffic["latency_ms"].get("max", 0.0), 3),
         "admitted": counters.get("overload.admitted", 0),
@@ -120,32 +126,30 @@ def summarize(label: str, report: dict, duration: float) -> dict:
     }
 
 
-def measure(args) -> dict:
-    wall_start = time.monotonic()
-
+def measure() -> dict:
     # phase 1: capacity under a fixed concurrency cap
-    capacity_spec = base_spec("overload-capacity", args)
+    capacity_spec = base_spec("overload-capacity")
     capacity_spec["traffic"]["max_in_flight"] = CAPACITY_IN_FLIGHT
     capacity_report = run_scenario(capacity_spec)
     capacity = round(
-        capacity_report["traffic"]["completed"] / args.duration, 2
+        capacity_report["traffic"]["completed"] / WORKLOAD["duration"], 2
     )
     if capacity <= 0:
         raise SystemExit("capacity probe completed no requests")
-    offered_rate = round(OVERLOAD_FACTOR * capacity, 2)
+    offered_rate = round(WORKLOAD["overload_factor"] * capacity, 2)
 
     # phase 2: the same deployment under overload, with admission
-    admitted_spec = base_spec("overload-with-admission", args)
+    admitted_spec = base_spec("overload-with-admission")
     admitted_spec["traffic"]["arrivals"] = {
         "kind": "poisson", "rate": offered_rate,
     }
-    admitted_spec["group"]["admission"] = dict(ADMISSION)
-    admitted_spec["group"]["flow_max_queue"] = FLOW_MAX_QUEUE
+    admitted_spec["group"]["admission"] = dict(WORKLOAD["admission"])
+    admitted_spec["group"]["flow_max_queue"] = WORKLOAD["flow_max_queue"]
     admitted_spec["slos"] = [degradation_slo(capacity)]
     admitted_report = run_scenario(admitted_spec)
 
     # phase 3: identical overload, no admission (seed behaviour)
-    uncontrolled_spec = base_spec("overload-no-admission", args)
+    uncontrolled_spec = base_spec("overload-no-admission")
     uncontrolled_spec["traffic"]["arrivals"] = {
         "kind": "poisson", "rate": offered_rate,
     }
@@ -156,13 +160,10 @@ def measure(args) -> dict:
         "capacity_per_s": capacity,
         "offered_rate_per_s": offered_rate,
         "runs": {
-            "capacity": summarize("capacity", capacity_report, args.duration),
-            "admission": summarize("admission", admitted_report, args.duration),
-            "no_admission": summarize(
-                "no-admission", uncontrolled_report, args.duration
-            ),
+            "capacity": summarize(capacity_report),
+            "admission": summarize(admitted_report),
+            "no_admission": summarize(uncontrolled_report),
         },
-        "wall_s": round(time.monotonic() - wall_start, 3),
     }
 
 
@@ -197,7 +198,7 @@ def contrast_failures(results) -> list:
 def report(results) -> None:
     rows = [
         [
-            run["label"],
+            label,
             run["offered"],
             run["completed"],
             run["shed"],
@@ -208,11 +209,7 @@ def report(results) -> None:
             "yes" if run["slos"].get("graceful-degradation") else
             ("-" if "graceful-degradation" not in run["slos"] else "NO"),
         ]
-        for run in (
-            results["runs"]["capacity"],
-            results["runs"]["admission"],
-            results["runs"]["no_admission"],
-        )
+        for label, run in results["runs"].items()
     ]
     emit(
         format_table(
@@ -222,121 +219,23 @@ def report(results) -> None:
             title=(
                 f"Overload survival: capacity {results['capacity_per_s']}/s, "
                 f"offered {results['offered_rate_per_s']}/s "
-                f"({OVERLOAD_FACTOR:.0f}x) with vs without admission"
+                f"({WORKLOAD['overload_factor']:.0f}x) with vs without admission"
             ),
         )
     )
 
 
-def write_baseline(results, args) -> None:
-    payload = {
-        "benchmark": "overload-survival",
-        "workload": {
-            "topology": "lan",
-            "replicas": args.replicas,
-            "bindings": args.bindings,
-            "duration": args.duration,
-            "drain": args.drain,
-            "timeout": args.timeout,
-            "seed": args.seed,
-            "overload_factor": OVERLOAD_FACTOR,
-            "admission": ADMISSION,
-            "flow_max_queue": FLOW_MAX_QUEUE,
-        },
-        "capacity_per_s": results["capacity_per_s"],
-        "offered_rate_per_s": results["offered_rate_per_s"],
-        "runs": {
-            label: {k: v for k, v in run.items() if k != "label"}
-            for label, run in results["runs"].items()
-        },
-    }
-    with open(args.baseline, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    print(f"baseline written to {args.baseline}")
-
-
-CHECKED_FIELDS = (
-    "offered", "completed", "errors", "shed", "lost", "goodput_per_s",
-    "admitted", "overload_shed", "passed",
-)
-
-
-def check(results, args) -> int:
-    """CI gate: ablation contrast plus exact behaviour match vs baseline."""
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fp:
-            baseline = json.load(fp)
-    except OSError as exc:
-        print(f"FAIL cannot read baseline {args.baseline!r}: {exc}")
-        return 1
-    failures = contrast_failures(results)
-    if results["capacity_per_s"] != baseline["capacity_per_s"]:
-        failures.append(
-            f"capacity {results['capacity_per_s']}/s vs baseline "
-            f"{baseline['capacity_per_s']}/s"
-        )
-    for label, base_run in baseline["runs"].items():
-        run = results["runs"].get(label)
-        if run is None:
-            failures.append(f"no result for run {label!r}")
-            continue
-        # virtual time makes every run reproducible: each behaviour field
-        # must match exactly, or overload behaviour changed underneath us
-        for key in CHECKED_FIELDS:
-            if run[key] != base_run[key]:
-                failures.append(
-                    f"{label}.{key}: {run[key]} vs baseline {base_run[key]} "
-                    "(regenerate BENCH_overload.json if the behaviour "
-                    "legitimately changed)"
-                )
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    runs = results["runs"]
-    print(
-        f"ok capacity {results['capacity_per_s']}/s; at "
-        f"{results['offered_rate_per_s']}/s offered, admission sustains "
-        f"{runs['admission']['goodput_per_s']}/s goodput "
-        f"(p95 {runs['admission']['p95_ms']}ms, SLO pass) while the "
-        f"uncontrolled run decays to {runs['no_admission']['errors']} "
-        "timeouts (SLO fail); behaviour matches baseline exactly"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--replicas", type=int, default=3)
-    parser.add_argument("--bindings", type=int, default=4)
-    parser.add_argument("--duration", type=float, default=5.0,
-                        help="traffic window per run (virtual seconds)")
-    parser.add_argument("--drain", type=float, default=25.0)
-    parser.add_argument("--timeout", type=float, default=10.0,
-                        help="per-call timeout (what uncontrolled overload hits)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help="baseline JSON path (default: repo-root BENCH_overload.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: compare against the baseline instead of rewriting it",
-    )
+    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
     args = parser.parse_args(argv)
 
-    results = measure(args)
+    results = measure()
     report(results)
-    if args.check:
-        return check(results, args)
-    failures = contrast_failures(results)
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    write_baseline(results, args)
-    return 0
+    return gate.run(
+        SECTION, WORKLOAD, results, exact=EXACT,
+        predicates=[contrast_failures], check=args.check,
+    )
 
 
 if __name__ == "__main__":

@@ -9,7 +9,17 @@ key-routed client touches only the owning shard per call.  Aggregate
 throughput should therefore scale with the shard count until some other
 resource saturates.
 
-This benchmark fixes the total membership (default 8 members on one LAN)
+It scales *super*linearly here — 31x from 1 to 4 shards — because the
+membership is fixed, so more shards also means smaller shards: the 31x is
+4 sequencers x ~7.6x less work per put.  Every replica multicasts its reply
+inside its shard group (§4.1 iii, ``ObjectGroupServer._multicast_executed``),
+so a forwarded put costs m^2 reply deliveries and m request deliveries in a
+shard of m members, on top of a near-constant client/server-group share:
+group deliveries per put (``gc_delivered / completed``) fall 81.9 -> 26.0 ->
+10.8 as members per shard go 8 -> 4 -> 2.  That is the paper's reply path at
+fixed total membership, not a protocol pathology.
+
+This benchmark fixes the total membership (8 members on one LAN)
 and sweeps the shard count 1 -> 2 -> 4 under a saturating closed-loop
 single-key put workload (the key pool is balanced across shards for every
 layout, so the comparison isolates ordering parallelism).  Two gates:
@@ -18,35 +28,43 @@ layout, so the comparison isolates ordering parallelism).  Two gates:
   strictly monotonic in the shard count, and the 4-shard point must be at
   least ``SCALE_FLOOR`` (1.5x) the 1-shard ceiling.
 - **Behaviour** (deterministic): per-configuration completed-op and
-  ``gc.delivered`` counts must exactly match the committed
-  ``BENCH_shard.json`` under ``--check`` — virtual time makes the whole
-  sweep reproducible, so any drift means the protocol changed.
+  ``gc.delivered`` counts, window, rate and mean latency must exactly match
+  the ``sharding`` section of ``benchmarks/gates.json`` under ``--check``
+  (see repro.bench.gate) — virtual time makes the whole sweep
+  reproducible, so any drift means the protocol changed.
 
-Run ``python benchmarks/bench_sharding.py`` to refresh the baseline;
-results also append to bench_report.txt via the usual emit() path.
+Without ``--check`` the section is rewritten; results also append to
+bench_report.txt via the usual emit() path.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 import zlib
 
 from repro.apps.sharded_kvstore import ShardedKVClient, ShardKVServant
+from repro.bench import gate
 from repro.bench.env import Environment
 from repro.bench.report import emit, format_table
-from repro.bench.workloads import run_until_done
+from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.core.modes import Mode
 from repro.groupcomm.config import GroupConfig, Liveliness, Ordering
 from repro.obs import Observability
-from repro.sim import spawn
 
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_shard.json"
-)
+SECTION = "sharding"
+WORKLOAD = {
+    "topology": "lan",
+    "members": 8,
+    "clients": 4,  # client nodes
+    "workers": 4,  # writers per client
+    "requests": 60,  # timed puts per writer
+    "warmup": 5,  # untimed puts per writer
+    "keys": 64,  # key pool size
+    "seed": 42,
+}
+EXACT = ("completed", "gc_delivered", "window_s", "ops_per_sec", "mean_latency_ms")
 
 SHARD_COUNTS = (1, 2, 4)
 SCALE_FLOOR = 1.5  # 4 shards must beat the 1-shard ceiling by this factor
@@ -71,41 +89,9 @@ def build_key_pool(size: int) -> list:
     return [classes[c][i] for i in range(per_class) for c in range(4)]
 
 
-class PutWorker:
-    """Closed-loop single-key writer (the ClosedLoopClient shape, keyed)."""
-
-    def __init__(self, sim, kv: ShardedKVClient, keys, stride, offset,
-                 requests: int, warmup: int):
-        self.sim = sim
-        self.kv = kv
-        self.keys = keys
-        self.stride = stride
-        self.offset = offset
-        self.requests = requests
-        self.warmup = warmup
-        self.completed = 0
-        self.latency_sum = 0.0
-        self.first_timed_start = None
-        self.last_completion = None
-        self.done = spawn(sim, self._loop(), name=f"putter:{offset}")
-
-    def _loop(self):
-        for i in range(self.warmup + self.requests):
-            timed = i >= self.warmup
-            start = self.sim.now
-            if timed and self.first_timed_start is None:
-                self.first_timed_start = start
-            key = self.keys[(self.offset + i * self.stride) % len(self.keys)]
-            yield self.kv.put(key, i)
-            if timed:
-                self.completed += 1
-                self.latency_sum += self.sim.now - start
-                self.last_completion = self.sim.now
-
-
-def run_config(num_shards: int, args) -> dict:
+def run_config(num_shards: int) -> dict:
     obs = Observability()
-    env = Environment(config="lan", seed=args.seed, obs=obs)
+    env = Environment(config=WORKLOAD["topology"], seed=WORKLOAD["seed"], obs=obs)
     config = GroupConfig(
         ordering=Ordering.ASYMMETRIC,
         liveliness=Liveliness.EVENT_DRIVEN,
@@ -113,7 +99,7 @@ def run_config(num_shards: int, args) -> dict:
         suspicion_timeout=10.0,
         flush_timeout=5.0,
     )
-    services = env.add_servers(args.members)
+    services = env.add_servers(WORKLOAD["members"])
     servers = []
     for service in services:
         servers.append(
@@ -125,7 +111,7 @@ def run_config(num_shards: int, args) -> dict:
         if not server.ready.done or not server.provisioned:
             raise SystemExit(f"sharded service failed to provision: {server!r}")
 
-    clients = env.add_clients(args.clients)
+    clients = env.add_clients(WORKLOAD["clients"])
     kvs = []
     for service in clients:
         binding = service.bind_sharded(
@@ -138,51 +124,48 @@ def run_config(num_shards: int, args) -> dict:
         if not kv.ready.done:
             raise SystemExit(f"sharded binding failed to bind: {kv.binding!r}")
 
-    keys = build_key_pool(args.keys)
-    total_workers = args.clients * args.workers
-    workers = [
-        PutWorker(
+    keys = build_key_pool(WORKLOAD["keys"])
+    total_workers = WORKLOAD["clients"] * WORKLOAD["workers"]
+
+    def putter(w: int) -> ClosedLoopClient:
+        """Closed-loop single-key writer ``w``, striding through the pool."""
+        kv = kvs[w % len(kvs)]
+        return ClosedLoopClient(
             env.sim,
-            kvs[w % len(kvs)],
-            keys,
-            stride=total_workers,
-            offset=w,
-            requests=args.requests,
-            warmup=args.warmup,
+            issue=lambda i: kv.put(keys[(w + i * total_workers) % len(keys)], i),
+            requests=WORKLOAD["requests"],
+            warmup=WORKLOAD["warmup"],
+            name=f"putter:{w}",
         )
-        for w in range(total_workers)
-    ]
+
+    workers = [putter(w) for w in range(total_workers)]
     wall_start = time.process_time()
     run_until_done(env.sim, [w.done for w in workers], deadline=env.sim.now + 600.0)
     cpu_s = time.process_time() - wall_start
 
-    completed = sum(w.completed for w in workers)
+    completed = sum(len(w.latencies.values) for w in workers)
     window_start = min(w.first_timed_start for w in workers)
     window_end = max(w.last_completion for w in workers)
     window = window_end - window_start
     mean_latency = sum(w.latency_sum for w in workers) / max(completed, 1)
     return {
-        "shards": num_shards,
         "completed": completed,
         "gc_delivered": obs.metrics.counter_value("gc.delivered"),
         "window_s": round(window, 6),
         "ops_per_sec": round(completed / window, 2),
         "mean_latency_ms": round(mean_latency * 1e3, 3),
-        "cpu_s": round(cpu_s, 3),  # informational; never compared
+        "cpu_s": round(cpu_s, 3),
     }
 
 
-def measure(args) -> dict:
-    results = {}
-    for num_shards in SHARD_COUNTS:
-        results[str(num_shards)] = run_config(num_shards, args)
-    return results
+def measure() -> dict:
+    return {num_shards: run_config(num_shards) for num_shards in SHARD_COUNTS}
 
 
 def scaling_failures(results) -> list:
     """The scaling bars; deterministic, enforced in every mode."""
     failures = []
-    rates = {n: results[str(n)]["ops_per_sec"] for n in SHARD_COUNTS}
+    rates = {n: results[n]["ops_per_sec"] for n in SHARD_COUNTS}
     for lo, hi in zip(SHARD_COUNTS, SHARD_COUNTS[1:]):
         if not rates[hi] > rates[lo]:
             failures.append(
@@ -198,11 +181,11 @@ def scaling_failures(results) -> list:
     return failures
 
 
-def report(results, args) -> None:
-    base_rate = results[str(SHARD_COUNTS[0])]["ops_per_sec"]
+def report(results) -> None:
+    base_rate = results[SHARD_COUNTS[0]]["ops_per_sec"]
     rows = [
         [
-            result["shards"],
+            num_shards,
             result["completed"],
             result["gc_delivered"],
             result["ops_per_sec"],
@@ -210,7 +193,7 @@ def report(results, args) -> None:
             result["mean_latency_ms"],
             result["cpu_s"],
         ]
-        for result in (results[str(n)] for n in SHARD_COUNTS)
+        for num_shards, result in results.items()
     ]
     emit(
         format_table(
@@ -218,109 +201,25 @@ def report(results, args) -> None:
              "mean lat (ms)", "cpu (s)"],
             rows,
             title=(
-                f"Sharding scale-out: {args.members} members, "
-                f"{args.clients} clients x {args.workers} closed-loop writers "
-                f"x {args.requests} puts (lan, seed {args.seed})"
+                "Sharding scale-out: {members} members, "
+                "{clients} clients x {workers} closed-loop writers "
+                "x {requests} puts ({topology}, seed {seed})".format(**WORKLOAD)
             ),
         )
     )
 
 
-def write_baseline(results, args) -> None:
-    payload = {
-        "benchmark": "sharding-scaleout",
-        "workload": {
-            "topology": "lan",
-            "members": args.members,
-            "clients": args.clients,
-            "workers": args.workers,
-            "requests": args.requests,
-            "warmup": args.warmup,
-            "keys": args.keys,
-            "seed": args.seed,
-        },
-        "results": {
-            shard_count: {k: v for k, v in result.items() if k != "cpu_s"}
-            for shard_count, result in results.items()
-        },
-        "speedup_4_shards": round(
-            results["4"]["ops_per_sec"] / results["1"]["ops_per_sec"], 3
-        ),
-    }
-    with open(args.baseline, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    print(f"baseline written to {args.baseline}")
-
-
-def check(results, args) -> int:
-    """CI gate: scaling bars plus exact behaviour match vs the baseline."""
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fp:
-            baseline = json.load(fp)
-    except OSError as exc:
-        print(f"FAIL cannot read baseline {args.baseline!r}: {exc}")
-        return 1
-    failures = list(scaling_failures(results))
-    for shard_count, base in baseline["results"].items():
-        result = results.get(shard_count)
-        if result is None:
-            failures.append(f"no result for {shard_count} shard(s)")
-            continue
-        # the sweep is deterministic in virtual time: every behaviour field
-        # must match exactly, or the protocol changed underneath the bench
-        for key in ("completed", "gc_delivered", "window_s", "ops_per_sec"):
-            if result[key] != base[key]:
-                failures.append(
-                    f"{shard_count} shard(s) {key}: {result[key]} vs baseline "
-                    f"{base[key]} (regenerate BENCH_shard.json if the "
-                    "protocol legitimately changed)"
-                )
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    rates = " -> ".join(
-        f"{results[str(n)]['ops_per_sec']:.0f}" for n in SHARD_COUNTS
-    )
-    print(
-        f"ok ops/sec {rates} over {SHARD_COUNTS} shards; "
-        f"4-shard speedup {results['4']['ops_per_sec'] / results['1']['ops_per_sec']:.2f}x "
-        f"(floor {SCALE_FLOOR}x); behaviour matches baseline exactly"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--members", type=int, default=8)
-    parser.add_argument("--clients", type=int, default=4, help="client nodes")
-    parser.add_argument("--workers", type=int, default=4, help="writers per client")
-    parser.add_argument("--requests", type=int, default=60, help="timed puts per writer")
-    parser.add_argument("--warmup", type=int, default=5, help="untimed puts per writer")
-    parser.add_argument("--keys", type=int, default=64, help="key pool size")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help="baseline JSON path (default: repo-root BENCH_shard.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: compare against the baseline instead of rewriting it",
-    )
+    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
     args = parser.parse_args(argv)
 
-    results = measure(args)
-    report(results, args)
-    if args.check:
-        return check(results, args)
-    failures = scaling_failures(results)
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    write_baseline(results, args)
-    return 0
+    results = measure()
+    report(results)
+    return gate.run(
+        SECTION, WORKLOAD, results, exact=EXACT,
+        predicates=[scaling_failures], check=args.check,
+    )
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from repro.bench.report import format_graph, format_table, print_graph, print_ta
 from repro.bench.stats import LatencySample, Point, Series, summarize
 from repro.bench.workloads import (
     ClosedLoopClient,
-    OpenLoopClient,
     PeerMember,
     PeerTracker,
     run_until_done,
@@ -37,7 +36,6 @@ __all__ = [
     "Series",
     "summarize",
     "ClosedLoopClient",
-    "OpenLoopClient",
     "PeerMember",
     "PeerTracker",
     "run_until_done",

@@ -8,15 +8,14 @@ multicast becomes deliverable at every member (§5.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import GroupBinding, Mode
-from repro.sim import Future, Simulator, all_of, sleep, spawn
+from repro.sim import Future, Simulator, spawn
 from repro.bench.stats import LatencySample
 
 __all__ = [
     "ClosedLoopClient",
-    "OpenLoopClient",
     "PeerTracker",
     "PeerMember",
     "run_until_done",
@@ -62,32 +61,45 @@ def run_until_done(
 
 
 class ClosedLoopClient:
-    """Issues requests back-to-back through a binding and records latency."""
+    """Issues requests back-to-back and records their latency.
+
+    ``issue(i)`` starts request ``i`` and returns its future; left out, it
+    is ``operation(*args)`` through ``binding`` in ``mode``.  Request ``i``
+    is untimed while ``i < warmup``.  ``name`` labels the driver process.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        binding: GroupBinding,
+        binding: Optional[GroupBinding] = None,
         operation: str = "draw",
         args: Tuple = (),
         mode: str = Mode.ALL,
         requests: int = 100,
         warmup: int = 5,
         timeout: float = 30.0,
+        issue: Optional[Callable[[int], Future]] = None,
+        name: Optional[str] = None,
     ):
+        if issue is None:
+            name = name or f"client:{binding.client_id}"
+
+            def issue(_i: int) -> Future:
+                return binding.invoke(operation, args, mode=mode, timeout=timeout)
+
         self.sim = sim
-        self.binding = binding
-        self.operation = operation
-        self.args = args
-        self.mode = mode
+        self.issue = issue
         self.requests = requests
         self.warmup = warmup
-        self.timeout = timeout
         self.latencies = LatencySample()
+        #: the timed latencies summed in completion order: the gated means
+        #: divide this, because summing the sorted sample (``summarize``) or a
+        #: compensated ``sum()`` (3.12+) can differ from it in the last ulp
+        self.latency_sum = 0.0
         self.first_timed_start: Optional[float] = None
         self.last_completion: Optional[float] = None
         self.errors = 0
-        self.done = spawn(sim, self._loop(), name=f"client:{binding.client_id}")
+        self.done = spawn(sim, self._loop(), name=name or "closed-loop")
 
     def _loop(self):
         from repro.errors import BindingBroken
@@ -98,9 +110,7 @@ class ClosedLoopClient:
             if timed and self.first_timed_start is None:
                 self.first_timed_start = start
             try:
-                yield self.binding.invoke(
-                    self.operation, self.args, mode=self.mode, timeout=self.timeout
-                )
+                yield self.issue(i)
             except BindingBroken:
                 self.errors += 1
                 return self.latencies  # the binding is gone for good
@@ -109,6 +119,7 @@ class ClosedLoopClient:
                 continue
             if timed:
                 self.latencies.add(self.sim.now - start)
+                self.latency_sum += self.sim.now - start
                 self.last_completion = self.sim.now
         return self.latencies
 
@@ -117,88 +128,6 @@ class ClosedLoopClient:
         if self.first_timed_start is None or self.last_completion is None:
             return 0.0
         return self.last_completion - self.first_timed_start
-
-
-class OpenLoopClient:
-    """Issues requests on an arrival process, without waiting for replies.
-
-    A thin wrapper over :mod:`repro.scenario.arrivals` so existing
-    benchmarks can opt into open-loop (e.g. Poisson) load without adopting
-    the whole scenario engine: pass ``rate`` for Poisson arrivals or any
-    :class:`~repro.scenario.arrivals.ArrivalProcess` via ``process``.
-
-    ``done`` resolves once all ``requests`` issued invocations have
-    completed or failed (per-request ``timeout`` guarantees termination).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        binding: GroupBinding,
-        rate: float = 10.0,
-        process=None,
-        operation: str = "draw",
-        args: Tuple = (),
-        mode: str = Mode.FIRST,
-        requests: int = 100,
-        timeout: float = 15.0,
-        rng_name: Optional[str] = None,
-    ):
-        # lazy import: repro.scenario.runner imports this module, so a
-        # module-level import here would be circular
-        from repro.scenario.arrivals import PoissonArrivals
-
-        self.sim = sim
-        self.binding = binding
-        self.process = process or PoissonArrivals(rate)
-        self.operation = operation
-        self.args = args
-        self.mode = mode
-        self.requests = requests
-        self.timeout = timeout
-        self.latencies = LatencySample()
-        self.errors = 0
-        self.in_flight = 0
-        self.issued = 0
-        self._rng = sim.rng(rng_name or f"openloop:{binding.client_id}")
-        self._outstanding_done = Future(name=f"openloop:{binding.client_id}")
-        self._issuing = spawn(sim, self._loop(), name=f"openloop:{binding.client_id}")
-        self.done = all_of([self._issuing, self._outstanding_done])
-
-    def _loop(self):
-        from repro.scenario.arrivals import next_arrival
-
-        start = self.sim.now
-        elapsed = 0.0
-        for _ in range(self.requests):
-            arrival = next_arrival(self.process, elapsed, self._rng)
-            yield sleep(self.sim, (start + arrival) - self.sim.now)
-            elapsed = arrival
-            self._issue()
-        self._maybe_finish()
-        return self.latencies
-
-    def _issue(self) -> None:
-        self.issued += 1
-        self.in_flight += 1
-        issued_at = self.sim.now
-        future = self.binding.invoke(
-            self.operation, self.args, mode=self.mode, timeout=self.timeout
-        )
-
-        def on_done(fut: Future, start=issued_at) -> None:
-            self.in_flight -= 1
-            if fut.failed:
-                self.errors += 1
-            else:
-                self.latencies.add(self.sim.now - start)
-            self._maybe_finish()
-
-        future.add_done_callback(on_done)
-
-    def _maybe_finish(self) -> None:
-        if self.issued >= self.requests and self.in_flight == 0:
-            self._outstanding_done.try_resolve(None)
 
 
 class PeerTracker:

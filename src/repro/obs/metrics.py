@@ -267,18 +267,20 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Dict]]) -> Dict[str, Dict]:
             if merged is None:
                 histograms[name] = dict(summary)
                 continue
-            total_count = merged["count"] + summary["count"]
-            if total_count:
-                merged["mean"] = (
-                    merged["mean"] * merged["count"]
-                    + summary["mean"] * summary["count"]
-                ) / total_count
-            merged["count"] = total_count
             if summary["count"]:
-                merged["min"] = (
-                    min(merged["min"], summary["min"]) if merged["count"] else summary["min"]
-                )
-                merged["max"] = max(merged["max"], summary["max"])
+                if merged["count"]:
+                    total_count = merged["count"] + summary["count"]
+                    merged["mean"] = (
+                        merged["mean"] * merged["count"]
+                        + summary["mean"] * summary["count"]
+                    ) / total_count
+                    merged["count"] = total_count
+                    merged["min"] = min(merged["min"], summary["min"])
+                    merged["max"] = max(merged["max"], summary["max"])
+                else:
+                    # an empty summary's mean/min/max are 0.0 placeholders,
+                    # not observations: the first non-empty one replaces them
+                    merged.update(summary)
             for quantile in ("p50", "p95", "p99"):
                 merged.pop(quantile, None)
     return {

@@ -151,7 +151,7 @@ class ORB:
         """Colocated call: no marshalling, no network, small CPU cost."""
         fut = Future(name=f"local:{operation}")
         poa = self._adapters.get(target.adapter)
-        servant = poa.servant(target.object_id) if poa else None
+        servant = poa.servant(target.object_id) if poa is not None else None
 
         def run() -> None:
             if servant is None:
@@ -179,7 +179,7 @@ class ORB:
             self._notify("on_receive_request", request, src)
         adapter_name, _, object_id = request.object_key.partition("/")
         poa = self._adapters.get(adapter_name)
-        servant = poa.servant(object_id) if poa else None
+        servant = poa.servant(object_id) if poa is not None else None
         if servant is None:
             if not request.oneway:
                 self._send_reply(request, STATUS_NOT_FOUND, request.object_key)

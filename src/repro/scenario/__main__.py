@@ -39,15 +39,21 @@ def _run(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         reports.append(report)
+        # report["passed"] is the SLO conjunction only; a run that hit its
+        # drain deadline with requests still in flight fails whatever it says
+        drained = report["sim"]["drained"]
+        ok = report["passed"] and drained
         if args.quiet:
-            verdict = "PASS" if report["passed"] else "FAIL"
             slos = report["slos"]
             bad = [s["name"] for s in slos if not s["ok"]]
+            if not drained:
+                bad.append(f"{report['traffic']['lost']} requests lost in flight")
             suffix = f" (failed: {', '.join(bad)})" if bad else ""
+            verdict = "PASS" if ok else "FAIL"
             print(f"{verdict} {report['scenario']}: {len(slos)} SLOs{suffix}")
         else:
             print(_dump(report))
-        if not report["passed"]:
+        if not ok:
             failed = True
     if args.output:
         payload = reports[0] if len(reports) == 1 else reports

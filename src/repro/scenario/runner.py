@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bench.env import Environment
 from repro.bench.stats import summarize
-from repro.bench.workloads import PeerTracker, run_until_done
+from repro.bench.workloads import PeerMember, PeerTracker, run_until_done
 from repro.apps.chat import make_peer_config
 from repro.apps.mapreduce import MapReduceServant
 from repro.apps.randserver import RandomNumberServant
@@ -497,7 +497,7 @@ def _setup_peer(env: Environment, spec: ScenarioSpec):
             raise ScenarioError(f"peer failed to join: {session!r}")
     tracker = PeerTracker([session.member_id for session in sessions])
     for session in sessions:
-        _wire_tracker(session, tracker)
+        PeerMember.wire_delivery(session, tracker)
 
     counters = [0] * len(sessions)
     traffic = spec.traffic
@@ -523,13 +523,3 @@ def _setup_peer(env: Environment, spec: ScenarioSpec):
         return name
 
     return issuers, resolve_target
-
-
-def _wire_tracker(session, tracker: PeerTracker) -> None:
-    member = session.member_id
-
-    def on_deliver(sender: str, payload) -> None:
-        tag = str(payload).split(".", 1)[0].rstrip(".")
-        tracker.delivered(member, tag)
-
-    session.on_deliver = on_deliver

@@ -1,4 +1,8 @@
-"""Smoke tests for the benchmark harness (small parameters)."""
+"""Smoke tests for the benchmark harness (small parameters) and its gate."""
+
+import importlib.util
+import json
+import pathlib
 
 import pytest
 
@@ -10,6 +14,7 @@ from repro.bench import (
     corba_baseline,
     format_graph,
     format_table,
+    gate,
     peer_point,
     request_reply_point,
     summarize,
@@ -109,3 +114,140 @@ class TestHarnessSmoke:
         point = peer_point("lan", 3, Ordering.SYMMETRIC, multicasts=8)
         assert point.latency_ms > 0
         assert point.throughput > 0
+
+
+# ---------------------------------------------------------------------------
+# the gate: one comparison of a run with a committed number
+# ---------------------------------------------------------------------------
+WORKLOAD = {"members": 3, "cohorts": (2, 4), "seed": 42}
+RESULT = {
+    "capacity": 518.0,
+    1: {"events": 100, "delivered": 40, "cpu_s": 0.5, "rate": 200.0},
+    2: {"events": 180, "delivered": 90, "cpu_s": 0.9, "rate": 200.0},
+}
+
+
+def run_gate(path, result=RESULT, workload=WORKLOAD, check=True, **options):
+    return gate.run(
+        "demo", workload, result,
+        exact=("capacity", "events", "delivered", "spans"), check=check, path=path,
+        **options,
+    )
+
+
+@pytest.fixture
+def committed(tmp_path):
+    path = tmp_path / "gates.json"
+    assert run_gate(path, check=False) == 0
+    return path
+
+
+def edited(changes, drop=None):
+    result = {**RESULT, 2: dict(RESULT[2])}
+    result[2].update(changes)
+    if drop:
+        del result[2][drop]
+    return result
+
+
+class TestGate:
+    def test_write_then_check_round_trips(self, committed, capsys):
+        section = json.loads(committed.read_text())["demo"]
+        assert set(section) == {"workload", "exact", "timed"}
+        assert section["exact"]["2"] == {"events": 180, "delivered": 90}
+        assert section["timed"]["1"] == {"cpu_s": 0.5, "rate": 200.0}
+        assert run_gate(committed) == 0
+        assert "ok demo" in capsys.readouterr().out
+
+    def test_writing_one_section_keeps_the_others(self, committed):
+        assert gate.run(
+            "other", {}, {"n": 1}, exact=("n",), check=False, path=committed
+        ) == 0
+        assert run_gate(committed) == 0
+
+    @pytest.mark.parametrize(
+        "result, named",
+        [
+            (edited({"events": 181}), "demo.exact.2.events: 181 vs committed 180"),
+            (edited({}, drop="delivered"), "demo.exact.2.delivered: committed, but missing"),
+            (edited({"spans": 3}), "demo.exact.2.spans: in this run, but not committed"),
+            ({**RESULT, 4: {"events": 1}}, "demo.exact.4: in this run, but not committed"),
+        ],
+    )
+    def test_exact_values_compare_key_for_key(self, committed, capsys, result, named):
+        assert run_gate(committed, result=result) == 1
+        assert f"FAIL {named}" in capsys.readouterr().out
+
+    def test_other_constants_are_another_experiment(self, committed, capsys):
+        assert run_gate(committed, workload=dict(WORKLOAD, seed=43)) == 1
+        assert "FAIL demo.workload.seed: 43 vs committed 42" in capsys.readouterr().out
+
+    def test_timed_values_gate_only_through_a_named_floor(self, committed, capsys):
+        slower = edited({"rate": 179.9, "cpu_s": 99.0})
+        assert run_gate(committed, result=slower) == 0  # unfloored: informational
+        assert run_gate(committed, result=slower, floors=("2.rate",)) == 1
+        assert "FAIL demo.timed.2.rate regressed: 179.9 < floor 180.0" in capsys.readouterr().out
+        assert run_gate(committed, result=edited({"rate": 180.1}), floors=("2.rate",)) == 0
+        assert run_gate(committed, result=edited({"rate": 999.0}), floors=("2.rate",)) == 0
+
+    def test_failing_predicate_fails_in_both_modes_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "gates.json"
+        predicates = [lambda result: [f"capacity {result['capacity']} is not 1"]]
+        assert run_gate(path, check=False, predicates=predicates) == 1
+        assert "FAIL capacity 518.0 is not 1" in capsys.readouterr().out
+        assert not path.exists()
+        assert run_gate(path, check=False) == 0
+        before = path.read_text()
+        assert run_gate(path, result=edited({"events": 1}), check=False, predicates=predicates) == 1
+        assert path.read_text() == before
+        assert run_gate(path, predicates=predicates) == 1
+
+    def test_unknown_section_and_unreadable_file_exit_cleanly(self, committed, tmp_path, capsys):
+        assert gate.run("nope", {}, {}, exact=(), check=True, path=committed) == 1
+        assert run_gate(tmp_path / "absent.json") == 1
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("{not json")
+        assert run_gate(garbage) == 1
+        assert run_gate(garbage, check=False) == 1  # never overwrite what it cannot read
+        assert garbage.read_text() == "{not json"
+        assert capsys.readouterr().out.count("FAIL") == 4
+
+
+# ---------------------------------------------------------------------------
+# the five gated scripts against the committed file
+# ---------------------------------------------------------------------------
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+GATED = ("kernel_speed", "obs_overhead", "gmi", "sharding", "overload")
+
+
+def _keys(tree):
+    """Every key of a JSON tree, at any depth."""
+    if not isinstance(tree, dict):
+        return set()
+    return set(tree).union(*(_keys(value) for value in tree.values()))
+
+
+def test_committed_file_has_exactly_the_gated_sections():
+    gates = json.loads(gate.GATES.read_text())
+    assert gate.GATES == BENCHMARKS / "gates.json"
+    assert set(gates) == set(GATED)
+    for section in gates.values():
+        assert set(section) == {"workload", "exact", "timed"}
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_script_matches_its_committed_section(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCHMARKS / f"bench_{name}.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    section = json.loads(gate.GATES.read_text())[script.SECTION]
+    assert script.SECTION == name
+    # the constants are the committed workload: any other value fails --check
+    assert json.loads(json.dumps(script.WORKLOAD)) == section["workload"]
+    # every key measure() routes to ``exact`` is committed, none as ``timed``
+    assert set(script.EXACT) <= _keys(section["exact"])
+    assert not set(script.EXACT) & _keys(section["timed"])
+    for floor in getattr(script, "FLOORS", ()):
+        assert gate._at(section["timed"], floor) > 0

@@ -82,6 +82,19 @@ def test_snapshot_is_sorted_and_merge_sums_counters():
     assert merged["histograms"]["h"]["count"] == 1
 
 
+def test_merge_snapshots_is_order_independent():
+    # registries create histograms on construction, so "still empty in one
+    # run, filled in the next" is the normal input of TraceSink.merged_metrics
+    empty, filled = MetricsRegistry(), MetricsRegistry()
+    empty.histogram("h")
+    filled.histogram("h").record(5.0)
+    filled.histogram("h").record(7.0)
+    forward = merge_snapshots([empty.snapshot(), filled.snapshot()])
+    backward = merge_snapshots([filled.snapshot(), empty.snapshot()])
+    assert forward == backward
+    assert forward["histograms"]["h"] == {"count": 2, "mean": 6.0, "min": 5.0, "max": 7.0}
+
+
 # ---------------------------------------------------------------------------
 # tracer primitives
 # ---------------------------------------------------------------------------

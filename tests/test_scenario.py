@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.bench.workloads import OpenLoopClient, run_until_done
+from repro.bench.workloads import run_until_done
 from repro.core import BindingStyle, Mode
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.scenario import (
@@ -371,6 +371,40 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert scenario_main(["validate", str(broken)]) == 2
 
 
+def test_cli_fails_a_run_that_lost_in_flight_requests(tmp_path, capsys):
+    # both replicas crash mid-window and the drain is shorter than the call
+    # timeout: half the requests are still in flight at the deadline.  No SLO
+    # fails (there are none), so report["passed"] stays true — the CLI must
+    # not call that a pass
+    spec = {
+        "name": "nodrain",
+        "seed": 1,
+        "topology": "lan",
+        "group": {"replicas": 2, "style": "open"},
+        "traffic": {
+            "arrivals": {"kind": "poisson", "rate": 20.0},
+            "duration": 1.0,
+            "drain": 1.0,
+            "timeout": 15.0,
+            "bindings": 2,
+        },
+        "faults": [
+            {"at": 0.5, "kind": "crash", "target": "s0"},
+            {"at": 0.5, "kind": "crash", "target": "s1"},
+        ],
+        "slos": [],
+    }
+    path = tmp_path / "nodrain.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    assert scenario_main(["run", str(path), "--quiet", "--output", str(out)]) == 1
+    assert "FAIL nodrain" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["passed"] is True  # the SLO conjunction, pinned as-is
+    assert report["sim"]["drained"] is False
+    assert report["traffic"]["lost"] > 0
+
+
 def test_peer_workload_scenario():
     report = run_scenario(
         {
@@ -405,28 +439,3 @@ def test_max_in_flight_sheds_load():
     assert report["traffic"]["shed"] > 0
     assert report["traffic"]["lost"] == 0
     assert report["passed"]  # shedding is accounted, not lost
-
-
-# ---------------------------------------------------------------------------
-# OpenLoopClient (bench satellite)
-# ---------------------------------------------------------------------------
-def test_open_loop_client_wraps_arrivals_for_benchmarks():
-    c = AppCluster(servers=3, clients=1)
-    c.serve_all("svc", Counter, config=FAST)
-    binding = c.client(0).bind(
-        "svc",
-        style=BindingStyle.CLOSED,
-        liveliness=Liveliness.LIVELY,
-        suspicion_timeout=100e-3,
-    )
-    c.run(1.0)
-    assert binding.ready.done
-    client = OpenLoopClient(
-        c.sim, binding, rate=50.0, operation="incr", args=(1,),
-        mode=Mode.ALL, requests=40, timeout=10.0,
-    )
-    run_until_done(c.sim, [client.done], deadline=c.sim.now + 30.0)
-    assert client.issued == 40
-    assert client.in_flight == 0
-    assert client.errors == 0
-    assert len(client.latencies.values) == 40

@@ -1,3 +1,4 @@
+#!/usr/bin/env python
 """Ablation (§5.1.3 text): ordering protocol choice for request-reply.
 
 The paper omitted these figures to save space but reports that (i) under
@@ -14,79 +15,65 @@ See EXPERIMENTS.md for the deviation discussion (our eager NULLs make
 closed/symmetric degrade more gently than the paper's periodic exchange).
 """
 
-import pytest
+import sys
 
-from repro.bench import print_graph, request_reply_series
+from repro.bench import emit, format_graph, gate, request_reply_point, sweep
 from repro.core import BindingStyle, Mode
 from repro.groupcomm import Ordering
 
-COUNTS = [1, 2, 4, 8]
+SECTION = "ablation_symmetric_request_reply"
+COUNTS = (1, 2, 4, 8)
+WORKLOAD = {
+    "topology": "mixed",
+    "styles": (BindingStyle.CLOSED, BindingStyle.OPEN),
+    "orderings": (Ordering.SYMMETRIC, Ordering.ASYMMETRIC),
+    "sweep": dict(  # of request_reply_point; requests are timed, per client
+        xs=COUNTS, requests=40, replicas=3, mode=Mode.ALL, seed=42
+    ),
+}
+EXACT = ("latency_ms", "throughput", "errors", "requests")
 
 
-def _series(label, style, ordering):
-    return request_reply_series(
-        label,
-        "mixed",
-        counts=COUNTS,
-        replicas=3,
-        style=style,
-        ordering=ordering,
-        mode=Mode.ALL,
-    )
+def measure() -> dict:
+    return {
+        f"{style}/{ordering}": sweep(
+            request_reply_point, WORKLOAD["topology"],
+            style=style, ordering=ordering, **WORKLOAD["sweep"],
+        ).curve()
+        for style in WORKLOAD["styles"]
+        for ordering in WORKLOAD["orderings"]
+    }
 
 
-@pytest.mark.benchmark(group="ablation-symmetric")
-def test_symmetric_request_reply_ablation(benchmark):
-    holder = {}
-
-    def run():
-        holder["closed-sym"] = _series(
-            "closed/symmetric", BindingStyle.CLOSED, Ordering.SYMMETRIC
-        )
-        holder["closed-asym"] = _series(
-            "closed/asymmetric", BindingStyle.CLOSED, Ordering.ASYMMETRIC
-        )
-        holder["open-sym"] = _series(
-            "open/symmetric", BindingStyle.OPEN, Ordering.SYMMETRIC
-        )
-        holder["open-asym"] = _series(
-            "open/asymmetric", BindingStyle.OPEN, Ordering.ASYMMETRIC
-        )
-        return holder
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    all_series = list(holder.values())
-    print_graph(
-        "Ablation: ordering protocol choice (servers LAN, clients distant)",
-        all_series,
-        "latency",
-    )
-    print_graph(
-        "Ablation: ordering protocol choice (servers LAN, clients distant)",
-        all_series,
-        "throughput",
-    )
-    for series in all_series:
-        benchmark.extra_info[series.label] = {
-            "latency_ms": [(x, round(v, 2)) for x, v in series.latency_curve()],
-        }
-
-    for x in COUNTS[1:]:  # beyond a single client
-        closed_sym = holder["closed-sym"].at(x)
-        closed_asym = holder["closed-asym"].at(x)
-        open_sym = holder["open-sym"].at(x)
-        open_asym = holder["open-asym"].at(x)
-        # the symmetric protocol's timestamp/NULL traffic costs latency in
-        # both styles...
-        assert closed_sym.latency_ms > closed_asym.latency_ms
-        assert open_sym.latency_ms > open_asym.latency_ms
-    # ...and the asymmetric protocol is the appropriate choice for
-    # request-reply overall (the paper's concluding remark)
+def shape_failures(result) -> list:
+    """The ordering-choice claims; deterministic, enforced in every mode."""
+    latency = {label: {x: curve[x]["latency_ms"] for x in COUNTS} for label, curve in result.items()}
     last = COUNTS[-1]
-    best_sym = min(
-        holder["closed-sym"].at(last).latency_ms, holder["open-sym"].at(last).latency_ms
-    )
-    best_asym = min(
-        holder["closed-asym"].at(last).latency_ms, holder["open-asym"].at(last).latency_ms
-    )
-    assert best_asym < best_sym
+    claims = [
+        # the symmetric protocol's timestamp/NULL traffic costs latency in
+        # both styles beyond a single client...
+        *(
+            (latency[f"{style}/symmetric"][x] > latency[f"{style}/asymmetric"][x],
+             f"{style}: symmetric latency is not above asymmetric at {x} clients")
+            for x in COUNTS[1:]
+            for style in WORKLOAD["styles"]
+        ),
+        # ...and the asymmetric protocol is the appropriate choice for
+        # request-reply overall (the paper's concluding remark)
+        (min(latency["closed/asymmetric"][last], latency["open/asymmetric"][last])
+         < min(latency["closed/symmetric"][last], latency["open/symmetric"][last]),
+         "the best asymmetric latency at 8 clients is not below the best symmetric one"),
+    ]
+    return [message for ok, message in claims if not ok]
+
+
+def report(result) -> None:
+    for metric in ("latency_ms", "throughput"):
+        emit(format_graph(
+            "Ablation: ordering protocol choice (servers LAN, clients distant)", result, metric
+        ))
+
+
+if __name__ == "__main__":
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[shape_failures]))

@@ -1,26 +1,29 @@
+#!/usr/bin/env python
 """Fig. 7 (§4.4): ordering of related client requests across groups.
 
 B issues an open-group request m1 to the server S; B then multicasts m2 in
 the client group gx; A, on delivering m2, issues its own open-group request
 m3.  Because requests travel through client/server groups under the shared
-NewTop clock, S services m1 before m3 — every time.  The bench measures the
-added cost of this guarantee versus plain direct invocation.
+NewTop clock, S services m1 before m3 — every time.
 """
 
-import pytest
+import sys
 
-from repro.bench.env import Environment
+from repro.bench import Environment, emit, format_table, gate
 from repro.groupcomm import GroupConfig, Ordering
-from repro.bench import print_table
+
+SECTION = "fig7_causality"
+WORKLOAD = {"topology": "wan", "ordering": Ordering.SYMMETRIC, "seeds": tuple(range(10))}
+EXACT = ("trials", "ordered", "served")
 
 
 def run_fig7_trial(seed: int):
     """One fig-7 interaction; returns the service order observed at S."""
-    env = Environment(config="wan", seed=seed)
+    env = Environment(config=WORKLOAD["topology"], seed=seed)
     a = env.add_node("A", "london")
     b = env.add_node("B", "pisa")
     s = env.add_node("S", "newcastle")
-    sym = lambda: GroupConfig(ordering=Ordering.SYMMETRIC)
+    sym = lambda: GroupConfig(ordering=WORKLOAD["ordering"])
 
     gx_a = a.gcs.create_group("gx", sym())
     gx_b = b.gcs.join_group("gx", "A")
@@ -43,27 +46,32 @@ def run_fig7_trial(seed: int):
     return served
 
 
-@pytest.mark.benchmark(group="fig7")
-def test_fig7_related_requests_ordered(benchmark):
-    outcomes = []
-
-    def run():
-        for seed in range(10):
-            outcomes.append(run_fig7_trial(seed))
-        return outcomes
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def measure() -> dict:
+    served = {seed: run_fig7_trial(seed) for seed in WORKLOAD["seeds"]}
     ordered = sum(
         1
-        for served in outcomes
-        if "m1" in served
-        and "m3" in served
-        and served.index("m1") < served.index("m3")
+        for order in served.values()
+        if "m1" in order and "m3" in order and order.index("m1") < order.index("m3")
     )
-    print_table(
-        ["trials", "m1 serviced before m3"],
-        [(len(outcomes), ordered)],
-        title="Fig. 7: causality between related client requests (10 seeds)",
+    return {"trials": len(served), "ordered": ordered, "served": served}
+
+
+def causality_failures(result) -> list:
+    if result["ordered"] != result["trials"]:
+        return [f"m1 serviced before m3 in only {result['ordered']} of {result['trials']} trials"]
+    return []
+
+
+def report(result) -> None:
+    emit(
+        format_table(
+            ["trials", "m1 serviced before m3"],
+            [(result["trials"], result["ordered"])],
+            title="Fig. 7: causality between related client requests (10 seeds)",
+        )
     )
-    benchmark.extra_info["ordered"] = ordered
-    assert ordered == len(outcomes)
+
+
+if __name__ == "__main__":
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[causality_failures]))

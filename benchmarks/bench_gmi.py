@@ -23,13 +23,11 @@ from 8 callers up.  This benchmark pins that crossover:
   virtual time makes the sweep reproducible, so any drift means the
   combined machinery changed.
 
-Without ``--check`` the section is rewritten; results also append to
-bench_report.txt via the usual emit() path.
+Without ``--check`` the section is rewritten.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from repro.apps.mapreduce import MapReduceServant
@@ -39,7 +37,6 @@ from repro.bench.report import emit, format_table
 from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.core import SchemeConfig
 from repro.groupcomm.config import GroupConfig, Liveliness, Ordering
-from repro.obs import Observability
 from repro.sim.process import all_of
 
 SECTION = "gmi"
@@ -59,8 +56,7 @@ CROSSOVER_AT = 8  # tree must beat flat from this cohort size up
 
 
 def run_config(shape: str, callers: int) -> dict:
-    obs = Observability()
-    env = Environment(config=WORKLOAD["topology"], seed=WORKLOAD["seed"], obs=obs)
+    env = Environment(config=WORKLOAD["topology"], seed=WORKLOAD["seed"])
     config = GroupConfig(
         ordering=Ordering.ASYMMETRIC,
         liveliness=Liveliness.EVENT_DRIVEN,
@@ -108,10 +104,11 @@ def run_config(shape: str, callers: int) -> dict:
     run_until_done(env.sim, [driver.done], deadline=env.sim.now + 600.0)
 
     completed = len(driver.latencies.values)
+    metrics = env.sim.obs.metrics
     return {
         "completed": completed,
-        "contributions": obs.metrics.counter_value("gmi.contributions"),
-        "combined_calls": obs.metrics.counter_value("gmi.combined.calls"),
+        "contributions": metrics.counter_value("gmi.contributions"),
+        "combined_calls": metrics.counter_value("gmi.combined.calls"),
         "mean_latency_ms": round(driver.latency_sum / max(completed, 1) * 1e3, 3),
     }
 
@@ -179,18 +176,6 @@ def report(results) -> None:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
-    args = parser.parse_args(argv)
-
-    results = measure()
-    report(results)
-    return gate.run(
-        SECTION, WORKLOAD, results, exact=EXACT,
-        predicates=[crossover_failures], check=args.check,
-    )
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[crossover_failures]))

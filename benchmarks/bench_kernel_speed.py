@@ -27,7 +27,6 @@ rewritten.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
@@ -121,17 +120,6 @@ def report(result) -> None:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
-    args = parser.parse_args(argv)
-
-    result = measure()
-    report(result)
-    return gate.run(
-        SECTION, WORKLOAD, result, exact=EXACT, floors=FLOORS, check=args.check
-    )
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, floors=FLOORS))

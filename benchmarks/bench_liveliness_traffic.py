@@ -1,3 +1,4 @@
+#!/usr/bin/env python
 """Liveliness traffic: static vs adaptive time-silence, per delivered multicast.
 
 The diurnal scenario shows the headline win (idle troughs cost ~0), but the
@@ -10,110 +11,75 @@ per delivered multicast, with adaptive suppression off (the seed's
 behaviour) and on (the default).
 """
 
-import pytest
+import sys
 
-from repro.apps.randserver import RandomNumberServant
-from repro.bench import print_table
-from repro.bench.env import Environment
-from repro.bench.workloads import ClosedLoopClient, run_until_done
-from repro.core import Mode
-from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig
+from repro.bench import emit, format_table, gate, request_reply_traffic
+from repro.groupcomm import Liveliness, LivelinessConfig
 
-CONFIGS = [
-    ("closed", "asymmetric"),
-    ("closed", "symmetric"),
-    ("open", "asymmetric"),
-    ("open", "symmetric"),
-]
+SECTION = "liveliness_traffic"
+WORKLOAD = {
+    "topology": "mixed",
+    "replicas": 3,
+    "clients": 2,
+    "requests": 25,  # per client, no warmup
+    "seed": 9,
+    "configs": ("closed/asymmetric", "closed/symmetric", "open/asymmetric", "open/symmetric"),
+    "time_silence": {"static": {"adaptive": False}, "adaptive": {"adaptive": True}},
+}
+KINDS = ("data", "null", "control")  # gc.sent.<kind>
+EXACT = KINDS
 
 
-def run_lively_probe(style: str, ordering: str, adaptive: bool,
-                     requests: int = 25, clients: int = 2):
-    env = Environment(config="mixed", seed=9)
-    live = LivelinessConfig(adaptive=adaptive)
-    group_config = GroupConfig(
-        ordering=ordering,
-        liveliness=Liveliness.LIVELY,
-        sequencer_hint="s0",
-        suspicion_timeout=10.0,
-        flush_timeout=5.0,
-        liveliness_config=live,
+def run_lively_probe(style: str, ordering: str, adaptive: bool) -> dict:
+    """Messages per delivered multicast, by kind, over the workload window."""
+    window = request_reply_traffic(
+        WORKLOAD["topology"], WORKLOAD["clients"], WORKLOAD["requests"],
+        replicas=WORKLOAD["replicas"], style=style, ordering=ordering, seed=WORKLOAD["seed"],
+        liveliness=Liveliness.LIVELY, liveliness_config=LivelinessConfig(adaptive=adaptive),
     )
-    env.serve_replicas("rand", RandomNumberServant, 3, config=group_config)
-    bindings = []
-    for service in env.add_clients(clients):
-        bindings.append(
-            service.bind("rand", style=style, ordering=ordering,
-                         liveliness=Liveliness.LIVELY,
-                         suspicion_timeout=10.0, flush_timeout=5.0,
-                         liveliness_config=live)
+    delivered = window["gc.delivered"]
+    if delivered <= 0:
+        raise SystemExit(f"{style}/{ordering}: nothing was delivered")
+    return {kind: round(window.get(f"gc.sent.{kind}", 0) / delivered, 2) for kind in KINDS}
+
+
+def measure() -> dict:
+    return {
+        label: {
+            config: run_lively_probe(*config.split("/"), **time_silence)
+            for config in WORKLOAD["configs"]
+        }
+        for label, time_silence in WORKLOAD["time_silence"].items()
+    }
+
+
+def suppression_failures(result) -> list:
+    """Adaptive suppression must cut NULL traffic in every configuration
+    without touching the data-message count; enforced in every mode."""
+    failures = []
+    for config in WORKLOAD["configs"]:
+        static, adaptive = result["static"][config], result["adaptive"][config]
+        if not adaptive["null"] < static["null"]:
+            failures.append(f"{config}: adaptive NULLs/delivered are not below static")
+        if adaptive["data"] != static["data"]:
+            failures.append(f"{config}: adaptive changed the data messages/delivered")
+    return failures
+
+
+def report(result) -> None:
+    for label, configs in result.items():
+        emit(
+            format_table(
+                ["configuration"] + [f"{kind}/delivered" for kind in KINDS],
+                [[config, *counts.values()] for config, counts in configs.items()],
+                title=(
+                    "Lively-group protocol messages per delivered multicast "
+                    f"({label} time-silence, 3 replicas, 2 distant clients)"
+                ),
+            )
         )
-        env.run(0.05)
-    env.settle(1.5)
-    assert all(b.ready.done for b in bindings)
-
-    # reset counters so only workload traffic is measured
-    for service in env.services.values():
-        service.gcs.traffic.clear()
-    metrics = env.sim.obs.metrics
-    delivered_before = metrics.counter_value("gc.delivered")
-
-    workers = [
-        ClosedLoopClient(env.sim, b, operation="draw", mode=Mode.ALL,
-                         requests=requests, warmup=0)
-        for b in bindings
-    ]
-    run_until_done(env.sim, [w.done for w in workers], deadline=env.sim.now + 120.0)
-    env.run(1.0)  # let tail acks/nulls settle
-
-    totals = {}
-    for service in env.services.values():
-        for kind, count in service.gcs.traffic.items():
-            totals[kind] = totals.get(kind, 0) + count
-    delivered = metrics.counter_value("gc.delivered") - delivered_before
-    assert delivered > 0
-    return {k: round(v / delivered, 2) for k, v in totals.items()}
 
 
-@pytest.mark.benchmark(group="liveliness-traffic")
-def test_adaptive_suppression_cuts_lively_traffic(benchmark):
-    results = {}
-
-    def run():
-        for style, ordering in CONFIGS:
-            for adaptive in (False, True):
-                results[(style, ordering, adaptive)] = run_lively_probe(
-                    style, ordering, adaptive
-                )
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    for label, adaptive in (("static", False), ("adaptive", True)):
-        rows = []
-        for style, ordering in CONFIGS:
-            counts = results[(style, ordering, adaptive)]
-            rows.append([
-                f"{style}/{ordering}",
-                counts.get("data", 0),
-                counts.get("null", 0),
-                counts.get("control", 0),
-            ])
-        print_table(
-            ["configuration", "data/delivered", "null/delivered", "control/delivered"],
-            rows,
-            title=(
-                "Lively-group protocol messages per delivered multicast "
-                f"({label} time-silence, 3 replicas, 2 distant clients)"
-            ),
-        )
-    for key, counts in results.items():
-        benchmark.extra_info["/".join(map(str, key))] = counts
-
-    # adaptive suppression must cut NULL traffic in every configuration
-    # without touching the data-message count
-    for style, ordering in CONFIGS:
-        static = results[(style, ordering, False)]
-        adaptive = results[(style, ordering, True)]
-        assert adaptive.get("null", 0) < static.get("null", 0)
-        assert adaptive.get("data", 0) == static.get("data", 0)
+if __name__ == "__main__":
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[suppression_failures]))

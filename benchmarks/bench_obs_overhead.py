@@ -29,13 +29,11 @@ hardware-independent).  ``--check`` gates the run against the
 ``obs_overhead`` section of ``benchmarks/gates.json`` (see
 repro.bench.gate): events, deliveries, span counts and latency of all
 three configurations exactly, trace-off events/sec against its floor.
-Without it the section is rewritten; results are also appended to
-bench_report.txt via the usual emit() path.
+Without it the section is rewritten.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
@@ -203,18 +201,6 @@ def sampling_failures(results) -> list:
     return []
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
-    args = parser.parse_args(argv)
-
-    results = measure()
-    report(results)
-    return gate.run(
-        SECTION, WORKLOAD, results, exact=EXACT, floors=FLOORS,
-        predicates=[sampling_failures], check=args.check,
-    )
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, floors=FLOORS, predicates=[sampling_failures]))

@@ -31,13 +31,11 @@ Gates:
   repro.bench.gate) — any drift means the admission or protocol behaviour
   changed underneath the bench.
 
-Without ``--check`` the section is rewritten; results also append to
-bench_report.txt via the usual emit() path.
+Without ``--check`` the section is rewritten.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from repro.bench import gate
@@ -225,18 +223,6 @@ def report(results) -> None:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
-    args = parser.parse_args(argv)
-
-    results = measure()
-    report(results)
-    return gate.run(
-        SECTION, WORKLOAD, results, exact=EXACT,
-        predicates=[contrast_failures], check=args.check,
-    )
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[contrast_failures]))

@@ -1,3 +1,4 @@
+#!/usr/bin/env python
 """Protocol traffic accounting: quantifying the paper's qualitative claims.
 
 The paper argues its configuration advice from protocol message traffic:
@@ -11,108 +12,79 @@ The paper argues its configuration advice from protocol message traffic:
 This bench runs the same request-reply workload under each configuration
 and prints the per-kind NewTop message counts (data / NULL / ticket /
 membership / channel control) summed over all nodes, plus the number of
-messages crossing site boundaries — making the argument measurable.
+messages crossing the network — making the argument measurable.
 """
 
-import pytest
+import sys
 
-from repro.apps.randserver import RandomNumberServant
-from repro.bench import print_table
-from repro.bench.env import Environment
-from repro.bench.workloads import ClosedLoopClient, run_until_done
-from repro.core import BindingStyle, Mode
-from repro.groupcomm import GroupConfig, Liveliness
+from repro.bench import emit, format_table, gate, request_reply_traffic
+
+SECTION = "protocol_traffic"
+WORKLOAD = {
+    "topology": "mixed",
+    "replicas": 3,
+    "clients": 2,
+    "requests": 30,  # per client, no warmup
+    "seed": 9,
+    "configs": ("closed/asymmetric", "closed/symmetric", "open/asymmetric", "open/symmetric"),
+}
+KINDS = ("data", "null", "ticket", "membership", "control")  # gc.sent.<kind>
+EXACT = (*KINDS, "net_total")
 
 
-def run_traffic_probe(style: str, ordering: str, requests: int = 30, clients: int = 2):
-    env = Environment(config="mixed", seed=9)
-    group_config = GroupConfig(
-        ordering=ordering,
-        liveliness=Liveliness.EVENT_DRIVEN,
-        sequencer_hint="s0",
-        suspicion_timeout=10.0,
-        flush_timeout=5.0,
+def run_traffic_probe(style: str, ordering: str) -> dict:
+    """Messages per client request, by kind, over the workload window."""
+    sent = request_reply_traffic(
+        WORKLOAD["topology"], WORKLOAD["clients"], WORKLOAD["requests"],
+        replicas=WORKLOAD["replicas"], style=style, ordering=ordering, seed=WORKLOAD["seed"],
     )
-    env.serve_replicas("rand", RandomNumberServant, 3, config=group_config)
-    bindings = []
-    for service in env.add_clients(clients):
-        bindings.append(
-            service.bind("rand", style=style, ordering=ordering,
-                         suspicion_timeout=10.0, flush_timeout=5.0)
+    totals = {kind: sent.get(f"gc.sent.{kind}", 0) for kind in KINDS}
+    totals["net_total"] = sent["net.sent"]
+    total_requests = WORKLOAD["requests"] * WORKLOAD["clients"]
+    return {kind: round(count / total_requests, 2) for kind, count in totals.items()}
+
+
+def measure() -> dict:
+    return {config: run_traffic_probe(*config.split("/")) for config in WORKLOAD["configs"]}
+
+
+def traffic_failures(result) -> list:
+    """The paper's qualitative claims, now quantitative; enforced in every mode."""
+    claims = [
+        # (1) symmetric ordering generates extra NULL traffic on top of the
+        #     stability acks both protocols pay (timestamp exchange "just for
+        #     ordering", §1)
+        *(
+            (result[f"{style}/symmetric"]["null"] > 1.2 * result[f"{style}/asymmetric"]["null"],
+             f"{style}: symmetric NULLs/request are not above 1.2x asymmetric")
+            for style in ("closed", "open")
+        ),
+        # (2) asymmetric ordering pays tickets instead
+        (result["closed/asymmetric"]["ticket"] > 0, "closed/asymmetric sent no tickets"),
+        (result["closed/symmetric"]["ticket"] == 0, "closed/symmetric sent tickets"),
+        # (3) the closed approach moves more messages in total per request than
+        #     open keeps on the client path — but open's forwarding adds group-
+        #     internal traffic, so totals are comparable; what differs is WHERE
+        #     they flow (see latency benches).  Sanity: every config's data
+        #     message count is at least 1 per request.
+        *(
+            (counts["data"] >= 1, f"{config}: under 1 data message per request")
+            for config, counts in result.items()
+        ),
+    ]
+    return [message for ok, message in claims if not ok]
+
+
+def report(result) -> None:
+    emit(
+        format_table(
+            ["configuration"] + [f"{kind}/req" for kind in EXACT],
+            [[config, *counts.values()] for config, counts in result.items()],
+            title="NewTop protocol messages per client request (3 replicas, 2 distant clients)",
         )
-        env.run(0.05)
-    env.settle(1.5)
-    assert all(b.ready.done for b in bindings)
-
-    # reset counters so only workload traffic is measured
-    for service in env.services.values():
-        service.gcs.traffic.clear()
-    sent_before = env.net.stats.messages_sent
-
-    workers = [
-        ClosedLoopClient(env.sim, b, operation="draw", mode=Mode.ALL,
-                         requests=requests, warmup=0)
-        for b in bindings
-    ]
-    run_until_done(env.sim, [w.done for w in workers], deadline=env.sim.now + 120.0)
-    env.run(1.0)  # let tail acks/nulls settle
-
-    totals = {}
-    for service in env.services.values():
-        for kind, count in service.gcs.traffic.items():
-            totals[kind] = totals.get(kind, 0) + count
-    totals["net_total"] = env.net.stats.messages_sent - sent_before
-    total_requests = requests * clients
-    return {k: round(v / total_requests, 2) for k, v in totals.items()}
-
-
-@pytest.mark.benchmark(group="protocol-traffic")
-def test_protocol_traffic_per_request(benchmark):
-    configs = [
-        ("closed", "asymmetric"),
-        ("closed", "symmetric"),
-        ("open", "asymmetric"),
-        ("open", "symmetric"),
-    ]
-    results = {}
-
-    def run():
-        for style, ordering in configs:
-            results[(style, ordering)] = run_traffic_probe(style, ordering)
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    kinds = ["data", "null", "ticket", "membership", "control", "net_total"]
-    rows = []
-    for (style, ordering), counts in results.items():
-        rows.append([f"{style}/{ordering}"] + [counts.get(k, 0) for k in kinds])
-    print_table(
-        ["configuration"] + [f"{k}/req" for k in kinds],
-        rows,
-        title="NewTop protocol messages per client request (3 replicas, 2 distant clients)",
     )
-    for key, counts in results.items():
-        benchmark.extra_info["/".join(key)] = counts
 
-    closed_asym = results[("closed", "asymmetric")]
-    closed_sym = results[("closed", "symmetric")]
-    open_asym = results[("open", "asymmetric")]
-    open_sym = results[("open", "symmetric")]
 
-    # the paper's qualitative claims, now quantitative:
-    # (1) symmetric ordering generates extra NULL traffic on top of the
-    #     stability acks both protocols pay (timestamp exchange "just for
-    #     ordering", §1)
-    assert closed_sym.get("null", 0) > 1.2 * closed_asym.get("null", 0)
-    assert open_sym.get("null", 0) > 1.2 * open_asym.get("null", 0)
-    # (2) asymmetric ordering pays tickets instead
-    assert closed_asym.get("ticket", 0) > 0
-    assert closed_sym.get("ticket", 0) == 0
-    # (3) the closed approach moves more messages in total per request than
-    #     open keeps on the client path — but open's forwarding adds group-
-    #     internal traffic, so totals are comparable; what differs is WHERE
-    #     they flow (see latency benches).  Sanity: every config's data
-    #     message count is at least 1 per request.
-    for counts in results.values():
-        assert counts.get("data", 0) >= 1
+if __name__ == "__main__":
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[traffic_failures]))

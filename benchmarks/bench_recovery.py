@@ -1,3 +1,4 @@
+#!/usr/bin/env python
 """Recovery ablation: what retry + rejoin buy under a manager crash.
 
 The seed treated both halves of a crash as final: a call that timed out
@@ -9,9 +10,9 @@ plus a scheduled restart), and prints the failed-call rate and the final
 group size side by side.
 """
 
-import pytest
+import sys
 
-from repro.bench import print_table
+from repro.bench import emit, format_table, gate
 from repro.scenario import run_scenario
 
 
@@ -52,53 +53,64 @@ def crash_spec(recover: bool) -> dict:
     }
 
 
-def test_retry_and_rejoin_eliminate_failed_calls(benchmark):
-    results = {}
+SECTION = "recovery"
+WORKLOAD = {  # the two scenario specs, whole
+    "seed (crash is final)": crash_spec(recover=False),
+    "retry + rejoin": crash_spec(recover=True),
+}
+EXACT = ("offered", "completed", "errors", "retries", "rejoins", "final_view", "converged")
 
-    def run():
-        for label, recover in (("seed (crash is final)", False),
-                               ("retry + rejoin", True)):
-            results[label] = run_scenario(crash_spec(recover))
-        return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def summarize(report: dict) -> dict:
+    traffic, counters = report["traffic"], report["metrics"]["counters"]
+    return {
+        "offered": traffic["offered"],
+        "completed": traffic["completed"],
+        "errors": traffic["errors"],
+        "retries": counters.get("client.retries", 0),
+        "rejoins": counters.get("server.rejoins", 0),
+        "final_view": report["recovery"]["view"] or [],
+        "converged": report["recovery"]["converged"],
+    }
 
-    rows = []
-    for label, report in results.items():
-        traffic = report["traffic"]
-        counters = report["metrics"]["counters"]
-        offered, errors = traffic["offered"], traffic["errors"]
-        rows.append([
-            label,
-            offered,
-            traffic["completed"],
-            errors,
-            f"{100.0 * errors / offered:.1f}%",
-            counters.get("client.retries", 0),
-            counters.get("server.rejoins", 0),
-            len(report["recovery"]["view"] or []),
-        ])
-        benchmark.extra_info[label] = {
-            "offered": offered, "errors": errors,
-            "retries": counters.get("client.retries", 0),
-            "rejoins": counters.get("server.rejoins", 0),
-            "final_view": report["recovery"]["view"],
-        }
-    print_table(
-        ["configuration", "offered", "completed", "failed", "failed %",
-         "retries", "rejoins", "final view size"],
-        rows,
-        title="Manager crash, 0.5 s call timeouts (3 replicas, 2 bindings, LAN)",
+
+def measure() -> dict:
+    return {label: summarize(run_scenario(spec)) for label, spec in WORKLOAD.items()}
+
+
+def recovery_failures(result) -> list:
+    """What recovery buys; deterministic, enforced in every mode."""
+    seed, recovered = result["seed (crash is final)"], result["retry + rejoin"]
+    claims = [
+        # the seed loses the calls in the outage window and serves on shrunk
+        (seed["errors"] > 0, "the seed run lost no calls to the crash"),
+        (len(seed["final_view"]) == 2, "the seed run did not end with 2 members"),
+        # retry bridges the outage, restart brings the member back
+        (recovered["errors"] == 0, "calls failed despite retry"),
+        (recovered["converged"], "the recovered group did not converge"),
+        (len(recovered["final_view"]) == 3, "the restarted member is not back in the view"),
+        (recovered["retries"] >= 1, "no call was retried"),
+        (recovered["rejoins"] >= 1, "no member rejoined"),
+    ]
+    return [message for ok, message in claims if not ok]
+
+
+def report(result) -> None:
+    emit(
+        format_table(
+            ["configuration", "offered", "completed", "failed", "failed %",
+             "retries", "rejoins", "final view size"],
+            [
+                [label, run["offered"], run["completed"], run["errors"],
+                 f"{100.0 * run['errors'] / run['offered']:.1f}%",
+                 run["retries"], run["rejoins"], len(run["final_view"])]
+                for label, run in result.items()
+            ],
+            title="Manager crash, 0.5 s call timeouts (3 replicas, 2 bindings, LAN)",
+        )
     )
 
-    seed = results["seed (crash is final)"]
-    recovered = results["retry + rejoin"]
-    # the seed loses the calls in the outage window and serves on shrunk
-    assert seed["traffic"]["errors"] > 0
-    assert len(seed["recovery"]["view"]) == 2
-    # retry bridges the outage, restart brings the member back
-    assert recovered["traffic"]["errors"] == 0
-    assert recovered["recovery"]["converged"]
-    assert len(recovered["recovery"]["view"]) == 3
-    assert recovered["metrics"]["counters"].get("client.retries", 0) >= 1
-    assert recovered["metrics"]["counters"].get("server.rejoins", 0) >= 1
+
+if __name__ == "__main__":
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[recovery_failures]))

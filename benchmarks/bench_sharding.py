@@ -33,13 +33,11 @@ layout, so the comparison isolates ordering parallelism).  Two gates:
   (see repro.bench.gate) — virtual time makes the whole sweep
   reproducible, so any drift means the protocol changed.
 
-Without ``--check`` the section is rewritten; results also append to
-bench_report.txt via the usual emit() path.
+Without ``--check`` the section is rewritten.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 import zlib
@@ -51,7 +49,6 @@ from repro.bench.report import emit, format_table
 from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.core.modes import Mode
 from repro.groupcomm.config import GroupConfig, Liveliness, Ordering
-from repro.obs import Observability
 
 SECTION = "sharding"
 WORKLOAD = {
@@ -90,8 +87,7 @@ def build_key_pool(size: int) -> list:
 
 
 def run_config(num_shards: int) -> dict:
-    obs = Observability()
-    env = Environment(config=WORKLOAD["topology"], seed=WORKLOAD["seed"], obs=obs)
+    env = Environment(config=WORKLOAD["topology"], seed=WORKLOAD["seed"])
     config = GroupConfig(
         ordering=Ordering.ASYMMETRIC,
         liveliness=Liveliness.EVENT_DRIVEN,
@@ -150,7 +146,7 @@ def run_config(num_shards: int) -> dict:
     mean_latency = sum(w.latency_sum for w in workers) / max(completed, 1)
     return {
         "completed": completed,
-        "gc_delivered": obs.metrics.counter_value("gc.delivered"),
+        "gc_delivered": env.sim.obs.metrics.counter_value("gc.delivered"),
         "window_s": round(window, 6),
         "ops_per_sec": round(completed / window, 2),
         "mean_latency_ms": round(mean_latency * 1e3, 3),
@@ -209,18 +205,6 @@ def report(results) -> None:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help=gate.CHECK_HELP)
-    args = parser.parse_args(argv)
-
-    results = measure()
-    report(results)
-    return gate.run(
-        SECTION, WORKLOAD, results, exact=EXACT,
-        predicates=[scaling_failures], check=args.check,
-    )
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[scaling_failures]))

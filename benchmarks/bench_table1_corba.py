@@ -1,3 +1,4 @@
+#!/usr/bin/env python
 """Table 1: performance of plain CORBA (no group service).
 
 Paper rows: client+server on one LAN; Pisa->Newcastle; London->Newcastle;
@@ -6,76 +7,86 @@ and additionally the NewTop-vs-CORBA single-client ratio the paper quotes
 (~2.5x, §5.1.1).
 """
 
-import pytest
+import sys
 
-from repro.bench import corba_baseline, print_table, request_reply_point
+from repro.bench import corba_baseline, emit, format_table, gate, pinned, request_reply_point
 from repro.core import BindingStyle, Mode
 
-CASES = [
-    ("client and server on LAN", "newcastle", "newcastle"),
-    ("client Pisa -> server Newcastle", "pisa", "newcastle"),
-    ("client London -> server Newcastle", "london", "newcastle"),
-    ("client Pisa -> server London", "pisa", "london"),
-]
+SECTION = "table1_corba"
+LAN = "client and server on LAN"
+WORKLOAD = {
+    "cases": {  # label -> (client site, server site)
+        LAN: ("newcastle", "newcastle"),
+        "client Pisa -> server Newcastle": ("pisa", "newcastle"),
+        "client London -> server Newcastle": ("london", "newcastle"),
+        "client Pisa -> server London": ("pisa", "london"),
+    },
+    "requests": 200,  # timed plain-CORBA calls per case
+    "seed": 7,
+    "newtop_requests": 40,  # the same LAN call through a 1-member closed group
+    "newtop_seed": 42,
+}
+EXACT = ("latency_ms", "throughput", "newtop_vs_corba")
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_corba_baseline(benchmark):
-    results = {}
-
-    def run():
-        for label, client_site, server_site in CASES:
-            results[label] = corba_baseline(client_site, server_site)
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    rows = [
-        (label, point.latency_ms, point.throughput)
-        for label, point in results.items()
-    ]
-    print_table(
-        ["configuration", "timed request (ms)", "requests/sec"],
-        rows,
-        title="Table 1: performance of CORBA (plain ORB, no group service)",
-    )
-    for label, point in results.items():
-        benchmark.extra_info[label] = {
-            "latency_ms": round(point.latency_ms, 3),
-            "throughput": round(point.throughput, 1),
-        }
-
-    lan = results["client and server on LAN"]
-    pisa = results["client Pisa -> server Newcastle"]
-    london = results["client London -> server Newcastle"]
-    # shape: LAN around 1 ms; WAN dominated by the path RTT, Pisa > London
-    assert 0.2 < lan.latency_ms < 2.0
-    assert pisa.latency_ms > london.latency_ms > lan.latency_ms
-    assert pisa.latency_ms > 15.0
-
-
-@pytest.mark.benchmark(group="table1")
-def test_newtop_vs_corba_single_client_ratio(benchmark):
-    """§5.1.1: one client through NewTop costs ~2.5x a plain CORBA call."""
-    outcome = {}
-
-    def run():
-        outcome["corba"] = corba_baseline("newcastle", "newcastle")
-        outcome["newtop"] = request_reply_point(
-            "lan", 1, replicas=1, style=BindingStyle.CLOSED, mode=Mode.ALL
+def measure() -> dict:
+    corba = {
+        label: pinned(
+            corba_baseline(*sites, requests=WORKLOAD["requests"], seed=WORKLOAD["seed"])
         )
-        return outcome
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    ratio = outcome["newtop"].latency_ms / outcome["corba"].latency_ms
-    print_table(
-        ["path", "latency (ms)"],
-        [
-            ("plain CORBA (LAN)", outcome["corba"].latency_ms),
-            ("via NewTop service (LAN)", outcome["newtop"].latency_ms),
-            ("ratio", ratio),
-        ],
-        title="NewTop overhead vs plain CORBA (paper: ~2.5x, fig. 9)",
+        for label, sites in WORKLOAD["cases"].items()
+    }
+    newtop = pinned(
+        request_reply_point(
+            "lan", 1, replicas=1, style=BindingStyle.CLOSED, mode=Mode.ALL,
+            requests=WORKLOAD["newtop_requests"], seed=WORKLOAD["newtop_seed"],
+        )
     )
-    benchmark.extra_info["ratio"] = round(ratio, 2)
-    assert 1.8 < ratio < 3.5
+    return {
+        "corba": corba,
+        "newtop": newtop,
+        "newtop_vs_corba": round(newtop["latency_ms"] / corba[LAN]["latency_ms"], 3),
+    }
+
+
+def shape_failures(result) -> list:
+    """Table 1's bands and §5.1.1's ratio; deterministic, enforced in every mode."""
+    lan, pisa, london, _ = (case["latency_ms"] for case in result["corba"].values())
+    ratio = result["newtop_vs_corba"]
+    claims = [
+        # shape: LAN around 1 ms; WAN dominated by the path RTT, Pisa > London
+        (0.2 < lan < 2.0, f"LAN call takes {lan} ms, outside (0.2, 2.0)"),
+        (pisa > london > lan, f"not Pisa > London > LAN: {pisa} / {london} / {lan} ms"),
+        (pisa > 15.0, f"Pisa -> Newcastle takes {pisa} ms, not above 15"),
+        # §5.1.1: one client through NewTop costs ~2.5x a plain CORBA call
+        (1.8 < ratio < 3.5, f"NewTop/CORBA ratio {ratio} outside (1.8, 3.5)"),
+    ]
+    return [message for ok, message in claims if not ok]
+
+
+def report(result) -> None:
+    emit(
+        format_table(
+            ["configuration", "timed request (ms)", "requests/sec"],
+            [(label, p["latency_ms"], p["throughput"]) for label, p in result["corba"].items()],
+            title="Table 1: performance of CORBA (plain ORB, no group service)",
+        )
+    )
+    emit(
+        format_table(
+            ["path", "latency (ms)"],
+            [
+                ("plain CORBA (LAN)", result["corba"][LAN]["latency_ms"]),
+                ("via NewTop service (LAN)", result["newtop"]["latency_ms"]),
+                ("ratio", result["newtop_vs_corba"]),
+            ],
+            title="NewTop overhead vs plain CORBA (paper: ~2.5x, fig. 9)",
+        )
+    )
+
+
+if __name__ == "__main__":
+    sys.exit(
+        gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                  exact=EXACT, predicates=[shape_failures])
+    )

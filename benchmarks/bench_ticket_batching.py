@@ -1,3 +1,4 @@
+#!/usr/bin/env python
 """Sequencer ticket batching: control traffic vs membership (before/after).
 
 The asymmetric protocol multicasts one ticket per data message that does
@@ -11,84 +12,79 @@ preset and prints ticket multicasts, latency, and throughput with
 batching off (the seed's behaviour, batch_max=1) and on.
 """
 
-import pytest
+import sys
 
-from repro.bench import print_table
-from repro.bench.harness import peer_point
-from repro.obs import Observability
+from repro.bench import emit, format_table, gate, peer_point, sweep
 from repro.groupcomm import Ordering, OrderingConfig
 
-MEMBER_COUNTS = [3, 4, 6, 8]
-MULTICASTS = 30
-BATCHED = OrderingConfig(ticket_batch_max=8, ticket_batch_delay=2e-3)
+SECTION = "ticket_batching"
+MEMBER_COUNTS = (3, 4, 6, 8)
+WORKLOAD = {
+    "topology": "lan",
+    "sweep": dict(  # of peer_point; multicasts are timed, per member
+        xs=MEMBER_COUNTS, ordering=Ordering.ASYMMETRIC, multicasts=30, seed=42
+    ),
+    "batched": {"ticket_batch_max": 8, "ticket_batch_delay": 2e-3},  # OrderingConfig
+}
+EXACT = ("latency_ms", "throughput", "delivered", "tickets", "tickets_batched")
 
 
-def run_batching_probe(n_members: int, batched: bool):
-    obs = Observability()
-    config = BATCHED if batched else None
-    point = peer_point(
-        "lan",
-        n_members,
-        Ordering.ASYMMETRIC,
-        multicasts=MULTICASTS,
-        seed=42,
-        obs=obs,
-        ordering_config=config,
-    )
-    metrics = obs.metrics
+def measure() -> dict:
     return {
-        "tickets": metrics.counter_value("gc.sent.ticket"),
-        "batched": metrics.counter_value("gc.tickets_batched"),
-        "delivered": metrics.counter_value("gc.delivered"),
-        "latency_ms": point.latency_ms,
-        "throughput": point.throughput,
+        label: sweep(
+            peer_point, WORKLOAD["topology"], ordering_config=config, **WORKLOAD["sweep"]
+        ).curve()
+        for label, config in (
+            ("baseline", None),
+            ("batched", OrderingConfig(**WORKLOAD["batched"])),
+        )
     }
 
 
-@pytest.mark.benchmark(group="ticket-batching")
-def test_ticket_batching_cuts_control_traffic(benchmark):
-    results = {}
+def batching_failures(result) -> list:
+    """Identical work delivered, fewer ticket multicasts; enforced in every mode."""
+    failures = []
+    for n in MEMBER_COUNTS:
+        base, batch = result["baseline"][n], result["batched"][n]
+        claims = [
+            (batch["delivered"] == base["delivered"], "batching changed the deliveries"),
+            (batch["tickets_batched"] > 0, "no ticket was batched"),
+            (batch["tickets"] < base["tickets"], "batching sent no fewer ticket multicasts"),
+        ]
+        # acceptance bar: >= 50% fewer tickets at 6+ members, throughput
+        # no worse (batching removes sequencer sends from the critical path)
+        if n >= 6:
+            claims += [
+                (batch["tickets"] <= 0.5 * base["tickets"], "under 50% fewer ticket multicasts"),
+                (batch["throughput"] >= base["throughput"], "batching lowered the throughput"),
+            ]
+        failures += [f"{n} members: {message}" for ok, message in claims if not ok]
+    return failures
 
-    def run():
-        for n in MEMBER_COUNTS:
-            for batched in (False, True):
-                results[(n, batched)] = run_batching_probe(n, batched)
-        return results
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
+def report(result) -> None:
     rows = []
     for n in MEMBER_COUNTS:
-        base = results[(n, False)]
-        batch = results[(n, True)]
-        reduction = 100.0 * (1 - batch["tickets"] / base["tickets"])
+        base, batch = result["baseline"][n], result["batched"][n]
         rows.append([
             n,
             base["tickets"],
             batch["tickets"],
-            f"-{reduction:.0f}%",
+            f"-{100.0 * (1 - batch['tickets'] / base['tickets']):.0f}%",
             f"{base['latency_ms']:.2f} -> {batch['latency_ms']:.2f}",
             f"{base['throughput']:.0f} -> {batch['throughput']:.0f}",
         ])
-    print_table(
-        ["members", "tickets (batch=1)", "tickets (batch=8)", "reduction",
-         "latency ms", "throughput msg/s"],
-        rows,
-        title=("Asymmetric peer group, LAN: ticket multicasts per run "
-               f"({MULTICASTS} multicasts/member, seed 42)"),
+    emit(
+        format_table(
+            ["members", "tickets (batch=1)", "tickets (batch=8)", "reduction",
+             "latency ms", "throughput msg/s"],
+            rows,
+            title=("Asymmetric peer group, LAN: ticket multicasts per run "
+                   "({multicasts} multicasts/member, seed {seed})".format(**WORKLOAD["sweep"])),
+        )
     )
-    for (n, batched), counts in results.items():
-        benchmark.extra_info[f"{n}/{'batched' if batched else 'baseline'}"] = counts
 
-    for n in MEMBER_COUNTS:
-        base = results[(n, False)]
-        batch = results[(n, True)]
-        # identical work delivered, fewer ticket multicasts
-        assert batch["delivered"] == base["delivered"]
-        assert batch["batched"] > 0
-        assert batch["tickets"] < base["tickets"]
-        # acceptance bar: >= 50% fewer tickets at 6+ members, throughput
-        # no worse (batching removes sequencer sends from the critical path)
-        if n >= 6:
-            assert batch["tickets"] <= 0.5 * base["tickets"]
-            assert batch["throughput"] >= base["throughput"]
+
+if __name__ == "__main__":
+    sys.exit(gate.main(__doc__, SECTION, WORKLOAD, measure, report,
+                       exact=EXACT, predicates=[batching_failures]))

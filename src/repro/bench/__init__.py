@@ -2,17 +2,17 @@
 
 from repro.bench.env import Environment, REQUEST_REPLY_CONFIGS
 from repro.bench.harness import (
+    CLIENT_COUNTS,
+    PEER_MEMBERS,
     ExperimentPoint,
-    client_counts,
     corba_baseline,
-    full_run,
     peer_point,
-    peer_series,
     request_reply_point,
-    request_reply_series,
+    request_reply_traffic,
+    sweep,
 )
-from repro.bench.report import format_graph, format_table, print_graph, print_table
-from repro.bench.stats import LatencySample, Point, Series, summarize
+from repro.bench.report import emit, format_graph, format_table
+from repro.bench.stats import LatencySample, Point, Series, pinned, summarize
 from repro.bench.workloads import (
     ClosedLoopClient,
     PeerMember,
@@ -26,21 +26,21 @@ __all__ = [
     "ExperimentPoint",
     "corba_baseline",
     "request_reply_point",
-    "request_reply_series",
+    "request_reply_traffic",
     "peer_point",
-    "peer_series",
-    "client_counts",
-    "full_run",
+    "sweep",
+    "CLIENT_COUNTS",
+    "PEER_MEMBERS",
     "LatencySample",
     "Point",
     "Series",
     "summarize",
+    "pinned",
     "ClosedLoopClient",
     "PeerMember",
     "PeerTracker",
     "run_until_done",
+    "emit",
     "format_table",
     "format_graph",
-    "print_table",
-    "print_graph",
 ]

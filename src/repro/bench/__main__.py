@@ -1,7 +1,9 @@
 """Command-line experiment runner: ``python -m repro.bench <experiment>``.
 
-Runs the paper's Section-5 experiments outside pytest and prints the
-paper-style tables.  ``python -m repro.bench --list`` enumerates them.
+Runs any ``benchmarks/bench_<experiment>.py`` — its ``measure()``, then its
+``report()`` — and prints the paper-style tables.  It never reads or writes
+``benchmarks/gates.json``: gating is the script's own ``--check``.
+``python -m repro.bench --list`` enumerates the experiments.
 
 Observability flags (see docs/OBSERVABILITY.md):
 
@@ -12,135 +14,49 @@ Observability flags (see docs/OBSERVABILITY.md):
   deterministic systematic sampler (implies ``--trace``).
 - ``--metrics`` prints the merged metrics snapshot (counters, gauges,
   latency/queue histograms) and the per-kind traffic reconciliation.
+
+A script that pins its own ``Observability`` (``kernel_speed`` and
+``obs_overhead`` time the kernel with tracing as *they* set it) is out of
+these flags' reach.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
+from typing import List
 
-from repro.bench.harness import (
-    client_counts,
-    corba_baseline,
-    peer_series,
-    request_reply_series,
-)
+from repro.bench import gate
 from repro.bench.profiling import DEFAULT_TOP, profiled
-from repro.bench.report import print_graph, print_table
-from repro.core.modes import BindingStyle, Mode, ReplicationPolicy
-from repro.groupcomm.config import Ordering
 from repro.obs import TraceSink, configure, reconcile_traffic, render_metrics_table
 
+#: where the experiments live, located as ``gates.json`` is
+SCRIPTS = gate.GATES.parent
 
-def run_table1(_args) -> None:
-    cases = [
-        ("client and server on LAN", "newcastle", "newcastle"),
-        ("client Pisa -> server Newcastle", "pisa", "newcastle"),
-        ("client London -> server Newcastle", "london", "newcastle"),
-        ("client Pisa -> server London", "pisa", "london"),
-    ]
-    rows = []
-    for label, client_site, server_site in cases:
-        point = corba_baseline(client_site, server_site)
-        rows.append((label, point.latency_ms, point.throughput))
-    print_table(
-        ["configuration", "timed request (ms)", "requests/sec"],
-        rows,
-        title="Table 1: performance of CORBA",
+
+def experiments() -> List[str]:
+    """Every experiment name: the stems of ``benchmarks/bench_*.py``."""
+    return sorted(path.stem[len("bench_"):] for path in SCRIPTS.glob("bench_*.py"))
+
+
+def load(name: str):
+    """Import ``benchmarks/bench_<name>.py`` by path (it is not on ``sys.path``)."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", SCRIPTS / f"bench_{name}.py"
     )
-
-
-def run_nonreplicated(args) -> None:
-    series = request_reply_series(
-        f"non-replicated ({args.config})",
-        args.config,
-        replicas=1,
-        style=BindingStyle.CLOSED,
-        mode=Mode.ALL,
-    )
-    print_graph(f"Non-replicated server via NewTop ({args.config})", [series], "latency")
-    print_graph(f"Non-replicated server via NewTop ({args.config})", [series], "throughput")
-
-
-def run_optimised(args) -> None:
-    optimised = request_reply_series(
-        "optimised open async",
-        args.config,
-        replicas=3,
-        style=BindingStyle.OPEN,
-        ordering=Ordering.ASYMMETRIC,
-        mode=Mode.FIRST,
-        restricted=True,
-        async_forwarding=True,
-        policy=ReplicationPolicy.ACTIVE,
-    )
-    baseline = request_reply_series(
-        "non-replicated",
-        args.config,
-        replicas=1,
-        style=BindingStyle.CLOSED,
-        mode=Mode.ALL,
-    )
-    both = [optimised, baseline]
-    print_graph(f"Optimised open group vs non-replicated ({args.config})", both, "latency")
-    print_graph(f"Optimised open group vs non-replicated ({args.config})", both, "throughput")
-
-
-def run_closed_vs_open(args) -> None:
-    closed = request_reply_series(
-        "closed group", args.config, replicas=3,
-        style=BindingStyle.CLOSED, ordering=args.ordering, mode=Mode.ALL,
-    )
-    open_ = request_reply_series(
-        "open group", args.config, replicas=3,
-        style=BindingStyle.OPEN, ordering=args.ordering, mode=Mode.ALL,
-        restricted=args.config != "wan",
-    )
-    both = [closed, open_]
-    print_graph(f"Closed vs open ({args.config}, {args.ordering})", both, "latency")
-    print_graph(f"Closed vs open ({args.config}, {args.ordering})", both, "throughput")
-
-
-def run_peer(args) -> None:
-    sym = peer_series("symmetric", args.config, Ordering.SYMMETRIC)
-    asym = peer_series("asymmetric", args.config, Ordering.ASYMMETRIC)
-    both = [sym, asym]
-    print_graph(
-        f"Peer participation ({args.config})", both, "throughput", x_label="members"
-    )
-    print_graph(
-        f"Peer participation ({args.config})", both, "latency", x_label="members"
-    )
-
-
-EXPERIMENTS = {
-    "table1": (run_table1, "Table 1: plain CORBA baselines"),
-    "nonreplicated": (run_nonreplicated, "Graphs 1-4: non-replicated server via NewTop"),
-    "optimised": (run_optimised, "Graphs 5-10: optimised open group vs non-replicated"),
-    "closed-vs-open": (run_closed_vs_open, "Graphs 11-16: closed vs open groups"),
-    "peer": (run_peer, "Graphs 17-18: peer participation"),
-}
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run the paper's Section 5 experiments and print the tables.",
+        description="Run one benchmarks/bench_*.py experiment and print its tables.",
     )
-    parser.add_argument("experiment", nargs="?", choices=sorted(EXPERIMENTS))
+    parser.add_argument("experiment", nargs="?", choices=experiments())
     parser.add_argument("--list", action="store_true", help="list experiments")
-    parser.add_argument(
-        "--config",
-        default="mixed",
-        choices=["lan", "mixed", "wan"],
-        help="deployment: lan / mixed (servers LAN, clients distant) / wan",
-    )
-    parser.add_argument(
-        "--ordering",
-        default=Ordering.ASYMMETRIC,
-        choices=[Ordering.SYMMETRIC, Ordering.ASYMMETRIC],
-        help="total order protocol for closed-vs-open",
-    )
     parser.add_argument(
         "--trace",
         metavar="PATH",
@@ -182,9 +98,8 @@ def main(argv=None) -> int:
 
     if args.list or not args.experiment:
         print("experiments:")
-        for name, (_fn, description) in sorted(EXPERIMENTS.items()):
-            print(f"  {name:16s} {description}")
-        print("\nclient sweep:", client_counts(), "(REPRO_BENCH_FULL=1 for 1..20)")
+        for name in experiments():
+            print(f"  {name:34s} {load(name).__doc__.splitlines()[0]}")
         return 0
 
     if args.trace:
@@ -205,10 +120,10 @@ def main(argv=None) -> int:
             sink=sink,
             sample_rate=args.trace_sample,
         )
-    fn, _description = EXPERIMENTS[args.experiment]
+    script = load(args.experiment)
     try:
         with profiled(args.profile, label=args.experiment):
-            fn(args)
+            script.report(script.measure())
     finally:
         configure(trace=False, sink=None)
     if sink is not None:

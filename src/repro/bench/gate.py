@@ -21,21 +21,41 @@ never written as a baseline.
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["run", "GATES", "TOLERANCE", "CHECK_HELP"]
+__all__ = ["main", "run", "GATES", "TOLERANCE"]
 
 GATES = Path(__file__).resolve().parents[3] / "benchmarks" / "gates.json"
 
-#: what ``--check``, the one flag of every gated script, means
-CHECK_HELP = (
-    "CI mode: gate the run against benchmarks/gates.json instead of rewriting its section"
-)
-
 #: allowed fractional fall of a floored ``timed`` value below its committed one
 TOLERANCE = 0.10
+
+
+def main(
+    doc: str,
+    section: str,
+    workload: Dict,
+    measure: Callable[[], Dict],
+    report: Callable[[Dict], None],
+    *,
+    argv: Optional[Sequence[str]] = None,
+    **gate_options,
+) -> int:
+    """The command line of every ``benchmarks/bench_*.py``: measure, print, gate.
+
+    ``--check`` is the only flag: a script's workload is its module
+    constants.  ``gate_options`` go to :func:`run`.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    check_help = "CI mode: gate the run against gates.json instead of rewriting its section"
+    parser.add_argument("--check", action="store_true", help=check_help)
+    args = parser.parse_args(argv)
+    result = measure()
+    report(result)
+    return run(section, workload, result, check=args.check, **gate_options)
 
 
 def run(

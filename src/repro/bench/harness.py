@@ -8,8 +8,7 @@ records the comparison against the published shapes.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.apps.chat import make_peer_config
 from repro.apps.randserver import RandomNumberServant
@@ -28,31 +27,22 @@ from repro.orb import ORB
 from repro.sim import Simulator, spawn
 
 __all__ = [
-    "full_run",
-    "client_counts",
+    "CLIENT_COUNTS",
+    "PEER_MEMBERS",
     "corba_baseline",
+    "request_reply_deployment",
     "request_reply_point",
-    "request_reply_series",
+    "request_reply_traffic",
     "peer_point",
-    "peer_series",
+    "sweep",
     "ExperimentPoint",
 ]
 
 
-def full_run() -> bool:
-    """Whether to run the paper's full parameters (REPRO_BENCH_FULL=1)."""
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("0", "", "false")
-
-
-def client_counts() -> List[int]:
-    """The client-count sweep (1..20 in the paper; condensed by default)."""
-    if full_run():
-        return list(range(1, 21))
-    return [1, 2, 4, 8, 12, 16, 20]
-
-
-def _requests_per_client() -> int:
-    return 100 if full_run() else 40
+#: the client-count sweep of graphs 1-16 (1..20 in the paper, condensed)
+CLIENT_COUNTS = (1, 2, 4, 8, 12, 16, 20)
+#: the membership sweep of graphs 17-18
+PEER_MEMBERS = (2, 3, 4, 6, 8)
 
 
 class ExperimentPoint:
@@ -75,19 +65,13 @@ def corba_baseline(
     server_site: str,
     requests: int = 200,
     seed: int = 7,
-    obs=None,
 ) -> ExperimentPoint:
-    """A single client invoking a single plain-CORBA server.
-
-    ``obs`` (an :class:`repro.obs.Observability`) overrides the process-wide
-    observability defaults for this run; leave None to follow the CLI's
-    ``--trace``/``--metrics`` configuration.
-    """
+    """A single client invoking a single plain-CORBA server."""
     if client_site == server_site:
         topology = Topology.single_lan(client_site)
     else:
         topology = Topology.paper_wan()
-    sim = Simulator(seed=seed, obs=obs)
+    sim = Simulator(seed=seed)
     net = Network(sim, topology)
     server_orb = ORB(net.new_node("server", server_site))
     client_orb = ORB(net.new_node("client", client_site))
@@ -111,29 +95,27 @@ def corba_baseline(
 # ---------------------------------------------------------------------------
 # request-reply experiments (graphs 1-16)
 # ---------------------------------------------------------------------------
-def request_reply_point(
+def request_reply_deployment(
     config: str,
     n_clients: int,
     replicas: int = 3,
     style: str = BindingStyle.OPEN,
     ordering: str = Ordering.ASYMMETRIC,
-    mode: str = Mode.ALL,
     restricted: bool = True,
     async_forwarding: bool = False,
     policy: str = ReplicationPolicy.ACTIVE,
-    requests: Optional[int] = None,
     seed: int = 42,
     obs=None,
-) -> ExperimentPoint:
-    """One (configuration, client-count) measurement.
+    **group_config,
+):
+    """The §5.1 deployment, settled: ``(env, bindings)``.
 
     Builds ``replicas`` servers of the random-number service in the given
-    network ``config``, attaches ``n_clients`` closed-loop clients with the
-    requested binding style/ordering/mode, and measures mean request latency
-    and aggregate served throughput.  ``obs`` injects an explicit
+    network ``config`` and binds ``n_clients`` clients with the requested
+    style/ordering.  Extra keywords are ``GroupConfig`` fields on top of the
+    benchmark deployment's (e.g. ``liveliness``).  ``obs`` injects an explicit
     :class:`repro.obs.Observability` (default: process-wide configuration).
     """
-    requests = requests or _requests_per_client()
     env = Environment(config=config, seed=seed, obs=obs)
     # WAN queueing under load can exceed the library's default suspicion
     # timeout; benchmark deployments use wide-area-appropriate settings so
@@ -144,6 +126,7 @@ def request_reply_point(
         suspicion_timeout=10.0,
         flush_timeout=5.0,
     )
+    group_options.update(group_config)
     env.serve_replicas(
         "rand",
         RandomNumberServant,
@@ -164,7 +147,20 @@ def request_reply_point(
     for binding in bindings:
         if not binding.ready.done:
             raise RuntimeError(f"binding failed to become ready: {binding!r}")
+    return env, bindings
 
+
+def request_reply_point(
+    config: str,
+    n_clients: int,
+    mode: str = Mode.ALL,
+    requests: int = 40,
+    **deployment,
+) -> ExperimentPoint:
+    """One (configuration, client-count) measurement: ``n_clients`` closed-loop
+    clients on a :func:`request_reply_deployment`; mean request latency and
+    aggregate served throughput."""
+    env, bindings = request_reply_deployment(config, n_clients, **deployment)
     workers = [
         ClosedLoopClient(
             env.sim, binding, operation="draw", mode=mode, requests=requests
@@ -188,22 +184,27 @@ def request_reply_point(
     return ExperimentPoint(
         all_latencies.mean_ms,
         throughput,
-        {"errors": errors, "requests": total, "summary": all_latencies.summary_ms()},
+        {"errors": errors, "requests": total},
     )
 
 
-def request_reply_series(
-    label: str,
-    config: str,
-    counts: Optional[List[int]] = None,
-    **kwargs,
-) -> Series:
-    """Sweep client counts for one configuration (one curve of a graph)."""
-    series = Series(label)
-    for count in counts or client_counts():
-        point = request_reply_point(config, count, **kwargs)
-        series.add(Point(count, point.latency_ms, point.throughput, point.detail))
-    return series
+def request_reply_traffic(
+    config: str, n_clients: int, requests: int, mode: str = Mode.ALL, **deployment
+) -> Dict[str, int]:
+    """Counter deltas (``gc.sent.<kind>``, ``gc.delivered``, ``net.sent``, ...)
+    over a window of ``requests`` closed-loop requests per client on a
+    :func:`request_reply_deployment`: only workload traffic is measured."""
+    env, bindings = request_reply_deployment(config, n_clients, **deployment)
+    before = env.sim.obs.metrics_snapshot()
+    workers = [
+        ClosedLoopClient(
+            env.sim, binding, operation="draw", mode=mode, requests=requests, warmup=0
+        )
+        for binding in bindings
+    ]
+    run_until_done(env.sim, [w.done for w in workers], deadline=env.sim.now + 120.0)
+    env.run(1.0)  # let tail acks/nulls settle
+    return env.sim.obs.metrics.diff(before)["counters"]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ def peer_point(
     config: str,
     n_members: int,
     ordering: str,
-    multicasts: Optional[int] = None,
+    multicasts: int = 30,
     seed: int = 42,
     obs=None,
     **group_config,
@@ -221,10 +222,10 @@ def peer_point(
     """One peer-participation measurement: a lively group of ``n_members``
     all multicasting 100-character strings as fast as group-wide delivery
     allows; reports mean multicast-to-everywhere latency and aggregate
-    message throughput (the paper's msgs/sec metric).  Extra keywords are
+    message throughput (the paper's msgs/sec metric), with the run's
+    delivery and ticket counts as ``detail``.  Extra keywords are
     ``GroupConfig`` fields on top of the peer preset (e.g. an
     ``ordering_config`` that tunes ticket batching / ack piggybacking)."""
-    multicasts = multicasts or (100 if full_run() else 30)
     env = Environment(config=config, seed=seed, obs=obs)
     services = env.add_peers(n_members)
     peer_config = make_peer_config(ordering=ordering, **group_config)
@@ -249,19 +250,26 @@ def peer_point(
         latencies.extend(member.latencies)
         if member.elapsed > 0:
             throughput += len(member.latencies.values) / member.elapsed
-    return ExperimentPoint(latencies.mean_ms, throughput)
+    count = env.sim.obs.metrics.counter_value
+    return ExperimentPoint(
+        latencies.mean_ms,
+        throughput,
+        {
+            "delivered": count("gc.delivered"),
+            "tickets": count("gc.sent.ticket"),
+            "tickets_batched": count("gc.tickets_batched"),
+        },
+    )
 
 
-def peer_series(
-    label: str,
-    config: str,
-    ordering: str,
-    member_counts: Optional[List[int]] = None,
-    **kwargs,
-) -> Series:
-    counts = member_counts or ([2, 3, 4, 5, 6, 8, 10] if full_run() else [2, 3, 4, 6, 8])
-    series = Series(label)
-    for count in counts:
-        point = peer_point(config, count, ordering, **kwargs)
-        series.add(Point(count, point.latency_ms, point.throughput))
+# ---------------------------------------------------------------------------
+# one curve of a graph
+# ---------------------------------------------------------------------------
+def sweep(point, config: str, xs: Sequence[int], **kwargs) -> Series:
+    """``point(config, x, **kwargs)`` for each x (:data:`CLIENT_COUNTS` for
+    :func:`request_reply_point`, :data:`PEER_MEMBERS` for :func:`peer_point`)."""
+    series = Series(point.__name__)
+    for x in xs:
+        measured = point(config, x, **kwargs)
+        series.add(Point(x, measured.latency_ms, measured.throughput, measured.detail))
     return series

@@ -1,32 +1,20 @@
-"""Paper-style result tables for the benchmark harness.
+"""Paper-style result tables for the benchmark scripts.
 
-Output goes to stdout *and* is appended to a report file (pytest captures
-stdout of passing tests, so the file is the durable artefact).  Set
-``REPRO_BENCH_REPORT`` to change the path; default ``bench_report.txt`` in
-the working directory.
+Tables only go to stdout: a benchmark number lives in
+``benchmarks/gates.json`` (see :mod:`repro.bench.gate`), not in a report file.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.bench.stats import Series
-
-__all__ = ["format_table", "format_graph", "print_graph", "print_table", "emit"]
+__all__ = ["format_table", "format_graph", "emit"]
 
 
 def emit(text: str) -> None:
-    """Print and append to the benchmark report file."""
+    """Print one table, set off by a blank line."""
     print()
     print(text)
-    path = os.environ.get("REPRO_BENCH_REPORT", "bench_report.txt")
-    if path:
-        try:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(text + "\n\n")
-        except OSError:
-            pass
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
@@ -59,32 +47,18 @@ def _fmt(cell) -> str:
 
 def format_graph(
     title: str,
-    series: List[Series],
-    metric: str = "latency",
+    curves: Dict[str, Dict],
+    metric: str = "latency_ms",
     x_label: str = "clients",
 ) -> str:
-    """Render one paper graph as a table: x vs one column per series."""
-    xs = sorted({p.x for s in series for p in s.points})
-    headers = [x_label] + [s.label for s in series]
-    rows = []
-    for x in xs:
-        row = [x]
-        for s in series:
-            point = s.at(x)
-            if point is None:
-                row.append("-")
-            elif metric == "latency":
-                row.append(point.latency_ms)
-            else:
-                row.append(point.throughput)
-        rows.append(row)
-    unit = "latency (ms)" if metric == "latency" else "throughput (/s)"
-    return format_table(headers, rows, title=f"{title} — {unit}")
+    """Render one paper graph as a table: x vs one column per curve.
 
-
-def print_graph(title: str, series: List[Series], metric: str = "latency", x_label: str = "clients") -> None:
-    emit(format_graph(title, series, metric=metric, x_label=x_label))
-
-
-def print_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> None:
-    emit(format_table(headers, rows, title=title))
+    ``curves`` maps a label to its :meth:`~repro.bench.stats.Series.curve`.
+    """
+    xs = sorted({x for curve in curves.values() for x in curve})
+    rows = [
+        [x] + [curve[x][metric] if x in curve else "-" for curve in curves.values()]
+        for x in xs
+    ]
+    unit = "latency (ms)" if metric == "latency_ms" else "throughput (/s)"
+    return format_table([x_label, *curves], rows, title=f"{title} — {unit}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-__all__ = ["LatencySample", "summarize", "Point", "Series"]
+__all__ = ["LatencySample", "summarize", "pinned", "Point", "Series"]
 
 
 def summarize(values: List[float]) -> Dict[str, float]:
@@ -38,6 +38,15 @@ def summarize(values: List[float]) -> Dict[str, float]:
     }
 
 
+def pinned(point) -> Dict[str, float]:
+    """A measured point's virtual-time values as ``benchmarks/gates.json``
+    holds them, rounded as every section rounds."""
+    return {
+        "latency_ms": round(point.latency_ms, 3),
+        "throughput": round(point.throughput, 2),
+    }
+
+
 class LatencySample:
     """Accumulates per-request latencies (seconds)."""
 
@@ -53,9 +62,6 @@ class LatencySample:
     @property
     def mean_ms(self) -> float:
         return summarize(self.values)["mean"] * 1e3
-
-    def summary_ms(self) -> Dict[str, float]:
-        return {k: (v * 1e3 if k != "count" else v) for k, v in summarize(self.values).items()}
 
 
 class Point:
@@ -81,11 +87,9 @@ class Series:
     def add(self, point: Point) -> None:
         self.points.append(point)
 
-    def latency_curve(self) -> List[tuple]:
-        return [(p.x, p.latency_ms) for p in self.points]
-
-    def throughput_curve(self) -> List[tuple]:
-        return [(p.x, p.throughput) for p in self.points]
+    def curve(self) -> Dict:
+        """x -> the point's :func:`pinned` values and its counts."""
+        return {p.x: {**pinned(p), **p.extra} for p in self.points}
 
     def at(self, x: float) -> Optional[Point]:
         for point in self.points:

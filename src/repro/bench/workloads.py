@@ -26,7 +26,6 @@ def run_until_done(
     sim: Simulator,
     futures: List[Future],
     deadline: float,
-    step: Optional[float] = None,
     max_events: int = 2048,
 ) -> None:
     """Run the simulator until all futures resolve or ``deadline`` passes.
@@ -38,23 +37,15 @@ def run_until_done(
     slice), not fixed time slices: an idle stretch costs nothing extra,
     and a busy group is checked at a granularity that tracks its own
     activity — long scenarios no longer pay O(deadline/step) wakeups.
-    ``step``, if given, additionally caps a slice's time extent (the old
-    fixed-slice behaviour for callers that need a bounded overshoot past
-    the moment the futures resolve).
     """
     pending = [f for f in futures if not f.done]
     while sim.now < deadline:
         pending = [f for f in pending if not f.done]
         if not pending:
             return
-        until = deadline if step is None else min(deadline, sim.now + step)
-        before = sim.events_processed
-        sim.run(until=until, max_events=max_events)
-        if sim.events_processed == before and sim.now >= until:
-            # nothing left to execute before the cap: the queue is drained
-            # (sim.run advanced the clock) or only post-deadline events remain
-            if until >= deadline:
-                break
+        # a slice that finds nothing to execute before the deadline (queue
+        # drained, or only later events remain) advances the clock to it
+        sim.run(until=deadline, max_events=max_events)
     if not all(f.done for f in futures):
         unfinished = [f.name for f in futures if not f.done]
         raise RuntimeError(f"workload did not finish by t={deadline}: {unfinished}")
@@ -122,13 +113,6 @@ class ClosedLoopClient:
                 self.latency_sum += self.sim.now - start
                 self.last_completion = self.sim.now
         return self.latencies
-
-    @property
-    def elapsed(self) -> float:
-        if self.first_timed_start is None or self.last_completion is None:
-            return 0.0
-        return self.last_completion - self.first_timed_start
-
 
 class PeerTracker:
     """Observes when a multicast has been delivered at every member."""

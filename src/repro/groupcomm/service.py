@@ -155,16 +155,15 @@ class GroupCommService:
         self.ticket_merger = TicketMerger()
         self.ticket_batcher = TicketBatcher(self)
         self.sessions: Dict[str, GroupSession] = {}
-        #: outbound protocol-message counts by kind (data / null / ticket /
-        #: membership / channel control / retransmit) — the basis of the
-        #: traffic bench.  Retransmitted frames count under ``retransmit``,
-        #: not under their payload's kind: a repair is protocol overhead,
-        #: and counting it as ``data`` would inflate the per-request data
-        #: traffic the paper's tables report.
-        self.traffic: Dict[str, int] = {}
         self._ticket_counter = 0
         self._era_counter = 0
         self._metrics = orb.sim.obs.metrics
+        #: ``gc.sent.<kind>`` counters: outbound protocol messages by kind
+        #: (data / null / ticket / membership / channel control / retransmit)
+        #: — the basis of the traffic benches.  Retransmitted frames count
+        #: under ``retransmit``, not under their payload's kind: a repair is
+        #: protocol overhead, and counting it as ``data`` would inflate the
+        #: per-request data traffic the paper's tables report.
         self._kind_counters: Dict[str, Any] = {}
         #: peer NSO IORs are pure values; build each once, not per send
         self._peer_iors: Dict[str, IOR] = {}
@@ -232,7 +231,6 @@ class GroupCommService:
             kind = "retransmit"
         else:
             kind = self._classify(message)
-        self.traffic[kind] = self.traffic.get(kind, 0) + 1
         if self.node.alive:
             # per-kind send counter, mirrored so it reconciles ±0 with the
             # net layer's per-kind hop counts (a crashed node's sends never

@@ -41,7 +41,6 @@ class NetworkStats:
         self.messages_dropped = 0
         self.bytes_sent = 0
         self.per_service_sent: Dict[str, int] = {}
-        self.per_kind_sent: Dict[str, int] = {}
         self._metrics = metrics
         if metrics is not None:
             self._sent = metrics.counter("net.sent")
@@ -54,11 +53,10 @@ class NetworkStats:
         self.messages_sent += 1
         self.bytes_sent += size
         self.per_service_sent[service] = self.per_service_sent.get(service, 0) + 1
-        kind = kind or service
-        self.per_kind_sent[kind] = self.per_kind_sent.get(kind, 0) + 1
         if self._metrics is not None:
             self._sent.inc()
             self._bytes.inc(size)
+            kind = kind or service
             counter = self._kind_counters.get(kind)
             if counter is None:
                 counter = self._kind_counters[kind] = self._metrics.counter(

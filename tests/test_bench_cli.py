@@ -2,14 +2,18 @@
 
 import pytest
 
-from repro.bench.__main__ import EXPERIMENTS, main
+from repro.bench import gate
+from repro.bench.__main__ import experiments, main
 
 
 def test_list_exits_zero(capsys):
+    assert len(experiments()) == 16
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
+    for name in experiments():
         assert name in out
+    # each with its script's docstring headline
+    assert "Table 1: performance of plain CORBA (no group service)." in out
 
 
 def test_no_args_prints_listing(capsys):
@@ -18,19 +22,18 @@ def test_no_args_prints_listing(capsys):
 
 
 def test_unknown_experiment_rejected():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         main(["teleport"])
+    assert exit_info.value.code == 2
 
 
 def test_table1_runs_and_prints(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_REPORT", str(tmp_path / "report.txt"))
-    assert main(["table1"]) == 0
+    monkeypatch.chdir(tmp_path)
+    before = gate.GATES.read_bytes()
+    assert main(["table1_corba"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "client and server on LAN" in out
-    assert (tmp_path / "report.txt").exists()
-
-
-def test_config_choice_validated():
-    with pytest.raises(SystemExit):
-        main(["peer", "--config", "moonbase"])
+    # printing is all a run does: no gate, no report file
+    assert gate.GATES.read_bytes() == before
+    assert list(tmp_path.iterdir()) == []

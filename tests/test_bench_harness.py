@@ -1,8 +1,6 @@
 """Smoke tests for the benchmark harness (small parameters) and its gate."""
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
@@ -12,6 +10,7 @@ from repro.bench import (
     Point,
     Series,
     corba_baseline,
+    emit,
     format_graph,
     format_table,
     gate,
@@ -19,6 +18,7 @@ from repro.bench import (
     request_reply_point,
     summarize,
 )
+from repro.bench.__main__ import experiments, load
 from repro.bench.env import REQUEST_REPLY_CONFIGS, _client_site, _server_site
 from repro.core import BindingStyle, Mode
 from repro.groupcomm import Ordering
@@ -45,8 +45,10 @@ class TestStats:
         series = Series("x")
         series.add(Point(1, 2.0, 100.0))
         series.add(Point(2, 3.0, 150.0))
-        assert series.latency_curve() == [(1, 2.0), (2, 3.0)]
-        assert series.throughput_curve() == [(1, 100.0), (2, 150.0)]
+        assert series.curve() == {
+            1: {"latency_ms": 2.0, "throughput": 100.0},
+            2: {"latency_ms": 3.0, "throughput": 150.0},
+        }
         assert series.at(2).latency_ms == 3.0
         assert series.at(9) is None
 
@@ -60,8 +62,14 @@ class TestReport:
         s1, s2 = Series("one"), Series("two")
         s1.add(Point(1, 5.0, 10.0))
         s2.add(Point(2, 7.0, 20.0))
-        text = format_graph("G", [s1, s2], metric="latency")
+        text = format_graph("G", {"one": s1.curve(), "two": s2.curve()}, metric="latency_ms")
         assert "one" in text and "two" in text and "-" in text
+
+    def test_emit_only_prints(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        emit("a table")
+        assert "a table" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnvironment:
@@ -213,13 +221,32 @@ class TestGate:
         assert capsys.readouterr().out.count("FAIL") == 4
 
 
-# ---------------------------------------------------------------------------
-# the five gated scripts against the committed file
-# ---------------------------------------------------------------------------
-BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
-GATED = ("kernel_speed", "obs_overhead", "gmi", "sharding", "overload")
+    def test_main_is_the_command_line_of_every_script(self, tmp_path, capsys):
+        path = tmp_path / "gates.json"
+        reported = []
+
+        def main(result, argv, predicates=()):
+            return gate.main(
+                "Demo.\n\nMore.", "demo", WORKLOAD, lambda: result, reported.append,
+                argv=argv, exact=("capacity", "events", "delivered"), predicates=predicates,
+                path=path,
+            )
+
+        assert main(RESULT, []) == 0  # no flag: the section is written
+        assert main(RESULT, ["--check"]) == 0
+        assert reported == [RESULT, RESULT]
+        assert main(edited({"events": 181}), ["--check"]) == 1
+        assert "FAIL demo.exact.2.events: 181 vs committed 180" in capsys.readouterr().out
+        before = path.read_text()
+        assert main(edited({"events": 181}), [], predicates=[lambda result: ["no"]]) == 1
+        assert path.read_text() == before
+        with pytest.raises(SystemExit):
+            main(RESULT, ["--requests", "5"])  # --check is the only flag
 
 
+# ---------------------------------------------------------------------------
+# the sixteen scripts against the committed file
+# ---------------------------------------------------------------------------
 def _keys(tree):
     """Every key of a JSON tree, at any depth."""
     if not isinstance(tree, dict):
@@ -228,20 +255,17 @@ def _keys(tree):
 
 
 def test_committed_file_has_exactly_the_gated_sections():
+    """Scripts and sections are in bijection: section name = file stem without bench_."""
     gates = json.loads(gate.GATES.read_text())
-    assert gate.GATES == BENCHMARKS / "gates.json"
-    assert set(gates) == set(GATED)
+    assert len(experiments()) == 16
+    assert set(gates) == set(experiments())
     for section in gates.values():
         assert set(section) == {"workload", "exact", "timed"}
 
 
-@pytest.mark.parametrize("name", GATED)
+@pytest.mark.parametrize("name", experiments())
 def test_script_matches_its_committed_section(name):
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", BENCHMARKS / f"bench_{name}.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load(name)
     section = json.loads(gate.GATES.read_text())[script.SECTION]
     assert script.SECTION == name
     # the constants are the committed workload: any other value fails --check
@@ -251,3 +275,10 @@ def test_script_matches_its_committed_section(name):
     assert not set(script.EXACT) & _keys(section["timed"])
     for floor in getattr(script, "FLOORS", ()):
         assert gate._at(section["timed"], floor) > 0
+
+
+def test_graphs_17_18_reproduce_on_the_papers_protocol():
+    """§5.2's headline, lost for twelve PRs to a changed library default: the
+    predicates run here, on the paper-protocol curves, so it cannot be again."""
+    script = load("graphs_17_18_peer")
+    assert script.shape_failures({"paper": script.run_protocol("paper")}) == []

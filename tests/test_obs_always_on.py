@@ -479,21 +479,20 @@ def test_obs_cli_flight_shard_group_node_filters(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # bench CLI flag
 # ---------------------------------------------------------------------------
-def test_bench_cli_trace_sample_flag(tmp_path, capsys, monkeypatch):
+def test_bench_cli_trace_sample_flag(tmp_path, capsys):
     from repro.bench.__main__ import main
 
-    monkeypatch.setenv("REPRO_BENCH_REPORT", str(tmp_path / "report.txt"))
     full_path = tmp_path / "full.jsonl"
-    assert main(["table1", "--trace", str(full_path)]) == 0
+    assert main(["table1_corba", "--trace", str(full_path)]) == 0
     capsys.readouterr()
     sampled_path = tmp_path / "sampled.jsonl"
     # --trace-sample implies --trace (default trace.jsonl), here explicit
     assert main(
-        ["table1", "--trace", str(sampled_path), "--trace-sample", "0.1"]
+        ["table1_corba", "--trace", str(sampled_path), "--trace-sample", "0.1"]
     ) == 0
     capsys.readouterr()
     full = read_jsonl(str(full_path))
     sampled = read_jsonl(str(sampled_path))
     assert 0 < len(sampled) < len(full)
     with pytest.raises(SystemExit):
-        main(["table1", "--trace-sample", "1.5"])
+        main(["table1_corba", "--trace-sample", "1.5"])

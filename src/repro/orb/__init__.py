@@ -2,10 +2,9 @@
 
 Provides IOR/IOGR references, a CDR-style wire codec with honest sizes,
 object adapters, synchronous and oneway one-to-one invocation, smart proxies
-with IOGR failover, interceptors, and a naming service.
+with IOGR failover, and a naming service.
 """
 
-from repro.orb.interceptors import CountingInterceptor, TraceInterceptor
 from repro.orb.ior import IOGR, IOR
 from repro.orb.marshal import MarshalError, corba_struct, decode, encode, wire_size
 from repro.orb.messages import GIOP_OVERHEAD, Reply, Request
@@ -22,8 +21,6 @@ __all__ = [
     "GroupProxy",
     "NameServer",
     "NamingClient",
-    "TraceInterceptor",
-    "CountingInterceptor",
     "Request",
     "Reply",
     "corba_struct",

@@ -1,34 +1,31 @@
 """A compact CDR-style wire codec.
 
-Messages really are encoded to bytes and decoded on arrival, which gives the
-simulation two properties the paper's measurements depend on:
+The simulator no longer moves bytes: sender and receiver share one heap, so
+the ORB hands the network the message struct itself plus the size this codec
+says it would occupy (see ``repro.orb.orb``).  What the codec is for:
 
-- honest wire sizes (serialisation delay and per-byte CPU costs are computed
-  from the encoded length), and
-- full isolation between "address spaces" (no shared mutable state can leak
-  between simulated nodes).
+- honest wire sizes — :func:`wire_size` is on the path of every simulated
+  message; serialisation delay and per-byte CPU costs are computed from it,
+  and it is the one check a value passes before crossing the simulated wire;
+- the reference path — in the ORB's verify mode every message really is
+  encoded, checked against its ``wire_size``, carried as bytes and decoded
+  on arrival, which gives full isolation between "address spaces" (no shared
+  mutable state can leak between simulated nodes) and is what the tests
+  compare the by-reference transport against;
+- tests that pin the format (``tests/test_marshal_registry_roundtrip.py``).
 
-Supported values: None, bool, int, float, str, bytes, list, tuple, dict, and
-any class registered with :func:`corba_struct` (encoded field-by-field in
-declaration order).
+Supported values: None, bool, int (signed 64-bit), float, str, bytes, list,
+tuple, dict, and any class registered with :func:`corba_struct` (encoded
+field-by-field in declaration order).
 
-The codec is on the critical path of every simulated message, so both
-directions are built around precompiled per-type fast paths (see
-docs/PERFORMANCE.md): encoding dispatches on exact type through a table that
-includes a dedicated encoder per registered struct (header bytes precomputed
-at registration, fields fetched with one ``attrgetter``), and decoding walks
-the byte string with prebound ``struct.Struct`` readers instead of a reader
-object.  ``wire_size`` computes the encoded length without materialising the
-bytes.  The wire format itself is unchanged and byte-identical to the
-original recursive implementation.
+``encode``/``decode`` are the plain recursive implementation; only
+``wire_size`` is written for speed.
 """
 
 from __future__ import annotations
 
-import inspect
 import struct
 from operator import attrgetter
-from sys import intern as _intern
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 __all__ = ["corba_struct", "encode", "decode", "wire_size", "MarshalError"]
@@ -50,51 +47,14 @@ _TAG_TUPLE = b"t"
 _TAG_DICT = b"D"
 _TAG_STRUCT = b"S"
 
+#: ints travel as signed 64-bit; anything outside cannot be put on the wire
+_INT_MIN = -(2**63)
+_INT_MAX = 2**63 - 1
+
 _STRUCT_REGISTRY: Dict[str, Tuple[Type, Tuple[str, ...]]] = {}
-
-# ---------------------------------------------------------------------------
-# fast-path tables (populated below and by corba_struct at registration time)
-# ---------------------------------------------------------------------------
-
-#: exact-type -> encoder(value, out); misses fall back to the isinstance walk
-_ENCODERS: Dict[type, Callable[[Any, List[bytes]], None]] = {}
-
-#: raw wire name -> (cls, fields, positional_ctor, nfields)
-_STRUCT_DECODERS: Dict[bytes, Tuple[Type, Tuple[str, ...], bool, int]] = {}
 
 #: exact struct type -> (header_len, attrgetter, nfields) for wire_size
 _STRUCT_SIZERS: Dict[type, Tuple[int, Callable, int]] = {}
-
-_pack_q = struct.Struct(">q").pack
-_pack_d = struct.Struct(">d").pack
-_pack_I = struct.Struct(">I").pack
-_unpack_q_from = struct.Struct(">q").unpack_from
-_unpack_d_from = struct.Struct(">d").unpack_from
-_unpack_I_from = struct.Struct(">I").unpack_from
-
-#: small non-negative ints (sequence numbers, view ids, collection lengths)
-#: dominate the int traffic; their encodings are immutable, share them
-_INT_CACHE: List[bytes] = [_TAG_INT + _pack_q(i) for i in range(1024)]
-
-#: short hot strings (member names, group names, message kinds) are encoded
-#: over and over; cache the full tag+length+payload chunk, bounded
-_STR_CACHE: Dict[str, bytes] = {}
-_STR_CACHE_MAX = 4096
-
-
-def _ctor_takes_fields_positionally(cls: Type, fields: Tuple[str, ...]) -> bool:
-    """True when ``cls(*field_values)`` is equivalent to ``cls(**kwargs)`` —
-    i.e. the constructor's leading parameters are exactly the wire fields."""
-    try:
-        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p.name
-        for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return tuple(positional[: len(fields)]) == fields
 
 
 def corba_struct(cls: Type) -> Type:
@@ -118,122 +78,17 @@ def corba_struct(cls: Type) -> Type:
     fields = tuple(fields)
     _STRUCT_REGISTRY[name] = (cls, fields)
     cls._wire_name = name
-
-    raw = name.encode("utf-8")
-    header = _TAG_STRUCT + _pack_I(len(raw)) + raw
-    getter = attrgetter(*fields)
-    nfields = len(fields)
-    _ENCODERS[cls] = _make_struct_encoder(header, getter, nfields)
-    _STRUCT_DECODERS[raw] = (
-        cls,
-        fields,
-        _ctor_takes_fields_positionally(cls, fields),
-        nfields,
-    )
-    _STRUCT_SIZERS[cls] = (len(header), getter, nfields)
+    # tag + u32 name length + name: what every instance's encoding starts with
+    header_len = 5 + len(name.encode("utf-8"))
+    _STRUCT_SIZERS[cls] = (header_len, attrgetter(*fields), len(fields))
     return cls
-
-
-def _make_struct_encoder(header: bytes, getter: Callable, nfields: int):
-    get = _ENCODERS.get
-    if nfields == 1:
-        def enc_struct(value, out):
-            out.append(header)
-            v = getter(value)
-            ((get(v.__class__)) or _encode_fallback)(v, out)
-    else:
-        def enc_struct(value, out):
-            out.append(header)
-            for v in getter(value):
-                ((get(v.__class__)) or _encode_fallback)(v, out)
-    return enc_struct
 
 
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
 
-def _enc_none(value, out):
-    out.append(_TAG_NONE)
-
-
-def _enc_bool(value, out):
-    out.append(_TAG_TRUE if value else _TAG_FALSE)
-
-
-def _enc_int(value, out):
-    if 0 <= value < 1024:
-        out.append(_INT_CACHE[value])
-    else:
-        out.append(_TAG_INT)
-        out.append(_pack_q(value))
-
-
-def _enc_float(value, out):
-    out.append(_TAG_FLOAT)
-    out.append(_pack_d(value))
-
-
-def _enc_str(value, out):
-    enc = _STR_CACHE.get(value)
-    if enc is not None:
-        out.append(enc)
-        return
-    raw = value.encode("utf-8")
-    if len(raw) <= 32 and len(_STR_CACHE) < _STR_CACHE_MAX:
-        enc = _TAG_STR + _pack_I(len(raw)) + raw
-        _STR_CACHE[value] = enc
-        out.append(enc)
-    else:
-        out.append(_TAG_STR)
-        out.append(_pack_I(len(raw)))
-        out.append(raw)
-
-
-def _enc_bytes(value, out):
-    out.append(_TAG_BYTES)
-    out.append(_pack_I(len(value)))
-    out.append(value)
-
-
-def _enc_list(value, out):
-    out.append(_TAG_LIST)
-    out.append(_pack_I(len(value)))
-    get = _ENCODERS.get
-    for item in value:
-        ((get(item.__class__)) or _encode_fallback)(item, out)
-
-
-def _enc_tuple(value, out):
-    out.append(_TAG_TUPLE)
-    out.append(_pack_I(len(value)))
-    get = _ENCODERS.get
-    for item in value:
-        ((get(item.__class__)) or _encode_fallback)(item, out)
-
-
-def _enc_dict(value, out):
-    out.append(_TAG_DICT)
-    out.append(_pack_I(len(value)))
-    get = _ENCODERS.get
-    for key, item in value.items():
-        ((get(key.__class__)) or _encode_fallback)(key, out)
-        ((get(item.__class__)) or _encode_fallback)(item, out)
-
-
-_ENCODERS[type(None)] = _enc_none
-_ENCODERS[bool] = _enc_bool
-_ENCODERS[int] = _enc_int
-_ENCODERS[float] = _enc_float
-_ENCODERS[str] = _enc_str
-_ENCODERS[bytes] = _enc_bytes
-_ENCODERS[list] = _enc_list
-_ENCODERS[tuple] = _enc_tuple
-_ENCODERS[dict] = _enc_dict
-
-
-def _encode_fallback(value: Any, out: List[bytes]) -> None:
-    """Subclasses and unregistered types: the original isinstance walk."""
+def _encode_into(value: Any, out: List[bytes]) -> None:
     if value is None:
         out.append(_TAG_NONE)
     elif value is True:
@@ -241,47 +96,56 @@ def _encode_fallback(value: Any, out: List[bytes]) -> None:
     elif value is False:
         out.append(_TAG_FALSE)
     elif isinstance(value, int):
+        if not _INT_MIN <= value <= _INT_MAX:
+            raise MarshalError(f"cannot marshal int outside signed 64-bit: {value}")
         out.append(_TAG_INT)
-        out.append(_pack_q(value))
+        out.append(struct.pack(">q", value))
     elif isinstance(value, float):
         out.append(_TAG_FLOAT)
-        out.append(_pack_d(value))
+        out.append(struct.pack(">d", value))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(_TAG_STR)
-        out.append(_pack_I(len(raw)))
+        out.append(struct.pack(">I", len(raw)))
         out.append(raw)
     elif isinstance(value, bytes):
         out.append(_TAG_BYTES)
-        out.append(_pack_I(len(value)))
+        out.append(struct.pack(">I", len(value)))
         out.append(value)
     elif isinstance(value, list):
-        _enc_list(value, out)
+        out.append(_TAG_LIST)
+        out.append(struct.pack(">I", len(value)))
+        for item in value:
+            _encode_into(item, out)
     elif isinstance(value, tuple):
-        _enc_tuple(value, out)
+        out.append(_TAG_TUPLE)
+        out.append(struct.pack(">I", len(value)))
+        for item in value:
+            _encode_into(item, out)
     elif isinstance(value, dict):
-        _enc_dict(value, out)
+        out.append(_TAG_DICT)
+        out.append(struct.pack(">I", len(value)))
+        for key, item in value.items():
+            _encode_into(key, out)
+            _encode_into(item, out)
     else:
+        # a registered struct, or a subclass of one (encoded as its base)
         wire_name = getattr(type(value), "_wire_name", None)
         if wire_name is None or wire_name not in _STRUCT_REGISTRY:
             raise MarshalError(f"cannot marshal {type(value).__name__}: {value!r}")
-        # a subclass of a registered struct: encode as the registered base
         _cls, fields = _STRUCT_REGISTRY[wire_name]
         raw = wire_name.encode("utf-8")
         out.append(_TAG_STRUCT)
-        out.append(_pack_I(len(raw)))
+        out.append(struct.pack(">I", len(raw)))
         out.append(raw)
-        get = _ENCODERS.get
         for field in fields:
-            v = getattr(value, field)
-            ((get(v.__class__)) or _encode_fallback)(v, out)
+            _encode_into(getattr(value, field), out)
 
 
 def encode(value: Any) -> bytes:
     """Encode ``value`` to its wire representation."""
     out: List[bytes] = []
-    enc = _ENCODERS.get(value.__class__)
-    (enc or _encode_fallback)(value, out)
+    _encode_into(value, out)
     return b"".join(out)
 
 
@@ -289,109 +153,67 @@ def encode(value: Any) -> bytes:
 # decoding
 # ---------------------------------------------------------------------------
 
-# tag bytes as ints (what ``data[pos]`` yields), ordered by hot-path frequency
-_B_INT = _TAG_INT[0]
-_B_STR = _TAG_STR[0]
-_B_FLOAT = _TAG_FLOAT[0]
-_B_NONE = _TAG_NONE[0]
-_B_STRUCT = _TAG_STRUCT[0]
-_B_DICT = _TAG_DICT[0]
-_B_TUPLE = _TAG_TUPLE[0]
-_B_LIST = _TAG_LIST[0]
-_B_TRUE = _TAG_TRUE[0]
-_B_FALSE = _TAG_FALSE[0]
-_B_BYTES = _TAG_BYTES[0]
+class _Reader:
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise MarshalError("truncated stream")
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def u32(self) -> int:
+        return struct.unpack(">I", self.take(4))[0]
 
 
-def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
-    tag = data[pos]
-    pos += 1
-    if tag == _B_INT:
-        return _unpack_q_from(data, pos)[0], pos + 8
-    if tag == _B_STR:
-        n = _unpack_I_from(data, pos)[0]
-        end = pos + 4 + n
-        raw = data[pos + 4 : end]
-        if len(raw) != n:
-            raise MarshalError("truncated stream")
-        value = raw.decode("utf-8")
-        # short strings are overwhelmingly protocol identifiers (members,
-        # groups, kinds) used as dict keys downstream: intern them so hash
-        # and equality checks hit the pointer fast path
-        return (_intern(value) if n <= 16 else value), end
-    if tag == _B_FLOAT:
-        return _unpack_d_from(data, pos)[0], pos + 8
-    if tag == _B_NONE:
-        return None, pos
-    if tag == _B_STRUCT:
-        n = _unpack_I_from(data, pos)[0]
-        end = pos + 4 + n
-        raw = data[pos + 4 : end]
-        if len(raw) != n:
-            raise MarshalError("truncated stream")
-        entry = _STRUCT_DECODERS.get(raw)
-        if entry is None:
-            raise MarshalError(f"unknown struct {raw.decode('utf-8')!r} on the wire")
-        cls, fields, positional, nfields = entry
-        pos = end
-        values = []
-        append = values.append
-        for _ in range(nfields):
-            v, pos = _decode_at(data, pos)
-            append(v)
-        if positional:
-            return cls(*values), pos
-        return cls(**dict(zip(fields, values))), pos
-    if tag == _B_DICT:
-        n = _unpack_I_from(data, pos)[0]
-        pos += 4
+def _decode_from(reader: _Reader) -> Any:
+    tag = reader.take(1)
+    if tag == _TAG_NONE:
+        return None
+    if tag == _TAG_TRUE:
+        return True
+    if tag == _TAG_FALSE:
+        return False
+    if tag == _TAG_INT:
+        return struct.unpack(">q", reader.take(8))[0]
+    if tag == _TAG_FLOAT:
+        return struct.unpack(">d", reader.take(8))[0]
+    if tag == _TAG_STR:
+        return reader.take(reader.u32()).decode("utf-8")
+    if tag == _TAG_BYTES:
+        return reader.take(reader.u32())
+    if tag == _TAG_LIST:
+        return [_decode_from(reader) for _ in range(reader.u32())]
+    if tag == _TAG_TUPLE:
+        return tuple(_decode_from(reader) for _ in range(reader.u32()))
+    if tag == _TAG_DICT:
+        count = reader.u32()
         result = {}
-        for _ in range(n):
-            key, pos = _decode_at(data, pos)
-            value, pos = _decode_at(data, pos)
-            result[key] = value
-        return result, pos
-    if tag == _B_TUPLE:
-        n = _unpack_I_from(data, pos)[0]
-        pos += 4
-        values = []
-        append = values.append
-        for _ in range(n):
-            v, pos = _decode_at(data, pos)
-            append(v)
-        return tuple(values), pos
-    if tag == _B_LIST:
-        n = _unpack_I_from(data, pos)[0]
-        pos += 4
-        values = []
-        append = values.append
-        for _ in range(n):
-            v, pos = _decode_at(data, pos)
-            append(v)
-        return values, pos
-    if tag == _B_TRUE:
-        return True, pos
-    if tag == _B_FALSE:
-        return False, pos
-    if tag == _B_BYTES:
-        n = _unpack_I_from(data, pos)[0]
-        end = pos + 4 + n
-        raw = data[pos + 4 : end]
-        if len(raw) != n:
-            raise MarshalError("truncated stream")
-        return raw, end
-    raise MarshalError(f"unknown tag {bytes((tag,))!r}")
+        for _ in range(count):
+            key = _decode_from(reader)
+            result[key] = _decode_from(reader)
+        return result
+    if tag == _TAG_STRUCT:
+        name = reader.take(reader.u32()).decode("utf-8")
+        entry = _STRUCT_REGISTRY.get(name)
+        if entry is None:
+            raise MarshalError(f"unknown struct {name!r} on the wire")
+        cls, fields = entry
+        kwargs = {field: _decode_from(reader) for field in fields}
+        return cls(**kwargs)
+    raise MarshalError(f"unknown tag {tag!r}")
 
 
 def decode(data: bytes) -> Any:
     """Decode a value previously produced by :func:`encode`."""
-    try:
-        value, pos = _decode_at(data, 0)
-    except IndexError:
-        raise MarshalError("truncated stream") from None
-    except struct.error:
-        raise MarshalError("truncated stream") from None
-    if pos != len(data):
+    reader = _Reader(data)
+    value = _decode_from(reader)
+    if reader.pos != len(data):
         raise MarshalError("trailing bytes after value")
     return value
 
@@ -401,9 +223,17 @@ def decode(data: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 def wire_size(value: Any) -> int:
-    """Encoded size in bytes, computed without building the byte string."""
+    """Encoded size in bytes, computed without building the byte string.
+
+    Raises :class:`MarshalError` for exactly the values :func:`encode`
+    rejects: by reference, this is the only check a value gets.
+    """
     t = value.__class__
-    if t is int or t is float:
+    if t is int:
+        if _INT_MIN <= value <= _INT_MAX:
+            return 9
+        raise MarshalError(f"cannot marshal int outside signed 64-bit: {value}")
+    if t is float:
         return 9
     if t is str:
         # utf-8 length == str length for ASCII, the overwhelming case

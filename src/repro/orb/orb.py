@@ -6,16 +6,26 @@ strictly one-to-one.  Multicast does not exist at this level; the NewTop
 layers implement it by invoking each member in turn (the very inefficiency
 the paper measures and attributes to the lack of a messaging service, §2.2).
 
-Invocations on a servant hosted by the *same* node bypass the network and
-marshalling entirely, matching the paper's colocated client/NSO deployment
+Invocations on a servant hosted by the *same* node bypass the network
+entirely, matching the paper's colocated client/NSO deployment
 ("request-reply message pairs m1–m6, m3–m4 will not generate any network
 traffic", §5.1.1).
+
+Remote invocations cross the simulated network *by reference*: the network
+carries the ``Request``/``Reply`` struct itself, sized by
+``marshal.wire_size`` — marshalling is charged where the paper's hosts paid
+it, as virtual CPU per byte (``CpuProfile.per_byte``), not by really encoding
+between two nodes that share one heap.  The contract that makes this sound is
+the one colocated calls always had: a value handed to ``invoke`` belongs to
+the wire from then on — the sender does not mutate it, receivers treat it as
+read-only (copy before changing).  ``ORB.verify_wire`` is the reference path
+that checks it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ApplicationError, BadOperation, CommFailure, ObjectNotFound
 from repro.net.node import Node
@@ -46,13 +56,20 @@ class ORB:
 
     SERVICE = "orb"
 
+    #: The reference path the tests compare against, never set by library
+    #: code: when True every message is really encoded at send (its length
+    #: checked against ``wire_size``), travels as bytes and is decoded on
+    #: arrival, as separate address spaces would force.
+    #: ``tests/test_orb_wire_equivalence.py`` holds the two modes to identical
+    #: results, which is what gates the read-only contract above.
+    verify_wire = False
+
     def __init__(self, node: Node):
         self.node = node
         self.sim = node.sim
         self._adapters: Dict[str, POA] = {"RootPOA": POA(node.name)}
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, Future] = {}
-        self._interceptors: List[Any] = []
         # oneway invocations all resolve with None the moment the request is
         # handed to the transport: hand every caller the same already-resolved
         # future instead of allocating one per send (callbacks on a resolved
@@ -85,10 +102,6 @@ class ORB:
         if poa is not None:
             poa.deactivate(ior.object_id)
 
-    def add_interceptor(self, interceptor: Any) -> None:
-        """Register a portable-interceptor-style observer (see §2.2)."""
-        self._interceptors.append(interceptor)
-
     # ------------------------------------------------------------------
     # invocation
     # ------------------------------------------------------------------
@@ -115,18 +128,19 @@ class ORB:
         request_id = next(self._request_ids)
         reply_node = "" if oneway else self.node.name
         request = Request(request_id, target.key, operation, tuple(args), oneway, reply_node)
-        if self._interceptors:
-            self._notify("on_send_request", request, target)
-        data = marshal.encode(request)
-        size = len(data) + GIOP_OVERHEAD
+        # raises MarshalError here, at the call site, for an unmarshallable
+        # argument
+        wire = marshal.wire_size(request)
+        payload = self._encoded(request, wire) if self.verify_wire else request
+        size = wire + GIOP_OVERHEAD
 
         if oneway:
-            self.node.send(target.node, self.SERVICE, data, size, kind=net_kind)
+            self.node.send(target.node, self.SERVICE, payload, size, kind=net_kind)
             return self._oneway_done
 
         fut = Future(name=f"invoke:{target.node}.{operation}#{request_id}")
         self._pending[request_id] = fut
-        self.node.send(target.node, self.SERVICE, data, size, kind=net_kind)
+        self.node.send(target.node, self.SERVICE, payload, size, kind=net_kind)
         if timeout is None:
             return fut
         wrapped = with_timeout(self.sim, fut, timeout)
@@ -146,6 +160,16 @@ class ORB:
 
         wrapped.add_done_callback(on_done)
         return result
+
+    @staticmethod
+    def _encoded(message: Any, size: int) -> bytes:
+        """``verify_wire`` only: the bytes ``message`` occupies on the wire."""
+        data = marshal.encode(message)
+        if len(data) != size:
+            raise marshal.MarshalError(
+                f"wire_size says {size} bytes, encode produced {len(data)}: {message!r}"
+            )
+        return data
 
     def _invoke_local(self, target: IOR, operation: str, args: Tuple, oneway: bool) -> Future:
         """Colocated call: no marshalling, no network, small CPU cost."""
@@ -167,16 +191,15 @@ class ORB:
     # ------------------------------------------------------------------
     # server side
     # ------------------------------------------------------------------
-    def _on_message(self, src: str, payload: bytes, size: int) -> None:
-        message = marshal.decode(payload)
+    def _on_message(self, src: str, message: Any, size: int) -> None:
+        if self.verify_wire:
+            message = marshal.decode(message)
         if isinstance(message, Request):
-            self._handle_request(src, message)
+            self._handle_request(message)
         elif isinstance(message, Reply):
             self._handle_reply(message)
 
-    def _handle_request(self, src: str, request: Request) -> None:
-        if self._interceptors:
-            self._notify("on_receive_request", request, src)
+    def _handle_request(self, request: Request) -> None:
         adapter_name, _, object_id = request.object_key.partition("/")
         poa = self._adapters.get(adapter_name)
         servant = poa.servant(object_id) if poa is not None else None
@@ -254,12 +277,11 @@ class ORB:
         if not request.reply_node:
             return
         reply = Reply(request.request_id, status, value)
-        self._notify("on_send_reply", reply, request.reply_node)
-        data = marshal.encode(reply)
-        self.node.send(request.reply_node, self.SERVICE, data, len(data) + GIOP_OVERHEAD)
+        size = marshal.wire_size(reply)
+        payload = self._encoded(reply, size) if self.verify_wire else reply
+        self.node.send(request.reply_node, self.SERVICE, payload, size + GIOP_OVERHEAD)
 
     def _handle_reply(self, reply: Reply) -> None:
-        self._notify("on_receive_reply", reply, None)
         fut = self._pending.pop(reply.request_id, None)
         if fut is None or fut.done:
             return
@@ -269,12 +291,3 @@ class ORB:
             fut.fail(ObjectNotFound(str(reply.value)))
         else:
             fut.fail(ApplicationError(str(reply.value)))
-
-    # ------------------------------------------------------------------
-    # interceptors
-    # ------------------------------------------------------------------
-    def _notify(self, hook: str, message: Any, context: Any) -> None:
-        for interceptor in self._interceptors:
-            fn = getattr(interceptor, hook, None)
-            if fn is not None:
-                fn(message, context)

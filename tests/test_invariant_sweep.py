@@ -496,14 +496,9 @@ def test_sequencer_failover_mid_batch():
 # ---------------------------------------------------------------------------
 # join-under-loss: joins while traffic flows, sequencer != coordinator
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("batch", BATCHING)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_join_under_loss_sweep(seed, batch):
-    """Two members join a lossy asymmetric group in mid-traffic.  The
-    sequencer is hinted to n1 while n0 coordinates the view changes, so a
-    joiner hears tickets and its ViewInstall on different channels, and a
-    2% frame loss reorders them freely: whatever reaches a joiner before
-    its first view must be replayed after it, never dropped."""
+def join_under_loss(seed: int, batch: bool):
+    """One cell of the join-under-loss sweep: ``(cluster, record)`` after
+    the run (also a deployment of ``tests/test_orb_wire_equivalence.py``)."""
     topology = Topology()
     topology.add_site("lan", loss=0.02)
     c = Cluster(5, topology=topology, seed=seed)
@@ -526,6 +521,18 @@ def test_join_under_loss_sweep(seed, batch):
         for at, joiner in ((0.15, "n3"), (0.35, "n4")):
             c.sim.schedule(at, c.services[joiner].join_group, "g", "n0")
         c.run(6.0)
+    return c, record
+
+
+@pytest.mark.parametrize("batch", BATCHING)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_join_under_loss_sweep(seed, batch):
+    """Two members join a lossy asymmetric group in mid-traffic.  The
+    sequencer is hinted to n1 while n0 coordinates the view changes, so a
+    joiner hears tickets and its ViewInstall on different channels, and a
+    2% frame loss reorders them freely: whatever reaches a joiner before
+    its first view must be replayed after it, never dropped."""
+    c, record = join_under_loss(seed, batch)
     views = {name: c.services[name].session("g").view for name in c.names}
     assert all(set(view.members) == set(c.names) for view in views.values()), views
     assert len(record.deliveries("g", "n0")) == 180

@@ -8,13 +8,14 @@ a new struct anywhere in the tree automatically extends the test — and a
 struct this file cannot build a sample for fails with instructions instead
 of being silently skipped.
 
-This is the safety net under the marshal fast paths: the per-struct
-precompiled encoders, the positional-constructor decode path, and the
-``wire_size`` sizers must all agree with the generic codec for every struct
-that can reach a wire.
+This is the safety net under ``wire_size``, the one marshal function on the
+simulator's hot path: its per-struct sizers must agree with the codec for
+every struct that can reach a wire.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -219,40 +220,64 @@ def test_registry_is_nonempty_and_imports_cover_the_tree():
 # ---------------------------------------------------------------------------
 # the wire format, pinned where it is decided
 # ---------------------------------------------------------------------------
-#: struct -> (exact wire fields, encoded size of this file's sample).  A field
-#: added to or dropped from a group-communication message or a config carried
-#: in ``ViewInstall`` shifts every frame size, hence the virtual clock of
-#: every benchmark: it must show up here as a visible diff.
+#: struct -> (exact wire fields, encoded size of this file's sample, sha256 of
+#: its encoding).  A field added to or dropped from a group-communication
+#: message or a config carried in ``ViewInstall`` shifts every frame size,
+#: hence the virtual clock of every benchmark: it must show up here as a
+#: visible diff.  The digests pin the bytes themselves (sizes alone do not):
+#: they were computed with the codec as it stood before its fast paths were
+#: deleted, so the wire format provably did not change with them.
 WIRE_PINS = {
     "DataMsg": (
         ("group", "sender", "view_id", "gseq", "ts", "kind", "payload", "ticket",
          "vector", "acks", "hb_period", "era", "pushback"),
         184,
+        "ae4fd105f97b663097cb76dae494f7b9b76f7ed01ce3b495c6c551a43e44c71c",
     ),
     "TicketMsg": (
         ("group", "sender", "view_id", "ticket", "target_sender", "target_gseq", "era"),
         71,
+        "4379f0322ec0688b461c655bb6007c7f0e11c98180319d804f0e12b5a418cd95",
     ),
-    "TicketBatchMsg": (("group", "sender", "view_id", "tickets", "era"), 116),
-    "ViewInstall": (("group", "view", "attempt", "config", "unstable", "tickets"), 529),
+    "TicketBatchMsg": (
+        ("group", "sender", "view_id", "tickets", "era"),
+        116,
+        "e0acee6dec272c72cd24d050fe203e2a57fa0d8b61732bf0daf9b97b23d1daa2",
+    ),
+    "ViewInstall": (
+        ("group", "view", "attempt", "config", "unstable", "tickets"),
+        529,
+        "5950f9b38d2138d29960fe389a8b4325ed07bb6858f0344db30a0b743e1c3c43",
+    ),
     "GroupConfig": (
         ("ordering", "liveliness", "null_delay", "ack_delay", "silence_period",
          "suspicion_timeout", "flush_timeout", "sequencer_hint", "send_window",
          "flow_max_queue", "liveliness_config", "ordering_config"),
         186,
+        "0e5e8a6fce96fa81eaeeb5e1a2d7e2eba2ca6458731e2b0005da97a6eb9a4d3d",
     ),
-    "LivelinessConfig": (("adaptive", "max_silence_factor", "ack_coalesce_factor"), 40),
-    "OrderingConfig": (("ticket_batch_max", "ticket_batch_delay"), 37),
+    "LivelinessConfig": (
+        ("adaptive", "max_silence_factor", "ack_coalesce_factor"),
+        40,
+        "55828509c52c6b9f8aca94f964dcbd082b41b9bc15031202a4911b62095ca8f8",
+    ),
+    "OrderingConfig": (
+        ("ticket_batch_max", "ticket_batch_delay"),
+        37,
+        "df47934e4275e4de9faee8719ae23a975e6b213493e411f4554dcc6e21bd991a",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WIRE_PINS))
 def test_wire_fields_and_sizes_are_pinned(name):
-    fields, size = WIRE_PINS[name]
+    fields, size, digest = WIRE_PINS[name]
     cls, registered = _STRUCT_REGISTRY[name]
     assert tuple(cls._fields) == tuple(registered) == fields
     sample = _build_sample(name, cls, registered)
-    assert wire_size(sample) == len(encode(sample)) == size
+    data = encode(sample)
+    assert wire_size(sample) == len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 #: options deleted because no benchmark, scenario or example ever set them:

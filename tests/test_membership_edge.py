@@ -142,7 +142,6 @@ def test_joiner_keeps_tickets_that_arrive_before_its_first_view():
     late, the tickets arrive while n2 is still joining: they must be
     buffered like data and replayed after the install, not dropped."""
     from repro.groupcomm.messages import ChanData, ViewInstall
-    from repro.orb import marshal
 
     c = Cluster(3, seed=3)
     config = GroupConfig(
@@ -156,7 +155,7 @@ def test_joiner_keeps_tickets_that_arrive_before_its_first_view():
 
     def drop_first_install_to_joiner(src, dst, service, payload, size, kind=None):
         if not dropped and (src, dst) == ("n0", "n2"):
-            frame = marshal.decode(payload).args[1]
+            frame = payload.args[1]
             if isinstance(frame, ChanData) and isinstance(frame.inner, ViewInstall):
                 dropped.append(frame.seq)
                 c.net.stats.record_send(service, size, kind=kind)

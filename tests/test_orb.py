@@ -5,13 +5,11 @@ import pytest
 from repro.errors import ApplicationError, BadOperation, CommFailure, ObjectNotFound
 from repro.net import Network, Topology
 from repro.orb import (
-    CountingInterceptor,
     GroupProxy,
     IOGR,
     NameServer,
     NamingClient,
     ORB,
-    TraceInterceptor,
 )
 from repro.sim import Future, Simulator, run_process, sleep
 
@@ -197,24 +195,6 @@ def test_concurrent_invocations_multiplex_correctly():
         return values
 
     assert run_process(sim, proc()) == list(range(10))
-
-
-def test_interceptors_observe_flow():
-    sim, net, client, server = setup_pair()
-    trace = TraceInterceptor()
-    counts = CountingInterceptor()
-    client.add_interceptor(trace)
-    server.add_interceptor(counts)
-    ior = server.register(Echo())
-
-    def proc():
-        yield client.invoke(ior, "echo", ("x",))
-
-    run_process(sim, proc())
-    assert trace.operations("send_request") == ["echo"]
-    assert len(trace.operations("receive_reply")) == 1
-    assert counts.requests_received == 1
-    assert counts.replies_sent == 1
 
 
 def test_name_server_bind_resolve():

@@ -55,6 +55,27 @@ def test_unencodable_value_raises():
         encode(object())
 
 
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, [1, {"k": (2**64,)}]])
+def test_int_outside_signed_64_bit_is_rejected_by_size_and_codec(value):
+    # wire_size is the only check a value passes before crossing the
+    # simulated wire: it must refuse whatever encode cannot put there
+    with pytest.raises(MarshalError):
+        wire_size(value)
+    with pytest.raises(MarshalError):
+        encode(value)
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
+def test_signed_64_bit_limits_travel(value):
+    assert wire_size(value) == len(encode(value)) == 9
+    assert decode(encode(value)) == value
+
+
+def test_unencodable_value_is_rejected_by_size_at_any_depth():
+    with pytest.raises(MarshalError):
+        wire_size({"k": [1, (object(),)]})
+
+
 def test_truncated_stream_raises():
     data = encode("hello world")
     with pytest.raises(MarshalError):

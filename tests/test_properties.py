@@ -6,7 +6,8 @@ from repro.groupcomm import GroupConfig, LamportClock, Ordering, VectorClock
 from repro.groupcomm.views import GroupView
 from repro.core.modes import Mode, replies_needed
 from repro.bench.stats import summarize
-from repro.orb.marshal import decode, encode
+from repro.orb.ior import IOGR, IOR
+from repro.orb.marshal import decode, encode, wire_size
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +41,33 @@ def test_marshal_size_monotone_in_payload(items):
     base = len(encode(items))
     extended = len(encode(items + [0]))
     assert extended > base
+
+
+#: everything the codec carries beyond JSON's shapes: tuples, int keys, the
+#: whole signed 64-bit range and registered structs (IOR/IOGR compare by value)
+iors = st.builds(IOR, st.text(max_size=8), st.text(max_size=8), st.text(max_size=8))
+wire_values = st.recursive(
+    json_like
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    | iors
+    | st.builds(IOGR, st.lists(iors, min_size=1, max_size=3)),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.integers(-9, 9) | st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(wire_values)
+def test_wire_size_is_the_encoded_length_and_decode_inverts_encode(value):
+    """``wire_size`` is all the simulator computes per message; it must be the
+    length of the bytes the reference path would really send."""
+    data = encode(value)
+    assert wire_size(value) == len(data)
+    back = decode(data)
+    assert back == value
+    # == cannot tell True from 1 or 1 from 1.0; the bytes can
+    assert encode(back) == data
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def measure() -> dict:
         f"{style}/{ordering}": sweep(
             request_reply_point, WORKLOAD["topology"],
             style=style, ordering=ordering, **WORKLOAD["sweep"],
-        ).curve()
+        )
         for style in WORKLOAD["styles"]
         for ordering in WORKLOAD["orderings"]
     }

@@ -66,27 +66,19 @@ def run_config(shape: str, callers: int) -> dict:
     )
     env.serve_replicas("agg", MapReduceServant, WORKLOAD["replicas"], config=config)
 
-    cohort_services = env.add_clients(callers)
     scheme = SchemeConfig(
         invocation=shape,
         reply="combine",
         reducer="max",
-        callers=[service.name for service in cohort_services],
+        callers=[f"c{i}" for i in range(callers)],  # bind_clients' node names
         combine_id="bench",
         arg_reducer="sum",
     )
-    bindings = []
-    for service in cohort_services:
-        bindings.append(
-            service.bind_combined(
-                "agg", scheme, suspicion_timeout=10.0, flush_timeout=5.0
-            )
-        )
-        env.run(0.05)
-    env.settle(1.5)
-    for binding in bindings:
-        if not binding.ready.done:
-            raise SystemExit(f"combined binding failed to bind: {binding!r}")
+
+    def bind(service):
+        return service.bind_combined("agg", scheme, suspicion_timeout=10.0, flush_timeout=5.0)
+
+    bindings = env.bind_clients(callers, bind, settle=1.5)
 
     # closed-loop cohort: every iteration is one logical combined call
     driver = ClosedLoopClient(

@@ -40,12 +40,12 @@ def measure() -> dict:
         result[topology] = {
             "closed group": sweep(
                 request_reply_point, topology, style=BindingStyle.CLOSED, **WORKLOAD["sweep"]
-            ).curve(),
+            ),
             "open group": sweep(
                 request_reply_point, topology, style=BindingStyle.OPEN,
                 restricted=topology not in WORKLOAD["unrestricted_open"],
                 **WORKLOAD["sweep"],
-            ).curve(),
+            ),
         }
     return result
 

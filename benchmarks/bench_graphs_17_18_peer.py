@@ -47,7 +47,7 @@ def run_protocol(protocol: str) -> dict:
                 peer_point, topology, ordering=ordering,
                 liveliness_config=LivelinessConfig(**WORKLOAD["protocols"][protocol]),
                 **WORKLOAD["sweep"],
-            ).curve()
+            )
             for ordering in ORDERINGS
         }
         for topology in WORKLOAD["topologies"]

@@ -25,7 +25,7 @@ EXACT = ("latency_ms", "throughput", "errors", "requests")
 
 def measure() -> dict:
     return {
-        topology: sweep(request_reply_point, topology, **WORKLOAD["sweep"]).curve()
+        topology: sweep(request_reply_point, topology, **WORKLOAD["sweep"])
         for topology in WORKLOAD["topologies"]
     }
 

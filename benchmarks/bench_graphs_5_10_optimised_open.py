@@ -49,7 +49,7 @@ EXACT = ("latency_ms", "throughput", "errors", "requests")
 def measure() -> dict:
     return {
         topology: {
-            label: sweep(request_reply_point, topology, **arguments).curve()
+            label: sweep(request_reply_point, topology, **arguments)
             for label, arguments in WORKLOAD["curves"].items()
         }
         for topology in WORKLOAD["topologies"]

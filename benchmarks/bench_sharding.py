@@ -95,30 +95,18 @@ def run_config(num_shards: int) -> dict:
         suspicion_timeout=10.0,
         flush_timeout=5.0,
     )
-    services = env.add_servers(WORKLOAD["members"])
-    servers = []
-    for service in services:
-        servers.append(
-            service.serve_sharded("kv", ShardKVServant, num_shards, config=config)
-        )
-        env.run(0.25)
-    env.settle(1.0)
-    for server in servers:
-        if not server.ready.done or not server.provisioned:
-            raise SystemExit(f"sharded service failed to provision: {server!r}")
+    env.serve_replicas(
+        "kv", ShardKVServant, WORKLOAD["members"], shards=num_shards, settle=1.0,
+        config=config,
+    )
 
-    clients = env.add_clients(WORKLOAD["clients"])
-    kvs = []
-    for service in clients:
+    def bind(service):
         binding = service.bind_sharded(
             "kv", num_shards, suspicion_timeout=10.0, flush_timeout=5.0
         )
-        kvs.append(ShardedKVClient(binding, mode=Mode.FIRST, timeout=60.0))
-        env.run(0.05)
-    env.settle(1.5)
-    for kv in kvs:
-        if not kv.ready.done:
-            raise SystemExit(f"sharded binding failed to bind: {kv.binding!r}")
+        return ShardedKVClient(binding, mode=Mode.FIRST, timeout=60.0)
+
+    kvs = env.bind_clients(WORKLOAD["clients"], bind, settle=1.5)
 
     keys = build_key_pool(WORKLOAD["keys"])
     total_workers = WORKLOAD["clients"] * WORKLOAD["workers"]

@@ -33,7 +33,7 @@ def measure() -> dict:
     return {
         label: sweep(
             peer_point, WORKLOAD["topology"], ordering_config=config, **WORKLOAD["sweep"]
-        ).curve()
+        )
         for label, config in (
             ("baseline", None),
             ("batched", OrderingConfig(**WORKLOAD["batched"])),

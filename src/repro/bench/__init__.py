@@ -1,6 +1,6 @@
 """Benchmark harness reproducing the paper's Section 5 evaluation."""
 
-from repro.bench.env import Environment, REQUEST_REPLY_CONFIGS
+from repro.bench.env import DeploymentError, Environment, REQUEST_REPLY_CONFIGS
 from repro.bench.harness import (
     CLIENT_COUNTS,
     PEER_MEMBERS,
@@ -12,15 +12,11 @@ from repro.bench.harness import (
     sweep,
 )
 from repro.bench.report import emit, format_graph, format_table
-from repro.bench.stats import LatencySample, Point, Series, pinned, summarize
-from repro.bench.workloads import (
-    ClosedLoopClient,
-    PeerMember,
-    PeerTracker,
-    run_until_done,
-)
+from repro.bench.stats import LatencySample, pinned, summarize
+from repro.bench.workloads import ClosedLoopClient, PeerTracker, run_until_done
 
 __all__ = [
+    "DeploymentError",
     "Environment",
     "REQUEST_REPLY_CONFIGS",
     "ExperimentPoint",
@@ -32,12 +28,9 @@ __all__ = [
     "CLIENT_COUNTS",
     "PEER_MEMBERS",
     "LatencySample",
-    "Point",
-    "Series",
     "summarize",
     "pinned",
     "ClosedLoopClient",
-    "PeerMember",
     "PeerTracker",
     "run_until_done",
     "emit",

@@ -13,15 +13,16 @@ Peer experiments use ``lan`` or ``wan`` member placement.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.bench.workloads import PeerTracker
 from repro.core import NewTopService
+from repro.groupcomm import GroupConfig
 from repro.net import Network, Topology
 from repro.orb import NameServer, ORB
 from repro.sim import Simulator
 
-__all__ = ["Environment", "REQUEST_REPLY_CONFIGS", "SITES"]
+__all__ = ["DeploymentError", "Environment", "REQUEST_REPLY_CONFIGS", "SITES"]
 
 SITES = ("newcastle", "london", "pisa")
 
@@ -45,6 +46,10 @@ def _client_site(config: str, index: int) -> str:
     return SITES[(index + 1) % len(SITES)]
 
 
+class DeploymentError(RuntimeError):
+    """A deployment could not be brought up (not a measurement or SLO failure)."""
+
+
 class Environment:
     """A simulated deployment: topology, nodes, NewTop services, registry."""
 
@@ -60,7 +65,6 @@ class Environment:
             self.topology = Topology.paper_wan()
         self.net = Network(self.sim, self.topology)
         self.services: Dict[str, NewTopService] = {}
-        self._ids = itertools.count()
 
         registry_node = self.net.new_node("registry", "newcastle")
         registry_orb = ORB(registry_node)
@@ -103,15 +107,62 @@ class Environment:
         """Let group formation and registry traffic quiesce."""
         self.run(duration)
 
-    def serve_replicas(self, service_name: str, servant_factory, count: int, **kwargs):
-        """Start ``count`` replicas sequentially; returns the server objects."""
-        services = self.add_servers(count)
+    # ------------------------------------------------------------------
+    # bring-up: the one place a deployment's join schedule is written
+    # ------------------------------------------------------------------
+    def serve_replicas(
+        self, service_name: str, servant_factory, count: int,
+        shards: Optional[int] = None, settle: float = 0.5, **kwargs,
+    ):
+        """Start ``count`` replicas 0.25 s apart, settle, check; returns the
+        server objects.  With ``shards`` the service is sharded
+        (``serve_sharded``) and must come up provisioned as well as ready."""
         servers = []
-        for service in services:
-            servers.append(service.serve(service_name, servant_factory(), **kwargs))
+        for service in self.add_servers(count):
+            if shards is None:
+                server = service.serve(service_name, servant_factory(), **kwargs)
+            else:
+                server = service.serve_sharded(service_name, servant_factory, shards, **kwargs)
+            servers.append(server)
             self.run(0.25)
-        self.settle(0.5)
+        self.settle(settle)
         for server in servers:
             if not server.ready.done:
-                raise RuntimeError(f"replica failed to start: {server!r}")
+                raise DeploymentError(f"replica failed to start: {server!r}")
+            if shards is not None and not server.provisioned:
+                raise DeploymentError(
+                    f"unprovisioned: {count} replicas cannot fill {shards} shards: {server!r}"
+                )
         return servers
+
+    def bind_clients(self, count: int, bind: Callable[[NewTopService], Any], settle: float):
+        """Add client nodes ``c0..c<count-1>``, call ``bind(service)`` on each
+        0.05 s apart, settle, check ``.ready``; returns what ``bind`` returned
+        (a ``GroupBinding``, a ``CombinedBinding``, a ``ShardedKVClient``)."""
+        bound = []
+        for service in self.add_clients(count):
+            bound.append(bind(service))
+            self.run(0.05)
+        self.settle(settle)
+        for index, binding in enumerate(bound):
+            if not binding.ready.done:
+                raise DeploymentError(f"c{index}'s binding failed to become ready: {binding!r}")
+        return bound
+
+    def form_peer_group(self, count: int, config: GroupConfig, settle: float):
+        """Peer nodes ``p0..`` in one group ``conf``: ``p0`` creates it, the
+        rest join 0.2 s apart, settle, check ``.joined``.  Returns the
+        sessions and a :class:`PeerTracker` wired to their deliveries."""
+        services = self.add_peers(count)
+        sessions = [services[0].create_peer_group("conf", config)]
+        for service in services[1:]:
+            sessions.append(service.join_peer_group("conf", services[0].name))
+            self.run(0.2)
+        self.settle(settle)
+        for session in sessions:
+            if not session.joined.done:
+                raise DeploymentError(f"peer failed to join: {session!r}")
+        tracker = PeerTracker([session.member_id for session in sessions])
+        for session in sessions:
+            tracker.wire(session)
+        return sessions, tracker

@@ -13,13 +13,8 @@ from typing import Dict, Optional, Sequence
 from repro.apps.chat import make_peer_config
 from repro.apps.randserver import RandomNumberServant
 from repro.bench.env import Environment
-from repro.bench.stats import LatencySample, Point, Series
-from repro.bench.workloads import (
-    ClosedLoopClient,
-    PeerMember,
-    PeerTracker,
-    run_until_done,
-)
+from repro.bench.stats import LatencySample, pinned
+from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.core import BindingStyle, Mode, ReplicationPolicy
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.net import Network, Topology
@@ -135,19 +130,12 @@ def request_reply_deployment(
         config=GroupConfig(sequencer_hint="s0", **group_options),
         async_forwarding=async_forwarding,
     )
-    clients = env.add_clients(n_clients)
-    bindings = []
-    for service in clients:
-        bindings.append(
-            # the client/server groups run the served group's parameters
-            service.bind("rand", style=style, restricted=restricted, **group_options)
-        )
-        env.run(0.05)
-    env.settle(1.5)
-    for binding in bindings:
-        if not binding.ready.done:
-            raise RuntimeError(f"binding failed to become ready: {binding!r}")
-    return env, bindings
+
+    def bind(service):
+        # the client/server groups run the served group's parameters
+        return service.bind("rand", style=style, restricted=restricted, **group_options)
+
+    return env, env.bind_clients(n_clients, bind, settle=1.5)
 
 
 def request_reply_point(
@@ -227,19 +215,18 @@ def peer_point(
     ``GroupConfig`` fields on top of the peer preset (e.g. an
     ``ordering_config`` that tunes ticket batching / ack piggybacking)."""
     env = Environment(config=config, seed=seed, obs=obs)
-    services = env.add_peers(n_members)
-    peer_config = make_peer_config(ordering=ordering, **group_config)
-    sessions = [services[0].create_peer_group("conf", peer_config)]
-    for service in services[1:]:
-        sessions.append(service.join_peer_group("conf", services[0].name))
-        env.run(0.2)
-    env.settle(1.0)
-    names = [s.member_id for s in sessions]
-    tracker = PeerTracker(names)
-    for session in sessions:
-        PeerMember.wire_delivery(session, tracker)
+    sessions, tracker = env.form_peer_group(
+        n_members, make_peer_config(ordering=ordering, **group_config), settle=1.0
+    )
     members = [
-        PeerMember(env.sim, session, tracker, multicasts=multicasts)
+        ClosedLoopClient(
+            env.sim,
+            issue=tracker.multicaster(session),
+            requests=multicasts,
+            warmup=3,
+            window=8,
+            name=f"peer:{session.member_id}",
+        )
         for session in sessions
     ]
     run_until_done(env.sim, [m.done for m in members], deadline=env.sim.now + 600.0)
@@ -248,8 +235,8 @@ def peer_point(
     throughput = 0.0
     for member in members:
         latencies.extend(member.latencies)
-        if member.elapsed > 0:
-            throughput += len(member.latencies.values) / member.elapsed
+        elapsed = member.last_completion - member.first_timed_start
+        throughput += len(member.latencies.values) / elapsed
     count = env.sim.obs.metrics.counter_value
     return ExperimentPoint(
         latencies.mean_ms,
@@ -265,11 +252,12 @@ def peer_point(
 # ---------------------------------------------------------------------------
 # one curve of a graph
 # ---------------------------------------------------------------------------
-def sweep(point, config: str, xs: Sequence[int], **kwargs) -> Series:
+def sweep(point, config: str, xs: Sequence[int], **kwargs) -> Dict[int, Dict]:
     """``point(config, x, **kwargs)`` for each x (:data:`CLIENT_COUNTS` for
-    :func:`request_reply_point`, :data:`PEER_MEMBERS` for :func:`peer_point`)."""
-    series = Series(point.__name__)
+    :func:`request_reply_point`, :data:`PEER_MEMBERS` for :func:`peer_point`):
+    x -> the point's :func:`~repro.bench.stats.pinned` values and its counts."""
+    curve = {}
     for x in xs:
         measured = point(config, x, **kwargs)
-        series.add(Point(x, measured.latency_ms, measured.throughput, measured.detail))
-    return series
+        curve[x] = {**pinned(measured), **measured.detail}
+    return curve

@@ -53,7 +53,7 @@ def format_graph(
 ) -> str:
     """Render one paper graph as a table: x vs one column per curve.
 
-    ``curves`` maps a label to its :meth:`~repro.bench.stats.Series.curve`.
+    ``curves`` maps a label to a :func:`~repro.bench.harness.sweep` result.
     """
     xs = sorted({x for curve in curves.values() for x in curve})
     rows = [

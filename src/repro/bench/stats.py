@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-__all__ = ["LatencySample", "summarize", "pinned", "Point", "Series"]
+__all__ = ["LatencySample", "summarize", "pinned"]
 
 
 def summarize(values: List[float]) -> Dict[str, float]:
@@ -62,37 +62,3 @@ class LatencySample:
     @property
     def mean_ms(self) -> float:
         return summarize(self.values)["mean"] * 1e3
-
-
-class Point:
-    """One point of a paper graph: x (e.g. client count) -> measurements."""
-
-    def __init__(self, x: float, latency_ms: float, throughput: float, extra=None):
-        self.x = x
-        self.latency_ms = latency_ms
-        self.throughput = throughput
-        self.extra = extra or {}
-
-    def __repr__(self) -> str:
-        return f"Point(x={self.x}, {self.latency_ms:.2f}ms, {self.throughput:.0f}/s)"
-
-
-class Series:
-    """One curve of a paper graph."""
-
-    def __init__(self, label: str):
-        self.label = label
-        self.points: List[Point] = []
-
-    def add(self, point: Point) -> None:
-        self.points.append(point)
-
-    def curve(self) -> Dict:
-        """x -> the point's :func:`pinned` values and its counts."""
-        return {p.x: {**pinned(p), **p.extra} for p in self.points}
-
-    def at(self, x: float) -> Optional[Point]:
-        for point in self.points:
-            if point.x == x:
-                return point
-        return None

@@ -1,23 +1,24 @@
-"""Workload generators: closed-loop clients and saturating peer members.
+"""Workload generators: the closed-loop driver and the peer delivery tracker.
 
 "Clients were configured to issue requests as frequently as possible: as
 soon as a reply is received, another request is issued" (§5.1) — a classic
-closed loop.  Peer members likewise multicast as fast as the previous
-multicast becomes deliverable at every member (§5.2).
+closed loop.  Peer members likewise multicast as fast as group-wide
+delivery of their earlier multicasts allows (§5.2).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import GroupBinding, Mode
+from repro.errors import BindingBroken
 from repro.sim import Future, Simulator, spawn
 from repro.bench.stats import LatencySample
 
 __all__ = [
     "ClosedLoopClient",
     "PeerTracker",
-    "PeerMember",
     "run_until_done",
 ]
 
@@ -52,11 +53,14 @@ def run_until_done(
 
 
 class ClosedLoopClient:
-    """Issues requests back-to-back and records their latency.
+    """Keeps ``window`` requests outstanding and records their latency.
 
     ``issue(i)`` starts request ``i`` and returns its future; left out, it
     is ``operation(*args)`` through ``binding`` in ``mode``.  Request ``i``
     is untimed while ``i < warmup``.  ``name`` labels the driver process.
+
+    ``window=1`` is the §5.1 client; a §5.2 peer member issues asynchronous
+    one-way sends back to back under a window of 8, it does not stop-and-wait.
     """
 
     def __init__(
@@ -71,6 +75,7 @@ class ClosedLoopClient:
         timeout: float = 30.0,
         issue: Optional[Callable[[int], Future]] = None,
         name: Optional[str] = None,
+        window: int = 1,
     ):
         if issue is None:
             name = name or f"client:{binding.client_id}"
@@ -82,6 +87,7 @@ class ClosedLoopClient:
         self.issue = issue
         self.requests = requests
         self.warmup = warmup
+        self.window = window
         self.latencies = LatencySample()
         #: the timed latencies summed in completion order: the gated means
         #: divide this, because summing the sorted sample (``summarize``) or a
@@ -90,29 +96,51 @@ class ClosedLoopClient:
         self.first_timed_start: Optional[float] = None
         self.last_completion: Optional[float] = None
         self.errors = 0
+        self.outstanding = 0
+        self._broken = False
+        self._completion: Optional[Future] = None
         self.done = spawn(sim, self._loop(), name=name or "closed-loop")
 
     def _loop(self):
-        from repro.errors import BindingBroken
-
         for i in range(self.warmup + self.requests):
+            if self._broken:
+                break  # the binding is gone for good
             timed = i >= self.warmup
             start = self.sim.now
             if timed and self.first_timed_start is None:
                 self.first_timed_start = start
+            self.outstanding += 1
             try:
-                yield self.issue(i)
-            except BindingBroken:
-                self.errors += 1
-                return self.latencies  # the binding is gone for good
-            except Exception:  # noqa: BLE001 - count and continue
-                self.errors += 1
-                continue
-            if timed:
-                self.latencies.add(self.sim.now - start)
-                self.latency_sum += self.sim.now - start
-                self.last_completion = self.sim.now
+                request = self.issue(i)
+            except Exception as exc:  # noqa: BLE001 - count and continue
+                request = Future(name="issue-failed")
+                request.fail(exc)
+            # recorded in the request's done-callback, which then wakes this
+            # loop: the call stack of resuming on the request itself, no event moves
+            request.add_done_callback(partial(self._completed, timed, start))
+            yield from self._until_outstanding_below(self.window)
+        yield from self._until_outstanding_below(1)
         return self.latencies
+
+    def _until_outstanding_below(self, bound: int):
+        while self.outstanding >= bound:
+            self._completion = Future(name="completion")
+            yield self._completion
+
+    def _completed(self, timed: bool, start: float, request: Future) -> None:
+        self.outstanding -= 1
+        if request.failed:
+            self.errors += 1
+            if isinstance(request.exception, BindingBroken):
+                self._broken = True
+        elif timed:
+            self.latencies.add(self.sim.now - start)
+            self.latency_sum += self.sim.now - start
+            self.last_completion = self.sim.now
+        if self._completion is not None:
+            completion, self._completion = self._completion, None
+            completion.resolve()
+
 
 class PeerTracker:
     """Observes when a multicast has been delivered at every member."""
@@ -136,83 +164,26 @@ class PeerTracker:
             del self._outstanding[tag]
             future.try_resolve(None)
 
-
-class PeerMember:
-    """A peer-group member multicasting "as frequently as possible" (§5.2).
-
-    Sends are pipelined under a flow-control window: up to ``window``
-    multicasts may be awaiting group-wide delivery at once (the paper's
-    members issue asynchronous one-way sends back to back; they do not
-    stop-and-wait).  Latency is measured per multicast from issue until it
-    has become deliverable at every member.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        session,
-        tracker: PeerTracker,
-        multicasts: int = 100,
-        payload_chars: int = 100,
-        warmup: int = 3,
-        window: int = 8,
-    ):
-        self.sim = sim
-        self.session = session
-        self.tracker = tracker
-        self.multicasts = multicasts
-        self.payload_chars = payload_chars
-        self.warmup = warmup
-        self.window = window
-        self.latencies = LatencySample()
-        self.start_time: Optional[float] = None
-        self.end_time: Optional[float] = None
-        self.done = spawn(sim, self._loop(), name=f"peer:{session.member_id}")
-
-    def _loop(self):
-        me = self.session.member_id
-        total = self.warmup + self.multicasts
-        in_flight: List[Future] = []
-        for i in range(total):
-            timed = i >= self.warmup
-            tag = f"{me}:{i}"
-            body = tag.ljust(self.payload_chars, ".")
-            delivered_everywhere = self.tracker.expect(tag)
-            start = self.sim.now
-            if timed and self.start_time is None:
-                self.start_time = start
-
-            def record(_fut, timed=timed, start=start):
-                if timed:
-                    self.latencies.add(self.sim.now - start)
-                    self.end_time = self.sim.now
-
-            delivered_everywhere.add_done_callback(record)
-            self.session.send(body)
-            in_flight.append(delivered_everywhere)
-            while sum(1 for f in in_flight if not f.done) >= self.window:
-                # window full: wait for the oldest outstanding multicast
-                oldest = next(f for f in in_flight if not f.done)
-                yield oldest
-            in_flight = [f for f in in_flight if not f.done]
-        for fut in in_flight:
-            if not fut.done:
-                yield fut
-        return self.latencies
-
-    @property
-    def elapsed(self) -> float:
-        if self.start_time is None or self.end_time is None:
-            return 0.0
-        return self.end_time - self.start_time
-
-    @staticmethod
-    def wire_delivery(session, tracker: PeerTracker) -> None:
+    def wire(self, session) -> None:
         """Route a session's deliveries into the tracker."""
         member = session.member_id
 
         def on_deliver(sender: str, payload) -> None:
             tag = str(payload).split(".", 1)[0].rstrip(".")
-            tracker.delivered(member, tag)
+            self.delivered(member, tag)
 
         session.on_deliver = on_deliver
+
+    def multicaster(self, session, payload_chars: int = 100) -> Callable[[int], Future]:
+        """``issue(i)`` for ``session``: multicast ``payload_chars`` characters
+        tagged ``<member>:<i>``; the future resolves once every member has
+        delivered them."""
+        me = session.member_id
+
+        def issue(i: int) -> Future:
+            tag = f"{me}:{i}"
+            everywhere = self.expect(tag)
+            session.send(tag.ljust(payload_chars, "."))
+            return everywhere
+
+        return issue

@@ -15,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
-from repro.bench.env import Environment
+from repro.bench.env import DeploymentError, Environment
 from repro.bench.stats import summarize
-from repro.bench.workloads import PeerMember, PeerTracker, run_until_done
+from repro.bench.workloads import run_until_done
 from repro.apps.chat import make_peer_config
 from repro.apps.mapreduce import MapReduceServant
 from repro.apps.randserver import RandomNumberServant
@@ -50,8 +50,8 @@ SERVICE_NAME = "svc"
 CONVERGENCE_GRACE = 2.0
 
 
-class ScenarioError(RuntimeError):
-    """Raised when a scenario cannot be set up (not an SLO failure)."""
+#: raised when a scenario cannot be set up (not an SLO failure)
+ScenarioError = DeploymentError
 
 
 def _manager_admission(admission):
@@ -250,7 +250,6 @@ def _served_config(spec: ScenarioSpec) -> GroupConfig:
 
 def _setup_request_reply(env: Environment, spec: ScenarioSpec):
     """Replicated service + client attachment bindings; returns issuers."""
-    sim = env.sim
     group = spec.group
     traffic = spec.traffic
     admission = group.build_admission_config()
@@ -266,28 +265,16 @@ def _setup_request_reply(env: Environment, spec: ScenarioSpec):
         # bindings with the group-knowledge signals (watermark, pushback)
         admission=_manager_admission(admission) if open_style else None,
     )
-    clients = env.add_clients(traffic.bindings)
     bind_options = group.bind_options()
     scheme = traffic.build_scheme_config()
-    bindings = []
-    for service in clients:
-        bindings.append(
-            service.bind(
-                SERVICE_NAME,
-                scheme=scheme,
-                # the binding is the true ingress: shedding here keeps
-                # refused work out of the send queues entirely (for open
-                # bindings the manager's admission is the group-knowledge
-                # backstop behind it)
-                admission=admission,
-                **bind_options,
-            )
-        )
-        env.run(0.05)
-    env.settle(max(spec.settle, 0.5))
-    for binding in bindings:
-        if not binding.ready.done:
-            raise ScenarioError(f"binding failed to become ready: {binding!r}")
+
+    def bind(service):
+        # the binding is the true ingress: shedding here keeps refused work
+        # out of the send queues entirely (for open bindings the manager's
+        # admission is the group-knowledge backstop behind it)
+        return service.bind(SERVICE_NAME, scheme=scheme, admission=admission, **bind_options)
+
+    bindings = env.bind_clients(traffic.bindings, bind, settle=max(spec.settle, 0.5))
 
     # a scheme-bearing binding picks its own mode from the reply scheme;
     # the personalized scheme needs a scatter plan (every member gets the
@@ -334,50 +321,28 @@ def _setup_sharded(env: Environment, spec: ScenarioSpec):
     traffic = spec.traffic
     admission = group.build_admission_config()
     open_style = group.style == BindingStyle.OPEN
-    services = env.add_servers(group.replicas)
-    servers = []
-    for service in services:
-        servers.append(
-            service.serve_sharded(
-                SERVICE_NAME,
-                ShardKVServant,
-                group.shards,
-                layout=group.layout,
-                min_members_per_shard=group.min_members_per_shard,
-                policy=group.policy,
-                config=_served_config(spec),
-                async_forwarding=group.async_forwarding,
-                admission=_manager_admission(admission) if open_style else None,
-            )
-        )
-        env.run(0.25)
-    env.settle(max(spec.settle, 1.0))
-    for server in servers:
-        if not server.ready.done:
-            raise ScenarioError(f"sharded replica failed to start: {server!r}")
-        if not server.provisioned:
-            raise ScenarioError(
-                f"sharded service unprovisioned on {server.member_id}: "
-                f"{group.replicas} replica(s) cannot fill {group.shards} "
-                f"shard(s) of >= {group.min_members_per_shard}"
-            )
-    clients = env.add_clients(traffic.bindings)
+    env.serve_replicas(
+        SERVICE_NAME,
+        ShardKVServant,
+        group.replicas,
+        shards=group.shards,
+        settle=max(spec.settle, 1.0),
+        layout=group.layout,
+        min_members_per_shard=group.min_members_per_shard,
+        policy=group.policy,
+        config=_served_config(spec),
+        async_forwarding=group.async_forwarding,
+        admission=_manager_admission(admission) if open_style else None,
+    )
     bind_options = group.bind_options()
-    kv_clients = []
-    for service in clients:
+
+    def bind(service):
         binding = service.bind_sharded(
             SERVICE_NAME, group.shards, admission=admission, **bind_options
         )
-        kv_clients.append(
-            ShardedKVClient(binding, mode=traffic.mode, timeout=traffic.timeout)
-        )
-        env.run(0.05)
-    env.settle(max(spec.settle, 0.5))
-    for client in kv_clients:
-        if not client.ready.done:
-            raise ScenarioError(
-                f"sharded binding failed to become ready: {client.binding!r}"
-            )
+        return ShardedKVClient(binding, mode=traffic.mode, timeout=traffic.timeout)
+
+    kv_clients = env.bind_clients(traffic.bindings, bind, settle=max(spec.settle, 0.5))
 
     sampler = traffic.build_key_sampler(rng=sim.rng("scenario.keys"))
     operation = traffic.operation
@@ -418,7 +383,6 @@ def _setup_map_reduce(env: Environment, spec: ScenarioSpec):
     in-network, and the root issues the single group invocation.  The
     arrival completes when every cohort member's future resolves.
     """
-    sim = env.sim
     group = spec.group
     traffic = spec.traffic
     env.serve_replicas(
@@ -429,20 +393,14 @@ def _setup_map_reduce(env: Environment, spec: ScenarioSpec):
         config=_served_config(spec),
         async_forwarding=group.async_forwarding,
     )
-    cohort_services = env.add_clients(traffic.callers)
-    cohort = [service.name for service in cohort_services]
-    scheme = traffic.build_scheme_config(cohort)
+    # the cohort is the client nodes bind_clients is about to add
+    scheme = traffic.build_scheme_config([f"c{i}" for i in range(traffic.callers)])
     bind_options = group.bind_options()
-    bindings = []
-    for service in cohort_services:
-        bindings.append(service.bind_combined(SERVICE_NAME, scheme, **bind_options))
-        env.run(0.05)
-    env.settle(max(spec.settle, 0.5))
-    for binding in bindings:
-        if not binding.ready.done:
-            raise ScenarioError(
-                f"combined binding failed to become ready: {binding!r}"
-            )
+
+    def bind(service):
+        return service.bind_combined(SERVICE_NAME, scheme, **bind_options)
+
+    bindings = env.bind_clients(traffic.callers, bind, settle=max(spec.settle, 0.5))
 
     values = itertools.count(1)
 
@@ -478,8 +436,7 @@ def _setup_peer(env: Environment, spec: ScenarioSpec):
     """A lively peer group; each arrival is one multicast, completion is
     group-wide delivery (tracked like the §5.2 experiments)."""
     sim = env.sim
-    members = max(2, spec.group.replicas)
-    services = env.add_peers(members)
+    traffic = spec.traffic
     config = make_peer_config(
         ordering=spec.group.ordering,
         silence_period=spec.group.silence_period,
@@ -487,35 +444,16 @@ def _setup_peer(env: Environment, spec: ScenarioSpec):
         liveliness_config=spec.group.build_liveliness_config(),
         ordering_config=spec.group.build_ordering_config(),
     )
-    sessions = [services[0].create_peer_group("conf", config)]
-    for service in services[1:]:
-        sessions.append(service.join_peer_group("conf", services[0].name))
-        env.run(0.2)
-    env.settle(max(spec.settle, 1.0))
-    for session in sessions:
-        if not session.joined.done:
-            raise ScenarioError(f"peer failed to join: {session!r}")
-    tracker = PeerTracker([session.member_id for session in sessions])
-    for session in sessions:
-        PeerMember.wire_delivery(session, tracker)
+    sessions, tracker = env.form_peer_group(
+        max(2, spec.group.replicas), config, settle=max(spec.settle, 1.0)
+    )
 
-    counters = [0] * len(sessions)
-    traffic = spec.traffic
+    def issuer_for(session) -> Callable[[], Future]:
+        multicast = tracker.multicaster(session, traffic.payload_chars)
+        numbers = itertools.count(1)
+        return lambda: with_timeout(sim, multicast(next(numbers)), traffic.timeout)
 
-    def issuer_for(index: int) -> Callable[[], Future]:
-        session = sessions[index]
-
-        def issue() -> Future:
-            counters[index] += 1
-            tag = f"{session.member_id}:{counters[index]}"
-            body = tag.ljust(traffic.payload_chars, ".")
-            delivered = tracker.expect(tag)
-            session.send(body)
-            return with_timeout(sim, delivered, traffic.timeout)
-
-        return issue
-
-    issuers = [issuer_for(i) for i in range(len(sessions))]
+    issuers = [issuer_for(session) for session in sessions]
 
     def resolve_target(name: str) -> str:
         if name == "manager":  # the peer group's sequencer-equivalent

@@ -1,14 +1,15 @@
 """Smoke tests for the benchmark harness (small parameters) and its gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
+    ClosedLoopClient,
     Environment,
+    ExperimentPoint,
     LatencySample,
-    Point,
-    Series,
     corba_baseline,
     emit,
     format_graph,
@@ -17,11 +18,19 @@ from repro.bench import (
     peer_point,
     request_reply_point,
     summarize,
+    sweep,
 )
 from repro.bench.__main__ import experiments, load
 from repro.bench.env import REQUEST_REPLY_CONFIGS, _client_site, _server_site
 from repro.core import BindingStyle, Mode
+from repro.errors import BindingBroken
 from repro.groupcomm import Ordering
+from repro.scenario import load_spec
+from repro.scenario.__main__ import spec_sha256
+from repro.scenario.slo import build_slos
+from repro.sim import Future, Simulator
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 
 class TestStats:
@@ -42,15 +51,13 @@ class TestStats:
         assert sample.mean_ms == pytest.approx(2.0)
 
     def test_series_and_points(self):
-        series = Series("x")
-        series.add(Point(1, 2.0, 100.0))
-        series.add(Point(2, 3.0, 150.0))
-        assert series.curve() == {
-            1: {"latency_ms": 2.0, "throughput": 100.0},
-            2: {"latency_ms": 3.0, "throughput": 150.0},
+        def point(config, x, scale):
+            return ExperimentPoint(x * scale + 0.0004, 50.0 * x + 0.004, {"n": x})
+
+        assert sweep(point, "lan", (1, 2), scale=2.0) == {
+            1: {"latency_ms": 2.0, "throughput": 50.0, "n": 1},
+            2: {"latency_ms": 4.0, "throughput": 100.0, "n": 2},
         }
-        assert series.at(2).latency_ms == 3.0
-        assert series.at(9) is None
 
 
 class TestReport:
@@ -59,10 +66,9 @@ class TestReport:
         assert "T" in text and "2.50" in text and "100" in text
 
     def test_format_graph_merges_series(self):
-        s1, s2 = Series("one"), Series("two")
-        s1.add(Point(1, 5.0, 10.0))
-        s2.add(Point(2, 7.0, 20.0))
-        text = format_graph("G", {"one": s1.curve(), "two": s2.curve()}, metric="latency_ms")
+        one = {1: {"latency_ms": 5.0, "throughput": 10.0}}
+        two = {2: {"latency_ms": 7.0, "throughput": 20.0}}
+        text = format_graph("G", {"one": one, "two": two}, metric="latency_ms")
         assert "one" in text and "two" in text and "-" in text
 
     def test_emit_only_prints(self, tmp_path, monkeypatch, capsys):
@@ -95,6 +101,74 @@ class TestEnvironment:
         servers = env.serve_replicas("svc", RandomNumberServant, 2)
         assert len(servers) == 2
         assert set(servers[0].members) == {"s0", "s1"}
+
+
+class TestClosedLoopClient:
+    """The one closed-loop driver: §5.1's client at window 1, §5.2's member at 8."""
+
+    def test_window_1_counts_failures_and_stops_on_a_broken_binding(self):
+        sim = Simulator(seed=1)
+        failures = {2: RuntimeError("boom"), 5: BindingBroken("gone")}
+        issued = []
+
+        def issue(i):
+            issued.append((i, sim.now))
+            if i == 3:
+                raise ValueError("refused at the call site")
+            reply = Future(name=f"r{i}")
+            if i in failures:
+                sim.schedule(0.5, reply.fail, failures[i])
+            else:
+                sim.schedule(0.1 * (i + 1), reply.resolve, i)
+            return reply
+
+        client = ClosedLoopClient(sim, issue=issue, requests=9, warmup=1)
+        sim.run()
+        assert client.done.done and client.outstanding == 0
+        # strictly one at a time, each issued as the previous one completes;
+        # three failures counted, the BindingBroken one ends the loop early
+        assert [i for i, _at in issued] == [0, 1, 2, 3, 4, 5]
+        assert [at for _i, at in issued[1:4]] == pytest.approx([0.1, 0.3, 0.8])
+        assert client.errors == 3
+        # request 0 is warm-up; 1 and 4 are the timed successes, in that order
+        assert client.latencies.values == pytest.approx([0.2, 0.5])
+        first, second = client.latencies.values
+        assert client.latency_sum == 0.0 + first + second
+        assert client.first_timed_start == pytest.approx(0.1)
+        assert client.last_completion == pytest.approx(1.3)
+
+    def test_window_3_refills_on_any_completion_and_drains_before_done(self):
+        sim = Simulator(seed=1)
+        delays = [5.0, 1.0, 3.0, 1.0, 4.0, 1.0, 2.0]
+        in_flight, completed, peak = set(), [], [0]
+
+        def issue(i):
+            reply = Future(name=f"r{i}")
+            in_flight.add(i)
+            peak[0] = max(peak[0], len(in_flight))
+
+            def finish():
+                in_flight.discard(i)
+                completed.append(i)
+                reply.resolve(i)
+
+            sim.schedule(delays[i], finish)
+            return reply
+
+        client = ClosedLoopClient(sim, issue=issue, requests=5, warmup=2, window=3)
+        drained_at_done = []
+        client.done.add_done_callback(lambda _f: drained_at_done.append(not in_flight))
+        sim.run()
+        # request 0 stays outstanding until t=5 while 3, 4, 5 and 6 are issued
+        # around it: the window is a count, not a wait for the oldest
+        assert completed == [1, 3, 2, 5, 0, 4, 6]
+        assert peak == [3]
+        assert drained_at_done == [True] and client.outstanding == 0
+        # requests 0 and 1 are warm-up: five latencies, in completion order
+        assert client.latencies.values == [1.0, 3.0, 1.0, 4.0, 2.0]
+        assert client.latency_sum == 11.0
+        assert client.first_timed_start == 0.0 and client.last_completion == 6.0
+        assert client.errors == 0
 
 
 class TestHarnessSmoke:
@@ -255,12 +329,23 @@ def _keys(tree):
 
 
 def test_committed_file_has_exactly_the_gated_sections():
-    """Scripts and sections are in bijection: section name = file stem without bench_."""
+    """Sections are in bijection with the sixteen scripts (file stem without
+    bench_) and the canned scenarios (scenario.<file stem>); read, never run."""
     gates = json.loads(gate.GATES.read_text())
     assert len(experiments()) == 16
-    assert set(gates) == set(experiments())
+    specs = {f"scenario.{path.stem}": load_spec(path) for path in SCENARIOS.glob("*.json")}
+    assert len(specs) == 13
+    assert set(gates) == set(experiments()) | set(specs)
     for section in gates.values():
         assert set(section) == {"workload", "exact", "timed"}
+    for name, spec in specs.items():
+        section = gates[name]
+        # another spec is another experiment: the file is the one committed
+        assert section["workload"] == {"spec_sha256": spec_sha256(spec)}
+        assert set(section["exact"]["slos"]) == {slo.name for slo in build_slos(spec.slos)}
+        # the one expected failure is gated as the failure it is
+        assert section["exact"]["passed"] is (name != "scenario.failing_slo")
+        assert set(section["timed"]) == {"wall_time_s"}
 
 
 @pytest.mark.parametrize("name", experiments())

@@ -22,7 +22,7 @@ replicated Counter service and is judged on three axes at once:
 Each cell sweeps seeds × membership sizes internally, and every cell also
 runs a member-crash variant (a *server* crashes mid-sequence; the cohort
 stays up) judged against the survivors.  The tier-1 default is 3 seeds;
-CI's ``gmi-matrix`` job can widen via ``REPRO_GMI_SEEDS``.
+CI's ``sweeps`` job widens it to 5 via ``REPRO_GMI_SEEDS``.
 """
 
 import os

@@ -6,8 +6,8 @@ precedence, virtual synchrony).  This is the acceptance gate for the
 sequencer ticket-batching change: batching must alter traffic, never
 semantics.
 
-The tier-1 matrix keeps 2 seeds for speed; CI's ``invariant-sweep`` job
-widens it via ``REPRO_INVARIANT_SEEDS`` (comma-separated list) to 20+.
+The tier-1 matrix keeps 2 seeds for speed; CI's ``sweeps`` job widens
+it via ``REPRO_INVARIANT_SEEDS`` (comma-separated list) to 20.
 A mutation smoke-check deliberately reorders batched tickets and asserts
 the checker reports violations — proving the harness has teeth.
 """

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +23,11 @@ from repro.scenario import (
     next_arrival,
     run_scenario,
 )
-from repro.scenario.__main__ import main as scenario_main
+from repro.scenario.__main__ import gate_specs, main as scenario_main
 from repro.sim import Future, Simulator
 from tests.core_helpers import AppCluster, Counter
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 FAST = GroupConfig(
     ordering=Ordering.ASYMMETRIC,
@@ -369,6 +372,70 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert scenario_main(["run", str(broken)]) == 2
     assert scenario_main(["validate", str(passing)]) == 0
     assert scenario_main(["validate", str(broken)]) == 2
+
+    # a served group that cannot form (a lively group whose 20 ms suspicion
+    # timeout is shorter than a WAN hop) is a setup error like a binding that
+    # cannot: one "error:" line and status 2, not a traceback and status 1
+    cannot_form = json.loads((SCENARIOS / "wan_manager_crash.json").read_text())
+    cannot_form["faults"] = []
+    cannot_form["group"].update(
+        liveliness="lively", silence_period=0.03, suspicion_timeout=0.02,
+        flush_timeout=0.02, replicas=4,
+    )
+    unformed = tmp_path / "unformed.json"
+    unformed.write_text(json.dumps(cannot_form))
+    capsys.readouterr()
+    assert scenario_main(["run", str(unformed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {unformed}: replica failed to start")
+    assert captured.err.count("\n") == 1
+
+
+def test_gate_subcommand_matches_the_store_or_names_what_moved(tmp_path, capsys):
+    store = tmp_path / "gates.json"
+    spec_path = tmp_path / "smoke.json"
+    spec_path.write_text(json.dumps(SMOKE_SPEC))
+
+    def gate(check=True, path=spec_path):
+        status = gate_specs([str(path)], check=check, path=store)
+        return status, capsys.readouterr().out
+
+    assert gate(check=False) == (0, f"section 'scenario.smoke' written to {store}\n")
+    written = store.read_text()
+    section = json.loads(written)["scenario.smoke"]
+    assert set(section["timed"]) == {"wall_time_s"}
+    assert section["exact"]["slos"] == {"acct": True, "recon": True}
+    assert section["exact"]["passed"] and section["exact"]["flight_events"] == 0
+    assert gate() == (0, "ok scenario.smoke: exact values match gates.json\n")
+
+    # teeth: a committed counter off by one is named by its key path
+    drifted = json.loads(written)
+    drifted["scenario.smoke"]["exact"]["counters"]["gc.delivered"] += 1
+    store.write_text(json.dumps(drifted))
+    status, out = gate()
+    assert status == 1
+    assert "FAIL scenario.smoke.exact.counters.gc.delivered: " in out
+    assert out.count("FAIL") == 1
+    store.write_text(written)
+
+    # another SLO threshold is another experiment, whatever its verdict
+    edited = dict(SMOKE_SPEC, slos=[{"kind": "accounting", "name": "acct", "max_errors": 1},
+                                    SMOKE_SPEC["slos"][1]])
+    spec_path.write_text(json.dumps(edited))
+    status, out = gate()
+    assert status == 1 and out.count("FAIL") == 1
+    assert "FAIL scenario.smoke.workload.spec_sha256: " in out
+
+    # --check never writes: a spec with no section fails, here and in the CLI
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(SMOKE_SPEC))
+    status, out = gate(path=other)
+    assert status == 1 and "FAIL no committed section 'scenario.other'" in out
+    assert store.read_text() == written
+    assert scenario_main(["gate", "--check", str(other)]) == 1
+    other.write_text("{not json")
+    assert gate(path=other)[0] == 2
 
 
 def test_cli_fails_a_run_that_lost_in_flight_requests(tmp_path, capsys):

@@ -26,8 +26,10 @@ def summarize(values: List[float]) -> Dict[str, float]:
         # interpolation can drift an ulp outside the sample range
         return min(max(value, ordered[low]), ordered[high])
 
-    # float summation can drift the mean an ulp outside the sample range
-    mean = min(max(sum(ordered) / count, ordered[0]), ordered[-1])
+    # fsum is exactly rounded, hence equal under every interpreter (sum()
+    # is compensated from CPython 3.12 on); the division can still land
+    # the mean an ulp outside the sample range
+    mean = min(max(math.fsum(ordered) / count, ordered[0]), ordered[-1])
     return {
         "count": count,
         "mean": mean,

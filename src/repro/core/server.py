@@ -86,8 +86,8 @@ class _InvocationServant:
     def join_client_group(self, group_name: str, contact: str, style: str) -> Future:
         return self._server._join_client_group(group_name, contact, style)
 
-    def receive_state(self, state: Any) -> bool:
-        self._server._receive_state(state)
+    def receive_state(self, snapshot: StateSnapshot) -> bool:
+        self._server._receive_state(snapshot)
         return True
 
     def ping(self) -> bool:
@@ -186,10 +186,45 @@ class ObjectGroupServer:
         self.group.on_view = self._on_group_view
 
     def stop(self) -> Future:
-        """Leave the server group (graceful shutdown of this member)."""
+        """Leave the server group (graceful shutdown of this member).
+
+        Also ends a rejoin in flight: the loop is superseded (it counts no
+        rejoin and resolves nothing) and a ``ready`` nobody resolved yet
+        fails.  A session still joining is left as soon as its view
+        installs; with no live group — between rejoin attempts, or after an
+        exclusion — there is nobody to tell, so the member tears down
+        locally.  Resolves once this member is out of the group.
+        """
+        if not self.ready.done:
+            self.ready.fail(
+                GroupError(f"{self.member_id} stopped before joining {self.group_name}")
+            )
+        if self.group is None or self.group.state == "closed":
+            self._teardown()
+            done = Future(name=f"server-stopped:{self.service_name}@{self.member_id}")
+            done.resolve(None)
+            return done
+        self._restart_epoch += 1  # supersede any in-flight rejoin loop
         for session in list(self._client_groups.values()):
             session.leave()
         return self.group.leave()
+
+    def _teardown(self) -> None:
+        """Close every session of this incarnation locally and supersede any
+        in-flight rejoin loop.  Nothing is announced: the peers remove this
+        member through suspicion, as they would a crashed process."""
+        self._restart_epoch += 1
+        if self.group is not None:
+            self.group.on_deliver = None
+            self.group.on_view = None
+            self.group._close()
+            self.group = None
+        for session in list(self._client_groups.values()):
+            session.on_deliver = None
+            session.on_view = None
+            session._close()
+        self._client_groups.clear()
+        self._client_group_styles.clear()
 
     # ------------------------------------------------------------------
     # crash recovery: restart and rejoin
@@ -219,25 +254,14 @@ class ObjectGroupServer:
         producing a reply.  Resolves the returned future (also exposed
         as ``self.ready``) once the rejoined view is installed.
         """
-        if self.group is not None:
-            self.group.on_deliver = None
-            self.group.on_view = None
-            self.group._close()
-            self.group = None
-        for session in list(self._client_groups.values()):
-            session.on_deliver = None
-            session.on_view = None
-            session._close()
+        self._teardown()
         self._flight.record(self.member_id, "restart", self.group_name)
-        self._client_groups.clear()
-        self._client_group_styles.clear()
         self._collectors.clear()
         self._g2g_seen.clear()
         self._async_handled.clear()
         if self.admission is not None:
             # in-flight collectors died with the process: free their slots
             self.admission.reset()
-        self._restart_epoch += 1
         self._rejoin_contact = None
         self.ready = Future(name=f"server-rejoin:{self.service_name}@{self.member_id}")
         self._rejoin_attempt(0, self._restart_epoch)
@@ -329,6 +353,8 @@ class ObjectGroupServer:
             return
         if session.joined.done or self.group is not session:
             return
+        # not _teardown(): that would supersede this very loop, and closing
+        # the timed-out join is what makes it retry
         session.on_deliver = None
         session.on_view = None
         session._close()  # fails session.joined, which schedules the retry
@@ -378,10 +404,7 @@ class ObjectGroupServer:
             target = IOR(joiner, "RootPOA", server_servant_id(self.service_name))
             self.orb.invoke(target, "receive_state", (snapshot,), oneway=True)
 
-    def _receive_state(self, snapshot: Any) -> None:
-        if not isinstance(snapshot, StateSnapshot):
-            # legacy callers hand over raw servant state
-            snapshot = StateSnapshot(snapshot, [], [])
+    def _receive_state(self, snapshot: StateSnapshot) -> None:
         set_state = getattr(self.servant, "set_state", None)
         if set_state is not None and snapshot.servant_state is not None:
             set_state(snapshot.servant_state)

@@ -71,9 +71,8 @@ class NewTopService:
         self._pending_routes: Dict[int, GroupBinding] = {}
         self.servers: Dict[str, ObjectGroupServer] = {}
         #: replies forwarded here by other bindings' ``forward`` reply
-        #: scheme, newest last (bounded), plus an optional push handler
+        #: scheme, newest last (bounded)
         self.forwarded: List[ForwardedReply] = []
-        self._forwarded_handler = None
         self._forwarded_counter = self.sim.obs.metrics.counter("gmi.forwarded.received")
         orb.register(_ClientSink(self), object_id=client_sink_id(self.name))
 
@@ -118,7 +117,6 @@ class NewTopService:
         service_name: str,
         servant_factory: Any,
         num_shards: int,
-        layout: Any = "round_robin",
         min_members_per_shard: int = 1,
         policy: str = ReplicationPolicy.ACTIVE,
         config: Optional[GroupConfig] = None,
@@ -130,11 +128,11 @@ class NewTopService:
         """Host a member of the *sharded* service ``service_name``.
 
         The parent membership is partitioned into ``num_shards`` shard
-        groups by ``layout`` (a name from :data:`repro.shard.layout.LAYOUTS`
-        or a callable); this node hosts a fresh ``servant_factory()`` servant
-        for every shard the layout assigns it.  Discovery semantics mirror
-        :meth:`serve`.  Await ``server.ready`` (parent membership), then
-        check ``server.provisioned``.
+        groups by :func:`repro.shard.layout.round_robin`; this node hosts a
+        fresh ``servant_factory()`` servant for every shard the layout
+        assigns it.  Discovery semantics mirror :meth:`serve`.  Await
+        ``server.ready`` (parent membership), then check
+        ``server.provisioned``.
         """
         from repro.shard.server import ShardedServer  # local: avoid cycle
 
@@ -145,7 +143,6 @@ class NewTopService:
                 service_name,
                 servant_factory,
                 num_shards,
-                layout=layout,
                 min_members_per_shard=min_members_per_shard,
                 policy=policy,
                 config=config,
@@ -305,17 +302,11 @@ class NewTopService:
     # ------------------------------------------------------------------
     # forwarded replies (reply scheme ``forward``)
     # ------------------------------------------------------------------
-    def on_forwarded(self, handler) -> None:
-        """Install a callback for replies forwarded to this node."""
-        self._forwarded_handler = handler
-
     def _on_forwarded(self, reply: ForwardedReply) -> None:
         self._forwarded_counter.inc()
         self.forwarded.append(reply)
         if len(self.forwarded) > 256:
             self.forwarded.pop(0)
-        if self._forwarded_handler is not None:
-            self._forwarded_handler(reply)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<NewTopService {self.name}>"

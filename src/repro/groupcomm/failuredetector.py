@@ -158,9 +158,6 @@ class FailureDetector:
         advertised = self.peer_periods.get(member, 0.0)
         return max(timeout, advertised * SUSPICION_PERIODS)
 
-    def is_suspected(self, member: str) -> bool:
-        return member in self.suspected
-
     # ------------------------------------------------------------------
     # the periodic tick
     # ------------------------------------------------------------------

@@ -8,8 +8,9 @@ Three message families share the NSO-to-NSO channels:
 - membership layer: ``JoinReq`` / ``LeaveReq`` / ``SuspectMsg`` /
   ``FlushReq`` / ``FlushOk`` / ``ViewInstall``.
 
-All are marshallable structs; everything that crosses a node boundary is
-encoded to bytes.
+All are marshallable structs, sized by ``wire_size``.  They cross node
+boundaries by reference (see :mod:`repro.orb.orb`): a message belongs to
+the wire once sent — neither the sender nor any receiver mutates it.
 """
 
 from __future__ import annotations

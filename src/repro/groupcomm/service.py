@@ -167,7 +167,7 @@ class GroupCommService:
         self._kind_counters: Dict[str, Any] = {}
         #: peer NSO IORs are pure values; build each once, not per send
         self._peer_iors: Dict[str, IOR] = {}
-        self._nso_ref = orb.register(_NsoServant(self), object_id=NSO_OBJECT_ID)
+        orb.register(_NsoServant(self), object_id=NSO_OBJECT_ID)
         #: combined-invocation fan-in meeting point (flat and tree schemes)
         self.combiner = CombinerRendezvous(self._metrics)
         self.channels = ChannelManager(
@@ -218,10 +218,6 @@ class GroupCommService:
         """Globally increasing ordering ticket (shared across groups)."""
         self._ticket_counter += 1
         return self._ticket_counter
-
-    @property
-    def nso_ref(self) -> IOR:
-        return self._nso_ref
 
     # ------------------------------------------------------------------
     # transport (channel layer <-> ORB)

@@ -460,9 +460,9 @@ class GroupSession:
     # stability tracking
     # ------------------------------------------------------------------
     def _ingest_acks(self, reporter: str, acks: Dict[str, int]) -> None:
-        # the acks dict arrives freshly decoded from the wire (or freshly
-        # built for a local replay) and is never mutated afterwards, so it
-        # can be stored by reference instead of copied per message
+        # the sender builds a fresh acks dict per message
+        # (``_current_acks``) and, by the by-reference contract, nobody
+        # mutates it afterwards, so it is stored as is, not copied
         self._acked[reporter] = acks
         unstable = self.unstable
         if not unstable or self.view is None:

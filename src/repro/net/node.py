@@ -167,11 +167,6 @@ class Node:
         if self.alive:
             fn(*args)
 
-    @property
-    def queue_delay(self) -> float:
-        """Seconds of CPU work currently queued ahead of new submissions."""
-        return max(0.0, self._busy_until - self.sim.now)
-
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds this CPU spent busy."""
         if elapsed <= 0:

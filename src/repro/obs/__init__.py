@@ -21,9 +21,8 @@ bundles
 Metrics, the flight recorder and phase accounting are always on (they are
 cheap and deterministic); span recording is opt-in via
 ``Observability(trace=True)`` (or a :class:`TraceConfig` for sampled
-tracing), the global :func:`configure` options (used by the
-``python -m repro.bench --trace`` flag), or the ``REPRO_TRACE`` /
-``REPRO_TRACE_SAMPLE`` environment variables.
+tracing), or the process-wide :func:`configure` options behind the
+``python -m repro.bench --trace`` flag.
 
 The module deliberately imports nothing from the rest of ``repro`` so every
 layer — including the simulation kernel — can depend on it.
@@ -57,7 +56,6 @@ __all__ = [
     "Observability",
     "TraceSink",
     "configure",
-    "global_options",
     "reconcile_traffic",
     "Tracer",
     "TraceConfig",
@@ -209,24 +207,10 @@ def configure(
     _GLOBAL_OPTIONS["sink"] = sink
 
 
-def global_options() -> Dict[str, Any]:
-    return dict(_GLOBAL_OPTIONS)
-
-
 def observability_from_global_options() -> Observability:
     """Build the default Observability for a new Simulator."""
-    import os
-
-    trace = _GLOBAL_OPTIONS["trace"] or os.environ.get("REPRO_TRACE", "") not in (
-        "",
-        "0",
-        "false",
-    )
+    trace = _GLOBAL_OPTIONS["trace"]
     sample_rate = _GLOBAL_OPTIONS["sample_rate"]
-    env_rate = os.environ.get("REPRO_TRACE_SAMPLE", "")
-    if sample_rate is None and env_rate:
-        sample_rate = float(env_rate)
-        trace = True
     if trace and sample_rate is not None:
         obs = Observability(trace=TraceConfig(sample_rate=sample_rate))
     else:

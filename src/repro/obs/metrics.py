@@ -74,22 +74,6 @@ class Gauge:
 _frexp = math.frexp
 
 
-def _bucket_index(value: float) -> int:
-    """Map a positive value to its HDR bucket index.
-
-    Index layout: octave (binary exponent) * SUBBUCKETS + linear position of
-    the mantissa within the octave.  Zero and negative values map to
-    ``ZERO_BUCKET`` (counted, reported as 0.0).
-    """
-    if value <= 0.0:
-        return ZERO_BUCKET
-    mantissa, exponent = math.frexp(value)  # value = mantissa * 2**exponent, 0.5 <= m < 1
-    sub = int((mantissa - 0.5) * 2 * SUBBUCKETS)
-    if sub >= SUBBUCKETS:  # mantissa == 1.0 edge after float fuzz
-        sub = SUBBUCKETS - 1
-    return exponent * SUBBUCKETS + sub
-
-
 def _bucket_upper(index: int) -> float:
     """Upper bound of the bucket with the given index."""
     if index == ZERO_BUCKET:
@@ -120,11 +104,15 @@ class Histogram:
         mx = self.max
         if mx is None or value > mx:
             self.max = value
-        # _bucket_index inlined: record() runs once per queue/latency
-        # observation, and the extra call dominated the instrument cost
+        # HDR bucket index: octave (binary exponent) * SUBBUCKETS + linear
+        # position of the mantissa within the octave; zero and negative
+        # values map to ZERO_BUCKET (counted, reported as 0.0).  Computed
+        # in line: record() runs once per queue/latency observation, and a
+        # helper call dominated the instrument cost.
         if value <= 0.0:
             index = ZERO_BUCKET
         else:
+            # value = mantissa * 2**exponent, 0.5 <= mantissa < 1
             mantissa, exponent = _frexp(value)
             sub = int((mantissa - 0.5) * (2 * SUBBUCKETS))
             if sub >= SUBBUCKETS:  # mantissa == 1.0 edge after float fuzz
@@ -207,11 +195,6 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         return instrument.value if instrument is not None else default
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        """Current value of a gauge; ``default`` if it was never created."""
-        instrument = self._gauges.get(name)
-        return instrument.value if instrument is not None else default
-
     def histogram_summary(self, name: str) -> Optional[Dict[str, float]]:
         """Summary dict of a histogram, or ``None`` if it was never created."""
         instrument = self._histograms.get(name)
@@ -220,13 +203,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
-    def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
-        return {
-            name: c.value
-            for name, c in sorted(self._counters.items())
-            if name.startswith(prefix)
-        }
-
     def snapshot(self) -> Dict[str, Dict]:
         """A deterministic, JSON-serialisable view of every instrument."""
         return {

@@ -17,12 +17,10 @@ links come from two mechanisms:
    its send-span under the message id; the delivering session looks it up
    and parents the delivery span explicitly.
 
-A context also carries **labels** — small key/value pairs that flow with
-causality even when span recording is disabled.  (Per-kind network hop
-attribution deliberately does *not* use labels: labels flow downstream
-through the scheduler, so a reply sent while processing a delivered message
-would inherit the request's kind.  Hop kinds are threaded explicitly via
-``Node.send(..., kind=...)`` instead.)
+(Per-kind network hop attribution deliberately does *not* ride the
+context: the context flows downstream through the scheduler, so a reply sent
+while processing a delivered message would inherit the request's kind.  Hop
+kinds are threaded explicitly via ``Node.send(..., kind=...)`` instead.)
 
 Span ids are sequential integers; with a fixed seed two runs produce
 identical traces.
@@ -77,41 +75,22 @@ class TraceConfig:
 
 
 class ObsContext:
-    """The ambient observability context: active span + causal labels.
+    """The ambient observability context: the active span.
 
     ``sampled`` carries the head-sampling verdict of the trace this context
-    belongs to: contexts descending from an unsampled root keep flowing
-    (labels still work) but suppress span allocation everywhere downstream.
+    belongs to: contexts descending from an unsampled root keep flowing but
+    suppress span allocation everywhere downstream.
     """
 
-    __slots__ = ("span", "labels", "sampled")
+    __slots__ = ("span", "sampled")
 
-    def __init__(
-        self,
-        span: Optional["Span"],
-        labels: Tuple[Tuple[str, Any], ...] = (),
-        sampled: bool = True,
-    ):
+    def __init__(self, span: Optional["Span"], sampled: bool = True):
         self.span = span
-        self.labels = labels
         self.sampled = sampled
-
-    def label(self, key: str) -> Optional[Any]:
-        for name, value in self.labels:
-            if name == key:
-                return value
-        return None
-
-    def with_span(self, span: Optional["Span"]) -> "ObsContext":
-        return ObsContext(span, self.labels, self.sampled)
-
-    def with_label(self, key: str, value: Any) -> "ObsContext":
-        kept = tuple(pair for pair in self.labels if pair[0] != key)
-        return ObsContext(self.span, kept + ((key, value),), self.sampled)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self.sampled else " unsampled"
-        return f"<ObsContext span={self.span!r} labels={dict(self.labels)}{state}>"
+        return f"<ObsContext span={self.span!r}{state}>"
 
 
 class Span:
@@ -181,10 +160,10 @@ class Tracer:
 
     ``ctx`` is the ambient :class:`ObsContext` (or None).  The simulation
     kernel snapshots and restores it around every scheduled callback; layer
-    code activates spans and pushes labels through the helpers below.
+    code activates spans through the helpers below.
 
-    When ``enabled`` is False no spans are recorded and ``ctx`` carries only
-    labels — the tracing hot paths reduce to a couple of attribute reads.
+    When ``enabled`` is False no spans are recorded and ``ctx`` stays None —
+    the tracing hot paths reduce to a couple of attribute reads.
     With sampling (``config.sample_rate < 1``) the head decision is taken
     where a trace root would be allocated; descendants of an unsampled root
     see :attr:`recording` False and skip span allocation entirely.
@@ -307,11 +286,7 @@ class Tracer:
         of an earlier head-sampled-out invocation)."""
         prev = self.ctx
         if span is not None:
-            self.ctx = (
-                ObsContext(span, prev.labels, True)
-                if prev is not None
-                else ObsContext(span)
-            )
+            self.ctx = ObsContext(span)
         return prev
 
     def restore(self, token: Optional[ObsContext]) -> None:
@@ -332,12 +307,11 @@ class Tracer:
         Unlike :meth:`use`, a None span under active tracing means "this
         root was head-sampled out": an explicitly *unsampled* context is
         pushed so every downstream site (across scheduler hops) skips span
-        allocation for this invocation while labels keep flowing.
+        allocation for this invocation.
         """
         if span is None and self.enabled:
             prev = self.ctx
-            labels = prev.labels if prev is not None else ()
-            self.ctx = ObsContext(None, labels, False)
+            self.ctx = ObsContext(None, sampled=False)
             try:
                 yield None
             finally:
@@ -346,40 +320,9 @@ class Tracer:
             with self.use(span):
                 yield span
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        kind: str = "internal",
-        node: Optional[str] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-        parent: Any = "ambient",
-    ):
-        """start_span + activate; ends and restores on exit."""
-        span = self.start_span(name, kind=kind, node=node, attrs=attrs, parent=parent)
-        token = self.activate(span)
-        try:
-            yield span
-        finally:
-            self.end_span(span)
-            self.restore(token)
-
     @property
     def current_span(self) -> Optional[Span]:
         return self.ctx.span if self.ctx is not None else None
-
-    # ------------------------------------------------------------------
-    # labels (flow with causality even when span recording is off)
-    # ------------------------------------------------------------------
-    def push_label(self, key: str, value: Any) -> Optional[ObsContext]:
-        """Attach a causal label; returns the token to restore()."""
-        prev = self.ctx
-        base = prev if prev is not None else ObsContext(None)
-        self.ctx = base.with_label(key, value)
-        return prev
-
-    def label(self, key: str) -> Optional[Any]:
-        return self.ctx.label(key) if self.ctx is not None else None
 
     # ------------------------------------------------------------------
     # events

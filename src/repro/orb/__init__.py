@@ -1,8 +1,8 @@
 """Mini-ORB: the CORBA stand-in the NewTop service is layered over.
 
 Provides IOR/IOGR references, a CDR-style wire codec with honest sizes,
-object adapters, synchronous and oneway one-to-one invocation, smart proxies
-with IOGR failover, and a naming service.
+object adapters, synchronous and oneway one-to-one invocation, and a naming
+service.
 """
 
 from repro.orb.ior import IOGR, IOR
@@ -11,14 +11,12 @@ from repro.orb.messages import GIOP_OVERHEAD, Reply, Request
 from repro.orb.naming import NameServer, NamingClient
 from repro.orb.orb import DISPATCH_OVERHEAD, LOCAL_CALL_OVERHEAD, ORB
 from repro.orb.poa import DEFAULT_SERVANT_COST, POA
-from repro.orb.smartproxy import GroupProxy
 
 __all__ = [
     "ORB",
     "POA",
     "IOR",
     "IOGR",
-    "GroupProxy",
     "NameServer",
     "NamingClient",
     "Request",

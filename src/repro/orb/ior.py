@@ -3,8 +3,8 @@
 An :class:`IOR` names one servant on one node.  An :class:`IOGR`
 (Interoperable Object *Group* Reference, per the OMG fault-tolerance
 specification discussed in the paper §2.2) embeds the IORs of all group
-members with a designated primary; client-side machinery can fail over to
-the next profile when the primary is unreachable.
+members with a designated primary; the open binding rebinds to another
+member's profile when the one it uses becomes unreachable.
 """
 
 from __future__ import annotations
@@ -65,17 +65,6 @@ class IOGR:
     @property
     def primary_ref(self) -> IOR:
         return self.profiles[self.primary]
-
-    def ordered_profiles(self) -> List[IOR]:
-        """Profiles starting at the primary, wrapping around."""
-        return self.profiles[self.primary :] + self.profiles[: self.primary]
-
-    def without(self, ior: IOR) -> "IOGR":
-        """A new IOGR with ``ior`` removed (primary reset to 0)."""
-        remaining = [p for p in self.profiles if p != ior]
-        if not remaining:
-            raise ValueError("cannot remove the last profile")
-        return IOGR(remaining, 0)
 
     def __eq__(self, other: object) -> bool:
         return (

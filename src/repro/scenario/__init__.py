@@ -3,7 +3,7 @@
 Grows the repo from paper-replay toward a production-style test rig:
 
 - **open-loop traffic** (:mod:`~repro.scenario.arrivals`,
-  :mod:`~repro.scenario.traffic`) — Poisson / bursty-MMPP / ramp / diurnal
+  :mod:`~repro.scenario.traffic`) — Poisson / ramp / diurnal
   arrival processes driving aggregated virtual-client request injection
   with join/leave churn;
 - **fault schedules** (:mod:`~repro.scenario.faults`) — declarative
@@ -25,7 +25,6 @@ See ``docs/SCENARIOS.md`` and the canned specs under
 from repro.scenario.arrivals import (
     ArrivalProcess,
     DiurnalArrivals,
-    MMPPArrivals,
     PoissonArrivals,
     RampArrivals,
     arrival_process_from_spec,
@@ -46,7 +45,6 @@ from repro.scenario.runner import REPORT_VERSION, ScenarioError, run_scenario
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "MMPPArrivals",
     "RampArrivals",
     "DiurnalArrivals",
     "arrival_process_from_spec",

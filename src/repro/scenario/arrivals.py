@@ -10,10 +10,9 @@ violations actually show.
 Every process here exposes an **instantaneous rate function** ``rate(t)``
 (``t`` in seconds since traffic start) plus a ``peak_rate`` upper bound.
 Arrival times are drawn by Lewis–Shedler thinning against the peak rate
-(:func:`next_arrival`), which handles homogeneous, time-varying, and
-state-modulated processes uniformly and stays deterministic because every
-draw comes from one named simulation RNG stream and rate queries are only
-ever made at non-decreasing times.
+(:func:`next_arrival`), which handles homogeneous and time-varying
+processes uniformly and stays deterministic because every draw comes from
+one named simulation RNG stream.
 
 Rates are **per virtual client**; the traffic generator multiplies by the
 current population (see :mod:`repro.scenario.traffic`) so one generator
@@ -28,7 +27,6 @@ from typing import Dict, Optional
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "MMPPArrivals",
     "RampArrivals",
     "DiurnalArrivals",
     "arrival_process_from_spec",
@@ -43,17 +41,8 @@ class ArrivalProcess:
     peak_rate: float = 0.0
 
     def rate(self, t: float) -> float:  # pragma: no cover - abstract
-        """Instantaneous arrival rate (events/second) at elapsed time ``t``.
-
-        Implementations may keep internal state (e.g. the MMPP phase) that
-        is lazily evolved forward; callers must therefore query with
-        non-decreasing ``t``.
-        """
+        """Instantaneous arrival rate (events/second) at elapsed time ``t``."""
         raise NotImplementedError
-
-    def describe(self) -> Dict[str, object]:
-        """Spec-shaped dict (inverse of :func:`arrival_process_from_spec`)."""
-        raise NotImplementedError  # pragma: no cover - abstract
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -72,65 +61,6 @@ class PoissonArrivals(ArrivalProcess):
     def rate(self, t: float) -> float:
         return self._rate
 
-    def describe(self) -> Dict[str, object]:
-        return {"kind": "poisson", "rate": self._rate}
-
-
-class MMPPArrivals(ArrivalProcess):
-    """Bursty traffic: a two-state Markov-modulated Poisson process.
-
-    The process alternates between a quiet state (``rate_low``) and a burst
-    state (``rate_high``); dwell times in each state are exponential with
-    the given means.  State transitions are evolved lazily as ``rate`` is
-    queried, drawing dwell times from the RNG handed in at construction so
-    the burst pattern is part of the deterministic history.
-    """
-
-    def __init__(
-        self,
-        rate_low: float,
-        rate_high: float,
-        dwell_low: float = 10.0,
-        dwell_high: float = 2.0,
-        rng=None,
-    ):
-        self.rate_low = _require_positive("rate_low", rate_low)
-        self.rate_high = _require_positive("rate_high", rate_high)
-        if self.rate_high < self.rate_low:
-            raise ValueError("rate_high must be >= rate_low")
-        self.dwell_low = _require_positive("dwell_low", dwell_low)
-        self.dwell_high = _require_positive("dwell_high", dwell_high)
-        self.peak_rate = self.rate_high
-        self._rng = rng
-        self._in_burst = False
-        self._state_until = 0.0
-        self._primed = False
-
-    def bind_rng(self, rng) -> "MMPPArrivals":
-        self._rng = rng
-        return self
-
-    def rate(self, t: float) -> float:
-        if self._rng is None:
-            raise RuntimeError("MMPPArrivals needs an RNG (bind_rng) before use")
-        if not self._primed:
-            self._primed = True
-            self._state_until = self._rng.expovariate(1.0 / self.dwell_low)
-        while t >= self._state_until:
-            self._in_burst = not self._in_burst
-            dwell = self.dwell_high if self._in_burst else self.dwell_low
-            self._state_until += self._rng.expovariate(1.0 / dwell)
-        return self.rate_high if self._in_burst else self.rate_low
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "kind": "bursty",
-            "rate_low": self.rate_low,
-            "rate_high": self.rate_high,
-            "dwell_low": self.dwell_low,
-            "dwell_high": self.dwell_high,
-        }
-
 
 class RampArrivals(ArrivalProcess):
     """Linear ramp from ``start_rate`` to ``end_rate`` over ``ramp`` seconds,
@@ -146,14 +76,6 @@ class RampArrivals(ArrivalProcess):
     def rate(self, t: float) -> float:
         frac = min(max(t / self.ramp, 0.0), 1.0)
         return self.start_rate + (self.end_rate - self.start_rate) * frac
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "kind": "ramp",
-            "start_rate": self.start_rate,
-            "end_rate": self.end_rate,
-            "ramp": self.ramp,
-        }
 
 
 class DiurnalArrivals(ArrivalProcess):
@@ -175,23 +97,9 @@ class DiurnalArrivals(ArrivalProcess):
         cycle = 1.0 - math.cos(2.0 * math.pi * (t + self.phase) / self.period)
         return self.base_rate + swing * cycle
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "kind": "diurnal",
-            "base_rate": self.base_rate,
-            "peak_rate": self.peak_rate_value,
-            "period": self.period,
-            "phase": self.phase,
-        }
-
 
 _KINDS = {
     "poisson": (PoissonArrivals, ("rate",), ()),
-    "bursty": (
-        MMPPArrivals,
-        ("rate_low", "rate_high"),
-        ("dwell_low", "dwell_high"),
-    ),
     "ramp": (RampArrivals, ("start_rate", "end_rate", "ramp"), ()),
     "diurnal": (DiurnalArrivals, ("base_rate", "peak_rate", "period"), ("phase",)),
 }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import time
 from typing import Callable, Dict
 
@@ -26,7 +27,6 @@ from repro.apps.randserver import RandomNumberServant
 from repro.apps.sharded_kvstore import ShardKVServant, ShardedKVClient
 from repro.core.modes import BindingStyle, InvocationScheme
 from repro.groupcomm.config import GroupConfig
-from repro.obs import Observability
 from repro.obs.phases import PHASE_NAMES
 from repro.recovery import RecoveryManager, convergence_status
 from repro.shard import sharded_convergence_status
@@ -79,12 +79,6 @@ def run_scenario(source, obs=None) -> Dict:
     """
     spec = load_spec(source)
     started_wall = time.monotonic()
-    if obs is None:
-        # the spec's group.trace section can turn on (sampled) tracing for
-        # this run without any code changes at the call site
-        trace_config = spec.group.build_trace_config()
-        if trace_config is not None:
-            obs = Observability(trace=trace_config)
     env = Environment(config=spec.topology, seed=spec.seed, obs=obs)
     sim = env.sim
 
@@ -168,7 +162,9 @@ def run_scenario(source, obs=None) -> Dict:
             name: histograms.get(f"inv.phase.{name}", {"mean": 0.0})["mean"]
             for name in PHASE_NAMES
         }
-        phase_sum = sum(phase_means.values())
+        # fsum: the report is the same under every interpreter (plain sum()
+        # is compensated from CPython 3.12 on, so it differs by an ulp)
+        phase_sum = math.fsum(phase_means.values())
         breakdown = {
             "phases_ms": {n: m * 1e3 for n, m in phase_means.items()},
             "end_to_end_mean_ms": e2e["mean"] * 1e3,
@@ -327,7 +323,6 @@ def _setup_sharded(env: Environment, spec: ScenarioSpec):
         group.replicas,
         shards=group.shards,
         settle=max(spec.settle, 1.0),
-        layout=group.layout,
         min_members_per_shard=group.min_members_per_shard,
         policy=group.policy,
         config=_served_config(spec),

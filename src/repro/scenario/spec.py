@@ -29,7 +29,6 @@ from repro.groupcomm.config import (
     Ordering,
     OrderingConfig,
 )
-from repro.obs import TraceConfig
 from repro.recovery.policy import RetryPolicy
 from repro.scenario.arrivals import arrival_process_from_spec
 from repro.scenario.faults import FaultEvent
@@ -72,12 +71,10 @@ class GroupSpec:
     liveliness_config: Dict = field(default_factory=dict)
     ordering_config: Dict = field(default_factory=dict)
     retry: Dict = field(default_factory=dict)
-    trace: Dict = field(default_factory=dict)
     #: 0 = unsharded (flat group, seed behaviour); >= 1 partitions the
     #: parent membership into that many shard subgroups (repro.shard)
     shards: int = 0
     min_members_per_shard: int = 1
-    layout: str = "round_robin"
     #: admission-control policy (repro.overload.AdmissionConfig keys);
     #: empty dict = no admission control, seed behaviour.  Applied at every
     #: client binding (the ingress), and additionally at the request
@@ -91,8 +88,7 @@ class GroupSpec:
         "replicas", "style", "ordering", "restricted", "async_forwarding",
         "policy", "liveliness", "suspicion_timeout", "flush_timeout",
         "silence_period", "liveliness_config", "ordering_config", "retry",
-        "trace", "shards", "min_members_per_shard", "layout", "admission",
-        "flow_max_queue",
+        "shards", "min_members_per_shard", "admission", "flow_max_queue",
     )
 
     def __post_init__(self):
@@ -102,19 +98,12 @@ class GroupSpec:
             raise ValueError("group.shards must be >= 0 (0 = unsharded)")
         if self.min_members_per_shard < 1:
             raise ValueError("group.min_members_per_shard must be >= 1")
-        if self.shards:
-            from repro.shard.layout import resolve_layout
-
-            try:
-                resolve_layout(self.layout)
-            except ValueError as exc:
-                raise ValueError(f"group.layout: {exc}") from exc
-            if self.replicas < self.shards * self.min_members_per_shard:
-                raise ValueError(
-                    f"group.replicas={self.replicas} cannot provision "
-                    f"{self.shards} shard(s) of >= {self.min_members_per_shard} "
-                    f"member(s)"
-                )
+        if self.replicas < self.shards * self.min_members_per_shard:
+            raise ValueError(
+                f"group.replicas={self.replicas} cannot provision "
+                f"{self.shards} shard(s) of >= {self.min_members_per_shard} "
+                f"member(s)"
+            )
         _check_choice("group", "style", self.style, BindingStyle.ALL_STYLES)
         _check_choice("group", "ordering", self.ordering, Ordering.ALL)
         _check_choice("group", "policy", self.policy, ReplicationPolicy.ALL_POLICIES)
@@ -124,7 +113,6 @@ class GroupSpec:
         self.build_liveliness_config()  # validate eagerly
         self.build_ordering_config()
         self.build_retry_policy()
-        self.build_trace_config()
         self.build_admission_config()
 
     def build_liveliness_config(self) -> LivelinessConfig:
@@ -172,22 +160,6 @@ class GroupSpec:
             suspicion_timeout=self.suspicion_timeout,
             flush_timeout=self.flush_timeout,
         )
-
-    def build_trace_config(self) -> Optional[TraceConfig]:
-        """Per-scenario tracing policy (empty dict = tracing off, seed
-        behaviour).  Keys: ``enabled`` (bool, default True when the section
-        is present) and ``sample_rate`` (float in [0, 1], default 1.0)."""
-        if not isinstance(self.trace, dict):
-            raise ValueError("group.trace must be an object")
-        if not self.trace:
-            return None
-        _check_keys("group.trace", self.trace, ("enabled", "sample_rate"))
-        if not self.trace.get("enabled", True):
-            return None
-        try:
-            return TraceConfig(sample_rate=self.trace.get("sample_rate", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"group.trace: {exc}") from exc
 
     def build_retry_policy(self) -> Optional[RetryPolicy]:
         """Client per-call retry/backoff (empty dict = off, seed behaviour)."""

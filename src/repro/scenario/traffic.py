@@ -113,15 +113,6 @@ class KeySampler:
     def is_multi(self) -> bool:
         return self.multi_fraction > 0 and self._rng.random() < self.multi_fraction
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "space": self.space,
-            "distribution": self.distribution,
-            "alpha": self.alpha if self.distribution == "zipf" else None,
-            "multi_fraction": self.multi_fraction,
-            "multi_size": self.multi_size,
-        }
-
 
 class Population:
     """The number of live virtual clients N(t), with churn.
@@ -317,8 +308,6 @@ class OpenLoopGenerator:
         self.start_time: Optional[float] = None
         self.finished = Future(name="scenario.traffic")
         self._rng = sim.rng(rng_name)
-        if hasattr(process, "bind_rng") and getattr(process, "_rng", None) is None:
-            process.bind_rng(sim.rng(rng_name + ".mmpp"))
 
         metrics = sim.obs.metrics
         self._offered_c = metrics.counter("scenario.offered")

@@ -2,20 +2,16 @@
 groups, each with its own ordering session, plus shard-aware routing.
 
 See DESIGN.md ("Sharded subgroups") for the architecture and
-:mod:`repro.shard.layout` for the layout-callback contract.
+:mod:`repro.shard.layout` for the layout function.
 """
 
 from repro.shard.binding import ShardedBinding
 from repro.shard.convergence import sharded_convergence_status
 from repro.shard.layout import (
-    LAYOUTS,
     ProvisioningError,
     key_to_shard,
-    rendezvous,
-    resolve_layout,
     round_robin,
     shard_service_name,
-    validate_assignment,
 )
 from repro.shard.server import ShardedServer
 
@@ -24,11 +20,7 @@ __all__ = [
     "ShardedServer",
     "sharded_convergence_status",
     "ProvisioningError",
-    "LAYOUTS",
     "round_robin",
-    "rendezvous",
-    "resolve_layout",
     "key_to_shard",
     "shard_service_name",
-    "validate_assignment",
 ]

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.client import GroupBinding, InvocationResult
+from repro.core.client import GroupBinding
 from repro.core.modes import Mode
 from repro.core.scheme import scatter_parts
-from repro.errors import ApplicationError, BindingBroken
+from repro.errors import BindingBroken
 from repro.recovery.policy import RetryPolicy
 from repro.shard.layout import key_to_shard, shard_service_name
 from repro.sim.futures import Future
@@ -221,19 +221,6 @@ class ShardedBinding:
             else result.try_resolve(dict(zip(shard_nos, f.result())))
         )
         return result
-
-    @staticmethod
-    def gather_values(results: Dict[int, InvocationResult]) -> Dict[int, Any]:
-        """First successful value per shard from a scatter result."""
-        gathered: Dict[int, Any] = {}
-        for shard_no, outcome in results.items():
-            if outcome is None:
-                continue
-            try:
-                gathered[shard_no] = outcome.value
-            except ApplicationError:
-                continue
-        return gathered
 
     # ------------------------------------------------------------------
     # per-shard invoke with remap-on-broken-binding

@@ -1,64 +1,34 @@
 """Shard layout: partitioning one parent membership into N shard views.
 
-A *layout function* is the user-supplied policy that turns the parent
-group's membership into per-shard member lists (Derecho's
-``SubgroupInfo``/``make_subview`` shape): it is a pure function of the
-sorted member list, so every member recomputes the identical assignment
-on every parent view change without any layout-distribution protocol.
-
-Contract::
-
-    layout_fn(members: Sequence[str], num_shards: int,
-              min_members_per_shard: int) -> List[List[str]]
-
-- ``members`` arrives sorted; the function must be deterministic in it.
-- The result has exactly ``num_shards`` lists; each entry must be a
-  member of ``members``.  Overlapping shards are allowed (a member may
-  serve several shards); the bundled layouts produce disjoint ones.
-- If the membership cannot satisfy the layout (some shard would end up
-  with fewer than ``min_members_per_shard`` members), the function must
-  raise :class:`~repro.errors.ProvisioningError` — the shard layer then
-  keeps the previous assignment (degraded) and retries on the next view
-  change, mirroring Derecho's ``subgroup_provisioning_exception``.
+The layout is a pure function of the sorted member list (Derecho's
+``make_subview`` shape), so every member recomputes the identical
+assignment on every parent view change without any layout-distribution
+protocol.  If the membership cannot satisfy it (some shard would end up
+with fewer than ``min_members_per_shard`` members) :func:`round_robin`
+raises :class:`~repro.errors.ProvisioningError` — the shard layer then
+keeps the previous assignment (degraded) and retries on the next view
+change, mirroring Derecho's ``subgroup_provisioning_exception``.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import ProvisioningError
 
 __all__ = [
     "ProvisioningError",
     "round_robin",
-    "rendezvous",
-    "LAYOUTS",
-    "resolve_layout",
     "key_to_shard",
     "shard_service_name",
-    "validate_assignment",
 ]
-
-LayoutFn = Callable[[Sequence[str], int, int], List[List[str]]]
-
-
-def _check_provisioned(
-    assignment: List[List[str]], min_members_per_shard: int, layout_name: str
-) -> List[List[str]]:
-    for shard_no, assigned in enumerate(assignment):
-        if len(assigned) < min_members_per_shard:
-            raise ProvisioningError(
-                f"{layout_name}: shard {shard_no} has {len(assigned)} member(s), "
-                f"needs {min_members_per_shard}"
-            )
-    return assignment
 
 
 def round_robin(
     members: Sequence[str], num_shards: int, min_members_per_shard: int = 1
 ) -> List[List[str]]:
-    """The default layout: deal the sorted members cyclically over shards.
+    """The layout: deal the sorted members cyclically over shards.
 
     Balanced within one member (shard sizes differ by at most one), but a
     membership change can reshuffle many assignments — the shard layer's
@@ -67,81 +37,13 @@ def round_robin(
     assignment: List[List[str]] = [[] for _ in range(num_shards)]
     for index, member in enumerate(sorted(members)):
         assignment[index % num_shards].append(member)
-    return _check_provisioned(assignment, min_members_per_shard, "round_robin")
-
-
-def rendezvous(
-    members: Sequence[str], num_shards: int, min_members_per_shard: int = 1
-) -> List[List[str]]:
-    """Capacity-bounded rendezvous (highest-random-weight) layout.
-
-    Every (member, shard) pair gets a deterministic hash score; pairs are
-    assigned greedily best-score-first, with per-shard capacity bounded so
-    sizes stay within one of each other.  Compared to :func:`round_robin`
-    a single join/crash moves far fewer incumbents — it exists mostly to
-    demonstrate that the layout callback really is pluggable.
-    """
-    ordered = sorted(members)
-    base, extra = divmod(len(ordered), num_shards)
-    scored = sorted(
-        (
-            (zlib.crc32(f"{member}|{shard_no}".encode()), member, shard_no)
-            for member in ordered
-            for shard_no in range(num_shards)
-        ),
-        key=lambda item: (-item[0], item[1], item[2]),
-    )
-    assignment: List[List[str]] = [[] for _ in range(num_shards)]
-    placed = set()
-    bumped = 0  # shards already grown to base+1 (at most ``extra`` may)
-    for _score, member, shard_no in scored:
-        if member in placed:
-            continue
-        size = len(assignment[shard_no])
-        if size >= base and (size > base or bumped >= extra):
-            continue
-        if size == base:
-            bumped += 1
-        assignment[shard_no].append(member)
-        placed.add(member)
-    for shard in assignment:
-        shard.sort()
-    return _check_provisioned(assignment, min_members_per_shard, "rendezvous")
-
-
-LAYOUTS = {"round_robin": round_robin, "rendezvous": rendezvous}
-
-
-def resolve_layout(layout) -> LayoutFn:
-    """Accept a layout name (from :data:`LAYOUTS`) or a callable."""
-    if callable(layout):
-        return layout
-    fn = LAYOUTS.get(layout)
-    if fn is None:
-        raise ValueError(
-            f"unknown layout {layout!r}; known: {sorted(LAYOUTS)} or a callable"
-        )
-    return fn
-
-
-def validate_assignment(
-    assignment, members: Sequence[str], num_shards: int
-) -> List[List[str]]:
-    """Check a layout function's output against the contract."""
-    if len(assignment) != num_shards:
-        raise ProvisioningError(
-            f"layout returned {len(assignment)} shards, expected {num_shards}"
-        )
-    universe = set(members)
     for shard_no, assigned in enumerate(assignment):
-        stray = [m for m in assigned if m not in universe]
-        if stray:
+        if len(assigned) < min_members_per_shard:
             raise ProvisioningError(
-                f"layout assigned non-members {stray} to shard {shard_no}"
+                f"round_robin: shard {shard_no} has {len(assigned)} member(s), "
+                f"needs {min_members_per_shard}"
             )
-        if len(set(assigned)) != len(assigned):
-            raise ProvisioningError(f"layout repeats members in shard {shard_no}")
-    return [list(assigned) for assigned in assignment]
+    return assignment
 
 
 def key_to_shard(key, num_shards: int) -> int:

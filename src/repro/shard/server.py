@@ -35,11 +35,7 @@ from repro.core.modes import ReplicationPolicy
 from repro.core.server import ObjectGroupServer
 from repro.errors import GroupError, ProvisioningError
 from repro.groupcomm.config import GroupConfig
-from repro.shard.layout import (
-    resolve_layout,
-    shard_service_name,
-    validate_assignment,
-)
+from repro.shard.layout import round_robin, shard_service_name
 from repro.sim.futures import Future
 
 __all__ = ["ShardedServer"]
@@ -49,16 +45,10 @@ class _ShardDirectory:
     """The parent group's servant: membership bookkeeping only, no state
     (so the parent-level convergence digest is trivially equal everywhere)."""
 
-    OP_COSTS = {"ping": 5e-6, "describe": 10e-6}
-
-    def __init__(self, owner: "ShardedServer"):
-        self._owner = owner
+    OP_COSTS = {"ping": 5e-6}
 
     def ping(self) -> bool:
         return True
-
-    def describe(self) -> Dict[str, Any]:
-        return self._owner.describe_layout()
 
 
 class _ParentMember(ObjectGroupServer):
@@ -161,7 +151,6 @@ class ShardedServer:
         service_name: str,
         servant_factory: Callable[[], Any],
         num_shards: int,
-        layout="round_robin",
         min_members_per_shard: int = 1,
         policy: str = ReplicationPolicy.ACTIVE,
         config: Optional[GroupConfig] = None,
@@ -181,7 +170,6 @@ class ShardedServer:
         self.service_name = service_name
         self.servant_factory = servant_factory
         self.num_shards = num_shards
-        self.layout_fn = resolve_layout(layout)
         self.min_members_per_shard = min_members_per_shard
         self.policy = policy
         self.async_forwarding = async_forwarding
@@ -191,7 +179,7 @@ class ShardedServer:
             self,
             service,
             service_name,
-            _ShardDirectory(self),
+            _ShardDirectory(),
             policy=ReplicationPolicy.ACTIVE,
             config=config,
         )
@@ -242,14 +230,6 @@ class ShardedServer:
     def shard_server(self, shard_no: int) -> Optional[ObjectGroupServer]:
         return self.shard_servers.get(shard_no)
 
-    def describe_layout(self) -> Dict[str, Any]:
-        return {
-            "service": self.service_name,
-            "num_shards": self.num_shards,
-            "layout_version": self.layout_version,
-            "assignment": [list(a) for a in (self.assignment or [])],
-        }
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -288,12 +268,9 @@ class ShardedServer:
 
     def _recompute_layout(self, members: Sequence[str]) -> None:
         self._recompute_counter.inc()
-        ordered = sorted(members)
         try:
-            assignment = validate_assignment(
-                self.layout_fn(ordered, self.num_shards, self.min_members_per_shard),
-                ordered,
-                self.num_shards,
+            assignment = round_robin(
+                members, self.num_shards, self.min_members_per_shard
             )
         except ProvisioningError as exc:
             self._provision_counter.inc()
@@ -396,11 +373,10 @@ class ShardedServer:
         if server is None:
             return
         sub_name = shard_service_name(self.service_name, shard_no)
-        if graceful and server.group is not None and server.group.state != "closed":
-            server._restart_epoch += 1  # supersede any in-flight rejoin loop
+        if graceful:
             server.stop()
         else:
-            self._close_sessions(server)
+            server._teardown()
         self.service.servers.pop(sub_name, None)
         self.service.orb.deactivate(server._servant_ref)
         self._retired_counter.inc()
@@ -411,26 +387,11 @@ class ShardedServer:
         server = self.shard_servers.pop(shard_no, None)
         if server is None:
             return
-        self._close_sessions(server)
+        server._teardown()
         self.service.servers.pop(
             shard_service_name(self.service_name, shard_no), None
         )
         self.service.orb.deactivate(server._servant_ref)
-
-    @staticmethod
-    def _close_sessions(server: ObjectGroupServer) -> None:
-        server._restart_epoch += 1  # supersede any in-flight rejoin loop
-        if server.group is not None:
-            server.group.on_deliver = None
-            server.group.on_view = None
-            server.group._close()
-            server.group = None
-        for session in list(server._client_groups.values()):
-            session.on_deliver = None
-            session.on_view = None
-            session._close()
-        server._client_groups.clear()
-        server._client_group_styles.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         hosted = ",".join(str(n) for n in self.hosted_shards) or "-"

@@ -5,7 +5,7 @@ Public surface:
 - :class:`~repro.sim.core.Simulator` — clock, event queue, named RNG streams.
 - :class:`~repro.sim.futures.Future` — one-shot value containers.
 - :mod:`~repro.sim.process` — generator processes (``spawn``, ``sleep``,
-  ``all_of``, ``any_of``, ``with_timeout``, ``run_process``).
+  ``all_of``, ``with_timeout``, ``run_process``).
 """
 
 from repro.sim.core import ScheduledEvent, SimulationError, Simulator
@@ -13,7 +13,6 @@ from repro.sim.futures import Future, FutureError, SimTimeout
 from repro.sim.process import (
     Process,
     all_of,
-    any_of,
     run_process,
     sleep,
     spawn,
@@ -32,7 +31,6 @@ __all__ = [
     "spawn",
     "sleep",
     "all_of",
-    "any_of",
     "with_timeout",
     "run_process",
     "RngRegistry",

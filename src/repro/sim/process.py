@@ -26,7 +26,6 @@ __all__ = [
     "spawn",
     "sleep",
     "all_of",
-    "any_of",
     "with_timeout",
     "run_process",
 ]
@@ -119,32 +118,6 @@ def all_of(futures: Iterable[Future]) -> Future:
         remaining[0] -= 1
         if remaining[0] == 0:
             combined.resolve(results)
-
-    for i, fut in enumerate(futures):
-        fut.add_done_callback(lambda f, i=i: on_done(i, f))
-    return combined
-
-
-def any_of(futures: Iterable[Future]) -> Future:
-    """Resolve with ``(index, value)`` of the first future to succeed.
-
-    Fails only if *all* futures fail (with the last failure).
-    """
-    futures = list(futures)
-    if not futures:
-        raise ValueError("any_of() requires at least one future")
-    combined = Future(name=f"any_of[{len(futures)}]")
-    failures = [0]
-
-    def on_done(index: int, fut: Future) -> None:
-        if combined.done:
-            return
-        if fut.failed:
-            failures[0] += 1
-            if failures[0] == len(futures):
-                combined.fail(fut.exception)
-            return
-        combined.resolve((index, fut.result()))
 
     for i, fut in enumerate(futures):
         fut.add_done_callback(lambda f, i=i: on_done(i, f))

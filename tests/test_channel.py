@@ -3,7 +3,7 @@
 from typing import List, Tuple
 
 from repro.groupcomm.channel import ACK_EVERY, ChannelManager
-from repro.groupcomm.messages import ChanAck, ChanData, ChanNack
+from repro.groupcomm.messages import ChanAck, ChanData, ChanNack, ChanReset
 from repro.sim import Simulator
 
 
@@ -13,6 +13,7 @@ class Pipe:
     def __init__(self, sim, loss_seqs=None):
         self.sim = sim
         self.loss_seqs = set(loss_seqs or [])  # ChanData seqs to drop once
+        self.down = False  # True = the path drops everything, both ways
         self.a = None
         self.b = None
         self.delivered_a: List = []
@@ -22,6 +23,8 @@ class Pipe:
 
     def _send_from(self, src):
         def transport(peer, message):
+            if self.down:
+                return
             if (
                 isinstance(message, ChanData)
                 and (src, message.seq) in self.loss_seqs
@@ -127,6 +130,48 @@ def test_gap_skipped_after_max_retries():
     sim.run(until=5.0)
     assert delivered == ["two", "three", "four"]
     assert not b.has_pending_gaps()
+
+
+def test_reset_skips_a_range_the_sender_gave_up_on():
+    """A sender that exhausts its probes drops its backlog (``_probe`` past
+    ``PROBE_MAX``).  When the path returns, the receiver's NACK for that
+    range finds nothing to repair and is answered with ``ChanReset``: the
+    receiver skips to ``skip_to``, delivers what it buffered beyond it in
+    order, acks, and the channel carries on."""
+    sim = Simulator()
+    pipe = Pipe(sim)
+    resets = []
+    orig_transport = pipe.a.transport
+
+    def recording_transport(peer, message):
+        if isinstance(message, ChanReset):
+            resets.append(message.skip_to)
+        orig_transport(peer, message)
+
+    pipe.a.transport = recording_transport
+    pipe.down = True
+    pipe.a.send("b", "m1")
+    pipe.a.send("b", "m2")
+    sim.run(until=90.0)
+    assert pipe.a.outstanding_to("b") == 0  # gave up: backlog dropped
+    assert pipe.delivered_b == []
+
+    pipe.down = False
+    pipe.loss_seqs = {("a", 5)}  # and an ordinary loss behind the skipped range
+    for i in range(3, 7):
+        pipe.a.send("b", f"m{i}")
+    sim.run(until=sim.now + 1.0)
+    # frames 3, 4 and 6 waited out of order behind the NACK for 1..2; the
+    # reset released 3 and 4, the gap at 5 was then repaired the normal way
+    assert resets == [3]
+    assert pipe.delivered_b == ["m3", "m4", "m5", "m6"]
+    assert not pipe.b.has_pending_gaps()
+    assert pipe.a.outstanding_to("b") == 0  # acked: the sender's buffer drained
+    assert sim.obs.metrics.counter_value("gc.channel.gap_skips") == 0
+
+    pipe.a.send("b", "m7")
+    sim.run(until=sim.now + 1.0)
+    assert pipe.delivered_b[-1] == "m7"
 
 
 def test_nack_backoff_resets_once_gap_fills():

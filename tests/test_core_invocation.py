@@ -12,7 +12,12 @@ from repro.groupcomm import (
     OrderingConfig,
 )
 from repro.sim import run_process
-from tests.core_helpers import AppCluster, Counter, bind_scheme as bound_binding
+from tests.core_helpers import (
+    AppCluster,
+    Counter,
+    bind_combined_cohort,
+    bind_scheme as bound_binding,
+)
 
 
 LIVELY_FAST = GroupConfig(
@@ -269,6 +274,27 @@ def test_invoke_timeout():
     fut = binding.invoke("get", (), mode=Mode.FIRST, timeout=0.5)
     c.run(2.0)
     assert fut.failed and isinstance(fut.exception, CommFailure)
+
+
+def test_combined_invoke_timeout_fails_and_cancels_the_rendezvous_slot():
+    from repro.errors import CommFailure
+
+    c = AppCluster(servers=2, clients=4)
+    c.serve_all("svc", Counter)
+    scheme = SchemeConfig("combined_tree", callers=list(c.client_names))
+    bindings = bind_combined_cohort(c, scheme)
+    c.net.crash("c0")  # the root: nobody issues the group call or fans a reply
+    # c2 is a leaf under the root: its contribution goes up and is never answered
+    leaf = bindings[2].invoke("incr", (1,), timeout=0.5)
+    # c1 is an inner node, still waiting for its child c3 (which never calls)
+    inner = bindings[1].invoke("incr", (1,), timeout=0.5)
+    slots = c.services["c1"].gcs.combiner._slots
+    assert len(slots) == 1
+    c.run(2.0)
+    for fut in (leaf, inner):
+        assert fut.failed and isinstance(fut.exception, CommFailure)
+    assert not slots  # cancelled, not left armed for a call nobody waits on
+    assert not bindings[1]._pending and not bindings[2]._pending
 
 
 def test_closed_binding_close_releases_servers():

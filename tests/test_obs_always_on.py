@@ -55,16 +55,13 @@ def test_systematic_sampling_is_exact_not_probabilistic():
 
 def test_unsampled_root_suppresses_descendants_but_labels_flow():
     tracer = Tracer(enabled=True, config=TraceConfig(sample_rate=0.0))
-    token = tracer.push_label("client", "c0")
     root = tracer.start_span("invoke", parent=None)  # head-sampled out
     assert root is None
     with tracer.use_root(root):
         # downstream of an unsampled root: no spans, even explicit ones
         assert not tracer.recording
         assert tracer.start_span("gc.send") is None
-        assert tracer.label("client") == "c0"  # labels keep flowing
         tracer.event("ignored")  # must be a safe no-op
-    tracer.restore(token)
     assert tracer.records() == []
     assert tracer.unsampled_roots == 1
 
@@ -286,21 +283,18 @@ def test_peer_workloads_have_no_phase_breakdown():
     assert report["latency_breakdown"] is None  # no client invocations
 
 
-def test_scenario_trace_section_enables_sampled_tracing():
-    spec = json.loads(json.dumps(FLIGHT_SPEC))
-    spec["group"]["trace"] = {"sample_rate": 0.5}
-    report = run_scenario(spec)
-    counters = report["metrics"]["counters"]
-    assert counters["obs.roots_sampled"] > 0
-    assert counters["obs.roots_unsampled"] > 0
+def test_scenario_is_traced_through_an_injected_observability():
+    """Tracing is not a spec field: ``run_scenario(spec, obs=...)`` takes the
+    sampling policy, and the sampler never perturbs the run it watches."""
+    obs = Observability(trace=TraceConfig(sample_rate=0.5))
+    traced = run_scenario(FLIGHT_SPEC, obs=obs)
+    counters = traced["metrics"]["counters"]
+    assert counters["obs.roots_sampled"] > 0 and counters["obs.roots_unsampled"] > 0
     assert counters["obs.spans_dropped"] == 0
-    # disabled section (or none at all) keeps the seed's trace-off defaults
-    spec["group"]["trace"] = {"enabled": False}
-    off = run_scenario(spec)
-    assert off["metrics"]["counters"]["obs.roots_sampled"] == 0
-    assert off["metrics"]["counters"]["obs.roots_unsampled"] == 0
-    with pytest.raises(ValueError):
-        run_scenario({**spec, "group": {"trace": {"sample_rate": 2.0}}})
+    assert obs.trace_records()
+    plain = run_scenario(FLIGHT_SPEC)
+    assert plain["metrics"]["counters"]["obs.roots_sampled"] == 0
+    assert traced["sim"] == plain["sim"] and traced["traffic"] == plain["traffic"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,10 @@
-"""Tests for the mini-ORB: invocation, errors, oneway, local calls, proxies."""
+"""Tests for the mini-ORB: invocation, errors, oneway, local calls, naming."""
 
 import pytest
 
 from repro.errors import ApplicationError, BadOperation, CommFailure, ObjectNotFound
 from repro.net import Network, Topology
-from repro.orb import (
-    GroupProxy,
-    IOGR,
-    NameServer,
-    NamingClient,
-    ORB,
-)
+from repro.orb import NameServer, NamingClient, ORB
 from repro.sim import Future, Simulator, run_process, sleep
 
 
@@ -234,62 +228,3 @@ def test_name_server_duplicate_bind_fails_but_rebind_works():
         return missing
 
     assert run_process(sim, proc()) is False
-
-
-def test_group_proxy_fails_over_to_next_profile():
-    sim = Simulator(seed=2)
-    net = Network(sim, Topology.single_lan())
-    client_node = net.new_node("client", "lan")
-    s1 = net.new_node("s1", "lan")
-    s2 = net.new_node("s2", "lan")
-    client = ORB(client_node)
-    orb1, orb2 = ORB(s1), ORB(s2)
-    ior1 = orb1.register(Echo(), object_id="e")
-    ior2 = orb2.register(Echo(), object_id="e")
-    proxy = GroupProxy(client, IOGR([ior1, ior2]), timeout=0.05)
-    net.crash("s1")
-
-    def proc():
-        value = yield proxy.invoke("add", (4, 4))
-        return value
-
-    assert run_process(sim, proc()) == 8
-    assert proxy.failovers == 1
-    assert proxy.current_ref == ior2
-
-
-def test_group_proxy_all_profiles_down():
-    sim = Simulator(seed=2)
-    net = Network(sim, Topology.single_lan())
-    client = ORB(net.new_node("client", "lan"))
-    orb1 = ORB(net.new_node("s1", "lan"))
-    ior1 = orb1.register(Echo())
-    proxy = GroupProxy(client, IOGR([ior1]), timeout=0.05)
-    net.crash("s1")
-
-    def proc():
-        try:
-            yield proxy.invoke("echo", ("x",))
-        except CommFailure:
-            return "down"
-
-    assert run_process(sim, proc()) == "down"
-
-
-def test_group_proxy_does_not_fail_over_on_application_error():
-    sim = Simulator(seed=2)
-    net = Network(sim, Topology.single_lan())
-    client = ORB(net.new_node("client", "lan"))
-    orb1 = ORB(net.new_node("s1", "lan"))
-    orb2 = ORB(net.new_node("s2", "lan"))
-    ior1 = orb1.register(Echo())
-    ior2 = orb2.register(Echo())
-    proxy = GroupProxy(client, IOGR([ior1, ior2]), timeout=0.05)
-
-    def proc():
-        try:
-            yield proxy.invoke("boom", ())
-        except ApplicationError:
-            return proxy.failovers
-
-    assert run_process(sim, proc()) == 0

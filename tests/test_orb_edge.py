@@ -41,19 +41,6 @@ class TestIOGR:
         with pytest.raises(ValueError):
             IOGR([IOR("n", "P", "o")], primary=1)
 
-    def test_ordered_profiles_wrap(self):
-        profiles = [IOR(f"n{i}", "P", "o") for i in range(3)]
-        iogr = IOGR(profiles, primary=1)
-        assert [p.node for p in iogr.ordered_profiles()] == ["n1", "n2", "n0"]
-
-    def test_without_removes_profile(self):
-        profiles = [IOR(f"n{i}", "P", "o") for i in range(2)]
-        iogr = IOGR(profiles, primary=1)
-        reduced = iogr.without(profiles[1])
-        assert [p.node for p in reduced.profiles] == ["n0"]
-        with pytest.raises(ValueError):
-            reduced.without(profiles[0])
-
 
 class TestAdapters:
     def test_multiple_adapters_isolate_object_ids(self):

@@ -211,6 +211,69 @@ def test_client_side_shed_fails_fast_with_retry_after():
     assert third.done and not third.failed
 
 
+def tiny_queue_binding(cluster, **kwargs):
+    """A closed binding whose client/server session holds one message in
+    flight and one queued: the third back-to-back send overflows."""
+    binding = cluster.client(0).bind(
+        "svc", style=BindingStyle.CLOSED, send_window=1, flow_max_queue=1, **kwargs
+    )
+    cluster.run(1.0)
+    assert binding.ready.done
+    return binding
+
+
+def handed_to_transport(cluster):
+    counters = cluster.sim.obs.metrics.snapshot()["counters"]
+    return sum(v for name, v in counters.items() if name.startswith("gc.sent."))
+
+
+def test_send_queue_overflow_sheds_at_the_source():
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all("svc", Counter)
+    binding = tiny_queue_binding(c)
+    first = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=5.0)
+    second = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=5.0)
+    before = handed_to_transport(c)
+    third = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=5.0)
+    # no retry policy: fails at once with the default hint, and not one
+    # frame of it was handed to the transport
+    assert third.failed and isinstance(third.exception, Overloaded)
+    assert third.exception.retry_after == pytest.approx(0.2)
+    assert handed_to_transport(c) == before
+    c.run(5.0)
+    assert first.done and not first.failed and second.done and not second.failed
+    assert {s.servant.value for s in servers} == {2}  # the shed call ran nowhere
+
+
+def test_send_queue_overflow_retries_under_the_same_call_number():
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all("svc", Counter)
+    binding = tiny_queue_binding(
+        c, retry_policy=RetryPolicy(max_attempts=5, base_delay=0.05, max_delay=0.5)
+    )
+    futures = [
+        binding.invoke("incr", (1,), mode=Mode.ALL, timeout=8.0) for _ in range(3)
+    ]
+    assert not futures[2].done  # shed, but a retry is scheduled instead
+    c.run(10.0)
+    assert all(f.done and not f.failed for f in futures)
+    assert c.sim.obs.metrics.counter_value("client.retries") == 1
+    # three calls, three call numbers, each applied exactly once everywhere
+    assert all(len(s._own_replies) == 3 for s in servers)
+    assert {s.servant.value for s in servers} == {3}
+
+
+def test_send_queue_overflow_drops_a_one_way_call_and_counts_it():
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all("svc", Counter)
+    binding = tiny_queue_binding(c, admission=AdmissionConfig(retry_after=0.05))
+    sends = [binding.invoke("incr", (1,), mode=Mode.ONE_WAY) for _ in range(3)]
+    assert all(f.done and not f.failed for f in sends)  # nobody waits on a one-way
+    c.run(5.0)
+    assert c.sim.obs.metrics.counter_value("overload.shed") == 1
+    assert {s.servant.value for s in servers} == {2}
+
+
 def test_manager_shed_then_retry_completes_exactly_once():
     """A shed call is never partially executed: the retry under the same
     call number runs fresh through the reply cache and applies once."""

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import BindingStyle, Mode
 from repro.core.messages import InvokeMsg
-from repro.errors import CommFailure
+from repro.errors import CommFailure, GroupError
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.recovery import (
     RecoveryManager,
@@ -196,6 +196,53 @@ def test_duplicate_suppression_survives_restart():
     gc.send(InvokeMsg("c0", 1, "incr", (1,), Mode.ALL, False, ""))
     c.run(2.0)
     assert [s.servant.value for s in servers] == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# stop() during a rejoin: ends the loop it interrupts
+# ---------------------------------------------------------------------------
+def test_stop_between_rejoin_attempts_tears_down_and_ends_the_loop():
+    """restart() leaves ``group`` None until the registry lookup returns (and
+    again in every backoff window): stop() there used to raise
+    AttributeError, and the loop it should have ended went on to rejoin."""
+    c = AppCluster(servers=3, clients=0)
+    servers = c.serve_all("svc", Counter, config=FAST)
+    c.net.crash("s2")
+    c.run(0.1)
+    c.net.recover("s2")
+    ready = servers[2].restart()
+    assert servers[2].group is None  # the lookup is still in flight
+    stopped = servers[2].stop()
+    assert stopped.done and not stopped.failed
+    assert ready.failed and isinstance(ready.exception, GroupError)
+    c.run(30.0)
+    assert servers[2].group is None
+    assert "svc:svc" not in c.services["s2"].gcs.sessions
+    assert c.sim.obs.metrics.counter_value("server.rejoins") == 0
+    assert servers[0].members == servers[1].members == ["s0", "s1"]
+
+
+def test_stop_while_joining_leaves_and_counts_no_rejoin():
+    """A stop() that lands on a joining session leaves once the view
+    installs; the superseded loop must not count a rejoin or resolve
+    ``ready`` for a member that is on its way out."""
+    c = AppCluster(servers=3, clients=0)
+    servers = c.serve_all("svc", Counter, config=FAST)
+    c.net.crash("s2")
+    c.run(1.0)  # long enough for the survivors to remove s2: the join goes through
+    assert servers[0].members == ["s0", "s1"]
+    c.net.recover("s2")
+    ready = servers[2].restart()
+    while servers[2].group is None:
+        assert c.sim.step()
+    assert servers[2].group.state == "joining"
+    stopped = servers[2].stop()
+    assert ready.failed and isinstance(ready.exception, GroupError)
+    c.run(30.0)
+    assert stopped.done and not stopped.failed  # joined, then left
+    assert c.sim.obs.metrics.counter_value("server.rejoins") == 0
+    assert servers[0].members == servers[1].members == ["s0", "s1"]
+    assert "svc:svc" not in c.services["s2"].gcs.sessions
 
 
 # ---------------------------------------------------------------------------

@@ -71,18 +71,6 @@ def test_diurnal_cycles_between_base_and_peak():
     assert diurnal.rate(8.0) == pytest.approx(1.0)
 
 
-def test_mmpp_is_deterministic_per_rng_stream():
-    def burst_trace(seed):
-        process = arrival_process_from_spec(
-            {"kind": "bursty", "rate_low": 1.0, "rate_high": 20.0,
-             "dwell_low": 2.0, "dwell_high": 1.0}
-        ).bind_rng(random.Random(seed))
-        return [process.rate(t * 0.25) for t in range(200)]
-
-    assert burst_trace(5) == burst_trace(5)
-    assert burst_trace(5) != burst_trace(6)  # bursts move with the seed
-
-
 def test_thinning_respects_population_modulation():
     # doubling the population multiplier should ~double the arrivals
     process = PoissonArrivals(2.0)

@@ -1,7 +1,7 @@
 """Sharded subgroups (repro.shard): layout, routing, scatter/gather,
 re-layout on membership change, and crash recovery.
 
-The layout layer is pure-function tested; the service tests run a sharded
+The layout function is pure-function tested; the service tests run a sharded
 kvstore on an AppCluster and assert the paper-level properties: each shard
 orders independently (its own sequencer), single-key calls touch only the
 owning shard (FlexCast genuineness, via the protocol recorder), and
@@ -17,14 +17,7 @@ from repro.core import Mode
 from repro.errors import ProvisioningError
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.recovery import RecoveryManager
-from repro.shard import (
-    key_to_shard,
-    rendezvous,
-    resolve_layout,
-    round_robin,
-    sharded_convergence_status,
-    validate_assignment,
-)
+from repro.shard import key_to_shard, round_robin, sharded_convergence_status
 from repro.sim import run_process
 from tests.core_helpers import AppCluster
 from tests.invariants import (
@@ -44,8 +37,7 @@ FAST = GroupConfig(
 )
 
 
-def serve_all_sharded(cluster, num_shards, names=None, min_members=1,
-                      layout="round_robin"):
+def serve_all_sharded(cluster, num_shards, names=None, min_members=1):
     servers = []
     for name in names if names is not None else cluster.server_names:
         servers.append(
@@ -53,7 +45,6 @@ def serve_all_sharded(cluster, num_shards, names=None, min_members=1,
                 "kv",
                 ShardKVServant,
                 num_shards,
-                layout=layout,
                 min_members_per_shard=min_members,
                 config=FAST,
             )
@@ -94,29 +85,6 @@ def test_round_robin_is_deterministic_and_balanced():
         round_robin(["n0"], 2)
     with pytest.raises(ProvisioningError):
         round_robin(["n0", "n1", "n2"], 2, min_members_per_shard=2)
-
-
-def test_rendezvous_layout_covers_members_and_is_pluggable():
-    members = [f"n{i}" for i in range(7)]
-    assignment = rendezvous(members, 3)
-    flat = [m for shard in assignment for m in shard]
-    assert sorted(flat) == members  # disjoint and complete
-    assert max(map(len, assignment)) - min(map(len, assignment)) <= 1
-    assert rendezvous(members, 3) == assignment  # deterministic
-    assert resolve_layout("rendezvous") is rendezvous
-    assert resolve_layout(round_robin) is round_robin
-    with pytest.raises(ValueError):
-        resolve_layout("nope")
-
-
-def test_validate_assignment_enforces_the_contract():
-    with pytest.raises(ProvisioningError):  # wrong shard count
-        validate_assignment([["a"]], ["a"], 2)
-    with pytest.raises(ProvisioningError):  # non-member assigned
-        validate_assignment([["a"], ["b"]], ["a"], 2)
-    with pytest.raises(ProvisioningError):  # repeated member in one shard
-        validate_assignment([["a", "a"], ["b"]], ["a", "b"], 2)
-    assert validate_assignment([["a"], ["b"]], ["a", "b"], 2) == [["a"], ["b"]]
 
 
 def test_key_to_shard_is_stable_and_spreads():
@@ -294,6 +262,25 @@ def test_join_triggers_relayout_and_data_survives():
         assert got == items
 
     run_process(c.sim, verify(), until=c.sim.now + 5.0)
+
+
+def test_stop_leaves_every_hosted_shard_and_then_the_parent():
+    c = AppCluster(servers=4, clients=0)
+    servers = serve_all_sharded(c, num_shards=2)
+    assert servers[3].hosted_shards == [1]
+    stopped = servers[3].stop()
+    assert servers[3].hosted_shards == []  # handed back at once, not retired
+    c.run(3.0)
+    assert stopped.done and not stopped.failed
+    assert not [g for g in c.services["s3"].gcs.sessions if g.startswith("svc:kv")]
+    assert "kv#1" not in c.services["s3"].servers
+    # the survivors saw two graceful departures, not a suspicion
+    assert c.sim.obs.metrics.counter_value("gc.membership.suspicions") == 0
+    for server in servers[:3]:
+        assert server.group.members == ["s0", "s1", "s2"]
+        assert server.assignment == [["s0", "s2"], ["s1"]]
+        for shard_no in server.hosted_shards:
+            assert server.shard_server(shard_no).members == server.assignment[shard_no]
 
 
 def test_crash_relayout_restart_reconverges_with_state():

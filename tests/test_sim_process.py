@@ -8,7 +8,6 @@ from repro.sim import (
     SimTimeout,
     Simulator,
     all_of,
-    any_of,
     run_process,
     sleep,
     spawn,
@@ -173,29 +172,6 @@ def test_all_of_fails_fast():
     futs = [Future(), Future()]
     sim.schedule(1.0, futs[1].fail, ValueError("nope"))
     combined = all_of(futs)
-    sim.run()
-    assert combined.failed
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-    futs = [Future(), Future()]
-    sim.schedule(2.0, futs[0].resolve, "slow")
-    sim.schedule(1.0, futs[1].resolve, "fast")
-
-    def proc():
-        index, value = yield any_of(futs)
-        return index, value
-
-    assert run_process(sim, proc()) == (1, "fast")
-
-
-def test_any_of_fails_only_when_all_fail():
-    sim = Simulator()
-    futs = [Future(), Future()]
-    sim.schedule(1.0, futs[0].fail, ValueError("a"))
-    sim.schedule(2.0, futs[1].fail, ValueError("b"))
-    combined = any_of(futs)
     sim.run()
     assert combined.failed
 

@@ -131,10 +131,81 @@ KNOB_ALLOW_LIST = {
 }
 
 
+#: spec surface no canned scenario and no benchmark spec dict sets, kept
+#: regardless — same rule: a reason each, anything else unset is deleted
+SPEC_ALLOW_LIST = {
+    # paper §4.2 and passive replication: gated through repro.bench.harness
+    # (graphs 5-10, test_core_invocation), not through a spec
+    "group.async_forwarding",
+    "group.policy",
+    # the reply-scheme matrix's ``forward`` cell, which the CI sweeps job runs
+    "traffic.forward_to",
+    # ROADMAP's first open item audits the channel give-up path "against a
+    # slow-but-live peer": this is the fault that makes one
+    "fault.slow_node",
+    # the bare half of ``restart`` (power on without rejoining)
+    "fault.recover",
+}
+
+
 def _option_names(cls):
     if dataclasses.is_dataclass(cls):
         return [f.name for f in dataclasses.fields(cls)]
     return list(cls._fields)
+
+
+def _read_all(paths):
+    return {path: path.read_text(encoding="utf-8") for path in paths}
+
+
+def _unnamed_modules(root):
+    """Modules of ``src/repro`` that nothing names: neither the dotted path
+    nor an ``__all__`` name occurs in a benchmark, an example or another
+    module (``__init__`` re-exports do not count as a use)."""
+    src = root / "src"
+    modules = [
+        path for path in sorted((src / "repro").rglob("*.py"))
+        if path.name not in ("__init__.py", "__main__.py")
+    ]
+    users = _read_all(
+        [path for top in ("benchmarks", "examples") for path in (root / top).rglob("*.py")]
+        + [path for path in (src / "repro").rglob("*.py") if path.name != "__init__.py"]
+    )
+    unnamed = set()
+    for module in modules:
+        names = [re.escape(".".join(module.relative_to(src).with_suffix("").parts))]
+        exported = re.search(r"__all__\s*=\s*\[(.*?)\]", users[module], re.S)
+        if exported:
+            names += re.findall(r'"(\w+)"', exported.group(1))
+        named = re.compile(rf"\b(?:{'|'.join(names)})\b")
+        if not any(named.search(text) for path, text in users.items() if path != module):
+            unnamed.add(str(module.relative_to(src)))
+    return unnamed
+
+
+def _unset_spec_surface(root):
+    """Kinds, workloads and spec fields that no ``examples/scenarios/*.json``
+    and no spec dict under ``benchmarks/`` sets."""
+    from repro.scenario.arrivals import _KINDS as ARRIVAL_KINDS
+    from repro.scenario.faults import FAULT_KINDS
+    from repro.scenario.slo import SLO_KINDS
+    from repro.scenario.spec import WORKLOADS, ChurnSpec, GroupSpec, TrafficSpec
+
+    corpus = "\n".join(
+        _read_all(
+            sorted((root / "examples" / "scenarios").glob("*.json"))
+            + sorted((root / "benchmarks").rglob("*.py"))
+        ).values()
+    )
+    surface = {f"arrivals.{kind}": rf'"kind":\s*"{kind}"' for kind in ARRIVAL_KINDS}
+    surface.update({f"fault.{kind}": rf'"kind":\s*"{kind}"' for kind in FAULT_KINDS})
+    surface.update({f"slo.{kind}": rf'"kind":\s*"{kind}"' for kind in SLO_KINDS})
+    surface.update({f"workload.{name}": rf'"workload":\s*"{name}"' for name in WORKLOADS})
+    for section, cls in (("group", GroupSpec), ("traffic", TrafficSpec), ("churn", ChurnSpec)):
+        for name in cls._FIELDS:
+            # a JSON/dict key, or an item assignment into a spec dict
+            surface[f"{section}.{name}"] = rf'"{name}":|\["{name}"\]\s*='
+    return {what for what, pattern in surface.items() if not re.search(pattern, corpus)}
 
 
 def test_every_option_is_set_by_a_benchmark_scenario_or_example():
@@ -161,3 +232,20 @@ def test_every_option_is_set_by_a_benchmark_scenario_or_example():
         "with a reason), and allow-listed options that are set after all: "
         f"{sorted(unset ^ KNOB_ALLOW_LIST)}"
     )
+    # the same rule one level up: modules, and what a scenario spec can say
+    assert _unnamed_modules(root) == set(), (
+        "modules no benchmark, example or other module names (delete them)"
+    )
+    unset_surface = _unset_spec_surface(root)
+    assert unset_surface == SPEC_ALLOW_LIST, (
+        "spec kinds/fields no canned scenario or benchmark spec sets (delete "
+        "them, or allow-list them with a reason), and allow-listed ones that "
+        f"are set after all: {sorted(unset_surface ^ SPEC_ALLOW_LIST)}"
+    )
+    # and no way to configure the library from outside the program's inputs
+    reads_environment = [
+        str(path.relative_to(root))
+        for path in sorted((root / "src").rglob("*.py"))
+        if re.search(r"\bos\.environ\b", path.read_text(encoding="utf-8"))
+    ]
+    assert reads_environment == []

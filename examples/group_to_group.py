@@ -60,9 +60,9 @@ def main():
             bindings["price1"].invoke("put", ("widget", 41), mode=Mode.ALL),
         ]
         yield all_of(futures)
-        futures = [
-            bindings["price0"].invoke("get", ("widget",), mode=Mode.ALL),
-            bindings["price1"].invoke("get", ("widget",), mode=Mode.ALL),
+        futures = [  # a g2g call takes bind()'s timeout: a lost manager fails it
+            bindings["price0"].invoke("get", ("widget",), mode=Mode.ALL, timeout=2.0),
+            bindings["price1"].invoke("get", ("widget",), mode=Mode.ALL, timeout=2.0),
         ]
         results = yield all_of(futures)
         return results

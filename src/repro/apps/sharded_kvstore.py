@@ -41,7 +41,7 @@ class ShardKVServant(KVStoreServant):
             self.put(key, value)
         return len(items)
 
-    def scan_keys(self, prefix: str = "") -> List[str]:
+    def scan_keys(self, prefix: str) -> List[str]:
         """This shard's keys with ``prefix``, sorted."""
         return [key for key in sorted(self._data) if key.startswith(prefix)]
 
@@ -84,7 +84,7 @@ class ShardedKVClient:
         scattered = self.binding.scatter(
             "mget", list(keys), mode=self.mode, timeout=self.timeout
         )
-        return _map_result(scattered, _merge_dicts)
+        return scattered.then(_merge_dicts)
 
     def mput(self, items: Dict[str, Any]) -> Future:
         """Resolves with the total number of pairs written."""
@@ -96,34 +96,18 @@ class ShardedKVClient:
             self.timeout,
             lambda shard_keys: ([(key, items[key]) for key in shard_keys],),
         )
-        return _map_result(scattered, _sum_counts)
+        return scattered.then(_sum_counts)
 
     # -- range read (every shard is genuinely addressed) ---------------
-    def scan_keys(self, prefix: str = "") -> Future:
+    def scan_keys(self, prefix: str) -> Future:
         """Resolves with all matching keys across every shard, sorted."""
         scattered = self.binding.invoke_all(
             "scan_keys", (prefix,), mode=self.mode, timeout=self.timeout
         )
-        return _map_result(scattered, _merge_key_lists)
+        return scattered.then(_merge_key_lists)
 
     def close(self) -> None:
         self.binding.close()
-
-
-def _map_result(scattered: Future, combine) -> Future:
-    result = Future(name="sharded-kv-gather")
-
-    def on_done(fut: Future) -> None:
-        if fut.failed:
-            result.fail(fut.exception)
-            return
-        try:
-            result.resolve(combine(fut.result()))
-        except Exception as exc:  # noqa: BLE001 - servant error in a reply
-            result.fail(exc)
-
-    scattered.add_done_callback(on_done)
-    return result
 
 
 def _merge_dicts(results: Dict[int, Any]) -> Dict[str, Any]:

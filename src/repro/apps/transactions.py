@@ -116,22 +116,17 @@ class Transaction:
             done = Future()
             done.resolve(self._local_writes[key])
             return done
-        result = Future(name=f"tx{self.txid}:read:{key}")
         inner = self._client.binding.invoke(
             "get_versioned", (key,), mode=Mode.FIRST
         )
 
-        def on_done(fut: Future) -> None:
-            if fut.failed:
-                result.fail(fut.exception)
-                return
-            value, version = fut.result().value
+        def pin_version(result) -> Any:
+            value, version = result.value
             # first read of a key pins the version we validate against
             self.read_versions.setdefault(key, version)
-            result.resolve(value)
+            return value
 
-        inner.add_done_callback(on_done)
-        return result
+        return inner.then(pin_version)
 
     def write(self, key: str, value: Any) -> None:
         """Buffer a write; nothing is visible until commit."""
@@ -144,23 +139,17 @@ class Transaction:
         if self.finished:
             raise TxAborted(f"transaction {self.txid} already finished")
         self.finished = True
-        outcome = Future(name=f"tx{self.txid}:commit")
         inner = self._client.binding.invoke(
             "tx_commit", (dict(self.read_versions), dict(self._local_writes)), mode=mode
         )
 
-        def on_done(fut: Future) -> None:
-            if fut.failed:
-                outcome.fail(fut.exception)
-                return
-            committed, versions = fut.result().value
-            if committed:
-                outcome.resolve(versions)
-            else:
-                outcome.fail(TxAborted(f"transaction {self.txid}: stale reads {versions}"))
+        def decide(result) -> Any:
+            committed, versions = result.value
+            if not committed:
+                raise TxAborted(f"transaction {self.txid}: stale reads {versions}")
+            return versions
 
-        inner.add_done_callback(on_done)
-        return outcome
+        return inner.then(decide)
 
     def abort(self) -> None:
         """Discard the transaction locally (nothing was ever sent)."""

@@ -82,6 +82,13 @@ class InvocationResult:
         return f"InvocationResult({len(self.replies)} replies)"
 
 
+def first_value(outcome: Any) -> Any:
+    """An invocation outcome as a plain value: the first successful reply of
+    an :class:`InvocationResult` (raising its servant error if none
+    succeeded); scheme-shaped outcomes and one-way ``None`` pass through."""
+    return outcome.value if isinstance(outcome, InvocationResult) else outcome
+
+
 def shape_reply(binding, fut: Future, issued_at: float) -> Tuple[bool, Any]:
     """Settle a gathered-replies future under ``binding.scheme.reply``.
 
@@ -251,7 +258,16 @@ class GroupBinding:
         self._closed = False
         self._pending: Dict[int, _PendingCall] = {}
         self._queued: List[_PendingCall] = []
-        self._start_bind()
+        #: who the servers see calling (dedupe key, reply address) and the
+        #: group their gathered replies travel back through ("": this one)
+        self._caller = self.client_id
+        self._reply_group = ""
+        self._next_call_no = service.next_call_no
+        self._span_attrs = {} if metric_tag is None else {"shard": metric_tag}
+        if service.registry is None:
+            self.ready.fail(BindingBroken("no registry configured"))
+        else:
+            self._lookup_and_bind(None, 1)
 
     # ------------------------------------------------------------------
     # binding
@@ -260,24 +276,57 @@ class GroupBinding:
     def group_name(self) -> Optional[str]:
         return self._gc.group if self._gc else None
 
-    def _start_bind(self) -> None:
-        if self.service.registry is None:
-            self.ready.try_fail(BindingBroken("no registry configured"))
-            return
-        lookup = self.service.registry.lookup(self.service_name)
-        lookup.add_done_callback(self._on_lookup)
+    #: how many times a rebind retries an unreachable registry before the
+    #: binding is declared broken, and the backoff envelope between attempts
+    #: (jittered so the clients a dead manager strands don't all hammer the
+    #: registry — and then the same surviving member — in lockstep)
+    REBIND = RetryPolicy(max_attempts=10, base_delay=0.25, factor=2.0, max_delay=1.5)
 
-    def _on_lookup(self, fut: Future) -> None:
-        if self._closed:
-            return
-        if fut.failed:
-            self.ready.try_fail(
-                BindingBroken(f"service {self.service_name!r} not advertised")
-            )
-            self._fail_outstanding(BindingBroken("bind failed"))
-            return
-        members = self.service.registry.members_of(fut.result())
-        self._bind_to(members)
+    def _lookup_and_bind(self, exclude: Optional[str], budget: int, attempt: int = 0) -> None:
+        """Resolve the service's membership and form the client/server
+        group around it — the first bind (``budget`` 1: an unadvertised
+        service fails ``ready`` at once) and every rebind (``exclude`` the
+        lost manager; the registry may be unreachable for a while, e.g. from
+        the wrong side of a partition, so ``REBIND.max_attempts``)."""
+
+        def on_lookup(fut: Future) -> None:
+            if self._closed:
+                return
+            if fut.failed:
+                if attempt + 1 < budget:
+                    self.sim.schedule(
+                        self.REBIND.delay(attempt + 1, self._backoff_rng),
+                        self._lookup_and_bind,
+                        exclude,
+                        budget,
+                        attempt + 1,
+                    )
+                else:
+                    self._break(
+                        BindingBroken(f"service {self.service_name!r} not advertised")
+                    )
+                return
+            members = [
+                m
+                for m in self.service.registry.members_of(fut.result())
+                if m != exclude
+            ]
+            if not members:
+                self._break(BindingBroken("no surviving members"))
+                return
+            # outstanding calls are retried (same call numbers) once rebound
+            for pending in self._pending.values():
+                if pending not in self._queued:
+                    self._queued.append(pending)
+            self._bind_to(members)
+
+        self.service.registry.lookup(self.service_name).add_done_callback(on_lookup)
+
+    def _break(self, exc: BaseException) -> None:
+        """The binding cannot (re)form: fail ``ready`` if it is still
+        awaited, and every outstanding call."""
+        self.ready.try_fail(exc)
+        self._fail_outstanding(exc)
 
     def _bind_to(self, members: List[str]) -> None:
         self.servers = list(members)
@@ -335,6 +384,8 @@ class GroupBinding:
         self._await_view(expected + 1)
 
     def _await_view(self, size: int) -> None:
+        if self._closed:
+            return
         if self._gc.view is not None and len(self._gc.view.members) >= size:
             self._become_bound()
             return
@@ -351,8 +402,7 @@ class GroupBinding:
         if isinstance(exc, CommFailure) and self.style == BindingStyle.OPEN:
             self._rebind(exclude=self.manager)
             return
-        self.ready.try_fail(exc)
-        self._fail_outstanding(exc)
+        self._break(exc)
 
     # ------------------------------------------------------------------
     # invocation
@@ -464,7 +514,7 @@ class GroupBinding:
                 )
                 return done
         future = Future(name=f"call:{operation}@{self.client_id}")
-        call_no = self.service.next_call_no()
+        call_no = self._next_call_no()
         pending = _PendingCall(call_no, operation, tuple(args), mode, future)
         self._invocations_counter.inc()
         pending.sent_at = self.sim.now
@@ -479,8 +529,7 @@ class GroupBinding:
                 "mode": mode,
                 "call_no": call_no,
             }
-            if self.metric_tag is not None:
-                attrs["shard"] = self.metric_tag
+            attrs.update(self._span_attrs)
             pending.span = self._tracer.start_span(
                 "invoke",
                 kind="client",
@@ -496,8 +545,9 @@ class GroupBinding:
             future.resolve(None)
             return future
         self._pending[call_no] = pending
-        self.service.register_pending(call_no, self)
-        self._phases.begin((self.client_id, call_no))
+        call_id = (self._caller, call_no)
+        self.service.register_pending(call_id, self)
+        self._phases.begin(call_id)
         future.add_done_callback(lambda f: self._finish_invoke(pending, f))
         if timeout is not None:
             pending.timeout = timeout
@@ -513,36 +563,17 @@ class GroupBinding:
     def call(self, operation: str, args: Tuple = (), mode: str = Mode.FIRST,
              timeout: Optional[float] = None) -> Future:
         """Like :meth:`invoke` but resolves with the first reply *value*."""
-        result = Future(name=f"value:{operation}")
-        inner = self.invoke(operation, args, mode=mode, timeout=timeout)
-
-        def unwrap(fut: Future) -> None:
-            if fut.failed:
-                result.fail(fut.exception)
-            else:
-                outcome = fut.result()
-                try:
-                    # scheme-shaped outcomes are already plain values
-                    result.resolve(
-                        outcome.value
-                        if isinstance(outcome, InvocationResult)
-                        else outcome
-                    )
-                except Exception as exc:  # noqa: BLE001 - servant error
-                    result.fail(exc)
-
-        inner.add_done_callback(unwrap)
-        return result
+        return self.invoke(operation, args, mode=mode, timeout=timeout).then(first_value)
 
     def _send_invoke(self, pending: _PendingCall) -> None:
         message = InvokeMsg(
-            self.client_id,
+            self._caller,
             pending.call_no,
             pending.operation,
             pending.args,
             pending.mode,
             False,
-            "",
+            self._reply_group,
         )
         # use_root: a None span under sampling means "head-sampled out" —
         # the send then flows under an explicitly unsampled context so no
@@ -621,7 +652,7 @@ class GroupBinding:
         self._pending.pop(pending.call_no, None)
         if pending in self._queued:
             self._queued.remove(pending)
-        self.service.unregister_pending(pending.call_no)
+        self.service.unregister_pending((self._caller, pending.call_no))
         if pending.timer is not None:
             pending.timer.cancel()
         return pending.future
@@ -629,7 +660,7 @@ class GroupBinding:
     def _finish_invoke(self, pending: _PendingCall, fut: Future) -> None:
         if self.admission is not None:
             self.admission.release()
-        call_id = (self.client_id, pending.call_no)
+        call_id = (self._caller, pending.call_no)
         if not fut.failed:
             latency = self.sim.now - pending.sent_at
             self._latency_hist.record(latency)
@@ -746,53 +777,14 @@ class GroupBinding:
             self._bound = False
             self._rebind(exclude=self.manager)
 
-    #: how many times a rebind retries an unreachable registry before the
-    #: binding is declared broken, and the backoff envelope between attempts
-    #: (jittered so the clients a dead manager strands don't all hammer the
-    #: registry — and then the same surviving member — in lockstep)
-    REBIND = RetryPolicy(max_attempts=10, base_delay=0.25, factor=2.0, max_delay=1.5)
-
-    def _rebind(self, exclude: Optional[str], attempt: int = 0) -> None:
+    def _rebind(self, exclude: Optional[str]) -> None:
         """Create a fresh client/server group around a surviving member."""
-        if attempt == 0:
-            self.rebinds += 1
-            self._rebind_counter.inc()
-            if self._gc is not None:
-                self._gc.leave()
-                self._gc = None
-        lookup = self.service.registry.lookup(self.service_name)
-
-        def on_lookup(fut: Future) -> None:
-            if self._closed:
-                return
-            if fut.failed:
-                # the registry may be temporarily unreachable (e.g. we are
-                # on the wrong side of a partition): retry with backoff
-                if attempt + 1 < self.REBIND.max_attempts:
-                    self.sim.schedule(
-                        self.REBIND.delay(attempt + 1, self._backoff_rng),
-                        self._rebind,
-                        exclude,
-                        attempt + 1,
-                    )
-                else:
-                    self._fail_outstanding(BindingBroken("rebind lookup failed"))
-                return
-            members = [
-                m
-                for m in self.service.registry.members_of(fut.result())
-                if m != exclude
-            ]
-            if not members:
-                self._fail_outstanding(BindingBroken("no surviving members"))
-                return
-            # outstanding calls are retried (same call numbers) once rebound
-            for pending in self._pending.values():
-                if pending not in self._queued:
-                    self._queued.append(pending)
-            self._bind_to(members)
-
-        lookup.add_done_callback(on_lookup)
+        self.rebinds += 1
+        self._rebind_counter.inc()
+        if self._gc is not None:
+            self._gc.leave()
+            self._gc = None
+        self._lookup_and_bind(exclude, self.REBIND.max_attempts)
 
     def _fail_outstanding(self, exc: BaseException) -> None:
         # forget every call before failing any: a failure callback may

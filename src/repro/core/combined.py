@@ -114,17 +114,12 @@ class CombinedBinding:
         self._reduce_inputs = obs.metrics.histogram("gmi.reduce.inputs")
         self._reduce_latency = obs.metrics.histogram("gmi.reduce.latency")
 
+        self.ready = Future(name=f"combined-ready:{service_name}@{self.client_id}")
         if self.is_root:
             self._binding = GroupBinding(service, service_name, **bind_kwargs)
-            self.ready = Future(name=f"combined-ready:{service_name}@{self.client_id}")
-            self._binding.ready.add_done_callback(
-                lambda f: self.ready.try_fail(f.exception)
-                if f.failed
-                else self.ready.try_resolve(self)
-            )
+            self._binding.ready.then(lambda _binding: self, into=self.ready)
         else:
             self._binding = None
-            self.ready = Future(name=f"combined-ready:{service_name}@{self.client_id}")
             self.ready.resolve(self)
 
     # ------------------------------------------------------------------

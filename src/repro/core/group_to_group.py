@@ -10,29 +10,30 @@ members plus the manager — carries the requests and replies:
 - the manager multicasts the reply set in gz, so delivery to gx's members
   is atomic (the design's single inter-group multicast).
 
-Each gx member drives its own :class:`GroupToGroupBinding`; call numbers
-advance in lock-step because members issue calls in reaction to totally
-ordered gx deliveries.
+Each gx member drives its own :class:`GroupToGroupBinding`: an open,
+restricted :class:`~repro.core.client.GroupBinding` whose client/server
+group is the shared gz.  Three things differ from a lone client's binding —
+who is calling, where call numbers come from, and how the group forms —
+and everything else (timeout, retry, shed handling, teardown, the root
+span, the latency histogram) is inherited.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List
 
-from repro.core.client import InvocationResult
-from repro.core.messages import InvokeMsg, ReplySet, ShedReply
-from repro.core.modes import Mode
+from repro.core.client import GroupBinding
+from repro.core.modes import BindingStyle
 from repro.core.registry import server_servant_id
-from repro.errors import BindingBroken, Overloaded
-from repro.groupcomm.config import GroupConfig
+from repro.errors import BindingBroken
+from repro.obs.phases import PhaseAccountant
 from repro.orb.ior import IOR
-from repro.sim.futures import Future
 
 __all__ = ["GroupToGroupBinding"]
 
 
-class GroupToGroupBinding:
+class GroupToGroupBinding(GroupBinding):
     """One gx member's handle for invoking server group gy via gz."""
 
     def __init__(
@@ -41,170 +42,52 @@ class GroupToGroupBinding:
         client_group: str,
         client_members: List[str],
         target_service: str,
-        **group_config: Any,
+        **bind_kwargs: Any,
     ):
-        self.service = service
-        self.sim = service.sim
-        self.orb = service.orb
-        self.member_id = service.orb.node.name
         self.client_group = client_group
         self.client_members = list(client_members)
-        self.target_service = target_service
-        #: the monitor group's parameters (gz); the manager becomes its
-        #: sequencer once the registry names it
-        self.config = GroupConfig.for_invocation(**group_config)
-        self.manager: Optional[str] = None
-
-        obs = service.sim.obs
-        self._tracer = obs.tracer
-        self._invocations_counter = obs.metrics.counter("g2g.invocations")
-        self._latency_hist = obs.metrics.histogram("g2g.invoke_latency")
-
-        self.ready = Future(name=f"g2g-ready:{client_group}->{target_service}")
         self.monitor_name = f"g2g:{client_group}:{target_service}"
-        self._monitor = None
-        self._calls = itertools.count(1)
-        self._pending: Dict[int, Future] = {}
-        self._spans: Dict[int, Tuple[Any, float]] = {}
-        self._closed = False
-        self._start()
+        # open by construction: naming a style here is a TypeError
+        super().__init__(service, target_service, style=BindingStyle.OPEN, **bind_kwargs)
+        # call numbers advance in lock-step: members issue calls in reaction
+        # to totally ordered gx deliveries
+        self._next_call_no = itertools.count(1).__next__
+        # the *group* is the logical caller, and gy's replies come back to
+        # all of it through gz
+        self._caller = client_group
+        self._reply_group = self.monitor_name
+        self._span_attrs = {"client_group": client_group}
+        # gz's copies are one call to the servers: its phases belong to no
+        # single member, so a g2g call yields no inv.phase.* breakdown
+        self._phases = PhaseAccountant(enabled=False)
 
-    # ------------------------------------------------------------------
-    # setup: build the client monitor group gz
-    # ------------------------------------------------------------------
-    def _start(self) -> None:
-        lookup = self.service.registry.lookup(self.target_service)
-
-        def on_lookup(fut: Future) -> None:
-            if fut.failed:
-                self.ready.try_fail(
-                    BindingBroken(f"service {self.target_service!r} not advertised")
-                )
-                return
-            members = self.service.registry.members_of(fut.result())
-            self.manager = members[0]  # the designated (restricted) manager
-            self._build_monitor()
-
-        lookup.add_done_callback(on_lookup)
-
-    def _build_monitor(self) -> None:
-        config = self.config.replace(sequencer_hint=self.manager)
+    def _bind_to(self, members: List[str]) -> None:
+        """Build gz: the first gx member creates it and sponsors the
+        designated manager's membership; the others join through it."""
+        self.servers = list(members)
+        self.manager = members[0]
         initiator = self.client_members[0]
-        if self.member_id == initiator:
-            self._monitor = self.service.gcs.create_group(self.monitor_name, config)
-            # the initiator sponsors the manager's membership in gz
-            servant = IOR(self.manager, "RootPOA", server_servant_id(self.target_service))
+        if self.client_id == initiator:
+            self._gc = self.service.gcs.create_group(
+                self.monitor_name, self.config.replace(sequencer_hint=self.manager)
+            )
+            servant = IOR(self.manager, "RootPOA", server_servant_id(self.service_name))
             self.orb.invoke(
                 servant,
                 "join_client_group",
-                (self.monitor_name, self.member_id, "open"),
+                (self.monitor_name, self.client_id, "open"),
                 timeout=2.0,
             )
         else:
-            self._monitor = self.service.gcs.join_group(self.monitor_name, initiator)
-        self._monitor.on_deliver = self._on_monitor_deliver
-        expected = len(self.client_members) + 1  # gx members + the manager
-        self._await_view(expected)
+            self._gc = self.service.gcs.join_group(self.monitor_name, initiator)
+        self._gc.on_deliver = self._on_gc_deliver
+        self._gc.on_view = self._on_gc_view
+        self._await_view(len(self.client_members) + 1)  # gx + the manager
 
-    def _await_view(self, size: int) -> None:
-        if self._closed:
-            return
-        view = self._monitor.view
-        if view is not None and len(view.members) >= size:
-            self.ready.try_resolve(self)
-            return
-        self.sim.schedule(1e-3, self._await_view, size)
-
-    # ------------------------------------------------------------------
-    # invocation
-    # ------------------------------------------------------------------
-    def invoke(self, operation: str, args: Tuple = (), mode: str = Mode.ALL) -> Future:
-        """Issue this member's copy of the group call.
-
-        Every member of gx must invoke with the same sequence of calls; the
-        shared request manager forwards exactly one copy per call number.
-        Resolves with an :class:`InvocationResult` at *every* member.
-        """
-        if self._closed:
-            done = Future()
-            done.fail(BindingBroken("g2g binding closed"))
-            return done
-        call_no = next(self._calls)
-        future = Future(name=f"g2g:{operation}#{call_no}@{self.member_id}")
-        message = InvokeMsg(
-            self.client_group,  # the *group* is the logical caller
-            call_no,
-            operation,
-            tuple(args),
-            mode,
-            False,
-            self.monitor_name,
-        )
-        self._invocations_counter.inc()
-        tracer = self._tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start_span(
-                "g2g.invoke",
-                kind="client",
-                node=self.member_id,
-                parent=None,
-                attrs={
-                    "client_group": self.client_group,
-                    "target": self.target_service,
-                    "operation": operation,
-                    "mode": mode,
-                    "call_no": call_no,
-                },
-            )
-        if mode == Mode.ONE_WAY:
-            with tracer.use_root(span):
-                self._monitor.send(message)
-            tracer.end_span(span, outcome="oneway")
-            future.resolve(None)
-            return future
-        self._pending[call_no] = future
-        self._spans[call_no] = (span, self.sim.now)
-        with tracer.use_root(span):
-            self._monitor.send(message)
-        return future
-
-    def _on_monitor_deliver(self, sender: str, payload: Any) -> None:
-        if not isinstance(payload, (ReplySet, ShedReply)):
-            return  # other members' request copies; the manager filters them
-        future = self._pending.pop(payload.call_no, None)
-        span, sent_at = self._spans.pop(payload.call_no, (None, None))
-        if isinstance(payload, ShedReply):
-            # the manager refused the call before forwarding it; the refusal
-            # is one multicast in gz, so every gx member fails the call alike
-            self._tracer.end_span(span, outcome="shed")
-            if future is not None:
-                future.try_fail(
-                    Overloaded(
-                        f"g2g call #{payload.call_no} shed by {payload.member}",
-                        retry_after=payload.retry_after,
-                    )
-                )
-            return
-        if sent_at is not None:
-            self._latency_hist.record(self.sim.now - sent_at)
-        self._tracer.end_span(span, outcome="ok", replies=len(payload.replies))
-        if future is not None:
-            future.try_resolve(InvocationResult(payload.replies))
-
-    # ------------------------------------------------------------------
-    # teardown
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for future in self._pending.values():
-            future.try_fail(BindingBroken("g2g binding closed"))
-        self._pending.clear()
-        for span, _ in self._spans.values():
-            self._tracer.end_span(span, outcome="error")
-        self._spans.clear()
-        if self._monitor is not None:
-            self._monitor.leave()
-            self._monitor = None
+    def _rebind(self, exclude: str) -> None:
+        """gz lost its manager.  Every gx member sees that view change, but
+        re-forming gz around a new manager needs their agreement on one —
+        a coordinated rebind is out of scope, so the binding breaks: its
+        outstanding calls and every later one fail ``BindingBroken``."""
+        self._break(BindingBroken(f"{self.monitor_name} lost its manager {exclude}"))
+        self.close()

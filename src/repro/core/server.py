@@ -29,7 +29,7 @@ from repro.core.messages import (
 )
 from repro.core.modes import Mode, ReplicationPolicy, replies_needed
 from repro.core.registry import client_sink_id, server_servant_id
-from repro.errors import GroupError
+from repro.errors import ApplicationError, GroupError
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.orb.ior import IOR
@@ -134,7 +134,7 @@ class ObjectGroupServer:
         self._client_groups: Dict[str, Any] = {}  # gc name -> session
         self._client_group_styles: Dict[str, Tuple[str, str]] = {}  # gc -> (style, client)
         self._collectors: Dict[Tuple[str, int], _Collector] = {}
-        self._g2g_seen: Dict[Tuple[str, int], bool] = {}
+        self._g2g_seen: Dict[Tuple[str, int], int] = {}  # copies seen per call
         self._async_handled: Dict[Tuple[str, int], bool] = {}
         self._reply_cache: Dict[Tuple[str, int], ReplySet] = {}
         self._own_replies: Dict[Tuple[str, int], ReplyMsg] = {}
@@ -163,23 +163,6 @@ class ObjectGroupServer:
     @property
     def group_name(self) -> str:
         return f"svc:{self.service_name}"
-
-    def start_as_creator(self) -> None:
-        """Create the server group (first member)."""
-        self.group = self.service.gcs.create_group(self.group_name, self.config)
-        self._wire_server_group()
-        self._advertise()
-        self.ready.try_resolve(self)
-
-    def start_as_joiner(self, contact: str) -> None:
-        """Join the existing server group via ``contact``."""
-        self.group = self.service.gcs.join_group(self.group_name, contact)
-        self._wire_server_group()
-        self.group.joined.add_done_callback(
-            lambda f: self.ready.try_fail(f.exception)
-            if f.failed
-            else self.ready.try_resolve(self)
-        )
 
     def _wire_server_group(self) -> None:
         self.group.on_deliver = self._on_group_deliver
@@ -227,13 +210,134 @@ class ObjectGroupServer:
         self._client_group_styles.clear()
 
     # ------------------------------------------------------------------
-    # crash recovery: restart and rejoin
+    # entering the group: one loop for a first start, a shard member and a
+    # restart
     # ------------------------------------------------------------------
-    #: rejoin attempts (registry lookup + join) before the restart is
-    #: declared failed, and the backoff envelope between them
+    #: attempts (registry lookup + join) before entering is declared
+    #: failed, and the backoff envelope between them
     REJOIN = RetryPolicy(max_attempts=10, base_delay=0.2, factor=2.0, max_delay=2.0)
     #: lookups that name no contact but us before we re-create the group
     RECREATE_AFTER = 2
+
+    #: the group is expected to exist (a restart, a shard member): entering
+    #: it counts in ``server.rejoins``
+    _rejoin = False
+
+    def start(self) -> Future:
+        """Enter the server group through the registry — the only way in.
+
+        Every attempt looks the service up and acts on what the registry
+        says (DESIGN §5 has the table): *unreachable* — retry after a
+        jittered backoff; *not bound* — create the group and advertise it;
+        *names only us* (our dead incarnation was the last coordinator, so
+        nobody can answer a JoinReq and the entry will never refresh) —
+        re-create after ``RECREATE_AFTER`` lookups, enough for a racing
+        majority advertisement to land; *names others* — join through them
+        in rotation, each join bounded by a timeout.  Creating is subject
+        to :meth:`_may_create`, the one thing that varies between callers.
+        Resolves ``self.ready`` (returned) with this server, or fails it
+        after ``REJOIN.max_attempts``.
+        """
+        self._enter(0, self._restart_epoch)
+        return self.ready
+
+    def _may_create(self, attempt: int, others: List[str]) -> bool:
+        """May this member create the group now, given the members
+        ``others`` the registry names beside it?"""
+        return not others
+
+    def _enter(self, attempt: int, epoch: int) -> None:
+        if epoch != self._restart_epoch:
+            return  # stop() or a newer restart superseded this loop
+        if attempt >= self.REJOIN.max_attempts:
+            self._rejoin_contact = None
+            self._rejoin_failed_counter.inc()
+            self.ready.try_fail(
+                GroupError(f"{self.member_id} could not enter {self.group_name}")
+            )
+            return
+        if self.service.registry is None:
+            self._create_group(recreated=False)  # nobody else can be named
+            return
+        lookup = self.service.registry.lookup(self.service_name)
+        lookup.add_done_callback(lambda fut: self._on_lookup(fut, attempt, epoch))
+
+    def _on_lookup(self, fut: Future, attempt: int, epoch: int) -> None:
+        if epoch != self._restart_epoch:
+            return
+        bound = not fut.failed
+        if not bound and not isinstance(fut.exception, ApplicationError):
+            self._retry_enter(attempt, epoch)  # registry unreachable
+            return
+        named = self.service.registry.members_of(fut.result()) if bound else []
+        others = [m for m in named if m != self.member_id]
+        if self._may_create(attempt, others):
+            if bound and attempt < self.RECREATE_AFTER:
+                self._retry_enter(attempt, epoch)
+            else:
+                self._create_group(recreated=bound)
+            return
+        if not others:
+            self._retry_enter(attempt, epoch)  # the creator has yet to advertise
+            return
+        contact = others[attempt % len(others)]
+        self._rejoin_contact = contact
+        session = self.service.gcs.join_group(self.group_name, contact)
+        self.group = session
+        self._wire_server_group()
+        # the contact may still carry our dead incarnation in its view (a
+        # crash shorter than the suspicion timeout): the JoinReq is ignored
+        # until suspicion removes us, so the timeout must outlast it
+        join_timeout = (
+            self.config.suspicion_timeout + 2 * self.config.flush_timeout + 0.5
+        )
+        timer = self.sim.schedule(join_timeout, self._on_join_timeout, session, epoch)
+        session.joined.add_done_callback(
+            lambda f: self._on_joined(f, timer, attempt, epoch)
+        )
+
+    def _create_group(self, recreated: bool) -> None:
+        """Create the server group with this member alone and advertise it.
+        ``recreated``: a stale advertisement said the group had existed."""
+        self.group = self.service.gcs.create_group(self.group_name, self.config)
+        self._wire_server_group()
+        self._advertise()
+        self._entered("server.recreated" if recreated else None)
+
+    def _on_joined(self, fut: Future, timer, attempt: int, epoch: int) -> None:
+        timer.cancel()
+        if epoch != self._restart_epoch:
+            return
+        if fut.failed:
+            if not self.ready.done:
+                self._retry_enter(attempt, epoch)
+            return
+        self._entered("server.rejoined" if self._rejoin else None)
+
+    def _entered(self, rejoin_event: Optional[str]) -> None:
+        self._rejoin_contact = None
+        if rejoin_event is not None:
+            self._rejoin_counter.inc()
+            self._tracer.event(
+                rejoin_event, member=self.member_id, group=self.group_name
+            )
+        self.ready.try_resolve(self)
+
+    def _on_join_timeout(self, session, epoch: int) -> None:
+        if epoch != self._restart_epoch:
+            return
+        if session.joined.done or self.group is not session:
+            return
+        # not _teardown(): that would supersede this very loop, and closing
+        # the timed-out join is what makes it retry
+        session.on_deliver = None
+        session.on_view = None
+        session._close()  # fails session.joined, which schedules the retry
+        self.group = None
+
+    def _retry_enter(self, attempt: int, epoch: int) -> None:
+        delay = self.REJOIN.delay(attempt + 1, self._rejoin_rng)
+        self.sim.schedule(delay, self._enter, attempt + 1, epoch)
 
     def restart(self) -> Future:
         """Reconstruct this member's process state after a crash and rejoin.
@@ -241,12 +345,12 @@ class ObjectGroupServer:
         Models a cold process restart on a recovered node: every session of
         the dead incarnation is torn down locally (the survivors remove us
         through suspicion — we were silent, not polite), all volatile
-        request state is dropped, and the member re-enters through the
-        registry-discovery/join/state-transfer path a fresh joiner would
-        use.  The reply caches survive the restart — they model a stable
-        local reply log, which is what makes exactly-once hold even when
-        *every* member restarts and no surviving coordinator can re-seed
-        them — and the coordinator's :class:`StateSnapshot` still merges
+        request state is dropped, and the member re-enters through
+        :meth:`start`, as a fresh joiner would.  The reply caches survive
+        the restart — they model a stable local reply log, which is what
+        makes exactly-once hold even when *every* member restarts and no
+        surviving coordinator can re-seed them — and the coordinator's
+        :class:`StateSnapshot` still merges
         in whatever the group answered while we were down (local entries
         take precedence).  In-flight request state (collectors, async
         forwarding guards) is genuinely volatile and is dropped: a stale
@@ -264,105 +368,8 @@ class ObjectGroupServer:
             self.admission.reset()
         self._rejoin_contact = None
         self.ready = Future(name=f"server-rejoin:{self.service_name}@{self.member_id}")
-        self._rejoin_attempt(0, self._restart_epoch)
-        return self.ready
-
-    def _rejoin_attempt(self, attempt: int, epoch: int) -> None:
-        if epoch != self._restart_epoch:
-            return  # a newer restart superseded this rejoin loop
-        if attempt >= self.REJOIN.max_attempts:
-            self._rejoin_contact = None
-            self._rejoin_failed_counter.inc()
-            self.ready.try_fail(
-                GroupError(f"{self.member_id} could not rejoin {self.group_name}")
-            )
-            return
-        if self.service.registry is None:
-            self.ready.try_fail(GroupError("rejoin requires a registry"))
-            return
-        lookup = self.service.registry.lookup(self.service_name)
-        lookup.add_done_callback(lambda fut: self._on_rejoin_lookup(fut, attempt, epoch))
-
-    def _on_rejoin_lookup(self, fut: Future, attempt: int, epoch: int) -> None:
-        if epoch != self._restart_epoch:
-            return
-        if fut.failed:
-            self._schedule_rejoin_retry(attempt, epoch)
-            return
-        members = [
-            m
-            for m in self.service.registry.members_of(fut.result())
-            if m != self.member_id
-        ]
-        if not members:
-            # The registry's last advertisement names nobody but our own
-            # dead incarnation: we were the final coordinator before the
-            # restart, so no surviving member can answer a JoinReq and the
-            # entry will never refresh on its own.  After a couple of
-            # lookups (enough for a racing majority advertisement to land)
-            # re-create the group and advertise; divergent islands then
-            # reach us — or we reach them — through later registry updates.
-            if attempt >= self.RECREATE_AFTER:
-                self._recreate_group()
-                return
-            self._schedule_rejoin_retry(attempt, epoch)
-            return
-        contact = members[attempt % len(members)]
-        self._rejoin_contact = contact
-        session = self.service.gcs.join_group(self.group_name, contact)
-        self.group = session
-        self._wire_server_group()
-        # the contact may still carry our dead incarnation in its view (a
-        # crash shorter than the suspicion timeout): the JoinReq is ignored
-        # until suspicion removes us, so the timeout must outlast it
-        join_timeout = (
-            self.config.suspicion_timeout + 2 * self.config.flush_timeout + 0.5
-        )
-        timer = self.sim.schedule(
-            join_timeout, self._on_rejoin_timeout, session, attempt, epoch
-        )
-        session.joined.add_done_callback(
-            lambda f: self._on_rejoined(f, timer, attempt, epoch)
-        )
-
-    def _recreate_group(self) -> None:
-        self.group = self.service.gcs.create_group(self.group_name, self.config)
-        self._wire_server_group()
-        self._advertise()
-        self._rejoin_counter.inc()
-        self._tracer.event(
-            "server.recreated", member=self.member_id, group=self.group_name
-        )
-        self.ready.try_resolve(self)
-
-    def _on_rejoined(self, fut: Future, timer, attempt: int, epoch: int) -> None:
-        timer.cancel()
-        if epoch != self._restart_epoch:
-            return
-        if fut.failed:
-            if not self.ready.done:
-                self._schedule_rejoin_retry(attempt, epoch)
-            return
-        self._rejoin_contact = None
-        self._rejoin_counter.inc()
-        self._tracer.event("server.rejoined", member=self.member_id, group=self.group_name)
-        self.ready.try_resolve(self)
-
-    def _on_rejoin_timeout(self, session, attempt: int, epoch: int) -> None:
-        if epoch != self._restart_epoch:
-            return
-        if session.joined.done or self.group is not session:
-            return
-        # not _teardown(): that would supersede this very loop, and closing
-        # the timed-out join is what makes it retry
-        session.on_deliver = None
-        session.on_view = None
-        session._close()  # fails session.joined, which schedules the retry
-        self.group = None
-
-    def _schedule_rejoin_retry(self, attempt: int, epoch: int) -> None:
-        delay = self.REJOIN.delay(attempt + 1, self._rejoin_rng)
-        self.sim.schedule(delay, self._rejoin_attempt, attempt + 1, epoch)
+        self._rejoin = True
+        return self.start()
 
     @property
     def members(self) -> List[str]:
@@ -444,11 +451,7 @@ class ObjectGroupServer:
                 g, view, joined, left
             )
         )
-        done = Future(name=f"joined:{group_name}")
-        session.joined.add_done_callback(
-            lambda f: done.try_fail(f.exception) if f.failed else done.try_resolve(True)
-        )
-        return done
+        return session.joined.then(lambda _session: True)
 
     def _server_group_pushback(self) -> float:
         if self.group is not None and self.group.state != "closed":
@@ -539,11 +542,16 @@ class ObjectGroupServer:
         gathered replies travel back through ``reply_group``."""
         call_id = invoke.call_id
         if invoke.reply_group:
-            # every gx member multicasts its own copy (§4.3): forward one
-            if call_id in self._g2g_seen:
+            # every gx member multicasts its own copy (§4.3), and again on
+            # every retry (a shed call is retried by all of gx): handle the
+            # first copy of each round
+            seen = self._g2g_seen.get(call_id, 0)
+            _remember(self._g2g_seen, call_id, seen + 1)
+            monitor = self._client_groups.get(reply_group)
+            callers = len(monitor.members) - 1 if monitor is not None else 1
+            if seen % max(callers, 1):
                 self._g2g_dup_counter.inc()
                 return
-            _remember(self._g2g_seen, call_id, True)
         cached = self._reply_cache.get(call_id)
         if cached is not None:
             # retried call (client rebind after a manager failure): replay

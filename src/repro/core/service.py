@@ -15,7 +15,7 @@ reply sink, and exposes the high-level operations applications use:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.client import GroupBinding
 from repro.core.combined import CombinedBinding
@@ -33,7 +33,6 @@ from repro.overload import AdmissionConfig
 from repro.recovery.policy import RetryPolicy
 from repro.orb.ior import IOR
 from repro.orb.orb import ORB
-from repro.sim.futures import Future
 
 __all__ = ["NewTopService"]
 
@@ -68,7 +67,7 @@ class NewTopService:
         )
         self._call_numbers = itertools.count(1)
         self._binding_epochs = itertools.count(1)
-        self._pending_routes: Dict[int, GroupBinding] = {}
+        self._pending_routes: Dict[Tuple[str, int], GroupBinding] = {}
         self.servers: Dict[str, ObjectGroupServer] = {}
         #: replies forwarded here by other bindings' ``forward`` reply
         #: scheme, newest last (bounded)
@@ -87,29 +86,22 @@ class NewTopService:
         config: Optional[GroupConfig] = None,
         async_forwarding: bool = False,
         admission: Optional[AdmissionConfig] = None,
-        create: Optional[bool] = None,
-        contact: Optional[str] = None,
     ) -> ObjectGroupServer:
         """Host a member of ``service_name``.
 
-        The first member creates the server group and advertises it; later
-        members discover it through the registry and join.  ``create`` and
-        ``contact`` override discovery for explicit deployments.  Await
-        ``server.ready``.
+        The member enters through the registry
+        (:meth:`ObjectGroupServer.start`): the first one finds the service
+        not bound, creates the server group and advertises it; later ones
+        join through the members it names.  Await ``server.ready``.
         """
         return self._host(
+            ObjectGroupServer,
             service_name,
-            lambda: ObjectGroupServer(
-                self,
-                service_name,
-                servant,
-                policy=policy,
-                config=config,
-                async_forwarding=async_forwarding,
-                admission=admission,
-            ),
-            create,
-            contact,
+            servant,
+            policy=policy,
+            config=config,
+            async_forwarding=async_forwarding,
+            admission=admission,
         )
 
     def serve_sharded(
@@ -122,64 +114,37 @@ class NewTopService:
         config: Optional[GroupConfig] = None,
         async_forwarding: bool = False,
         admission: Optional[AdmissionConfig] = None,
-        create: Optional[bool] = None,
-        contact: Optional[str] = None,
     ):
         """Host a member of the *sharded* service ``service_name``.
 
         The parent membership is partitioned into ``num_shards`` shard
         groups by :func:`repro.shard.layout.round_robin`; this node hosts a
         fresh ``servant_factory()`` servant for every shard the layout
-        assigns it.  Discovery semantics mirror :meth:`serve`.  Await
-        ``server.ready`` (parent membership), then check
+        assigns it.  Await ``server.ready`` (parent membership), then check
         ``server.provisioned``.
         """
         from repro.shard.server import ShardedServer  # local: avoid cycle
 
         return self._host(
+            ShardedServer,
             service_name,
-            lambda: ShardedServer(
-                self,
-                service_name,
-                servant_factory,
-                num_shards,
-                min_members_per_shard=min_members_per_shard,
-                policy=policy,
-                config=config,
-                async_forwarding=async_forwarding,
-                admission=admission,
-            ),
-            create,
-            contact,
+            servant_factory,
+            num_shards,
+            min_members_per_shard=min_members_per_shard,
+            policy=policy,
+            config=config,
+            async_forwarding=async_forwarding,
+            admission=admission,
         )
 
-    def _host(
-        self,
-        service_name: str,
-        make_server: Callable[[], Any],
-        create: Optional[bool],
-        contact: Optional[str],
-    ):
-        """Build this node's server for ``service_name`` and start it: as
-        the group's creator, through an explicit ``contact``, or — the
-        default — whichever the registry lookup calls for."""
+    def _host(self, server_class, service_name: str, *args: Any, **options: Any):
+        """Build this node's server for ``service_name`` and start it."""
         if service_name in self.servers:
             raise GroupError(f"{self.name} already serves {service_name!r}")
-        server = self.servers[service_name] = make_server()
-        if create is True or (create is None and self.registry is None):
-            server.start_as_creator()
-        elif contact is not None:
-            server.start_as_joiner(contact)
-        else:
-
-            def on_lookup(fut: Future) -> None:
-                if fut.failed:
-                    server.start_as_creator()
-                else:
-                    members = self.registry.members_of(fut.result())
-                    server.start_as_joiner(members[0])
-
-            self.registry.lookup(service_name).add_done_callback(on_lookup)
+        server = self.servers[service_name] = server_class(
+            self, service_name, *args, **options
+        )
+        server.start()
         return server
 
     # ------------------------------------------------------------------
@@ -254,13 +219,14 @@ class NewTopService:
         client_group: str,
         client_members: List[str],
         target_service: str,
-        **group_config: Any,
+        **bind_kwargs: Any,
     ) -> GroupToGroupBinding:
-        """Bind a member of ``client_group`` for group-to-group invocation;
-        keyword arguments are the client monitor group's
-        :class:`~repro.groupcomm.config.GroupConfig` fields."""
+        """Bind a member of ``client_group`` for group-to-group invocation.
+        Extra keyword arguments are :meth:`bind`'s (``retry_policy``, and
+        the client monitor group's ``GroupConfig`` fields); every member of
+        ``client_members`` must bind alike."""
         return GroupToGroupBinding(
-            self, client_group, client_members, target_service, **group_config
+            self, client_group, client_members, target_service, **bind_kwargs
         )
 
     # ------------------------------------------------------------------
@@ -288,14 +254,16 @@ class NewTopService:
         between successive bindings to the same service)."""
         return next(self._binding_epochs)
 
-    def register_pending(self, call_no: int, binding: GroupBinding) -> None:
-        self._pending_routes[call_no] = binding
+    def register_pending(self, call_id: Tuple[str, int], binding: GroupBinding) -> None:
+        """Route closed-style direct replies for ``call_id`` — (caller on
+        the wire, call number) — to ``binding``."""
+        self._pending_routes[call_id] = binding
 
-    def unregister_pending(self, call_no: int) -> None:
-        self._pending_routes.pop(call_no, None)
+    def unregister_pending(self, call_id: Tuple[str, int]) -> None:
+        self._pending_routes.pop(call_id, None)
 
     def _on_direct_reply(self, reply: ReplyMsg) -> None:
-        binding = self._pending_routes.get(reply.call_no)
+        binding = self._pending_routes.get((reply.client, reply.call_no))
         if binding is not None:
             binding.on_direct_reply(reply)
 

@@ -9,7 +9,7 @@ pin the request manager / primary / sequencer to the same member (§4.2).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.orb.marshal import corba_struct
 
@@ -65,21 +65,6 @@ class GroupView:
     def majority(self) -> int:
         """Smallest number of members constituting a majority."""
         return len(self.members) // 2 + 1
-
-    # ------------------------------------------------------------------
-    # derivation
-    # ------------------------------------------------------------------
-    def next_view(
-        self,
-        remove: Optional[List[str]] = None,
-        add: Optional[List[str]] = None,
-    ) -> "GroupView":
-        """The successor view with members removed/appended, id + 1."""
-        members = [m for m in self.members if not remove or m not in remove]
-        for member in add or []:
-            if member not in members:
-                members.append(member)
-        return GroupView(self.group, self.view_id + 1, members, era=self.era)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -47,25 +47,19 @@ class JitteredLatency(LatencyModel):
     """Base delay plus truncated-Gaussian jitter.
 
     ``jitter`` is the standard deviation as a fraction of the base delay.
-    Samples are clamped to ``[base * floor_frac, base * ceil_frac]`` so a
-    long Gaussian tail cannot produce negative or absurd delays.
+    Samples are clamped to ``[base / 2, base * 3]`` so a long Gaussian tail
+    cannot produce negative or absurd delays.
     """
 
-    def __init__(
-        self,
-        base: float,
-        jitter: float = 0.1,
-        floor_frac: float = 0.5,
-        ceil_frac: float = 3.0,
-    ):
+    def __init__(self, base: float, jitter: float = 0.1):
         if base <= 0:
             raise ValueError("base latency must be positive")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
         self.base = base
         self.jitter = jitter
-        self.floor = base * floor_frac
-        self.ceil = base * ceil_frac
+        self.floor = base * 0.5
+        self.ceil = base * 3.0
 
     def sample(self, rng: random.Random) -> float:
         value = rng.gauss(self.base, self.base * self.jitter)

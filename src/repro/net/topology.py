@@ -45,6 +45,8 @@ class Topology:
 
     #: 100 Mbit fast Ethernet, as in the paper's LAN.
     DEFAULT_LAN_BANDWIDTH = 100e6
+    #: one-way delay inside a site (a switched LAN segment)
+    LAN_LATENCY = 120e-6
     #: A 2000-era trans-European Internet access link: effective per-flow
     #: throughput on the order of 1-2 Mbit/s.  Low WAN bandwidth is what
     #: makes a client's direct multicast to the replicas unattractive and
@@ -59,46 +61,25 @@ class Topology:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_site(
-        self,
-        name: str,
-        intra_latency: Optional[LatencyModel] = None,
-        bandwidth_bps: Optional[float] = None,
-        loss: float = 0.0,
-    ) -> str:
-        """Register a site with its intra-site link spec."""
+    def add_site(self, name: str, latency: LatencyModel, loss: float = 0.0) -> str:
+        """Register a site: a 100 Mbit LAN segment with ``latency`` inside it."""
         if name in self._sites:
             raise ValueError(f"site {name!r} already exists")
-        latency = intra_latency or JitteredLatency(120e-6, jitter=0.2)
-        self._sites[name] = LinkSpec(
-            latency, bandwidth_bps or self.DEFAULT_LAN_BANDWIDTH, loss
-        )
+        self._sites[name] = LinkSpec(latency, self.DEFAULT_LAN_BANDWIDTH, loss)
         return name
 
     def connect(
-        self,
-        site_a: str,
-        site_b: str,
-        latency: LatencyModel,
-        bandwidth_bps: Optional[float] = None,
-        loss: float = 0.0,
+        self, site_a: str, site_b: str, latency: LatencyModel, loss: float = 0.0
     ) -> None:
         """Set the (symmetric) inter-site link spec."""
         self._require_site(site_a)
         self._require_site(site_b)
-        spec = LinkSpec(latency, bandwidth_bps or self.DEFAULT_WAN_BANDWIDTH, loss)
+        spec = LinkSpec(latency, self.DEFAULT_WAN_BANDWIDTH, loss)
         self._links[self._key(site_a, site_b)] = spec
 
-    def set_default_wan(
-        self,
-        latency: LatencyModel,
-        bandwidth_bps: Optional[float] = None,
-        loss: float = 0.0,
-    ) -> None:
+    def set_default_wan(self, latency: LatencyModel, loss: float = 0.0) -> None:
         """Fallback spec for site pairs without an explicit link."""
-        self._default_wan = LinkSpec(
-            latency, bandwidth_bps or self.DEFAULT_WAN_BANDWIDTH, loss
-        )
+        self._default_wan = LinkSpec(latency, self.DEFAULT_WAN_BANDWIDTH, loss)
 
     # ------------------------------------------------------------------
     # queries
@@ -138,10 +119,10 @@ class Topology:
     # convenience builders
     # ------------------------------------------------------------------
     @classmethod
-    def single_lan(cls, name: str = "lan", latency_s: float = 120e-6) -> "Topology":
+    def single_lan(cls, name: str = "lan") -> "Topology":
         """One 100 Mbit LAN segment (the paper's local configuration)."""
         topo = cls()
-        topo.add_site(name, JitteredLatency(latency_s, jitter=0.2))
+        topo.add_site(name, JitteredLatency(cls.LAN_LATENCY, jitter=0.2))
         return topo
 
     @classmethod
@@ -154,7 +135,7 @@ class Topology:
         """
         topo = cls()
         for site in ("newcastle", "london", "pisa"):
-            topo.add_site(site, JitteredLatency(120e-6, jitter=0.2))
+            topo.add_site(site, JitteredLatency(cls.LAN_LATENCY, jitter=0.2))
         topo.connect("newcastle", "london", JitteredLatency(5.5e-3, jitter=0.15))
         topo.connect("newcastle", "pisa", JitteredLatency(11.5e-3, jitter=0.15))
         topo.connect("london", "pisa", JitteredLatency(9.5e-3, jitter=0.15))

@@ -52,23 +52,17 @@ MAX_STASH = 65_536
 
 
 class TraceConfig:
-    """Tracing policy: head-sampling rate and retention bounds."""
+    """Tracing policy: head-sampling rate and the span retention bound."""
 
-    __slots__ = ("sample_rate", "max_spans", "max_stash")
+    __slots__ = ("sample_rate", "max_spans")
 
-    def __init__(
-        self,
-        sample_rate: float = 1.0,
-        max_spans: int = MAX_SPANS,
-        max_stash: int = MAX_STASH,
-    ):
+    def __init__(self, sample_rate: float = 1.0, max_spans: int = MAX_SPANS):
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        if max_spans < 0 or max_stash < 0:
-            raise ValueError("max_spans and max_stash must be >= 0")
+        if max_spans < 0:
+            raise ValueError("max_spans must be >= 0")
         self.sample_rate = float(sample_rate)
         self.max_spans = max_spans
-        self.max_stash = max_stash
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TraceConfig rate={self.sample_rate} max_spans={self.max_spans}>"
@@ -343,7 +337,7 @@ class Tracer:
         if span is None:
             return
         self._stash[key] = span
-        while len(self._stash) > self.config.max_stash:
+        while len(self._stash) > MAX_STASH:
             self._stash.popitem(last=False)
 
     def stashed_parent(self, key: Any) -> Optional[Span]:

@@ -261,9 +261,7 @@ class ORB:
         if done is None:
             return
         if isinstance(result, Future):
-            result.add_done_callback(
-                lambda f: done.fail(f.exception) if f.failed else done.resolve(f.result())
-            )
+            result.then(lambda value: value, into=done)
         else:
             done.resolve(result)
 

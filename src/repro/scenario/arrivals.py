@@ -130,20 +130,18 @@ def next_arrival(
     process: ArrivalProcess,
     now: float,
     rng,
-    scale: float = 1.0,
-    peak_scale: Optional[float] = None,
+    peak_scale: float = 1.0,
     horizon: Optional[float] = None,
     rate_of_time=None,
 ) -> Optional[float]:
     """Draw the next arrival time after ``now`` by thinning.
 
-    ``scale`` multiplies the process rate (constant multiplier); for a
-    time-varying multiplier (e.g. the live virtual-client population) pass
-    ``rate_of_time(t) -> multiplier`` and a ``peak_scale`` upper bound for
-    it.  Returns an absolute elapsed time, or ``None`` once the candidate
-    passes ``horizon`` (no arrival within the traffic window).
+    For a time-varying rate multiplier (e.g. the live virtual-client
+    population) pass ``rate_of_time(t) -> multiplier`` and a ``peak_scale``
+    upper bound for it.  Returns an absolute elapsed time, or ``None`` once
+    the candidate passes ``horizon`` (no arrival within the traffic window).
     """
-    cap = process.peak_rate * (peak_scale if peak_scale is not None else scale)
+    cap = process.peak_rate * peak_scale
     if cap <= 0:
         return None
     t = now
@@ -151,7 +149,7 @@ def next_arrival(
         t += rng.expovariate(cap)
         if horizon is not None and t >= horizon:
             return None
-        multiplier = rate_of_time(t) if rate_of_time is not None else scale
+        multiplier = rate_of_time(t) if rate_of_time is not None else 1.0
         instantaneous = process.rate(t) * multiplier
         if rng.random() * cap <= instantaneous:
             return t

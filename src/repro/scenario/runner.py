@@ -408,13 +408,7 @@ def _setup_map_reduce(env: Environment, spec: ScenarioSpec):
             )
             for binding in bindings
         ]
-        done = Future(name="map-reduce-call")
-        all_of(contributions).add_done_callback(
-            lambda f: done.try_fail(f.exception)
-            if f.failed
-            else done.try_resolve(f.result()[0])
-        )
-        return done
+        return all_of(contributions).then(lambda values: values[0])
 
     root = bindings[0]
 

@@ -17,8 +17,8 @@ Kinds:
 - ``counter`` — bounds (``max`` / ``min`` / ``equals``) on any obs
   counter, e.g. ``client.timeouts ≤ 0`` or ``client.rebinds ≥ 1``.
 - ``accounting`` — no lost replies: every issued request resolved
-  (``offered == shed + completed + errors``), with optional ``max_errors``
-  / ``max_shed`` bounds.
+  (``offered == shed + completed + errors``), with an optional
+  ``max_errors`` bound.
 - ``reconciliation`` — per-kind protocol sends reconcile exactly (±0)
   with network hop counts (:func:`repro.obs.reconcile_traffic`).
 - ``message_budget`` — a maximum ratio between two obs counters, e.g.
@@ -196,15 +196,9 @@ class AccountingSlo(_Slo):
 
     kind = "accounting"
 
-    def __init__(
-        self,
-        name: str,
-        max_errors: Optional[int] = None,
-        max_shed: Optional[int] = None,
-    ):
+    def __init__(self, name: str, max_errors: Optional[int] = None):
         super().__init__(name)
         self.max_errors = max_errors
-        self.max_shed = max_shed
 
     def evaluate(self, ctx: SloContext) -> Dict:
         stats = ctx.stats.snapshot()
@@ -213,9 +207,6 @@ class AccountingSlo(_Slo):
         if self.max_errors is not None:
             ok = ok and stats["errors"] <= self.max_errors
             detail_parts.append(f"errors={stats['errors']} (max {self.max_errors})")
-        if self.max_shed is not None:
-            ok = ok and stats["shed"] <= self.max_shed
-            detail_parts.append(f"shed={stats['shed']} (max {self.max_shed})")
         return self._verdict(ok, stats, "lost == 0", ", ".join(detail_parts))
 
 
@@ -381,7 +372,7 @@ class DegradationSlo(_Slo):
 _BUILDERS = {
     "latency": (LatencySlo, {"stat", "max_ms", "after", "metric", "min_count"}),
     "counter": (CounterSlo, {"counter", "max", "min", "equals"}),
-    "accounting": (AccountingSlo, {"max_errors", "max_shed"}),
+    "accounting": (AccountingSlo, {"max_errors"}),
     "reconciliation": (ReconciliationSlo, set()),
     "message_budget": (MessageBudgetSlo, {"numerator", "denominator", "max_ratio"}),
     "degradation": (

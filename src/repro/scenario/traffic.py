@@ -288,7 +288,6 @@ class OpenLoopGenerator:
         process: ArrivalProcess,
         population: Population,
         duration: float,
-        rng_name: str = "scenario.arrivals",
         max_in_flight: Optional[int] = None,
     ):
         if not issuers:
@@ -307,7 +306,7 @@ class OpenLoopGenerator:
         self.in_flight = 0
         self.start_time: Optional[float] = None
         self.finished = Future(name="scenario.traffic")
-        self._rng = sim.rng(rng_name)
+        self._rng = sim.rng("scenario.arrivals")
 
         metrics = sim.obs.metrics
         self._offered_c = metrics.counter("scenario.offered")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.client import GroupBinding
+from repro.core.client import GroupBinding, first_value
 from repro.core.modes import Mode
 from repro.core.scheme import scatter_parts
 from repro.errors import BindingBroken
@@ -76,10 +76,8 @@ class ShardedBinding:
             self._make_binding(shard_no) for shard_no in range(num_shards)
         ]
         self.ready = Future(name=f"sharded-bound:{service_name}@{self.client_id}")
-        all_of([b.ready for b in self._bindings]).add_done_callback(
-            lambda f: self.ready.try_fail(f.exception)
-            if f.failed
-            else self.ready.try_resolve(self)
+        all_of([b.ready for b in self._bindings]).then(
+            lambda _bindings: self, into=self.ready
         )
 
     def _make_binding(self, shard_no: int) -> GroupBinding:
@@ -136,21 +134,8 @@ class ShardedBinding:
         timeout: Optional[float] = None,
     ) -> Future:
         """Like :meth:`invoke` but resolves with the first reply *value*."""
-        result = Future(name=f"shard-value:{operation}")
         inner = self.invoke(operation, args, key=key, mode=mode, timeout=timeout)
-
-        def unwrap(fut: Future) -> None:
-            if fut.failed:
-                result.fail(fut.exception)
-                return
-            outcome = fut.result()
-            try:
-                result.resolve(outcome.value if outcome is not None else None)
-            except Exception as exc:  # noqa: BLE001 - servant error
-                result.fail(exc)
-
-        inner.add_done_callback(unwrap)
-        return result
+        return inner.then(first_value)
 
     # ------------------------------------------------------------------
     # scatter/gather
@@ -161,16 +146,15 @@ class ShardedBinding:
         keys: Iterable[Any],
         mode: str = Mode.ALL,
         timeout: Optional[float] = None,
-        args_for: Optional[Callable[[List[Any]], Tuple]] = None,
     ) -> Future:
-        """Invoke ``operation`` once on every shard that owns one of ``keys``.
+        """Invoke ``operation`` once on every shard that owns one of ``keys``,
+        with that shard's key subset as the single argument.
 
-        Only the addressed shards see any traffic.  ``args_for(shard_keys)``
-        builds each shard's argument tuple (default: the key subset as the
-        single argument).  Resolves with ``{shard_no: InvocationResult}``.
+        Only the addressed shards see any traffic.  Resolves with
+        ``{shard_no: InvocationResult}``.
         """
         grouped = self.group_by_shard(keys)
-        return self._scatter_grouped(grouped, operation, mode, timeout, args_for)
+        return self._scatter_grouped(grouped, operation, mode, timeout, None)
 
     def invoke_all(
         self,
@@ -214,13 +198,7 @@ class ShardedBinding:
             self._invoke_on(shard_no, operation, plan[shard_no], mode, timeout)
             for shard_no in shard_nos
         ]
-        result = Future(name=f"scatter:{operation}@{self.client_id}")
-        all_of(calls).add_done_callback(
-            lambda f: result.try_fail(f.exception)
-            if f.failed
-            else result.try_resolve(dict(zip(shard_nos, f.result())))
-        )
-        return result
+        return all_of(calls).then(lambda results: dict(zip(shard_nos, results)))
 
     # ------------------------------------------------------------------
     # per-shard invoke with remap-on-broken-binding

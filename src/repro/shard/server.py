@@ -51,96 +51,31 @@ class _ShardDirectory:
         return True
 
 
-class _ParentMember(ObjectGroupServer):
-    """Parent-group member that feeds view installs to the shard layer."""
-
-    def __init__(self, owner: "ShardedServer", *args, **kwargs):
-        self._owner = owner
-        super().__init__(*args, **kwargs)
-
-    def _on_group_view(self, view, joined: List[str], left: List[str]) -> None:
-        super()._on_group_view(view, joined, left)
-        self._owner._on_parent_view(view, joined, left)
-
-
 class _ShardMember(ObjectGroupServer):
-    """One shard sub-service member with registry-driven startup.
+    """One shard sub-service member.  Only the shard's *anchor* (its first
+    assigned member) may create the shard group: a late member waits for
+    the anchor's advertisement instead of racing it."""
 
-    Reuses the rejoin loop (lookup → join with timeout → backoff →
-    re-create after repeatedly empty lookups) for joining an existing
-    shard group; the shard's first assigned member creates it when the
-    registry has no advertisement yet.
-    """
-
-    #: the shard's *anchor* (first assigned member) re-creates the group
-    #: after this many join attempts against advertised-but-unresponsive
-    #: members — the whole-shard-crashed case, where the registry's last
-    #: advertisement names only dead incarnations and would otherwise pin
-    #: the rejoin loop forever
+    #: the anchor re-creates the group after this many join attempts
+    #: against advertised-but-unresponsive members — the whole-shard-crashed
+    #: case, where the registry's last advertisement names only dead
+    #: incarnations and would otherwise pin the join loop forever
     ANCHOR_RECREATE_AFTER = 3
 
     #: kept current by the owner's layout recompute
     anchor = False
+    #: a shard's members join a group the layout says exists
+    _rejoin = True
 
-    def start_via_registry(self, is_anchor: bool) -> None:
-        self.anchor = is_anchor
-        if not is_anchor:
-            # the rejoin loop is exactly the robust join-through-registry
-            # path a late shard member needs (including the fallback that
-            # re-creates the group if every advertised member is gone)
-            self._restart_epoch += 1
-            self._rejoin_attempt(0, self._restart_epoch)
-            return
-        lookup = self.service.registry.lookup(self.service_name)
-
-        def on_lookup(fut: Future) -> None:
-            if self.group is not None:
-                return  # superseded (torn down or already started)
-            others = (
-                []
-                if fut.failed
-                else [
-                    m
-                    for m in self.service.registry.members_of(fut.result())
-                    if m != self.member_id
-                ]
-            )
-            if others:
-                # the shard survived a re-layout on other members: join it
-                self._restart_epoch += 1
-                self._rejoin_attempt(0, self._restart_epoch)
-            else:
-                self.start_as_creator()
-
-        lookup.add_done_callback(on_lookup)
-
-    def _on_rejoin_lookup(self, fut: Future, attempt: int, epoch: int) -> None:
-        if (
-            epoch == self._restart_epoch
-            and self.anchor
-            and attempt >= self.ANCHOR_RECREATE_AFTER
-            and not fut.failed
-        ):
-            others = [
-                m
-                for m in self.service.registry.members_of(fut.result())
-                if m != self.member_id
-            ]
-            if others:
-                self._recreate_group()
-                return
-        super()._on_rejoin_lookup(fut, attempt, epoch)
+    def _may_create(self, attempt: int, others: List[str]) -> bool:
+        return self.anchor and (not others or attempt >= self.ANCHOR_RECREATE_AFTER)
 
 
-class ShardedServer:
-    """One node's participation in a sharded service.
-
-    Exposes the same recovery-facing surface as
-    :class:`~repro.core.server.ObjectGroupServer` (``ready``, ``group``,
-    ``servant``, ``restart()``, ``_rejoin_contact``) delegated to the
-    parent member, so :class:`~repro.recovery.manager.RecoveryManager`
-    and membership-level convergence work unchanged.
-    """
+class ShardedServer(ObjectGroupServer):
+    """One node's participation in a sharded service: it *is* the parent
+    group's member (so ``ready``, ``group``, ``restart()`` and the recovery
+    tooling work as for any server) and hosts one :class:`_ShardMember`
+    per shard the layout assigns it."""
 
     #: how often a retiring member re-checks whether a successor arrived
     RETIRE_POLL = 50e-3
@@ -164,27 +99,16 @@ class ShardedServer:
         if not callable(servant_factory):
             raise ValueError("serve_sharded needs a servant *factory* (one fresh "
                              "servant per hosted shard), not a servant instance")
-        self.service = service
-        self.sim = service.sim
-        self.member_id = service.name
-        self.service_name = service_name
+        # the parent group is plain and active; one config serves it and
+        # (sequencer aside) every shard
+        super().__init__(service, service_name, _ShardDirectory(), config=config)
         self.servant_factory = servant_factory
         self.num_shards = num_shards
         self.min_members_per_shard = min_members_per_shard
-        self.policy = policy
-        self.async_forwarding = async_forwarding
-        self.admission = admission
-
-        self.parent = _ParentMember(
-            self,
-            service,
-            service_name,
-            _ShardDirectory(),
-            policy=ReplicationPolicy.ACTIVE,
-            config=config,
+        #: what every hosted shard member is built with
+        self._shard_options = dict(
+            policy=policy, async_forwarding=async_forwarding, admission=admission
         )
-        #: one config for the parent group and (sequencer aside) every shard
-        self.config: GroupConfig = self.parent.config
         #: shard_no -> local ObjectGroupServer for shards this member hosts
         self.shard_servers: Dict[int, ObjectGroupServer] = {}
         #: the last successfully computed assignment (None = unprovisioned)
@@ -192,32 +116,12 @@ class ShardedServer:
         self.layout_version = 0
         self._retiring: Dict[int, float] = {}  # shard_no -> retire deadline
 
-        obs = service.sim.obs
-        self._flight = obs.flight
-        self._recompute_counter = obs.metrics.counter("shard.layout.recomputes")
-        self._change_counter = obs.metrics.counter("shard.layout.changes")
-        self._provision_counter = obs.metrics.counter("shard.provisioning_failures")
-        self._started_counter = obs.metrics.counter("shard.members.started")
-        self._retired_counter = obs.metrics.counter("shard.members.retired")
-
-    # ------------------------------------------------------------------
-    # recovery-facing surface (delegated to the parent member)
-    # ------------------------------------------------------------------
-    @property
-    def ready(self) -> Future:
-        return self.parent.ready
-
-    @property
-    def group(self):
-        return self.parent.group
-
-    @property
-    def servant(self):
-        return self.parent.servant
-
-    @property
-    def _rejoin_contact(self) -> Optional[str]:
-        return self.parent._rejoin_contact
+        metrics = service.sim.obs.metrics
+        self._recompute_counter = metrics.counter("shard.layout.recomputes")
+        self._change_counter = metrics.counter("shard.layout.changes")
+        self._provision_counter = metrics.counter("shard.provisioning_failures")
+        self._started_counter = metrics.counter("shard.members.started")
+        self._retired_counter = metrics.counter("shard.members.retired")
 
     @property
     def provisioned(self) -> bool:
@@ -233,21 +137,18 @@ class ShardedServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start_as_creator(self) -> None:
-        self.parent.start_as_creator()
+    def _create_group(self, recreated: bool) -> None:
+        super()._create_group(recreated)
         # the creator's initial view is installed inside create_group, before
         # callbacks are wired — recompute from the membership directly
-        self._recompute_layout(self.parent.group.members)
-
-    def start_as_joiner(self, contact: str) -> None:
-        self.parent.start_as_joiner(contact)
+        self._recompute_layout(self.group.members)
 
     def stop(self) -> Future:
         """Graceful shutdown: leave every hosted shard, then the parent."""
         for shard_no in list(self.shard_servers):
             self._finish_retirement(shard_no, graceful=True)
         self._retiring.clear()
-        return self.parent.stop()
+        return super().stop()
 
     def restart(self) -> Future:
         """Crash recovery: tear down the dead incarnation's shard members
@@ -258,12 +159,13 @@ class ShardedServer:
             self._teardown_shard(shard_no)
         self._retiring.clear()
         self.assignment = None
-        return self.parent.restart()
+        return super().restart()
 
     # ------------------------------------------------------------------
     # layout recompute (every parent view install, on every member)
     # ------------------------------------------------------------------
-    def _on_parent_view(self, view, joined: List[str], left: List[str]) -> None:
+    def _on_group_view(self, view, joined: List[str], left: List[str]) -> None:
+        super()._on_group_view(view, joined, left)
         self._recompute_layout(view.members)
 
     def _recompute_layout(self, members: Sequence[str]) -> None:
@@ -275,7 +177,7 @@ class ShardedServer:
         except ProvisioningError as exc:
             self._provision_counter.inc()
             self._flight.record(
-                self.member_id, "shard.unprovisioned", self.parent.group_name, str(exc)
+                self.member_id, "shard.unprovisioned", self.group_name, str(exc)
             )
             return  # keep the previous assignment (degraded) until members return
         if assignment != self.assignment:
@@ -284,7 +186,7 @@ class ShardedServer:
             self._flight.record(
                 self.member_id,
                 "shard.layout",
-                self.parent.group_name,
+                self.group_name,
                 f"v{self.layout_version} sizes={[len(a) for a in assignment]}",
             )
         self.assignment = assignment
@@ -313,17 +215,16 @@ class ShardedServer:
             self.service,
             sub_name,
             self.servant_factory(),
-            policy=self.policy,
             # each shard orders through its own anchor (first assigned member)
             config=self.config.replace(sequencer_hint=assigned[0]),
-            async_forwarding=self.async_forwarding,
-            admission=self.admission,
+            **self._shard_options,
         )
         self.shard_servers[shard_no] = server
         self.service.servers[sub_name] = server
         self._started_counter.inc()
         self._flight.record(self.member_id, "shard.join", f"svc:{sub_name}")
-        server.start_via_registry(is_anchor=(assigned[0] == self.member_id))
+        server.anchor = assigned[0] == self.member_id
+        server.start()
 
     # ------------------------------------------------------------------
     # leaving a shard: retiring handover

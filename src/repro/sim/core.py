@@ -41,7 +41,7 @@ class ScheduledEvent:
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "ctx")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: Tuple, ctx=None):
+    def __init__(self, time: float, seq: int, fn: Callable, args: Tuple, ctx):
         self.time = time
         self.seq = seq
         self.fn = fn

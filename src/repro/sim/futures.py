@@ -108,6 +108,35 @@ class Future:
         else:
             self._callbacks.append(fn)
 
+    def then(self, fn: Callable[[Any], Any], into: Optional["Future"] = None) -> "Future":
+        """Hand this future's outcome on through ``fn``: the one hand-off.
+
+        ``into`` (a fresh future unless given) resolves with ``fn(value)``,
+        fails with this future's exception, or fails with whatever ``fn``
+        raised.  An ``into`` somebody settled first is left as it is.
+        """
+        if into is None:
+            into = Future(name=self.name)
+
+        def hand_on(fut: "Future") -> None:
+            if into._done:
+                return
+            if fut._exc is not None:
+                into.fail(fut._exc)
+                return
+            try:
+                value = fn(fut._value)
+            except Exception as exc:  # noqa: BLE001 - fn's error is the outcome
+                into.fail(exc)
+            else:
+                into.resolve(value)
+
+        if self._done:
+            hand_on(self)
+        else:
+            self._callbacks.append(hand_on)
+        return into
+
     def _fire(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:

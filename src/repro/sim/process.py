@@ -132,15 +132,8 @@ def with_timeout(sim: Simulator, future: Future, timeout: float) -> Future:
         timeout, lambda: wrapped.try_fail(SimTimeout(f"{future.name}: {timeout}s"))
     )
 
-    def on_done(fut: Future) -> None:
-        timer.cancel()
-        if fut.failed:
-            wrapped.try_fail(fut.exception)
-        else:
-            wrapped.try_resolve(fut.result())
-
-    future.add_done_callback(on_done)
-    return wrapped
+    future.add_done_callback(lambda _fut: timer.cancel())
+    return future.then(lambda value: value, into=wrapped)
 
 
 def run_process(sim: Simulator, gen: Generator, until: Optional[float] = None) -> Any:

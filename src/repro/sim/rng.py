@@ -26,7 +26,7 @@ def derive_seed(master_seed: int, name: str) -> int:
 class RngRegistry:
     """Factory and cache of named :class:`random.Random` streams."""
 
-    def __init__(self, master_seed: int = 0):
+    def __init__(self, master_seed: int):
         self.master_seed = master_seed
         self._streams: Dict[str, random.Random] = {}
 

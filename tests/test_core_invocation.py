@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BindingStyle, Mode, ReplicationPolicy, SchemeConfig
-from repro.errors import ApplicationError, ConfigurationError
+from repro.errors import ApplicationError, BindingBroken, CommFailure, ConfigurationError
 from repro.groupcomm import (
     GroupConfig,
     Liveliness,
@@ -11,6 +11,8 @@ from repro.groupcomm import (
     Ordering,
     OrderingConfig,
 )
+from repro.overload import AdmissionConfig
+from repro.recovery import RetryPolicy
 from repro.sim import run_process
 from tests.core_helpers import (
     AppCluster,
@@ -297,6 +299,35 @@ def test_combined_invoke_timeout_fails_and_cancels_the_rendezvous_slot():
     assert not bindings[1]._pending and not bindings[2]._pending
 
 
+def test_combined_binding_close_fails_pending_calls_and_leaves():
+    """close() at any cohort member: its pending logical calls fail
+    ``BindingBroken`` with their timers cancelled; the root also closes the
+    underlying binding, which leaves the client/server group."""
+    c = AppCluster(servers=2, clients=3)
+    c.serve_all("svc", Counter)
+    scheme = SchemeConfig("combined_flat", callers=list(c.client_names))
+    root, child, _absent = bind_combined_cohort(c, scheme)
+    gc_name = root._binding.group_name
+    # c2 never contributes: both calls stay pending on it
+    waiting = [b.invoke("incr", (1,), timeout=30.0) for b in (root, child)]
+    c.run(0.5)
+    assert not any(f.done for f in waiting)
+    timers = [timer for b in (root, child) for _f, timer in b._pending.values()]
+    assert len(timers) == 2
+    for binding in (root, child):
+        binding.close()
+        binding.close()  # idempotent
+    for fut in waiting:
+        assert fut.failed and isinstance(fut.exception, BindingBroken)
+    assert all(timer.cancelled for timer in timers)
+    assert not root._pending and not child._pending
+    late = child.invoke("incr", (1,))
+    assert late.failed and isinstance(late.exception, BindingBroken)
+    c.run(2.0)
+    assert c.client(0).gcs.session(gc_name) is None
+    assert c.server(0).gcs.session(gc_name) is None
+
+
 def test_closed_binding_close_releases_servers():
     c = AppCluster(servers=2, clients=1)
     c.serve_all("svc", Counter)
@@ -502,3 +533,83 @@ def test_group_to_group_one_way():
     b1.invoke("incr", (5,), mode=Mode.ONE_WAY)
     c.run(2.0)
     assert [s.servant.value for s in servers] == [5, 5]
+
+
+# -- a g2g call ends: manager loss, timeout, shed (one lifecycle with bind()) --
+def g2g_pair(c, **bind_kwargs):
+    """gx = {c0, c1}, both bound to "svc" through the shared monitor group."""
+    c.client(0).create_peer_group("gx")
+    c.client(1).join_peer_group("gx", "c0")
+    c.run(1.0)
+    bindings = [
+        c.client(i).bind_group_to_group("gx", ["c0", "c1"], "svc", **bind_kwargs)
+        for i in (0, 1)
+    ]
+    c.run(1.0)
+    assert all(b.ready.done and not b.ready.failed for b in bindings)
+    return bindings
+
+
+def test_group_to_group_manager_crash_fails_calls_instead_of_hanging():
+    """gz re-forms without its manager; every gx member's outstanding call
+    and every later one fail ``BindingBroken`` (they used to stay pending
+    for ever: the binding had no view handler and no timeout to pass)."""
+    c = AppCluster(servers=3, clients=2)
+    c.serve_all("svc", Counter)
+    b0, b1 = g2g_pair(
+        c,
+        liveliness=Liveliness.LIVELY,
+        suspicion_timeout=100e-3,
+        # static time-silence: an idle gz must not have stretched its deadlines
+        liveliness_config=LivelinessConfig(adaptive=False),
+    )
+    c.net.crash(b0.manager)
+    futures = [b.invoke("incr", (1,)) for b in (b0, b1)]
+    c.run(b0.config.suspicion_timeout + 2 * b0.config.flush_timeout)
+    for fut in futures:
+        assert fut.failed and isinstance(fut.exception, BindingBroken)
+    late = b1.invoke("incr", (1,))
+    assert late.failed and isinstance(late.exception, BindingBroken)
+    assert not b0._pending and not b1._pending
+    c.run(60.0)  # and nothing is left polling or retrying
+    assert c.sim.obs.metrics.counter_value("client.rebinds") == 0
+
+
+def test_group_to_group_invoke_takes_a_timeout():
+    """``invoke(timeout=)`` is GroupBinding's, inherited: a call the
+    partitioned manager never answers fails ``CommFailure`` on time."""
+    c = AppCluster(servers=3, clients=2)
+    c.serve_all("svc", Counter)
+    b0, b1 = g2g_pair(c, suspicion_timeout=5.0)  # no view change in the way
+    c.net.partition({b0.manager})
+    issued = c.sim.now
+    failed_at = []
+    futures = [b.invoke("incr", (1,), timeout=0.5) for b in (b0, b1)]
+    for fut in futures:
+        fut.add_done_callback(lambda _f: failed_at.append(c.sim.now))
+    c.run(1.0)
+    assert failed_at == [pytest.approx(issued + 0.5)] * 2
+    assert all(isinstance(f.exception, CommFailure) for f in futures)
+    assert c.sim.obs.metrics.counter_value("client.timeouts") == 2
+
+
+def test_group_to_group_shed_call_is_retried_and_runs_exactly_once():
+    """A manager-side ShedReply is one multicast in gz: every gx member
+    backs off and retries under the same call number, and the manager
+    forwards one copy of the retry round as it did of the first."""
+    c = AppCluster(servers=3, clients=2)
+    servers = c.serve_all(
+        "svc", Counter, admission=AdmissionConfig(max_inflight=1, retry_after=0.05)
+    )
+    bindings = g2g_pair(
+        c, retry_policy=RetryPolicy(max_attempts=5, base_delay=0.05, max_delay=0.5)
+    )
+    # two calls back to back: the second finds the one inflight slot taken
+    futures = [b.invoke("incr", (1,), timeout=8.0) for _ in range(2) for b in bindings]
+    c.run(10.0)
+    assert all(f.done and not f.failed for f in futures)
+    counter = c.sim.obs.metrics.counter_value
+    assert counter("overload.shed") >= 1
+    assert counter("overload.retry_after_honored") >= 2  # both members, same ShedReply
+    assert [s.servant.value for s in servers] == [2, 2, 2]
+    assert counter("server.requests_executed") == 6

@@ -40,6 +40,45 @@ def test_survivors_deliver_same_set_after_crash(ordering):
     assert histories[2] == histories[0]
 
 
+@pytest.mark.parametrize("ordering", [Ordering.CAUSAL, Ordering.FIFO])
+def test_survivors_close_a_view_consistently_under_partial_order(ordering):
+    """Causal and FIFO groups promise no common sequence, so the view change
+    has to close the old view itself (``finalize``): every survivor ends it
+    with the same *set* of messages — the crashed member's included, though
+    it reached only some of them directly — each sender's in sending order,
+    and (causal) an answer never before the message it answers."""
+    c = Cluster(4)
+    config = GroupConfig(ordering=ordering, **LIVELY_FAST)
+    sessions = build_group(c, config)
+    collectors = [Collector(s) for s in sessions]
+
+    def answer(sender, payload):  # n1 reacts to n3's first message
+        collectors[1].on_deliver(sender, payload)
+        if payload == "pre-n3-0":
+            sessions[1].send("re-n3-0")
+
+    sessions[1].on_deliver = answer
+    for i in range(3):
+        for s in sessions:
+            s.send(f"pre-{s.member_id}-{i}")
+    c.run(4e-4)
+    c.net.crash("n3")  # mid-burst: the rest of its sends die in its CPU queue
+    c.run(0.05)  # everything in flight has landed; no view change yet
+    got = [{p for p in col.payloads if p.startswith("pre-n3")} for col in collectors[:3]]
+    assert len({frozenset(g) for g in got}) > 1, "nothing left for the view change to close"
+    c.run(2.0)
+    assert all(set(s.view.members) == {"n0", "n1", "n2"} for s in sessions[:3])
+    histories = [col.payloads for col in collectors[:3]]
+    assert set(histories[0]) == set(histories[1]) == set(histories[2])
+    assert all(len(h) == len(set(h)) for h in histories)  # nothing delivered twice
+    for history in histories:
+        for sender in ("n0", "n1", "n2", "n3"):
+            own = [p for p in history if p.startswith(f"pre-{sender}-")]
+            assert own == sorted(own), (sender, history)
+        if ordering == Ordering.CAUSAL and "re-n3-0" in history:
+            assert history.index("pre-n3-0") < history.index("re-n3-0")
+
+
 def test_view_change_keeps_total_order_across_views():
     c = Cluster(3)
     config = GroupConfig(ordering=Ordering.SYMMETRIC, **LIVELY_FAST)

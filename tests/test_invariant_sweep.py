@@ -18,7 +18,7 @@ import pytest
 
 from repro.groupcomm import GroupConfig, Liveliness, Ordering, OrderingConfig
 from repro.groupcomm.ordering import AsymmetricOrder
-from repro.net import Topology
+from repro.net import JitteredLatency, Topology
 from repro.scenario import run_scenario
 from tests.conftest import Cluster
 from tests.invariants import (
@@ -500,7 +500,7 @@ def join_under_loss(seed: int, batch: bool):
     """One cell of the join-under-loss sweep: ``(cluster, record)`` after
     the run (also a deployment of ``tests/test_orb_wire_equivalence.py``)."""
     topology = Topology()
-    topology.add_site("lan", loss=0.02)
+    topology.add_site("lan", JitteredLatency(Topology.LAN_LATENCY, jitter=0.2), loss=0.02)
     c = Cluster(5, topology=topology, seed=seed)
     config = GroupConfig(
         ordering=Ordering.ASYMMETRIC,

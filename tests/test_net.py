@@ -61,8 +61,8 @@ def test_topology_unknown_site_rejected():
 
 def test_topology_missing_link_uses_default_wan():
     topo = Topology()
-    topo.add_site("a")
-    topo.add_site("b")
+    topo.add_site("a", FixedLatency(1e-4))
+    topo.add_site("b", FixedLatency(1e-4))
     with pytest.raises(KeyError):
         topo.link("a", "b")
     topo.set_default_wan(FixedLatency(0.02))
@@ -71,9 +71,9 @@ def test_topology_missing_link_uses_default_wan():
 
 def test_duplicate_site_rejected():
     topo = Topology()
-    topo.add_site("a")
+    topo.add_site("a", FixedLatency(1e-4))
     with pytest.raises(ValueError):
-        topo.add_site("a")
+        topo.add_site("a", FixedLatency(1e-4))
 
 
 def test_message_delivery_between_nodes():

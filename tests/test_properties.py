@@ -150,19 +150,6 @@ member_lists = st.lists(
 )
 
 
-@given(member_lists, member_lists)
-def test_view_next_view_properties(members_a, add):
-    view = GroupView("g", 1, members_a)
-    new = view.next_view(add=add)
-    assert new.view_id == view.view_id + 2 - 1
-    assert len(set(new.members)) == len(new.members)
-    for member in add:
-        assert member in new
-    # original members retain their relative order
-    kept = [m for m in new.members if m in members_a]
-    assert kept == [m for m in members_a if m in new.members]
-
-
 @given(member_lists)
 def test_view_majority_bound(members_list):
     view = GroupView("g", 1, members_list)

@@ -246,6 +246,178 @@ def test_stop_while_joining_leaves_and_counts_no_rejoin():
 
 
 # ---------------------------------------------------------------------------
+# start(): the entry loop's give-up and re-create branches
+# ---------------------------------------------------------------------------
+def test_serve_waits_out_an_unreachable_registry_instead_of_forking_the_group():
+    """A first ``serve`` whose lookup *times out* knows nothing about the
+    group: it retries.  (It used to create the group on any lookup failure,
+    so two members starting around a registry outage each made their own.)"""
+    c = AppCluster(servers=2, clients=0)
+    c.net.crash("registry")
+    s0 = c.server(0).serve("svc", Counter(), config=FAST)
+    c.run(1.0)
+    assert not s0.ready.done  # lookup still in flight; nothing created
+    c.net.recover("registry")
+    s1 = c.server(1).serve("svc", Counter(), config=FAST)
+    c.run(5.0)
+    assert s0.ready.done and s1.ready.done
+    assert s0.members == s1.members and sorted(s0.members) == ["s0", "s1"]
+    assert c.sim.obs.metrics.counter_value("server.rejoins") == 0  # first starts
+
+
+def test_restart_gives_up_after_the_attempt_budget():
+    """An unreachable registry is retried with backoff, ``REJOIN.max_attempts``
+    times; then ``ready`` fails and the failure is counted once."""
+    c = AppCluster(servers=3, clients=0)
+    servers = c.serve_all("svc", Counter, config=FAST)
+    c.net.crash("s2")
+    c.run(1.0)
+    c.net.recover("s2")
+    c.net.crash("registry")
+    ready = servers[2].restart()
+    c.run(20.0)  # nine lookups down (2 s timeout each), not yet the tenth
+    assert not ready.done
+    c.run(40.0)
+    assert ready.failed and isinstance(ready.exception, GroupError)
+    counter = c.sim.obs.metrics.counter_value
+    assert counter("server.rejoin_failures") == 1
+    assert counter("server.rejoins") == 0
+    assert servers[2].group is None and servers[2]._rejoin_contact is None
+
+
+def test_restart_recreates_a_group_the_registry_says_only_we_were_in():
+    """The last advertisement names only our dead incarnation: nobody can
+    answer a JoinReq.  The lookup is retried (a racing majority
+    advertisement gets ``RECREATE_AFTER`` chances to land), then the member
+    re-creates the group, counted as a rejoin."""
+    c = AppCluster(servers=1, clients=1)
+    (server,) = c.serve_all("svc", Counter, config=FAST)
+    binding = fast_binding(c)
+    warm_up(c, binding)
+    c.net.crash("s0")
+    c.run(0.5)
+    c.net.recover("s0")
+    restarted = c.sim.now
+    ready = server.restart()
+    ready.add_done_callback(lambda _f: setattr(server, "recreated_at", c.sim.now))
+    c.run(5.0)
+    assert ready.done and not ready.failed
+    assert server.members == ["s0"]
+    assert c.sim.obs.metrics.counter_value("server.rejoins") == 1
+    # two jittered backoffs (0.2 s and 0.4 s envelopes, -25 % at most) first
+    assert server.recreated_at - restarted >= (0.2 + 0.4) * 0.75
+    assert server.servant.value == 1  # the servant object survived; it serves again
+    # and a rebound client is served by the new incarnation
+    fut = c.client(0).bind("svc").call("incr", (1,), timeout=5.0)
+    c.run(3.0)
+    assert fut.result() == 2
+
+
+# ---------------------------------------------------------------------------
+# duplicates that reach a replica or a manager after the first run
+# ---------------------------------------------------------------------------
+def test_new_manager_reforwards_a_retried_call_and_replicas_replay_it():
+    """The manager dies after the replicas executed and logged the call but
+    before its ReplySet left.  The client's retry reaches a new manager,
+    which has no reply set cached and re-forwards; every replica replays
+    its logged reply instead of running the servant again."""
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all("svc", Counter, config=FAST)
+    binding = fast_binding(
+        c, style=BindingStyle.OPEN, restricted=True, retry_policy=RETRY
+    )
+    warm_up(c, binding)
+    assert binding.manager == "s0"
+    fut = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=0.15)
+    while min(servers[1].servant.value, servers[2].servant.value) < 2:
+        assert c.sim.step()
+    c.net.crash("s0")  # its ReplySet (if it got that far) dies on the wire
+    counter = c.sim.obs.metrics.counter_value
+    executed = counter("server.requests_executed")
+    suppressed = counter("server.duplicates_suppressed")
+    c.run(8.0)
+    assert fut.done and not fut.failed
+    assert binding.manager != "s0"
+    assert counter("server.requests_executed") == executed
+    assert counter("server.duplicates_suppressed") == suppressed + 2  # s1 and s2
+    assert fut.result().by_member() == {"s1": 2, "s2": 2}  # the first run's values
+    assert servers[1].servant.value == servers[2].servant.value == 2
+
+
+def test_retry_while_the_collector_is_open_is_dropped_not_reforwarded():
+    """A retry that overtakes its own first run finds the manager still
+    collecting (s1 and s2 are slow): it is dropped there, once — not
+    forwarded again for every replica to replay or, worse, re-run."""
+    c = AppCluster(servers=3, clients=1)
+    servants = []
+
+    def counter():  # the manager's is fast, so its CPU is free for the retry
+        servant = Counter()
+        if servants:
+            servant.OP_COSTS = {"incr": 80e-3}  # under the suspicion timeout
+        servants.append(servant)
+        return servant
+
+    c.serve_all("svc", counter, config=FAST)
+    eager = RetryPolicy(max_attempts=6, base_delay=0.02, factor=2.0, max_delay=1.0)
+    binding = fast_binding(c, style=BindingStyle.OPEN, retry_policy=eager)
+    fut = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=0.02)
+    c.run(3.0)
+    assert fut.done and not fut.failed
+    counter_value = c.sim.obs.metrics.counter_value
+    retries = counter_value("client.retries")
+    assert retries >= 1
+    # each one that was sent was suppressed once, at the manager — never
+    # once per replica (a retry still backing off at completion is not sent)
+    assert 1 <= counter_value("server.duplicates_suppressed") <= retries
+    assert counter_value("server.requests_executed") == 3
+    assert [servant.value for servant in servants] == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the recovery manager's last resort
+# ---------------------------------------------------------------------------
+def test_stuck_solo_minority_is_force_rejoined():
+    """A partition shorter than the suspicion timeout: s2's suspicions fire
+    (here: are fired) inside it and it installs a solo view; the idle,
+    event-driven majority never notices.  Both sides are stable, s2 is *in*
+    the primary view so it is no straggler, and only the ``STUCK_POLLS``
+    backstop tears it down — after which the majority's next multicast
+    finds it silent, removes it, and the rejoin goes through."""
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all("svc", Counter)  # event-driven: an idle group exchanges nothing
+    binding = bind_scheme(c)
+    recovery = RecoveryManager(c.sim, c.net, c.services, "svc")
+    c.net.partition({"s2"})
+    session = servers[2].group
+    # s2 gives up on both peers at once and flushes alone.  Not through
+    # on_local_suspicion: that also queues a ViewInstall for the first
+    # suspect, which the reliable channel delivers after the heal and which
+    # expels it — here the majority must hear nothing at all
+    session.detector.suspected.update({"s0", "s1"})
+    session.membership._start_flush()
+    c.run(0.05)
+    c.net.heal()
+    recovery.after_heal()
+    status = convergence_status(c.services, "svc", c.net)
+    assert status["views"] == {"s0": ["s0", "s1", "s2"], "s1": ["s0", "s1", "s2"], "s2": ["s2"]}
+    assert status["stragglers"] == []
+    quiet = RecoveryManager.STUCK_POLLS * RecoveryManager.POLL_PERIOD
+    counter = c.sim.obs.metrics.counter_value
+    c.run(quiet - 0.1)
+    assert counter("recovery.restarts") == 0  # nothing looked actionable yet
+    c.run(0.5)
+    assert counter("recovery.restarts") == 1  # the backstop
+    fut = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=5.0)
+    c.run(10.0)
+    assert fut.done and not fut.failed
+    assert counter("recovery.converged") == 1
+    status = convergence_status(c.services, "svc", c.net)
+    assert status["converged"], status
+    assert sorted(status["view"]) == ["s0", "s1", "s2"]
+
+
+# ---------------------------------------------------------------------------
 # client-side retry policy
 # ---------------------------------------------------------------------------
 RETRY = RetryPolicy(max_attempts=6, base_delay=0.1, factor=2.0, max_delay=1.0)

@@ -264,6 +264,30 @@ def test_join_triggers_relayout_and_data_survives():
     run_process(c.sim, verify(), until=c.sim.now + 5.0)
 
 
+def test_sharded_binding_close_fails_pending_calls_and_leaves_every_shard():
+    from repro.errors import BindingBroken
+
+    c = AppCluster(servers=4, clients=1)
+    serve_all_sharded(c, num_shards=2)
+    binding = sharded_client(c, 2)
+    groups = [binding.binding(shard_no).group_name for shard_no in range(2)]
+    keys = keys_for_shard(0, 2, 1) + keys_for_shard(1, 2, 1)
+    pending = [binding.invoke("put", (key, "v"), key=key, timeout=30.0) for key in keys]
+    pending.append(binding.scatter("mget", keys, timeout=30.0))
+    timers = [p.timer for sub in binding._bindings for p in sub._pending.values()]
+    assert len(timers) == 4
+    binding.close()
+    binding.close()  # idempotent
+    for fut in pending:
+        assert fut.failed and isinstance(fut.exception, BindingBroken)
+    assert all(timer.cancelled for timer in timers)
+    late = binding.invoke("get", ("k0",), key="k0")
+    assert late.failed and isinstance(late.exception, BindingBroken)
+    c.run(2.0)  # no remap: a closed sharded binding stays closed
+    assert c.sim.obs.metrics.counter_value("shard.client.remaps") == 0
+    assert all(c.client(0).gcs.session(name) is None for name in groups)
+
+
 def test_stop_leaves_every_hosted_shard_and_then_the_parent():
     c = AppCluster(servers=4, clients=0)
     servers = serve_all_sharded(c, num_shards=2)

@@ -58,6 +58,39 @@ def test_callback_fires_immediately_when_already_done():
     assert seen == ["x"]
 
 
+def test_then_hands_on_value_failure_and_fn_error():
+    source = Future()
+    doubled = source.then(lambda value: value * 2)
+    source.resolve(21)
+    assert doubled.result() == 42
+    # already done: handed on at once
+    assert source.then(str).result() == "21"
+
+    broken = Future()
+    handed = broken.then(lambda value: value * 2)
+    boom = ValueError("boom")
+    broken.fail(boom)
+    assert handed.failed and handed.exception is boom
+
+    raising = Future()
+    handed = raising.then(lambda value: 1 / value)
+    raising.resolve(0)  # fn raises: that is the outcome, not a crash
+    assert handed.failed and isinstance(handed.exception, ZeroDivisionError)
+
+
+def test_then_into_an_existing_future_leaves_a_settled_one_alone():
+    source, ready = Future(), Future()
+    assert source.then(lambda _value: "bound", into=ready) is ready
+    ready.fail(RuntimeError("stopped first"))
+    source.resolve(1)
+    assert ready.failed and isinstance(ready.exception, RuntimeError)
+
+    source, ready = Future(), Future()
+    source.then(lambda _value: "bound", into=ready)
+    source.resolve(1)
+    assert ready.result() == "bound"
+
+
 def test_process_sleep_advances_time():
     sim = Simulator()
 

@@ -339,11 +339,10 @@ class GroupBinding:
             self.manager = targets[0]
             hint = targets[0]
         gc_name = f"cs:{self.client_id}:{self.service_name}:{self._epoch_no}"
-        self._gc = self.service.gcs.create_group(
+        session = self.service.gcs.create_group(
             gc_name, self.config.replace(sequencer_hint=hint)
         )
-        self._gc.on_deliver = self._on_gc_deliver
-        self._gc.on_view = self._on_gc_view
+        self._adopt(session)
         joins = []
         for target in targets:
             servant = IOR(target, "RootPOA", server_servant_id(self.service_name))
@@ -355,7 +354,24 @@ class GroupBinding:
                     timeout=2.0,
                 )
             )
-        all_of(joins).add_done_callback(lambda f: self._on_joins_done(f, len(targets)))
+        all_of(joins).add_done_callback(
+            lambda f: self._on_joins_done(f, session, len(targets))
+        )
+
+    def _adopt(self, session) -> None:
+        """Make ``session`` the client/server group of this binding."""
+        self._gc = session
+        session.on_deliver = self._on_gc_deliver
+        session.on_view = self._on_gc_view
+        session.left.add_done_callback(lambda _f: self._on_gc_closed(session))
+
+    def _on_gc_closed(self, session) -> None:
+        """A session the binding did not leave itself has ended: the group
+        expelled this client (a manager whose CPU is busy past the suspicion
+        timeout suspects the client first).  A manager loss: rebind or break."""
+        if session is self._gc:
+            self._bound = False
+            self._rebind(exclude=self.manager)
 
     def _choose_manager(self, members: List[str]) -> str:
         if self.restricted:
@@ -375,21 +391,21 @@ class GroupBinding:
         index = sum(ord(ch) for ch in self.client_id) % len(members)
         return members[index]
 
-    def _on_joins_done(self, fut: Future, expected: int) -> None:
-        if self._closed:
-            return
+    def _on_joins_done(self, fut: Future, session, expected: int) -> None:
+        if session is not self._gc:
+            return  # closed, or already rebinding around this attempt
         if fut.failed:
             self._handle_bind_failure(fut.exception)
             return
-        self._await_view(expected + 1)
+        self._await_view(session, expected + 1)
 
-    def _await_view(self, size: int) -> None:
-        if self._closed:
+    def _await_view(self, session, size: int) -> None:
+        if session is not self._gc:
             return
-        if self._gc.view is not None and len(self._gc.view.members) >= size:
+        if session.view is not None and len(session.view.members) >= size:
             self._become_bound()
             return
-        self.sim.schedule(1e-3, self._await_view, size)
+        self.sim.schedule(1e-3, self._await_view, session, size)
 
     def _become_bound(self) -> None:
         self._bound = True
@@ -781,10 +797,14 @@ class GroupBinding:
         """Create a fresh client/server group around a surviving member."""
         self.rebinds += 1
         self._rebind_counter.inc()
-        if self._gc is not None:
-            self._gc.leave()
-            self._gc = None
+        self._leave_gc()
         self._lookup_and_bind(exclude, self.REBIND.max_attempts)
+
+    def _leave_gc(self) -> None:
+        # forget the session first: its end must not read as an expulsion
+        session, self._gc = self._gc, None
+        if session is not None:
+            session.leave()
 
     def _fail_outstanding(self, exc: BaseException) -> None:
         # forget every call before failing any: a failure callback may
@@ -806,9 +826,7 @@ class GroupBinding:
             return
         self._closed = True
         self._fail_outstanding(BindingBroken("binding closed"))
-        if self._gc is not None:
-            self._gc.leave()
-            self._gc = None
+        self._leave_gc()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "closed" if self._closed else ("bound" if self._bound else "binding")

@@ -68,9 +68,9 @@ class GroupToGroupBinding(GroupBinding):
         self.manager = members[0]
         initiator = self.client_members[0]
         if self.client_id == initiator:
-            self._gc = self.service.gcs.create_group(
+            self._adopt(self.service.gcs.create_group(
                 self.monitor_name, self.config.replace(sequencer_hint=self.manager)
-            )
+            ))
             servant = IOR(self.manager, "RootPOA", server_servant_id(self.service_name))
             self.orb.invoke(
                 servant,
@@ -79,10 +79,8 @@ class GroupToGroupBinding(GroupBinding):
                 timeout=2.0,
             )
         else:
-            self._gc = self.service.gcs.join_group(self.monitor_name, initiator)
-        self._gc.on_deliver = self._on_gc_deliver
-        self._gc.on_view = self._on_gc_view
-        self._await_view(len(self.client_members) + 1)  # gx + the manager
+            self._adopt(self.service.gcs.join_group(self.monitor_name, initiator))
+        self._await_view(self._gc, len(self.client_members) + 1)  # gx + the manager
 
     def _rebind(self, exclude: str) -> None:
         """gz lost its manager.  Every gx member sees that view change, but

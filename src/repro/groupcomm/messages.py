@@ -75,11 +75,13 @@ class DataMsg:
     __slots__ = (
         "group", "sender", "view_id", "gseq", "ts",
         "kind", "payload", "ticket", "vector", "acks",
-        "hb_period", "era", "pushback", "_mid",
+        "hb_period", "era", "pushback", "_mid", "_wire_size",
     )
-    #: wire fields only — ``_mid`` is a lazily built identity cache,
-    #: never marshalled (identity fields are immutable after construction)
-    _fields = __slots__[:-1]
+    #: wire fields only — ``_mid`` is a lazily built identity cache and
+    #: ``_wire_size`` what ``marshal.wire_size`` found at the first send (a
+    #: multicast sizes its message once, not once per member): never
+    #: marshalled, and sound because no field changes after that send
+    _fields = __slots__[:-2]
 
     def __init__(
         self,
@@ -111,6 +113,7 @@ class DataMsg:
         self.era = era
         self.pushback = pushback
         self._mid: Optional[Tuple[int, str, int]] = None
+        self._wire_size: Optional[int] = None
 
     @property
     def msg_id(self) -> Tuple[int, str, int]:
@@ -134,8 +137,9 @@ class TicketMsg:
 
     __slots__ = (
         "group", "sender", "view_id", "ticket", "target_sender", "target_gseq", "era",
+        "_wire_size",
     )
-    _fields = __slots__
+    _fields = __slots__[:-1]  # ``_wire_size``: see DataMsg
 
     def __init__(
         self,
@@ -154,6 +158,7 @@ class TicketMsg:
         self.target_sender = target_sender
         self.target_gseq = target_gseq
         self.era = era
+        self._wire_size: Optional[int] = None
 
     @property
     def tickets(self) -> List[Tuple[int, str, int]]:
@@ -179,8 +184,8 @@ class TicketBatchMsg:
     for all its tickets).
     """
 
-    __slots__ = ("group", "sender", "view_id", "tickets", "era")
-    _fields = __slots__
+    __slots__ = ("group", "sender", "view_id", "tickets", "era", "_wire_size")
+    _fields = __slots__[:-1]  # ``_wire_size``: see DataMsg
 
     def __init__(
         self,
@@ -195,6 +200,7 @@ class TicketBatchMsg:
         self.view_id = view_id
         self.tickets = [tuple(entry) for entry in tickets]
         self.era = era
+        self._wire_size: Optional[int] = None
 
     def __repr__(self) -> str:
         if self.tickets:

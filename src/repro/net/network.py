@@ -25,61 +25,46 @@ from repro.sim.core import Simulator
 __all__ = ["Network", "NetworkStats"]
 
 
-class NetworkStats:
-    """Counters for traffic observation and tests.
+class _HopCounters(dict):
+    """``net.hops.<kind>`` counters by kind, registered on first use."""
 
-    Mirrors every count into the run's :class:`~repro.obs.MetricsRegistry`
-    (when bound), including **per-kind hop counts**: each hop is attributed
-    to the protocol-message kind the sender threads down through
-    ``Node.send`` / ``ORB.invoke``, so ``net.hops.<kind>`` totals reconcile
-    exactly (±0) with the gc layer's per-kind send counters.
+    def __init__(self, metrics):
+        self._metrics = metrics
+
+    def __missing__(self, kind: str):
+        counter = self[kind] = self._metrics.counter(f"net.hops.{kind}")
+        return counter
+
+
+class NetworkStats:
+    """Traffic counts for observation and tests.
+
+    A view of the run's :class:`~repro.obs.MetricsRegistry`, which holds the
+    only copy (``Network.transmit`` bumps the counters' ``value``), including
+    **per-kind hop counts**: each hop is attributed to the protocol-message
+    kind the sender threads down through ``Node.send`` / ``ORB.invoke``, so
+    ``net.hops.<kind>`` totals reconcile exactly (±0) with the gc layer's
+    per-kind send counters.
     """
 
-    def __init__(self, metrics=None):
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.bytes_sent = 0
-        self.per_service_sent: Dict[str, int] = {}
-        self._metrics = metrics
-        if metrics is not None:
-            self._sent = metrics.counter("net.sent")
-            self._delivered = metrics.counter("net.delivered")
-            self._dropped = metrics.counter("net.dropped")
-            self._bytes = metrics.counter("net.bytes_sent")
-            self._kind_counters: Dict[str, Any] = {}
+    def __init__(self, metrics):
+        self.sent = metrics.counter("net.sent")
+        self.delivered = metrics.counter("net.delivered")
+        self.dropped = metrics.counter("net.dropped")
+        self.bytes = metrics.counter("net.bytes_sent")
+        self.hops = _HopCounters(metrics)
 
-    def record_send(self, service: str, size: int, kind: Optional[str] = None) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size
-        self.per_service_sent[service] = self.per_service_sent.get(service, 0) + 1
-        if self._metrics is not None:
-            self._sent.inc()
-            self._bytes.inc(size)
-            kind = kind or service
-            counter = self._kind_counters.get(kind)
-            if counter is None:
-                counter = self._kind_counters[kind] = self._metrics.counter(
-                    f"net.hops.{kind}"
-                )
-            counter.inc()
-
-    def record_delivery(self) -> None:
-        self.messages_delivered += 1
-        if self._metrics is not None:
-            self._delivered.inc()
-
-    def record_drop(self) -> None:
-        self.messages_dropped += 1
-        if self._metrics is not None:
-            self._dropped.inc()
+    messages_sent = property(lambda self: self.sent.value)
+    messages_delivered = property(lambda self: self.delivered.value)
+    messages_dropped = property(lambda self: self.dropped.value)
+    bytes_sent = property(lambda self: self.bytes.value)
 
     def snapshot(self) -> Dict[str, int]:
         return {
-            "sent": self.messages_sent,
-            "delivered": self.messages_delivered,
-            "dropped": self.messages_dropped,
-            "bytes": self.bytes_sent,
+            "sent": self.sent.value,
+            "delivered": self.delivered.value,
+            "dropped": self.dropped.value,
+            "bytes": self.bytes.value,
         }
 
 
@@ -90,7 +75,7 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.nodes: Dict[str, Node] = {}
-        self.stats = NetworkStats(metrics=sim.obs.metrics)
+        self.stats = NetworkStats(sim.obs.metrics)
         self._tracer = sim.obs.tracer
         self._link_queue_hist = sim.obs.metrics.histogram("net.link_queue_delay")
         self._partition: Optional[List[Set[str]]] = None  # sets of node names
@@ -151,7 +136,10 @@ class Network:
         message kinds from the gc layer; defaults to the service name).
         """
         tracer = self._tracer
-        self.stats.record_send(service, size, kind=kind)
+        stats = self.stats
+        stats.sent.value += 1
+        stats.bytes.value += size
+        stats.hops[kind or service].value += 1
         src_site = self.nodes[src].site
         dst_node = self.nodes.get(dst)
         dst_site = dst_node.site if dst_node is not None else src_site
@@ -161,7 +149,7 @@ class Network:
             link = self._link_cache[resource] = self.topology.link(src_site, dst_site)
 
         # link capacity is consumed whether or not the message will arrive
-        now = self.sim._now  # Simulator.now is a property; skip the descriptor
+        now = self.sim.now
         busy = self._link_busy.get(resource, 0.0)
         tx_start = busy if busy > now else now
         tx_end = tx_start + link.serialisation_delay(size)
@@ -187,11 +175,11 @@ class Network:
         if dst_node is None or not dst_node.alive or (
             self._partition is not None and not self.reachable(src, dst)
         ):
-            self.stats.record_drop()
+            stats.dropped.value += 1
             tracer.end_span(span, outcome="dropped", reason="unreachable")
             return
         if link.loss and self._loss_rng.random() < link.loss:
-            self.stats.record_drop()
+            stats.dropped.value += 1
             tracer.end_span(span, outcome="lost")
             return
 
@@ -200,7 +188,7 @@ class Network:
         key = (src, dst)
         arrival = max(arrival, self._last_arrival.get(key, 0.0))
         self._last_arrival[key] = arrival
-        self.stats.record_delivery()
+        stats.delivered.value += 1
         if span is not None:
             # the hop's extent is known now: close it at the arrival time so
             # the span covers queueing + serialisation + propagation

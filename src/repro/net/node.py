@@ -76,9 +76,8 @@ class Node:
         self._handlers: Dict[str, Callable[[str, Any, int], None]] = {}
         self._busy_until = 0.0
         self._busy_accum = 0.0
-        self._queue_hist = sim.obs.metrics.histogram("node.cpu_queue_delay")
         # pre-resolved bound methods: execute() runs once per CPU submission
-        self._record_queue_delay = self._queue_hist.record
+        self._record_queue_delay = sim.obs.metrics.histogram("node.cpu_queue_delay").record
         self._schedule_at = sim.schedule_at
 
     # ------------------------------------------------------------------
@@ -154,7 +153,7 @@ class Node:
         if not self.alive:
             return
         cost *= self.slowdown
-        now = self.sim._now  # Simulator.now is a property; skip the descriptor
+        now = self.sim.now
         busy = self._busy_until
         start = busy if busy > now else now
         self._record_queue_delay(start - now)

@@ -119,7 +119,7 @@ class Histogram:
                 sub = SUBBUCKETS - 1
             index = exponent * SUBBUCKETS + sub
         buckets = self.buckets
-        buckets[index] = buckets.get(index, 0) + 1
+        buckets[index] = buckets[index] + 1 if index in buckets else 1
 
     @property
     def mean(self) -> float:

@@ -53,8 +53,8 @@ _INT_MAX = 2**63 - 1
 
 _STRUCT_REGISTRY: Dict[str, Tuple[Type, Tuple[str, ...]]] = {}
 
-#: exact struct type -> (header_len, attrgetter, nfields) for wire_size
-_STRUCT_SIZERS: Dict[type, Tuple[int, Callable, int]] = {}
+#: exact struct type -> (header_len, fields as a tuple, keeps a size memo)
+_STRUCT_SIZERS: Dict[type, Tuple[int, Callable, bool]] = {}
 
 
 def corba_struct(cls: Type) -> Type:
@@ -62,7 +62,8 @@ def corba_struct(cls: Type) -> Type:
 
     The class must expose ``_fields`` (a tuple of attribute names) or be
     introspectable via ``__slots__``.  Decoding calls the constructor with
-    the fields as keyword arguments.
+    the fields as keyword arguments.  A class with a non-wire ``_wire_size``
+    slot (initially None) keeps its size there after the first ``wire_size``.
     """
     fields = getattr(cls, "_fields", None)
     if fields is None:
@@ -80,7 +81,10 @@ def corba_struct(cls: Type) -> Type:
     cls._wire_name = name
     # tag + u32 name length + name: what every instance's encoding starts with
     header_len = 5 + len(name.encode("utf-8"))
-    _STRUCT_SIZERS[cls] = (header_len, attrgetter(*fields), len(fields))
+    getter = attrgetter(*fields)
+    # attrgetter of one name returns the bare value, of several a tuple
+    fields_of = getter if len(fields) > 1 else (lambda value: (getter(value),))
+    _STRUCT_SIZERS[cls] = (header_len, fields_of, "_wire_size" in cls.__dict__)
     return cls
 
 
@@ -228,39 +232,44 @@ def wire_size(value: Any) -> int:
     Raises :class:`MarshalError` for exactly the values :func:`encode`
     rejects: by reference, this is the only check a value gets.
     """
-    t = value.__class__
-    if t is int:
-        if _INT_MIN <= value <= _INT_MAX:
-            return 9
-        raise MarshalError(f"cannot marshal int outside signed 64-bit: {value}")
-    if t is float:
-        return 9
-    if t is str:
-        # utf-8 length == str length for ASCII, the overwhelming case
-        return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
-    if t is bool or value is None:
-        return 1
-    if t is list or t is tuple:
-        n = 5
-        for item in value:
-            n += wire_size(item)
-        return n
-    if t is dict:
-        n = 5
-        for key, item in value.items():
-            n += wire_size(key) + wire_size(item)
-        return n
-    if t is bytes:
-        return 5 + len(value)
-    sizer = _STRUCT_SIZERS.get(t)
-    if sizer is not None:
-        header_len, getter, nfields = sizer
-        if nfields == 1:
-            return header_len + wire_size(getter(value))
-        n = header_len
-        for v in getter(value):
-            n += wire_size(v)
-        return n
-    # subclasses and oddballs: fall back to encoding (raises MarshalError
-    # for unencodable values, exactly like encode would)
-    return len(encode(value))
+    return _sum_sizes((value,), 0)
+
+
+def _sum_sizes(values: Any, n: int) -> int:
+    """``n`` plus the encoded size of every item of ``values``.
+
+    Leaves are sized in line: the walk costs one call per non-empty container
+    or struct, not one per field, and a struct with a size memo is walked once.
+    """
+    for value in values:
+        t = value.__class__
+        if t is str:
+            # utf-8 length == str length for ASCII, the overwhelming case
+            n += 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+        elif t is int:
+            if not _INT_MIN <= value <= _INT_MAX:
+                raise MarshalError(f"cannot marshal int outside signed 64-bit: {value}")
+            n += 9
+        elif t is float:
+            n += 9
+        elif t is bool or value is None:
+            n += 1
+        elif t is tuple or t is list:
+            n = _sum_sizes(value, n + 5) if value else n + 5
+        elif t is dict:
+            n = _sum_sizes(value.values(), _sum_sizes(value, n + 5)) if value else n + 5
+        elif t is bytes:
+            n += 5 + len(value)
+        elif t in _STRUCT_SIZERS:
+            header_len, fields_of, memo = _STRUCT_SIZERS[t]
+            if not memo:
+                n = _sum_sizes(fields_of(value), n + header_len)
+                continue
+            if value._wire_size is None:
+                value._wire_size = _sum_sizes(fields_of(value), header_len)
+            n += value._wire_size
+        else:
+            # subclasses and oddballs: fall back to encoding (raises
+            # MarshalError for unencodable values, exactly like encode would)
+            n += len(encode(value))
+    return n

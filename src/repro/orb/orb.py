@@ -76,11 +76,10 @@ class ORB:
         # future fire immediately and are never stored)
         self._oneway_done = Future(name="oneway")
         self._oneway_done.resolve(None)
-        # (servant, operation) -> bound method / dispatch cost, resolved once
-        # instead of per request; servants live as long as their node, so the
-        # strong refs held by the keys are harmless
-        self._method_cache: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-        self._cost_cache: Dict[int, Tuple[Any, Dict[str, float]]] = {}
+        # (object key, operation) -> (dispatch cost, servant, bound method),
+        # resolved once instead of per request; emptied whenever a servant is
+        # activated or deactivated, so an entry never outlives its object id
+        self._dispatch: Dict[Tuple[str, str], Tuple[float, Any, Any]] = {}
         node.register(self.SERVICE, self._on_message)
 
     # ------------------------------------------------------------------
@@ -95,9 +94,11 @@ class ORB:
 
     def register(self, servant: Any, object_id: Optional[str] = None, adapter: str = "RootPOA") -> IOR:
         """Activate ``servant`` and return its IOR."""
+        self._dispatch.clear()
         return self.adapter(adapter).activate(servant, object_id)
 
     def deactivate(self, ior: IOR) -> None:
+        self._dispatch.clear()
         poa = self._adapters.get(ior.adapter)
         if poa is not None:
             poa.deactivate(ior.object_id)
@@ -174,14 +175,14 @@ class ORB:
     def _invoke_local(self, target: IOR, operation: str, args: Tuple, oneway: bool) -> Future:
         """Colocated call: no marshalling, no network, small CPU cost."""
         fut = Future(name=f"local:{operation}")
-        poa = self._adapters.get(target.adapter)
-        servant = poa.servant(target.object_id) if poa is not None else None
+        key = target.key
+        entry = self._dispatch.get((key, operation)) or self._resolve(key, operation)
 
         def run() -> None:
-            if servant is None:
-                fut.fail(ObjectNotFound(target.key))
+            if entry is None:
+                fut.fail(ObjectNotFound(key))
                 return
-            self._execute(servant, poa, operation, args, fut if not oneway else None)
+            self._execute(entry, operation, args, fut if not oneway else None)
             if oneway and not fut.done:
                 fut.resolve(None)
 
@@ -199,59 +200,52 @@ class ORB:
         elif isinstance(message, Reply):
             self._handle_reply(message)
 
-    def _handle_request(self, request: Request) -> None:
-        adapter_name, _, object_id = request.object_key.partition("/")
+    def _resolve(self, object_key: str, operation: str) -> Optional[Tuple[float, Any, Any]]:
+        """The dispatch entry ``(cost, servant, method)`` of a request, or
+        None when no such object is active.  ``method`` is None for an
+        operation the servant does not offer: the caller still charges
+        ``cost`` and :meth:`_execute` fails the call after it, so a bad
+        request occupies the CPU exactly like a good one."""
+        adapter_name, _, object_id = object_key.partition("/")
         poa = self._adapters.get(adapter_name)
         servant = poa.servant(object_id) if poa is not None else None
         if servant is None:
+            return None
+        method = None if operation.startswith("_") else getattr(servant, operation, None)
+        cost = DISPATCH_OVERHEAD + poa.servant_cost(servant, operation)
+        if not callable(method):
+            return (cost, servant, None)
+        entry = self._dispatch[object_key, operation] = (cost, servant, method)
+        return entry
+
+    def _handle_request(self, request: Request) -> None:
+        key, operation = request.object_key, request.operation
+        entry = self._dispatch.get((key, operation)) or self._resolve(key, operation)
+        if entry is None:
             if not request.oneway:
-                self._send_reply(request, STATUS_NOT_FOUND, request.object_key)
+                self._send_reply(request, STATUS_NOT_FOUND, key)
             return
-        operation = request.operation
-        cached = self._cost_cache.get(id(servant))
-        if cached is None or cached[0] is not servant:
-            cached = self._cost_cache[id(servant)] = (servant, {})
-        cost = cached[1].get(operation)
-        if cost is None:
-            cost = cached[1][operation] = (
-                DISPATCH_OVERHEAD + poa.servant_cost(servant, operation)
-            )
         done: Optional[Future] = None
         if not request.oneway:
-            done = Future(name=f"dispatch:{request.operation}#{request.request_id}")
+            done = Future(name=f"dispatch:{operation}#{request.request_id}")
             done.add_done_callback(lambda f: self._reply_from_future(request, f))
-        self.node.execute(
-            cost, self._execute, servant, poa, request.operation, request.args, done
-        )
+        self.node.execute(entry[0], self._execute, entry, operation, request.args, done)
 
     def _execute(
-        self,
-        servant: Any,
-        poa: POA,
-        operation: str,
-        args: Tuple,
-        done: Optional[Future],
+        self, entry: Tuple[float, Any, Any], operation: str, args: Tuple, done: Optional[Future]
     ) -> None:
         """Run the servant method; propagate its result/exception to ``done``.
 
         A servant method may return a :class:`Future` to defer its reply —
         the request-manager machinery in the invocation layer relies on this.
         """
-        cached = self._method_cache.get(id(servant))
-        if cached is None or cached[0] is not servant:
-            cached = self._method_cache[id(servant)] = (servant, {})
-        method = cached[1].get(operation)
+        _cost, servant, method = entry
         if method is None:
-            if operation.startswith("_"):
-                if done:
-                    done.fail(BadOperation(operation))
-                return
-            method = getattr(servant, operation, None)
-            if method is None or not callable(method):
-                if done:
-                    done.fail(BadOperation(f"{type(servant).__name__}.{operation}"))
-                return
-            cached[1][operation] = method
+            if done:
+                private = operation.startswith("_")
+                name = operation if private else f"{type(servant).__name__}.{operation}"
+                done.fail(BadOperation(name))
+            return
         try:
             result = method(*args)
         except Exception as exc:  # noqa: BLE001 - servant errors go to caller

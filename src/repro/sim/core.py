@@ -18,8 +18,7 @@ around the callback's execution, so causality flows through the event loop
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import Observability, observability_from_global_options
@@ -32,35 +31,31 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling in the past)."""
 
 
-class ScheduledEvent:
+class ScheduledEvent(list):
     """Handle for a scheduled callback; supports cancellation.
 
-    Cancellation is O(1): the entry stays in the heap but is skipped when it
-    reaches the head.
+    The handle *is* the kernel's heap entry, ``[time, seq, fn, args, ctx]``:
+    ``seq`` is unique, so heap comparisons resolve on the first two slots at
+    C speed.  The layout is private to this module — callers use
+    :attr:`time`, :attr:`cancelled` and :meth:`cancel`.  Cancellation is
+    O(1): the entry stays in the heap with ``fn`` cleared and is skipped
+    when it reaches the head.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "ctx")
+    __slots__ = ()
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: Tuple, ctx):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.ctx = ctx  # trace context captured at schedule time
+    @property
+    def time(self) -> float:
+        """Virtual time the callback is (or was) due at."""
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent."""
-        self.cancelled = True
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        # the kernel heap orders (time, seq, ev) tuples, so heap operations
-        # compare at C speed and never reach this; kept for direct users
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time:.6f} {self.fn!r} {state}>"
+        """Prevent the callback from running.  Idempotent; a no-op once it ran."""
+        self[2] = None
 
 
 class Simulator:
@@ -76,11 +71,10 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, obs: Optional[Observability] = None):
-        self._now = 0.0
-        # heap of (time, seq, event): seq is unique, so comparisons resolve
-        # on the first two slots at C speed without calling Python __lt__
-        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
-        self._seq = itertools.count()
+        #: current virtual time, in seconds (advanced by the event loop only)
+        self.now = 0.0
+        self._queue: List[ScheduledEvent] = []  # a heap of handles
+        self._seq = 0  # insertion order: the tie-break among equal times
         self._rngs = RngRegistry(seed)
         self.seed = seed
         self._running = False
@@ -91,11 +85,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of callbacks executed so far (for diagnostics)."""
@@ -115,17 +104,18 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> ScheduledEvent:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before now={self._now}"
+                f"cannot schedule at {time} before now={self.now}"
             )
-        seq = next(self._seq)
-        ev = ScheduledEvent(time, seq, fn, args, self._tracer.ctx)
-        heapq.heappush(self._queue, (time, seq, ev))
+        self._seq = seq = self._seq + 1
+        # ctx: the trace context active now, restored around the callback
+        ev = ScheduledEvent((time, seq, fn, args, self._tracer.ctx))
+        heappush(self._queue, ev)
         return ev
 
     def call_soon(self, fn: Callable, *args: Any) -> ScheduledEvent:
@@ -150,11 +140,10 @@ class Simulator:
         """
         queue = self._queue
         tracer = self._tracer
-        heappop = heapq.heappop
         executed = 0
         while queue:
-            time, _seq, ev = queue[0]
-            if ev.cancelled:
+            time, _seq, fn, args, ctx = queue[0]
+            if fn is None:  # cancelled
                 heappop(queue)
                 continue
             if until is not None and time > until:
@@ -164,17 +153,16 @@ class Simulator:
                 # jump to until, or they would fire "in the past"
                 return executed, True
             heappop(queue)
-            self._now = time
+            self.now = time
             self._events_processed += 1
             executed += 1
-            ctx = ev.ctx
             if ctx is None and tracer.ctx is None:
-                ev.fn(*ev.args)
+                fn(*args)
             else:
                 prev_ctx = tracer.ctx
                 tracer.ctx = ctx
                 try:
-                    ev.fn(*ev.args)
+                    fn(*args)
                 finally:
                     tracer.ctx = prev_ctx
         return executed, False
@@ -197,21 +185,21 @@ class Simulator:
         self._running = True
         try:
             _executed, hit_cap = self._run_loop(until, max_events)
-            if until is not None and not hit_cap and self._now < until:
-                self._now = until
+            if until is not None and not hit_cap and self.now < until:
+                self.now = until
         finally:
             self._running = False
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
+        while queue and queue[0][2] is None:
+            heappop(queue)
         return queue[0][0] if queue else None
 
     def pending_count(self) -> int:
         """Number of non-cancelled scheduled events (O(n); diagnostics only)."""
-        return sum(1 for _t, _s, ev in self._queue if not ev.cancelled)
+        return sum(1 for ev in self._queue if ev[2] is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self._now:.6f} pending={len(self._queue)}>"
+        return f"<Simulator t={self.now:.6f} pending={len(self._queue)}>"

@@ -231,7 +231,11 @@ def test_stats_counters():
     assert snap["sent"] == 1
     assert snap["delivered"] == 1
     assert snap["bytes"] == 128
-    assert net.stats.per_service_sent["svc"] == 1
+    # the registry holds the only copy: the stats object is a view of it
+    counters = sim.obs.metrics_snapshot()["counters"]
+    assert (counters["net.sent"], counters["net.bytes_sent"]) == (1, 128)
+    assert counters["net.hops.svc"] == 1
+    assert (net.stats.messages_sent, net.stats.bytes_sent) == (1, 128)
 
 
 def test_unknown_service_silently_dropped():

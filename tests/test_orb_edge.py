@@ -63,6 +63,91 @@ class TestAdapters:
             b.register(Echo(), object_id="x")
 
 
+class Priced:
+    """Answers with its tag after ``cost`` seconds of declared servant CPU."""
+
+    def __init__(self, tag, cost):
+        self.tag = tag
+        self.OP_COSTS = {"echo": cost, "nosuch": cost, "_private": cost}
+
+    def echo(self, value):
+        return (self.tag, value)
+
+    def _private(self):
+        return "secret"
+
+
+def timed(sim, orb, ior, operation):
+    """(outcome, virtual seconds) of one invocation; errors by type name."""
+
+    def proc():
+        started = sim.now
+        try:
+            outcome = yield orb.invoke(ior, operation, ("x",) if operation == "echo" else ())
+        except Exception as exc:  # noqa: BLE001 - the type is the outcome
+            outcome = type(exc).__name__
+        return outcome, sim.now - started
+
+    return run_process(sim, proc(), until=sim.now + 5.0)
+
+
+class TestDispatchTable:
+    """One ``(object key, operation)`` table serves remote and colocated
+    calls; activation and deactivation empty it."""
+
+    @pytest.mark.parametrize("colocated", [False, True])
+    def test_a_reused_object_id_reaches_the_new_servant_at_its_cost(self, colocated):
+        sim, net, a, b = make_pair()
+        caller = b if colocated else a
+        ior = b.register(Priced("old", 1e-3), object_id="obj")
+        outcome, old_elapsed = timed(sim, caller, ior, "echo")
+        assert outcome == ("old", "x")
+        assert b._dispatch[ior.key, "echo"][1].tag == "old"
+        assert timed(sim, caller, ior, "echo")[0] == outcome  # answered from the table
+        b.deactivate(ior)
+        assert not b._dispatch
+        assert b.register(Priced("new", 5e-3), object_id="obj") == ior
+        outcome, new_elapsed = timed(sim, caller, ior, "echo")
+        assert outcome == ("new", "x")
+        # a colocated call pays LOCAL_CALL_OVERHEAD only, as it always has
+        expected = 0.0 if colocated else 4e-3
+        assert new_elapsed - old_elapsed == pytest.approx(expected, abs=1e-4)
+
+    def test_one_servant_under_two_adapters_is_two_entries(self):
+        sim, net, a, b = make_pair()
+        servant = Priced("both", 1e-3)
+        first = b.register(servant, object_id="obj")
+        second = b.register(servant, object_id="obj", adapter="POA2")
+        assert timed(sim, a, first, "echo")[0] == timed(sim, a, second, "echo")[0] == ("both", "x")
+        b.deactivate(first)
+        assert timed(sim, a, first, "echo")[0] == "ObjectNotFound"
+        assert timed(sim, b, first, "echo")[0] == "ObjectNotFound"  # colocated
+        assert timed(sim, a, second, "echo")[0] == ("both", "x")
+
+    @pytest.mark.parametrize("operation", ["nosuch", "_private"])
+    def test_a_bad_operation_fails_after_its_dispatch_cost(self, operation):
+        sim, net, a, b = make_pair()
+        ior = b.register(Priced("p", 10e-3), object_id="obj")
+        _ok, good_elapsed = timed(sim, a, ior, "echo")
+        for _again in range(2):  # a failure is never answered from the table
+            outcome, elapsed = timed(sim, a, ior, operation)
+            assert outcome == "ApplicationError"  # BadOperation, as the wire carries it
+            # the request occupied the server's CPU like a good one (its
+            # reply is a few bytes bigger, hence the tolerance)
+            assert elapsed == pytest.approx(good_elapsed, abs=1e-4)
+        assert timed(sim, b, ior, operation)[0] == "BadOperation"  # colocated: unwrapped
+
+    def test_a_missing_object_answers_not_found(self):
+        sim, net, a, b = make_pair()
+        ior = b.register(Priced("p", 1e-3), object_id="obj")
+        assert timed(sim, a, ior, "echo")[0] == ("p", "x")
+        b.deactivate(ior)
+        outcome, elapsed = timed(sim, a, ior, "echo")
+        assert outcome == "ObjectNotFound"
+        assert elapsed < 1e-3  # answered at once: no servant, no cost to charge
+        assert timed(sim, a, IOR("b", "NoSuchPOA", "obj"), "echo")[0] == "ObjectNotFound"
+
+
 class TestWireAccounting:
     def test_request_size_includes_giop_overhead(self):
         sim, net, a, b = make_pair()

@@ -1,8 +1,16 @@
 """Tests for the CDR-style wire codec."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.groupcomm import GroupConfig
+from repro.groupcomm.messages import ChanAck, ChanData, DataMsg, TicketBatchMsg, TicketMsg
+from repro.orb import ORB, marshal
+from repro.orb.ior import IOGR, IOR
 from repro.orb.marshal import MarshalError, corba_struct, decode, encode, wire_size
+from tests.conftest import Cluster, Collector
+from tests.test_groupcomm_basic import build_group
+from tests.test_orb import Echo, setup_pair
 
 
 @pytest.mark.parametrize(
@@ -148,11 +156,103 @@ def test_duplicate_struct_name_rejected():
 
 
 def test_ior_and_iogr_are_marshallable():
-    from repro.orb.ior import IOGR, IOR
-
     ior = IOR("node1", "RootPOA", "obj-1")
     assert decode(encode(ior)) == ior
     iogr = IOGR([ior, IOR("node2", "RootPOA", "obj-2")], primary=1)
     back = decode(encode(iogr))
     assert back == iogr
     assert back.primary_ref.node == "node2"
+
+
+# ---------------------------------------------------------------------------
+# sized once: the memo on DataMsg / TicketMsg / TicketBatchMsg
+# ---------------------------------------------------------------------------
+def data_msg(payload, **fields):
+    return DataMsg("g", "n0", 1, 7, 42, "data", payload, None, None, {"n1": 3}, **fields)
+
+
+@pytest.mark.parametrize("fanout", [2, 4, 6])
+def test_a_multicast_walks_its_message_once_whatever_the_fanout(monkeypatch, fanout):
+    c = Cluster(fanout + 1)
+    sessions = build_group(c, GroupConfig())
+    collectors = [Collector(session) for session in sessions]
+    header_len, fields_of, memo = marshal._STRUCT_SIZERS[DataMsg]
+    walked = []  # holds the messages, so no id is ever reused
+
+    def counting_fields_of(message):
+        walked.append(message)
+        return fields_of(message)
+
+    monkeypatch.setitem(marshal._STRUCT_SIZERS, DataMsg, (header_len, counting_fields_of, memo))
+    hops = c.sim.obs.metrics.counter("net.hops.data")
+    before = hops.value
+    sessions[0].send("sized once")
+    c.run(1.0)
+    assert all(col.payloads == ["sized once"] for col in collectors)
+    assert hops.value - before == fanout  # one ORB hop per other member ...
+    ours = [m for m in walked if m.payload == "sized once"]
+    assert len(ours) == 1  # ... and one field walk for all of them
+    assert len({id(m) for m in walked}) == len(walked)  # NULLs and the rest: once each too
+    assert ours[0]._wire_size == len(encode(ours[0]))
+
+
+def test_verify_wire_catches_a_message_mutated_after_it_was_sized(monkeypatch):
+    """The memo rests on "a message belongs to the wire once sent"; the
+    reference path is how a broken contract shows: the remembered size no
+    longer matches what encode produces."""
+    monkeypatch.setattr(ORB, "verify_wire", True)
+    sim, _net, client, server = setup_pair()
+    target = server.register(Echo())
+    message = data_msg("short")
+    client.invoke(target, "fire_and_forget", (message,), oneway=True)
+    message.payload = "no longer the payload that was sized"
+    with pytest.raises(MarshalError, match=r"wire_size says \d+ bytes, encode produced \d+"):
+        client.invoke(target, "fire_and_forget", (message,), oneway=True)
+    sim.run()
+    assert sim.obs.metrics.counter_value("net.sent") == 1
+
+
+_IN_RANGE = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_NAMES = st.text(max_size=6)
+
+
+def _containers_and_structs(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_NAMES, _IN_RANGE), children, max_size=4),
+        st.builds(IOR, _NAMES, _NAMES, _NAMES),
+        st.builds(ChanAck, _IN_RANGE),  # a one-field struct
+        st.builds(ChanData, _IN_RANGE, children, st.none() | _IN_RANGE),
+        # the three that remember their size
+        st.builds(lambda payload, era: data_msg(payload, era=era), children, _NAMES),
+        st.builds(TicketMsg, _NAMES, _NAMES, _IN_RANGE, _IN_RANGE, _NAMES, _IN_RANGE),
+        st.builds(
+            TicketBatchMsg, _NAMES, _NAMES, _IN_RANGE,
+            st.lists(st.tuples(_IN_RANGE, _NAMES, _IN_RANGE), max_size=3),
+        ),
+    )
+
+
+_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), _IN_RANGE, st.floats(allow_nan=False),
+        st.text(),  # non-ASCII included: sized by utf-8 length
+        st.binary(),
+    ),
+    _containers_and_structs,
+    max_leaves=12,
+)
+
+
+@given(_VALUES, st.sampled_from([2**63, -(2**63) - 1]))
+def test_wire_size_is_the_encoded_length_for_any_nested_value(value, too_big):
+    size = wire_size(value)
+    assert size == len(encode(value))
+    assert wire_size(value) == size  # the second sizing reads the memos
+    for bad in ([value, {"k": (too_big,)}], data_msg([value, too_big])):
+        for _twice in range(2):  # a failed walk must not leave a memo behind
+            with pytest.raises(MarshalError):
+                wire_size(bad)
+        with pytest.raises(MarshalError):
+            encode(bad)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import BindingStyle, Mode
 from repro.core.messages import InvokeMsg
-from repro.errors import CommFailure, GroupError
+from repro.errors import BindingBroken, CommFailure, GroupError
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.recovery import (
     RecoveryManager,
@@ -372,6 +372,65 @@ def test_retry_while_the_collector_is_open_is_dropped_not_reforwarded():
     assert 1 <= counter_value("server.duplicates_suppressed") <= retries
     assert counter_value("server.requests_executed") == 3
     assert [servant.value for servant in servants] == [1, 1, 1]
+
+
+def test_client_expelled_by_a_busy_manager_rebinds_instead_of_raising():
+    """A 0.3 s servant under a 0.1 s suspicion timeout: the manager's CPU is
+    busy for three timeouts, so it suspects the *client* and expels it from
+    the client/server group.  The closed session must reach the binding as a
+    manager loss (it rebinds around another member) — at the parent the next
+    armed retry called ``send`` on it and ``NotMember`` came out of a
+    simulator timer callback."""
+    c = AppCluster(servers=3, clients=1)
+    servants = []
+
+    def slow_counter():
+        servant = Counter()
+        servant.OP_COSTS = {"incr": 0.3}
+        servants.append(servant)
+        return servant
+
+    c.serve_all("svc", slow_counter, config=FAST)
+    eager = RetryPolicy(max_attempts=6, base_delay=0.02, factor=2.0, max_delay=1.0)
+    binding = fast_binding(c, style=BindingStyle.OPEN, retry_policy=eager)
+    first_group = binding.group_name
+    fut = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=0.02)
+    c.run(5.0)  # raised NotMember here
+    assert fut.done and not fut.failed
+    assert binding.rebinds >= 1 and binding.manager != "s0"
+    assert binding.group_name != first_group
+    assert [servant.value for servant in servants] == [1, 1, 1]  # exactly once
+
+
+def test_an_expelled_client_with_nobody_left_to_bind_to_breaks_its_binding():
+    """Expulsion takes the same exit as any manager loss: when no member
+    is left to rebind around, the pending calls fail ``BindingBroken``."""
+    c = AppCluster(servers=1, clients=1)
+    c.serve_all("svc", Counter, config=FAST)
+    binding = fast_binding(c, style=BindingStyle.OPEN)
+    warm_up(c, binding)
+    pending = binding.invoke("incr", (1,), mode=Mode.ALL)
+    binding._gc._close()  # what a ViewInstall without this member does
+    c.run(1.0)
+    assert pending.failed and isinstance(pending.exception, BindingBroken)
+
+
+def test_an_expelled_closed_style_client_reforms_its_group():
+    """Closed style: the client re-forms its group around the advertised
+    members and the pending call is retried under its call number — it
+    completes, exactly once at every replica."""
+    c = AppCluster(servers=2, clients=1)
+    servers = c.serve_all("svc", Counter, config=FAST)
+    binding = fast_binding(c, style=BindingStyle.CLOSED)
+    warm_up(c, binding)
+    first_group = binding.group_name
+    pending = binding.invoke("incr", (1,), mode=Mode.ALL)
+    binding._gc._close()
+    c.run(3.0)
+    assert pending.done and not pending.failed
+    assert binding.rebinds == 1 and binding.group_name != first_group
+    assert pending.result().by_member() == {"s0": 2, "s1": 2}
+    assert [server.servant.value for server in servers] == [2, 2]
 
 
 # ---------------------------------------------------------------------------

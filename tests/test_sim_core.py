@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.sim import SimulationError, Simulator
 
 
@@ -65,6 +66,9 @@ def test_cannot_schedule_in_past():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
+    assert sim.pending_count() == 0  # a refused event left nothing behind
+    sim.schedule_at(sim.now, lambda: None)  # "now" is not the past
+    assert sim.peek() == 1.0
 
 
 def test_nested_scheduling_from_callback():
@@ -143,3 +147,90 @@ def test_run_is_not_reentrant():
 
     sim.schedule(1.0, reenter)
     sim.run()
+
+
+# ---------------------------------------------------------------------------
+# the handle is the heap entry: what callers may rely on
+# ---------------------------------------------------------------------------
+def test_cancel_is_idempotent_and_safe_after_the_event_fired():
+    sim = Simulator()
+    log = []
+    fired = sim.schedule(1.0, log.append, "fired")
+    dropped = sim.schedule(2.0, log.append, "dropped")
+    assert (fired.time, dropped.time) == (1.0, 2.0)
+    assert not fired.cancelled and not dropped.cancelled
+    dropped.cancel()
+    dropped.cancel()
+    assert dropped.cancelled
+    sim.run()
+    assert log == ["fired"]
+    fired.cancel()  # too late to matter, and harmless
+    fired.cancel()
+    sim.schedule(1.0, log.append, "later")
+    sim.run()
+    assert log == ["fired", "later"]
+    assert sim.events_processed == 2
+
+
+def test_a_cancelled_head_is_skipped_by_run_step_peek_and_pending_count():
+    sim = Simulator()
+    log = []
+    heads = [sim.schedule(1.0, log.append, f"head{i}") for i in range(3)]
+    sim.schedule(2.0, log.append, "a")
+    sim.schedule(3.0, log.append, "b")
+    sim.schedule(4.0, log.append, "c")
+    for head in heads:
+        head.cancel()
+    assert sim.pending_count() == 3
+    assert sim.peek() == 2.0
+    assert sim.step() and log == ["a"]
+    assert sim.now == 2.0  # the clock never visited the cancelled 1.0
+    sim.schedule(2.5, log.append, "cancelled too").cancel()
+    sim.run(until=3.5)
+    assert log == ["a", "b"]
+    assert sim.pending_count() == 1 and sim.peek() == 4.0
+    sim.run()
+    assert log == ["a", "b", "c"] and sim.events_processed == 3
+    assert sim.peek() is None and sim.pending_count() == 0 and not sim.step()
+
+
+def test_a_thousand_same_timestamp_events_run_in_insertion_order():
+    sim = Simulator()
+    log = []
+    handles = [sim.schedule_at(1.0, log.append, i) for i in range(1000)]
+    for handle in handles[::7]:
+        handle.cancel()
+    # a callback scheduling at its own timestamp queues behind all of them
+    sim.schedule_at(0.5, lambda: sim.schedule_at(1.0, log.append, "last"))
+    sim.run()
+    assert log == [i for i in range(1000) if i % 7] + ["last"]
+
+
+def test_an_event_runs_under_the_trace_context_it_was_scheduled_in():
+    sim = Simulator(obs=Observability(trace=True))
+    tracer = sim.obs.tracer
+    seen = []
+    span = tracer.start_span("cause", kind="test", node="n")
+    with tracer.use(span):
+        sim.schedule(1.0, lambda: seen.append(tracer.current_span))
+    sim.schedule(2.0, lambda: seen.append(tracer.current_span))
+    assert tracer.ctx is None
+    sim.run()
+    assert seen == [span, None]
+    assert tracer.ctx is None  # restored after the callback
+
+
+def test_events_without_a_context_skip_the_save_and_restore():
+    """The fast path: no event and no caller carries a context, so the loop
+    must not touch ``tracer.ctx`` at all — a tracer whose ``ctx`` cannot be
+    assigned proves it."""
+
+    class ReadOnlyContext:
+        ctx = property(lambda self: None)
+
+    sim = Simulator()
+    sim._tracer = ReadOnlyContext()
+    log = []
+    sim.schedule(1.0, log.append, "ran")
+    sim.run()
+    assert log == ["ran"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.groupcomm.messages import ChanAck, ChanData, ChanNack, ChanReset
+from repro.obs.metrics import OnFirstUse
 from repro.sim.core import Simulator
 
 __all__ = ["ChannelManager"]
@@ -47,36 +48,30 @@ PROBE_MAX = 30
 
 
 class _Outgoing:
-    """Sender half: sequence numbers and a retransmission buffer."""
+    """Sender half: sequence numbers and a retransmission buffer whose keys
+    are exactly ``range(low, next_seq)``: only an acked prefix ever leaves."""
 
-    __slots__ = ("next_seq", "buffer", "sent_at", "probe_timer", "probes")
+    __slots__ = ("low", "next_seq", "buffer", "sent_at", "probe_timer", "probes")
 
     def __init__(self):
+        self.low = 1
         self.next_seq = 1
         self.buffer: Dict[int, Any] = {}
         self.sent_at: Dict[int, float] = {}
         self.probe_timer = None
         self.probes = 0
 
-    def frame(self, inner: Any, now: float) -> ChanData:
-        frame = ChanData(self.next_seq, inner)
-        self.buffer[self.next_seq] = inner
-        self.sent_at[self.next_seq] = now
-        self.next_seq += 1
-        return frame
-
     def ack(self, cum_seq: int) -> None:
-        # frames enter the buffer in increasing seq order and only the
-        # acked prefix is ever removed, so insertion order stays sorted:
-        # pop from the front instead of scanning the whole buffer per ack
+        seq = self.low
+        if cum_seq >= self.next_seq:
+            cum_seq = self.next_seq - 1
         buffer = self.buffer
         sent_at = self.sent_at
-        while buffer:
-            seq = next(iter(buffer))
-            if seq > cum_seq:
-                break
+        while seq <= cum_seq:
             del buffer[seq]
-            sent_at.pop(seq, None)
+            del sent_at[seq]
+            seq += 1
+        self.low = seq
         self.probes = 0
 
 
@@ -113,8 +108,10 @@ class ChannelManager:
         self.local = local
         self.transport = transport
         self.upcall = upcall
-        self._out: Dict[str, _Outgoing] = {}
-        self._in: Dict[str, _Incoming] = {}
+        # the two halves of each peer's channel, created on first use; a
+        # NACK or reset from a peer with no half yet is ignored (``.get``)
+        self._out: Dict[str, _Outgoing] = OnFirstUse(lambda peer: _Outgoing())
+        self._in: Dict[str, _Incoming] = OnFirstUse(lambda peer: _Incoming())
         self.retransmissions = 0
         self.nacks_sent = 0
         #: True while ``transport`` is being invoked for a *retransmitted*
@@ -134,10 +131,12 @@ class ChannelManager:
         """Reliably send ``inner`` to ``peer`` (not to self)."""
         if peer == self.local:
             raise ValueError("channels do not loop back; deliver locally instead")
-        out = self._out.get(peer)
-        if out is None:
-            out = self._out[peer] = _Outgoing()
-        frame = out.frame(inner, self.sim.now)
+        out = self._out[peer]
+        seq = out.next_seq
+        out.next_seq = seq + 1
+        out.buffer[seq] = inner
+        out.sent_at[seq] = self.sim.now
+        frame = ChanData(seq, inner)
         self._attach_ack(peer, frame)
         self.transport(peer, frame)
         if out.probe_timer is None:
@@ -146,9 +145,7 @@ class ChannelManager:
     def _probe(self, peer: str) -> None:
         """Retransmit the oldest unacked frame if it has aged past the probe
         period (covers losses that NACKs cannot see)."""
-        out = self._out.get(peer)
-        if out is None:
-            return
+        out = self._out[peer]
         out.probe_timer = None
         if not out.buffer:
             out.probes = 0
@@ -158,13 +155,14 @@ class ChannelManager:
             # removed it); drop the buffered backlog
             out.buffer.clear()
             out.sent_at.clear()
+            out.low = out.next_seq
             out.probes = 0
             return
         # back off exponentially: a congested (but live) path acks
         # eventually, and each ack resets the backoff
         period = min(PROBE_PERIOD * (PROBE_BACKOFF ** out.probes), PROBE_MAX_PERIOD)
-        oldest = min(out.buffer)
-        if self.sim.now - out.sent_at.get(oldest, 0.0) >= period * 0.9:
+        oldest = out.low
+        if self.sim.now - out.sent_at[oldest] >= period * 0.9:
             out.probes += 1
             self.retransmissions += 1
             self._retransmit_counter.inc()
@@ -186,13 +184,13 @@ class ChannelManager:
         data frame, discharging any pending standalone-ack debt: a
         standalone ``ChanAck`` then only fires when the reverse direction
         stays silent past the ack deadline."""
-        inc = self._in.get(peer)
-        if inc is None or inc.expected <= 1:
+        inc = self._in[peer]
+        if inc.expected <= 1:
             return
         frame.ack = inc.expected - 1
         if inc.unacked:
             inc.unacked = 0
-            self._piggyback_counter.inc()
+            self._piggyback_counter.value += 1
         if inc.ack_timer is not None:
             inc.ack_timer.cancel()
             inc.ack_timer = None
@@ -202,26 +200,21 @@ class ChannelManager:
     # ------------------------------------------------------------------
     def on_message(self, peer: str, message: Any) -> None:
         """Entry point for every channel-layer message from ``peer``."""
-        if isinstance(message, ChanData):
+        cls = type(message)
+        if cls is ChanData:
             self._on_data(peer, message)
-        elif isinstance(message, ChanAck):
-            out = self._out.get(peer)
-            if out is not None:
-                out.ack(message.cum_seq)
-        elif isinstance(message, ChanNack):
+        elif cls is ChanAck:
+            self._out[peer].ack(message.cum_seq)
+        elif cls is ChanNack:
             self._on_nack(peer, message)
-        elif isinstance(message, ChanReset):
+        elif cls is ChanReset:
             self._on_reset(peer, message)
 
     def _on_data(self, peer: str, frame: ChanData) -> None:
         if frame.ack is not None:
             # piggybacked reverse-direction cumulative ack
-            out = self._out.get(peer)
-            if out is not None:
-                out.ack(frame.ack)
-        inc = self._in.get(peer)
-        if inc is None:
-            inc = self._in[peer] = _Incoming()
+            self._out[peer].ack(frame.ack)
+        inc = self._in[peer]
         if frame.seq < inc.expected:
             self._bump_ack(peer, inc)  # duplicate: re-ack so sender can GC
             return
@@ -230,35 +223,32 @@ class ChannelManager:
                 inc.out_of_order[frame.seq] = frame.inner
             self._schedule_nack(peer, inc)
             return
-        # contiguous: deliver it and any buffered successors
-        had_buffered = bool(inc.out_of_order)
+        # contiguous: deliver it, then any successors a repaired gap held
+        # back.  With no gap and no NACK timer there is no repair to reset
+        # (only a frame's arrival ever fills the gap buffer, never an upcall).
         self.upcall(peer, frame.inner)
         inc.expected += 1
-        while inc.expected in inc.out_of_order:
-            self.upcall(peer, inc.out_of_order.pop(inc.expected))
-            inc.expected += 1
-        self._gap_progress(peer, inc, had_buffered)
+        if inc.out_of_order or inc.nack_timer is not None:
+            while inc.expected in inc.out_of_order:
+                self.upcall(peer, inc.out_of_order.pop(inc.expected))
+                inc.expected += 1
+            self._gap_progress(peer, inc)
         self._bump_ack(peer, inc)
 
-    def _gap_progress(self, peer: str, inc: _Incoming, filled: bool) -> None:
-        """Reset NACK bookkeeping after contiguous delivery progressed.
+    def _gap_progress(self, peer: str, inc: _Incoming) -> None:
+        """Reset NACK bookkeeping after contiguous delivery passed a gap.
 
         Once a gap fills, ``nack_tries`` and its backoff belong to history:
         a later, unrelated gap must start from the base retry interval, not
         mid-backoff from a repair that already succeeded.
         """
-        if not inc.out_of_order:
-            if inc.nack_timer is not None:
-                inc.nack_timer.cancel()
-                inc.nack_timer = None
-            inc.nack_tries = 0
-        elif filled:
+        if inc.nack_timer is not None:
+            inc.nack_timer.cancel()
+            inc.nack_timer = None
+        inc.nack_tries = 0
+        if inc.out_of_order:
             # the head gap filled but a later one remains: restart the NACK
             # cycle for it at the base interval
-            if inc.nack_timer is not None:
-                inc.nack_timer.cancel()
-                inc.nack_timer = None
-            inc.nack_tries = 0
             self._schedule_nack(peer, inc)
 
     # ------------------------------------------------------------------
@@ -272,9 +262,7 @@ class ChannelManager:
             inc.ack_timer = self.sim.schedule(ACK_DELAY, self._ack_timer_fired, peer)
 
     def _ack_timer_fired(self, peer: str) -> None:
-        inc = self._in.get(peer)
-        if inc is None:
-            return
+        inc = self._in[peer]
         inc.ack_timer = None
         if inc.unacked:
             self._send_ack(peer, inc)
@@ -299,9 +287,7 @@ class ChannelManager:
         return min(NACK_RETRY * (NACK_BACKOFF ** tries), 1.0)
 
     def _nack_timer_fired(self, peer: str) -> None:
-        inc = self._in.get(peer)
-        if inc is None:
-            return
+        inc = self._in[peer]
         inc.nack_timer = None
         if not inc.out_of_order:
             inc.nack_tries = 0
@@ -347,9 +333,9 @@ class ChannelManager:
         if not repaired:
             # we no longer hold anything in the requested range (dropped
             # after giving up during a partition): tell the receiver to
-            # skip forward instead of re-NACKing forever
-            skip_to = min(out.buffer) if out.buffer else out.next_seq
-            self.transport(peer, ChanReset(skip_to))
+            # skip forward, to our oldest unacked frame, instead of
+            # re-NACKing forever
+            self.transport(peer, ChanReset(out.low))
 
     def _on_reset(self, peer: str, reset: ChanReset) -> None:
         inc = self._in.get(peer)
@@ -361,7 +347,7 @@ class ChannelManager:
         while inc.expected in inc.out_of_order:
             self.upcall(peer, inc.out_of_order.pop(inc.expected))
             inc.expected += 1
-        self._gap_progress(peer, inc, True)
+        self._gap_progress(peer, inc)
         self._bump_ack(peer, inc)
 
     # ------------------------------------------------------------------

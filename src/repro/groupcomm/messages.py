@@ -75,13 +75,14 @@ class DataMsg:
     __slots__ = (
         "group", "sender", "view_id", "gseq", "ts",
         "kind", "payload", "ticket", "vector", "acks",
-        "hb_period", "era", "pushback", "_mid", "_wire_size",
+        "hb_period", "era", "pushback", "_mid", "is_null", "_wire_size",
     )
-    #: wire fields only — ``_mid`` is a lazily built identity cache and
-    #: ``_wire_size`` what ``marshal.wire_size`` found at the first send (a
+    #: wire fields only — ``_mid`` is a lazily built identity cache,
+    #: ``is_null`` is derived from ``kind`` at construction and
+    #: ``_wire_size`` is what ``marshal.wire_size`` found at the first send (a
     #: multicast sizes its message once, not once per member): never
     #: marshalled, and sound because no field changes after that send
-    _fields = __slots__[:-2]
+    _fields = __slots__[:-3]
 
     def __init__(
         self,
@@ -113,6 +114,7 @@ class DataMsg:
         self.era = era
         self.pushback = pushback
         self._mid: Optional[Tuple[int, str, int]] = None
+        self.is_null = kind == KIND_NULL
         self._wire_size: Optional[int] = None
 
     @property
@@ -121,10 +123,6 @@ class DataMsg:
         if mid is None:
             mid = self._mid = (self.view_id, self.sender, self.gseq)
         return mid
-
-    @property
-    def is_null(self) -> bool:
-        return self.kind == KIND_NULL
 
     def __repr__(self) -> str:
         extra = f" tkt={self.ticket}" if self.ticket is not None else ""

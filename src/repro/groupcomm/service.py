@@ -38,6 +38,7 @@ from repro.groupcomm.messages import (
 from repro.groupcomm.session import GroupSession
 from repro.groupcomm.ticketbatch import TicketBatcher
 from repro.groupcomm.views import GroupView
+from repro.obs.metrics import OnFirstUse
 from repro.orb.ior import IOR
 from repro.orb.orb import ORB
 
@@ -55,11 +56,11 @@ def _membership(handler: Callable) -> Tuple[str, Callable]:
     return "membership", lambda session, peer, msg: handler(session.membership, msg)
 
 
-#: The one table of protocol messages that travel inside channel frames:
-#: class -> (traffic kind, ``consume(session, peer, message)``).  A
-#: ``DataMsg``'s kind is its own ``kind`` field ("data" or "null"); whatever
-#: is not listed (the channel layer's own acks, nacks and resets) is
-#: "control" traffic and never reaches a session.
+#: The one table of protocol messages that travel inside channel frames
+#: (every frame carries one): class -> (traffic kind, ``consume(session,
+#: peer, message)``).  A ``DataMsg``'s kind is its own ``kind`` field; the
+#: channel layer's own acks, nacks and resets travel unframed, count as
+#: "control" traffic and never reach a session.
 _PROTOCOL: Dict[type, Tuple[Optional[str], Callable]] = {
     DataMsg: (None, GroupSession.receive),
     TicketMsg: ("ticket", GroupSession.receive),
@@ -104,27 +105,21 @@ class CombinerRendezvous:
 
     def __init__(self, metrics):
         #: (combine_id, call_no) -> {"got": rank->payload, "expect", "cb"}
-        self._slots: Dict[Any, Dict[str, Any]] = {}
+        self._slots = OnFirstUse(lambda key: {"got": {}, "expect": None, "cb": None})
         #: remote in-degree per completed rendezvous: ~cohort-1 at a flat
         #: root, bounded by the arity at every node of a combining tree
         self._fanin_hist = metrics.histogram("gmi.combined.fanin")
 
-    def _slot(self, key) -> Dict[str, Any]:
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._slots[key] = {"got": {}, "expect": None, "cb": None}
-        return slot
-
     def offer(self, key, rank: int, payload: Any) -> None:
         """A contribution from ``rank`` arrived for rendezvous ``key``."""
-        slot = self._slot(key)
+        slot = self._slots[key]
         slot["got"][rank] = payload
         self._maybe_fire(key, slot)
 
     def arm(self, key, ranks, callback) -> None:
         """Declare the expected ranks for ``key``; fire ``callback`` with
         the rank->payload dict once they have all arrived."""
-        slot = self._slot(key)
+        slot = self._slots[key]
         slot["expect"] = set(ranks)
         slot["cb"] = callback
         self._maybe_fire(key, slot)
@@ -157,19 +152,19 @@ class GroupCommService:
         self.sessions: Dict[str, GroupSession] = {}
         self._ticket_counter = 0
         self._era_counter = 0
-        self._metrics = orb.sim.obs.metrics
+        metrics = orb.sim.obs.metrics
         #: ``gc.sent.<kind>`` counters: outbound protocol messages by kind
         #: (data / null / ticket / membership / channel control / retransmit)
         #: — the basis of the traffic benches.  Retransmitted frames count
         #: under ``retransmit``, not under their payload's kind: a repair is
         #: protocol overhead, and counting it as ``data`` would inflate the
         #: per-request data traffic the paper's tables report.
-        self._kind_counters: Dict[str, Any] = {}
+        self._sent = metrics.counters("gc.sent.")
         #: peer NSO IORs are pure values; build each once, not per send
-        self._peer_iors: Dict[str, IOR] = {}
+        self._peer_iors = OnFirstUse(lambda peer: IOR(peer, "RootPOA", NSO_OBJECT_ID))
         orb.register(_NsoServant(self), object_id=NSO_OBJECT_ID)
         #: combined-invocation fan-in meeting point (flat and tree schemes)
-        self.combiner = CombinerRendezvous(self._metrics)
+        self.combiner = CombinerRendezvous(metrics)
         self.channels = ChannelManager(
             self.sim, self.name, self._transport, self._route
         )
@@ -223,34 +218,21 @@ class GroupCommService:
     # transport (channel layer <-> ORB)
     # ------------------------------------------------------------------
     def _transport(self, peer: str, message: Any) -> None:
-        if self.channels.retransmitting:
+        if type(message) is not ChanData:
+            kind = "control"  # the channel's own acks, nacks and resets
+        elif self.channels.retransmitting:
             kind = "retransmit"
         else:
-            kind = self._classify(message)
+            inner = message.inner
+            kind = _PROTOCOL[type(inner)][0] or inner.kind
         if self.node.alive:
             # per-kind send counter, mirrored so it reconciles ±0 with the
             # net layer's per-kind hop counts (a crashed node's sends never
             # reach the wire, so they are not counted here either)
-            counter = self._kind_counters.get(kind)
-            if counter is None:
-                counter = self._kind_counters[kind] = self._metrics.counter(
-                    f"gc.sent.{kind}"
-                )
-            counter.inc()
-        target = self._peer_iors.get(peer)
-        if target is None:
-            target = self._peer_iors[peer] = IOR(peer, "RootPOA", NSO_OBJECT_ID)
+            self._sent[kind].value += 1
         self.orb.invoke(
-            target, "receive", (self.name, message), oneway=True, net_kind=kind
+            self._peer_iors[peer], "receive", (self.name, message), oneway=True, net_kind=kind
         )
-
-    @staticmethod
-    def _classify(message: Any) -> str:
-        inner = message.inner if type(message) is ChanData else message
-        row = _PROTOCOL.get(type(inner))
-        if row is None:
-            return "control"
-        return row[0] or inner.kind
 
     def send_protocol(self, peer: str, message: Any) -> None:
         """Send a membership-protocol message (reliably, FIFO with data)."""

@@ -29,7 +29,6 @@ The file is staged in the order a message travels:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NotMember
@@ -54,9 +53,6 @@ __all__ = ["GroupSession"]
 #: CPU cost of handing one delivered message up to the application object
 #: (the local m3/m6 invocations of the paper's fig. 9).
 DELIVER_COST = 30e-6
-
-#: delivery scope when tracing is off: nothing to activate
-_NO_SCOPE = nullcontext()
 
 
 def _call_id(payload: Any) -> Optional[Tuple[str, int]]:
@@ -384,15 +380,18 @@ class GroupSession:
 
     def _multicast(self, msg: Any, span) -> None:
         """The one fan-out: ``msg`` to every other member of the view, in
-        view order, under the producer ``span`` (None when not recording)."""
+        view order, under the producer ``span`` (None: nothing to enter)."""
         tracer = self._tracer
-        channels = self.service.channels
+        if span is not None:
+            token = tracer.activate(span)
+        send = self.service.channels.send
         me = self.member_id
-        with tracer.use(span):
-            for member in self.view.members:
-                if member != me:
-                    channels.send(member, msg)
-        tracer.end_span(span)
+        for member in self.view.members:
+            if member != me:
+                send(member, msg)
+        if span is not None:
+            tracer.restore(token)
+            tracer.end_span(span)
         self.detector.sent_something()
 
     def _current_acks(self) -> Dict[str, int]:
@@ -580,31 +579,32 @@ class GroupSession:
         if self.on_deliver is None:
             return
         tracer = self._tracer
+        execute = self.service.node.execute
+        if not tracer.enabled:
+            execute(DELIVER_COST, self._upcall, None, msg.sender, msg.payload)
+            return
+        # parent on the *sender's* gc.send span (looked up by message id):
+        # the scheduler context here belongs to whichever protocol message
+        # unblocked ordering, not to the message's causal origin
+        parent = tracer.stashed_parent((self.group, msg.msg_id))
         span = None
-        scope = _NO_SCOPE
-        if tracer.enabled:
-            # parent on the *sender's* gc.send span (looked up by message id):
-            # the scheduler context here belongs to whichever protocol message
-            # unblocked ordering, not to the message's causal origin
-            parent = tracer.stashed_parent((self.group, msg.msg_id))
-            # a stashed parent means the *origin* was sampled — record even if
-            # the ambient (unblocking) trace is unsampled; under full tracing
-            # a stash miss (cap eviction) falls back to the ambient span
-            # rather than losing the delivery entirely
-            if parent is not None or (not tracer.sampling and tracer.recording):
-                span = tracer.start_span(
-                    "gc.deliver",
-                    kind="consumer",
-                    node=self.member_id,
-                    parent="ambient" if parent is None else parent,
-                    attrs={"group": self.group, "sender": msg.sender, "gseq": msg.gseq},
-                )
-            # no span under sampling means an unsampled origin: use_root then
-            # pushes an explicitly unsampled context, so the upcall's
-            # downstream work allocates no spans either
-            scope = tracer.use_root(span)
-        with scope:
-            self.service.node.execute(DELIVER_COST, self._upcall, span, msg.sender, msg.payload)
+        # a stashed parent means the *origin* was sampled — record even if
+        # the ambient (unblocking) trace is unsampled; under full tracing
+        # a stash miss (cap eviction) falls back to the ambient span
+        # rather than losing the delivery entirely
+        if parent is not None or (not tracer.sampling and tracer.recording):
+            span = tracer.start_span(
+                "gc.deliver",
+                kind="consumer",
+                node=self.member_id,
+                parent="ambient" if parent is None else parent,
+                attrs={"group": self.group, "sender": msg.sender, "gseq": msg.gseq},
+            )
+        # no span under sampling means an unsampled origin: use_root then
+        # pushes an explicitly unsampled context, so the upcall's
+        # downstream work allocates no spans either
+        with tracer.use_root(span):
+            execute(DELIVER_COST, self._upcall, span, msg.sender, msg.payload)
 
     def _upcall(self, span, sender: str, payload: Any) -> None:
         if self.state != "closed" and self.on_deliver is not None:

@@ -6,7 +6,7 @@ to London and Pisa).  See DESIGN.md §2 for the calibration argument.
 
 from repro.net.latency import FixedLatency, JitteredLatency, LatencyModel
 from repro.net.network import Network, NetworkStats
-from repro.net.node import CpuProfile, Node, NodeCrashed
+from repro.net.node import CpuProfile, Node
 from repro.net.topology import LinkSpec, Topology
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "LinkSpec",
     "Node",
     "CpuProfile",
-    "NodeCrashed",
     "Network",
     "NetworkStats",
 ]

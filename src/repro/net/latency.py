@@ -63,7 +63,9 @@ class JitteredLatency(LatencyModel):
 
     def sample(self, rng: random.Random) -> float:
         value = rng.gauss(self.base, self.base * self.jitter)
-        return min(max(value, self.floor), self.ceil)
+        if value < self.floor:
+            return self.floor
+        return value if value < self.ceil else self.ceil
 
     @property
     def mean(self) -> float:

@@ -19,21 +19,35 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.net.node import Node
-from repro.net.topology import Topology
+from repro.net.topology import LinkSpec, Topology
+from repro.obs.metrics import OnFirstUse
 from repro.sim.core import Simulator
 
 __all__ = ["Network", "NetworkStats"]
 
 
-class _HopCounters(dict):
-    """``net.hops.<kind>`` counters by kind, registered on first use."""
+class _Pipe:
+    """A directed site-pair link resource: the virtual time it is busy
+    until.  Every route crossing the same site pair shares one pipe."""
 
-    def __init__(self, metrics):
-        self._metrics = metrics
+    __slots__ = ("busy",)
 
-    def __missing__(self, kind: str):
-        counter = self[kind] = self._metrics.counter(f"net.hops.{kind}")
-        return counter
+    def __init__(self):
+        self.busy = 0.0
+
+
+class _Route:
+    """What ``transmit`` needs for one ``(src, dst)`` pair, resolved once: a
+    node's site and the topology are static per run."""
+
+    __slots__ = ("node", "link", "pipe", "last_arrival", "label")
+
+    def __init__(self, node: Optional[Node], link: LinkSpec, pipe: _Pipe, label: str):
+        self.node = node  # None while the destination is not attached
+        self.link = link
+        self.pipe = pipe
+        self.last_arrival = 0.0  # FIFO per (src, dst): the latest arrival yet
+        self.label = label  # the span's ``link`` attribute
 
 
 class NetworkStats:
@@ -52,7 +66,7 @@ class NetworkStats:
         self.delivered = metrics.counter("net.delivered")
         self.dropped = metrics.counter("net.dropped")
         self.bytes = metrics.counter("net.bytes_sent")
-        self.hops = _HopCounters(metrics)
+        self.hops = metrics.counters("net.hops.")
 
     messages_sent = property(lambda self: self.sent.value)
     messages_delivered = property(lambda self: self.delivered.value)
@@ -77,18 +91,14 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.stats = NetworkStats(sim.obs.metrics)
         self._tracer = sim.obs.tracer
-        self._link_queue_hist = sim.obs.metrics.histogram("net.link_queue_delay")
         self._partition: Optional[List[Set[str]]] = None  # sets of node names
-        self._last_arrival: Dict[Tuple[str, str], float] = {}
-        # resolved (src_site, dst_site) -> LinkSpec, bypassing the topology's
-        # per-call site validation on the hot path; links are static per run
-        self._link_cache: Dict[Tuple[str, str], Any] = {}
+        self._routes: Dict[Tuple[str, str], _Route] = OnFirstUse(self._resolve)
         # shared link capacity: messages serialise onto the (directed)
         # site-pair pipe they cross — intra-site traffic shares the LAN
         # segment, inter-site traffic shares the Internet path.  The WAN
         # pipe's limited bandwidth is what makes a client's multicast to
         # all replicas unattractive over wide areas (§1, §5.1.3).
-        self._link_busy: Dict[Tuple[str, str], float] = {}
+        self._pipes: Dict[Tuple[str, str], _Pipe] = OnFirstUse(lambda sites: _Pipe())
         self._rng = sim.rng("net.latency")
         self._loss_rng = sim.rng("net.loss")
 
@@ -110,6 +120,17 @@ class Network:
     def new_node(self, name: str, site: str, **kwargs: Any) -> Node:
         """Create a node at ``site`` and attach it."""
         return self.attach(Node(self.sim, name, site, **kwargs))
+
+    def _resolve(self, pair: Tuple[str, str]) -> _Route:
+        """The route of ``(src, dst)``.  An unattached destination keeps
+        the message on the source's LAN segment, where it is dropped."""
+        src, dst = pair
+        src_site = self.nodes[src].site
+        dst_node = self.nodes.get(dst)
+        dst_site = dst_node.site if dst_node is not None else src_site
+        link = self.topology.link(src_site, dst_site)
+        pipe = self._pipes[src_site, dst_site]
+        return _Route(dst_node, link, pipe, f"{src_site}->{dst_site}")
 
     # ------------------------------------------------------------------
     # transmission
@@ -140,21 +161,16 @@ class Network:
         stats.sent.value += 1
         stats.bytes.value += size
         stats.hops[kind or service].value += 1
-        src_site = self.nodes[src].site
-        dst_node = self.nodes.get(dst)
-        dst_site = dst_node.site if dst_node is not None else src_site
-        resource = (src_site, dst_site)
-        link = self._link_cache.get(resource)
-        if link is None:
-            link = self._link_cache[resource] = self.topology.link(src_site, dst_site)
+        route = self._routes[src, dst]
+        link = route.link
 
-        # link capacity is consumed whether or not the message will arrive
+        # link capacity is consumed whether or not the message will arrive:
+        # queue behind the pipe, then serialise onto it
         now = self.sim.now
-        busy = self._link_busy.get(resource, 0.0)
-        tx_start = busy if busy > now else now
-        tx_end = tx_start + link.serialisation_delay(size)
-        self._link_busy[resource] = tx_end
-        self._link_queue_hist.record(tx_start - now)
+        pipe = route.pipe
+        tx_end = pipe.busy if pipe.busy > now else now
+        tx_end += size * 8.0 / link.bandwidth_bps
+        pipe.busy = tx_end
 
         span = None
         if tracer.enabled and tracer.recording:
@@ -167,14 +183,18 @@ class Network:
                     "dst": dst,
                     "service": service,
                     "size": size,
-                    "link": f"{src_site}->{dst_site}",
+                    "link": route.label,
                     **({"msg.kind": kind} if kind else {}),
                 },
             )
 
+        dst_node = route.node
         if dst_node is None or not dst_node.alive or (
             self._partition is not None and not self.reachable(src, dst)
         ):
+            if dst_node is None:
+                # resolved before ``dst`` was attached: resolve it again
+                del self._routes[src, dst]
             stats.dropped.value += 1
             tracer.end_span(span, outcome="dropped", reason="unreachable")
             return
@@ -185,9 +205,9 @@ class Network:
 
         arrival = tx_end + link.latency.sample(self._rng)
         # FIFO per (src, dst): arrivals never reorder on one link.
-        key = (src, dst)
-        arrival = max(arrival, self._last_arrival.get(key, 0.0))
-        self._last_arrival[key] = arrival
+        if arrival < route.last_arrival:
+            arrival = route.last_arrival
+        route.last_arrival = arrival
         stats.delivered.value += 1
         if span is not None:
             # the hop's extent is known now: close it at the arrival time so

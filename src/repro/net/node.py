@@ -14,11 +14,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.sim.core import Simulator
 
-__all__ = ["Node", "CpuProfile", "NodeCrashed"]
-
-
-class NodeCrashed(Exception):
-    """Raised when work is submitted to a crashed node."""
+__all__ = ["Node", "CpuProfile"]
 
 
 class CpuProfile:
@@ -128,12 +124,7 @@ class Node:
             return  # unknown service: silently dropped, like a closed port
         cpu = self.cpu
         cost = cpu.recv_overhead + size * cpu.per_byte
-        self.execute(cost, self._dispatch, handler, src, payload, size)
-
-    def _dispatch(self, handler, src: str, payload: Any, size: int) -> None:
-        if not self.alive:
-            return
-        handler(src, payload, size)
+        self.execute(cost, handler, src, payload, size)
 
     # ------------------------------------------------------------------
     # CPU model

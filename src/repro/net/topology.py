@@ -30,9 +30,6 @@ class LinkSpec:
         self.bandwidth_bps = bandwidth_bps
         self.loss = loss
 
-    def serialisation_delay(self, size_bytes: int) -> float:
-        return size_bytes * 8.0 / self.bandwidth_bps
-
     def __repr__(self) -> str:
         return (
             f"LinkSpec({self.latency!r}, {self.bandwidth_bps / 1e6:.0f}Mbps, "

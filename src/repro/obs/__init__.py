@@ -8,7 +8,7 @@ bundles
   paper's fig. 9 m1-m6 message path), with head-based sampling via
   :class:`~repro.obs.tracer.TraceConfig` for always-on deployments,
 - a :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
-  HDR-style histograms (latency percentiles, CPU/link queue depths, and
+  HDR-style histograms (latency percentiles, CPU queueing delays, and
   per-kind protocol traffic: data / NULL / ticket / membership / control /
   retransmit),
 - a :class:`~repro.obs.flight.FlightRecorder` — per-node ring buffers of
@@ -100,10 +100,9 @@ class Observability:
         """Attach to a simulator: spans, flight events and phase marks are
         stamped with its virtual clock."""
         self.sim = sim
-        clock = lambda: sim.now  # noqa: E731 - one shared bound clock
-        self.tracer.clock = clock
-        self.flight.clock = clock
-        self.phases.clock = clock
+        self.tracer.clock = lambda: sim.now
+        self.flight.clock = sim
+        self.phases.clock = sim
         return self
 
     # ------------------------------------------------------------------

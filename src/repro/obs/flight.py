@@ -19,7 +19,10 @@ into a replayable post-mortem.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.metrics import OnFirstUse
 
 __all__ = ["FlightRecorder", "FLIGHT_CAPACITY"]
 
@@ -40,22 +43,22 @@ class FlightRecorder:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self.capacity = capacity
-        self.clock: Callable[[], float] = lambda: 0.0
+        #: anything with a ``now`` attribute: the simulator, once bound
+        self.clock: Any = SimpleNamespace(now=0.0)
         self.enabled = enabled
-        self._rings: Dict[str, "deque[FlightEvent]"] = {}
+        self._rings: Dict[str, "deque[FlightEvent]"] = OnFirstUse(
+            lambda node: deque(maxlen=capacity)
+        )
         self._seq = 0
 
     # ------------------------------------------------------------------
-    # recording (the hot path: one dict lookup + deque append)
+    # recording (the hot path: one subscript + deque append)
     # ------------------------------------------------------------------
     def record(self, node: str, kind: str, group: str = "", detail: str = "") -> None:
         if not self.enabled:
             return
-        ring = self._rings.get(node)
-        if ring is None:
-            ring = self._rings[node] = deque(maxlen=self.capacity)
         self._seq += 1
-        ring.append((self._seq, self.clock(), node, kind, group, detail))
+        self._rings[node].append((self._seq, self.clock.now, node, kind, group, detail))
 
     # ------------------------------------------------------------------
     # inspection

@@ -16,13 +16,14 @@ bounds, which keeps them deterministic and monotone.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "OnFirstUse",
     "merge_snapshots",
     "diff_snapshots",
 ]
@@ -34,6 +35,22 @@ SUBBUCKETS = 16
 #: genuine negative indices (frexp exponents go down to about -1073, i.e.
 #: index >= -17200), so the sentinel must sit far below that range.
 ZERO_BUCKET = -(10**9)
+
+
+class OnFirstUse(dict):
+    """A dict that builds a missing entry as ``build(key)`` the first time
+    it is indexed, so a hot path reads it with a plain subscript: no
+    ``.get``, no miss branch.  ``.get`` and ``in`` never build."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
 
 
 class Counter:
@@ -158,30 +175,26 @@ class MetricsRegistry:
     """All instruments of one simulation run, keyed by dotted name."""
 
     def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._counters: Dict[str, Counter] = OnFirstUse(Counter)
+        self._gauges: Dict[str, Gauge] = OnFirstUse(Gauge)
+        self._histograms: Dict[str, Histogram] = OnFirstUse(Histogram)
 
     # ------------------------------------------------------------------
     # instrument access (create on first use, then cached by the caller)
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
+        return self._counters[name]
 
     def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
+        return self._gauges[name]
 
     def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name)
-        return instrument
+        return self._histograms[name]
+
+    def counters(self, prefix: str) -> Dict[str, Counter]:
+        """The counters ``<prefix><kind>`` by kind, each registered the
+        first time its kind is indexed (per-kind traffic accounting)."""
+        return OnFirstUse(lambda kind: self._counters[prefix + kind])
 
     # ------------------------------------------------------------------
     # read-side accessors (SLO evaluation, report building)

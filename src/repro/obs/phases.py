@@ -28,6 +28,7 @@ end-to-end mean — the reconciliation the scenario report asserts on.
 from __future__ import annotations
 
 from collections import OrderedDict
+from types import SimpleNamespace
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["PhaseAccountant", "PHASE_NAMES", "MAX_CALLS"]
@@ -65,7 +66,8 @@ class PhaseAccountant:
     __slots__ = ("clock", "enabled", "flush_pending", "_calls", "_flush_start")
 
     def __init__(self, enabled: bool = True):
-        self.clock = lambda: 0.0
+        #: anything with a ``now`` attribute: the simulator, once bound
+        self.clock: Any = SimpleNamespace(now=0.0)
         self.enabled = enabled
         #: True while any call has an open flush hold (cheap send-path guard)
         self.flush_pending = False
@@ -79,7 +81,7 @@ class PhaseAccountant:
         """Client binding: the invocation clock starts now."""
         if not self.enabled:
             return
-        self._calls[call_id] = _CallEntry(self.clock())
+        self._calls[call_id] = _CallEntry(self.clock.now)
         while len(self._calls) > MAX_CALLS:
             evicted, _ = self._calls.popitem(last=False)
             self._flush_start.pop(evicted, None)
@@ -90,33 +92,33 @@ class PhaseAccountant:
         original wait visible)."""
         entry = self._calls.get(call_id)
         if entry is not None and member not in entry.arrival:
-            entry.arrival[member] = self.clock()
+            entry.arrival[member] = self.clock.now
 
     def on_cleared(self, call_id: CallId, member: str) -> None:
         """Session layer: ordering released the request to the app at
         ``member`` — the ordering wait for this member ends now."""
         entry = self._calls.get(call_id)
         if entry is not None and member not in entry.cleared:
-            entry.cleared[member] = self.clock()
+            entry.cleared[member] = self.clock.now
 
     def on_exec_submit(self, call_id: CallId, member: str) -> None:
         """Server: the servant execution window at ``member`` opens now."""
         entry = self._calls.get(call_id)
         if entry is not None and member not in entry.exec_submit:
-            entry.exec_submit[member] = self.clock()
+            entry.exec_submit[member] = self.clock.now
 
     def on_exec_end(self, call_id: CallId, member: str) -> None:
         """Server: the servant execution window at ``member`` closes now."""
         entry = self._calls.get(call_id)
         if entry is not None and member not in entry.exec_end:
-            entry.exec_end[member] = self.clock()
+            entry.exec_end[member] = self.clock.now
 
     def on_flush_hold(self, call_id: CallId) -> None:
         """A message of this call was queued behind a joining/flushing
         group state; the flush wait starts now."""
         entry = self._calls.get(call_id)
         if entry is not None and call_id not in self._flush_start:
-            self._flush_start[call_id] = self.clock()
+            self._flush_start[call_id] = self.clock.now
             self.flush_pending = True
 
     def on_flush_release(self, call_id: CallId) -> None:
@@ -125,7 +127,7 @@ class PhaseAccountant:
         if start is not None:
             entry = self._calls.get(call_id)
             if entry is not None:
-                entry.flush += self.clock() - start
+                entry.flush += self.clock.now - start
             if not self._flush_start:
                 self.flush_pending = False
 
@@ -144,7 +146,7 @@ class PhaseAccountant:
             if not self._flush_start:
                 self.flush_pending = False
             return None
-        t_end = self.clock()
+        t_end = self.clock.now
         if start is not None:
             entry.flush += t_end - start
             if not self._flush_start:

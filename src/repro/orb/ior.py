@@ -18,19 +18,18 @@ __all__ = ["IOR", "IOGR"]
 
 @corba_struct
 class IOR:
-    """A reference to a single object: (node, adapter, object id)."""
+    """A reference to a single object: (node, adapter, object id).
 
-    __slots__ = ("node", "adapter", "object_id")
+    ``key``, the object key a request names, is derived here; never marshalled."""
+
+    __slots__ = ("node", "adapter", "object_id", "key")
     _fields = ("node", "adapter", "object_id")
 
     def __init__(self, node: str, adapter: str, object_id: str):
         self.node = node
         self.adapter = adapter
         self.object_id = object_id
-
-    @property
-    def key(self) -> str:
-        return f"{self.adapter}/{self.object_id}"
+        self.key = f"{adapter}/{object_id}"
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -29,6 +29,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ApplicationError, BadOperation, CommFailure, ObjectNotFound
 from repro.net.node import Node
+from repro.obs.metrics import OnFirstUse
 from repro.orb import marshal
 from repro.orb.ior import IOR
 from repro.orb.messages import (
@@ -67,7 +68,7 @@ class ORB:
     def __init__(self, node: Node):
         self.node = node
         self.sim = node.sim
-        self._adapters: Dict[str, POA] = {"RootPOA": POA(node.name)}
+        self._adapters: Dict[str, POA] = OnFirstUse(lambda name: POA(node.name, name))
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, Future] = {}
         # oneway invocations all resolve with None the moment the request is
@@ -86,11 +87,7 @@ class ORB:
     # servant management
     # ------------------------------------------------------------------
     def adapter(self, name: str = "RootPOA") -> POA:
-        poa = self._adapters.get(name)
-        if poa is None:
-            poa = POA(self.node.name, name)
-            self._adapters[name] = poa
-        return poa
+        return self._adapters[name]
 
     def register(self, servant: Any, object_id: Optional[str] = None, adapter: str = "RootPOA") -> IOR:
         """Activate ``servant`` and return its IOR."""
@@ -195,9 +192,10 @@ class ORB:
     def _on_message(self, src: str, message: Any, size: int) -> None:
         if self.verify_wire:
             message = marshal.decode(message)
-        if isinstance(message, Request):
+        cls = type(message)
+        if cls is Request:
             self._handle_request(message)
-        elif isinstance(message, Reply):
+        elif cls is Reply:
             self._handle_reply(message)
 
     def _resolve(self, object_key: str, operation: str) -> Optional[Tuple[float, Any, Any]]:

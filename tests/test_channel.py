@@ -286,3 +286,70 @@ def test_silent_reverse_direction_falls_back_to_timed_acks():
     assert pipe.delivered_b == ["one-way"]
     assert len(acks) == 1
     assert pipe.a.outstanding_to("b") == 0
+
+
+# ---------------------------------------------------------------------------
+# the sender's watermark: buffer keys are exactly range(low, next_seq)
+# ---------------------------------------------------------------------------
+def assert_watermark(mgr, peer, low, next_seq):
+    out = mgr._out[peer]
+    assert (out.low, out.next_seq) == (low, next_seq)
+    assert list(out.buffer) == list(range(low, next_seq))
+    assert list(out.sent_at) == list(out.buffer)
+    assert mgr.outstanding_to(peer) == next_seq - low
+
+
+def sender(sim):
+    """A channel manager to "b" whose frames all vanish; returns it and the
+    list of everything it handed to the transport."""
+    sent = []
+    return ChannelManager(sim, "a", lambda peer, msg: sent.append(msg), lambda p, m: None), sent
+
+
+def test_acks_stale_duplicate_and_beyond_next_seq_keep_the_buffer_consistent():
+    sim = Simulator()
+    a, _sent = sender(sim)
+    for i in range(5):
+        a.send("b", i)
+    assert_watermark(a, "b", 1, 6)
+    a.on_message("b", ChanAck(2))
+    assert_watermark(a, "b", 3, 6)
+    for stale in (2, 1, 0):  # a duplicate, then older acks
+        a.on_message("b", ChanAck(stale))
+        assert_watermark(a, "b", 3, 6)
+    a.on_message("b", ChanData(1, "reverse", ack=4))  # a piggybacked ack
+    assert_watermark(a, "b", 5, 6)
+    a.on_message("b", ChanAck(99))  # beyond anything sent
+    assert_watermark(a, "b", 6, 6)
+    a.send("b", "next")
+    assert_watermark(a, "b", 6, 7)
+    a.on_message("b", ChanAck(6))
+    assert_watermark(a, "b", 7, 7)
+
+
+def test_frames_after_the_probe_give_up_are_buffered_and_acked_normally():
+    sim = Simulator()
+    a, _sent = sender(sim)
+    a.send("b", "m1")
+    a.send("b", "m2")
+    sim.run(until=90.0)  # PROBE_MAX fruitless probes: the backlog is dropped
+    assert_watermark(a, "b", 3, 3)
+    a.send("b", "m3")
+    a.send("b", "m4")
+    assert_watermark(a, "b", 3, 5)
+    a.on_message("b", ChanAck(3))
+    assert_watermark(a, "b", 4, 5)
+    a.on_message("b", ChanAck(4))
+    assert_watermark(a, "b", 5, 5)
+
+
+def test_reset_skips_to_the_lowest_unacked_frame_after_a_partial_ack():
+    sim = Simulator()
+    a, sent = sender(sim)
+    for i in range(5):
+        a.send("b", i)
+    a.on_message("b", ChanAck(2))
+    a.on_message("b", ChanNack(1, 2))  # frames we no longer hold
+    resets = [msg.skip_to for msg in sent if isinstance(msg, ChanReset)]
+    assert resets == [3]
+    assert_watermark(a, "b", 3, 6)

@@ -265,3 +265,105 @@ def test_duplicate_service_registration_rejected():
     a.register("svc", lambda *_: None)
     with pytest.raises(ValueError):
         a.register("svc", lambda *_: None)
+
+
+# ---------------------------------------------------------------------------
+# the route record: one per (src, dst), resolved on first use
+# ---------------------------------------------------------------------------
+class ScriptedLatency(FixedLatency):
+    """Hands out the given one-way delays in order."""
+
+    def __init__(self, *delays):
+        super().__init__(0.0)
+        self.delays = list(delays)
+
+    def sample(self, rng):
+        return self.delays.pop(0)
+
+
+def free_cpu():
+    return CpuProfile(send_overhead=0.0, recv_overhead=0.0, per_byte=0.0)
+
+
+def test_message_to_an_unattached_node_is_dropped_and_no_stale_route_survives():
+    sim, net = make_lan()
+    a = net.new_node("a", "lan")
+    a.send("b", "t", "early", 10)
+    sim.run()
+    assert net.stats.messages_dropped == 1
+    b = net.new_node("b", "lan")
+    got = []
+    b.register("t", lambda src, payload, size: got.append(payload))
+    a.send("b", "t", "late", 10)
+    sim.run()
+    assert got == ["late"]
+    assert (net.stats.messages_dropped, net.stats.messages_delivered) == (1, 1)
+
+
+def test_crash_recover_and_partition_heal_act_on_a_resolved_route():
+    sim, net = make_lan()
+    a = net.new_node("a", "lan")
+    b = net.new_node("b", "lan")
+    got = []
+    b.register("t", lambda src, payload, size: got.append(payload))
+
+    def send(payload):
+        a.send("b", "t", payload, 10)
+        sim.run()
+
+    send("resolved")
+    net.crash("b")
+    send("while crashed")
+    net.recover("b")
+    send("recovered")
+    net.partition({"a"}, {"b"})
+    send("while partitioned")
+    net.heal()
+    send("healed")
+    assert got == ["resolved", "recovered", "healed"]
+    assert net.stats.messages_dropped == 2
+
+
+def test_routes_across_one_site_pair_share_a_pipe_but_not_a_fifo_clamp():
+    sim = Simulator(seed=1)
+    topo = Topology()
+    topo.add_site("A", FixedLatency(1e-4))
+    topo.add_site("B", FixedLatency(1e-4))
+    topo.connect("A", "B", ScriptedLatency(10e-3, 1e-3, 1e-3))
+    net = Network(sim, topo)
+    a1, a2 = (net.new_node(name, "A", cpu=free_cpu()) for name in ("a1", "a2"))
+    arrivals = []
+    for name in ("b1", "b2"):
+        node = net.new_node(name, "B", cpu=free_cpu())
+        node.register("t", lambda src, payload, size: arrivals.append((payload, sim.now)))
+    size = 1000
+    tx = size * 8.0 / Topology.DEFAULT_WAN_BANDWIDTH
+    a1.send("b1", "t", "a1-first", size)  # 10 ms in flight
+    a2.send("b2", "t", "a2", size)  # 1 ms, but queued behind a1's frame
+    a1.send("b1", "t", "a1-second", size)  # 1 ms, but FIFO behind a1-first
+    sim.run()
+    at = dict(arrivals)
+    # one pipe: the three frames serialise one after another
+    assert at["a2"] == pytest.approx(2 * tx + 1e-3)
+    # the FIFO clamp is per (src, dst): a2 -> b2 overtakes a1 -> b1 ...
+    assert at["a2"] < at["a1-first"] == pytest.approx(tx + 10e-3)
+    # ... but a1's second frame waits for its first
+    assert at["a1-second"] == at["a1-first"]
+    assert [payload for payload, _ in arrivals] == ["a2", "a1-first", "a1-second"]
+
+
+def test_topology_is_consulted_once_per_route():
+    sim, net = make_lan()
+    a = net.new_node("a", "lan")
+    b = net.new_node("b", "lan")
+    for node in (a, b):
+        node.register("t", lambda *_: None)
+    lookups = []
+    real_link = net.topology.link
+    net.topology.link = lambda *sites: lookups.append(sites) or real_link(*sites)
+    for _ in range(5):
+        a.send("b", "t", "x", 10)
+        b.send("a", "t", "y", 10)
+    sim.run()
+    assert lookups == [("lan", "lan"), ("lan", "lan")]  # a -> b and b -> a
+    assert net.stats.messages_delivered == 10

@@ -288,6 +288,13 @@ def test_retransmissions_count_under_their_own_kind():
     counters = c.sim.obs.metrics.snapshot()["counters"]
     assert counters.get("gc.sent.retransmit", 0) == total_retransmissions
     assert counters.get("gc.channel.retransmissions", 0) == total_retransmissions
+    # and every kind, repairs included, reconciles ±0 with the hops the
+    # network counted, although the link dropped some of them
+    assert counters["net.dropped"] > 0
+    reconciliation = reconcile_traffic(c.sim.obs.metrics_snapshot())
+    assert {"data", "null", "control", "retransmit"} <= set(reconciliation)
+    for kind, (sent, hops) in reconciliation.items():
+        assert sent == hops, f"{kind}: gc sent {sent} but net recorded {hops} hops"
 
 
 # ---------------------------------------------------------------------------

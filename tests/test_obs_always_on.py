@@ -3,16 +3,19 @@ per-phase latency decomposition, metrics window diffs, and the offline
 ``python -m repro.obs`` CLI."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.harness import request_reply_point
 from repro.core import BindingStyle, Mode
 from repro.groupcomm.ordering import AsymmetricOrder
+from repro.net import Network, Topology
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     Observability,
+    PhaseAccountant,
     TraceConfig,
     Tracer,
     build_trees,
@@ -23,6 +26,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.scenario import run_scenario
+from repro.sim import Simulator
 from tests.invariants import check_invariants, record_protocol
 from tests.test_invariant_sweep import sweep_spec
 
@@ -141,10 +145,10 @@ def test_span_cap_truncation_round_trips_with_orphans(tmp_path):
 # ---------------------------------------------------------------------------
 def test_flight_rings_bound_per_node_and_merge_causally():
     flight = FlightRecorder(capacity=4)
-    t = [0.0]
-    flight.clock = lambda: t[0]
+    clock = SimpleNamespace(now=0.0)  # what a simulator offers: a ``now``
+    flight.clock = clock
     for i in range(10):
-        t[0] = i * 1e-3
+        clock.now = i * 1e-3
         flight.record("n0", "send", "g", f"m{i}")
         flight.record("n1", "deliver", "g", f"m{i}")
     assert len(flight.events("n0")) == 4  # per-node ring capacity
@@ -258,6 +262,43 @@ def test_phase_decomposition_reconciles_with_end_to_end_latency():
     e2e = hists["client.invoke_latency"]
     for name in phases:
         assert hists[f"inv.phase.{name}"]["count"] == e2e["count"]
+
+
+def test_standalone_recorders_read_any_clock_with_a_now():
+    """Bound to a simulator the recorders read its ``now``; any object with
+    a ``now`` attribute serves, and an unbound one stamps 0.0."""
+    assert FlightRecorder().clock.now == PhaseAccountant().clock.now == 0.0
+    clock = SimpleNamespace(now=1.0)
+    flight, phases = FlightRecorder(), PhaseAccountant()
+    flight.clock = phases.clock = clock
+    call = ("c0", 1)
+    phases.begin(call)
+    for now, hook in ((1.5, phases.on_arrival), (2.0, phases.on_cleared),
+                      (2.0, phases.on_exec_submit), (2.5, phases.on_exec_end)):
+        clock.now = now
+        hook(call, "s0")
+        flight.record("s0", hook.__name__)
+    clock.now = 3.0
+    assert phases.finish(call, "s0") == {
+        "queue": 0.5, "order": 0.5, "flush": 0.0, "execute": 0.5, "reply": 0.5,
+    }
+    assert [(event[1], event[3]) for event in flight.events()] == [
+        (1.5, "on_arrival"), (2.0, "on_cleared"), (2.0, "on_exec_submit"), (2.5, "on_exec_end"),
+    ]
+
+
+def test_cpu_queue_histogram_counts_every_submission_and_links_keep_none():
+    sim = Simulator(seed=1)
+    net = Network(sim, Topology.single_lan())
+    a, b = net.new_node("a", "lan"), net.new_node("b", "lan")
+    b.register("t", lambda *_: None)
+    for i in range(3):
+        a.send("b", "t", i, 100)  # one submission at a, one at b
+    b.execute(1e-3, lambda: None)
+    sim.run()
+    snapshot = sim.obs.metrics_snapshot()
+    assert snapshot["histograms"]["node.cpu_queue_delay"]["count"] == 3 + 3 + 1
+    assert "net.link_queue_delay" not in snapshot["histograms"]
 
 
 def test_peer_workloads_have_no_phase_breakdown():

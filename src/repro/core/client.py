@@ -254,6 +254,8 @@ class GroupBinding:
         self.rebinds = 0
         self._epoch_no = 0
         self._gc = None  # the client/server group session
+        #: view size that completes the bind in progress (0: none awaited)
+        self._bind_size = 0
         self._bound = False
         self._closed = False
         self._pending: Dict[int, _PendingCall] = {}
@@ -343,24 +345,28 @@ class GroupBinding:
             gc_name, self.config.replace(sequencer_hint=hint)
         )
         self._adopt(session)
-        joins = []
-        for target in targets:
-            servant = IOR(target, "RootPOA", server_servant_id(self.service_name))
-            joins.append(
-                self.orb.invoke(
-                    servant,
-                    "join_client_group",
-                    (gc_name, self.client_id, self.style),
-                    timeout=2.0,
-                )
+        self._ask_to_join(session, targets, self.client_id, len(targets) + 1)
+
+    def _ask_to_join(self, session, targets: List[str], contact: str, size: int) -> None:
+        """Ask every server in ``targets`` to join ``session``'s group through
+        ``contact``.  The binding is bound once all have answered and the
+        view holds ``size`` members."""
+        servant_id = server_servant_id(self.service_name)
+        joins = [
+            self.orb.invoke(
+                IOR(target, "RootPOA", servant_id),
+                "join_client_group",
+                (session.group, contact, self.style),
+                timeout=2.0,
             )
-        all_of(joins).add_done_callback(
-            lambda f: self._on_joins_done(f, session, len(targets))
-        )
+            for target in targets
+        ]
+        all_of(joins).add_done_callback(lambda f: self._on_joins_done(f, session, size))
 
     def _adopt(self, session) -> None:
         """Make ``session`` the client/server group of this binding."""
         self._gc = session
+        self._bind_size = 0  # this session's joins have yet to answer
         session.on_deliver = self._on_gc_deliver
         session.on_view = self._on_gc_view
         session.left.add_done_callback(lambda _f: self._on_gc_closed(session))
@@ -391,23 +397,24 @@ class GroupBinding:
         index = sum(ord(ch) for ch in self.client_id) % len(members)
         return members[index]
 
-    def _on_joins_done(self, fut: Future, session, expected: int) -> None:
+    def _on_joins_done(self, fut: Future, session, size: int) -> None:
         if session is not self._gc:
             return  # closed, or already rebinding around this attempt
         if fut.failed:
             self._handle_bind_failure(fut.exception)
             return
-        self._await_view(session, expected + 1)
+        # every server asked in has answered: bound as soon as the view
+        # holds them all — now, or at the install that completes it
+        self._bind_size = size
+        self._bind_if_complete()
 
-    def _await_view(self, session, size: int) -> None:
-        if session is not self._gc:
+    def _bind_if_complete(self) -> None:
+        session = self._gc
+        if session is None or session.view is None:
             return
-        if session.view is not None and len(session.view.members) >= size:
-            self._become_bound()
+        if len(session.view.members) < self._bind_size:
             return
-        self.sim.schedule(1e-3, self._await_view, session, size)
-
-    def _become_bound(self) -> None:
+        self._bind_size = 0
         self._bound = True
         self.ready.try_resolve(self)
         queued, self._queued = self._queued, []
@@ -782,6 +789,8 @@ class GroupBinding:
     def _on_gc_view(self, view, joined: List[str], left: List[str]) -> None:
         if self._closed:
             return
+        if self._bind_size:
+            self._bind_if_complete()
         if self.style == BindingStyle.CLOSED:
             # a failed server is simply removed: outstanding calls now need
             # fewer replies (automatic failure masking, §2.1)

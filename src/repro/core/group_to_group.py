@@ -25,10 +25,8 @@ from typing import Any, List
 
 from repro.core.client import GroupBinding
 from repro.core.modes import BindingStyle
-from repro.core.registry import server_servant_id
 from repro.errors import BindingBroken
 from repro.obs.phases import PhaseAccountant
-from repro.orb.ior import IOR
 
 __all__ = ["GroupToGroupBinding"]
 
@@ -62,25 +60,23 @@ class GroupToGroupBinding(GroupBinding):
         self._phases = PhaseAccountant(enabled=False)
 
     def _bind_to(self, members: List[str]) -> None:
-        """Build gz: the first gx member creates it and sponsors the
-        designated manager's membership; the others join through it."""
+        """Build gz: the first gx member creates it, the others join
+        through it, and every member asks the designated manager to join
+        through it too — the manager joins once and answers a repeated ask
+        at once, so each member hears whether gz can form (a dead manager
+        fails the ask, and the bind, after the join timeout)."""
         self.servers = list(members)
         self.manager = members[0]
         initiator = self.client_members[0]
         if self.client_id == initiator:
-            self._adopt(self.service.gcs.create_group(
+            session = self.service.gcs.create_group(
                 self.monitor_name, self.config.replace(sequencer_hint=self.manager)
-            ))
-            servant = IOR(self.manager, "RootPOA", server_servant_id(self.service_name))
-            self.orb.invoke(
-                servant,
-                "join_client_group",
-                (self.monitor_name, self.client_id, "open"),
-                timeout=2.0,
             )
         else:
-            self._adopt(self.service.gcs.join_group(self.monitor_name, initiator))
-        self._await_view(self._gc, len(self.client_members) + 1)  # gx + the manager
+            session = self.service.gcs.join_group(self.monitor_name, initiator)
+        self._adopt(session)
+        # bound once gz holds gx and the manager
+        self._ask_to_join(session, [self.manager], initiator, len(self.client_members) + 1)
 
     def _rebind(self, exclude: str) -> None:
         """gz lost its manager.  Every gx member sees that view change, but

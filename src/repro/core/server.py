@@ -33,6 +33,7 @@ from repro.errors import ApplicationError, GroupError
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.orb.ior import IOR
+from repro.orb.orb import servant_cost
 from repro.overload import AdmissionConfig, AdmissionController
 from repro.recovery.policy import RetryPolicy
 from repro.sim.futures import Future
@@ -753,9 +754,7 @@ class ObjectGroupServer:
     # ------------------------------------------------------------------
     def _execute(self, invoke: InvokeMsg, done) -> None:
         """Run the servant operation on this node's CPU, then call ``done``."""
-        cost = EXECUTION_OVERHEAD + self.orb.adapter().servant_cost(
-            self.servant, invoke.operation
-        )
+        cost = EXECUTION_OVERHEAD + servant_cost(self.servant, invoke.operation)
         self._phases.on_exec_submit(invoke.call_id, self.member_id)
         tracer = self._tracer
         if tracer.enabled and tracer.recording:

@@ -6,7 +6,7 @@ to London and Pisa).  See DESIGN.md §2 for the calibration argument.
 
 from repro.net.latency import FixedLatency, JitteredLatency, LatencyModel
 from repro.net.network import Network, NetworkStats
-from repro.net.node import CpuProfile, Node
+from repro.net.node import Node
 from repro.net.topology import LinkSpec, Topology
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "Topology",
     "LinkSpec",
     "Node",
-    "CpuProfile",
     "Network",
     "NetworkStats",
 ]

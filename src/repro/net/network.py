@@ -117,9 +117,9 @@ class Network:
     def node(self, name: str) -> Node:
         return self.nodes[name]
 
-    def new_node(self, name: str, site: str, **kwargs: Any) -> Node:
+    def new_node(self, name: str, site: str) -> Node:
         """Create a node at ``site`` and attach it."""
-        return self.attach(Node(self.sim, name, site, **kwargs))
+        return self.attach(Node(self.sim, name, site))
 
     def _resolve(self, pair: Tuple[str, str]) -> _Route:
         """The route of ``(src, dst)``.  An unattached destination keeps

@@ -14,34 +14,18 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.sim.core import Simulator
 
-__all__ = ["Node", "CpuProfile"]
+__all__ = ["Node", "SEND_OVERHEAD", "RECV_OVERHEAD", "PER_BYTE"]
 
-
-class CpuProfile:
-    """Per-message CPU costs (seconds), roughly a 2000-era Pentium/Linux host.
-
-    ``send_overhead``/``recv_overhead`` cover syscalls + ORB transport work;
-    ``per_byte`` covers marshalling.  Higher layers add their own explicit
-    costs (ORB dispatch, NewTop protocol processing) on top.
-    """
-
-    __slots__ = ("send_overhead", "recv_overhead", "per_byte")
-
-    def __init__(
-        self,
-        send_overhead: float = 60e-6,
-        recv_overhead: float = 60e-6,
-        per_byte: float = 20e-9,
-    ):
-        self.send_overhead = send_overhead
-        self.recv_overhead = recv_overhead
-        self.per_byte = per_byte
-
-    def send_cost(self, size_bytes: int) -> float:
-        return self.send_overhead + size_bytes * self.per_byte
-
-    def recv_cost(self, size_bytes: int) -> float:
-        return self.recv_overhead + size_bytes * self.per_byte
+# Per-message CPU costs (seconds) of every host, roughly a 2000-era
+# Pentium/Linux machine.  Higher layers add their own explicit costs (ORB
+# dispatch, NewTop protocol processing) on top.  Read at each send and
+# delivery, so a test may patch them.
+#: syscalls + ORB transport work to send one message
+SEND_OVERHEAD = 60e-6
+#: the same to receive one
+RECV_OVERHEAD = 60e-6
+#: marshalling, per byte, on either side
+PER_BYTE = 20e-9
 
 
 class Node:
@@ -52,17 +36,10 @@ class Node:
     CPU cost has been paid.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        site: str,
-        cpu: Optional[CpuProfile] = None,
-    ):
+    def __init__(self, sim: Simulator, name: str, site: str):
         self.sim = sim
         self.name = name
         self.site = site
-        self.cpu = cpu or CpuProfile()
         self.alive = True
         self.network = None  # set by Network.attach()
         #: CPU service-time multiplier (fault injection: >1 models a
@@ -109,8 +86,7 @@ class Node:
             return
         if self.network is None:
             raise RuntimeError(f"node {self.name} is not attached to a network")
-        cpu = self.cpu
-        cost = cpu.send_overhead + size * cpu.per_byte
+        cost = SEND_OVERHEAD + size * PER_BYTE
         self.execute(
             cost, self.network.transmit, self.name, dst, service, payload, size, kind
         )
@@ -122,9 +98,7 @@ class Node:
         handler = self._handlers.get(service)
         if handler is None:
             return  # unknown service: silently dropped, like a closed port
-        cpu = self.cpu
-        cost = cpu.recv_overhead + size * cpu.per_byte
-        self.execute(cost, handler, src, payload, size)
+        self.execute(RECV_OVERHEAD + size * PER_BYTE, handler, src, payload, size)
 
     # ------------------------------------------------------------------
     # CPU model

@@ -14,7 +14,7 @@ traffic", §5.1.1).
 Remote invocations cross the simulated network *by reference*: the network
 carries the ``Request``/``Reply`` struct itself, sized by
 ``marshal.wire_size`` — marshalling is charged where the paper's hosts paid
-it, as virtual CPU per byte (``CpuProfile.per_byte``), not by really encoding
+it, as virtual CPU per byte (``repro.net.node.PER_BYTE``), not by really encoding
 between two nodes that share one heap.  The contract that makes this sound is
 the one colocated calls always had: a value handed to ``invoke`` belongs to
 the wire from then on — the sender does not mutate it, receivers treat it as
@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ApplicationError, BadOperation, CommFailure, ObjectNotFound
 from repro.net.node import Node
-from repro.obs.metrics import OnFirstUse
 from repro.orb import marshal
 from repro.orb.ior import IOR
 from repro.orb.messages import (
@@ -40,16 +39,39 @@ from repro.orb.messages import (
     STATUS_NOT_FOUND,
     STATUS_OK,
 )
-from repro.orb.poa import POA
 from repro.sim.futures import Future, SimTimeout
 from repro.sim.process import with_timeout
 
-__all__ = ["ORB", "DISPATCH_OVERHEAD", "LOCAL_CALL_OVERHEAD"]
+__all__ = [
+    "ORB",
+    "DISPATCH_OVERHEAD",
+    "LOCAL_CALL_OVERHEAD",
+    "DEFAULT_SERVANT_COST",
+    "servant_cost",
+]
 
 #: CPU seconds to demultiplex a request and locate the servant.
 DISPATCH_OVERHEAD = 40e-6
 #: CPU seconds for a colocated (same address space) invocation.
 LOCAL_CALL_OVERHEAD = 15e-6
+#: CPU seconds charged for a servant method with no declared cost.
+DEFAULT_SERVANT_COST = 20e-6
+#: the one object adapter: every reference this ORB hands out names it, and
+#: it stays on the wire (``IOR.adapter``) as omniORB2's root POA did
+ROOT_ADAPTER = "RootPOA"
+
+
+def servant_cost(servant: Any, operation: str) -> float:
+    """CPU seconds ``servant`` declares for ``operation``.
+
+    A servant is any Python object; operations are its public methods.  It
+    may declare per-operation costs via an ``OP_COSTS`` dict
+    (``{"operation": seconds}``) to model compute-heavy services.
+    """
+    costs = getattr(servant, "OP_COSTS", None)
+    if costs and operation in costs:
+        return costs[operation]
+    return DEFAULT_SERVANT_COST
 
 
 class ORB:
@@ -68,7 +90,9 @@ class ORB:
     def __init__(self, node: Node):
         self.node = node
         self.sim = node.sim
-        self._adapters: Dict[str, POA] = OnFirstUse(lambda name: POA(node.name, name))
+        #: object key -> active servant
+        self._servants: Dict[str, Any] = {}
+        self._object_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, Future] = {}
         # oneway invocations all resolve with None the moment the request is
@@ -86,19 +110,20 @@ class ORB:
     # ------------------------------------------------------------------
     # servant management
     # ------------------------------------------------------------------
-    def adapter(self, name: str = "RootPOA") -> POA:
-        return self._adapters[name]
-
-    def register(self, servant: Any, object_id: Optional[str] = None, adapter: str = "RootPOA") -> IOR:
+    def register(self, servant: Any, object_id: Optional[str] = None) -> IOR:
         """Activate ``servant`` and return its IOR."""
         self._dispatch.clear()
-        return self.adapter(adapter).activate(servant, object_id)
+        if object_id is None:
+            object_id = f"{type(servant).__name__.lower()}-{next(self._object_ids)}"
+        ior = IOR(self.node.name, ROOT_ADAPTER, object_id)
+        if ior.key in self._servants:
+            raise ValueError(f"object id {object_id!r} already active on {self.node.name}")
+        self._servants[ior.key] = servant
+        return ior
 
     def deactivate(self, ior: IOR) -> None:
         self._dispatch.clear()
-        poa = self._adapters.get(ior.adapter)
-        if poa is not None:
-            poa.deactivate(ior.object_id)
+        self._servants.pop(ior.key, None)
 
     # ------------------------------------------------------------------
     # invocation
@@ -204,13 +229,11 @@ class ORB:
         operation the servant does not offer: the caller still charges
         ``cost`` and :meth:`_execute` fails the call after it, so a bad
         request occupies the CPU exactly like a good one."""
-        adapter_name, _, object_id = object_key.partition("/")
-        poa = self._adapters.get(adapter_name)
-        servant = poa.servant(object_id) if poa is not None else None
+        servant = self._servants.get(object_key)
         if servant is None:
             return None
         method = None if operation.startswith("_") else getattr(servant, operation, None)
-        cost = DISPATCH_OVERHEAD + poa.servant_cost(servant, operation)
+        cost = DISPATCH_OVERHEAD + servant_cost(servant, operation)
         if not callable(method):
             return (cost, servant, None)
         entry = self._dispatch[object_key, operation] = (cost, servant, method)

@@ -103,7 +103,7 @@ class RecoveryManager:
             server = self._server_of(other)
             if server is None or server.ready.done:
                 continue  # no rejoin in flight at this member
-            if getattr(server, "_rejoin_contact", None) == name:
+            if server._rejoin_contact == name:
                 return True
         return False
 

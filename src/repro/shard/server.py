@@ -17,9 +17,13 @@ shard layout (a pure function of the sorted membership, see
   assigned member) through the registry, riding the server's existing
   discovery/join/state-transfer path;
 - shards this member no longer serves are *retired*, not dropped: the
-  outgoing member keeps serving until a newly-assigned member has joined
-  the shard's view (so the coordinator's state snapshot has somewhere to
-  land) or a timeout passes, then leaves gracefully.
+  outgoing member keeps serving, and its retirement ends in one of three
+  ways.  It leaves gracefully at the instant of the shard view install that
+  brings a newly-assigned member (so the coordinator's state snapshot has
+  somewhere to land), or when its one deadline timer
+  (``3 × flush_timeout + 1 s``) fires first; if its shard session closes
+  first (an exclusion), it tears down at once.  Nothing polls: the install,
+  the timer and the session's close each call in.
 
 If the membership cannot satisfy the layout the recompute raises
 :class:`~repro.errors.ProvisioningError`; the previous assignment stays in
@@ -36,6 +40,7 @@ from repro.core.server import ObjectGroupServer
 from repro.errors import GroupError, ProvisioningError
 from repro.groupcomm.config import GroupConfig
 from repro.shard.layout import round_robin, shard_service_name
+from repro.sim.core import ScheduledEvent
 from repro.sim.futures import Future
 
 __all__ = ["ShardedServer"]
@@ -66,9 +71,17 @@ class _ShardMember(ObjectGroupServer):
     anchor = False
     #: a shard's members join a group the layout says exists
     _rejoin = True
+    #: set by the owner while it retires this member: told which members
+    #: each install of the shard's view brought
+    on_joins: Optional[Callable[[List[str]], None]] = None
 
     def _may_create(self, attempt: int, others: List[str]) -> bool:
         return self.anchor and (not others or attempt >= self.ANCHOR_RECREATE_AFTER)
+
+    def _on_group_view(self, view, joined: List[str], left: List[str]) -> None:
+        super()._on_group_view(view, joined, left)
+        if self.on_joins is not None:
+            self.on_joins(joined)
 
 
 class ShardedServer(ObjectGroupServer):
@@ -76,9 +89,6 @@ class ShardedServer(ObjectGroupServer):
     group's member (so ``ready``, ``group``, ``restart()`` and the recovery
     tooling work as for any server) and hosts one :class:`_ShardMember`
     per shard the layout assigns it."""
-
-    #: how often a retiring member re-checks whether a successor arrived
-    RETIRE_POLL = 50e-3
 
     def __init__(
         self,
@@ -114,7 +124,8 @@ class ShardedServer(ObjectGroupServer):
         #: the last successfully computed assignment (None = unprovisioned)
         self.assignment: Optional[List[List[str]]] = None
         self.layout_version = 0
-        self._retiring: Dict[int, float] = {}  # shard_no -> retire deadline
+        #: shard_no -> the one timer that ends its retirement
+        self._retiring: Dict[int, ScheduledEvent] = {}
 
         metrics = service.sim.obs.metrics
         self._recompute_counter = metrics.counter("shard.layout.recomputes")
@@ -145,9 +156,10 @@ class ShardedServer(ObjectGroupServer):
 
     def stop(self) -> Future:
         """Graceful shutdown: leave every hosted shard, then the parent."""
+        for shard_no in list(self._retiring):
+            self._cancel_retirement(shard_no)
         for shard_no in list(self.shard_servers):
             self._finish_retirement(shard_no, graceful=True)
-        self._retiring.clear()
         return super().stop()
 
     def restart(self) -> Future:
@@ -155,9 +167,10 @@ class ShardedServer(ObjectGroupServer):
         and rejoin the parent; the rejoined view's layout recompute then
         re-establishes shard participation (with state transfer from each
         shard's surviving members)."""
+        for shard_no in list(self._retiring):
+            self._cancel_retirement(shard_no)
         for shard_no in list(self.shard_servers):
             self._teardown_shard(shard_no)
-        self._retiring.clear()
         self.assignment = None
         return super().restart()
 
@@ -196,7 +209,7 @@ class ShardedServer(ObjectGroupServer):
         for shard_no, assigned in enumerate(self.assignment):
             hosted = self.shard_servers.get(shard_no)
             if self.member_id in assigned:
-                self._retiring.pop(shard_no, None)  # reassigned: cancel retirement
+                self._cancel_retirement(shard_no)  # reassigned: keep serving
                 if hosted is None:
                     self._start_shard_member(shard_no, assigned)
                 else:
@@ -233,41 +246,50 @@ class ShardedServer(ObjectGroupServer):
         return 3 * self.config.flush_timeout + 1.0
 
     def _begin_retirement(self, shard_no: int) -> None:
-        self._retiring[shard_no] = self.sim.now + self._retire_timeout()
         self._flight.record(
             self.member_id,
             "shard.retiring",
             f"svc:{shard_service_name(self.service_name, shard_no)}",
         )
-        self.sim.schedule(self.RETIRE_POLL, self._poll_retirement, shard_no)
-
-    def _poll_retirement(self, shard_no: int) -> None:
-        deadline = self._retiring.get(shard_no)
-        if deadline is None:
-            return  # cancelled (reassigned back) or already finished
-        server = self.shard_servers.get(shard_no)
-        if server is None:
-            self._retiring.pop(shard_no, None)
-            return
+        server = self.shard_servers[shard_no]
         session = server.group
         if session is None or session.state == "closed":
             # excluded (or torn down) underneath us: nothing left to hand over
-            self._retiring.pop(shard_no, None)
             self._finish_retirement(shard_no, graceful=False)
             return
-        assigned = (
-            set(self.assignment[shard_no])
-            if self.assignment is not None and shard_no < len(self.assignment)
-            else set()
+        self._retiring[shard_no] = self.sim.schedule(
+            self._retire_timeout(), self._retirement_due, shard_no
         )
-        successor_arrived = any(
-            m != self.member_id and m in assigned for m in session.members
-        )
-        if successor_arrived or self.sim.now >= deadline:
-            self._retiring.pop(shard_no, None)
-            self._finish_retirement(shard_no, graceful=True)
-            return
-        self.sim.schedule(self.RETIRE_POLL, self._poll_retirement, shard_no)
+        server.on_joins = lambda joined: self._on_retiring_joins(shard_no, joined)
+        session.left.add_done_callback(lambda _f: self._on_retiring_closed(shard_no))
+
+    def _on_retiring_joins(self, shard_no: int, joined: List[str]) -> None:
+        """A shard view install during retirement.  One that brings a
+        member the layout assigns the shard ends the handover at this
+        instant: the timer is pulled forward to now rather than leaving from
+        inside the install (a leave there could start a flush mid-install)."""
+        if any(member in self.assignment[shard_no] for member in joined):
+            self._retiring[shard_no].cancel()
+            self._retiring[shard_no] = self.sim.schedule(0.0, self._retirement_due, shard_no)
+
+    def _retirement_due(self, shard_no: int) -> None:
+        self._cancel_retirement(shard_no)
+        self._finish_retirement(shard_no, graceful=True)
+
+    def _on_retiring_closed(self, shard_no: int) -> None:
+        """The shard session closed (an exclusion, a timed-out join): no
+        handover is left to wait for."""
+        if self._cancel_retirement(shard_no):
+            self._finish_retirement(shard_no, graceful=False)
+
+    def _cancel_retirement(self, shard_no: int) -> bool:
+        """Stop waiting on ``shard_no``'s handover; False if none was."""
+        timer = self._retiring.pop(shard_no, None)
+        if timer is None:
+            return False
+        timer.cancel()
+        self.shard_servers[shard_no].on_joins = None
+        return True
 
     def _finish_retirement(self, shard_no: int, graceful: bool) -> None:
         server = self.shard_servers.pop(shard_no, None)

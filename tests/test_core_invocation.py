@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BindingStyle, Mode, ReplicationPolicy, SchemeConfig
+from repro.core import BindingStyle, GroupBinding, Mode, ReplicationPolicy, SchemeConfig
 from repro.errors import ApplicationError, BindingBroken, CommFailure, ConfigurationError
 from repro.groupcomm import (
     GroupConfig,
@@ -573,6 +573,47 @@ def test_group_to_group_manager_crash_fails_calls_instead_of_hanging():
     assert not b0._pending and not b1._pending
     c.run(60.0)  # and nothing is left polling or retrying
     assert c.sim.obs.metrics.counter_value("client.rebinds") == 0
+
+
+def test_group_to_group_bind_to_a_dead_manager_fails_and_leaves_nothing_scheduled(
+    monkeypatch,
+):
+    """A gz bind whose designated manager (gy's first member) is dead:
+    every gx member hears its own ask to the manager time out, so both
+    ``ready`` futures fail ``BindingBroken`` after the 2 s join timeout.
+    Then the bindings schedule nothing (they used to re-poll for the view
+    every millisecond, for ever, with ``ready`` pending)."""
+    c = AppCluster(servers=3, clients=2)
+    c.serve_all("svc", Counter)
+    c.client(0).create_peer_group("gx")
+    c.client(1).join_peer_group("gx", "c0")
+    c.run(1.0)
+    binding_events = []
+    real_schedule_at = c.sim.schedule_at
+
+    def schedule_at(time, fn, *args):
+        if isinstance(getattr(fn, "__self__", None), GroupBinding):
+            binding_events.append((time, fn.__name__))
+        return real_schedule_at(time, fn, *args)
+
+    monkeypatch.setattr(c.sim, "schedule_at", schedule_at)
+    c.net.crash("s0")  # still advertised first: the designated manager
+    bound_at = c.sim.now
+    bindings = [
+        c.client(i).bind_group_to_group("gx", ["c0", "c1"], "svc") for i in (0, 1)
+    ]
+    failed_at = []
+    for binding in bindings:
+        binding.ready.add_done_callback(lambda _f: failed_at.append(c.sim.now))
+    c.run(60.0)
+    assert all(b.manager == "s0" for b in bindings)
+    for binding in bindings:
+        assert binding.ready.failed
+        assert isinstance(binding.ready.exception, BindingBroken)
+    # the join timeout plus the registry lookup's round trip on the LAN
+    assert len(failed_at) == 2
+    assert all(bound_at + 2.0 < t < bound_at + 2.0 + 5e-3 for t in failed_at)
+    assert [e for e in binding_events if e[0] > bound_at + 3.0] == []
 
 
 def test_group_to_group_invoke_takes_a_timeout():

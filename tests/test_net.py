@@ -3,13 +3,13 @@
 import pytest
 
 from repro.net import (
-    CpuProfile,
     FixedLatency,
     JitteredLatency,
     Network,
     Node,
     Topology,
 )
+from repro.net import node as node_module
 from repro.sim import Simulator
 
 
@@ -17,6 +17,14 @@ def make_lan(sim=None):
     sim = sim or Simulator(seed=1)
     net = Network(sim, Topology.single_lan())
     return sim, net
+
+
+def set_cpu_costs(monkeypatch, overhead):
+    """Round per-message costs for CPU arithmetic: ``overhead`` seconds to
+    send or receive a message, nothing per byte."""
+    monkeypatch.setattr(node_module, "SEND_OVERHEAD", overhead)
+    monkeypatch.setattr(node_module, "RECV_OVERHEAD", overhead)
+    monkeypatch.setattr(node_module, "PER_BYTE", 0.0)
 
 
 def test_fixed_latency_is_constant():
@@ -88,13 +96,14 @@ def test_message_delivery_between_nodes():
     assert sim.now > 0  # latency + cpu elapsed
 
 
-def test_delivery_pays_latency_and_cpu():
+def test_delivery_pays_latency_and_cpu(monkeypatch):
+    set_cpu_costs(monkeypatch, 1e-4)
     sim = Simulator(seed=1)
     topo = Topology()
     topo.add_site("lan", FixedLatency(1e-3))
     net = Network(sim, topo)
-    a = net.new_node("a", "lan", cpu=CpuProfile(send_overhead=1e-4, recv_overhead=1e-4, per_byte=0))
-    b = net.new_node("b", "lan", cpu=CpuProfile(send_overhead=1e-4, recv_overhead=1e-4, per_byte=0))
+    a = net.new_node("a", "lan")
+    b = net.new_node("b", "lan")
     times = []
     b.register("test", lambda *_: times.append(sim.now))
     a.send("b", "test", b"", 0)
@@ -281,10 +290,6 @@ class ScriptedLatency(FixedLatency):
         return self.delays.pop(0)
 
 
-def free_cpu():
-    return CpuProfile(send_overhead=0.0, recv_overhead=0.0, per_byte=0.0)
-
-
 def test_message_to_an_unattached_node_is_dropped_and_no_stale_route_survives():
     sim, net = make_lan()
     a = net.new_node("a", "lan")
@@ -324,17 +329,18 @@ def test_crash_recover_and_partition_heal_act_on_a_resolved_route():
     assert net.stats.messages_dropped == 2
 
 
-def test_routes_across_one_site_pair_share_a_pipe_but_not_a_fifo_clamp():
+def test_routes_across_one_site_pair_share_a_pipe_but_not_a_fifo_clamp(monkeypatch):
+    set_cpu_costs(monkeypatch, 0.0)
     sim = Simulator(seed=1)
     topo = Topology()
     topo.add_site("A", FixedLatency(1e-4))
     topo.add_site("B", FixedLatency(1e-4))
     topo.connect("A", "B", ScriptedLatency(10e-3, 1e-3, 1e-3))
     net = Network(sim, topo)
-    a1, a2 = (net.new_node(name, "A", cpu=free_cpu()) for name in ("a1", "a2"))
+    a1, a2 = (net.new_node(name, "A") for name in ("a1", "a2"))
     arrivals = []
     for name in ("b1", "b2"):
-        node = net.new_node(name, "B", cpu=free_cpu())
+        node = net.new_node(name, "B")
         node.register("t", lambda src, payload, size: arrivals.append((payload, sim.now)))
     size = 1000
     tx = size * 8.0 / Topology.DEFAULT_WAN_BANDWIDTH

@@ -1,4 +1,4 @@
-"""ORB edge cases: IOR/IOGR semantics, oneway semantics, adapters."""
+"""ORB edge cases: IOR/IOGR semantics, oneway semantics, object activation."""
 
 import pytest
 
@@ -43,18 +43,7 @@ class TestIOGR:
 
 
 class TestAdapters:
-    def test_multiple_adapters_isolate_object_ids(self):
-        sim, net, a, b = make_pair()
-        ior1 = b.register(Echo(), object_id="same", adapter="POA1")
-        ior2 = b.register(Echo(), object_id="same", adapter="POA2")
-        assert ior1 != ior2
-
-        def proc():
-            v1 = yield a.invoke(ior1, "echo", ("one",))
-            v2 = yield a.invoke(ior2, "echo", ("two",))
-            return v1, v2
-
-        assert run_process(sim, proc(), until=5.0) == ("one", "two")
+    """The ORB's one object adapter: every reference names ``RootPOA``."""
 
     def test_duplicate_object_id_in_adapter_rejected(self):
         sim, net, a, b = make_pair()
@@ -113,17 +102,6 @@ class TestDispatchTable:
         expected = 0.0 if colocated else 4e-3
         assert new_elapsed - old_elapsed == pytest.approx(expected, abs=1e-4)
 
-    def test_one_servant_under_two_adapters_is_two_entries(self):
-        sim, net, a, b = make_pair()
-        servant = Priced("both", 1e-3)
-        first = b.register(servant, object_id="obj")
-        second = b.register(servant, object_id="obj", adapter="POA2")
-        assert timed(sim, a, first, "echo")[0] == timed(sim, a, second, "echo")[0] == ("both", "x")
-        b.deactivate(first)
-        assert timed(sim, a, first, "echo")[0] == "ObjectNotFound"
-        assert timed(sim, b, first, "echo")[0] == "ObjectNotFound"  # colocated
-        assert timed(sim, a, second, "echo")[0] == ("both", "x")
-
     @pytest.mark.parametrize("operation", ["nosuch", "_private"])
     def test_a_bad_operation_fails_after_its_dispatch_cost(self, operation):
         sim, net, a, b = make_pair()
@@ -145,6 +123,8 @@ class TestDispatchTable:
         outcome, elapsed = timed(sim, a, ior, "echo")
         assert outcome == "ObjectNotFound"
         assert elapsed < 1e-3  # answered at once: no servant, no cost to charge
+        assert timed(sim, b, ior, "echo")[0] == "ObjectNotFound"  # colocated
+        # the object key names the adapter: only RootPOA's keys are served
         assert timed(sim, a, IOR("b", "NoSuchPOA", "obj"), "echo")[0] == "ObjectNotFound"
 
 

@@ -307,6 +307,89 @@ def test_stop_leaves_every_hosted_shard_and_then_the_parent():
             assert server.shard_server(shard_no).members == server.assignment[shard_no]
 
 
+# ---------------------------------------------------------------------------
+# retirement: the three ways a handover ends
+#
+# Four members, two shards: [[s0, s2], [s1, s3]].  Crashing s1 re-lays the
+# survivors out as [[s0, s3], [s2]], so s2 retires from shard 0 (successor
+# s3) and s3 from shard 1 (successor s2).
+# ---------------------------------------------------------------------------
+def flight_times(cluster, node, kind, group):
+    """(time, detail) of ``node``'s flight-recorder events of one kind."""
+    return [
+        (t, detail)
+        for _seq, t, _node, k, g, detail in cluster.sim.obs.flight.events(node)
+        if k == kind and g == group
+    ]
+
+
+def retiring_cluster(monkeypatch, blocked=None):
+    """The cluster above, just past s1's crash.  ``blocked`` names a
+    member whose new shard member never starts, so the handover it would
+    have taken over has no successor."""
+    c = AppCluster(servers=4, clients=0)
+    servers = serve_all_sharded(c, num_shards=2)
+    if blocked is not None:
+        index = c.server_names.index(blocked)
+        monkeypatch.setattr(servers[index], "_start_shard_member", lambda *_args: None)
+    c.net.crash("s1")
+    c.run(0.5)
+    assert servers[0].assignment == [["s0", "s3"], ["s2"]]
+    return c, servers
+
+
+def test_a_successors_join_ends_retirement_at_that_install(monkeypatch):
+    c, _servers = retiring_cluster(monkeypatch)
+    c.run(2.0)
+    for member, shard_no, successor in (("s2", 0, "s3"), ("s3", 1, "s2")):
+        group = f"svc:kv#{shard_no}"
+        [(began, _)] = flight_times(c, member, "shard.retiring", group)
+        [(retired, _)] = flight_times(c, member, "shard.retired", group)
+        # the view the successor entered in, as the retiring member installed it
+        successor_view = flight_times(c, successor, "view", group)[0][1].split()[0]
+        [brought] = [
+            t for t, detail in flight_times(c, member, "view", group)
+            if detail.split()[0] == successor_view
+        ]
+        assert began < retired == brought
+
+
+def test_without_a_successor_retirement_ends_at_its_deadline(monkeypatch):
+    c, _servers = retiring_cluster(monkeypatch, blocked="s2")
+    c.run(2.0)
+    [(began, _)] = flight_times(c, "s3", "shard.retiring", "svc:kv#1")
+    [(retired, _)] = flight_times(c, "s3", "shard.retired", "svc:kv#1")
+    assert retired == pytest.approx(began + 3 * FAST.flush_timeout + 1.0, abs=1e-9)
+
+
+def test_an_exclusion_mid_retirement_tears_down_at_once_and_counts_once(monkeypatch):
+    c, servers = retiring_cluster(monkeypatch, blocked="s3")
+    retiring = servers[2]
+    assert list(retiring._retiring) == [0]
+    retired = c.sim.obs.metrics.counter("shard.members.retired")
+    before = retired.value
+    at_close = []  # (time, retired count) once the session's close ran
+    retiring.shard_server(0).group.left.add_done_callback(
+        lambda _f: at_close.append((c.sim.now, retired.value))
+    )
+    # shard 0's coordinator suspects s2 and installs a view without it
+    coordinator = c.services["s0"].servers["kv"].shard_server(0).group
+    coordinator.membership.on_local_suspicion("s2")
+    c.run(3.0)  # well past the deadline the retirement had
+    [(torn_down, _)] = flight_times(c, "s2", "shard.retired", "svc:kv#0")
+    assert at_close == [(torn_down, before + 1)]
+    assert retiring.shard_server(0) is None and not retiring._retiring
+
+
+@pytest.mark.parametrize("exit", ["stop", "restart"])
+def test_stop_and_restart_leave_no_retirement_timer(monkeypatch, exit):
+    c, servers = retiring_cluster(monkeypatch, blocked="s3")
+    retiring = servers[2]
+    timer = retiring._retiring[0]
+    getattr(retiring, exit)()
+    assert timer.cancelled and not retiring._retiring
+
+
 def test_crash_relayout_restart_reconverges_with_state():
     c = AppCluster(servers=4, clients=1)
     servers = serve_all_sharded(c, num_shards=2)

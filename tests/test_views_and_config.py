@@ -168,11 +168,6 @@ SIGNATURE_ALLOW_LIST = {
         "a reducer over a non-numeric domain brings its own probe values (test_reducer_properties)",
     "core.scheme:resolve_reducer(probe=)": "as SchemeConfig(probe=), which passes it on",
     "core.scheme:validate_reducer(probe=)": "as SchemeConfig(probe=), which passes it on",
-    "net.node:CpuProfile.__init__(send_overhead=)":
-        "test_net's CPU-contention arithmetic uses round costs (100 us, 0 per byte)",
-    "net.node:CpuProfile.__init__(recv_overhead=)": "as send_overhead",
-    "net.node:CpuProfile.__init__(per_byte=)": "as send_overhead",
-    "net.node:Node.__init__(cpu=)": "carries test_net's CpuProfile",
     "net.topology:LinkSpec.__init__(loss=)":
         "every lossy-link test (channel repair, join under loss, the invariant sweep) sets it",
     "net.topology:Topology.add_site(loss=)": "as LinkSpec(loss=), which it fills",
@@ -180,8 +175,6 @@ SIGNATURE_ALLOW_LIST = {
     "net.topology:Topology.set_default_wan(loss=)": "as LinkSpec(loss=), which it fills",
     "obs.tracer:TraceConfig.__init__(max_spans=)":
         "test_obs_always_on fills the span store with a bound of a few spans",
-    "orb.orb:ORB.register(adapter=)":
-        "test_orb_edge activates one object id under two POAs",
 }
 
 
@@ -342,3 +335,98 @@ def test_every_option_is_set_by_a_benchmark_scenario_or_example():
         if re.search(r"\bos\.environ\b", path.read_text(encoding="utf-8"))
     ]
     assert reads_environment == []
+
+
+# ---------------------------------------------------------------------------
+# the poll audit, executable
+# ---------------------------------------------------------------------------
+#: timers under src/repro that re-arm themselves, kept regardless.  Each
+#: needs its reason: a function that waits for a state change should be told
+#: by the event that makes it (a view install, a future), so a re-arming
+#: timer is allowed only where no such event exists or a retry bound ends it.
+TIMER_ALLOW_LIST = {
+    "groupcomm.failuredetector:FailureDetector._tick":
+        "the heartbeat tick: silence is what it detects, and silence sends no event",
+    "groupcomm.channel:ChannelManager._probe":
+        "retransmits the oldest unacked frame: a lost frame or ack sends no event",
+    "groupcomm.channel:ChannelManager._nack_timer_fired":
+        "re-NACKs a receive gap until it fills, at most NACK_MAX_RETRIES times",
+    "groupcomm.session:GroupSession._null_timer_fired":
+        "the time-silence NULL: a data send re-arms it only while NULLs are owed",
+    "groupcomm.membership:MembershipEngine._flush_timed_out":
+        "each timeout drops the non-responders, so the proposed view shrinks to an end",
+    "recovery.manager:RecoveryManager._watch":
+        "the omniscient harness watcher: convergence is a predicate over every "
+        "member, which no single member can announce; MAX_POLLS bounds it",
+    "core.client:GroupBinding._lookup_and_bind":
+        "registry retries while rebinding, bounded by REBIND (a RetryPolicy)",
+    "core.client:GroupBinding._on_call_timeout":
+        "call retries, bounded by the binding's RetryPolicy",
+    "core.client:GroupBinding._retry_call": "as _on_call_timeout",
+    "core.server:ObjectGroupServer._enter":
+        "entering the group: lookup and join retries, bounded by REJOIN (a RetryPolicy)",
+    "shard.binding:ShardedBinding._attempt":
+        "remap retries, bounded by REMAP (a RetryPolicy)",
+}
+
+#: the kernel calls that arm a timer
+_TIMER_CALLS = {"schedule", "schedule_at", "call_soon"}
+
+
+def _self_arming_timers(root):
+    """``module:Class.method`` for every method under ``src/repro`` that a
+    kernel timer calls and that arms that timer again: ``self.method`` is
+    handed to ``schedule``/``schedule_at``/``call_soon`` in its own body or
+    in a method of its class it reaches through ``self.<name>`` references
+    (calls, callbacks and closures alike).  Read with ``ast`` (no import)."""
+    src = root / "src" / "repro"
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+
+            def own(node):
+                return (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr in methods
+                )
+
+            uses, arms = {}, {}
+            for name, fn in methods.items():
+                nodes = list(ast.walk(fn))
+                uses[name] = {node.attr for node in nodes if own(node)}
+                arms[name] = {
+                    arg.attr
+                    for call in nodes
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", getattr(call.func, "id", "")) in _TIMER_CALLS
+                    for arg in call.args
+                    if own(arg)
+                }
+            for timer in set().union(*arms.values()):
+                reached, frontier = set(), [timer]
+                while frontier:
+                    name = frontier.pop()
+                    if name not in reached:
+                        reached.add(name)
+                        frontier.extend(uses[name])
+                if any(timer in arms[name] for name in reached):
+                    found.add(f"{module}:{cls.name}.{timer}")
+    return found
+
+
+def test_no_timer_re_arms_itself_where_an_event_could_tell_it():
+    """Waiting on a state change means reacting to the event that makes it:
+    a timer that re-arms itself is either allow-listed with its reason or a
+    poll to replace with a callback."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    timers = _self_arming_timers(root)
+    assert timers == set(TIMER_ALLOW_LIST), (
+        "timers that re-arm themselves (react to the event instead, or "
+        "allow-list them with a reason), and allow-listed ones that no longer "
+        f"do: {sorted(timers ^ set(TIMER_ALLOW_LIST))}"
+    )

@@ -31,7 +31,7 @@ WORKLOAD = {
         xs=COUNTS, requests=40, replicas=3, mode=Mode.ALL, seed=42
     ),
 }
-EXACT = ("latency_ms", "throughput", "errors", "requests")
+EXACT = ("latency_ms", "throughput", "errors", "requests", "retransmissions")
 
 
 def measure() -> dict:

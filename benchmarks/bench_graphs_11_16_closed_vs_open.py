@@ -31,7 +31,7 @@ WORKLOAD = {
     # in the wan topology open clients bind to a nearby member (§4.2)
     "unrestricted_open": ("wan",),
 }
-EXACT = ("latency_ms", "throughput", "errors", "requests")
+EXACT = ("latency_ms", "throughput", "errors", "requests", "retransmissions")
 
 
 def measure() -> dict:

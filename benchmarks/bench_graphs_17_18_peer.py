@@ -34,7 +34,7 @@ WORKLOAD = {
     # LivelinessConfig arguments; {} is the library default
     "protocols": {"paper": {"adaptive": False}, "adaptive": {}},
 }
-EXACT = ("latency_ms", "throughput", "delivered", "tickets", "tickets_batched")
+EXACT = ("latency_ms", "throughput", "delivered", "tickets", "tickets_batched", "retransmissions")
 
 ORDERINGS = (Ordering.SYMMETRIC, Ordering.ASYMMETRIC)
 

@@ -20,7 +20,7 @@ WORKLOAD = {
         style=BindingStyle.CLOSED, mode=Mode.ALL, seed=42,
     ),
 }
-EXACT = ("latency_ms", "throughput", "errors", "requests")
+EXACT = ("latency_ms", "throughput", "errors", "requests", "retransmissions")
 
 
 def measure() -> dict:

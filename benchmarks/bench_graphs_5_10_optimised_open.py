@@ -43,7 +43,7 @@ WORKLOAD = {
         ),
     },
 }
-EXACT = ("latency_ms", "throughput", "errors", "requests")
+EXACT = ("latency_ms", "throughput", "errors", "requests", "retransmissions")
 
 
 def measure() -> dict:

@@ -26,7 +26,7 @@ WORKLOAD = {
     ),
     "batched": {"ticket_batch_max": 8, "ticket_batch_delay": 2e-3},  # OrderingConfig
 }
-EXACT = ("latency_ms", "throughput", "delivered", "tickets", "tickets_batched")
+EXACT = ("latency_ms", "throughput", "delivered", "tickets", "tickets_batched", "retransmissions")
 
 
 def measure() -> dict:

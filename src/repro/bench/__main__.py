@@ -16,7 +16,7 @@ Observability flags (see docs/OBSERVABILITY.md):
   latency/queue histograms) and the per-kind traffic reconciliation.
 
 A script that pins its own ``Observability`` (``kernel_speed`` and
-``obs_overhead`` time the kernel with tracing as *they* set it) is out of
+``obs_overhead`` count calls with tracing as *they* set it) is out of
 these flags' reach.
 """
 

@@ -147,7 +147,8 @@ def request_reply_point(
 ) -> ExperimentPoint:
     """One (configuration, client-count) measurement: ``n_clients`` closed-loop
     clients on a :func:`request_reply_deployment`; mean request latency and
-    aggregate served throughput."""
+    aggregate served throughput, with the run's error, request and channel
+    retransmission counts as ``detail``."""
     env, bindings = request_reply_deployment(config, n_clients, **deployment)
     workers = [
         ClosedLoopClient(
@@ -169,10 +170,11 @@ def request_reply_point(
         if window_end > window_start:
             throughput = total / (window_end - window_start)
     errors = sum(w.errors for w in workers)
+    retransmissions = env.sim.obs.metrics.counter_value("gc.channel.retransmissions")
     return ExperimentPoint(
         all_latencies.mean_ms,
         throughput,
-        {"errors": errors, "requests": total},
+        {"errors": errors, "requests": total, "retransmissions": retransmissions},
     )
 
 
@@ -211,9 +213,10 @@ def peer_point(
     all multicasting 100-character strings as fast as group-wide delivery
     allows; reports mean multicast-to-everywhere latency and aggregate
     message throughput (the paper's msgs/sec metric), with the run's
-    delivery and ticket counts as ``detail``.  Extra keywords are
-    ``GroupConfig`` fields on top of the peer preset (e.g. an
-    ``ordering_config`` that tunes ticket batching / ack piggybacking)."""
+    delivery, ticket and channel retransmission counts as ``detail``.
+    Extra keywords are ``GroupConfig`` fields on top of the peer preset
+    (e.g. an ``ordering_config`` that tunes ticket batching / ack
+    piggybacking)."""
     env = Environment(config=config, seed=seed, obs=obs)
     sessions, tracker = env.form_peer_group(
         n_members, make_peer_config(ordering=ordering, **group_config), settle=1.0
@@ -245,6 +248,7 @@ def peer_point(
             "delivered": count("gc.delivered"),
             "tickets": count("gc.sent.ticket"),
             "tickets_batched": count("gc.tickets_batched"),
+            "retransmissions": count("gc.channel.retransmissions"),
         },
     )
 

@@ -112,8 +112,6 @@ class ChannelManager:
         # NACK or reset from a peer with no half yet is ignored (``.get``)
         self._out: Dict[str, _Outgoing] = OnFirstUse(lambda peer: _Outgoing())
         self._in: Dict[str, _Incoming] = OnFirstUse(lambda peer: _Incoming())
-        self.retransmissions = 0
-        self.nacks_sent = 0
         #: True while ``transport`` is being invoked for a *retransmitted*
         #: frame — the service reads this to classify the send under its own
         #: ``retransmit`` traffic kind instead of the frame's payload kind.
@@ -164,7 +162,6 @@ class ChannelManager:
         oldest = out.low
         if self.sim.now - out.sent_at[oldest] >= period * 0.9:
             out.probes += 1
-            self.retransmissions += 1
             self._retransmit_counter.inc()
             out.sent_at[oldest] = self.sim.now
             self._retransmit(peer, ChanData(oldest, out.buffer[oldest]))
@@ -314,7 +311,6 @@ class ChannelManager:
     def _send_nack(self, peer: str, inc: _Incoming) -> None:
         first_missing = inc.expected
         last_missing = max(inc.out_of_order) - 1
-        self.nacks_sent += 1
         self._nack_counter.inc()
         self.transport(peer, ChanNack(first_missing, last_missing))
 
@@ -327,7 +323,6 @@ class ChannelManager:
             inner = out.buffer.get(seq)
             if inner is not None:
                 repaired = True
-                self.retransmissions += 1
                 self._retransmit_counter.inc()
                 self._retransmit(peer, ChanData(seq, inner))
         if not repaired:

@@ -78,7 +78,7 @@ class ObsContext:
 
     __slots__ = ("span", "sampled")
 
-    def __init__(self, span: Optional["Span"], sampled: bool = True):
+    def __init__(self, span: Optional["Span"], sampled: bool):
         self.span = span
         self.sampled = sampled
 
@@ -280,7 +280,7 @@ class Tracer:
         of an earlier head-sampled-out invocation)."""
         prev = self.ctx
         if span is not None:
-            self.ctx = ObsContext(span)
+            self.ctx = ObsContext(span, True)
         return prev
 
     def restore(self, token: Optional[ObsContext]) -> None:
@@ -305,7 +305,7 @@ class Tracer:
         """
         if span is None and self.enabled:
             prev = self.ctx
-            self.ctx = ObsContext(None, sampled=False)
+            self.ctx = ObsContext(None, False)
             try:
                 yield None
             finally:

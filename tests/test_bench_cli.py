@@ -7,7 +7,7 @@ from repro.bench.__main__ import experiments, main
 
 
 def test_list_exits_zero(capsys):
-    assert len(experiments()) == 16
+    assert len(experiments()) == 17
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
     for name in experiments():

@@ -53,8 +53,9 @@ def test_lost_frame_is_nacked_and_retransmitted():
         pipe.a.send("b", f"m{i}")
     sim.run(until=1.0)
     assert pipe.delivered_b == [f"m{i}" for i in range(1, 7)]
-    assert pipe.b.nacks_sent >= 1
-    assert pipe.a.retransmissions >= 1
+    metrics = sim.obs.metrics
+    assert metrics.counter_value("gc.channel.nacks_sent") >= 1
+    assert metrics.counter_value("gc.channel.retransmissions") >= 1
 
 
 def test_multiple_losses_recovered():

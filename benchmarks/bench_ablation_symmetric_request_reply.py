@@ -63,6 +63,11 @@ def shape_failures(result) -> list:
         (min(latency["closed/asymmetric"][last], latency["open/asymmetric"][last])
          < min(latency["closed/symmetric"][last], latency["open/symmetric"][last]),
          "the best asymmetric latency at 8 clients is not below the best symmetric one"),
+        # no link drops anything: a retransmission mistook queueing for loss
+        *((point["retransmissions"] == 0,
+           f"{label}: {point['retransmissions']} retransmissions at {x} clients")
+          for label, curve in result.items()
+          for x, point in curve.items()),
     ]
     return [message for ok, message in claims if not ok]
 

@@ -51,6 +51,11 @@ def shape_failures(result) -> list:
         # a single distant client gets far lower throughput than the LAN case
         (distant[first]["throughput"] < 120,
          "distant clients: a single client's throughput is not under 120/s"),
+        # no link drops anything: a retransmission mistook queueing for loss
+        *((point["retransmissions"] == 0,
+           f"{topology}: {point['retransmissions']} retransmissions at {x} clients")
+          for topology, curve in result.items()
+          for x, point in curve.items()),
     ]
     return [message for ok, message in claims if not ok]
 

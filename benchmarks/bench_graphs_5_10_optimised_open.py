@@ -75,6 +75,13 @@ def shape_failures(result) -> list:
             for x, limit in limits.items()
             if not optimised[x]["latency_ms"] < limit
         ]
+        # no link drops anything: a retransmission mistook queueing for loss
+        failures += [
+            f"{topology} / {label}: {point['retransmissions']} retransmissions at {x} clients"
+            for label, curve in curves.items()
+            for x, point in curve.items()
+            if point["retransmissions"]
+        ]
     return failures
 
 

@@ -35,38 +35,56 @@ NACK_BACKOFF = 1.5
 #: Give up re-NACKing after this many attempts (peer presumed dead; the
 #: membership layer will have removed it).
 NACK_MAX_RETRIES = 12
-#: Sender-side probe period: retransmit the oldest unacked frame if no ack
-#: arrives (covers the loss of a frame with no successors, which NACKs —
-#: being gap-driven — can never detect).  Backs off exponentially while
-#: unacknowledged so queueing delay on a congested path is never mistaken
-#: for loss indefinitely.
-PROBE_PERIOD = 100e-3
-PROBE_BACKOFF = 2.0
-PROBE_MAX_PERIOD = 2.0
+#: Clamps of the sender's per-peer retransmission timeout, ``srtt + 4·rttvar``
+#: over the acks of frames sent once (Jacobson/Karels, Karn); ``RTO_MIN``
+#: also stands before the first sample.  See ``ChannelManager._probe``.
+RTO_MIN = 100e-3
+RTO_MAX = 2.0
 #: Stop probing a peer after this many fruitless probes (presumed dead).
 PROBE_MAX = 30
 
 
 class _Outgoing:
-    """Sender half: sequence numbers and a retransmission buffer whose keys
-    are exactly ``range(low, next_seq)``: only an acked prefix ever leaves."""
+    """Sender half: sequence numbers, a retransmission buffer whose keys are
+    exactly ``range(low, next_seq)`` (only an acked prefix ever leaves), each
+    frame's send time (``None`` once resent) and the path's round trip."""
 
-    __slots__ = ("low", "next_seq", "buffer", "sent_at", "probe_timer", "probes")
+    __slots__ = (
+        "low", "next_seq", "buffer", "sent_at", "probe_timer", "probes", "probed",
+        "srtt", "rttvar", "rto",
+    )
 
     def __init__(self):
         self.low = 1
         self.next_seq = 1
         self.buffer: Dict[int, Any] = {}
-        self.sent_at: Dict[int, float] = {}
+        self.sent_at: Dict[int, Optional[float]] = {}
         self.probe_timer = None
         self.probes = 0
+        self.probed = 0  # the oldest frame the last probe found unacked
+        self.srtt: Optional[float] = None
+        self.rttvar = 0.0
+        self.rto = RTO_MIN
 
-    def ack(self, cum_seq: int) -> None:
+    def ack(self, cum_seq: int, now: float) -> None:
         seq = self.low
         if cum_seq >= self.next_seq:
             cum_seq = self.next_seq - 1
-        buffer = self.buffer
+        if cum_seq < seq:
+            return  # nothing new: the probe's backoff stands
         sent_at = self.sent_at
+        sent = sent_at[cum_seq]
+        if sent is not None:
+            rtt = now - sent
+            if self.srtt is None:
+                self.srtt, self.rttvar = rtt, rtt / 2
+            else:
+                err = rtt - self.srtt
+                self.srtt += err / 8
+                self.rttvar += ((err if err > 0 else -err) - self.rttvar) / 4
+            rto = self.srtt + 4 * self.rttvar
+            self.rto = RTO_MIN if rto < RTO_MIN else RTO_MAX if rto > RTO_MAX else rto
+        buffer = self.buffer
         while seq <= cum_seq:
             del buffer[seq]
             del sent_at[seq]
@@ -138,37 +156,37 @@ class ChannelManager:
         self._attach_ack(peer, frame)
         self.transport(peer, frame)
         if out.probe_timer is None:
-            out.probe_timer = self.sim.schedule(PROBE_PERIOD, self._probe, peer)
+            out.probe_timer = self.sim.schedule(out.rto, self._probe, peer)
 
     def _probe(self, peer: str) -> None:
-        """Retransmit the oldest unacked frame if it has aged past the probe
-        period (covers losses that NACKs cannot see)."""
+        """Retransmit the oldest unacked frame if the last probe, a timeout
+        ago, found it oldest already: this covers the loss of a frame with no
+        successors, which gap-driven NACKs cannot see.  Each such probe
+        doubles the timeout until an ack moves ``low``."""
         out = self._out[peer]
         out.probe_timer = None
         if not out.buffer:
-            out.probes = 0
             return
         if out.probes > PROBE_MAX:
-            # peer presumed dead; stop burning cycles (membership will have
-            # removed it); drop the buffered backlog
+            # peer presumed dead (membership will have removed it): drop the backlog
             out.buffer.clear()
             out.sent_at.clear()
             out.low = out.next_seq
             out.probes = 0
             return
-        # back off exponentially: a congested (but live) path acks
-        # eventually, and each ack resets the backoff
-        period = min(PROBE_PERIOD * (PROBE_BACKOFF ** out.probes), PROBE_MAX_PERIOD)
-        oldest = out.low
-        if self.sim.now - out.sent_at[oldest] >= period * 0.9:
+        if out.low == out.probed:
             out.probes += 1
-            self._retransmit_counter.inc()
-            out.sent_at[oldest] = self.sim.now
-            self._retransmit(peer, ChanData(oldest, out.buffer[oldest]))
-        out.probe_timer = self.sim.schedule(period, self._probe, peer)
+            self._retransmit(peer, out, out.low)
+        out.probed = out.low
+        timeout = min(out.rto * 2 ** out.probes, RTO_MAX)
+        out.probe_timer = self.sim.schedule(timeout, self._probe, peer)
 
-    def _retransmit(self, peer: str, frame: ChanData) -> None:
-        """Send a repaired frame with the ``retransmitting`` flag raised."""
+    def _retransmit(self, peer: str, out: _Outgoing, seq: int) -> None:
+        """Resend buffered frame ``seq`` with the ``retransmitting`` flag
+        raised; its ack no longer times the path (Karn)."""
+        self._retransmit_counter.inc()
+        out.sent_at[seq] = None
+        frame = ChanData(seq, out.buffer[seq])
         self._attach_ack(peer, frame)
         self.retransmitting = True
         try:
@@ -201,7 +219,7 @@ class ChannelManager:
         if cls is ChanData:
             self._on_data(peer, message)
         elif cls is ChanAck:
-            self._out[peer].ack(message.cum_seq)
+            self._out[peer].ack(message.cum_seq, self.sim.now)
         elif cls is ChanNack:
             self._on_nack(peer, message)
         elif cls is ChanReset:
@@ -210,7 +228,7 @@ class ChannelManager:
     def _on_data(self, peer: str, frame: ChanData) -> None:
         if frame.ack is not None:
             # piggybacked reverse-direction cumulative ack
-            self._out[peer].ack(frame.ack)
+            self._out[peer].ack(frame.ack, self.sim.now)
         inc = self._in[peer]
         if frame.seq < inc.expected:
             self._bump_ack(peer, inc)  # duplicate: re-ack so sender can GC
@@ -295,13 +313,7 @@ class ChannelManager:
             # peer somehow recovers) is not blocked forever.  Stale messages
             # are filtered by view ids above us.
             self._gap_skip_counter.inc()
-            inc.expected = min(inc.out_of_order)
-            while inc.expected in inc.out_of_order:
-                self.upcall(peer, inc.out_of_order.pop(inc.expected))
-                inc.expected += 1
-            inc.nack_tries = 0
-            if inc.out_of_order:
-                self._schedule_nack(peer, inc)
+            self._skip_to(peer, inc, min(inc.out_of_order))
             return
         self._send_nack(peer, inc)
         inc.nack_timer = self.sim.schedule(
@@ -318,14 +330,10 @@ class ChannelManager:
         out = self._out.get(peer)
         if out is None:
             return
-        repaired = False
-        for seq in range(nack.from_seq, nack.to_seq + 1):
-            inner = out.buffer.get(seq)
-            if inner is not None:
-                repaired = True
-                self._retransmit_counter.inc()
-                self._retransmit(peer, ChanData(seq, inner))
-        if not repaired:
+        held = range(max(nack.from_seq, out.low), min(nack.to_seq + 1, out.next_seq))
+        for seq in held:
+            self._retransmit(peer, out, seq)
+        if not held:
             # we no longer hold anything in the requested range (dropped
             # after giving up during a partition): tell the receiver to
             # skip forward, to our oldest unacked frame, instead of
@@ -334,11 +342,15 @@ class ChannelManager:
 
     def _on_reset(self, peer: str, reset: ChanReset) -> None:
         inc = self._in.get(peer)
-        if inc is None or reset.skip_to <= inc.expected:
-            return
-        inc.expected = reset.skip_to
-        for seq in [s for s in inc.out_of_order if s < inc.expected]:
-            del inc.out_of_order[seq]
+        if inc is not None and reset.skip_to > inc.expected:
+            self._skip_to(peer, inc, reset.skip_to)
+
+    def _skip_to(self, peer: str, inc: _Incoming, seq: int) -> None:
+        """Give up on every frame below ``seq``: deliver what waited beyond
+        it in order, restart repair for any later gap, and ack."""
+        inc.expected = seq
+        for stale in [s for s in inc.out_of_order if s < seq]:
+            del inc.out_of_order[stale]
         while inc.expected in inc.out_of_order:
             self.upcall(peer, inc.out_of_order.pop(inc.expected))
             inc.expected += 1

@@ -323,8 +323,9 @@ class MembershipEngine:
         session = self.session
         if session.state == "closed":
             return
-        if session.view is not None and install.view.view_id <= session.view.view_id:
-            return
+        view, new = session.view, install.view
+        if view is not None and (new.era != view.era or new.view_id <= view.view_id):
+            return  # from a dead era of the group, or stale
         if session.member_id not in install.view.members:
             if session.state == "joining":
                 return  # stale install from before our join; ours is coming

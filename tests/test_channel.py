@@ -2,7 +2,9 @@
 
 from typing import List, Tuple
 
-from repro.groupcomm.channel import ACK_EVERY, ChannelManager
+import pytest
+
+from repro.groupcomm.channel import ACK_EVERY, PROBE_MAX, RTO_MAX, RTO_MIN, ChannelManager
 from repro.groupcomm.messages import ChanAck, ChanData, ChanNack, ChanReset
 from repro.sim import Simulator
 
@@ -14,6 +16,7 @@ class Pipe:
         self.sim = sim
         self.loss_seqs = set(loss_seqs or [])  # ChanData seqs to drop once
         self.down = False  # True = the path drops everything, both ways
+        self.delay = lambda now: 1e-3  # one-way delay of a frame sent at ``now``
         self.a = None
         self.b = None
         self.delivered_a: List = []
@@ -32,7 +35,7 @@ class Pipe:
                 self.loss_seqs.discard((src, message.seq))
                 return
             target = self.b if peer == "b" else self.a
-            self.sim.schedule(1e-3, target.on_message, src, message)
+            self.sim.schedule(self.delay(self.sim.now), target.on_message, src, message)
 
         return transport
 
@@ -99,8 +102,6 @@ def test_bidirectional_channels_independent():
 
 
 def test_send_to_self_rejected():
-    import pytest
-
     sim = Simulator()
     pipe = Pipe(sim)
     with pytest.raises(ValueError):
@@ -298,6 +299,9 @@ def assert_watermark(mgr, peer, low, next_seq):
     assert list(out.buffer) == list(range(low, next_seq))
     assert list(out.sent_at) == list(out.buffer)
     assert mgr.outstanding_to(peer) == next_seq - low
+    # the timeout stays in its clamps; a probe only ever saw frames below ``low``
+    assert RTO_MIN <= out.rto <= RTO_MAX
+    assert out.probed <= out.low
 
 
 def sender(sim):
@@ -354,3 +358,99 @@ def test_reset_skips_to_the_lowest_unacked_frame_after_a_partial_ack():
     resets = [msg.skip_to for msg in sent if isinstance(msg, ChanReset)]
     assert resets == [3]
     assert_watermark(a, "b", 3, 6)
+
+
+# ---------------------------------------------------------------------------
+# the measured retransmission timeout
+# ---------------------------------------------------------------------------
+def retransmissions(sim):
+    return sim.obs.metrics.counter_value("gc.channel.retransmissions")
+
+
+def test_a_path_whose_queue_grows_is_timed_not_repaired():
+    """A lossless FIFO path whose one-way delay grows from 25 to 400 ms over
+    4 s, with a send every 10 ms both ways: a WAN pipe filling up.  A fixed
+    100 ms probe took the queueing for loss (92 retransmissions); the
+    timeout measured from the acks follows the round trip and resends
+    nothing."""
+    sim = Simulator()
+    pipe = Pipe(sim)
+    pipe.delay = lambda now: 25e-3 + 375e-3 * min(now, 4.0) / 4.0
+    for i in range(400):
+        sim.schedule(i * 10e-3, pipe.a.send, "b", i)
+        sim.schedule(i * 10e-3, pipe.b.send, "a", i)
+    sim.run(until=10.0)
+    assert pipe.delivered_b == pipe.delivered_a == list(range(400))
+    assert retransmissions(sim) == 0
+    assert pipe.a.outstanding_to("b") == pipe.b.outstanding_to("a") == 0
+    assert pipe.a._out["b"].rto > RTO_MIN  # measured, not the floor
+
+
+def test_the_ack_of_a_resent_frame_leaves_the_timeout_alone():
+    """Karn's rule: an ack of a frame sent twice cannot say which copy it
+    answers, so it moves neither ``srtt`` nor the timeout; the next frame
+    sent once is timed again."""
+    sim = Simulator()
+    a, sent = sender(sim)
+    out = a._out["b"]
+    a.send("b", "m1")
+    sim.run(until=50e-3)
+    a.on_message("b", ChanAck(1))  # one clean 50 ms sample
+    srtt, rto = out.srtt, out.rto
+    assert srtt == pytest.approx(50e-3) and rto == pytest.approx(50e-3 + 4 * 25e-3)
+    a.send("b", "m2")
+    sim.run(until=0.5)  # m2's acks are lost: the probe resends it
+    assert [m.seq for m in sent if isinstance(m, ChanData)].count(2) >= 2
+    a.on_message("b", ChanAck(2))
+    assert (out.srtt, out.rto, out.probes) == (srtt, rto, 0)
+    a.send("b", "m3")
+    sim.run(until=sim.now + 80e-3)
+    a.on_message("b", ChanAck(3))
+    assert out.srtt > srtt and out.rto > rto
+
+
+def test_on_a_lan_path_the_probe_period_is_the_floor():
+    """Pipe's 1 ms path measures a round trip (ack delay included) well
+    below ``RTO_MIN``, so every probe is armed at ``RTO_MIN``: the period
+    LAN runs had before the timeout was measured."""
+    sim = Simulator()
+    pipe = Pipe(sim)
+    probe_delays = []
+    schedule = sim.schedule
+
+    def spy(delay, fn, *args):
+        if fn == pipe.a._probe:
+            probe_delays.append(delay)
+        return schedule(delay, fn, *args)
+
+    sim.schedule = spy
+    for i in range(100):
+        schedule(i * 7e-3, pipe.a.send, "b", i)
+    sim.run(until=2.0)
+    out = pipe.a._out["b"]
+    assert out.srtt is not None and out.srtt + 4 * out.rttvar < RTO_MIN
+    assert out.rto == RTO_MIN
+    assert len(probe_delays) > 5 and set(probe_delays) == {RTO_MIN}
+    assert retransmissions(sim) == 0
+
+
+def test_a_live_peer_behind_a_long_delay_gets_its_whole_backlog_once():
+    """The give-up audit.  Past ``PROBE_MAX`` fruitless probes the sender
+    drops its backlog, trusting membership to have removed the peer.  A
+    slow but live peer (5 s one way, so no ack for 10 s) must never get
+    there: the probes resend the oldest frame with a doubling timeout, the
+    backlog stays buffered until acked, and the receiver delivers it once
+    and in order however many copies arrive."""
+    sim = Simulator()
+    pipe = Pipe(sim)
+    pipe.delay = lambda now: 5.0
+    for i in range(20):
+        pipe.a.send("b", i)
+    sim.run(until=9.9)  # the first ack is still on its way
+    assert pipe.a.outstanding_to("b") == 20
+    assert 0 < pipe.a._out["b"].probes <= PROBE_MAX
+    assert retransmissions(sim) > 0
+    sim.run(until=60.0)
+    assert pipe.delivered_b == list(range(20))
+    assert pipe.a.outstanding_to("b") == 0
+    assert sim.obs.metrics.counter_value("gc.channel.gap_skips") == 0

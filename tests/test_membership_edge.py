@@ -182,3 +182,25 @@ def test_joiner_keeps_tickets_that_arrive_before_its_first_view():
     assert dropped, "the scenario must actually lose the joiner's ViewInstall"
     assert delivered == {name: ["m0", "m1", "m2"] for name in ("n0", "n1", "n2")}
     assert check_invariants(record, total_order=True) == []
+
+
+def test_a_view_install_from_a_dead_era_does_not_close_the_new_one():
+    """A re-created group restarts view numbering under a new era.  An
+    install still on its way from the dead era (view 4 of an island that
+    excludes this member) outnumbers the new view 1, but it must not close
+    the session: the era decides, not the view id."""
+    from repro.groupcomm.messages import ViewInstall
+    from repro.groupcomm.views import GroupView
+
+    c = Cluster(3)
+    config = GroupConfig()
+    old_era = c.service(0).create_group("g", config).view.era
+    c.service(0).drop_session("g")
+    session = c.service(0).create_group("g", config)
+    assert (session.view.view_id, session.view.members) == (1, ["n0"])
+    assert session.view.era != old_era
+    island = ViewInstall("g", GroupView("g", 4, ["n2"], era=old_era), 0, config, [], [])
+    session.membership.on_view_install(island)
+    assert session.state != "closed"
+    assert c.service(0).session("g") is session
+    assert (session.view.view_id, session.view.members) == (1, ["n0"])

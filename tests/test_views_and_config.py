@@ -348,7 +348,8 @@ TIMER_ALLOW_LIST = {
     "groupcomm.failuredetector:FailureDetector._tick":
         "the heartbeat tick: silence is what it detects, and silence sends no event",
     "groupcomm.channel:ChannelManager._probe":
-        "retransmits the oldest unacked frame: a lost frame or ack sends no event",
+        "retransmits the oldest unacked frame once it outlives the peer's measured "
+        "timeout: a lost frame or ack sends no event; PROBE_MAX bounds it",
     "groupcomm.channel:ChannelManager._nack_timer_fired":
         "re-NACKs a receive gap until it fills, at most NACK_MAX_RETRIES times",
     "groupcomm.session:GroupSession._null_timer_fired":

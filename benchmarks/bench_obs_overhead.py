@@ -18,8 +18,9 @@ Each configuration's counting run doubles as its warm-up, and its timed run
 must replay it exactly (``repro.bench.profiling.count_then_time``).  In
 either mode the run fails unless all three run the identical simulation
 (tracing observes the protocol, it never perturbs it), sampling thins the
-trace, and 1% sampling adds under a quarter of the calls full tracing
-adds.  ``--check`` gates the run against the
+trace, 1% sampling adds under a tenth of the calls full tracing adds, and
+full tracing costs at most ``MAX_CALLS_PER_SPAN`` calls per span it
+records.  ``--check`` gates the run against the
 ``obs_overhead`` section of ``benchmarks/gates.json`` (see
 repro.bench.gate); without it the section is rewritten.
 """
@@ -46,6 +47,8 @@ WORKLOAD = {
 }
 EXACT = ("events", "delivered", "spans", "latency_ms", "pycalls_per_invocation")
 INVOCATIONS = WORKLOAD["clients"] * WORKLOAD["requests"]
+#: what full tracing may cost per span over trace-off, in Python calls
+MAX_CALLS_PER_SPAN = 10
 
 #: the three measured configurations, in report order
 CONFIGS = (
@@ -117,7 +120,8 @@ def report(results) -> None:
 
 def tracing_failures(results) -> list:
     """Tracing observes the simulation without changing it, 1% sampling
-    thins the trace, and it adds under a quarter of full tracing's calls."""
+    thins the trace and adds under a tenth of full tracing's calls, and a
+    recorded span costs at most ``MAX_CALLS_PER_SPAN`` calls."""
     off, sampled, full = (results[name] for name, _ in CONFIGS)
     failures = [
         f"{name} ran {result['events']} events / {result['delivered']} deliveries, trace-off "
@@ -132,10 +136,15 @@ def tracing_failures(results) -> list:
         )
     sampled_calls = extra_calls(results, "sampled-1pct")
     full_calls = extra_calls(results, "full-trace")
-    if not sampled_calls < full_calls / 4:
+    if not sampled_calls < full_calls / 10:
         failures.append(
             f"1%-sampled tracing adds {sampled_calls:.1f} calls per invocation, not under "
-            f"a quarter of full tracing's {full_calls:.1f}"
+            f"a tenth of full tracing's {full_calls:.1f}"
+        )
+    per_span = full_calls * INVOCATIONS / full["spans"]
+    if not per_span <= MAX_CALLS_PER_SPAN:
+        failures.append(
+            f"full tracing costs {per_span:.1f} calls per span, over {MAX_CALLS_PER_SPAN}"
         )
     return failures
 

@@ -40,6 +40,7 @@ from repro.errors import (
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.obs.phases import PHASE_NAMES
+from repro.obs.tracer import UNSAMPLED
 from repro.orb.ior import IOR
 from repro.overload import AdmissionConfig, AdmissionController
 from repro.recovery.policy import RetryPolicy
@@ -598,17 +599,22 @@ class GroupBinding:
             False,
             self._reply_group,
         )
-        # use_root: a None span under sampling means "head-sampled out" —
-        # the send then flows under an explicitly unsampled context so no
-        # downstream site allocates spans for this invocation
-        with self._tracer.use_root(pending.span):
-            try:
-                self._gc.send(message)
-            except FlowQueueFull:
-                self._shed_locally(pending)
-                return
-        if pending.mode == Mode.ONE_WAY:
-            self._tracer.end_span(pending.span, outcome="oneway")
+        tracer = self._tracer
+        prev = tracer.ctx
+        if tracer.enabled:
+            # a None span under tracing means "head-sampled out": the send
+            # then flows under UNSAMPLED, so no downstream site allocates
+            # spans for this invocation
+            tracer.ctx = UNSAMPLED if pending.span is None else pending.span
+        try:
+            self._gc.send(message)
+        except FlowQueueFull:
+            tracer.ctx = prev
+            self._shed_locally(pending)
+            return
+        tracer.ctx = prev
+        if pending.mode == Mode.ONE_WAY and pending.span is not None:
+            tracer.end_span(pending.span, outcome="oneway")
 
     def _shed_locally(self, pending: _PendingCall) -> None:
         """The session's bounded send queue overflowed: shed at the source.
@@ -703,11 +709,12 @@ class GroupBinding:
                         tag_hists[name].record(value)
         else:
             self._phases.discard(call_id)
-        self._tracer.end_span(
-            pending.span,
-            outcome="error" if fut.failed else "ok",
-            replies=0 if fut.failed else len(fut.result() or ()),
-        )
+        if pending.span is not None:
+            self._tracer.end_span(
+                pending.span,
+                outcome="error" if fut.failed else "ok",
+                replies=0 if fut.failed else len(fut.result() or ()),
+            )
 
     def _on_call_timeout(self, call_no: int) -> None:
         pending = self._pending.get(call_no)

@@ -32,6 +32,7 @@ from repro.core.registry import client_sink_id, server_servant_id
 from repro.errors import ApplicationError, GroupError
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
+from repro.obs.tracer import UNSAMPLED
 from repro.orb.ior import IOR
 from repro.orb.orb import servant_cost
 from repro.overload import AdmissionConfig, AdmissionController
@@ -757,7 +758,7 @@ class ObjectGroupServer:
         cost = EXECUTION_OVERHEAD + servant_cost(self.servant, invoke.operation)
         self._phases.on_exec_submit(invoke.call_id, self.member_id)
         tracer = self._tracer
-        if tracer.enabled and tracer.recording:
+        if tracer.enabled and tracer.ctx is not UNSAMPLED:
             # the paper's m3: the replica executes the invocation.  The span
             # stays ambient while the servant runs, so the reply multicast
             # (m4) issued from ``done`` becomes its child.
@@ -771,10 +772,13 @@ class ObjectGroupServer:
                     "call_no": invoke.call_no,
                 },
             )
-            with tracer.use(span):
+            if span is not None:
+                prev = tracer.ctx
+                tracer.ctx = span
                 self.node.execute(cost, self._run_servant_traced, span, invoke, done)
-        else:
-            self.node.execute(cost, self._run_servant, invoke, done)
+                tracer.ctx = prev
+                return
+        self.node.execute(cost, self._run_servant, invoke, done)
 
     def _run_servant_traced(self, span, invoke: InvokeMsg, done) -> None:
         self._run_servant(invoke, done)

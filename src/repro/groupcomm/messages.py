@@ -75,14 +75,16 @@ class DataMsg:
     __slots__ = (
         "group", "sender", "view_id", "gseq", "ts",
         "kind", "payload", "ticket", "vector", "acks",
-        "hb_period", "era", "pushback", "_mid", "is_null", "_wire_size",
+        "hb_period", "era", "pushback", "_mid", "is_null", "_wire_size", "span",
     )
     #: wire fields only — ``_mid`` is a lazily built identity cache,
-    #: ``is_null`` is derived from ``kind`` at construction and
+    #: ``is_null`` is derived from ``kind`` at construction,
     #: ``_wire_size`` is what ``marshal.wire_size`` found at the first send (a
     #: multicast sizes its message once, not once per member): never
-    #: marshalled, and sound because no field changes after that send
-    _fields = __slots__[:-3]
+    #: marshalled, and sound because no field changes after that send; and
+    #: ``span`` is the sender's ``gc.send`` span (None when not recorded),
+    #: which reaches the deliverers because messages travel by reference
+    _fields = __slots__[:-4]
 
     def __init__(
         self,
@@ -116,6 +118,7 @@ class DataMsg:
         self._mid: Optional[Tuple[int, str, int]] = None
         self.is_null = kind == KIND_NULL
         self._wire_size: Optional[int] = None
+        self.span: Any = None
 
     @property
     def msg_id(self) -> Tuple[int, str, int]:

@@ -46,6 +46,7 @@ from repro.groupcomm.messages import (
 )
 from repro.groupcomm.ordering import make_ordering
 from repro.groupcomm.views import GroupView
+from repro.obs.tracer import UNSAMPLED
 from repro.sim.futures import Future
 
 __all__ = ["GroupSession"]
@@ -320,8 +321,11 @@ class GroupSession:
                     self._phases.on_flush_release(call)
         tracer = self._tracer
         span = None
-        if tracer.enabled and tracer.recording:
-            span = tracer.start_span(
+        if tracer.enabled and tracer.ctx is not UNSAMPLED:
+            # group-ordered delivery is unblocked by *later* protocol
+            # traffic, so deliverers cannot rely on scheduler context for
+            # causality: the message carries its sender's span instead
+            span = msg.span = tracer.start_span(
                 "gc.send",
                 kind="producer",
                 node=self.member_id,
@@ -333,11 +337,6 @@ class GroupSession:
                     "fanout": len(self.view.members) - 1,
                 },
             )
-            if data:
-                # group-ordered delivery is unblocked by *later* protocol
-                # traffic, so deliverers cannot rely on scheduler context for
-                # causality; they look the sender's span up by message id
-                tracer.stash_parent((self.group, msg.msg_id), span)
         self._multicast(msg, span)
         # symmetric ordering: peers can only deliver our message once they
         # hold a *later* timestamp from us — if nothing else goes out soon,
@@ -367,7 +366,7 @@ class GroupSession:
         self._flight.record(self.member_id, "ticket", self.group, label)
         tracer = self._tracer
         span = None
-        if tracer.enabled and tracer.recording:
+        if tracer.enabled and tracer.ctx is not UNSAMPLED:
             attrs = {"group": self.group, "ticket": first}
             if batch:
                 attrs.update(batch=len(tickets), span=f"{first}..{tickets[-1][0]}")
@@ -383,14 +382,15 @@ class GroupSession:
         view order, under the producer ``span`` (None: nothing to enter)."""
         tracer = self._tracer
         if span is not None:
-            token = tracer.activate(span)
+            prev = tracer.ctx
+            tracer.ctx = span
         send = self.service.channels.send
         me = self.member_id
         for member in self.view.members:
             if member != me:
                 send(member, msg)
         if span is not None:
-            tracer.restore(token)
+            tracer.ctx = prev
             tracer.end_span(span)
         self.detector.sent_something()
 
@@ -583,28 +583,25 @@ class GroupSession:
         if not tracer.enabled:
             execute(DELIVER_COST, self._upcall, None, msg.sender, msg.payload)
             return
-        # parent on the *sender's* gc.send span (looked up by message id):
-        # the scheduler context here belongs to whichever protocol message
-        # unblocked ordering, not to the message's causal origin
-        parent = tracer.stashed_parent((self.group, msg.msg_id))
+        # parent on the *sender's* gc.send span, carried by the message: the
+        # scheduler context here belongs to whichever protocol message
+        # unblocked ordering, not to the message's causal origin.  A
+        # recorded origin is recorded here even if the unblocking trace is
+        # unsampled; an unrecorded one makes the upcall run UNSAMPLED, so
+        # its downstream work allocates no spans either
         span = None
-        # a stashed parent means the *origin* was sampled — record even if
-        # the ambient (unblocking) trace is unsampled; under full tracing
-        # a stash miss (cap eviction) falls back to the ambient span
-        # rather than losing the delivery entirely
-        if parent is not None or (not tracer.sampling and tracer.recording):
+        if msg.span is not None:
             span = tracer.start_span(
                 "gc.deliver",
                 kind="consumer",
                 node=self.member_id,
-                parent="ambient" if parent is None else parent,
+                parent=msg.span,
                 attrs={"group": self.group, "sender": msg.sender, "gseq": msg.gseq},
             )
-        # no span under sampling means an unsampled origin: use_root then
-        # pushes an explicitly unsampled context, so the upcall's
-        # downstream work allocates no spans either
-        with tracer.use_root(span):
-            execute(DELIVER_COST, self._upcall, span, msg.sender, msg.payload)
+        prev = tracer.ctx
+        tracer.ctx = UNSAMPLED if span is None else span
+        execute(DELIVER_COST, self._upcall, span, msg.sender, msg.payload)
+        tracer.ctx = prev
 
     def _upcall(self, span, sender: str, payload: Any) -> None:
         if self.state != "closed" and self.on_deliver is not None:

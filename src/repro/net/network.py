@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from repro.net.node import Node
 from repro.net.topology import LinkSpec, Topology
 from repro.obs.metrics import OnFirstUse
+from repro.obs.tracer import UNSAMPLED
 from repro.sim.core import Simulator
 
 __all__ = ["Network", "NetworkStats"]
@@ -173,7 +174,7 @@ class Network:
         pipe.busy = tx_end
 
         span = None
-        if tracer.enabled and tracer.recording:
+        if tracer.enabled and tracer.ctx is not UNSAMPLED:
             span = tracer.start_span(
                 "net.hop",
                 kind="transport",
@@ -214,8 +215,10 @@ class Network:
             # the span covers queueing + serialisation + propagation
             span.end = arrival
             span.attrs["outcome"] = "delivered"
-            with tracer.use(span):
-                self.sim.schedule_at(arrival, dst_node.deliver, src, service, payload, size)
+            prev = tracer.ctx
+            tracer.ctx = span
+            self.sim.schedule_at(arrival, dst_node.deliver, src, service, payload, size)
+            tracer.ctx = prev
         else:
             self.sim.schedule_at(arrival, dst_node.deliver, src, service, payload, size)
 

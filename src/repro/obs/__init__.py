@@ -50,7 +50,7 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.phases import PHASE_NAMES, PhaseAccountant
-from repro.obs.tracer import ObsContext, Span, TraceConfig, Tracer
+from repro.obs.tracer import UNSAMPLED, Span, TraceConfig, Tracer
 
 __all__ = [
     "Observability",
@@ -60,7 +60,7 @@ __all__ = [
     "Tracer",
     "TraceConfig",
     "Span",
-    "ObsContext",
+    "UNSAMPLED",
     "FlightRecorder",
     "PhaseAccountant",
     "PHASE_NAMES",
@@ -83,7 +83,7 @@ class Observability:
     """Tracer + metrics + flight recorder + phase accountant for one run.
 
     ``trace`` accepts either a bool (full tracing on/off) or a
-    :class:`TraceConfig` (tracing on, with that sampling/retention policy).
+    :class:`TraceConfig` (tracing on, with that sampling rate).
     """
 
     def __init__(self, trace: Union[bool, TraceConfig] = False):

@@ -9,11 +9,13 @@ import pytest
 from repro.bench.harness import request_reply_point
 from repro.core import BindingStyle, Mode
 from repro.groupcomm import GroupConfig, Ordering
+from repro.groupcomm.messages import DataMsg
 from repro.net import FixedLatency, Topology
 from repro.obs import (
     Histogram,
     MetricsRegistry,
     Observability,
+    TraceConfig,
     Tracer,
     build_trees,
     merge_snapshots,
@@ -103,23 +105,30 @@ def test_disabled_tracer_records_nothing():
     span = tracer.start_span("op")
     assert span is None
     tracer.end_span(span)  # must be None-safe
-    with tracer.use(span):
-        pass
+    tracer.event("ignored")  # must be a safe no-op
+    assert tracer.ctx is None
     assert tracer.records() == []
 
 
 def test_ambient_parenting_and_stash():
+    """The ambient span parents new spans; a span carried on a ``DataMsg``
+    parents a delivery whatever the ambient value is."""
     clock = [0.0]
     tracer = Tracer(clock=lambda: clock[0], enabled=True)
     root = tracer.start_span("root", parent=None)
-    with tracer.use(root):
-        child = tracer.start_span("child")
+    tracer.ctx = root
+    child = tracer.start_span("child")
+    tracer.ctx = None
     assert child.parent_id == root.span_id
     assert child.trace_id == root.trace_id
-    tracer.stash_parent("m1", root)
-    orphaned = tracer.start_span("deliver", parent=tracer.stashed_parent("m1"))
-    assert orphaned.parent_id == root.span_id
-    assert tracer.stashed_parent("unknown") is None
+    msg = DataMsg("g", "a", 1, 1, 1, "data", None, None, None, {})
+    assert msg.span is None  # nothing recorded the send yet
+    msg.span = root
+    tracer.ctx = child  # the unblocking traffic's span is not the origin
+    delivered = tracer.start_span("deliver", parent=msg.span)
+    tracer.ctx = None
+    assert delivered.parent_id == root.span_id
+    assert "span" not in DataMsg._fields  # carried by reference, never marshalled
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +138,13 @@ def _sample_records():
     clock = [0.0]
     tracer = Tracer(clock=lambda: clock[0], enabled=True)
     root = tracer.start_span("invoke", kind="client", node="c0", attrs={"op": "draw"})
-    with tracer.use(root):
-        clock[0] = 0.001
-        send = tracer.start_span("gc.send", node="c0")
-        tracer.event("manager.forward", span=send, mode="all")
-        clock[0] = 0.002
-        tracer.end_span(send)
+    tracer.ctx = root
+    clock[0] = 0.001
+    send = tracer.start_span("gc.send", node="c0")
+    tracer.event("manager.forward", span=send, mode="all")
+    clock[0] = 0.002
+    tracer.end_span(send)
+    tracer.ctx = None
     clock[0] = 0.003
     tracer.end_span(root, outcome="ok")
     return tracer.records()
@@ -224,6 +234,26 @@ def test_closed_invocation_is_one_connected_tree():
         # replica executes and replies point-to-point (no manager events)
         executed_on = {s["node"] for s in spans if s["name"] == "server.execute"}
         assert executed_on == {"s0", "s1", "s2"}
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.2])
+def test_deliveries_parent_on_their_origin_send(rate):
+    """Every ``gc.deliver`` hangs off the ``gc.send`` of the same message
+    (group, sender, gseq), not off the traffic that unblocked its ordering."""
+    obs = Observability(trace=TraceConfig(sample_rate=rate))
+    request_reply_point(
+        "lan", 2, replicas=3, style=BindingStyle.OPEN,
+        mode=Mode.ALL, requests=10, seed=5, obs=obs,
+    )
+    by_id = {s["span"]: s for s in obs.trace_records()}
+    deliveries = [s for s in by_id.values() if s["name"] == "gc.deliver"]
+    assert deliveries
+    for deliver in deliveries:
+        send = by_id[deliver["parent"]]
+        assert send["name"] == "gc.send"
+        assert (send["attrs"]["group"], send["node"], send["attrs"]["gseq"]) == (
+            deliver["attrs"]["group"], deliver["attrs"]["sender"], deliver["attrs"]["gseq"]
+        )
 
 
 def test_metrics_and_traces_deterministic_across_identical_runs():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench.harness import request_reply_point
+from repro.bench.profiling import count_calls
 from repro.core import BindingStyle, Mode
 from repro.groupcomm.ordering import AsymmetricOrder
 from repro.net import Network, Topology
@@ -25,6 +26,8 @@ from repro.obs import (
     render_timeline,
     write_jsonl,
 )
+from repro.obs import tracer as tracer_module
+from repro.obs.tracer import UNSAMPLED
 from repro.scenario import run_scenario
 from repro.sim import Simulator
 from tests.invariants import check_invariants, record_protocol
@@ -41,8 +44,6 @@ def test_trace_config_validation():
         TraceConfig(sample_rate=1.5)
     with pytest.raises(ValueError):
         TraceConfig(sample_rate=-0.1)
-    with pytest.raises(ValueError):
-        TraceConfig(max_spans=-1)
 
 
 def test_systematic_sampling_is_exact_not_probabilistic():
@@ -61,13 +62,31 @@ def test_unsampled_root_suppresses_descendants_but_labels_flow():
     tracer = Tracer(enabled=True, config=TraceConfig(sample_rate=0.0))
     root = tracer.start_span("invoke", parent=None)  # head-sampled out
     assert root is None
-    with tracer.use_root(root):
-        # downstream of an unsampled root: no spans, even explicit ones
-        assert not tracer.recording
-        assert tracer.start_span("gc.send") is None
-        tracer.event("ignored")  # must be a safe no-op
+    tracer.ctx = UNSAMPLED  # what a head-sampled-out root site pushes
+    # downstream of an unsampled root: no spans, even explicit ones
+    assert tracer.start_span("gc.send") is None
+    tracer.event("ignored")  # must be a safe no-op
+    tracer.ctx = None
     assert tracer.records() == []
     assert tracer.unsampled_roots == 1
+
+
+def test_an_unsampled_root_costs_one_verdict():
+    """Head-sampled out, an invocation costs the sampler's verdict and
+    little else: every site below it reads ``UNSAMPLED`` and moves on."""
+
+    def calls(obs):
+        _point, counted = count_calls(lambda: request_reply_point(
+            "lan", 2, replicas=3, style=BindingStyle.CLOSED,
+            mode=Mode.ALL, requests=10, seed=5, obs=obs,
+        ))
+        return counted
+
+    unsampled = Observability(trace=TraceConfig(sample_rate=0.0))
+    extra = calls(unsampled) - calls(Observability())
+    roots = unsampled.metrics_snapshot()["counters"]["obs.roots_unsampled"]
+    assert roots > 0 and not unsampled.trace_records()
+    assert extra <= 3 * roots, f"{extra / roots:.2f} calls per unsampled root"
 
 
 def test_sampled_runs_are_deterministic_and_thinner():
@@ -105,17 +124,17 @@ def test_sampled_runs_are_deterministic_and_thinner():
 # ---------------------------------------------------------------------------
 # partial traces through the exporters
 # ---------------------------------------------------------------------------
-def test_span_cap_truncation_round_trips_with_orphans(tmp_path):
+def test_span_cap_truncation_round_trips_with_orphans(tmp_path, monkeypatch):
+    monkeypatch.setattr(tracer_module, "MAX_SPANS", 2)
     clock = [0.0]
-    tracer = Tracer(
-        clock=lambda: clock[0], enabled=True, config=TraceConfig(max_spans=2)
-    )
+    tracer = Tracer(clock=lambda: clock[0], enabled=True)
     root = tracer.start_span("invoke", parent=None)
-    with tracer.use(root):
-        kept = tracer.start_span("gc.send")
-        dropped = tracer.start_span("net.hop")  # over the cap: not retained
-        with tracer.use(dropped):
-            orphan = tracer.start_span("gc.deliver")  # parent never exported
+    tracer.ctx = root
+    kept = tracer.start_span("gc.send")
+    dropped = tracer.start_span("net.hop")  # over the cap: not retained
+    tracer.ctx = dropped
+    orphan = tracer.start_span("gc.deliver")  # parent never exported
+    tracer.ctx = None
     for span in (orphan, dropped, kept, root):
         tracer.end_span(span)
     assert tracer.dropped == 2
@@ -133,7 +152,7 @@ def test_span_cap_truncation_round_trips_with_orphans(tmp_path):
     assert "invoke" in render_timeline(loaded)
 
     # the cap is observable: metrics_snapshot surfaces the drop counter
-    obs = Observability(trace=TraceConfig(max_spans=2))
+    obs = Observability(trace=True)
     obs.tracer.clock = lambda: 0.0
     for _ in range(3):
         obs.tracer.start_span("s", parent=None)

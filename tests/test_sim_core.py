@@ -211,9 +211,10 @@ def test_an_event_runs_under_the_trace_context_it_was_scheduled_in():
     tracer = sim.obs.tracer
     seen = []
     span = tracer.start_span("cause", kind="test", node="n")
-    with tracer.use(span):
-        sim.schedule(1.0, lambda: seen.append(tracer.current_span))
-    sim.schedule(2.0, lambda: seen.append(tracer.current_span))
+    tracer.ctx = span
+    sim.schedule(1.0, lambda: seen.append(tracer.ctx))
+    tracer.ctx = None
+    sim.schedule(2.0, lambda: seen.append(tracer.ctx))
     assert tracer.ctx is None
     sim.run()
     assert seen == [span, None]

@@ -173,8 +173,6 @@ SIGNATURE_ALLOW_LIST = {
     "net.topology:Topology.add_site(loss=)": "as LinkSpec(loss=), which it fills",
     "net.topology:Topology.connect(loss=)": "as LinkSpec(loss=), which it fills",
     "net.topology:Topology.set_default_wan(loss=)": "as LinkSpec(loss=), which it fills",
-    "obs.tracer:TraceConfig.__init__(max_spans=)":
-        "test_obs_always_on fills the span store with a bound of a few spans",
 }
 
 

@@ -28,6 +28,16 @@ RECV_OVERHEAD = 60e-6
 PER_BYTE = 20e-9
 
 
+class _Life:
+    """One incarnation's liveness: every CPU job it submits carries it, and
+    a crash clears it, so no job of that incarnation runs afterwards."""
+
+    __slots__ = ("alive",)
+
+    def __init__(self):
+        self.alive = True
+
+
 class Node:
     """A host attached to the simulated network.
 
@@ -51,7 +61,8 @@ class Node:
         self._busy_accum = 0.0
         # pre-resolved bound methods: execute() runs once per CPU submission
         self._record_queue_delay = sim.obs.metrics.histogram("node.cpu_queue_delay").record
-        self._schedule_at = sim.schedule_at
+        self._schedule_on = sim.schedule_on
+        self._life = _Life()
 
     # ------------------------------------------------------------------
     # service registration and message I/O
@@ -125,11 +136,7 @@ class Node:
         until = start + cost
         self._busy_until = until
         self._busy_accum += cost
-        self._schedule_at(until, self._run_if_alive, fn, args)
-
-    def _run_if_alive(self, fn: Callable, args) -> None:
-        if self.alive:
-            fn(*args)
+        self._schedule_on(self._life, until, fn, args)
 
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds this CPU spent busy."""
@@ -147,10 +154,13 @@ class Node:
     def crash(self) -> None:
         """Crash-stop: drop all queued work and future messages."""
         self.alive = False
+        self._life.alive = False
 
     def recover(self) -> None:
-        """Restart the node (state above this layer must be rebuilt)."""
+        """Restart the node (state above this layer must be rebuilt).  The
+        new incarnation runs none of the work queued before the crash."""
         self.alive = True
+        self._life = _Life()
         self._busy_until = self.sim.now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -36,6 +36,9 @@ SUBBUCKETS = 16
 #: index >= -17200), so the sentinel must sit far below that range.
 ZERO_BUCKET = -(10**9)
 
+#: Observations a histogram buffers before folding them into its buckets.
+CHUNK = 256
+
 
 class OnFirstUse(dict):
     """A dict that builds a missing entry as ``build(key)`` the first time
@@ -99,69 +102,113 @@ def _bucket_upper(index: int) -> float:
     return (0.5 + (sub + 1) / (2 * SUBBUCKETS)) * (2.0 ** exponent)
 
 
-class Histogram:
-    """Sparse HDR-style histogram over an arbitrary positive range."""
+def _folded(slot: str) -> property:
+    """A histogram attribute over ``slot``: reading or assigning it folds
+    the buffered observations in first."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "buckets")
+    def read(self):
+        self._fold()
+        return getattr(self, slot)
+
+    def write(self, value) -> None:
+        self._fold()
+        setattr(self, slot, value)
+
+    return property(read, write)
+
+
+class Histogram:
+    """Sparse HDR-style histogram over an arbitrary positive range.
+
+    :meth:`record` only stores the value in a fixed chunk.  The chunk is
+    folded into ``count``, ``total``, ``min``, ``max`` and ``buckets`` when
+    it fills and before any of them is read or assigned, in record order,
+    so every summary is what recording one value at a time would give.
+    """
+
+    __slots__ = ("name", "_chunk", "_filled", "_count", "_total", "_min", "_max", "_buckets")
 
     def __init__(self, name: str):
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.buckets: Dict[int, int] = {}
+        self._chunk: List[float] = [0.0] * CHUNK
+        self._filled = 0
+        self._count = 0
+        self._total = 0.0
+        self._min: Optional[float] = None
+        self._max: Optional[float] = None
+        self._buckets: Dict[int, int] = {}
+
+    count = _folded("_count")
+    total = _folded("_total")
+    min = _folded("_min")
+    max = _folded("_max")
+    buckets = _folded("_buckets")
 
     def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        mn = self.min
-        if mn is None or value < mn:
-            self.min = value
-        mx = self.max
-        if mx is None or value > mx:
-            self.max = value
-        # HDR bucket index: octave (binary exponent) * SUBBUCKETS + linear
-        # position of the mantissa within the octave; zero and negative
-        # values map to ZERO_BUCKET (counted, reported as 0.0).  Computed
-        # in line: record() runs once per queue/latency observation, and a
-        # helper call dominated the instrument cost.
-        if value <= 0.0:
-            index = ZERO_BUCKET
-        else:
-            # value = mantissa * 2**exponent, 0.5 <= mantissa < 1
-            mantissa, exponent = _frexp(value)
-            sub = int((mantissa - 0.5) * (2 * SUBBUCKETS))
-            if sub >= SUBBUCKETS:  # mantissa == 1.0 edge after float fuzz
-                sub = SUBBUCKETS - 1
-            index = exponent * SUBBUCKETS + sub
-        buckets = self.buckets
-        buckets[index] = buckets[index] + 1 if index in buckets else 1
+        filled = self._filled
+        self._chunk[filled] = value
+        self._filled = filled + 1
+        if filled == CHUNK - 1:
+            self._fold()
+
+    def _fold(self) -> None:
+        filled = self._filled
+        if not filled:
+            return
+        self._filled = 0
+        values = self._chunk[:filled]
+        self._count += filled
+        # an explicit += in record order: sum() would round differently
+        total, mn, mx = self._total, self._min, self._max
+        buckets = self._buckets
+        for value, (mantissa, exponent) in zip(values, map(_frexp, values)):
+            total += value
+            if mn is None or value < mn:
+                mn = value
+            if mx is None or value > mx:
+                mx = value
+            # HDR bucket index: octave (binary exponent) * SUBBUCKETS +
+            # linear position of the mantissa (value = mantissa *
+            # 2**exponent, 0.5 <= mantissa < 1) within the octave; zero and
+            # negative values map to ZERO_BUCKET (counted, reported as 0.0)
+            if value <= 0.0:
+                index = ZERO_BUCKET
+            else:
+                sub = int((mantissa - 0.5) * (2 * SUBBUCKETS))
+                if sub >= SUBBUCKETS:  # mantissa == 1.0 edge after float fuzz
+                    sub = SUBBUCKETS - 1
+                index = exponent * SUBBUCKETS + sub
+            buckets[index] = buckets[index] + 1 if index in buckets else 1
+        self._total, self._min, self._max = total, mn, mx
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        self._fold()
+        return self._total / self._count if self._count else 0.0
 
     def percentile(self, p: float) -> float:
         """Estimated p-quantile (0..1) from bucket upper bounds."""
-        if not self.count:
+        self._fold()
+        if not self._count:
             return 0.0
-        rank = max(1, math.ceil(p * self.count))
+        rank = max(1, math.ceil(p * self._count))
         seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
+        buckets = self._buckets
+        for index in sorted(buckets):
+            seen += buckets[index]
             if seen >= rank:
                 upper = _bucket_upper(index)
                 # clamp the estimate into the observed range
-                return min(max(upper, self.min), self.max)
-        return self.max  # pragma: no cover - unreachable
+                return min(max(upper, self._min), self._max)
+        return self._max  # pragma: no cover - unreachable
 
     def summary(self) -> Dict[str, float]:
+        self._fold()
         return {
-            "count": self.count,
+            "count": self._count,
             "mean": self.mean,
-            "min": self.min or 0.0,
-            "max": self.max or 0.0,
+            "min": self._min or 0.0,
+            "max": self._max or 0.0,
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
             "p99": self.percentile(0.99),

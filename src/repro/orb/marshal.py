@@ -18,8 +18,9 @@ Supported values: None, bool, int (signed 64-bit), float, str, bytes, list,
 tuple, dict, and any class registered with :func:`corba_struct` (encoded
 field-by-field in declaration order).
 
-``encode``/``decode`` are the plain recursive implementation; only
-``wire_size`` is written for speed.
+``encode``/``decode`` are the plain recursive implementation; only the
+sizer (``wire_size`` and the walk under it, ``sum_sizes``) is written for
+speed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import struct
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Tuple, Type
 
-__all__ = ["corba_struct", "encode", "decode", "wire_size", "MarshalError"]
+__all__ = [
+    "corba_struct", "encode", "decode", "wire_size", "sum_sizes", "StrSizes", "MarshalError"
+]
 
 
 class MarshalError(ValueError):
@@ -226,26 +229,53 @@ def decode(data: bytes) -> Any:
 # sizing
 # ---------------------------------------------------------------------------
 
+class StrSizes(dict):
+    """A ``str -> encoded size`` memo for :func:`sum_sizes`.
+
+    It takes new strings while it has ``room`` and then stops growing: no
+    eviction, so a run's hits depend only on what that run sized.
+    """
+
+    __slots__ = ("room",)
+
+    def __init__(self, room: int):
+        super().__init__()
+        self.room = room
+
+
+#: what :func:`wire_size` walks with: no room, so it never holds an entry
+_NO_MEMO = StrSizes(0)
+
+
 def wire_size(value: Any) -> int:
     """Encoded size in bytes, computed without building the byte string.
 
     Raises :class:`MarshalError` for exactly the values :func:`encode`
     rejects: by reference, this is the only check a value gets.
     """
-    return _sum_sizes((value,), 0)
+    return sum_sizes((value,), 0, _NO_MEMO)
 
 
-def _sum_sizes(values: Any, n: int) -> int:
+def sum_sizes(values: Any, n: int, strs: StrSizes) -> int:
     """``n`` plus the encoded size of every item of ``values``.
 
     Leaves are sized in line: the walk costs one call per non-empty container
     or struct, not one per field, and a struct with a size memo is walked once.
+    A string found in ``strs`` costs no call; one that is not is sized and
+    kept while ``strs`` has room.
     """
     for value in values:
         t = value.__class__
         if t is str:
-            # utf-8 length == str length for ASCII, the overwhelming case
-            n += 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+            if value in strs:
+                n += strs[value]
+            else:
+                # utf-8 length == str length for ASCII, the overwhelming case
+                size = 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+                if strs.room:
+                    strs.room -= 1
+                    strs[value] = size
+                n += size
         elif t is int:
             if not _INT_MIN <= value <= _INT_MAX:
                 raise MarshalError(f"cannot marshal int outside signed 64-bit: {value}")
@@ -255,18 +285,21 @@ def _sum_sizes(values: Any, n: int) -> int:
         elif t is bool or value is None:
             n += 1
         elif t is tuple or t is list:
-            n = _sum_sizes(value, n + 5) if value else n + 5
+            n = sum_sizes(value, n + 5, strs) if value else n + 5
         elif t is dict:
-            n = _sum_sizes(value.values(), _sum_sizes(value, n + 5)) if value else n + 5
+            if value:
+                n = sum_sizes(value.values(), sum_sizes(value, n + 5, strs), strs)
+            else:
+                n += 5
         elif t is bytes:
             n += 5 + len(value)
         elif t in _STRUCT_SIZERS:
             header_len, fields_of, memo = _STRUCT_SIZERS[t]
             if not memo:
-                n = _sum_sizes(fields_of(value), n + header_len)
+                n = sum_sizes(fields_of(value), n + header_len, strs)
                 continue
             if value._wire_size is None:
-                value._wire_size = _sum_sizes(fields_of(value), header_len)
+                value._wire_size = sum_sizes(fields_of(value), header_len, strs)
             n += value._wire_size
         else:
             # subclasses and oddballs: fall back to encoding (raises

@@ -12,8 +12,9 @@ entirely, matching the paper's colocated client/NSO deployment
 traffic", §5.1.1).
 
 Remote invocations cross the simulated network *by reference*: the network
-carries the ``Request``/``Reply`` struct itself, sized by
-``marshal.wire_size`` — marshalling is charged where the paper's hosts paid
+carries the ``Request``/``Reply`` struct itself at the size
+``marshal.wire_size`` gives it, summed from a memoised header and the
+arguments — marshalling is charged where the paper's hosts paid
 it, as virtual CPU per byte (``repro.net.node.PER_BYTE``), not by really encoding
 between two nodes that share one heap.  The contract that makes this sound is
 the one colocated calls always had: a value handed to ``invoke`` belongs to
@@ -29,6 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ApplicationError, BadOperation, CommFailure, ObjectNotFound
 from repro.net.node import Node
+from repro.obs.metrics import OnFirstUse
 from repro.orb import marshal
 from repro.orb.ior import IOR
 from repro.orb.messages import (
@@ -59,6 +61,10 @@ DEFAULT_SERVANT_COST = 20e-6
 #: the one object adapter: every reference this ORB hands out names it, and
 #: it stays on the wire (``IOR.adapter``) as omniORB2's root POA did
 ROOT_ADAPTER = "RootPOA"
+#: strings each ORB's size memo takes before it stops growing
+STR_MEMO_ENTRIES = 4096
+#: a ``Reply`` less its value: request id and status are fixed-size ints
+REPLY_HEADER = marshal.wire_size(Reply(0, STATUS_OK, None)) - marshal.wire_size(None)
 
 
 def servant_cost(servant: Any, operation: str) -> float:
@@ -105,6 +111,12 @@ class ORB:
         # resolved once instead of per request; emptied whenever a servant is
         # activated or deactivated, so an entry never outlives its object id
         self._dispatch: Dict[Tuple[str, str], Tuple[float, Any, Any]] = {}
+        # a hop is sized from parts sized once: the request header per
+        # (object key, operation, oneway), and identifiers through a memo of
+        # this ORB's own — a module-global one would make a run's call count
+        # depend on what ran before it in the same process
+        self._headers: Dict[Tuple[str, str, bool], int] = OnFirstUse(self._request_header)
+        self._strs = marshal.StrSizes(STR_MEMO_ENTRIES)
         node.register(self.SERVICE, self._on_message)
 
     # ------------------------------------------------------------------
@@ -150,10 +162,12 @@ class ORB:
 
         request_id = next(self._request_ids)
         reply_node = "" if oneway else self.node.name
-        request = Request(request_id, target.key, operation, tuple(args), oneway, reply_node)
-        # raises MarshalError here, at the call site, for an unmarshallable
-        # argument
-        wire = marshal.wire_size(request)
+        key = target.key
+        request = Request(request_id, key, operation, tuple(args), oneway, reply_node)
+        # the arguments are walked on every call, so an unmarshallable one
+        # raises MarshalError here, at the call site
+        header = self._headers[key, operation, oneway]
+        wire = marshal.sum_sizes(request.args, header, self._strs)
         payload = self._encoded(request, wire) if self.verify_wire else request
         size = wire + GIOP_OVERHEAD
 
@@ -183,6 +197,13 @@ class ORB:
 
         wrapped.add_done_callback(on_done)
         return result
+
+    def _request_header(self, route: Tuple[str, str, bool]) -> int:
+        """Size of a ``Request`` along ``route`` with no arguments; each
+        argument adds its own size (request ids are fixed-size ints)."""
+        key, operation, oneway = route
+        reply_node = "" if oneway else self.node.name
+        return marshal.wire_size(Request(0, key, operation, (), oneway, reply_node))
 
     @staticmethod
     def _encoded(message: Any, size: int) -> bytes:
@@ -290,7 +311,7 @@ class ORB:
         if not request.reply_node:
             return
         reply = Reply(request.request_id, status, value)
-        size = marshal.wire_size(reply)
+        size = marshal.sum_sizes((value,), REPLY_HEADER, self._strs)
         payload = self._encoded(reply, size) if self.verify_wire else reply
         self.node.send(request.reply_node, self.SERVICE, payload, size + GIOP_OVERHEAD)
 

@@ -34,12 +34,15 @@ class SimulationError(RuntimeError):
 class ScheduledEvent(list):
     """Handle for a scheduled callback; supports cancellation.
 
-    The handle *is* the kernel's heap entry, ``[time, seq, fn, args, ctx]``:
-    ``seq`` is unique, so heap comparisons resolve on the first two slots at
-    C speed.  The layout is private to this module — callers use
-    :attr:`time`, :attr:`cancelled` and :meth:`cancel`.  Cancellation is
-    O(1): the entry stays in the heap with ``fn`` cleared and is skipped
-    when it reaches the head.
+    The handle *is* the kernel's heap entry,
+    ``[time, seq, fn, args, ctx, life]``: ``seq`` is unique, so heap
+    comparisons resolve on the first two slots at C speed.  ``life`` is None
+    for an ordinary event; a CPU job (:meth:`Simulator.schedule_on`) carries
+    its submitter's liveness token there, and the loop counts the job but
+    skips ``fn`` once ``life.alive`` is false.  The layout is private to this
+    module — callers use :attr:`time`, :attr:`cancelled` and :meth:`cancel`.
+    Cancellation is O(1): the entry stays in the heap with ``fn`` cleared and
+    is skipped when it reaches the head.
     """
 
     __slots__ = ()
@@ -114,9 +117,15 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         # ctx: the trace context active now, restored around the callback
-        ev = ScheduledEvent((time, seq, fn, args, self._tracer.ctx))
+        ev = ScheduledEvent((time, seq, fn, args, self._tracer.ctx, None))
         heappush(self._queue, ev)
         return ev
+
+    def schedule_on(self, life: Any, time: float, fn: Callable, args: Tuple) -> None:
+        """Run ``fn(*args)`` at ``time`` (not before now) if ``life.alive``
+        still holds then; counted as an event either way."""
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, ScheduledEvent((time, seq, fn, args, self._tracer.ctx, life)))
 
     def call_soon(self, fn: Callable, *args: Any) -> ScheduledEvent:
         """Run ``fn(*args)`` at the current time, after pending same-time events."""
@@ -128,7 +137,9 @@ class Simulator:
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> Tuple[int, bool]:
         """The single event-execution loop behind :meth:`step` and
         :meth:`run`: pop ready events (skipping cancelled ones), advance the
-        clock, and invoke callbacks under the scheduled trace context.
+        clock, and invoke callbacks under the scheduled trace context — all
+        but the CPU jobs of a crashed incarnation, which count as executed
+        and do nothing.
 
         Returns ``(executed, hit_cap)`` where ``hit_cap`` means the
         ``max_events`` budget stopped the loop while runnable events remain.
@@ -142,7 +153,7 @@ class Simulator:
         tracer = self._tracer
         executed = 0
         while queue:
-            time, _seq, fn, args, ctx = queue[0]
+            time, _seq, fn, args, ctx, life = queue[0]
             if fn is None:  # cancelled
                 heappop(queue)
                 continue
@@ -156,6 +167,8 @@ class Simulator:
             self.now = time
             self._events_processed += 1
             executed += 1
+            if life is not None and not life.alive:
+                continue  # a CPU job of an incarnation that has crashed
             if ctx is None and tracer.ctx is None:
                 fn(*args)
             else:

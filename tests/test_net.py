@@ -161,6 +161,35 @@ def test_crash_drops_inbound_and_queued_work():
     assert net.stats.messages_dropped >= 1
 
 
+def test_a_crash_drops_queued_cpu_work_even_if_the_node_recovers_before_it_is_due():
+    """crash() promises to drop all queued work: a job of the crashed
+    incarnation stays dead when a recovery comes before its time."""
+    sim, net = make_lan()
+    node = net.new_node("n", "lan")
+    ran = []
+    node.execute(0.5, ran.append, "before the crash")
+    sim.schedule(0.1, node.crash)
+    sim.schedule(0.2, node.recover)
+    sim.run()
+    assert ran == []
+    node.execute(0.1, ran.append, "after the recovery")
+    sim.run()
+    assert ran == ["after the recovery"]
+    assert sim.now == pytest.approx(0.6)
+
+
+def test_a_cpu_job_skipped_after_a_crash_still_counts_as_an_event():
+    sim, net = make_lan()
+    node = net.new_node("n", "lan")
+    ran = []
+    node.execute(0.5, ran.append, "job")
+    sim.schedule(0.1, node.crash)
+    sim.run()
+    assert ran == []
+    assert sim.events_processed == 2  # the crash, and the job it killed
+    assert sim.now == 0.5
+
+
 def test_recovered_node_receives_again():
     sim, net = make_lan()
     a = net.new_node("a", "lan")

@@ -3,6 +3,8 @@ end-to-end causal traces of the paper's fig. 9 m1-m6 invocation path."""
 
 import io
 import json
+import math
+import random
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.obs import (
     spans_by_trace,
     write_jsonl,
 )
+from repro.obs.metrics import CHUNK, SUBBUCKETS, ZERO_BUCKET
 from tests.conftest import Cluster, Collector
 
 
@@ -67,6 +70,83 @@ def test_histogram_handles_zero_and_negative():
     summary = hist.summary()
     assert summary["count"] == 2
     assert summary["p95"] == 0.0
+
+
+def eager_fold(values):
+    """The reference: ``count``, ``total``, ``min``, ``max`` and ``buckets``
+    of ``values`` recorded one at a time."""
+    count, total, low, high, buckets = 0, 0.0, None, None, {}
+    for value in values:
+        count += 1
+        total += value
+        if low is None or value < low:
+            low = value
+        if high is None or value > high:
+            high = value
+        if value <= 0.0:
+            index = ZERO_BUCKET
+        else:
+            mantissa, exponent = math.frexp(value)
+            sub = min(int((mantissa - 0.5) * 2 * SUBBUCKETS), SUBBUCKETS - 1)
+            index = exponent * SUBBUCKETS + sub
+        buckets[index] = buckets.get(index, 0) + 1
+    return count, total, low, high, buckets
+
+
+def eager_histogram(values):
+    hist = Histogram("eager")
+    hist.count, hist.total, hist.min, hist.max, hist.buckets = eager_fold(values)
+    return hist
+
+
+def awkward_values(n):
+    """Values whose float sum depends on the order of the additions, with
+    zeros, negatives, subnormals and mantissas at both ends of an octave."""
+    rng = random.Random(n)
+    edges = [0.0, -0.0, -3.5, 5e-324, 2.2e-308, 1.0, math.nextafter(1.0, 0.0),
+             math.nextafter(2.0, 0.0), 1e16, 0.1, -1e16, 7]
+    return [
+        edges[i % len(edges)] if i % 5 == 0 else rng.lognormvariate(-7, 3)
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_a_chunked_histogram_equals_one_folded_eagerly(n):
+    values = awkward_values(n)
+    hist = Histogram("chunked")
+    for i, value in enumerate(values):
+        hist.record(value)
+        if i % 97 == 0:  # a read mid-chunk folds early; later records go on
+            count, total, low, high, _buckets = eager_fold(values[: i + 1])
+            assert (hist.count, hist.total, hist.min, hist.max) == (count, total, low, high)
+    count, total, low, high, buckets = eager_fold(values)
+    assert hist.count == count == n
+    assert hist.total == total  # the same additions in the same order
+    assert (hist.min, hist.max) == (low, high)
+    assert hist.buckets == buckets
+    assert hist.summary() == eager_histogram(values).summary()
+    assert hist.mean == total / count
+
+
+def test_a_fresh_histogram_takes_assigned_attributes():
+    """The e2e window histogram pattern: buckets, count, min and max of a
+    fresh histogram are assigned rather than recorded."""
+    values = awkward_values(2 * CHUNK + 3)
+    total = Histogram("total")
+    for value in values:
+        total.record(value)
+    window = Histogram("window")
+    for index, seen in total.buckets.items():
+        window.buckets[index] = seen
+        window.count += seen
+    window.min, window.max = 0.0, total.max or 0.0
+    assert window.count == len(values)
+    assert window.buckets == eager_fold(values)[4]
+    assert window.percentile(0.99) == total.percentile(0.99)
+    window.record(1.0)  # a record after the assignments folds on top of them
+    assert window.count == len(values) + 1
+    assert window.min == 0.0
 
 
 def test_snapshot_is_sorted_and_merge_sums_counters():

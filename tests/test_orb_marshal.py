@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.orb.orb as orb_module
+from repro.bench.profiling import count_calls
 from repro.groupcomm import GroupConfig
 from repro.groupcomm.messages import ChanAck, ChanData, DataMsg, TicketBatchMsg, TicketMsg
-from repro.orb import ORB, marshal
+from repro.orb import GIOP_OVERHEAD, ORB, marshal
 from repro.orb.ior import IOGR, IOR
 from repro.orb.marshal import MarshalError, corba_struct, decode, encode, wire_size
 from tests.conftest import Cluster, Collector
@@ -210,6 +212,83 @@ def test_verify_wire_catches_a_message_mutated_after_it_was_sized(monkeypatch):
         client.invoke(target, "fire_and_forget", (message,), oneway=True)
     sim.run()
     assert sim.obs.metrics.counter_value("net.sent") == 1
+
+
+# ---------------------------------------------------------------------------
+# a hop is sized from parts sized once: request header, identifiers
+# ---------------------------------------------------------------------------
+class Polyglot(Echo):
+    def écho(self, value):
+        return value
+
+
+def handed_to_the_network(monkeypatch, orb):
+    """Every ``(message, size)`` ``orb``'s node is asked to send."""
+    sent = []
+    send = orb.node.send
+
+    def recording_send(dst, service, payload, size, kind=None):
+        sent.append((payload, size))
+        send(dst, service, payload, size, kind=kind)
+
+    monkeypatch.setattr(orb.node, "send", recording_send)
+    return sent
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_a_hop_is_sized_exactly_from_its_memoised_parts(monkeypatch, cap):
+    if cap is not None:  # a memo that is full after two strings
+        monkeypatch.setattr(orb_module, "STR_MEMO_ENTRIES", cap)
+    sim, _net, client, server = setup_pair()
+    requests = handed_to_the_network(monkeypatch, client)
+    replies = handed_to_the_network(monkeypatch, server)
+    target = server.register(Polyglot(), object_id="objét-1")
+    arguments = [
+        ("plain",),
+        ("ünïcødé ✓",),
+        ({"ключ": ["plain", 1, None], "k": (2.5, b"raw")},),
+        (IOR("server", "RootPOA", "objét-1"), data_msg("plain")),
+        (),
+    ]
+    for operation in ("echo", "écho", "boom", "nosuch"):
+        for args in arguments:
+            for oneway in (False, True):
+                for _again in range(2):  # the second time reads the memos
+                    client.invoke(target, operation, args, oneway=oneway)
+    client.invoke(IOR("server", "RootPOA", "gone"), "echo", ("plain",))
+    sim.run()
+    assert len(requests) == 4 * len(arguments) * 2 * 2 + 1
+    assert len(replies) == 4 * len(arguments) * 2 + 1
+    for message, size in requests + replies:
+        assert size == wire_size(message) + GIOP_OVERHEAD == len(encode(message)) + GIOP_OVERHEAD
+    if cap is not None:
+        assert len(client._strs) == len(server._strs) == cap
+
+
+@pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, object(), [1, {"k": (2**64,)}]])
+def test_an_unmarshallable_argument_still_fails_at_the_call_site(bad):
+    sim, _net, client, server = setup_pair()
+    target = server.register(Echo())
+    for oneway in (False, True):
+        client.invoke(target, "echo", ("fine",), oneway=oneway)  # header memoised
+        with pytest.raises(MarshalError):
+            client.invoke(target, "echo", ("fine", bad), oneway=oneway)
+    sim.run()
+    assert sim.obs.metrics.counter_value("net.sent") == 2 + 1  # and the one reply
+
+
+def test_a_runs_call_count_does_not_depend_on_what_ran_before_it():
+    """Each ORB owns its size memos: a memo shared by the process would make
+    the second of two identical runs cheaper than the first."""
+
+    def run():
+        sim, _net, client, server = setup_pair()
+        target = server.register(Echo())
+        for i in range(5):
+            client.invoke(target, "echo", (f"value-{i}", "same"))
+        sim.run()
+
+    assert count_calls(run)[1] == count_calls(run)[1]
 
 
 _IN_RANGE = st.integers(min_value=-(2**63), max_value=2**63 - 1)

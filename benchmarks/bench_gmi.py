@@ -76,7 +76,7 @@ def run_config(shape: str, callers: int) -> dict:
     )
 
     def bind(service):
-        return service.bind_combined("agg", scheme, suspicion_timeout=10.0, flush_timeout=5.0)
+        return service.bind("agg", scheme=scheme, suspicion_timeout=10.0, flush_timeout=5.0)
 
     bindings = env.bind_clients(callers, bind, settle=1.5)
 

@@ -4,8 +4,9 @@ Entry point: :class:`NewTopService` (one per node) — host replicated
 services (``serve``), bind to them as a client with closed or open groups
 (``bind``), invoke group-to-group (``bind_group_to_group``), run peer
 participation groups (``create_peer_group``), or configure a cell of the
-invocation-scheme × reply-scheme matrix (``SchemeConfig`` on ``bind``,
-combined cohorts via ``bind_combined``).
+invocation-scheme × reply-scheme matrix (a ``SchemeConfig`` on ``bind``:
+the binding fixes its call plan there, and a combined scheme returns the
+node's ``CombinedBinding`` share of the cohort).
 """
 
 from repro.core.client import GroupBinding, InvocationResult

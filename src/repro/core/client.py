@@ -29,7 +29,7 @@ from repro.core.messages import (
 )
 from repro.core.modes import BindingStyle, InvocationScheme, Mode, ReplyScheme, replies_needed
 from repro.core.registry import client_sink_id, server_servant_id
-from repro.core.scheme import SchemeConfig, reduce_sorted, scatter_parts
+from repro.core.scheme import SchemeConfig, reduce_sorted
 from repro.errors import (
     ApplicationError,
     BindingBroken,
@@ -90,49 +90,18 @@ def first_value(outcome: Any) -> Any:
     return outcome.value if isinstance(outcome, InvocationResult) else outcome
 
 
-def shape_reply(binding, fut: Future, issued_at: float) -> Tuple[bool, Any]:
-    """Settle a gathered-replies future under ``binding.scheme.reply``.
-
-    Returns ``(True, value)`` — the reduced value for ``combine``, the first
-    successful reply's otherwise — or ``(False, exception)``.  The one place
-    reply schemes turn replies into an outcome: used by
-    :class:`GroupBinding` and by the root of a
-    :class:`~repro.core.combined.CombinedBinding`.
-    """
-    if fut.failed:
-        return False, fut.exception
-    result = fut.result()
-    if result is None:  # one-way mode under a value-bearing scheme
-        return True, None
-    try:
-        if binding.scheme.reply != ReplyScheme.COMBINE:
-            return True, result.value
-        by_member = result.by_member()
-        if not by_member:
-            raise ApplicationError("no successful replies to combine")
-        binding._reduce_inputs.record(len(by_member))
-        value = reduce_sorted(binding.scheme.reducer, by_member)
-        binding._reduce_latency.record(binding.sim.now - issued_at)
-        return True, value
-    except Exception as exc:  # noqa: BLE001 - servant/reducer error
-        return False, exc
+def _first(replies: List[ReplyMsg]) -> Any:
+    """``return_one`` and ``forward``: the first successful reply's value."""
+    return InvocationResult(replies).value
 
 
-def forward_reply(binding, operation: str, seq: int, ok: bool, value: Any) -> None:
-    """Hand a settled reply to the scheme's ``forward_to`` target (a failed
-    one travels as ``ok=False`` with the error text)."""
-    forwarded = ForwardedReply(
-        binding.client_id,
-        binding.service_name,
-        operation,
-        seq,
-        ok,
-        value if ok else str(value),
-    )
-    target = binding.scheme.forward_to
-    sink = IOR(target, "RootPOA", client_sink_id(target))
-    binding.orb.invoke(sink, "deliver_forwarded", (forwarded,), oneway=True)
-    binding.sim.obs.metrics.counter("gmi.forwarded").inc()
+def _settle(pending: "_PendingCall", ok: bool, value: Any) -> None:
+    """Settle a call's future with its outcome (``value`` is the error if
+    not ``ok``)."""
+    if ok:
+        pending.future.resolve(value)
+    else:
+        pending.future.fail(value)
 
 
 class _PendingCall:
@@ -183,11 +152,6 @@ class GroupBinding:
     ):
         if style not in BindingStyle.ALL_STYLES:
             raise ValueError(f"unknown binding style {style!r}")
-        if scheme is not None and scheme.is_combined:
-            raise ConfigurationError(
-                f"combined scheme {scheme.invocation!r} needs a CombinedBinding "
-                f"(service.bind_combined), not a plain GroupBinding"
-            )
         #: the client/server group's parameters: every keyword that is not
         #: a binding-level option is a :class:`GroupConfig` field, validated
         #: here — an unknown one is a ``TypeError`` at bind time.  Each
@@ -203,11 +167,9 @@ class GroupBinding:
         self.retry_policy = (
             retry_policy if retry_policy is not None and retry_policy.enabled else None
         )
-        #: extra metrics dimension (the shard layer tags each sub-binding so
-        #: latency/phase histograms and spans are attributable per shard)
-        self.metric_tag = metric_tag
         #: invocation-scheme × reply-scheme cell this binding runs in
-        #: (``None``: the plain single/return-replies behaviour)
+        #: (``None``: plain single/return-replies).  A combined one comes only
+        #: from its cohort's root, whose group call runs the reply half.
         self.scheme = scheme
         #: client-side admission control: bounded inflight per binding plus
         #: the manager's piggybacked pushback (None = issue everything)
@@ -220,33 +182,49 @@ class GroupBinding:
         )
 
         obs = service.sim.obs
+        metrics = obs.metrics
         self._tracer = obs.tracer
         self._phases = obs.phases
-        self._phase_hists = {
-            name: obs.metrics.histogram(f"inv.phase.{name}") for name in PHASE_NAMES
-        }
-        self._latency_hist = obs.metrics.histogram("client.invoke_latency")
+        # -- the call plan: every choice a call would make, made here once --
+        reply = scheme.reply if scheme is not None else None
+        #: the mode a call runs in when it names none, and the modes it may
+        #: name: a reply scheme fixes the mode, so naming one is an error
+        self._mode, self._modes = (
+            (Mode.ALL, Mode.ALL_MODES) if reply is None else (ReplyScheme.MODES[reply], ())
+        )
+        #: gathered replies -> the call's outcome -> the call's future
+        self._shape = {None: InvocationResult, ReplyScheme.COMBINE: self._combine}.get(
+            reply, _first
+        )
+        self._settle = self._forward if reply == ReplyScheme.FORWARD else _settle
+        if reply == ReplyScheme.COMBINE:
+            self._reduce_inputs = metrics.histogram("gmi.reduce.inputs")
+        if reply == ReplyScheme.FORWARD:
+            sink = scheme.forward_to
+            self._forward_sink = IOR(sink, "RootPOA", client_sink_id(sink))
+            self._forwarded_counter = metrics.counter("gmi.forwarded")
+        self._scatters = (
+            scheme is not None and scheme.invocation == InvocationScheme.PERSONALIZED
+        )
+        if self._scatters:
+            self._scatter_width = metrics.histogram("gmi.scatter.width")
+        self._start = self._invoke_plain if admission is None else self._invoke_admitted
+        # every latency and phase histogram a completed call feeds: the
+        # shard layer tags each sub-binding with its shard (``metric_tag``),
+        # so its calls are also attributable per shard
+        latency = [metrics.histogram("client.invoke_latency")]
+        phases = [{n: metrics.histogram(f"inv.phase.{n}") for n in PHASE_NAMES}]
         if metric_tag is not None:
-            self._tag_latency_hist = obs.metrics.histogram(
-                f"shard.invoke_latency.{metric_tag}"
+            latency.append(metrics.histogram(f"shard.invoke_latency.{metric_tag}"))
+            phases.append(
+                {n: metrics.histogram(f"shard.phase.{n}.{metric_tag}") for n in PHASE_NAMES}
             )
-            self._tag_phase_hists = {
-                name: obs.metrics.histogram(f"shard.phase.{name}.{metric_tag}")
-                for name in PHASE_NAMES
-            }
-        else:
-            self._tag_latency_hist = None
-            self._tag_phase_hists = None
-        if scheme is not None:
-            self._gmi_scatter_hist = obs.metrics.histogram("gmi.scatter.width")
-            self._reduce_inputs = obs.metrics.histogram("gmi.reduce.inputs")
-            self._reduce_latency = obs.metrics.histogram("gmi.reduce.latency")
-        self._forward_seq = 0
-        self._invocations_counter = obs.metrics.counter("client.invocations")
-        self._rebind_counter = obs.metrics.counter("client.rebinds")
-        self._timeout_counter = obs.metrics.counter("client.timeouts")
-        self._retry_counter = obs.metrics.counter("client.retries")
-        self._retry_after_counter = obs.metrics.counter("overload.retry_after_honored")
+        self._latency_hists, self._phase_hists = tuple(latency), tuple(phases)
+        self._invocations_counter = metrics.counter("client.invocations")
+        self._rebind_counter = metrics.counter("client.rebinds")
+        self._timeout_counter = metrics.counter("client.timeouts")
+        self._retry_counter = metrics.counter("client.retries")
+        self._retry_after_counter = metrics.counter("overload.retry_after_honored")
         self._backoff_rng = service.sim.rng(f"client.backoff.{self.client_id}")
 
         self.ready = Future(name=f"bound:{service_name}@{self.client_id}")
@@ -442,104 +420,82 @@ class GroupBinding:
         """Invoke the replicated service.
 
         Without a scheme on the binding this resolves with an
-        :class:`InvocationResult` (or ``None`` for one-way sends); with one,
-        the reply scheme shapes the outcome — ``return_one`` resolves the
-        chosen reply *value*, ``combine`` the reduced value, ``discard`` and
-        ``forward`` resolve ``None``.  ``parts`` (personalized scheme only)
-        is the member->args scatter: a mapping or a ``member -> args``
-        callable; the positional ``args`` become the default part for
-        members outside the plan.  ``timeout`` bounds the wait in virtual
-        seconds.
+        :class:`InvocationResult` (or ``None`` for one-way sends), waiting
+        for the replies ``mode`` names (default ``all``).  With one, the
+        reply scheme fixed the mode at bind (naming one here is a
+        :class:`~repro.errors.ConfigurationError`) and shapes the outcome —
+        ``return_one`` resolves the chosen reply *value*, ``combine`` the
+        reduced value, ``discard`` and ``forward`` resolve ``None``.
+        ``parts`` (personalized scheme only) is the member->args scatter: a
+        mapping or a ``member -> args`` callable; the positional ``args``
+        become the default part for members outside the plan.  ``timeout``
+        bounds the wait in virtual seconds.
         """
-        scheme = self.scheme
-        if scheme is None:
-            if parts is not None:
-                raise ConfigurationError(
-                    "parts= requires a binding with a personalized scheme"
-                )
-            return self._invoke_plain(operation, args, mode or Mode.ALL, timeout)
         if mode is None:
-            mode = scheme.default_mode()
-        if scheme.reply == ReplyScheme.DISCARD:
-            mode = Mode.ONE_WAY  # nobody waits, whatever mode was asked for
-        if scheme.invocation == InvocationScheme.PERSONALIZED:
-            if parts is None:
-                raise ConfigurationError(
-                    "personalized invocation requires parts=<member->args>"
-                )
-            plan = scatter_parts(self._scatter_targets(), parts)
-            self._gmi_scatter_hist.record(len(plan))
-            args = (ScatterArgs(plan, tuple(args)),)
-        elif parts is not None:
+            mode = self._mode
+        elif mode not in self._modes:
             raise ConfigurationError(
-                f"parts= given but the invocation scheme is {scheme.invocation!r}"
+                f"mode={mode!r}: this binding's calls may name "
+                f"{self._modes or 'no mode (its reply scheme fixed one at bind)'}"
             )
-        inner = self._invoke_plain(operation, tuple(args), mode, timeout)
-        return self._shape_reply(operation, inner)
-
-    def _scatter_targets(self) -> List[str]:
-        """The members a personalized scatter must cover right now."""
-        if (
-            self.style == BindingStyle.CLOSED
-            and self._gc is not None
-            and self._gc.view is not None
-        ):
-            return [m for m in self._gc.view.members if m != self.client_id]
-        return list(self.servers)
-
-    def _shape_reply(self, operation: str, inner: Future) -> Future:
-        """Apply the binding's reply scheme to a gathered-replies future."""
-        reply = self.scheme.reply
-        if reply == ReplyScheme.DISCARD:
-            return inner  # one-way path: already resolved with None
-        outer = Future(name=f"{reply}:{operation}@{self.client_id}")
-        issued_at = self.sim.now
-
-        def settle(fut: Future) -> None:
-            ok, value = shape_reply(self, fut, issued_at)
-            if reply == ReplyScheme.FORWARD:
-                self._forward_seq += 1
-                forward_reply(self, operation, self._forward_seq, ok, value)
-                outer.try_resolve(None)
-            elif ok:
-                outer.try_resolve(value)
-            else:
-                outer.try_fail(value)
-
-        inner.add_done_callback(settle)
-        return outer
-
-    def _invoke_plain(
-        self,
-        operation: str,
-        args: Tuple = (),
-        mode: str = Mode.ALL,
-        timeout: Optional[float] = None,
-    ) -> Future:
+        if parts is not None or self._scatters:
+            args = (self._scatter(args, parts),)
         if self._closed:
             done = Future()
             done.fail(BindingBroken("binding closed"))
             return done
-        if mode not in Mode.ALL_MODES:
-            raise ValueError(f"unknown invocation mode {mode!r}")
-        if self.admission is not None and mode != Mode.ONE_WAY:
-            # shed at the source: bounded inflight per binding, plus the
-            # group's piggybacked pushback (open style: the manager's
-            # advertised server-group pressure reaches us on every frame)
-            pushback = self._gc.group_pushback() if self._gc is not None else 0.0
-            hint = self.admission.try_admit(pushback)
-            if hint is not None:
-                done = Future(name=f"call:{operation}@{self.client_id}")
-                done.fail(
-                    Overloaded(
-                        f"{operation} shed at {self.client_id} (binding overloaded)",
-                        retry_after=hint,
-                    )
+        return self._start(operation, tuple(args), mode, timeout)
+
+    def _scatter(self, args: Tuple, parts: Any) -> ScatterArgs:
+        """A personalized call's argument: its member->args plan over the
+        members the scatter must cover right now."""
+        if not self._scatters:
+            raise ConfigurationError("parts= requires a personalized scheme")
+        if parts is None:
+            raise ConfigurationError("personalized invocation requires parts=<member->args>")
+        view = self._gc.view if self._gc is not None else None
+        if self.style == BindingStyle.CLOSED and view is not None:
+            targets = {m for m in view.members if m != self.client_id}
+        else:
+            targets = set(self.servers)
+        if callable(parts):  # evaluated per member, in sorted order
+            plan = {m: tuple(parts(m)) for m in sorted(targets)}
+        else:
+            plan = {m: tuple(part) for m, part in parts.items() if m in targets}
+        self._scatter_width.record(len(plan))
+        return ScatterArgs(plan, tuple(args))
+
+    def _invoke_admitted(
+        self, operation: str, args: Tuple, mode: str, timeout: Optional[float]
+    ) -> Future:
+        """The plan's entry with client-side admission: shed at the source
+        on bounded inflight or the group's piggybacked pushback (open style:
+        the manager's server-group pressure).  An admitted call frees its
+        slot when its future settles, whichever way."""
+        if mode == Mode.ONE_WAY:
+            return self._invoke_plain(operation, args, mode, timeout)
+        admission = self.admission
+        pushback = self._gc.group_pushback() if self._gc is not None else 0.0
+        hint = admission.try_admit(pushback)
+        if hint is not None:
+            done = Future(name=f"call:{operation}@{self.client_id}")
+            done.fail(
+                Overloaded(
+                    f"{operation} shed at {self.client_id} (binding overloaded)",
+                    retry_after=hint,
                 )
-                return done
+            )
+            return done
+        future = self._invoke_plain(operation, args, mode, timeout)
+        future.add_done_callback(lambda _call: admission.release())
+        return future
+
+    def _invoke_plain(
+        self, operation: str, args: Tuple, mode: str, timeout: Optional[float]
+    ) -> Future:
         future = Future(name=f"call:{operation}@{self.client_id}")
         call_no = self._next_call_no()
-        pending = _PendingCall(call_no, operation, tuple(args), mode, future)
+        pending = _PendingCall(call_no, operation, args, mode, future)
         self._invocations_counter.inc()
         pending.sent_at = self.sim.now
         if self._tracer.enabled:
@@ -561,27 +517,21 @@ class GroupBinding:
                 parent=None,
                 attrs=attrs,
             )
-        if mode == Mode.ONE_WAY:
-            if self._bound:
-                self._send_invoke(pending)
-            else:
-                self._queued.append(pending)
-            future.resolve(None)
-            return future
-        self._pending[call_no] = pending
-        call_id = (self._caller, call_no)
-        self.service.register_pending(call_id, self)
-        self._phases.begin(call_id)
-        future.add_done_callback(lambda f: self._finish_invoke(pending, f))
-        if timeout is not None:
-            pending.timeout = timeout
-            pending.timer = self.sim.schedule(
-                timeout, self._on_call_timeout, call_no
-            )
+        one_way = mode == Mode.ONE_WAY
+        if not one_way:
+            self._pending[call_no] = pending
+            call_id = (self._caller, call_no)
+            self.service.register_pending(call_id, self)
+            self._phases.begin(call_id)
+            if timeout is not None:
+                pending.timeout = timeout
+                pending.timer = self.sim.schedule(timeout, self._on_call_timeout, call_no)
         if self._bound:
             self._send_invoke(pending)
         else:
             self._queued.append(pending)
+        if one_way:
+            future.resolve(None)  # nobody waits: settled once handed on
         return future
 
     def call(self, operation: str, args: Tuple = (), mode: str = Mode.FIRST,
@@ -672,49 +622,77 @@ class GroupBinding:
                 delay, self._retry_call, pending.call_no
             )
             return True
-        self._drop(pending).try_fail(failure)
+        self._drop(pending)
+        self._reject(pending, failure)
         return False
 
-    def _drop(self, pending: _PendingCall) -> Future:
-        """Forget an outstanding call, however it ended; returns its future
-        for the caller to settle."""
+    def _drop(self, pending: _PendingCall) -> None:
+        """Forget an outstanding call, however it ends."""
         self._pending.pop(pending.call_no, None)
         if pending in self._queued:
             self._queued.remove(pending)
         self.service.unregister_pending((self._caller, pending.call_no))
         if pending.timer is not None:
             pending.timer.cancel()
-        return pending.future
 
-    def _finish_invoke(self, pending: _PendingCall, fut: Future) -> None:
-        if self.admission is not None:
-            self.admission.release()
-        call_id = (self._caller, pending.call_no)
-        if not fut.failed:
-            latency = self.sim.now - pending.sent_at
-            self._latency_hist.record(latency)
-            if self._tag_latency_hist is not None:
-                self._tag_latency_hist.record(latency)
-            result = fut.result()
-            # the completing member: the reply whose arrival satisfied the
-            # invocation mode is the last one gathered (insertion order)
-            completing = result.replies[-1].member if result and result.replies else None
-            phases = self._phases.finish(call_id, completing)
-            if phases is not None:
-                hists = self._phase_hists
-                tag_hists = self._tag_phase_hists
-                for name, value in phases.items():
+    def _complete(self, pending: _PendingCall, replies: List[ReplyMsg]) -> None:
+        """The replies the call's mode needs are in: account for the call,
+        then settle its future with the outcome the plan shapes from them."""
+        self._drop(pending)
+        latency = self.sim.now - pending.sent_at
+        for hist in self._latency_hists:
+            hist.record(latency)
+        # the completing member: the reply whose arrival satisfied the
+        # invocation mode is the last one gathered (insertion order)
+        completing = replies[-1].member if replies else None
+        phases = self._phases.finish((self._caller, pending.call_no), completing)
+        if phases is not None:
+            for name, value in phases.items():
+                for hists in self._phase_hists:
                     hists[name].record(value)
-                    if tag_hists is not None:
-                        tag_hists[name].record(value)
-        else:
-            self._phases.discard(call_id)
         if pending.span is not None:
-            self._tracer.end_span(
-                pending.span,
-                outcome="error" if fut.failed else "ok",
-                replies=0 if fut.failed else len(fut.result() or ()),
-            )
+            self._tracer.end_span(pending.span, outcome="ok", replies=len(replies))
+        try:
+            outcome = self._shape(replies)
+        except Exception as exc:  # noqa: BLE001 - servant or reducer error
+            self._settle(pending, False, exc)
+        else:
+            self._settle(pending, True, outcome)
+
+    def _reject(self, pending: _PendingCall, exc: BaseException) -> None:
+        """Fail a dropped call, unless it already settled (a one-way call,
+        settled when issued, or one met twice at teardown)."""
+        if pending.future.done:
+            return
+        self._phases.discard((self._caller, pending.call_no))
+        if pending.span is not None:
+            self._tracer.end_span(pending.span, outcome="error", replies=0)
+        self._settle(pending, False, exc)
+
+    def _combine(self, replies: List[ReplyMsg]) -> Any:
+        """Reply scheme ``combine``: fold the successful replies through the
+        scheme's reducer, in member order."""
+        by_member = InvocationResult(replies).by_member()
+        if not by_member:
+            raise ApplicationError("no successful replies to combine")
+        self._reduce_inputs.record(len(by_member))
+        return reduce_sorted(self.scheme.reducer, by_member)
+
+    def _forward(self, pending: _PendingCall, ok: bool, value: Any) -> None:
+        """Reply scheme ``forward``: hand the outcome to the scheme's
+        ``forward_to`` node (a failure travels as ``ok=False`` with its
+        text); the caller learns only that the call completed."""
+        forwarded = ForwardedReply(
+            self.client_id,
+            self.service_name,
+            pending.operation,
+            pending.call_no,
+            ok,
+            value if ok else str(value),
+        )
+        self.orb.invoke(self._forward_sink, "deliver_forwarded", (forwarded,), oneway=True)
+        self._forwarded_counter.inc()
+        pending.future.resolve(None)
 
     def _on_call_timeout(self, call_no: int) -> None:
         pending = self._pending.get(call_no)
@@ -748,7 +726,7 @@ class GroupBinding:
         if isinstance(payload, ReplySet):
             pending = self._pending.get(payload.call_no)
             if pending is not None:
-                self._drop(pending).try_resolve(InvocationResult(payload.replies))
+                self._complete(pending, payload.replies)
         elif isinstance(payload, ShedReply):
             # the manager refused the call before execution: back off and
             # retry under the same call number, or fail with Overloaded
@@ -779,9 +757,7 @@ class GroupBinding:
         needed = replies_needed(pending.mode, server_count)
         if len(pending.replies) < needed:
             return
-        self._drop(pending).try_resolve(
-            InvocationResult(list(pending.replies.values()))
-        )
+        self._complete(pending, list(pending.replies.values()))
 
     def _closed_server_count(self) -> int:
         # before the view forms, go by the advertised membership; afterwards
@@ -825,13 +801,13 @@ class GroupBinding:
     def _fail_outstanding(self, exc: BaseException) -> None:
         # forget every call before failing any: a failure callback may
         # re-enter the binding (a closed-loop client invoking again, the
-        # shard layer closing this binding to remap)
-        futures = [
+        # shard layer closing this binding to remap).  A call both pending
+        # and queued (mid-rebind) appears twice and fails once.
+        doomed = list(self._pending.values()) + self._queued
+        for pending in doomed:
             self._drop(pending)
-            for pending in list(self._pending.values()) + self._queued
-        ]
-        for future in futures:
-            future.try_fail(exc)
+        for pending in doomed:
+            self._reject(pending, exc)
 
     # ------------------------------------------------------------------
     # teardown

@@ -17,11 +17,13 @@ Two fan-in structures:
   partial contribution up, so no node ever handles more than two remote
   contributions and the root's cost stays constant as the cohort grows.
 
-Contributions meet at each node in the group-communication service's
-:class:`~repro.groupcomm.service.CombinerRendezvous`; merging is always in
-*rank* order (never arrival order), and an optional argument reducer —
-validated against the combining laws at bind time — folds single-argument
-contributions on the way up (in-network map/reduce over the cohort).
+Contributions meet in each combining node's per-call *slot*; merging is
+always in *rank* order (never arrival order), and an optional argument
+reducer — validated against the combining laws at bind time — folds
+single-argument contributions on the way up (in-network map/reduce over the
+cohort).  The root's group call runs on a
+:class:`~repro.core.client.GroupBinding` bound with the same scheme, whose
+plan applies its reply half; the root fans the outcome to the cohort.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.client import GroupBinding, forward_reply, shape_reply
+from repro.core.client import GroupBinding
 from repro.core.messages import CombinedReply, Contribution
-from repro.core.modes import ReplyScheme
+from repro.core.modes import InvocationScheme, ReplyScheme
 from repro.core.scheme import SchemeConfig
 from repro.errors import ApplicationError, BindingBroken, CommFailure, ConfigurationError
 from repro.orb.ior import IOR
@@ -59,7 +61,7 @@ class _CombinerServant:
         self._binding = binding
 
     def contribute(self, contribution: Contribution) -> None:
-        self._binding._on_contribution(contribution)
+        self._binding._offer(contribution)
 
     def combined_reply(self, reply: CombinedReply) -> None:
         self._binding._deliver_reply(reply)
@@ -68,11 +70,12 @@ class _CombinerServant:
 class CombinedBinding:
     """One cohort member's handle on a combined invocation stream.
 
-    Every member of ``scheme.callers`` constructs one of these (same
-    service, same scheme) and the cohort invokes in lock-step: the k-th
-    :meth:`invoke` on each member belongs to the same logical call.  Only
-    the root binds to the target service; everyone else resolves through
-    the root's fan-out of the per-call :class:`CombinedReply`.
+    Every member of ``scheme.callers`` binds one of these (same service,
+    same scheme: ``service.bind(name, scheme=...)``) and the cohort invokes
+    in lock-step: the k-th :meth:`invoke` on each member belongs to the
+    same logical call.  Only the root binds to the target service; everyone
+    else resolves through the root's fan-out of the per-call
+    :class:`CombinedReply`.
     """
 
     def __init__(
@@ -82,12 +85,6 @@ class CombinedBinding:
         scheme: SchemeConfig,
         **bind_kwargs: Any,
     ):
-        if not scheme.is_combined:
-            raise ConfigurationError(
-                f"CombinedBinding requires a combined scheme, got "
-                f"{scheme.invocation!r}"
-            )
-        self.service = service
         self.sim = service.sim
         self.orb = service.orb
         self.client_id = service.orb.node.name
@@ -95,54 +92,62 @@ class CombinedBinding:
         self.scheme = scheme
         self.combine_id = scheme.combine_id
         self.cohort: Tuple[str, ...] = scheme.callers
-        self.rank = scheme.rank_of(self.client_id)
-        self.size = scheme.cohort_size
-        self.is_root = self.rank == 0
-        self._tree = scheme.invocation == "combined_tree"
+        #: a ConfigurationError, before any message, outside the cohort
+        self.rank = rank = scheme.rank_of(self.client_id)
+        self.size = size = len(self.cohort)
+        self.is_root = rank == 0
+        self._tree = scheme.invocation == InvocationScheme.COMBINED_TREE
         self._arg_reducer = scheme.arg_reducer
+        #: nobody waits on a discarded reply: no pending call, no fan-out
+        self._waits = scheme.reply != ReplyScheme.DISCARD
+        self._object_id = combiner_servant_id(service_name, self.combine_id)
+        # -- the combining structure, fixed at bind ----------------------
+        if self._tree:
+            children = [r for r in (2 * rank + 1, 2 * rank + 2) if r < size]
+            parent = (rank - 1) // 2
+        else:
+            children = list(range(1, size)) if self.is_root else []
+            parent = 0
+        #: the ranks whose contributions meet here for each logical call
+        self._expect = frozenset((rank, *children))
+        iors = {m: IOR(m, "RootPOA", self._object_id) for m in self.cohort}
+        #: where a non-root sends its merged share, and where the root fans
+        #: each call's outcome (every other member)
+        self._parent = None if self.is_root else iors[self.cohort[parent]]
+        self._peers = [iors[m] for m in self.cohort if self.is_root and m != self.client_id]
         self._closed = False
         self._calls = itertools.count(1)
         #: logical call_no -> (future, timer)
         self._pending: Dict[int, Tuple[Future, Any]] = {}
-        self._rendezvous = service.gcs.combiner
-        self._object_id = combiner_servant_id(service_name, self.combine_id)
+        #: the rendezvous: logical call_no -> [(operation, timeout) once the
+        #: local caller has invoked, {rank: contribution}].  A child's share
+        #: may arrive before the local caller invokes; the slot fires once,
+        #: when every expected rank is in.
+        self._slots: Dict[int, List] = {}
         self.orb.register(_CombinerServant(self), object_id=self._object_id)
 
-        obs = service.sim.obs
-        self._calls_counter = obs.metrics.counter("gmi.combined.calls")
-        self._contrib_counter = obs.metrics.counter("gmi.contributions")
-        self._reduce_inputs = obs.metrics.histogram("gmi.reduce.inputs")
-        self._reduce_latency = obs.metrics.histogram("gmi.reduce.latency")
+        metrics = service.sim.obs.metrics
+        self._calls_counter = metrics.counter("gmi.combined.calls")
+        self._contrib_counter = metrics.counter("gmi.contributions")
+        #: remote in-degree per completed rendezvous: cohort-1 at a flat
+        #: root, bounded by the arity at every node of a combining tree
+        self._fanin_hist = metrics.histogram("gmi.combined.fanin")
 
         self.ready = Future(name=f"combined-ready:{service_name}@{self.client_id}")
         if self.is_root:
-            self._binding = GroupBinding(service, service_name, **bind_kwargs)
+            self._binding = GroupBinding(service, service_name, scheme=scheme, **bind_kwargs)
             self._binding.ready.then(lambda _binding: self, into=self.ready)
         else:
             self._binding = None
             self.ready.resolve(self)
 
     # ------------------------------------------------------------------
-    # combining structure
-    # ------------------------------------------------------------------
-    def _children(self) -> List[int]:
-        if self._tree:
-            return [r for r in (2 * self.rank + 1, 2 * self.rank + 2) if r < self.size]
-        return list(range(1, self.size)) if self.is_root else []
-
-    def _parent(self) -> Optional[int]:
-        if self.is_root:
-            return None
-        return (self.rank - 1) // 2 if self._tree else 0
-
-    # ------------------------------------------------------------------
-    # invocation
+    # invocation and the rendezvous
     # ------------------------------------------------------------------
     def invoke(
         self,
         operation: str,
         args: Tuple = (),
-        mode: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Future:
         """Contribute this caller's share of the next logical combined call.
@@ -164,53 +169,42 @@ class CombinedBinding:
             )
         call_no = next(self._calls)
         future = Future(name=f"combined:{operation}@{self.client_id}#{call_no}")
-        if self.scheme.reply == ReplyScheme.DISCARD:
-            # nobody waits for a discarded call; the rendezvous and the
-            # one-way group call still happen below
-            future.resolve(None)
-        else:
+        if self._waits:
             timer = None
             if timeout is not None:
                 timer = self.sim.schedule(timeout, self._on_timeout, call_no)
             self._pending[call_no] = (future, timer)
-        own = Contribution(
-            self.combine_id, call_no, self.rank, [(self.rank, args)], 1
-        )
-        key = (self.combine_id, call_no)
-        self._rendezvous.arm(
-            key,
-            [self.rank, *self._children()],
-            lambda got: self._on_rendezvous(call_no, operation, mode, timeout, got),
-        )
-        self._rendezvous.offer(key, self.rank, own)
+        else:
+            # the rendezvous and the one-way group call still happen below
+            future.resolve(None)
+        own = Contribution(self.combine_id, call_no, self.rank, [(self.rank, args)], 1)
+        self._offer(own, (operation, timeout))
         return future
 
-    def _on_contribution(self, contribution: Contribution) -> None:
-        if contribution.combine_id != self.combine_id:
+    def _offer(self, contribution: Contribution, call: Optional[Tuple] = None) -> None:
+        """A share of logical call ``contribution.call_no`` met here —
+        ``call`` is the local caller's (operation, timeout) with its own."""
+        call_no = contribution.call_no
+        slot = self._slots.get(call_no)
+        if slot is None:
+            slot = self._slots[call_no] = [None, {}]
+        if call is not None:
+            slot[0] = call
+        got = slot[1]
+        got[contribution.rank] = contribution
+        if not got.keys() >= self._expect:
             return
-        self._rendezvous.offer(
-            (self.combine_id, contribution.call_no),
-            contribution.rank,
-            contribution,
-        )
-
-    def _on_rendezvous(
-        self,
-        call_no: int,
-        operation: str,
-        mode: Optional[str],
-        timeout: Optional[float],
-        got: Dict[int, Contribution],
-    ) -> None:
+        del self._slots[call_no]
+        # the local caller's own contribution is not remote fan-in
+        self._fanin_hist.record(len(got) - 1)
         merged_parts, count = self._merge(got)
+        operation, timeout = slot[0]
         if self.is_root:
-            self._issue(call_no, operation, merged_parts, count, mode, timeout)
+            self._issue(call_no, operation, merged_parts, count, timeout)
             return
-        parent = self.cohort[self._parent()]
         upward = Contribution(self.combine_id, call_no, self.rank, merged_parts, count)
         self._contrib_counter.inc()
-        target = IOR(parent, "RootPOA", self._object_id)
-        self.orb.invoke(target, "contribute", (upward,), oneway=True)
+        self.orb.invoke(self._parent, "contribute", (upward,), oneway=True)
 
     def _merge(self, got: Dict[int, Contribution]) -> Tuple[List, int]:
         """Merge this node's slot in rank order (never arrival order)."""
@@ -235,7 +229,6 @@ class CombinedBinding:
         operation: str,
         merged_parts: List,
         count: int,
-        mode: Optional[str],
         timeout: Optional[float],
     ) -> None:
         """Issue the one group invocation for logical call ``call_no``."""
@@ -248,42 +241,22 @@ class CombinedBinding:
                 call_args = ([args[0] for args in parts],)
             else:
                 call_args = ([list(args) for args in parts],)
-        reply = self.scheme.reply
-        effective_mode = mode if mode is not None else self.scheme.default_mode()
-        if reply == ReplyScheme.DISCARD:
-            self._binding.invoke(operation, call_args, mode="one_way")
-            return
-        issued_at = self.sim.now
-        inner = self._binding.invoke(
-            operation, call_args, mode=effective_mode, timeout=timeout
-        )
-        inner.add_done_callback(
-            lambda fut: self._on_result(call_no, operation, issued_at, fut)
-        )
+        inner = self._binding.invoke(operation, call_args, timeout=timeout)
+        if self._waits:
+            inner.add_done_callback(lambda fut: self._fan_reply(call_no, fut))
 
-    def _on_result(
-        self, call_no: int, operation: str, issued_at: float, fut: Future
-    ) -> None:
-        ok, value = shape_reply(self, fut, issued_at)
-        if self.scheme.reply == ReplyScheme.FORWARD:
-            forward_reply(self, operation, call_no, ok, value)
-            if ok:
-                # the cohort still learns the call completed, just not the value
-                value = None
-        self._fan_reply(call_no, ok, value if ok else str(value))
-
-    def _fan_reply(self, call_no: int, ok: bool, value: Any) -> None:
-        message = CombinedReply(self.combine_id, call_no, ok, value)
-        for member in self.cohort:
-            if member == self.client_id:
-                continue
-            target = IOR(member, "RootPOA", self._object_id)
-            self.orb.invoke(target, "combined_reply", (message,), oneway=True)
+    def _fan_reply(self, call_no: int, fut: Future) -> None:
+        """Hand the group call's outcome, as the root's binding shaped it,
+        to every cohort member."""
+        if fut.failed:
+            message = CombinedReply(self.combine_id, call_no, False, str(fut.exception))
+        else:
+            message = CombinedReply(self.combine_id, call_no, True, fut.result())
+        for peer in self._peers:
+            self.orb.invoke(peer, "combined_reply", (message,), oneway=True)
         self._deliver_reply(message)
 
     def _deliver_reply(self, reply: CombinedReply) -> None:
-        if reply.combine_id != self.combine_id:
-            return
         entry = self._pending.pop(reply.call_no, None)
         if entry is None:
             return
@@ -299,7 +272,7 @@ class CombinedBinding:
         entry = self._pending.pop(call_no, None)
         if entry is None:
             return
-        self._rendezvous.cancel((self.combine_id, call_no))
+        self._slots.pop(call_no, None)
         entry[0].try_fail(
             CommFailure(f"combined call #{call_no} timed out at {self.client_id}")
         )
@@ -311,6 +284,7 @@ class CombinedBinding:
         if self._closed:
             return
         self._closed = True
+        self._slots.clear()
         pending, self._pending = self._pending, {}
         for future, timer in pending.values():
             if timer is not None:

@@ -25,7 +25,7 @@ from typing import Any, List
 
 from repro.core.client import GroupBinding
 from repro.core.modes import BindingStyle
-from repro.errors import BindingBroken
+from repro.errors import BindingBroken, ConfigurationError
 from repro.obs.phases import PhaseAccountant
 
 __all__ = ["GroupToGroupBinding"]
@@ -42,6 +42,8 @@ class GroupToGroupBinding(GroupBinding):
         target_service: str,
         **bind_kwargs: Any,
     ):
+        if getattr(bind_kwargs.get("scheme"), "is_combined", False):
+            raise ConfigurationError("a combined scheme binds through bind(), not group-to-group")
         self.client_group = client_group
         self.client_members = list(client_members)
         self.monitor_name = f"g2g:{client_group}:{target_service}"

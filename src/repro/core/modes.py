@@ -93,6 +93,10 @@ class ReplyScheme:
     COMBINE = "combine"
 
     ALL_SCHEMES = (DISCARD, RETURN_ONE, FORWARD, COMBINE)
+    #: the invocation mode each reply scheme fixes at bind
+    MODES = {
+        DISCARD: Mode.ONE_WAY, RETURN_ONE: Mode.FIRST, FORWARD: Mode.FIRST, COMBINE: Mode.ALL
+    }
 
 
 def replies_needed(mode: str, group_size: int) -> int:

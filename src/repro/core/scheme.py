@@ -20,9 +20,9 @@ member / rank order, so the laws are belt *and* braces.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.core.modes import InvocationScheme, Mode, ReplyScheme
+from repro.core.modes import InvocationScheme, ReplyScheme
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "validate_reducer",
     "reduce_sorted",
     "SchemeConfig",
-    "scatter_parts",
 ]
 
 #: Default validation samples: enough variety to catch the classic
@@ -269,10 +268,6 @@ class SchemeConfig:
     def is_combined(self) -> bool:
         return self.invocation in InvocationScheme.COMBINED_SCHEMES
 
-    @property
-    def cohort_size(self) -> int:
-        return len(self.callers) if self.callers else 0
-
     def rank_of(self, node: str) -> int:
         """This node's rank in the combined-caller cohort (root is 0)."""
         try:
@@ -282,37 +277,6 @@ class SchemeConfig:
                 f"{node!r} is not in the combined-caller cohort {self.callers}"
             ) from None
 
-    def default_mode(self) -> str:
-        """The invocation mode the reply scheme wants when none is given."""
-        if self.reply == ReplyScheme.DISCARD:
-            return Mode.ONE_WAY
-        if self.reply == ReplyScheme.COMBINE:
-            return Mode.ALL
-        return Mode.FIRST
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SchemeConfig {self.invocation}/{self.reply}>"
 
-
-def scatter_parts(
-    members: Iterable[Any],
-    parts: Union[Mapping[Any, Tuple], Callable[[Any], Tuple]],
-) -> Dict[Any, Tuple]:
-    """Build a target->args scatter plan over ``members``, deterministically.
-
-    ``parts`` is either an explicit mapping (members missing from it fall
-    back to the scatter default) or a callable evaluated per member in
-    sorted order.  Shared by the personalized invocation scheme (targets
-    are group members) and the shard layer's scatter/gather (targets are
-    shard numbers).
-    """
-    plan: Dict[Any, Tuple] = {}
-    if callable(parts):
-        for member in sorted(members):
-            plan[member] = tuple(parts(member))
-    else:
-        member_set = set(members)
-        for member, args in parts.items():
-            if member in member_set:
-                plan[member] = tuple(args)
-    return plan

@@ -5,8 +5,9 @@ group communication service, the service registry client, and the client
 reply sink, and exposes the high-level operations applications use:
 
 - ``serve(name, servant, ...)`` — host a member of a replicated service;
-- ``bind(name, style=..., **group_config)`` — bind as a client (closed or
-  open); every non-binding keyword is a ``GroupConfig`` field;
+- ``bind(name, style=..., scheme=..., **group_config)`` — bind as a client
+  (closed or open, in one cell of the invocation-scheme × reply-scheme
+  matrix); every non-binding keyword is a ``GroupConfig`` field;
 - ``bind_group_to_group(...)`` — invoke another group from a group;
 - ``create_peer_group`` / ``join_peer_group`` — peer-participation groups
   (conferencing-style one-way multicasting, §5.2).
@@ -159,21 +160,23 @@ class NewTopService:
         scheme: Optional[SchemeConfig] = None,
         admission: Optional[AdmissionConfig] = None,
         **group_config: Any,
-    ) -> GroupBinding:
+    ):
         """Bind to a replicated service.  Await ``binding.ready``.
 
         The five named options belong to the binding: closed or open
         ``style``, the ``restricted`` (designated-manager) optimisation, the
         per-call ``retry_policy``, a ``scheme`` (one cell of the
-        invocation-scheme × reply-scheme matrix: single/personalized ×
-        discard/return_one/forward/combine — combined schemes go through
-        :meth:`bind_combined` instead) and client-side ``admission``.
-        Every other keyword is a :class:`~repro.groupcomm.config.GroupConfig`
-        field of the client/server group — ``ordering`` (asymmetric unless
-        given), ``liveliness``, ``suspicion_timeout``, ... — validated at
-        bind time.
+        invocation-scheme × reply-scheme matrix) and client-side
+        ``admission``.  Every other keyword is a
+        :class:`~repro.groupcomm.config.GroupConfig` field of the
+        client/server group — ``ordering`` (asymmetric unless given),
+        ``liveliness``, ``suspicion_timeout``, ... — validated at bind time.
+        A combined scheme returns this node's
+        :class:`~repro.core.combined.CombinedBinding` share of the cohort
+        (only the rank-0 root binds to the service, with these options).
         """
-        return GroupBinding(
+        combined = scheme is not None and scheme.is_combined
+        return (CombinedBinding if combined else GroupBinding)(
             self,
             service_name,
             style=style,
@@ -184,21 +187,6 @@ class NewTopService:
             **group_config,
         )
 
-    def bind_combined(
-        self,
-        service_name: str,
-        scheme: SchemeConfig,
-        **bind_kwargs: Any,
-    ) -> CombinedBinding:
-        """Bind this node's share of a combined invocation cohort.
-
-        Every member of ``scheme.callers`` must call this with the same
-        scheme; only the rank-0 root actually binds to the service (extra
-        keyword arguments are :meth:`bind`'s, for that underlying binding).
-        Await ``binding.ready``.
-        """
-        return CombinedBinding(self, service_name, scheme, **bind_kwargs)
-
     def bind_sharded(
         self,
         service_name: str,
@@ -208,7 +196,9 @@ class NewTopService:
         """Bind to a sharded service: one sub-binding per shard, key-routed
         invocation and scatter/gather on top.  Await ``binding.ready``.
         Extra keyword arguments are :meth:`bind`'s, for each per-shard
-        :class:`~repro.core.client.GroupBinding`.
+        :class:`~repro.core.client.GroupBinding`, except ``scheme``: the
+        shard layer routes and gathers itself, so a scheme is a
+        :class:`~repro.errors.ConfigurationError` here.
         """
         from repro.shard.binding import ShardedBinding  # local: avoid cycle
 

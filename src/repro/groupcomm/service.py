@@ -42,7 +42,7 @@ from repro.obs.metrics import OnFirstUse
 from repro.orb.ior import IOR
 from repro.orb.orb import ORB
 
-__all__ = ["GroupCommService", "CombinerRendezvous", "PROTOCOL_COST", "NSO_OBJECT_ID"]
+__all__ = ["GroupCommService", "PROTOCOL_COST", "NSO_OBJECT_ID"]
 
 #: CPU cost of NewTop protocol processing per received channel message
 #: (queueing, ordering bookkeeping — the overhead behind the paper's
@@ -86,57 +86,6 @@ class _NsoServant:
         self._service.channels.on_message(sender, message)
 
 
-class CombinerRendezvous:
-    """Per-node meeting point for combined-invocation fan-in.
-
-    A combining node (flat root, or any inner node of a combining tree)
-    *arms* an expectation — the set of ranks whose contributions must meet
-    here for one logical call — while remote contributions are *offered*
-    as they arrive.  Arrival order is free: a fast caller's contribution
-    for call *k* may land before the local caller has even issued call
-    *k*, so offers are buffered until the expectation is armed.  The slot
-    fires exactly once, when every expected rank is present.
-
-    This is deliberately below the binding layer: the rendezvous only
-    matches (combine id, call number, rank) triples, it never inspects the
-    payloads — the group sessions, ordering, and the wire protocol are
-    untouched.
-    """
-
-    def __init__(self, metrics):
-        #: (combine_id, call_no) -> {"got": rank->payload, "expect", "cb"}
-        self._slots = OnFirstUse(lambda key: {"got": {}, "expect": None, "cb": None})
-        #: remote in-degree per completed rendezvous: ~cohort-1 at a flat
-        #: root, bounded by the arity at every node of a combining tree
-        self._fanin_hist = metrics.histogram("gmi.combined.fanin")
-
-    def offer(self, key, rank: int, payload: Any) -> None:
-        """A contribution from ``rank`` arrived for rendezvous ``key``."""
-        slot = self._slots[key]
-        slot["got"][rank] = payload
-        self._maybe_fire(key, slot)
-
-    def arm(self, key, ranks, callback) -> None:
-        """Declare the expected ranks for ``key``; fire ``callback`` with
-        the rank->payload dict once they have all arrived."""
-        slot = self._slots[key]
-        slot["expect"] = set(ranks)
-        slot["cb"] = callback
-        self._maybe_fire(key, slot)
-
-    def cancel(self, key) -> None:
-        self._slots.pop(key, None)
-
-    def _maybe_fire(self, key, slot: Dict[str, Any]) -> None:
-        expect = slot["expect"]
-        if slot["cb"] is None or expect is None or not expect <= set(slot["got"]):
-            return
-        del self._slots[key]
-        # the local caller's own contribution is not remote fan-in
-        self._fanin_hist.record(max(0, len(slot["got"]) - 1))
-        slot["cb"](slot["got"])
-
-
 class GroupCommService:
     """Group membership + reliable/ordered multicast for one node."""
 
@@ -163,8 +112,6 @@ class GroupCommService:
         #: peer NSO IORs are pure values; build each once, not per send
         self._peer_iors = OnFirstUse(lambda peer: IOR(peer, "RootPOA", NSO_OBJECT_ID))
         orb.register(_NsoServant(self), object_id=NSO_OBJECT_ID)
-        #: combined-invocation fan-in meeting point (flat and tree schemes)
-        self.combiner = CombinerRendezvous(metrics)
         self.channels = ChannelManager(
             self.sim, self.name, self._transport, self._route
         )

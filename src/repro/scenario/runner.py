@@ -393,7 +393,7 @@ def _setup_map_reduce(env: Environment, spec: ScenarioSpec):
     bind_options = group.bind_options()
 
     def bind(service):
-        return service.bind_combined(SERVICE_NAME, scheme, **bind_options)
+        return service.bind(SERVICE_NAME, scheme=scheme, **bind_options)
 
     bindings = env.bind_clients(traffic.callers, bind, settle=max(spec.settle, 0.5))
 

@@ -30,8 +30,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.client import GroupBinding, first_value
 from repro.core.modes import Mode
-from repro.core.scheme import scatter_parts
-from repro.errors import BindingBroken
+from repro.errors import BindingBroken, ConfigurationError
 from repro.recovery.policy import RetryPolicy
 from repro.shard.layout import key_to_shard, shard_service_name
 from repro.sim.futures import Future
@@ -57,6 +56,10 @@ class ShardedBinding:
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
+        if binding_kwargs.get("scheme") is not None:
+            raise ConfigurationError(
+                "a sharded binding takes no scheme: it routes and gathers itself"
+            )
         self.service = service
         self.sim = service.sim
         self.client_id = service.orb.node.name
@@ -69,7 +72,6 @@ class ShardedBinding:
         self._remap_counter = obs.metrics.counter("shard.client.remaps")
         self._scatter_counter = obs.metrics.counter("shard.client.scatters")
         self._fanout_hist = obs.metrics.histogram("shard.scatter.fanout")
-        self._gmi_scatter_hist = obs.metrics.histogram("gmi.scatter.width")
         self._remap_rng = service.sim.rng(f"shard.remap.{self.client_id}")
 
         self._bindings: List[GroupBinding] = [
@@ -123,7 +125,7 @@ class ShardedBinding:
         if key is None and self.num_shards > 1:
             raise ValueError("single-key invoke on a sharded binding needs key=")
         shard_no = 0 if key is None else self.shard_of(key)
-        return self._invoke_on(shard_no, operation, args, mode, timeout)
+        return self._attempt(shard_no, operation, args, mode, timeout)
 
     def call(
         self,
@@ -153,8 +155,7 @@ class ShardedBinding:
         Only the addressed shards see any traffic.  Resolves with
         ``{shard_no: InvocationResult}``.
         """
-        grouped = self.group_by_shard(keys)
-        return self._scatter_grouped(grouped, operation, mode, timeout, None)
+        return self._scatter_grouped(self.group_by_shard(keys), operation, mode, timeout)
 
     def invoke_all(
         self,
@@ -167,10 +168,8 @@ class ShardedBinding:
 
         Resolves with ``{shard_no: InvocationResult}``.
         """
-        grouped = {shard_no: None for shard_no in range(self.num_shards)}
-        return self._scatter_grouped(
-            grouped, operation, mode, timeout, lambda _keys: tuple(args)
-        )
+        every = dict.fromkeys(range(self.num_shards))
+        return self._scatter_grouped(every, operation, mode, timeout, lambda _: tuple(args))
 
     def _scatter_grouped(
         self,
@@ -178,24 +177,19 @@ class ShardedBinding:
         operation: str,
         mode: str,
         timeout: Optional[float],
-        args_for: Optional[Callable[[List[Any]], Tuple]],
+        args_for: Optional[Callable[[List[Any]], Tuple]] = None,
     ) -> Future:
         self._scatter_counter.inc()
         self._fanout_hist.record(len(grouped))
-        # the per-target argument scatter is the personalized invocation
-        # scheme's plan builder, with shards as the targets
-        plan = scatter_parts(
-            grouped,
-            lambda shard_no: (
-                args_for(grouped[shard_no])
-                if args_for is not None
-                else (grouped[shard_no],)
-            ),
-        )
-        self._gmi_scatter_hist.record(len(plan))
-        shard_nos = sorted(plan)
+        shard_nos = sorted(grouped)
         calls = [
-            self._invoke_on(shard_no, operation, plan[shard_no], mode, timeout)
+            self._attempt(
+                shard_no,
+                operation,
+                (grouped[shard_no],) if args_for is None else args_for(grouped[shard_no]),
+                mode,
+                timeout,
+            )
             for shard_no in shard_nos
         ]
         return all_of(calls).then(lambda results: dict(zip(shard_nos, results)))
@@ -203,18 +197,6 @@ class ShardedBinding:
     # ------------------------------------------------------------------
     # per-shard invoke with remap-on-broken-binding
     # ------------------------------------------------------------------
-    def _invoke_on(
-        self,
-        shard_no: int,
-        operation: str,
-        args: Tuple,
-        mode: str,
-        timeout: Optional[float],
-    ) -> Future:
-        result = Future(name=f"shard-call:{operation}#{shard_no}@{self.client_id}")
-        self._attempt(shard_no, operation, args, mode, timeout, 0, result)
-        return result
-
     def _attempt(
         self,
         shard_no: int,
@@ -222,12 +204,16 @@ class ShardedBinding:
         args: Tuple,
         mode: str,
         timeout: Optional[float],
-        attempt: int,
-        result: Future,
-    ) -> None:
+        attempt: int = 0,
+        result: Optional[Future] = None,
+    ) -> Future:
+        """Invoke on shard ``shard_no``'s sub-binding; ``result`` (made by
+        the first attempt) settles with the call's outcome."""
+        if result is None:
+            result = Future(name=f"shard-call:{operation}#{shard_no}@{self.client_id}")
         if self._closed:
             result.try_fail(BindingBroken("sharded binding closed"))
-            return
+            return result
         binding = self._bindings[shard_no]
         inner = binding.invoke(operation, args, mode=mode, timeout=timeout)
 
@@ -260,6 +246,7 @@ class ShardedBinding:
             result.try_fail(exc)
 
         inner.add_done_callback(on_done)
+        return result
 
     def _remap(self, shard_no: int, failed_binding: GroupBinding) -> None:
         if self._bindings[shard_no] is not failed_binding:

@@ -110,7 +110,7 @@ def bind_combined_cohort(
     arguments configure the rank-0 root's underlying binding.
     """
     bindings = [
-        cluster.services[name].bind_combined(service_name, scheme, **bind_kwargs)
+        cluster.services[name].bind(service_name, scheme=scheme, **bind_kwargs)
         for name in scheme.callers
     ]
     cluster.run(settle)

@@ -257,9 +257,9 @@ def record_combined():
     issues: List[CombinedIssue] = []
     orig_issue = CombinedBinding._issue
 
-    def patched_issue(self, call_no, operation, merged_parts, count, mode, timeout):
+    def patched_issue(self, call_no, operation, merged_parts, count, timeout):
         issues.append((self.combine_id, call_no, self.client_id, operation))
-        orig_issue(self, call_no, operation, merged_parts, count, mode, timeout)
+        orig_issue(self, call_no, operation, merged_parts, count, timeout)
 
     CombinedBinding._issue = patched_issue
     try:

@@ -290,7 +290,7 @@ def test_combined_invoke_timeout_fails_and_cancels_the_rendezvous_slot():
     leaf = bindings[2].invoke("incr", (1,), timeout=0.5)
     # c1 is an inner node, still waiting for its child c3 (which never calls)
     inner = bindings[1].invoke("incr", (1,), timeout=0.5)
-    slots = c.services["c1"].gcs.combiner._slots
+    slots = bindings[1]._slots
     assert len(slots) == 1
     c.run(2.0)
     for fut in (leaf, inner):
@@ -378,7 +378,7 @@ def _bind_sharded(c, **kwargs):
 def _bind_combined(c, **kwargs):
     servers = c.serve_all("svc", Counter)
     scheme = SchemeConfig("combined_flat", callers=["c0"])
-    return c.client(0).bind_combined("svc", scheme, **kwargs)._binding, servers
+    return c.client(0).bind("svc", scheme=scheme, **kwargs)._binding, servers
 
 
 BINDERS = pytest.mark.parametrize(
@@ -456,8 +456,12 @@ def test_bad_combinations_raise_before_any_message_is_sent():
     sent = c.sim.obs.metrics.counter("net.sent")
     before, queued = sent.value, c.sim.pending_count()
     client = c.client(0)
-    with pytest.raises(ConfigurationError):
-        client.bind("svc", scheme=SchemeConfig("combined_flat", callers=["c0"]))
+    with pytest.raises(ConfigurationError):  # c0 is not in the cohort
+        client.bind("svc", scheme=SchemeConfig("combined_flat", callers=["c1", "c2"]))
+    with pytest.raises(ConfigurationError):  # a cohort binds through bind()
+        client.bind_group_to_group(
+            "gx", ["c0"], "svc", scheme=SchemeConfig("combined_flat", callers=["c0"])
+        )
     with pytest.raises(ValueError):
         client.bind("svc", style="ajar")
     with pytest.raises(ValueError):
@@ -465,6 +469,71 @@ def test_bad_combinations_raise_before_any_message_is_sent():
     with pytest.raises(ValueError):
         client.bind("svc", send_window=0)
     assert (sent.value, c.sim.pending_count()) == (before, queued)
+
+
+def test_a_scheme_binding_refuses_an_explicit_mode():
+    """The reply scheme fixes the mode at bind.  A ``forward`` call sent
+    ``one_way`` used to forward ``ok=True`` for a call nobody had answered
+    (both servers were dead); now naming a mode raises before any message."""
+    c = AppCluster(servers=2, clients=2)
+    c.serve_all("svc", Counter)
+    binding = bound_binding(c, scheme=SchemeConfig(reply="forward", forward_to="c1"))
+    for server in c.server_names:
+        c.net.crash(server)
+    sent = c.sim.obs.metrics.counter("net.sent")
+    before = (sent.value, c.sim.pending_count())
+    with pytest.raises(ConfigurationError):
+        binding.invoke("incr", (1,), mode=Mode.ONE_WAY)
+    assert (sent.value, c.sim.pending_count()) == before
+    c.run(1.0)
+    assert c.services["c1"].forwarded == []
+
+
+@pytest.mark.parametrize("reply", ["return_one", "combine", "forward"])
+def test_a_scheme_call_allocates_one_future(monkeypatch, reply):
+    """The reply scheme settles the call's own future: no outer future."""
+    import repro.core.client as client_module
+
+    made = []
+
+    class CountingFuture(client_module.Future):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    c = AppCluster(servers=2, clients=2)
+    c.serve_all("svc", Counter)
+    kwargs = {"reducer": "max"} if reply == "combine" else {}
+    if reply == "forward":
+        kwargs["forward_to"] = "c1"
+    binding = bound_binding(c, scheme=SchemeConfig(reply=reply, **kwargs))
+    monkeypatch.setattr(client_module, "Future", CountingFuture)
+    fut = binding.invoke("incr", (1,))
+    c.run(1.0)
+    assert made == [fut]
+    assert fut.result() == (None if reply == "forward" else 1)
+
+
+def test_admission_is_released_once_per_call_closed_mid_rebind():
+    """Closing mid-rebind fails calls that are both pending and queued for
+    the new group: each frees its admission slot exactly once."""
+    c = AppCluster(servers=2, clients=1)
+    c.serve_all("svc", Counter, config=LIVELY_FAST)
+    binding = bound_binding(
+        c, fast=True, admission=AdmissionConfig(max_inflight=8, retry_after=0.05)
+    )
+    c.net.crash(binding.manager)
+    calls = [binding.invoke("incr", (1,), mode=Mode.ALL) for _ in range(3)]
+    for _ in range(400):  # until the rebind has re-queued the outstanding calls
+        c.run(0.005)
+        if binding._queued and not binding._bound:
+            break
+    assert binding._queued and not binding._bound
+    assert set(binding._pending.values()) & set(binding._queued)
+    assert binding.admission.inflight == len(calls)
+    binding.close()
+    assert binding.admission.inflight == 0
+    assert all(f.failed and isinstance(f.exception, BindingBroken) for f in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -309,16 +309,16 @@ def test_genuineness_check_catches_broadcast_routing(monkeypatch):
     from tests.invariants import check_genuineness, protocol_mark
     from tests.test_shard import keys_for_shard, serve_all_sharded, sharded_client
 
-    original = ShardedBinding._invoke_on
+    original = ShardedBinding._attempt
 
-    def broadcast(self, shard_no, operation, args, mode, timeout):
+    def broadcast(self, shard_no, operation, args, mode, timeout, *retry):
         results = [
-            original(self, n, operation, args, mode, timeout)
+            original(self, n, operation, args, mode, timeout, *retry)
             for n in range(self.num_shards)
         ]
         return results[shard_no]
 
-    monkeypatch.setattr(ShardedBinding, "_invoke_on", broadcast)
+    monkeypatch.setattr(ShardedBinding, "_attempt", broadcast)
     c = AppCluster(servers=4, clients=1)
     serve_all_sharded(c, num_shards=2)
     kv = ShardedKVClient(sharded_client(c, 2), timeout=5.0)
@@ -417,9 +417,9 @@ def test_combined_checker_catches_double_issue(monkeypatch):
 
     original = CombinedBinding._issue
 
-    def doubled(self, call_no, operation, merged_parts, count, mode, timeout):
-        original(self, call_no, operation, merged_parts, count, mode, timeout)
-        original(self, call_no, operation, merged_parts, count, mode, timeout)
+    def doubled(self, call_no, operation, merged_parts, count, timeout):
+        original(self, call_no, operation, merged_parts, count, timeout)
+        original(self, call_no, operation, merged_parts, count, timeout)
 
     monkeypatch.setattr(CombinedBinding, "_issue", doubled)
     c = AppCluster(servers=2, clients=2, seed=3)

@@ -165,7 +165,7 @@ SIGNATURE_ALLOW_LIST = {
         'the runner passes it positionally; tests resolve "manager" to the live binding\'s',
     # -- set by tests only: each drives a path defaults never reach ----------
     "core.scheme:SchemeConfig.__init__(probe=)":
-        "a reducer over a non-numeric domain brings its own probe values (test_reducer_properties)",
+        "a reducer over a non-numeric domain brings its own probe values (test_gmi_matrix)",
     "core.scheme:resolve_reducer(probe=)": "as SchemeConfig(probe=), which passes it on",
     "core.scheme:validate_reducer(probe=)": "as SchemeConfig(probe=), which passes it on",
     "net.topology:LinkSpec.__init__(loss=)":

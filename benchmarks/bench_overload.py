@@ -52,7 +52,7 @@ WORKLOAD = {
     "timeout": 10.0,  # per call: what uncontrolled overload runs into
     "seed": 42,
     "overload_factor": 7.0,  # offered load as a multiple of measured capacity
-    "admission": {"max_inflight": 12, "retry_after": 0.05},
+    "admission": {"max_inflight": 12},
     "flow_max_queue": 256,
 }
 # every value of a run comes out of the scenario report: virtual time or counts

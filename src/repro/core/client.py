@@ -42,16 +42,12 @@ from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.obs.phases import PHASE_NAMES
 from repro.obs.tracer import UNSAMPLED
 from repro.orb.ior import IOR
-from repro.overload import AdmissionConfig, AdmissionController
+from repro.overload import AdmissionConfig, AdmissionController, shed_on_overflow
 from repro.recovery.policy import RetryPolicy
 from repro.sim.futures import Future
 from repro.sim.process import all_of
 
 __all__ = ["GroupBinding", "InvocationResult"]
-
-#: retry-after hint for sheds caused by a full flow-control send queue on a
-#: binding with no admission policy of its own
-_OVERFLOW_RETRY_AFTER = 200e-3
 
 
 class InvocationResult:
@@ -573,11 +569,7 @@ class GroupBinding:
         nothing to deduplicate — a retry under the same call number runs
         fresh and completes exactly once.
         """
-        if self.admission is not None:
-            hint = self.admission.config.retry_after * 4.0
-            self.admission.count_shed()
-        else:
-            hint = _OVERFLOW_RETRY_AFTER
+        hint = shed_on_overflow(self.sim.obs.metrics)
         if pending.mode == Mode.ONE_WAY:
             self._tracer.end_span(pending.span, outcome="shed")
             return

@@ -32,10 +32,11 @@ from repro.core.registry import client_sink_id, server_servant_id
 from repro.errors import ApplicationError, GroupError
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
+from repro.obs.metrics import OnFirstUse
 from repro.obs.tracer import UNSAMPLED
 from repro.orb.ior import IOR
-from repro.orb.orb import servant_cost
-from repro.overload import AdmissionConfig, AdmissionController
+from repro.orb.orb import servant_operation
+from repro.overload import AdmissionConfig, AdmissionController, shed_on_overflow
 from repro.recovery.policy import RetryPolicy
 from repro.sim.futures import Future
 
@@ -50,10 +51,6 @@ EXECUTION_OVERHEAD = 40e-6
 #: replies, async-forwarding and group-to-group markers alike).
 REPLY_CACHE_SIZE = 2048
 
-#: Retry-after hint when a bounded flow queue sheds without an admission
-#: controller configured (the client's RetryPolicy caps and jitters it).
-DEFAULT_OVERFLOW_RETRY_AFTER = 200e-3
-
 
 def _remember(cache: Dict, key: Any, value: Any) -> None:
     """Insert into a duplicate-suppression cache, evicting the oldest
@@ -63,18 +60,22 @@ def _remember(cache: Dict, key: Any, value: Any) -> None:
         del cache[next(iter(cache))]
 
 
+def _close_quietly(session) -> None:
+    """Close ``session`` locally, never hearing from it again."""
+    session.on_deliver = None
+    session.on_view = None
+    session._close()
+
+
 class _Collector:
     """Request-manager state for one forwarded call."""
 
-    __slots__ = ("mode", "reply_group", "replies", "done", "admitted")
+    __slots__ = ("mode", "reply_group", "replies")
 
-    def __init__(self, mode: str, reply_group: str, admitted: bool = False):
+    def __init__(self, mode: str, reply_group: str):
         self.mode = mode
         self.reply_group = reply_group
         self.replies: Dict[str, ReplyMsg] = {}
-        self.done = False
-        #: holds an admission-controller inflight slot to give back on finish
-        self.admitted = admitted
 
 
 class _InvocationServant:
@@ -134,7 +135,6 @@ class ObjectGroupServer:
         self.group = None  # the server group session (set by start())
         self.ready = Future(name=f"server-ready:{service_name}@{self.member_id}")
         self._client_groups: Dict[str, Any] = {}  # gc name -> session
-        self._client_group_styles: Dict[str, Tuple[str, str]] = {}  # gc -> (style, client)
         self._collectors: Dict[Tuple[str, int], _Collector] = {}
         self._g2g_seen: Dict[Tuple[str, int], int] = {}  # copies seen per call
         self._async_handled: Dict[Tuple[str, int], bool] = {}
@@ -148,6 +148,9 @@ class ObjectGroupServer:
         self._dup_counter = obs.metrics.counter("server.duplicates_suppressed")
         self._cache_hit_counter = obs.metrics.counter("server.reply_cache_hits")
         self._g2g_dup_counter = obs.metrics.counter("server.g2g_duplicates")
+        #: operation -> (execution cost, servant method or None), by the
+        #: ORB's dispatch rule, resolved once per operation
+        self._operations = OnFirstUse(self._resolve_operation)
         self._rejoin_counter = obs.metrics.counter("server.rejoins")
         self._rejoin_failed_counter = obs.metrics.counter("server.rejoin_failures")
         self._rejoin_rng = self.sim.rng(f"recovery.rejoin.{self.member_id}")
@@ -200,16 +203,11 @@ class ObjectGroupServer:
         member through suspicion, as they would a crashed process."""
         self._restart_epoch += 1
         if self.group is not None:
-            self.group.on_deliver = None
-            self.group.on_view = None
-            self.group._close()
+            _close_quietly(self.group)
             self.group = None
         for session in list(self._client_groups.values()):
-            session.on_deliver = None
-            session.on_view = None
-            session._close()
+            _close_quietly(session)
         self._client_groups.clear()
-        self._client_group_styles.clear()
 
     # ------------------------------------------------------------------
     # entering the group: one loop for a first start, a shard member and a
@@ -331,10 +329,9 @@ class ObjectGroupServer:
         if session.joined.done or self.group is not session:
             return
         # not _teardown(): that would supersede this very loop, and closing
-        # the timed-out join is what makes it retry
-        session.on_deliver = None
-        session.on_view = None
-        session._close()  # fails session.joined, which schedules the retry
+        # the timed-out join (which fails session.joined) is what makes it
+        # retry
+        _close_quietly(session)
         self.group = None
 
     def _retry_enter(self, attempt: int, epoch: int) -> None:
@@ -431,59 +428,48 @@ class ObjectGroupServer:
     # client/server group management
     # ------------------------------------------------------------------
     def _join_client_group(self, group_name: str, contact: str, style: str) -> Future:
-        """A client asks this member to join its client/server group."""
+        """A client asks this member to join its client/server group.
+
+        The style fixes how its requests are handled: in a closed group
+        every server got the request directly and answers point-to-point;
+        in an open one (a client monitor group on a group-to-group call
+        included) this member is the request manager and the gathered
+        replies travel back through the group itself."""
         if group_name in self._client_groups:
             done = Future()
             done.resolve(True)
             return done
         session = self.service.gcs.join_group(group_name, contact)
         self._client_groups[group_name] = session
-        self._client_group_styles[group_name] = (style, contact)
         # relay the server group's pressure into this client/server group:
         # every frame back to the client advertises it, so a client-side
         # admission controller sees servant-side saturation end to end
         session.pushback_source = self._server_group_pushback
-        session.on_deliver = (
-            lambda sender, payload, g=group_name: self._on_client_group_deliver(
-                g, sender, payload
-            )
-        )
-        session.on_view = (
-            lambda view, joined, left, g=group_name: self._on_client_group_view(
-                g, view, joined, left
-            )
-        )
+        # (anything else delivered here is a reply on its way to the client)
+        if style == "closed":
+            def on_deliver(_sender: str, payload: Any) -> None:
+                if isinstance(payload, InvokeMsg):
+                    self._serve(payload, self._reply_directly)
+        else:
+            def on_deliver(_sender: str, payload: Any) -> None:
+                if isinstance(payload, InvokeMsg):
+                    self._handle_request(payload, group_name)
+
+        def on_view(_view, _joined, left) -> None:
+            if contact in left:
+                # the client is gone: the client/server group is disbanded
+                gone = self._client_groups.pop(group_name, None)
+                if gone is not None:
+                    gone.leave()
+
+        session.on_deliver = on_deliver
+        session.on_view = on_view
         return session.joined.then(lambda _session: True)
 
     def _server_group_pushback(self) -> float:
         if self.group is not None and self.group.state != "closed":
             return self.group.group_pushback()
         return 0.0
-
-    def _on_client_group_view(self, group_name: str, view, joined, left) -> None:
-        style, client = self._client_group_styles.get(group_name, ("", ""))
-        if client and client in left:
-            # the client is gone: the client/server group is disbanded
-            session = self._client_groups.pop(group_name, None)
-            self._client_group_styles.pop(group_name, None)
-            if session is not None:
-                session.leave()
-
-    # ------------------------------------------------------------------
-    # deliveries from client/server groups (requests from clients)
-    # ------------------------------------------------------------------
-    def _on_client_group_deliver(self, group_name: str, sender: str, payload: Any) -> None:
-        if not isinstance(payload, InvokeMsg):
-            return  # ReplySets travelling back to the client
-        style, _client = self._client_group_styles.get(group_name, ("open", sender))
-        if payload.reply_group:
-            # group-to-group (§4.3): replies go to the client monitor group
-            self._handle_request(payload, payload.reply_group)
-        elif style == "closed":
-            # every server got the request directly and answers point-to-point
-            self._serve(payload, self._reply_directly)
-        else:
-            self._handle_request(payload, group_name)
 
     # -- the replica stage: dedupe -> execute -> log -> reply ---------------
     def _serve(self, invoke: InvokeMsg, reply_to: Callable[[ReplyMsg], None]) -> None:
@@ -574,42 +560,39 @@ class ObjectGroupServer:
             return
         # admission control: decide *before* the re-multicast and before
         # anything is cached, so a shed call is never partially executed and
-        # a later retry under the same call number runs fresh, exactly once
-        admitted = False
+        # a later retry under the same call number runs fresh, exactly once.
+        # An admitted call holds its inflight slot until it is answered or
+        # refused by a full flow queue.
         if self.admission is not None:
             pushback = self.group.group_pushback() if self.group is not None else 0.0
             hint = self.admission.try_admit(pushback)
             if hint is not None:
                 self._send_shed(reply_group, invoke, hint)
                 return
-            admitted = True
         if self.async_forwarding and invoke.mode == Mode.FIRST:
             # §4.2: answer locally, forward one-way — no reply gathering.
             # Mark the call so our own loopback of the forward is skipped.
             _remember(self._async_handled, call_id, True)
-            if not self._forward(invoke, Mode.ONE_WAY, reply_group, admitted):
+            if not self._forward(invoke, Mode.ONE_WAY, reply_group):
                 del self._async_handled[call_id]
                 return
             self._execute(
                 invoke,
-                lambda reply: self._finish_async_forwarded(
-                    reply_group, invoke, reply, admitted
-                ),
+                lambda reply: self._finish_async_forwarded(reply_group, invoke, reply),
             )
             return
-        self._collectors[call_id] = _Collector(invoke.mode, reply_group, admitted)
-        if not self._forward(invoke, invoke.mode, reply_group, admitted):
+        self._collectors[call_id] = _Collector(invoke.mode, reply_group)
+        if not self._forward(invoke, invoke.mode, reply_group):
             del self._collectors[call_id]
 
-    def _forward(
-        self, invoke: InvokeMsg, mode: str, reply_group: str, admitted: bool = False
-    ) -> bool:
+    def _forward(self, invoke: InvokeMsg, mode: str, reply_group: str) -> bool:
         """Re-issue the client's request inside the server group (§4.1 ii).
 
         The one place a request enters the server group.  Returns False if
         a bounded flow queue (``flow_max_queue``) refused the re-multicast:
         nothing was forwarded, so nothing executed anywhere, and the call
-        is shed (a one-way call is counted and dropped).
+        is shed (a one-way call is counted and dropped; any other gives
+        back its inflight slot).
         """
         # the paper's m2: the request manager re-multicasts into the server
         # group; the ambient span here is the delivery of the client's m1
@@ -628,35 +611,27 @@ class ObjectGroupServer:
         try:
             self.group.send(forwarded)
         except FlowQueueFull:
-            if self.admission is not None:
-                if admitted:
-                    self.admission.release()
-                hint = self.admission.config.retry_after * 4.0
-                self.admission.count_shed()
-            else:
-                hint = DEFAULT_OVERFLOW_RETRY_AFTER
-                self.sim.obs.metrics.counter("overload.shed").inc()
+            hint = shed_on_overflow(self.sim.obs.metrics)
             if invoke.mode != Mode.ONE_WAY:
+                if self.admission is not None:
+                    self.admission.release()
                 self._send_shed(reply_group, invoke, hint)
             return False
         return True
 
     def _finish_async_forwarded(
-        self, reply_group: str, invoke: InvokeMsg, reply: ReplyMsg, admitted: bool
+        self, reply_group: str, invoke: InvokeMsg, reply: ReplyMsg
     ) -> None:
         if self.policy == ReplicationPolicy.PASSIVE:
             self._broadcast_state_update(invoke, reply)
-        self._answer(invoke.call_id, reply_group, [reply], admitted)
+        self._answer(invoke.call_id, reply_group, [reply])
 
     def _answer(
-        self,
-        call_id: Tuple[str, int],
-        reply_group: str,
-        replies: List[ReplyMsg],
-        admitted: bool,
+        self, call_id: Tuple[str, int], reply_group: str, replies: List[ReplyMsg]
     ) -> None:
-        """The call is decided: cache its reply set and send it to the client."""
-        if admitted:
+        """The call is decided: give back its inflight slot, cache its reply
+        set and send it to the client."""
+        if self.admission is not None:
             self.admission.release()
         reply_set = ReplySet(call_id[0], call_id[1], replies)
         _remember(self._reply_cache, call_id, reply_set)
@@ -709,28 +684,22 @@ class ObjectGroupServer:
 
     def _collect_reply(self, reply: ReplyMsg) -> None:
         collector = self._collectors.get(reply.call_id)
-        if collector is None or collector.done:
+        if collector is None:
             return
         collector.replies[reply.member] = reply
         self._maybe_finish_collection(reply.call_id)
 
     def _maybe_finish_collection(self, call_id: Tuple[str, int]) -> None:
         collector = self._collectors.get(call_id)
-        if collector is None or collector.done:
+        if collector is None:
             return
         size = len(self.group.members) if self.group is not None else 1
         responders = size if self.policy == ReplicationPolicy.ACTIVE else 1
         needed = min(replies_needed(collector.mode, size), responders)
         if len(collector.replies) < needed:
             return
-        collector.done = True
         del self._collectors[call_id]
-        self._answer(
-            call_id,
-            collector.reply_group,
-            list(collector.replies.values()),
-            collector.admitted,
-        )
+        self._answer(call_id, collector.reply_group, list(collector.replies.values()))
 
     # ------------------------------------------------------------------
     # passive replication
@@ -753,9 +722,13 @@ class ObjectGroupServer:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def _resolve_operation(self, operation: str) -> Tuple[float, Any]:
+        cost, method = servant_operation(self.servant, operation)
+        return EXECUTION_OVERHEAD + cost, method
+
     def _execute(self, invoke: InvokeMsg, done) -> None:
         """Run the servant operation on this node's CPU, then call ``done``."""
-        cost = EXECUTION_OVERHEAD + servant_cost(self.servant, invoke.operation)
+        cost = self._operations[invoke.operation][0]
         self._phases.on_exec_submit(invoke.call_id, self.member_id)
         tracer = self._tracer
         if tracer.enabled and tracer.ctx is not UNSAMPLED:
@@ -775,36 +748,32 @@ class ObjectGroupServer:
             if span is not None:
                 prev = tracer.ctx
                 tracer.ctx = span
-                self.node.execute(cost, self._run_servant_traced, span, invoke, done)
+                self.node.execute(cost, self._run_servant, span, invoke, done)
                 tracer.ctx = prev
                 return
-        self.node.execute(cost, self._run_servant, invoke, done)
+        self.node.execute(cost, self._run_servant, None, invoke, done)
 
-    def _run_servant_traced(self, span, invoke: InvokeMsg, done) -> None:
-        self._run_servant(invoke, done)
-        self._tracer.end_span(span)
-
-    def _run_servant(self, invoke: InvokeMsg, done) -> None:
+    def _run_servant(self, span, invoke: InvokeMsg, done) -> None:
         # node.execute scheduled us at the end of the busy window, so "now"
         # is the execution completion time for this servant run
         self._phases.on_exec_end(invoke.call_id, self.member_id)
         self._executed_counter.inc()
-        method = getattr(self.servant, invoke.operation, None)
-        if method is None or invoke.operation.startswith("_"):
-            done(ReplyMsg(invoke.client, invoke.call_no, self.member_id, False,
-                          f"bad operation {invoke.operation!r}"))
-            return
-        args = invoke.args
-        if len(args) == 1 and isinstance(args[0], ScatterArgs):
-            # personalized invocation: every member got the same multicast,
-            # each executes its own slice of the argument scatter
-            args = args[0].part_for(self.member_id)
-        try:
-            value = method(*args)
-        except Exception as exc:  # noqa: BLE001 - propagate to the client
-            done(ReplyMsg(invoke.client, invoke.call_no, self.member_id, False, str(exc)))
-            return
-        done(ReplyMsg(invoke.client, invoke.call_no, self.member_id, True, value))
+        method = self._operations[invoke.operation][1]
+        if method is None:
+            ok, value = False, f"bad operation {invoke.operation!r}"
+        else:
+            args = invoke.args
+            if len(args) == 1 and isinstance(args[0], ScatterArgs):
+                # personalized invocation: every member got the same
+                # multicast, each executes its own slice of the argument scatter
+                args = args[0].part_for(self.member_id)
+            try:
+                ok, value = True, method(*args)
+            except Exception as exc:  # noqa: BLE001 - propagate to the client
+                ok, value = False, str(exc)
+        done(ReplyMsg(invoke.client, invoke.call_no, self.member_id, ok, value))
+        if span is not None:
+            self._tracer.end_span(span)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ObjectGroupServer {self.service_name}@{self.member_id} {self.policy}>"

@@ -26,7 +26,7 @@ that checks it.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ApplicationError, BadOperation, CommFailure, ObjectNotFound
 from repro.net.node import Node
@@ -49,7 +49,7 @@ __all__ = [
     "DISPATCH_OVERHEAD",
     "LOCAL_CALL_OVERHEAD",
     "DEFAULT_SERVANT_COST",
-    "servant_cost",
+    "servant_operation",
 ]
 
 #: CPU seconds to demultiplex a request and locate the servant.
@@ -67,17 +67,20 @@ STR_MEMO_ENTRIES = 4096
 REPLY_HEADER = marshal.wire_size(Reply(0, STATUS_OK, None)) - marshal.wire_size(None)
 
 
-def servant_cost(servant: Any, operation: str) -> float:
-    """CPU seconds ``servant`` declares for ``operation``.
+def servant_operation(servant: Any, operation: str) -> Tuple[float, Optional[Callable]]:
+    """The dispatch rule: ``(cost, method)`` of ``operation`` on ``servant``.
 
-    A servant is any Python object; operations are its public methods.  It
-    may declare per-operation costs via an ``OP_COSTS`` dict
-    (``{"operation": seconds}``) to model compute-heavy services.
+    A servant is any Python object; its operations are its public callable
+    attributes, so ``method`` is None for a private, missing or
+    non-callable one.  ``cost`` is the CPU seconds the servant declares for
+    the operation in an ``OP_COSTS`` dict (``{"operation": seconds}``, to
+    model compute-heavy services), else ``DEFAULT_SERVANT_COST``.  The ORB
+    and every object group replica dispatch by this one rule.
     """
+    method = None if operation.startswith("_") else getattr(servant, operation, None)
     costs = getattr(servant, "OP_COSTS", None)
-    if costs and operation in costs:
-        return costs[operation]
-    return DEFAULT_SERVANT_COST
+    cost = costs[operation] if costs and operation in costs else DEFAULT_SERVANT_COST
+    return cost, method if callable(method) else None
 
 
 class ORB:
@@ -253,11 +256,10 @@ class ORB:
         servant = self._servants.get(object_key)
         if servant is None:
             return None
-        method = None if operation.startswith("_") else getattr(servant, operation, None)
-        cost = DISPATCH_OVERHEAD + servant_cost(servant, operation)
-        if not callable(method):
-            return (cost, servant, None)
-        entry = self._dispatch[object_key, operation] = (cost, servant, method)
+        cost, method = servant_operation(servant, operation)
+        entry = (DISPATCH_OVERHEAD + cost, servant, method)
+        if method is not None:
+            self._dispatch[object_key, operation] = entry
         return entry
 
     def _handle_request(self, request: Request) -> None:

@@ -12,7 +12,6 @@ two runs of the same spec are byte-identical — except for the single
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
@@ -28,6 +27,7 @@ from repro.apps.sharded_kvstore import ShardKVServant, ShardedKVClient
 from repro.core.modes import BindingStyle, InvocationScheme
 from repro.groupcomm.config import GroupConfig
 from repro.obs.phases import PHASE_NAMES
+from repro.overload import AdmissionConfig
 from repro.recovery import RecoveryManager, convergence_status
 from repro.shard import sharded_convergence_status
 from repro.scenario.arrivals import arrival_process_from_spec
@@ -55,19 +55,16 @@ ScenarioError = DeploymentError
 
 
 def _manager_admission(admission):
-    """The request managers' share of the admission policy.
+    """The request managers' share of the admission policy: pushback only.
 
     ``max_inflight`` is a *per-binding* bound, enforced at every client
     binding where a shed costs no wire traffic at all; a manager serves
     every binding at once, so applying the same bound there would both
     throttle the group below capacity and pay a ShedReply multicast per
-    refusal.  Managers keep the group-knowledge signals — queue-delay
-    watermark and advertised pushback — as the backstop behind the
-    bindings.
+    refusal.  Managers keep the group-knowledge signal — advertised
+    pushback — as the backstop behind the bindings.
     """
-    if admission is None:
-        return None
-    return dataclasses.replace(admission, max_inflight=0)
+    return None if admission is None else AdmissionConfig(max_inflight=0)
 
 
 def run_scenario(source, obs=None) -> Dict:
@@ -258,7 +255,7 @@ def _setup_request_reply(env: Environment, spec: ScenarioSpec):
         config=_served_config(spec),
         async_forwarding=group.async_forwarding,
         # open bindings route through a request manager: it backstops the
-        # bindings with the group-knowledge signals (watermark, pushback)
+        # bindings with the group-knowledge signal (pushback)
         admission=_manager_admission(admission) if open_style else None,
     )
     bind_options = group.bind_options()

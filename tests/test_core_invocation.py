@@ -259,6 +259,25 @@ def test_servant_exception_reaches_client():
         _ = result.value
 
 
+class CounterWithLimit(Counter):
+    limit = 3  # a plain attribute, not an operation
+
+
+@pytest.mark.parametrize("style", [BindingStyle.CLOSED, BindingStyle.OPEN])
+def test_a_replica_refuses_an_operation_the_orb_refuses(style):
+    """Replicas dispatch by the ORB's rule: a servant attribute that is not
+    callable is no operation, just like a private one.  Every member
+    answers ``bad operation``; none tries to call the attribute."""
+    c = AppCluster(servers=2, clients=1)
+    c.serve_all("svc", CounterWithLimit)
+    binding = bound_binding(c, style=style)
+    futures = {op: binding.invoke(op, (), mode=Mode.ALL) for op in ("limit", "_private")}
+    c.run(2.0)
+    for op, fut in futures.items():
+        replies = [(r.ok, r.value) for r in fut.result().replies]
+        assert replies == [(False, f"bad operation {op!r}")] * 2
+
+
 def test_bind_to_unknown_service_fails():
     c = AppCluster(servers=1, clients=1)
     binding = c.client(0).bind("nosuch")
@@ -520,7 +539,7 @@ def test_admission_is_released_once_per_call_closed_mid_rebind():
     c = AppCluster(servers=2, clients=1)
     c.serve_all("svc", Counter, config=LIVELY_FAST)
     binding = bound_binding(
-        c, fast=True, admission=AdmissionConfig(max_inflight=8, retry_after=0.05)
+        c, fast=True, admission=AdmissionConfig(max_inflight=8)
     )
     c.net.crash(binding.manager)
     calls = [binding.invoke("incr", (1,), mode=Mode.ALL) for _ in range(3)]
@@ -709,7 +728,7 @@ def test_group_to_group_shed_call_is_retried_and_runs_exactly_once():
     forwards one copy of the retry round as it did of the first."""
     c = AppCluster(servers=3, clients=2)
     servers = c.serve_all(
-        "svc", Counter, admission=AdmissionConfig(max_inflight=1, retry_after=0.05)
+        "svc", Counter, admission=AdmissionConfig(max_inflight=1)
     )
     bindings = g2g_pair(
         c, retry_policy=RetryPolicy(max_attempts=5, base_delay=0.05, max_delay=0.5)

@@ -291,6 +291,8 @@ DELETED_OPTIONS = [
     (AdmissionConfig, "queue_delay_low", "admission"),
     (AdmissionConfig, "pushback_high", "admission"),
     (AdmissionConfig, "probe_interval", "admission"),
+    (AdmissionConfig, "queue_delay_high", "admission"),
+    (AdmissionConfig, "retry_after", "admission"),
     (RetryPolicy, "jitter", "retry"),
 ]
 

@@ -10,6 +10,7 @@ from repro.core import BindingStyle, Mode
 from repro.errors import Overloaded
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.overload import AdmissionConfig, AdmissionController
+from repro.overload import admission as admission_module
 from repro.recovery import RetryPolicy
 from repro.scenario import (
     FaultEvent,
@@ -40,31 +41,14 @@ class TestAdmissionConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionConfig(max_inflight=-1)
-        with pytest.raises(ValueError):
-            AdmissionConfig(queue_delay_high=-0.1)
-        with pytest.raises(ValueError):
-            AdmissionConfig(retry_after=0.0)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown keys"):
             AdmissionConfig.from_dict({"max_inflight": 4, "bogus": 1})
 
     def test_round_trips_through_dict(self):
-        cfg = AdmissionConfig(max_inflight=8, queue_delay_high=0.2, retry_after=0.1)
+        cfg = AdmissionConfig(max_inflight=8)
         assert AdmissionConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_effective_low_defaults_to_half_of_high(self):
-        """The shedding episode a 0.4 s high watermark opened closes at a
-        windowed mean of 0.2 s, not above it."""
-        sim = Simulator(seed=1)
-        adm = AdmissionController(
-            sim, AdmissionConfig(max_inflight=0, queue_delay_high=0.4)
-        )
-        hist = sim.obs.metrics.histogram("inv.phase.queue")
-        for until, delay, shedding in ((0.2, 0.5, True), (0.4, 0.21, True), (0.6, 0.2, False)):
-            hist.record(delay)
-            sim.run(until=until)
-            assert (adm.try_admit() is not None) is shedding
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +87,7 @@ class TestAdmissionController:
         return sim, AdmissionController(sim, AdmissionConfig(**kwargs), name="t")
 
     def test_inflight_bound_sheds_and_release_reopens(self):
-        sim, adm = self.make(max_inflight=2, retry_after=0.05)
+        sim, adm = self.make(max_inflight=2)
         assert adm.try_admit() is None
         assert adm.try_admit() is None
         hint = adm.try_admit()
@@ -121,55 +105,16 @@ class TestAdmissionController:
         assert metrics.gauge("overload.inflight").value >= 0
 
     def test_pushback_sheds_with_pressure_scaled_hint(self):
-        _sim, adm = self.make(max_inflight=0, retry_after=0.1)
+        _sim, adm = self.make(max_inflight=0)
         assert adm.try_admit(pushback=0.5) is None  # below threshold
         hint = adm.try_admit(pushback=0.95)
-        assert hint == pytest.approx(0.1 * (1.0 + 3.0 * 0.95))
+        assert hint == pytest.approx(0.05 * (1.0 + 3.0 * 0.95))
 
     def test_everything_disabled_admits_all(self):
-        # no inflight bound, no watermark: only saturated pushback can shed
+        # no inflight bound: only saturated pushback can shed
         _sim, adm = self.make(max_inflight=0)
         for _ in range(1000):
             assert adm.try_admit(pushback=0.9) is None
-
-    def test_watermark_hysteresis(self):
-        sim, adm = self.make(max_inflight=0, queue_delay_high=0.2)
-        hist = sim.obs.metrics.histogram("inv.phase.queue")
-        crossings = sim.obs.metrics.counter("overload.watermark_crossings")
-
-        # queue delay above the high watermark: the next probe starts shedding
-        for _ in range(10):
-            hist.record(0.5)
-        sim.run(until=0.2)
-        assert adm.try_admit() is not None
-        assert crossings.value == 1
-
-        # between low (half of high) and high: hysteresis keeps shedding
-        for _ in range(10):
-            hist.record(0.15)
-        sim.run(until=0.4)
-        assert adm.try_admit() is not None
-        assert crossings.value == 1  # same episode, no new crossing
-
-        # below the low watermark: the next probe reopens
-        for _ in range(10):
-            hist.record(0.01)
-        sim.run(until=0.6)
-        assert adm.try_admit() is None
-        adm.release()
-
-    def test_watermark_clears_when_queues_drain_silently(self):
-        sim, adm = self.make(max_inflight=0, queue_delay_high=0.2)
-        hist = sim.obs.metrics.histogram("inv.phase.queue")
-        for _ in range(5):
-            hist.record(1.0)
-        sim.run(until=0.2)
-        assert adm.try_admit() is not None  # shedding
-        # no completions at all and nothing in flight: the queues the
-        # watermark was protecting are gone — the drain-out escape reopens
-        sim.run(until=0.5)
-        assert adm.try_admit() is None
-        adm.release()
 
     def test_reset_clears_inflight_and_shedding(self):
         sim, adm = self.make(max_inflight=1)
@@ -192,7 +137,7 @@ def test_client_side_shed_fails_fast_with_retry_after():
         style=BindingStyle.CLOSED,
         liveliness=Liveliness.LIVELY,
         suspicion_timeout=100e-3,
-        admission=AdmissionConfig(max_inflight=1, retry_after=0.05),
+        admission=AdmissionConfig(max_inflight=1),
     )
     c.run(1.0)
     assert binding.ready.done
@@ -245,6 +190,19 @@ def test_send_queue_overflow_sheds_at_the_source():
     assert {s.servant.value for s in servers} == {2}  # the shed call ran nowhere
 
 
+def test_send_queue_overflow_counts_as_a_shed_without_a_policy():
+    """A full send queue at a binding sheds like one at a request manager:
+    ``overload.shed`` counts it, with or without an admission policy."""
+    c = AppCluster(servers=3, clients=1)
+    c.serve_all("svc", Counter)
+    binding = tiny_queue_binding(c)
+    futures = [binding.invoke("incr", (1,), mode=Mode.ALL, timeout=5.0) for _ in range(3)]
+    assert futures[2].failed and isinstance(futures[2].exception, Overloaded)
+    assert c.sim.obs.metrics.counter_value("overload.shed") == 1
+    c.run(5.0)
+    assert c.sim.obs.metrics.counter_value("overload.shed") == 1
+
+
 def test_send_queue_overflow_retries_under_the_same_call_number():
     c = AppCluster(servers=3, clients=1)
     servers = c.serve_all("svc", Counter)
@@ -266,7 +224,7 @@ def test_send_queue_overflow_retries_under_the_same_call_number():
 def test_send_queue_overflow_drops_a_one_way_call_and_counts_it():
     c = AppCluster(servers=3, clients=1)
     servers = c.serve_all("svc", Counter)
-    binding = tiny_queue_binding(c, admission=AdmissionConfig(retry_after=0.05))
+    binding = tiny_queue_binding(c, admission=AdmissionConfig())
     sends = [binding.invoke("incr", (1,), mode=Mode.ONE_WAY) for _ in range(3)]
     assert all(f.done and not f.failed for f in sends)  # nobody waits on a one-way
     c.run(5.0)
@@ -282,7 +240,7 @@ def test_manager_shed_then_retry_completes_exactly_once():
         "svc",
         Counter,
         config=FAST,
-        admission=AdmissionConfig(max_inflight=1, retry_after=0.05),
+        admission=AdmissionConfig(max_inflight=1),
     )
     binding = c.client(0).bind(
         "svc",
@@ -316,7 +274,7 @@ def test_manager_crash_while_shedding_stays_exactly_once():
         "svc",
         Counter,
         config=FAST,
-        admission=AdmissionConfig(max_inflight=2, retry_after=0.05),
+        admission=AdmissionConfig(max_inflight=2),
     )
     binding = c.client(0).bind(
         "svc",
@@ -353,6 +311,53 @@ def test_manager_crash_while_shedding_stays_exactly_once():
     # once on every survivor, and no shed call was partially executed
     values = {s.servant.value for s in survivors}
     assert values == {stats.completed}
+
+
+def test_manager_gives_back_every_inflight_slot(monkeypatch):
+    """A manager call holds an inflight slot from admission until it is
+    answered — collected, or answered locally with async forwarding — or
+    its re-multicast is refused by a full flow queue.  One-way calls never
+    hold one.  After a mixed burst every slot is back."""
+    # a full queue reads as pushback 1.0, which sheds before the forward:
+    # lift the threshold so the queue itself refuses
+    monkeypatch.setattr(admission_module, "PUSHBACK_HIGH", 2.0)
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all(
+        "svc",
+        Counter,
+        config=GroupConfig(
+            ordering=Ordering.ASYMMETRIC,
+            sequencer_hint="s0",
+            send_window=1,
+            flow_max_queue=1,
+        ),
+        async_forwarding=True,
+        admission=AdmissionConfig(),
+    )
+    binding = c.client(0).bind("svc", style=BindingStyle.OPEN)
+    c.run(1.0)
+    assert binding.ready.done
+    manager = next(s for s in servers if s.member_id == binding.manager)
+    counter = c.sim.obs.metrics.counter_value
+
+    # one at a time: collected (ALL) and answered locally (FIRST)
+    for mode in (Mode.ALL, Mode.FIRST, Mode.ONE_WAY):
+        fut = binding.invoke("incr", (1,), mode=mode, timeout=10.0)
+        c.run(1.0)
+        assert fut.done and not fut.failed
+        assert manager.admission.inflight == 0
+    assert counter("overload.admitted") == 2  # one-ways are never admitted
+
+    # a burst the one-slot forward queue refuses most of
+    modes = [Mode.ALL, Mode.FIRST, Mode.ONE_WAY] * 20
+    futures = [binding.invoke("incr", (1,), mode=mode, timeout=10.0) for mode in modes]
+    c.run(20.0)
+    assert all(f.done for f in futures)
+    refused = [f for f in futures if f.failed]
+    assert refused and all(isinstance(f.exception, Overloaded) for f in refused)
+    assert counter("overload.shed") > len(refused)  # refused one-ways count too
+    assert manager.admission.inflight == 0
+    assert c.sim.obs.metrics.gauge("overload.inflight").value == 0
 
 
 @pytest.mark.parametrize("mode", [Mode.ALL, Mode.ONE_WAY])
@@ -405,7 +410,7 @@ OVERLOAD_SPEC = {
         "replicas": 3,
         "style": "open",
         "ordering": "asymmetric",
-        "admission": {"max_inflight": 4, "retry_after": 0.05},
+        "admission": {"max_inflight": 4},
         "flow_max_queue": 64,
     },
     "traffic": {

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -104,9 +105,10 @@ KNOB_USERS = (
     "benchmarks", "examples", "src/repro/bench", "src/repro/scenario", "src/repro/apps",
 )
 
-#: options no benchmark, scenario, example or app sets, kept regardless.
-#: Each needs its reason; an option that is neither set under KNOB_USERS
-#: nor listed here fails the audit and should be deleted instead.
+#: options no benchmark, scenario, example or app sets to anything but
+#: their default, kept regardless.  Each needs its reason; an option that
+#: is neither set under KNOB_USERS nor listed here fails the audit and
+#: should be deleted instead.
 KNOB_ALLOW_LIST = {
     # test_flowcontrol / test_overload reach the window-full path (queueing,
     # drain on stability, shed past flow_max_queue) through windows of 1-4;
@@ -118,6 +120,12 @@ KNOB_ALLOW_LIST = {
     # test_session_internals stretches it to show acks ride on reverse data
     # and no ack-NULL fires while the members keep talking
     "GroupConfig.ack_delay",
+    # only ever its default (diurnal_peer_load.json), but it rides in every
+    # ViewInstall: deleting it shifts every virtual time, a change of its own
+    "LivelinessConfig.ack_coalesce_factor",
+    # only ever its default, but the frozen benchmarks/e2e/workloads.py
+    # passes it by name
+    "RetryPolicy.factor",
 }
 
 
@@ -231,6 +239,31 @@ def _option_names(cls):
     return list(cls._fields)
 
 
+#: JSON's literals, as Python reads them
+_JSON_LITERALS = {"true": True, "false": False, "null": None}
+#: the value after ``name=`` or ``"name":``, up to the next separator
+_VALUE = re.compile(r"\s*([^,)}\]\n]+)")
+
+
+def _sets_non_default(name, default, corpus):
+    """Whether ``corpus`` sets option ``name`` (keyword ``name=`` or JSON
+    ``"name":``) to something other than ``default``.  A literal equal to
+    the default is no setting; any other expression counts as one."""
+    for match in re.finditer(rf'\b{name}=(?!=)|"{name}":', corpus):
+        value = _VALUE.match(corpus, match.end())
+        token = value.group(1).strip() if value else ""
+        if token in _JSON_LITERALS:
+            literal = _JSON_LITERALS[token]
+        else:
+            try:
+                literal = ast.literal_eval(token)
+            except (ValueError, SyntaxError):
+                return True  # not a literal: the value is computed, so it is set
+        if literal != default:
+            return True
+    return False
+
+
 def _read_all(paths):
     return {path: path.read_text(encoding="utf-8") for path in paths}
 
@@ -289,8 +322,8 @@ def test_every_option_is_set_by_a_benchmark_scenario_or_example():
     """A parameter earns its place through a deployment that needs a
     different value: every field of the group, liveliness, ordering,
     admission and retry configs is set (keyword ``name=`` or JSON
-    ``"name":``) somewhere outside ``tests/``, or allow-listed with a
-    reason."""
+    ``"name":``) to a value other than its default somewhere outside
+    ``tests/``, or allow-listed with a reason."""
     root = pathlib.Path(__file__).resolve().parent.parent
     corpus = "\n".join(
         path.read_text(encoding="utf-8")
@@ -302,7 +335,9 @@ def test_every_option_is_set_by_a_benchmark_scenario_or_example():
         f"{cls.__name__}.{name}"
         for cls in (GroupConfig, LivelinessConfig, OrderingConfig, AdmissionConfig, RetryPolicy)
         for name in _option_names(cls)
-        if not re.search(rf'\b{name}=|"{name}":', corpus)
+        if not _sets_non_default(
+            name, inspect.signature(cls).parameters[name].default, corpus
+        )
     }
     assert unset == KNOB_ALLOW_LIST, (
         "options nobody outside tests/ sets (delete them, or allow-list them "

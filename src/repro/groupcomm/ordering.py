@@ -37,11 +37,9 @@ __all__ = [
     "CausalOrder",
     "FifoOrder",
     "make_ordering",
-    "INFINITY_KEY",
 ]
 
-#: A key greater than any real (timestamp, sender) delivery key.
-INFINITY_KEY = (float("inf"), "￿")
+_INF = float("inf")
 
 
 class OrderingStrategy:
@@ -143,58 +141,62 @@ class SymmetricOrder(OrderingStrategy):
         self._drain()
 
     def on_data(self, msg: DataMsg) -> None:
-        if msg.ts > self.latest_ts.get(msg.sender, 0):
+        if msg.ts > self.latest_ts[msg.sender]:
             self.latest_ts[msg.sender] = msg.ts
         if not msg.is_null:
             heapq.heappush(self._pending, (msg.ts, msg.sender, msg))
         self._drain()
 
     # -- delivery -------------------------------------------------------
-    def _deliverable(self, ts: int, sender: str) -> bool:
-        """Classical Lamport-order rule: a message is deliverable once a
-        timestamp ≥ its own has been received from every other member, and a
-        strictly *later* one from its sender (the sender's own stamp does
-        not count — its next message, typically a NULL, confirms no earlier
-        send is in flight).  This is the timestamp-exchange traffic the
-        paper attributes to the symmetric protocol (§2, §5.1.3)."""
+    def _floor(self) -> float:
+        """The minimum latest stamp over the other members (infinity when
+        alone): no member but a message's own sender can still send below
+        it."""
         me = self.session.member_id
+        latest = self.latest_ts
+        floor = _INF
         for member in self.session.view.members:
-            if member == me:
-                continue
-            have = self.latest_ts.get(member, 0)
-            if member == sender:
-                if have <= ts:
-                    return False
-            elif have < ts:
-                return False
-        return True
+            if member != me:
+                ts = latest[member]
+                if ts < floor:
+                    floor = ts
+        return floor
 
     def _drain(self) -> None:
         """Hand every message that cleared group-level ordering to the
-        merger, then let the merger release what no other session gates."""
-        session = self.session
-        while self._pending:
-            ts, sender, msg = self._pending[0]
-            if not self._deliverable(ts, sender):
-                break
-            heapq.heappop(self._pending)
-            self._last_delivered_key = (ts, sender)
-            self._merger.push(session, msg, (ts, sender))
+        merger, then let the merger release what no other session gates.
+
+        Classical Lamport-order rule: a message is deliverable once a
+        timestamp ≥ its own has been received from every other member (it
+        is at or below the floor), and a strictly *later* one from its
+        sender when that is a peer (the sender's own stamp does not count —
+        its next message, typically a NULL, confirms no earlier send is in
+        flight).  This is the timestamp-exchange traffic the paper
+        attributes to the symmetric protocol (§2, §5.1.3)."""
+        pending = self._pending
+        if pending:
+            session = self.session
+            floor = self._floor()
+            me = session.member_id
+            latest = self.latest_ts
+            push = self._merger.push
+            while pending:
+                ts, sender, msg = pending[0]
+                if ts > floor or (sender != me and latest[sender] <= ts):
+                    break
+                heapq.heappop(pending)
+                key = self._last_delivered_key = (ts, sender)
+                push(session, msg, key)
         self._merger.drain()
 
     # -- merger support ---------------------------------------------------
     def frontier_key(self) -> Tuple[Any, str]:
         """Lower bound on the key of any message this session may yet clear."""
-        me = self.session.member_id
-        candidates = [INFINITY_KEY]
+        key = (self._floor() + 1, "")
         if self._pending:
             ts, sender, _msg = self._pending[0]
-            candidates.append((ts, sender))
-        for member in self.session.view.members:
-            if member == me:
-                continue
-            candidates.append((self.latest_ts.get(member, 0) + 1, ""))
-        return min(candidates)
+            return min(key, (ts, sender))
+        return key
 
     # -- queries ----------------------------------------------------------
     def pending_count(self) -> int:

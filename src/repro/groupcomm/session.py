@@ -20,7 +20,9 @@ The file is staged in the order a message travels:
    the ``DataMsg``) → ``_multicast``, the one fan-out loop, which ticket
    announcements (``send_tickets``) share;
 2. **receive** — ``receive``, the one view/era/state gate for data and
-   tickets alike → stability (``_ingest_acks``) → NULL debt
+   tickets alike → stability (``_ingest_acks``, a watermark per sender:
+   an ack vector re-evaluates only the senders its reporter was holding
+   back) → NULL debt
    (``_arm_null_timer``) → the ordering strategy;
 3. **deliver** — ``_deliver_app``, the one upcall seam the strategies and
    mergers release messages through;
@@ -108,6 +110,13 @@ class GroupSession:
         self._recv_gseq: Dict[str, int] = {}
         self._acked: Dict[str, Dict[str, int]] = {}
         self.unstable: Dict[Tuple[int, str, int], DataMsg] = {}
+        #: stability watermarks (see ``_ingest_acks``): the highest stable
+        #: gseq per sender, the senders each peer is holding back, and the
+        #: senders whose unstable run has started since the last ack vector
+        members = initial_view.members if initial_view is not None else ()
+        self._released: Dict[str, int] = {m: 0 for m in members}
+        self._held: Dict[str, List[str]] = {m: [] for m in members}
+        self._woken: List[str] = []
         self._queued_sends: List[Any] = []
         self._future_buffer: List[Tuple[str, Any]] = []
         self._last_sent_ts = 0
@@ -310,6 +319,8 @@ class GroupSession:
         )
         if data:
             self.unstable[msg.msg_id] = msg
+            if gseq == self._released[self.member_id] + 1:
+                self._woken.append(self.member_id)
             self.stats.sent += 1
             self._unstable_hist.record(float(len(self.unstable)))
             self._flight.record(
@@ -443,8 +454,11 @@ class GroupSession:
         is_null = msg.is_null
         if not is_null:
             self.detector.note_activity()
-            self._recv_gseq[sender] = msg.gseq
+            gseq = msg.gseq
+            self._recv_gseq[sender] = gseq
             self.unstable[msg.msg_id] = msg
+            if gseq == self._released[sender] + 1:
+                self._woken.append(sender)
             call = _call_id(msg.payload)
             if call is not None:
                 # raw request arrival at this member (before ordering):
@@ -459,46 +473,71 @@ class GroupSession:
     # stability tracking
     # ------------------------------------------------------------------
     def _ingest_acks(self, reporter: str, acks: Dict[str, int]) -> None:
+        """Take ``reporter``'s ack vector and release what it made stable.
+
+        A sender's message is stable once every member holds it: its stable
+        point is the minimum of this member's own receipt (or send) top and
+        every peer's last ack for it.  Rather than recompute that per
+        message, the session keeps ``_released[sender]`` (the highest stable
+        gseq) and files each sender with unstable messages under the one
+        peer whose ack holds it back, so a vector re-evaluates only the
+        senders its reporter was holding back, plus those whose unstable
+        run started since the last vector (``_woken``).  This is exact
+        because three facts hold within a view, and ``_reset_view_state``
+        starts the watermarks afresh whenever one could break:
+
+        - a reporter's ack vectors never decrease per sender (FIFO
+          channels, per-view sequence numbers), so a peer that is not the
+          minimum cannot lower it, nor raise it by acking more;
+        - a sender's unstable gseqs are gap-free, ``_released + 1`` up to
+          its top, so a release is a range;
+        - every unstable id carries the current view id.
+
+        Every ack vector also names every member of the view, so the
+        column minimum reads it without a default.
+        """
         # the sender builds a fresh acks dict per message
         # (``_current_acks``) and, by the by-reference contract, nobody
         # mutates it afterwards, so it is stored as is, not copied
         self._acked[reporter] = acks
-        unstable = self.unstable
-        if not unstable or self.view is None:
+        held = self._held
+        senders = held[reporter]
+        woken = self._woken
+        if woken:
+            senders = senders + woken
+            self._woken = []
+        elif not senders:
             return
-        members = self.view.members
+        held[reporter] = []
+        view = self.view
+        view_id = view.view_id
+        members = view.members
         member_id = self.member_id
         acked = self._acked
         recv_gseq = self._recv_gseq
-        own_top = self._gseq_next - 1
-        # only senders that still have unstable messages can release
-        # anything; computing stability for the rest is wasted work
-        stable: Dict[str, int] = {}
-        for mid in unstable:
-            sender = mid[1]
-            if sender in stable:
-                continue
-            if sender != member_id and sender not in members:
-                stable[sender] = 0  # not (or no longer) a member: never stable
-                continue
-            # own acks: what we have received from (or sent as) this sender
-            low = own_top if sender == member_id else recv_gseq.get(sender, 0)
-            if low > 0:
-                for member in members:
-                    if member == member_id:
-                        continue
-                    peer_acks = acked.get(member)
-                    theirs = 0 if peer_acks is None else peer_acks.get(sender, 0)
+        released = self._released
+        unstable = self.unstable
+        own_released = 0
+        for sender in senders:
+            # own acks cap it: what we have received from (or sent as) it
+            low = self._gseq_next - 1 if sender == member_id else recv_gseq[sender]
+            holder = None
+            for member in members:
+                if member != member_id:
+                    theirs = acked[member][sender]
                     if theirs < low:
                         low = theirs
-                        if low <= 0:
-                            break
-            stable[sender] = low
-        own_released = 0
-        for msg_id in [mid for mid in unstable if mid[2] <= stable[mid[1]]]:
-            if msg_id[1] == self.member_id:
-                own_released += 1
-            del unstable[msg_id]
+                        holder = member
+            done = released[sender]
+            if low > done:
+                for gseq in range(done + 1, low + 1):
+                    del unstable[(view_id, sender, gseq)]
+                released[sender] = low
+                if sender == member_id:
+                    own_released += low - done
+            if holder is not None:
+                # still unstable past ``low``: wait on the peer holding it
+                held[holder].append(sender)
         if own_released:
             self.flow.release(own_released)
             while True:
@@ -691,8 +730,14 @@ class GroupSession:
         self.ordering.reset(members)
         self._gseq_next = 1
         self._recv_gseq = {m: 0 for m in members}
-        self._acked = {}
+        # every ack vector names every member (``_current_acks`` copies
+        # ``_recv_gseq``), and a peer not yet heard from has acked nothing
+        zero = {m: 0 for m in members}
+        self._acked = {m: zero for m in members}
         self.unstable = {}
+        self._released = dict(zero)
+        self._held = {m: [] for m in members}
+        self._woken = []
         self._last_sent_ts = self.service.clock.value
         self._max_seen_ts = 0
         self._acks_owed = False

@@ -86,6 +86,17 @@ class TestSymmetric:
         sym.on_data(data("g", "a", 0, ts=6, kind=KIND_NULL))
         assert s.delivered == [("a", "a#1")]
 
+    def test_own_message_needs_no_later_stamp_of_its_own(self):
+        # the strictly-later rule is for a peer's message: our own is
+        # deliverable once every peer's stamp has reached it
+        s = StubSession("b", ["a", "b", "c"])
+        sym = make(s, "symmetric")
+        sym.on_local_send(data("g", "b", 1, ts=5))
+        sym.on_data(data("g", "a", 0, ts=5, kind=KIND_NULL))
+        assert s.delivered == []  # c's stamp has not reached 5
+        sym.on_data(data("g", "c", 0, ts=5, kind=KIND_NULL))
+        assert s.delivered == [("b", "b#1")]
+
     def test_delivery_in_timestamp_order(self):
         s = StubSession("me", ["me", "a", "b"])
         sym = make(s, "symmetric")

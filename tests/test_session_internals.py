@@ -1,9 +1,17 @@
 """Session internals: state machine, stability, NULL scheduling, stats."""
 
+from collections import deque
+from types import MethodType
+from typing import Dict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NotMember
 from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering
+from repro.groupcomm.messages import KIND_DATA, KIND_NULL, DataMsg
+from repro.groupcomm.session import GroupSession
+from repro.groupcomm.views import GroupView
 from tests.conftest import Cluster, Collector
 from tests.test_groupcomm_basic import build_group
 
@@ -120,3 +128,135 @@ def test_event_driven_group_is_silent_while_idle():
     sent_before = c.net.stats.messages_sent
     c.run(2.0)
     assert c.net.stats.messages_sent == sent_before  # total quiescence
+
+
+# ---------------------------------------------------------------------------
+# stability watermarks against the full recompute they replaced
+# ---------------------------------------------------------------------------
+def _full_recompute(self, reporter: str, acks: Dict[str, int]) -> None:
+    """The reference: stability recomputed from scratch on every vector —
+    per sender, the minimum of this member's own receipt (or send) top and
+    every peer's last ack, releasing every unstable id at or below it."""
+    self._acked[reporter] = acks
+    unstable = self.unstable
+    if not unstable or self.view is None:
+        return
+    members = self.view.members
+    member_id = self.member_id
+    acked = self._acked
+    recv_gseq = self._recv_gseq
+    own_top = self._gseq_next - 1
+    stable: Dict[str, int] = {}
+    for mid in unstable:
+        sender = mid[1]
+        if sender in stable:
+            continue
+        if sender != member_id and sender not in members:
+            stable[sender] = 0
+            continue
+        low = own_top if sender == member_id else recv_gseq.get(sender, 0)
+        if low > 0:
+            for member in members:
+                if member == member_id:
+                    continue
+                peer_acks = acked.get(member)
+                theirs = 0 if peer_acks is None else peer_acks.get(sender, 0)
+                if theirs < low:
+                    low = theirs
+                    if low <= 0:
+                        break
+        stable[sender] = low
+    own_released = 0
+    for msg_id in [mid for mid in unstable if mid[2] <= stable[mid[1]]]:
+        if msg_id[1] == self.member_id:
+            own_released += 1
+        del unstable[msg_id]
+    if own_released:
+        self.flow.release(own_released)
+        while True:
+            payload = self.flow.drain()
+            if payload is None:
+                break
+            self._do_send(payload, KIND_DATA)
+        self._update_flow_gauges()
+
+
+def _member_n0(members, full_recompute: bool):
+    """``n0``'s session in a view of ``members``, driven by hand (the
+    simulator never runs), counting the window slots stability releases."""
+    cluster = Cluster(len(members))
+    view = GroupView("g", 1, members, era="n0#1")
+    config = GroupConfig(ordering=Ordering.FIFO, send_window=2)
+    session = GroupSession(cluster.service(0), "g", config, initial_view=view)
+    session._reset_view_state(members)
+    if full_recompute:
+        session._ingest_acks = MethodType(_full_recompute, session)
+    released = [0]
+    release = session.flow.release
+
+    def counting(count):
+        released[0] += count
+        release(count)
+
+    session.flow.release = counting
+    return session, released
+
+
+# (op, peer, other, step): 0 own send, 1 peer data, 2 peer NULL,
+# 3 a peer learns of others' messages, 4 n0 receives a peer's next frame
+_ops = st.lists(
+    st.tuples(
+        st.integers(0, 4), st.integers(0, 3), st.integers(0, 4), st.integers(0, 2)
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(peers=st.integers(0, 3), ops=_ops)
+def test_watermarks_release_what_the_full_recompute_releases(peers, ops):
+    members = [f"n{i}" for i in range(peers + 1)]
+    new, new_released = _member_n0(members, full_recompute=False)
+    ref, ref_released = _member_n0(members, full_recompute=True)
+    names = members[1:]
+    sent = {p: 0 for p in names}
+    # what each peer acks per member: its own top, what it has received of
+    # the others (any prefix of what they sent — possibly beyond n0's receipt)
+    know = {p: {m: 0 for m in members} for p in names}
+    inflight = {p: deque() for p in names}  # FIFO frames on their way to n0
+    ts = 0
+    for op, a, b, step in ops:
+        if op == 0:
+            new.send("x")
+            ref.send("x")
+            assert new._gseq_next == ref._gseq_next
+            continue
+        if not names:
+            continue
+        peer = names[a % len(names)]
+        if op == 1 or op == 2:
+            if op == 1:
+                sent[peer] += 1
+                know[peer][peer] = sent[peer]
+            inflight[peer].append((op == 1, sent[peer], dict(know[peer])))
+        elif op == 3:
+            # b names one other member, or (past the end) all of them
+            for other in members if b >= len(members) else members[b : b + 1]:
+                if other != peer:
+                    top = new._gseq_next - 1 if other == "n0" else sent[other]
+                    know[peer][other] = min(top, know[peer][other] + step)
+        elif inflight[peer]:
+            is_data, gseq, acks = inflight[peer].popleft()
+            ts += 1
+            for session in (new, ref):
+                session.receive(
+                    peer,
+                    DataMsg(
+                        "g", peer, 1, gseq if is_data else 0, ts,
+                        KIND_DATA if is_data else KIND_NULL,
+                        None, None, None, acks, 0.0, era="n0#1",
+                    ),
+                )
+            assert list(new.unstable) == list(ref.unstable)
+            assert new_released[0] == ref_released[0]

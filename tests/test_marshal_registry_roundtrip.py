@@ -244,6 +244,31 @@ WIRE_PINS = {
         116,
         "e0acee6dec272c72cd24d050fe203e2a57fa0d8b61732bf0daf9b97b23d1daa2",
     ),
+    "JoinReq": (
+        ("group", "member"),
+        25,
+        "611ff660111b5dc957d9e24be1809666ae0d02bf9bdc3e599e5a96d0d69eb52f",
+    ),
+    "LeaveReq": (
+        ("group", "member"),
+        26,
+        "adba148caa0fe7f09b572847514800ef189532150e322484ffc95b0bc1501f31",
+    ),
+    "SuspectMsg": (
+        ("group", "reporter", "suspect"),
+        35,
+        "6ba2564106d7845266bf39aa1422a6563664ea9ab2b3bb321d0b594a2b97868f",
+    ),
+    "FlushReq": (
+        ("group", "view_id", "attempt", "coordinator", "proposed"),
+        63,
+        "49e40eeb73b1da27d0ad98925d05378a7d14d281ec1fcf3ca5f5ced4434bf327",
+    ),
+    "FlushOk": (
+        ("group", "view_id", "attempt", "sender", "unstable", "tickets", "frontier"),
+        318,
+        "e4de55ff252f5ecf71385bda4656a232fae916574258a01969b8c6181eb0dc81",
+    ),
     "ViewInstall": (
         ("group", "view", "attempt", "config", "unstable", "tickets"),
         529,
@@ -265,6 +290,26 @@ WIRE_PINS = {
         ("ticket_batch_max", "ticket_batch_delay"),
         37,
         "df47934e4275e4de9faee8719ae23a975e6b213493e411f4554dcc6e21bd991a",
+    ),
+    "ChanData": (
+        ("seq", "inner", "ack"),
+        215,
+        "06e11b44e44c98c1e1a5a6ce5b3b846f933818dc3d966a5dce204ea3908c7b09",
+    ),
+    "ChanAck": (
+        ("cum_seq",),
+        21,
+        "db9302eeb5fa675f8267b452b285950ce28f6f7aa27f5656d5902e465644f12d",
+    ),
+    "ChanNack": (
+        ("from_seq", "to_seq"),
+        31,
+        "5a1ea7dbfbd9ef338e832092c06ba64ac985091601577272ec68fe9eb0801e73",
+    ),
+    "ChanReset": (
+        ("skip_to",),
+        23,
+        "6d1f6023f6f093aac04211beba3788a9788d0f0525d07793451be6dfe488362b",
     ),
 }
 

@@ -46,30 +46,16 @@ class LivelinessConfig:
     message advertises the sender's committed interval so peers scale their
     suspicion deadline to three advertised periods instead of the static
     config (both constants live in :mod:`repro.groupcomm.failuredetector`).
-
-    ``ack_coalesce_factor`` stretches the pure-stability-ack NULL delay to
-    ``silence_period * ack_coalesce_factor`` (bounded by the advertised
-    interval and half the suspicion timeout) so acks ride on the next data
-    message whenever traffic is flowing.  Ordering-critical NULLs
-    (symmetric timestamp progress) keep ``null_delay`` untouched.
     """
 
-    __slots__ = ("adaptive", "max_silence_factor", "ack_coalesce_factor")
+    __slots__ = ("adaptive", "max_silence_factor")
     _fields = __slots__
 
-    def __init__(
-        self,
-        adaptive: bool = True,
-        max_silence_factor: float = 8.0,
-        ack_coalesce_factor: float = 4.0,
-    ):
+    def __init__(self, adaptive: bool = True, max_silence_factor: float = 8.0):
         if max_silence_factor < 1.0:
             raise ValueError("max_silence_factor must be >= 1.0")
-        if ack_coalesce_factor < 0.0:
-            raise ValueError("ack_coalesce_factor must be >= 0")
         self.adaptive = bool(adaptive)
         self.max_silence_factor = max_silence_factor
-        self.ack_coalesce_factor = ack_coalesce_factor
 
     def __repr__(self) -> str:
         mode = "adaptive" if self.adaptive else "static"
@@ -113,19 +99,16 @@ class OrderingConfig:
 class GroupConfig:
     """Per-group protocol parameters.
 
-    ``null_delay`` is how long a member waits after receiving a message
-    before emitting a NULL (time-silence) message when it has nothing of its
-    own to send — this is what lets symmetric ordering progress.
     ``silence_period`` is the lively-mode heartbeat period, and
     ``suspicion_timeout`` how long a silent member is tolerated before the
-    failure suspector triggers membership agreement.
+    failure suspector triggers membership agreement.  The NULL and
+    stability-ack delays are protocol constants of
+    :mod:`repro.groupcomm.session`, the same for every group.
     """
 
     __slots__ = (
         "ordering",
         "liveliness",
-        "null_delay",
-        "ack_delay",
         "silence_period",
         "suspicion_timeout",
         "flush_timeout",
@@ -141,8 +124,6 @@ class GroupConfig:
         self,
         ordering: str = Ordering.SYMMETRIC,
         liveliness: str = Liveliness.EVENT_DRIVEN,
-        null_delay: float = 1e-3,
-        ack_delay: float = 10e-3,
         silence_period: float = 50e-3,
         suspicion_timeout: float = 300e-3,
         flush_timeout: float = 150e-3,
@@ -158,10 +139,6 @@ class GroupConfig:
             raise ValueError(f"unknown liveliness {liveliness!r}")
         self.ordering = ordering
         self.liveliness = liveliness
-        self.null_delay = null_delay
-        #: how long a pure stability acknowledgement may be batched before a
-        #: NULL is emitted for it (longer = fewer NULLs under load)
-        self.ack_delay = ack_delay
         self.silence_period = silence_period
         self.suspicion_timeout = suspicion_timeout
         self.flush_timeout = flush_timeout

@@ -6,7 +6,7 @@ suspicion, it
 
 1. multicasts ``FlushReq`` to the proposed membership;
 2. members stop sending application messages and answer ``FlushOk`` with
-   their unstable messages, known ordering tickets, and delivery frontier;
+   their unstable messages and known ordering tickets;
 3. the coordinator unions the contributions and multicasts ``ViewInstall``;
 4. each member delivers the closing message set (in the ordering protocol's
    deterministic final order), installs the view, and resumes.
@@ -141,7 +141,7 @@ class MembershipEngine:
             if coordinator is not None:
                 self.session.service.send_protocol(
                     coordinator,
-                    SuspectMsg(self.session.group, self.session.member_id, member),
+                    SuspectMsg(self.session.group, member),
                 )
 
     def on_suspect_msg(self, msg: SuspectMsg) -> None:
@@ -198,9 +198,7 @@ class MembershipEngine:
         )
         self._proposed = proposed
         self._oks = {}
-        req = FlushReq(
-            session.group, view.view_id, self.attempt, session.member_id, proposed
-        )
+        req = FlushReq(session.group, view.view_id, self.attempt, session.member_id)
         # everyone proposed must answer; we answer ourselves directly
         for member in proposed:
             if member != session.member_id:
@@ -304,15 +302,9 @@ class MembershipEngine:
         )
         if session.state == "active":
             session.state = "flushing"
-        unstable, ticket_list, frontier = session.collect_flush_state()
+        unstable, ticket_list = session.collect_flush_state()
         ok = FlushOk(
-            session.group,
-            req.view_id,
-            req.attempt,
-            session.member_id,
-            unstable,
-            ticket_list,
-            frontier,
+            session.group, req.view_id, req.attempt, session.member_id, unstable, ticket_list
         )
         if req.coordinator == session.member_id:
             self.on_flush_ok(ok)

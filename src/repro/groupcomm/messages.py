@@ -239,43 +239,38 @@ class LeaveReq:
 class SuspectMsg:
     """Failure suspicion report, sent to the (believed) coordinator."""
 
-    __slots__ = ("group", "reporter", "suspect")
+    __slots__ = ("group", "suspect")
     _fields = __slots__
 
-    def __init__(self, group: str, reporter: str, suspect: str):
+    def __init__(self, group: str, suspect: str):
         self.group = group
-        self.reporter = reporter
         self.suspect = suspect
 
 
 @corba_struct
 class FlushReq:
-    """Coordinator starts membership agreement over ``proposed`` members."""
+    """``coordinator`` starts flush ``attempt`` of view ``view_id``; it sends
+    this to every member it proposes and answers it itself."""
 
-    __slots__ = ("group", "view_id", "attempt", "coordinator", "proposed")
+    __slots__ = ("group", "view_id", "attempt", "coordinator")
     _fields = __slots__
 
-    def __init__(
-        self, group: str, view_id: int, attempt: int, coordinator: str, proposed: List[str]
-    ):
+    def __init__(self, group: str, view_id: int, attempt: int, coordinator: str):
         self.group = group
         self.view_id = view_id
         self.attempt = attempt
         self.coordinator = coordinator
-        self.proposed = list(proposed)
 
 
 @corba_struct
 class FlushOk:
-    """A member's flush contribution: its unstable messages and tickets.
-
-    ``frontier`` is the member's delivery frontier in the old view, in the
-    ordering protocol's own coordinates ((ts, sender) for symmetric, last
-    delivered ticket for asymmetric); the coordinator redistributes the union
-    so every survivor can deliver exactly the same closed set.
+    """A member's flush contribution: its unstable messages and the ordering
+    tickets it knows.  The coordinator redistributes the union so every
+    survivor can deliver exactly the same closed set; each survivor's own
+    ordering state decides which of it is still undelivered there.
     """
 
-    __slots__ = ("group", "view_id", "attempt", "sender", "unstable", "tickets", "frontier")
+    __slots__ = ("group", "view_id", "attempt", "sender", "unstable", "tickets")
     _fields = __slots__
 
     def __init__(
@@ -286,7 +281,6 @@ class FlushOk:
         sender: str,
         unstable: List[DataMsg],
         tickets: List[Tuple[int, str, int]],
-        frontier: Any,
     ):
         self.group = group
         self.view_id = view_id
@@ -294,7 +288,6 @@ class FlushOk:
         self.sender = sender
         self.unstable = list(unstable)
         self.tickets = list(tickets)
-        self.frontier = frontier
 
 
 @corba_struct

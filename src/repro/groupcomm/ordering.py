@@ -86,10 +86,6 @@ class OrderingStrategy:
         raise NotImplementedError
 
     # -- flush support ----------------------------------------------------
-    def frontier(self) -> Any:
-        """Opaque delivery-frontier token for FlushOk."""
-        raise NotImplementedError
-
     def flush_tickets(self) -> List[Tuple[int, str, int]]:
         """Ticket assignments this member knows of, for FlushOk."""
         return []
@@ -203,10 +199,6 @@ class SymmetricOrder(OrderingStrategy):
         return len(self._pending)
 
     # -- flush ------------------------------------------------------------
-    def frontier(self) -> Any:
-        ts, sender = self._last_delivered_key
-        return (ts, sender)
-
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:
         seen = {}
         for _ts, _sender, msg in self._pending:
@@ -312,9 +304,6 @@ class AsymmetricOrder(OrderingStrategy):
         return len(self.arrived)
 
     # -- flush ------------------------------------------------------------
-    def frontier(self) -> Any:
-        return self.last_delivered_ticket
-
     def flush_tickets(self) -> List[Tuple[int, str, int]]:
         return [
             (ticket, sender, gseq)
@@ -399,9 +388,6 @@ class CausalOrder(OrderingStrategy):
     def pending_count(self) -> int:
         return len(self._buffer)
 
-    def frontier(self) -> Any:
-        return dict(self.delivered_vc.counts)
-
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:
         seen: Dict[Tuple[int, str, int], DataMsg] = {}
         for msg in self._buffer:
@@ -446,9 +432,6 @@ class FifoOrder(OrderingStrategy):
 
     def pending_count(self) -> int:
         return 0
-
-    def frontier(self) -> Any:
-        return dict(self.delivered_gseq)
 
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:
         remaining = [

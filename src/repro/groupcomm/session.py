@@ -57,6 +57,19 @@ __all__ = ["GroupSession"]
 #: (the local m3/m6 invocations of the paper's fig. 9).
 DELIVER_COST = 30e-6
 
+#: how long a member that received a message waits before emitting a NULL
+#: (time-silence) message when it has nothing of its own to send — what
+#: lets symmetric ordering progress
+NULL_DELAY = 1e-3
+#: how long a pure stability acknowledgement may be batched before a NULL
+#: is emitted for it (longer = fewer NULLs under load)
+ACK_DELAY = 10e-3
+#: adaptive lively groups stretch that batching to ``silence_period *
+#: ACK_COALESCE_FACTOR`` (bounded by the advertised interval and half the
+#: suspicion timeout) so acks ride on the next data message whenever
+#: traffic is flowing; ordering-critical NULLs keep ``NULL_DELAY``
+ACK_COALESCE_FACTOR = 4.0
+
 
 def _call_id(payload: Any) -> Optional[Tuple[str, int]]:
     """The one place group communication looks inside a payload: a forwarded
@@ -354,7 +367,7 @@ class GroupSession:
         # a NULL must follow (the sender-side half of the protocol traffic)
         self._self_ack_owed = data and self.ordering.needs_nulls
         if self._self_ack_owed:
-            self._arm_null_timer(self.config.null_delay)
+            self._arm_null_timer(NULL_DELAY)
         self.ordering.on_local_send(msg)
 
     def send_tickets(self, tickets: List[Tuple[int, str, int]]) -> None:
@@ -556,18 +569,18 @@ class GroupSession:
     # - stability needs our piggybacked acks to reach the sender (else the
     #   message stays outstanding everywhere and event-driven groups never
     #   quiesce).
-    # Sending anything (data or null) within ``null_delay`` cancels the debt.
+    # Sending anything (data or null) within ``NULL_DELAY`` cancels the debt.
     # ------------------------------------------------------------------
     def _owe_null_reply(self, ts: int) -> None:
         """A data message stamped ``ts`` arrived: we owe the group a reply."""
         if ts > self._max_seen_ts:
             self._max_seen_ts = ts
         self._acks_owed = True
-        # ordering progress needs a prompt NULL (null_delay); a pure
+        # ordering progress needs a prompt NULL (NULL_DELAY); a pure
         # stability ack may be batched for longer, and in adaptive lively
         # groups long enough that it usually rides on the next data message
         if self._needs_ts_progress():
-            self._arm_null_timer(self.config.null_delay)
+            self._arm_null_timer(NULL_DELAY)
         else:
             self._arm_null_timer(self._ack_flush_delay())
 
@@ -585,10 +598,9 @@ class GroupSession:
         """How long a pure stability ack may wait for a data message to
         piggyback on before a NULL is emitted for it."""
         config = self.config
-        live = config.liveliness_config
-        if config.liveliness != Liveliness.LIVELY or not live.adaptive:
-            return config.ack_delay
-        window = max(config.ack_delay, config.silence_period * live.ack_coalesce_factor)
+        if config.liveliness != Liveliness.LIVELY or not config.liveliness_config.adaptive:
+            return ACK_DELAY
+        window = max(ACK_DELAY, config.silence_period * ACK_COALESCE_FACTOR)
         # never be silent longer than the advertised interval allows, and
         # leave comfortable slack under peers' suspicion deadlines
         return min(window, self.detector.max_period, config.suspicion_timeout / 2.0)
@@ -652,11 +664,10 @@ class GroupSession:
     # flush / view change support
     # ------------------------------------------------------------------
     def collect_flush_state(self):
-        """(unstable messages, known tickets, delivery frontier) for FlushOk."""
+        """(unstable messages, known tickets) for FlushOk."""
         if self.view is None:
-            return [], [], None
-        ordering = self.ordering
-        return list(self.unstable.values()), ordering.flush_tickets(), ordering.frontier()
+            return [], []
+        return list(self.unstable.values()), self.ordering.flush_tickets()
 
     def apply_view_install(self, install: ViewInstall) -> None:
         """Deliver the closing set, then adopt the new view."""

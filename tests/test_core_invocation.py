@@ -447,7 +447,7 @@ def test_bare_bind_defaults_do_not_drift():
     assert config.liveliness == Liveliness.EVENT_DRIVEN
     assert GroupConfig().ordering == Ordering.SYMMETRIC
     defaults = GroupConfig()
-    for name in ("null_delay", "suspicion_timeout", "flush_timeout", "send_window"):
+    for name in ("suspicion_timeout", "flush_timeout", "send_window"):
         assert getattr(config, name) == getattr(defaults, name)
 
 
@@ -460,6 +460,8 @@ def test_bare_bind_defaults_do_not_drift():
         {"auto_rebind": False},
         {"manager": "s1"},
         {"trace_sample": 0.5},
+        {"null_delay": 1e-3},
+        {"ack_delay": 10e-3},
     ],
     ids=lambda bad: next(iter(bad)),
 )

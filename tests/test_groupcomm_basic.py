@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.groupcomm.session as session_module
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from tests.conftest import Cluster, Collector
 
@@ -87,13 +88,13 @@ def test_symmetric_idle_members_emit_nulls():
     assert sessions[2].stats.nulls_sent >= 1
 
 
-def test_asymmetric_delivery_does_not_wait_for_nulls():
+def test_asymmetric_delivery_does_not_wait_for_nulls(monkeypatch):
+    monkeypatch.setattr(session_module, "NULL_DELAY", 5e-3)
     c = Cluster(3)
-    config = GroupConfig(ordering=Ordering.ASYMMETRIC, null_delay=5e-3)
-    sessions = build_group(c, config)
+    sessions = build_group(c, GroupConfig(ordering=Ordering.ASYMMETRIC))
     collectors = [Collector(s) for s in sessions]
     sessions[1].send("x")
-    # run strictly less than null_delay: delivery must not depend on NULLs
+    # run strictly less than NULL_DELAY: delivery must not depend on NULLs
     c.run(3e-3)
     assert all(col.payloads == ["x"] for col in collectors)
     # afterwards receivers owe a stability ack-NULL, then the group quiesces

@@ -15,7 +15,9 @@ every struct that can reach a wire.
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import pathlib
 
 import pytest
 
@@ -75,7 +77,6 @@ FIELD_SAMPLES = {
     "era": "era-1",
     "forwarded": False,
     "from_seq": 2,
-    "frontier": (31, "m1"),
     "gseq": 7,
     "group": "g",
     "hb_period": 0.05,
@@ -99,13 +100,11 @@ FIELD_SAMPLES = {
     "payload": b"payload",
     "primary": 0,
     "profiles": lambda: [IOR("n1", "RootPOA", "obj-1"), IOR("n2", "RootPOA", "obj-1")],
-    "proposed": ["m1", "m2"],
     "replies": lambda: [_sample_reply()],
     "reply": lambda: _sample_reply(),
     "reply_group": "gz",
     "reply_node": "n1",
     "reply_sets": lambda: [ReplySet("c1", 3, [_sample_reply()])],
-    "reporter": "m1",
     "request_id": 11,
     "sender": "m1",
     "seq": 8,
@@ -225,8 +224,9 @@ def test_registry_is_nonempty_and_imports_cover_the_tree():
 #: message or a config carried in ``ViewInstall`` shifts every frame size,
 #: hence the virtual clock of every benchmark: it must show up here as a
 #: visible diff.  The digests pin the bytes themselves (sizes alone do not):
-#: they were computed with the codec as it stood before its fast paths were
-#: deleted, so the wire format provably did not change with them.
+#: those of the structs pinned before the codec's fast paths were deleted
+#: were computed with the codec as it stood then, so the wire format
+#: provably did not change with them.
 WIRE_PINS = {
     "DataMsg": (
         ("group", "sender", "view_id", "gseq", "ts", "kind", "payload", "ticket",
@@ -255,36 +255,36 @@ WIRE_PINS = {
         "adba148caa0fe7f09b572847514800ef189532150e322484ffc95b0bc1501f31",
     ),
     "SuspectMsg": (
-        ("group", "reporter", "suspect"),
-        35,
-        "6ba2564106d7845266bf39aa1422a6563664ea9ab2b3bb321d0b594a2b97868f",
+        ("group", "suspect"),
+        28,
+        "3da7d4be44ea90f193bc7291ffa6f58f149e322c32ea216a4f6007cc0a3bccbb",
     ),
     "FlushReq": (
-        ("group", "view_id", "attempt", "coordinator", "proposed"),
-        63,
-        "49e40eeb73b1da27d0ad98925d05378a7d14d281ec1fcf3ca5f5ced4434bf327",
+        ("group", "view_id", "attempt", "coordinator"),
+        44,
+        "9dfaf19797e4d2e1c2058eed424fe11f8420e96fe52d0620f6d9092d36c246ba",
     ),
     "FlushOk": (
-        ("group", "view_id", "attempt", "sender", "unstable", "tickets", "frontier"),
-        318,
-        "e4de55ff252f5ecf71385bda4656a232fae916574258a01969b8c6181eb0dc81",
+        ("group", "view_id", "attempt", "sender", "unstable", "tickets"),
+        297,
+        "a840e24d9436d7a50a6a1ecec5aba68c8ada5b4587d9b808c1e72c0ae2a7b509",
     ),
     "ViewInstall": (
         ("group", "view", "attempt", "config", "unstable", "tickets"),
-        529,
-        "5950f9b38d2138d29960fe389a8b4325ed07bb6858f0344db30a0b743e1c3c43",
+        502,
+        "156367cb6e0c8fdc91bc2c7e3a44080efba3be5253f84af51078c0bbd544cecb",
     ),
     "GroupConfig": (
-        ("ordering", "liveliness", "null_delay", "ack_delay", "silence_period",
-         "suspicion_timeout", "flush_timeout", "sequencer_hint", "send_window",
-         "flow_max_queue", "liveliness_config", "ordering_config"),
-        186,
-        "0e5e8a6fce96fa81eaeeb5e1a2d7e2eba2ca6458731e2b0005da97a6eb9a4d3d",
+        ("ordering", "liveliness", "silence_period", "suspicion_timeout",
+         "flush_timeout", "sequencer_hint", "send_window", "flow_max_queue",
+         "liveliness_config", "ordering_config"),
+        159,
+        "5ecc5824e98e5364bf561adcb49348f92aa5118ff9905272f8428ef8e27bddac",
     ),
     "LivelinessConfig": (
-        ("adaptive", "max_silence_factor", "ack_coalesce_factor"),
-        40,
-        "55828509c52c6b9f8aca94f964dcbd082b41b9bc15031202a4911b62095ca8f8",
+        ("adaptive", "max_silence_factor"),
+        31,
+        "bcb9d4805aaf14d15401e0358185468b5d64dd74f81e6d205c9bb89eb20d7455",
     ),
     "OrderingConfig": (
         ("ticket_batch_max", "ticket_batch_delay"),
@@ -326,8 +326,12 @@ def test_wire_fields_and_sizes_are_pinned(name):
 
 
 #: options deleted because no benchmark, scenario or example ever set them:
-#: (config class, deleted keyword, scenario spec section that names it)
+#: (config class, deleted keyword, scenario spec section that names it —
+#: None for a field of the ``group`` section itself)
 DELETED_OPTIONS = [
+    (GroupConfig, "null_delay", None),
+    (GroupConfig, "ack_delay", None),
+    (LivelinessConfig, "ack_coalesce_factor", "liveliness_config"),
     (LivelinessConfig, "backoff_factor", "liveliness_config"),
     (LivelinessConfig, "suspicion_periods", "liveliness_config"),
     (LivelinessConfig, "quiescence_fallback", "liveliness_config"),
@@ -348,6 +352,77 @@ DELETED_OPTIONS = [
 def test_deleted_options_are_rejected_by_name(cls, option, section):
     with pytest.raises(TypeError, match=option):
         cls(**{option: 1})
-    spec = {"name": "deleted-option", "group": {section: {option: 1}}}
-    with pytest.raises(ValueError, match=rf"group\.{section}.*{option}"):
-        load_spec(spec)
+    if section is None:
+        group, path = {option: 1}, rf"group spec .*{option}"
+    else:
+        group, path = {section: {option: 1}}, rf"group\.{section}.*{option}"
+    with pytest.raises(ValueError, match=path):
+        load_spec({"name": "deleted-option", "group": group})
+
+
+# ---------------------------------------------------------------------------
+# every wire field has a reader
+# ---------------------------------------------------------------------------
+#: ``struct.field`` carried on the wire though nothing under ``src/repro``
+#: loads it, kept regardless.  Each needs its reason; any other unread field
+#: fails the audit below and should be deleted instead.
+READER_ALLOW_LIST = {
+    # delivered to the forward target's application, whose code is not in
+    # the library; test_gmi_matrix reads it there
+    "ForwardedReply.origin",
+}
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _own_dunders(tree: ast.Module, struct_names):
+    """The ``__init__``/``__repr__`` bodies of the registered structs defined
+    in ``tree``: a struct reading its own fields there is no receiver."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in struct_names:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in (
+                    "__init__", "__repr__"
+                ):
+                    yield item
+
+
+def _loaded_attributes():
+    """Every attribute name loaded as a value under ``src/repro``.
+    ``x.name(...)`` is a method call, not a field read, so it does not
+    count."""
+    struct_names = {cls.__name__ for cls, _fields in _STRUCT_REGISTRY.values()}
+    loaded = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = {id(node) for fn in _own_dunders(tree, struct_names) for node in ast.walk(fn)}
+        skip.update(
+            id(node.func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        )
+        loaded.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in skip
+        )
+    return loaded
+
+
+def test_every_wire_field_has_a_reader():
+    loaded = _loaded_attributes()
+    unread = {
+        f"{cls.__name__}.{field}"
+        for cls, fields in _STRUCT_REGISTRY.values()
+        for field in fields
+        if field not in loaded
+    }
+    assert not READER_ALLOW_LIST - unread, (
+        "allow-listed fields gained a reader: drop them from READER_ALLOW_LIST"
+    )
+    assert sorted(unread - READER_ALLOW_LIST) == [], (
+        "wire fields no receiver reads: delete them (every byte moves the "
+        "virtual clock) or allow-list them here with a reason"
+    )

@@ -7,6 +7,7 @@ from typing import Dict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.groupcomm.session as session_module
 from repro.errors import NotMember
 from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering
 from repro.groupcomm.messages import KIND_DATA, KIND_NULL, DataMsg
@@ -40,11 +41,11 @@ def test_unstable_buffer_drains_after_quiescence():
     assert all(not s.has_outstanding() for s in sessions)
 
 
-def test_acks_piggyback_on_data_without_extra_nulls():
+def test_acks_piggyback_on_data_without_extra_nulls(monkeypatch):
     """Receivers that talk back promptly never owe ack-NULLs."""
+    monkeypatch.setattr(session_module, "ACK_DELAY", 50e-3)
     c = Cluster(2)
-    config = GroupConfig(ordering=Ordering.ASYMMETRIC, ack_delay=50e-3)
-    sessions = build_group(c, config)
+    sessions = build_group(c, GroupConfig(ordering=Ordering.ASYMMETRIC))
 
     # ping-pong: each delivery triggers a reply from the other member
     def ponger(sender, payload):

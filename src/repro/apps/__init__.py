@@ -6,7 +6,7 @@
 - :class:`WhiteboardMember` — a convergent shared whiteboard (§5.2).
 """
 
-from repro.apps.chat import ChatMember, PAYLOAD_CHARS, make_peer_config
+from repro.apps.chat import ChatMember, make_peer_config
 from repro.apps.kvstore import KVStoreServant
 from repro.apps.randserver import RandomNumberServant
 from repro.apps.sharded_kvstore import ShardedKVClient, ShardKVServant
@@ -26,7 +26,6 @@ __all__ = [
     "ChatMember",
     "WhiteboardMember",
     "make_peer_config",
-    "PAYLOAD_CHARS",
     "TransactionalStoreServant",
     "TransactionClient",
     "Transaction",

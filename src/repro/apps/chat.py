@@ -13,10 +13,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.groupcomm.config import GroupConfig, Liveliness, Ordering
 from repro.groupcomm.session import GroupSession
 
-__all__ = ["ChatMember", "PAYLOAD_CHARS", "make_peer_config"]
-
-#: Message body size used in the paper's peer experiments.
-PAYLOAD_CHARS = 100
+__all__ = ["ChatMember", "make_peer_config"]
 
 
 def make_peer_config(ordering: str = Ordering.SYMMETRIC, **overrides) -> GroupConfig:
@@ -45,11 +42,6 @@ class ChatMember:
         """Multicast a line to the conference (one-way send)."""
         self.session.send(f"{self.nickname}: {text}")
 
-    def say_padded(self, text: str = "") -> None:
-        """Send a line padded to the paper's 100-character body."""
-        body = (text or "x")[:PAYLOAD_CHARS].ljust(PAYLOAD_CHARS, ".")
-        self.session.send(body)
-
     def _deliver(self, sender: str, payload) -> None:
         entry = (sender, str(payload))
         self.transcript.append(entry)
@@ -59,6 +51,3 @@ class ChatMember:
     @property
     def lines(self) -> List[str]:
         return [text for _sender, text in self.transcript]
-
-    def leave(self):
-        return self.session.leave()

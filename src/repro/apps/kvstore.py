@@ -10,7 +10,7 @@ state is transferable, so passive backups and joining members catch up.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 __all__ = ["KVStoreServant"]
 
@@ -21,8 +21,6 @@ class KVStoreServant:
     OP_COSTS = {
         "put": 30e-6,
         "get": 15e-6,
-        "delete": 25e-6,
-        "cas": 35e-6,
         "keys": 50e-6,
         "size": 10e-6,
     }
@@ -50,21 +48,6 @@ class KVStoreServant:
 
     def get_or(self, key: str, default: Any = None) -> Any:
         return self._data.get(key, default)
-
-    def delete(self, key: str) -> bool:
-        existed = key in self._data
-        self._data.pop(key, None)
-        if existed:
-            self._versions[key] = self._versions.get(key, 0) + 1
-            self._writes += 1
-        return existed
-
-    def cas(self, key: str, expected_version: int, value: Any) -> Tuple[bool, int]:
-        """Compare-and-swap on the key's version; deterministic."""
-        current = self._versions.get(key, 0)
-        if current != expected_version:
-            return (False, current)
-        return (True, self.put(key, value))
 
     def keys(self) -> List[str]:
         return sorted(self._data)

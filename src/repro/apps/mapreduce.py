@@ -18,7 +18,7 @@ __all__ = ["MapReduceServant"]
 class MapReduceServant:
     """Accumulates combined contributions; deterministic across replicas."""
 
-    OP_COSTS = {"aggregate": 25e-6, "total": 10e-6}
+    OP_COSTS = {"aggregate": 25e-6}
 
     def __init__(self):
         self._total = 0
@@ -36,13 +36,6 @@ class MapReduceServant:
         self._total += value
         self._calls += 1
         return self._total
-
-    def total(self):
-        return self._total
-
-    @property
-    def calls(self) -> int:
-        return self._calls
 
     # -- state transfer (joining replicas catch up deterministically) ------
     def get_state(self):

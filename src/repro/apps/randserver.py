@@ -19,7 +19,7 @@ class RandomNumberServant:
 
     #: negligible computation, as in the paper ("assuming negligible
     #: computation time for a service")
-    OP_COSTS = {"draw": 15e-6, "draw_many": 40e-6}
+    OP_COSTS = {"draw": 15e-6}
 
     def __init__(self, seed: int = 0xFEED):
         self._seed = seed
@@ -30,15 +30,6 @@ class RandomNumberServant:
         """One pseudo-random 32-bit integer."""
         self._draws += 1
         return self._rng.getrandbits(32)
-
-    def draw_many(self, count: int) -> list:
-        """A batch of pseudo-random integers."""
-        self._draws += count
-        return [self._rng.getrandbits(32) for _ in range(count)]
-
-    @property
-    def draws(self) -> int:
-        return self._draws
 
     # -- state transfer (joining replicas catch up deterministically) ------
     def get_state(self):

@@ -21,7 +21,7 @@ exactly the division of labour the paper describes.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.client import GroupBinding
 from repro.core.modes import Mode
@@ -38,7 +38,7 @@ class TxAborted(ApplicationError):
 class TransactionalStoreServant:
     """Versioned KV store with atomic multi-key commit (the replica side)."""
 
-    OP_COSTS = {"get_versioned": 15e-6, "tx_commit": 60e-6, "snapshot": 40e-6}
+    OP_COSTS = {"get_versioned": 15e-6, "tx_commit": 60e-6}
 
     def __init__(self):
         self._data: Dict[str, Any] = {}
@@ -73,9 +73,6 @@ class TransactionalStoreServant:
             self._versions[key] = new_versions[key]
         self.commits += 1
         return (True, new_versions)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return dict(self._data)
 
     # ------------------------------------------------------------------
     # state transfer / consistency checking
@@ -166,36 +163,3 @@ class TransactionClient:
 
     def begin(self) -> Transaction:
         return Transaction(self, next(self._ids))
-
-    def run(self, attempts: int, body) -> "Future":
-        """Retry helper: run ``body(tx)`` (a generator) until it commits.
-
-        ``body`` receives a fresh transaction and must yield futures (its
-        reads); the helper commits after the body finishes and retries on
-        :class:`TxAborted` up to ``attempts`` times.  Returns a future of
-        the committed versions.  Intended for use inside sim processes::
-
-            outcome = yield client.run(5, transfer_body)
-        """
-        from repro.sim.process import spawn
-
-        result = Future(name="tx-run")
-
-        def driver():
-            last_error: Optional[BaseException] = None
-            for _ in range(attempts):
-                tx = self.begin()
-                try:
-                    gen = body(tx)
-                    if gen is not None:
-                        yield from gen
-                    versions = yield tx.commit()
-                    result.resolve(versions)
-                    return
-                except TxAborted as exc:
-                    last_error = exc
-                    continue
-            result.fail(last_error or TxAborted("no attempts made"))
-
-        spawn(self.binding.sim, driver(), name="tx-driver")
-        return result

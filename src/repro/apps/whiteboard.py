@@ -43,9 +43,6 @@ class WhiteboardMember:
     def erase(self, stroke_id: str) -> None:
         self.session.send({"op": "erase", "id": stroke_id})
 
-    def clear(self) -> None:
-        self.session.send({"op": "clear"})
-
     # ------------------------------------------------------------------
     # replica application
     # ------------------------------------------------------------------
@@ -59,8 +56,6 @@ class WhiteboardMember:
             self.strokes[payload["id"]] = (sender, payload["colour"], points)
         elif op == "erase":
             self.strokes.pop(payload["id"], None)
-        elif op == "clear":
-            self.strokes.clear()
 
     # ------------------------------------------------------------------
     # convergence checks

@@ -128,10 +128,6 @@ class ShedReply:
         self.member = member
         self.retry_after = retry_after
 
-    @property
-    def call_id(self) -> Tuple[str, int]:
-        return (self.client, self.call_no)
-
     def __repr__(self) -> str:
         return (
             f"<Shed {self.client}#{self.call_no} by {self.member} "

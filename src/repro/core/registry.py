@@ -50,9 +50,6 @@ class ServiceRegistry:
         )
         return self.naming.rebind(f"group:{service_name}", iogr)
 
-    def withdraw(self, service_name: str) -> Future:
-        return self.naming.unbind(f"group:{service_name}")
-
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------

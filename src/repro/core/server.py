@@ -81,7 +81,7 @@ class _Collector:
 class _InvocationServant:
     """ORB-facing servant: what clients and peers invoke directly."""
 
-    OP_COSTS = {"join_client_group": 30e-6, "receive_state": 50e-6, "ping": 5e-6}
+    OP_COSTS = {"join_client_group": 30e-6, "receive_state": 50e-6}
 
     def __init__(self, server: "ObjectGroupServer"):
         self._server = server
@@ -91,9 +91,6 @@ class _InvocationServant:
 
     def receive_state(self, snapshot: StateSnapshot) -> bool:
         self._server._receive_state(snapshot)
-        return True
-
-    def ping(self) -> bool:
         return True
 
 

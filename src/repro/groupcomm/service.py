@@ -46,7 +46,7 @@ __all__ = ["GroupCommService", "PROTOCOL_COST", "NSO_OBJECT_ID"]
 
 #: CPU cost of NewTop protocol processing per received channel message
 #: (queueing, ordering bookkeeping — the overhead behind the paper's
-#: observed 2.5x single-client slowdown, fig. 9).
+#: observed single-client latency, 2.5x the plain ORB call's, fig. 9).
 PROTOCOL_COST = 200e-6
 
 NSO_OBJECT_ID = "NSO"

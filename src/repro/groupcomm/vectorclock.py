@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 __all__ = ["VectorClock"]
 
@@ -10,8 +10,8 @@ __all__ = ["VectorClock"]
 class VectorClock:
     """A mapping from member id to event count.
 
-    Missing entries are zero, so clocks over different member sets compare
-    sensibly (needed across view changes).
+    Missing entries are zero, so a clock stamped in an earlier view reads
+    sensibly against the current one.
     """
 
     __slots__ = ("counts",)
@@ -19,43 +19,12 @@ class VectorClock:
     def __init__(self, counts: Optional[Dict[str, int]] = None):
         self.counts = dict(counts) if counts else {}
 
-    def copy(self) -> "VectorClock":
-        return VectorClock(self.counts)
-
     def get(self, member: str) -> int:
         return self.counts.get(member, 0)
 
     def increment(self, member: str) -> "VectorClock":
         self.counts[member] = self.counts.get(member, 0) + 1
         return self
-
-    def merge(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise maximum, in place."""
-        for member, count in other.counts.items():
-            if count > self.counts.get(member, 0):
-                self.counts[member] = count
-        return self
-
-    # ------------------------------------------------------------------
-    # comparisons (partial order)
-    # ------------------------------------------------------------------
-    def __le__(self, other: "VectorClock") -> bool:
-        return all(count <= other.get(m) for m, count in self.counts.items())
-
-    def __lt__(self, other: "VectorClock") -> bool:
-        return self <= other and self != other
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        members: Iterable[str] = set(self.counts) | set(other.counts)
-        return all(self.get(m) == other.get(m) for m in members)
-
-    def __hash__(self):
-        return hash(tuple(sorted((m, c) for m, c in self.counts.items() if c)))
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not (self <= other) and not (other <= self)
 
     def causally_ready(self, sender: str, local: "VectorClock") -> bool:
         """Delivery condition for a message stamped with this clock.

@@ -48,23 +48,8 @@ class GroupView:
         """The member responsible for driving membership agreement."""
         return self.members[0]
 
-    @property
-    def sequencer(self) -> str:
-        """The ordering sequencer for asymmetric groups."""
-        return self.members[0]
-
-    def rank(self, member: str) -> int:
-        return self.members.index(member)
-
-    def __contains__(self, member: str) -> bool:
-        return member in self.members
-
     def __len__(self) -> int:
         return len(self.members)
-
-    def majority(self) -> int:
-        """Smallest number of members constituting a majority."""
-        return len(self.members) // 2 + 1
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -74,9 +59,6 @@ class GroupView:
             and self.members == other.members
             and self.era == other.era
         )
-
-    def __hash__(self):
-        return hash((self.group, self.view_id, tuple(self.members), self.era))
 
     def __repr__(self) -> str:
         return f"GroupView({self.group}#{self.view_id} {self.members})"

@@ -18,11 +18,6 @@ class LatencyModel:
     def sample(self, rng: random.Random) -> float:
         raise NotImplementedError
 
-    @property
-    def mean(self) -> float:
-        """Expected one-way delay; used for reporting and calibration."""
-        raise NotImplementedError
-
 
 class FixedLatency(LatencyModel):
     """A constant one-way delay."""
@@ -33,10 +28,6 @@ class FixedLatency(LatencyModel):
         self.delay = delay
 
     def sample(self, rng: random.Random) -> float:
-        return self.delay
-
-    @property
-    def mean(self) -> float:
         return self.delay
 
     def __repr__(self) -> str:
@@ -66,10 +57,6 @@ class JitteredLatency(LatencyModel):
         if value < self.floor:
             return self.floor
         return value if value < self.ceil else self.ceil
-
-    @property
-    def mean(self) -> float:
-        return self.base
 
     def __repr__(self) -> str:
         return f"JitteredLatency({self.base * 1e3:.3f}ms ±{self.jitter * 100:.0f}%)"

@@ -268,9 +268,5 @@ class Network:
     def recover(self, name: str) -> None:
         self.nodes[name].recover()
 
-    def slow_node(self, name: str, factor: float) -> None:
-        """Scale ``name``'s CPU service times by ``factor`` (1.0 restores)."""
-        self.nodes[name].set_slowdown(factor)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network nodes={len(self.nodes)} partitioned={self._partition is not None}>"

@@ -52,10 +52,6 @@ class Node:
         self.site = site
         self.alive = True
         self.network = None  # set by Network.attach()
-        #: CPU service-time multiplier (fault injection: >1 models a
-        #: degraded host — contention, thermal throttling, a noisy
-        #: neighbour); 1.0 is full speed
-        self.slowdown = 1.0
         self._handlers: Dict[str, Callable[[str, Any, int], None]] = {}
         self._busy_until = 0.0
         self._busy_accum = 0.0
@@ -114,21 +110,10 @@ class Node:
     # ------------------------------------------------------------------
     # CPU model
     # ------------------------------------------------------------------
-    def set_slowdown(self, factor: float) -> None:
-        """Scale all subsequent CPU costs by ``factor`` (1.0 = full speed).
-
-        Already-queued work is unaffected; only work submitted after the
-        change pays the scaled cost, like a host whose load average jumps.
-        """
-        if factor <= 0:
-            raise ValueError(f"slowdown factor must be > 0, got {factor}")
-        self.slowdown = factor
-
     def execute(self, cost: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after ``cost`` seconds of CPU, FIFO-queued."""
         if not self.alive:
             return
-        cost *= self.slowdown
         now = self.sim.now
         busy = self._busy_until
         start = busy if busy > now else now

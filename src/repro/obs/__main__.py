@@ -15,6 +15,10 @@ live simulator needed (see docs/OBSERVABILITY.md):
 Sharded runs tag their artefacts: invoke spans carry a ``shard`` attr
 (``timeline --attr shard=s1``) and flight events belong to shard-named
 groups (``flight --shard 1`` / ``--group kv#1``).
+
+An artefact that is missing, unparsable or of the wrong shape prints one
+``error: PATH: ...`` line and exits 2, as ``repro.scenario`` does for a bad
+spec.
 """
 
 from __future__ import annotations
@@ -44,8 +48,39 @@ def _parse_attr_filters(pairs: List[str]) -> List[tuple]:
     return filters
 
 
+def _load(path: str, read, ok, what: str):
+    """``read(path)`` when it parses and ``ok`` accepts it; otherwise one
+    ``error:`` line on stderr and exit status 2."""
+    try:
+        data = read(path)
+    except (OSError, ValueError) as exc:  # json's decode errors are ValueErrors
+        why = str(exc)
+    else:
+        if ok(data):
+            return data
+        why = f"not {what}"
+    print(f"error: {path}: {why}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fp:
+        return json.load(fp)
+
+
+def _spans(path: str) -> List[Dict[str, Any]]:
+    return _load(
+        path,
+        read_jsonl,
+        lambda records: all(
+            isinstance(r, dict) and {"trace", "name", "start"} <= r.keys() for r in records
+        ),
+        "a span JSONL trace",
+    )
+
+
 def cmd_timeline(args) -> int:
-    records = read_jsonl(args.trace_file)
+    records = _spans(args.trace_file)
     if args.trace is not None:
         records = [r for r in records if str(r.get("trace")) == args.trace]
         if not records:
@@ -75,7 +110,7 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_top(args) -> int:
-    records = read_jsonl(args.trace_file)
+    records = _spans(args.trace_file)
     if not records:
         print("no spans in trace file", file=sys.stderr)
         return 1
@@ -109,13 +144,21 @@ def cmd_top(args) -> int:
     return 0
 
 
-def _load_snapshot(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp)
+def _read_snapshot(path: str) -> Any:
+    data = _read_json(path)
     # accept either a bare snapshot or a scenario report carrying one
-    if "metrics" in data and "counters" not in data:
-        data = data["metrics"]
+    if isinstance(data, dict) and "counters" not in data:
+        data = data.get("metrics")
     return data
+
+
+def _load_snapshot(path: str) -> Dict[str, Any]:
+    return _load(
+        path,
+        _read_snapshot,
+        lambda data: isinstance(data, dict) and isinstance(data.get("counters"), dict),
+        "a metrics snapshot or a scenario report",
+    )
 
 
 def cmd_diff(args) -> int:
@@ -146,8 +189,13 @@ def _shard_of_flight_group(group: str) -> "int | None":
 
 
 def cmd_flight(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fp:
-        report = json.load(fp)
+    report = _load(
+        args.report,
+        _read_json,
+        lambda data: isinstance(data, dict)
+        or (isinstance(data, list) and all(isinstance(ev, dict) and "seq" in ev for ev in data)),
+        "a scenario report or a flight-recorder excerpt",
+    )
     if isinstance(report, list):  # a raw excerpt dumped on its own
         excerpt = report
     else:

@@ -193,8 +193,5 @@ class PhaseAccountant:
         if not self._flush_start:
             self.flush_pending = False
 
-    def __len__(self) -> int:
-        return len(self._calls)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PhaseAccountant in_flight={len(self._calls)}>"

@@ -61,19 +61,12 @@ class IOGR:
         self.profiles = list(profiles)
         self.primary = primary
 
-    @property
-    def primary_ref(self) -> IOR:
-        return self.profiles[self.primary]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IOGR)
             and self.profiles == other.profiles
             and self.primary == other.primary
         )
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.profiles), self.primary))
 
     def __repr__(self) -> str:
         return f"IOGR({self.profiles!r}, primary={self.primary})"

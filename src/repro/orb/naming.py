@@ -9,7 +9,7 @@ a request-manager failure.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.orb.orb import ORB
 from repro.orb.ior import IOR
@@ -21,17 +21,10 @@ __all__ = ["NameServer", "NamingClient"]
 class NameServer:
     """Servant: a flat name → reference registry."""
 
-    OP_COSTS = {"resolve": 10e-6, "bind": 10e-6, "rebind": 10e-6}
+    OP_COSTS = {"resolve": 10e-6, "rebind": 10e-6}
 
     def __init__(self):
         self._bindings: Dict[str, Any] = {}
-
-    def bind(self, name: str, ref: Any) -> bool:
-        """Bind a new name; fails if already bound."""
-        if name in self._bindings:
-            raise ValueError(f"name {name!r} already bound")
-        self._bindings[name] = ref
-        return True
 
     def rebind(self, name: str, ref: Any) -> bool:
         """Bind or replace."""
@@ -44,12 +37,6 @@ class NameServer:
             raise KeyError(f"name {name!r} not bound")
         return ref
 
-    def unbind(self, name: str) -> bool:
-        return self._bindings.pop(name, None) is not None
-
-    def list_names(self) -> List[str]:
-        return sorted(self._bindings)
-
 
 class NamingClient:
     """Client-side convenience wrapper around a remote :class:`NameServer`."""
@@ -59,17 +46,8 @@ class NamingClient:
         self.server_ref = server_ref
         self.timeout = timeout
 
-    def bind(self, name: str, ref: Any) -> Future:
-        return self.orb.invoke(self.server_ref, "bind", (name, ref), timeout=self.timeout)
-
     def rebind(self, name: str, ref: Any) -> Future:
         return self.orb.invoke(self.server_ref, "rebind", (name, ref), timeout=self.timeout)
 
     def resolve(self, name: str) -> Future:
         return self.orb.invoke(self.server_ref, "resolve", (name,), timeout=self.timeout)
-
-    def unbind(self, name: str) -> Future:
-        return self.orb.invoke(self.server_ref, "unbind", (name,), timeout=self.timeout)
-
-    def list_names(self) -> Future:
-        return self.orb.invoke(self.server_ref, "list_names", (), timeout=self.timeout)

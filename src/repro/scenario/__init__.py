@@ -7,8 +7,8 @@ Grows the repo from paper-replay toward a production-style test rig:
   arrival processes driving aggregated virtual-client request injection
   with join/leave churn;
 - **fault schedules** (:mod:`~repro.scenario.faults`) — declarative
-  timelines of ``crash`` / ``recover`` / ``partition`` / ``heal`` /
-  ``slow_node`` events executed against :mod:`repro.net`;
+  timelines of ``crash`` / ``recover`` / ``restart`` / ``partition`` /
+  ``heal`` events executed against :mod:`repro.net`;
 - **SLO verdicts** (:mod:`~repro.scenario.slo`) — latency, counter,
   accounting ("zero lost replies"), and traffic-reconciliation assertions
   evaluated from :mod:`repro.obs` metrics;

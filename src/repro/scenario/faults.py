@@ -1,7 +1,7 @@
 """Declarative fault schedules executed against :mod:`repro.net`.
 
 A schedule is a timeline of fault events — ``crash``, ``recover``,
-``restart``, ``partition``, ``heal``, ``slow_node`` — applied at absolute
+``restart``, ``partition``, ``heal`` — applied at absolute
 offsets from traffic start.  The paper's failure cases (§4.2's manager
 crash, the partition behaviour of §3) were hand-run; a schedule makes them
 scripted, repeatable ingredients of a scenario.
@@ -28,7 +28,7 @@ from repro.sim import Simulator
 
 __all__ = ["FaultEvent", "FaultSchedule", "FAULT_KINDS"]
 
-FAULT_KINDS = ("crash", "recover", "restart", "partition", "heal", "slow_node")
+FAULT_KINDS = ("crash", "recover", "restart", "partition", "heal")
 
 
 class FaultEvent:
@@ -41,13 +41,10 @@ class FaultEvent:
     - ``partition`` — ``groups`` (list of node-name lists) *or* ``sites``
       (list of site-name lists); unlisted nodes form the final group;
     - ``heal`` — optional ``rejoin`` (bool): pull stranded members back
-      into the majority view after connectivity returns;
-    - ``slow_node`` — ``target`` plus ``factor`` (CPU costs multiply by
-      this; 1.0 restores full speed) and optional ``duration`` after which
-      the node auto-restores.
+      into the majority view after connectivity returns.
     """
 
-    __slots__ = ("at", "kind", "target", "groups", "sites", "factor", "duration", "rejoin")
+    __slots__ = ("at", "kind", "target", "groups", "sites", "rejoin")
 
     def __init__(
         self,
@@ -56,23 +53,16 @@ class FaultEvent:
         target: Optional[str] = None,
         groups: Optional[Sequence[Sequence[str]]] = None,
         sites: Optional[Sequence[Sequence[str]]] = None,
-        factor: Optional[float] = None,
-        duration: Optional[float] = None,
         rejoin: bool = False,
     ):
         if at < 0:
             raise ValueError(f"fault time must be >= 0, got {at}")
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r}; expected {FAULT_KINDS}")
-        if kind in ("crash", "recover", "restart", "slow_node") and not target:
+        if kind in ("crash", "recover", "restart") and not target:
             raise ValueError(f"fault {kind!r} requires a target")
         if kind == "partition" and (groups is None) == (sites is None):
             raise ValueError("partition requires exactly one of groups/sites")
-        if kind == "slow_node":
-            if factor is None or factor <= 0:
-                raise ValueError("slow_node requires factor > 0")
-            if duration is not None and duration <= 0:
-                raise ValueError("slow_node duration must be > 0")
         if rejoin and kind not in ("recover", "heal"):
             raise ValueError(
                 f"rejoin applies to recover/heal, not {kind!r} "
@@ -83,13 +73,11 @@ class FaultEvent:
         self.target = target
         self.groups = [list(g) for g in groups] if groups is not None else None
         self.sites = [list(g) for g in sites] if sites is not None else None
-        self.factor = factor
-        self.duration = duration
         self.rejoin = bool(rejoin)
 
     @classmethod
     def from_dict(cls, spec: Dict) -> "FaultEvent":
-        allowed = {"at", "kind", "target", "groups", "sites", "factor", "duration", "rejoin"}
+        allowed = {"at", "kind", "target", "groups", "sites", "rejoin"}
         unknown = set(spec) - allowed
         if unknown:
             raise ValueError(f"fault spec has unknown keys {sorted(unknown)}")
@@ -105,10 +93,6 @@ class FaultEvent:
             out["groups"] = self.groups
         if self.sites is not None:
             out["sites"] = self.sites
-        if self.factor is not None:
-            out["factor"] = self.factor
-        if self.duration is not None:
-            out["duration"] = self.duration
         if self.rejoin:
             out["rejoin"] = True
         return out
@@ -124,7 +108,6 @@ class FaultSchedule:
         self.events = sorted(events, key=lambda ev: ev.at)
         #: executed events: ``{"at": offset_from_install, "kind": ..., ...}``
         self.log: List[Dict] = []
-        self._base = 0.0
         self._metrics = None
 
     @classmethod
@@ -146,10 +129,8 @@ class FaultSchedule:
         :class:`~repro.recovery.manager.RecoveryManager` the ``restart`` /
         ``rejoin`` faults are routed through (without one they degrade to
         plain ``recover``).  ``metrics`` overrides the registry fault
-        counters land in (default: the simulator's); the one registry is
-        used for every fire *and* restore path.
+        counters land in (default: the simulator's).
         """
-        self._base = sim.now
         self._metrics = metrics if metrics is not None else sim.obs.metrics
         for event in self.events:
             sim.schedule(event.at, self._fire, sim, net, event, resolve_target, recovery)
@@ -182,19 +163,5 @@ class FaultSchedule:
             if event.rejoin and recovery is not None:
                 recovery.after_heal()
                 entry["rejoin"] = True
-        elif event.kind == "slow_node":
-            net.slow_node(target, event.factor)
-            entry["target"] = target
-            entry["factor"] = event.factor
-            if event.duration is not None:
-                entry["duration"] = event.duration
-                sim.schedule(event.duration, self._restore, sim, net, target)
         self._metrics.counter(f"scenario.fault.{event.kind}").inc()
         self.log.append(entry)
-
-    def _restore(self, sim, net, target: str) -> None:
-        net.slow_node(target, 1.0)
-        self._metrics.counter("scenario.fault.slow_node_restored").inc()
-        self.log.append(
-            {"at": sim.now - self._base, "kind": "slow_node_restored", "target": target}
-        )

@@ -26,7 +26,7 @@ forever.  Remaps are bounded and jitter-backed like rebinds.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.client import GroupBinding, first_value
 from repro.core.modes import Mode
@@ -155,41 +155,12 @@ class ShardedBinding:
         Only the addressed shards see any traffic.  Resolves with
         ``{shard_no: InvocationResult}``.
         """
-        return self._scatter_grouped(self.group_by_shard(keys), operation, mode, timeout)
-
-    def invoke_all(
-        self,
-        operation: str,
-        args: Tuple = (),
-        mode: str = Mode.ALL,
-        timeout: Optional[float] = None,
-    ) -> Future:
-        """Invoke ``operation(*args)`` on *every* shard (range reads, scans).
-
-        Resolves with ``{shard_no: InvocationResult}``.
-        """
-        every = dict.fromkeys(range(self.num_shards))
-        return self._scatter_grouped(every, operation, mode, timeout, lambda _: tuple(args))
-
-    def _scatter_grouped(
-        self,
-        grouped: Dict[int, Optional[List[Any]]],
-        operation: str,
-        mode: str,
-        timeout: Optional[float],
-        args_for: Optional[Callable[[List[Any]], Tuple]] = None,
-    ) -> Future:
+        grouped = self.group_by_shard(keys)
         self._scatter_counter.inc()
         self._fanout_hist.record(len(grouped))
         shard_nos = sorted(grouped)
         calls = [
-            self._attempt(
-                shard_no,
-                operation,
-                (grouped[shard_no],) if args_for is None else args_for(grouped[shard_no]),
-                mode,
-                timeout,
-            )
+            self._attempt(shard_no, operation, (grouped[shard_no],), mode, timeout)
             for shard_no in shard_nos
         ]
         return all_of(calls).then(lambda results: dict(zip(shard_nos, results)))

@@ -50,11 +50,6 @@ class _ShardDirectory:
     """The parent group's servant: membership bookkeeping only, no state
     (so the parent-level convergence digest is trivially equal everywhere)."""
 
-    OP_COSTS = {"ping": 5e-6}
-
-    def ping(self) -> bool:
-        return True
-
 
 class _ShardMember(ObjectGroupServer):
     """One shard sub-service member.  Only the shard's *anchor* (its first

@@ -40,7 +40,7 @@ class ScheduledEvent(list):
     for an ordinary event; a CPU job (:meth:`Simulator.schedule_on`) carries
     its submitter's liveness token there, and the loop counts the job but
     skips ``fn`` once ``life.alive`` is false.  The layout is private to this
-    module — callers use :attr:`time`, :attr:`cancelled` and :meth:`cancel`.
+    module — callers use :attr:`time` and :meth:`cancel`.
     Cancellation is O(1): the entry stays in the heap with ``fn`` cleared and
     is skipped when it reaches the head.
     """
@@ -51,10 +51,6 @@ class ScheduledEvent(list):
     def time(self) -> float:
         """Virtual time the callback is (or was) due at."""
         return self[0]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent; a no-op once it ran."""
@@ -180,11 +176,6 @@ class Simulator:
                     tracer.ctx = prev_ctx
         return executed, False
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Return False if the queue is empty."""
-        executed, _hit_cap = self._run_loop(None, 1)
-        return executed > 0
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` callbacks have executed.
@@ -202,13 +193,6 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is empty."""
-        queue = self._queue
-        while queue and queue[0][2] is None:
-            heappop(queue)
-        return queue[0][0] if queue else None
 
     def pending_count(self) -> int:
         """Number of non-cancelled scheduled events (O(n); diagnostics only)."""

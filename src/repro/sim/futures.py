@@ -46,10 +46,6 @@ class Future:
         return self._done
 
     @property
-    def successful(self) -> bool:
-        return self._done and self._exc is None
-
-    @property
     def failed(self) -> bool:
         return self._done and self._exc is not None
 

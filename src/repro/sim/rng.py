@@ -37,6 +37,3 @@ class RngRegistry:
             rng = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = rng
         return rng
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams

@@ -72,6 +72,12 @@ class AppCluster:
         return servers
 
 
+def cancelled(timer) -> bool:
+    """Whether a kernel timer was cancelled: ``ScheduledEvent.cancel`` clears
+    the callback slot of the heap entry the handle is."""
+    return timer[2] is None
+
+
 def bind_scheme(
     cluster: AppCluster,
     service_name: str = "svc",

@@ -19,6 +19,7 @@ from tests.core_helpers import (
     Counter,
     bind_combined_cohort,
     bind_scheme as bound_binding,
+    cancelled,
 )
 
 
@@ -338,7 +339,7 @@ def test_combined_binding_close_fails_pending_calls_and_leaves():
         binding.close()  # idempotent
     for fut in waiting:
         assert fut.failed and isinstance(fut.exception, BindingBroken)
-    assert all(timer.cancelled for timer in timers)
+    assert all(cancelled(timer) for timer in timers)
     assert not root._pending and not child._pending
     late = child.invoke("incr", (1,))
     assert late.failed and isinstance(late.exception, BindingBroken)

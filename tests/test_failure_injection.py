@@ -130,7 +130,7 @@ def test_active_replicas_identical_after_crash_and_traffic():
     for values in (p0.result(), p1.result(), p2.result()):
         assert all(len(v) == 1 for v in values)
     # and the survivors' generators stayed in lock step
-    assert servers[0].servant.draws == servers[1].servant.draws
+    assert servers[0].servant.get_state() == servers[1].servant.get_state()
 
 
 def test_passive_double_failover():

@@ -31,7 +31,7 @@ def test_fixed_latency_is_constant():
     sim = Simulator()
     model = FixedLatency(0.01)
     assert model.sample(sim.rng("x")) == 0.01
-    assert model.mean == 0.01
+    assert model.delay == 0.01
 
 
 def test_jittered_latency_within_bounds():
@@ -55,8 +55,8 @@ def test_topology_intra_vs_inter_links():
     topo = Topology.paper_wan()
     lan = topo.link("newcastle", "newcastle")
     wan = topo.link("newcastle", "pisa")
-    assert lan.latency.mean < 1e-3
-    assert wan.latency.mean > 5e-3
+    assert lan.latency.base < 1e-3
+    assert wan.latency.base > 5e-3
     # symmetric lookup
     assert topo.link("pisa", "newcastle") is wan
 
@@ -74,7 +74,7 @@ def test_topology_missing_link_uses_default_wan():
     with pytest.raises(KeyError):
         topo.link("a", "b")
     topo.set_default_wan(FixedLatency(0.02))
-    assert topo.link("a", "b").latency.mean == 0.02
+    assert topo.link("a", "b").latency.delay == 0.02
 
 
 def test_duplicate_site_rejected():

@@ -476,6 +476,32 @@ def test_obs_cli_flight_renders_report_excerpt(tmp_path, capsys):
     assert main(["flight", str(passing)]) == 1
 
 
+_REPORT = {"passed": True, "metrics": {"counters": {"x": 1}, "gauges": {}, "histograms": {}}}
+#: per subcommand, an artefact of another command's shape
+_WRONG_SHAPE = {
+    "timeline": json.dumps(_REPORT, indent=2),  # a scenario report, not span JSONL
+    "top": json.dumps(_REPORT, indent=2),
+    "diff": json.dumps([_REPORT, _REPORT]),  # what ``scenario run A B -o`` writes
+    "flight": '{"trace": 1, "name": "invoke", "start": 0.0}\n' * 2,  # span JSONL
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRONG_SHAPE))
+def test_obs_cli_names_an_artefact_of_the_wrong_shape_and_exits_2(command, tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    path = tmp_path / "artefact"
+    path.write_text(_WRONG_SHAPE[command])
+    good = tmp_path / "report.json"
+    good.write_text(json.dumps(_REPORT))
+    argv = [command, str(path)] + ([str(good)] if command == "diff" else [])
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
 def test_obs_cli_timeline_attr_filter(tmp_path, capsys):
     from repro.obs.__main__ import main
 

@@ -198,33 +198,27 @@ def test_name_server_bind_resolve():
     target = server.register(Echo())
 
     def proc():
-        yield naming.bind("echo-svc", target)
+        yield naming.rebind("echo-svc", target)
         resolved = yield naming.resolve("echo-svc")
-        value = yield client.invoke(resolved, "add", (1, 1))
-        names = yield naming.list_names()
-        return value, names
+        return (yield client.invoke(resolved, "add", (1, 1)))
 
-    value, names = run_process(sim, proc())
-    assert value == 2
-    assert names == ["echo-svc"]
+    assert run_process(sim, proc()) == 2
 
 
-def test_name_server_duplicate_bind_fails_but_rebind_works():
+def test_name_server_rebind_replaces_and_an_unbound_name_fails():
     sim, net, client, server = setup_pair()
     ns_ref = server.register(NameServer(), object_id="NameService")
     naming = NamingClient(client, ns_ref)
-    target = server.register(Echo())
+    first, second = server.register(Echo()), server.register(Echo())
 
     def proc():
-        yield naming.bind("svc", target)
+        yield naming.rebind("svc", first)
+        yield naming.rebind("svc", second)
+        resolved = yield naming.resolve("svc")
         try:
-            yield naming.bind("svc", target)
+            yield naming.resolve("nosuch")
         except ApplicationError:
-            pass
-        else:
-            raise AssertionError("duplicate bind should fail")
-        yield naming.rebind("svc", target)
-        missing = yield naming.unbind("nosuch")
-        return missing
+            return resolved
+        raise AssertionError("resolving an unbound name should fail")
 
-    assert run_process(sim, proc()) is False
+    assert run_process(sim, proc()) == second

@@ -163,7 +163,7 @@ def test_ior_and_iogr_are_marshallable():
     iogr = IOGR([ior, IOR("node2", "RootPOA", "obj-2")], primary=1)
     back = decode(encode(iogr))
     assert back == iogr
-    assert back.primary_ref.node == "node2"
+    assert back.profiles[back.primary].node == "node2"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.groupcomm import GroupConfig, LamportClock, Ordering, VectorClock
-from repro.groupcomm.views import GroupView
 from repro.core.modes import Mode, replies_needed
 from repro.bench.stats import summarize
 from repro.orb.ior import IOGR, IOR
@@ -77,47 +76,6 @@ members = st.sampled_from(["a", "b", "c", "d"])
 clocks = st.dictionaries(members, st.integers(min_value=0, max_value=20), max_size=4)
 
 
-@given(clocks, clocks)
-def test_vc_merge_is_lub(x, y):
-    vx, vy = VectorClock(x), VectorClock(y)
-    merged = VectorClock(x).merge(VectorClock(y))
-    assert vx <= merged and vy <= merged
-    for member in set(x) | set(y):
-        assert merged.get(member) == max(vx.get(member), vy.get(member))
-
-
-@given(clocks, clocks)
-def test_vc_merge_commutative(x, y):
-    a = VectorClock(x).merge(VectorClock(y))
-    b = VectorClock(y).merge(VectorClock(x))
-    assert a == b
-
-
-@given(clocks)
-def test_vc_merge_idempotent(x):
-    assert VectorClock(x).merge(VectorClock(x)) == VectorClock(x)
-
-
-@given(clocks, clocks)
-def test_vc_partial_order_antisymmetry(x, y):
-    vx, vy = VectorClock(x), VectorClock(y)
-    if vx <= vy and vy <= vx:
-        assert vx == vy
-
-
-@given(clocks, clocks, clocks)
-def test_vc_partial_order_transitivity(x, y, z):
-    vx, vy, vz = VectorClock(x), VectorClock(y), VectorClock(z)
-    if vx <= vy and vy <= vz:
-        assert vx <= vz
-
-
-@given(clocks, clocks)
-def test_vc_concurrent_is_symmetric(x, y):
-    vx, vy = VectorClock(x), VectorClock(y)
-    assert vx.concurrent_with(vy) == vy.concurrent_with(vx)
-
-
 @given(clocks, members)
 def test_vc_causally_ready_for_next_message(local, sender):
     """The sender's (n+1)-th message stamped right after our state is ready."""
@@ -140,21 +98,6 @@ def test_lamport_strictly_increases_on_ticks(observations):
         assert ticked > last
         assert ticked > obs
         last = ticked
-
-
-# ---------------------------------------------------------------------------
-# views
-# ---------------------------------------------------------------------------
-member_lists = st.lists(
-    st.sampled_from([f"m{i}" for i in range(8)]), min_size=1, max_size=8, unique=True
-)
-
-
-@given(member_lists)
-def test_view_majority_bound(members_list):
-    view = GroupView("g", 1, members_list)
-    assert view.majority() > len(view) / 2
-    assert view.majority() <= len(view)
 
 
 # ---------------------------------------------------------------------------

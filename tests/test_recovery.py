@@ -234,7 +234,7 @@ def test_stop_while_joining_leaves_and_counts_no_rejoin():
     c.net.recover("s2")
     ready = servers[2].restart()
     while servers[2].group is None:
-        assert c.sim.step()
+        c.sim.run(max_events=1)
     assert servers[2].group.state == "joining"
     stopped = servers[2].stop()
     assert ready.failed and isinstance(ready.exception, GroupError)
@@ -330,7 +330,7 @@ def test_new_manager_reforwards_a_retried_call_and_replicas_replay_it():
     assert binding.manager == "s0"
     fut = binding.invoke("incr", (1,), mode=Mode.ALL, timeout=0.15)
     while min(servers[1].servant.value, servers[2].servant.value) < 2:
-        assert c.sim.step()
+        c.sim.run(max_events=1)
     c.net.crash("s0")  # its ReplySet (if it got that far) dies on the wire
     counter = c.sim.obs.metrics.counter_value
     executed = counter("server.requests_executed")
@@ -558,7 +558,7 @@ def test_crash_during_scatter_rebinds_to_relayouted_shard():
     and the client must re-resolve the shard's membership (fresh registry
     lookup) rather than retrying the dead incumbents forever."""
     from repro.apps import ShardedKVClient
-    from tests.test_shard import keys_for_shard, serve_all_sharded, sharded_client
+    from tests.test_shard import keys_for_shard, put_all, serve_all_sharded, sharded_client
 
     c = AppCluster(servers=4, clients=1)
     servers = serve_all_sharded(c, num_shards=2)
@@ -569,7 +569,7 @@ def test_crash_during_scatter_rebinds_to_relayouted_shard():
     items = {k: f"v:{k}" for k in shard0_keys + shard1_keys}
 
     def seed():
-        yield kv.mput(items)
+        yield put_all(kv, items)
 
     run_process(c.sim, seed(), until=c.sim.now + 5.0)
 

@@ -34,7 +34,7 @@ def test_advertise_and_lookup_roundtrip():
     iogr = run_process(sim, proc(), until=5.0)
     assert isinstance(iogr, IOGR)
     assert ServiceRegistry.members_of(iogr) == ["s0", "s1", "s2"]
-    assert iogr.primary_ref.node == "s0"
+    assert iogr.profiles[iogr.primary].node == "s0"
     assert iogr.profiles[0].object_id == "OGS:calc"
 
 
@@ -49,21 +49,6 @@ def test_readvertise_replaces_members():
 
     iogr = run_process(sim, proc(), until=5.0)
     assert ServiceRegistry.members_of(iogr) == ["s1"]
-
-
-def test_withdraw_removes_entry():
-    sim, registry = setup_registry()
-
-    def proc():
-        yield registry.advertise("calc", ["s0"])
-        yield registry.withdraw("calc")
-        try:
-            yield registry.lookup("calc")
-        except Exception:
-            return "gone"
-        return "still-there"
-
-    assert run_process(sim, proc(), until=5.0) == "gone"
 
 
 def test_registry_refreshed_after_member_crash():

@@ -154,8 +154,13 @@ def test_spec_rejects_unknown_keys_and_bad_values():
         load_spec(_spec_dict(typo=1))
     with pytest.raises(ValueError, match="topology"):
         load_spec(_spec_dict(topology="mars"))
-    with pytest.raises(ValueError, match="unknown fault kind"):
-        load_spec(_spec_dict(faults=[{"at": 1.0, "kind": "meteor"}]))
+    for kind in ("meteor", "slow_node"):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            load_spec(_spec_dict(faults=[{"at": 1.0, "kind": kind, "target": "s1"}]))
+    for key in ("factor", "duration"):
+        fault = {"at": 1.0, "kind": "crash", "target": "s1", key: 4.0}
+        with pytest.raises(ValueError, match="unknown keys"):
+            load_spec(_spec_dict(faults=[fault]))
     with pytest.raises(ValueError, match="after the run window"):
         load_spec(_spec_dict(faults=[{"at": 99.0, "kind": "heal"}]))
     with pytest.raises(ValueError, match="unknown SLO kind"):
@@ -165,7 +170,7 @@ def test_spec_rejects_unknown_keys_and_bad_values():
 def test_fault_event_validation():
     with pytest.raises(ValueError, match="requires a target"):
         FaultEvent(at=1.0, kind="crash")
-    with pytest.raises(ValueError, match="factor"):
+    with pytest.raises(ValueError, match="unknown fault kind"):
         FaultEvent(at=1.0, kind="slow_node", target="s0")
     with pytest.raises(ValueError, match="groups/sites"):
         FaultEvent(at=1.0, kind="partition")
@@ -210,41 +215,22 @@ def test_run_until_done_raises_on_unresolved_futures():
 # ---------------------------------------------------------------------------
 # fault schedules against a live cluster
 # ---------------------------------------------------------------------------
-def test_slow_node_scales_cpu_cost_and_restores():
-    sim = Simulator(seed=0)
-    from repro.net import Network, Topology
-
-    net = Network(sim, Topology.single_lan())
-    node = net.new_node("n0", net.topology.sites[0])
-    done_at = []
-    net.slow_node("n0", 10.0)
-    node.execute(1e-3, lambda: done_at.append(sim.now))
-    sim.run(until=1.0)
-    assert done_at[0] == pytest.approx(10e-3)
-    net.slow_node("n0", 1.0)  # restore
-    node.execute(1e-3, lambda: done_at.append(sim.now))
-    sim.run(until=2.0)
-    assert done_at[1] - 1.0 == pytest.approx(1e-3)
-
-
 def test_fault_schedule_fires_and_logs_relative_times():
     c = AppCluster(servers=2, clients=0)
     c.run(5.0)  # install later than t=0 to check offsets are relative
     schedule = FaultSchedule(
         [
-            FaultEvent(at=1.0, kind="crash", target="s1"),
-            FaultEvent(at=2.0, kind="slow_node", target="s0", factor=4.0, duration=1.0),
             FaultEvent(at=3.0, kind="recover", target="s1"),
+            FaultEvent(at=1.0, kind="crash", target="s1"),
+            FaultEvent(at=2.0, kind="partition", groups=[["s0"], ["s1"]]),
+            FaultEvent(at=2.5, kind="heal"),
         ]
     )
     schedule.install(c.sim, c.net)
     c.run(10.0)
-    assert [entry["kind"] for entry in schedule.log] == [
-        "crash", "slow_node", "recover", "slow_node_restored",
-    ]
-    assert [entry["at"] for entry in schedule.log] == [1.0, 2.0, 3.0, 3.0]
+    assert [entry["kind"] for entry in schedule.log] == ["crash", "partition", "heal", "recover"]
+    assert [entry["at"] for entry in schedule.log] == [1.0, 2.0, 2.5, 3.0]
     assert c.net.node("s1").alive
-    assert c.net.node("s0").slowdown == 1.0
     assert c.sim.obs.metrics.counter_value("scenario.fault.crash") == 1
 
 
@@ -309,7 +295,10 @@ SMOKE_SPEC = {
         "duration": 4.0,
         "drain": 20.0,
     },
-    "faults": [{"at": 2.0, "kind": "slow_node", "target": "s1", "factor": 4.0, "duration": 1.0}],
+    "faults": [
+        {"at": 2.0, "kind": "crash", "target": "s1"},
+        {"at": 3.0, "kind": "recover", "target": "s1"},
+    ],
     "slos": [
         {"kind": "accounting", "name": "acct"},
         {"kind": "reconciliation", "name": "recon"},
@@ -327,7 +316,7 @@ def test_run_scenario_report_is_deterministic():
     assert first["sim"]["drained"]
     assert first["traffic"]["offered"] > 0
     assert first["traffic"]["lost"] == 0
-    assert [f["kind"] for f in first["faults"]] == ["slow_node", "slow_node_restored"]
+    assert [f["kind"] for f in first["faults"]] == ["crash", "recover"]
     assert first["metrics"]["counters"]["scenario.offered"] == first["traffic"]["offered"]
 
 

@@ -68,7 +68,7 @@ def test_cannot_schedule_in_past():
         sim.schedule_at(0.5, lambda: None)
     assert sim.pending_count() == 0  # a refused event left nothing behind
     sim.schedule_at(sim.now, lambda: None)  # "now" is not the past
-    assert sim.peek() == 1.0
+    assert sim.pending_count() == 1
 
 
 def test_nested_scheduling_from_callback():
@@ -94,25 +94,6 @@ def test_call_soon_runs_after_pending_same_time_events():
     sim.call_soon(log.append, "second")
     sim.run()
     assert log == ["first", "second"]
-
-
-def test_step_executes_single_event():
-    sim = Simulator()
-    log = []
-    sim.schedule(1.0, log.append, "a")
-    sim.schedule(2.0, log.append, "b")
-    assert sim.step()
-    assert log == ["a"]
-    assert sim.step()
-    assert not sim.step()
-
-
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    h = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    h.cancel()
-    assert sim.peek() == 2.0
 
 
 def test_max_events_bound():
@@ -158,10 +139,10 @@ def test_cancel_is_idempotent_and_safe_after_the_event_fired():
     fired = sim.schedule(1.0, log.append, "fired")
     dropped = sim.schedule(2.0, log.append, "dropped")
     assert (fired.time, dropped.time) == (1.0, 2.0)
-    assert not fired.cancelled and not dropped.cancelled
+    assert sim.pending_count() == 2
     dropped.cancel()
     dropped.cancel()
-    assert dropped.cancelled
+    assert sim.pending_count() == 1
     sim.run()
     assert log == ["fired"]
     fired.cancel()  # too late to matter, and harmless
@@ -172,7 +153,7 @@ def test_cancel_is_idempotent_and_safe_after_the_event_fired():
     assert sim.events_processed == 2
 
 
-def test_a_cancelled_head_is_skipped_by_run_step_peek_and_pending_count():
+def test_a_cancelled_head_is_skipped_by_run_and_pending_count():
     sim = Simulator()
     log = []
     heads = [sim.schedule(1.0, log.append, f"head{i}") for i in range(3)]
@@ -182,16 +163,16 @@ def test_a_cancelled_head_is_skipped_by_run_step_peek_and_pending_count():
     for head in heads:
         head.cancel()
     assert sim.pending_count() == 3
-    assert sim.peek() == 2.0
-    assert sim.step() and log == ["a"]
+    sim.run(max_events=1)
+    assert log == ["a"]
     assert sim.now == 2.0  # the clock never visited the cancelled 1.0
     sim.schedule(2.5, log.append, "cancelled too").cancel()
     sim.run(until=3.5)
     assert log == ["a", "b"]
-    assert sim.pending_count() == 1 and sim.peek() == 4.0
+    assert sim.pending_count() == 1
     sim.run()
     assert log == ["a", "b", "c"] and sim.events_processed == 3
-    assert sim.peek() is None and sim.pending_count() == 0 and not sim.step()
+    assert sim.pending_count() == 0 and sim.now == 4.0
 
 
 def test_a_thousand_same_timestamp_events_run_in_insertion_order():

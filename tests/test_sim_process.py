@@ -19,7 +19,7 @@ def test_future_resolve_and_result():
     fut = Future()
     assert not fut.done
     fut.resolve(42)
-    assert fut.done and fut.successful
+    assert fut.done and not fut.failed
     assert fut.result() == 42
 
 

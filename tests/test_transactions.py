@@ -133,33 +133,6 @@ def test_conflicting_clients_exactly_one_wins():
     assert len(values) == 1
 
 
-def test_retry_helper_eventually_commits():
-    c, servers, clients = build_stack(clients=2)
-
-    # client 1 keeps bumping the counter to induce conflicts
-    def churner():
-        for _ in range(3):
-            tx = clients[1].begin()
-            value = yield tx.read("counter")
-            tx.write("counter", (value or 0) + 1)
-            try:
-                yield tx.commit()
-            except TxAborted:
-                pass
-
-    def body(tx):
-        value = yield tx.read("counter")
-        tx.write("counter", (value or 0) + 10)
-
-    spawn(c.sim, churner())
-    outcome = clients[0].run(5, body)
-    c.run(10.0)
-    assert outcome.done and not outcome.failed
-    c.run(1.0)
-    digests = {s.servant.checksum() for s in servers}
-    assert len(digests) == 1
-
-
 def test_abort_discards_local_writes():
     c, servers, (client,) = build_stack(clients=1)
     tx = client.begin()

@@ -75,7 +75,8 @@ def run(
     ``exact`` names the keys of ``result`` whose values are deterministic, at
     any depth (a dict under such a key is exact as a whole); every other leaf
     is ``timed``.  Each predicate maps ``result`` to a list of failure
-    messages.  Returns the process exit code.
+    messages.  A rewrite first prints every ``exact`` value it moves.
+    Returns the process exit code.
     """
     failures = [failure for predicate in predicates for failure in predicate(result)]
     exact_part, timed_part = _split(result, frozenset(exact))
@@ -106,6 +107,10 @@ def run(
     if check:
         print(f"ok {section}: exact values match {path.name}")
         return 0
+    if section in gates:
+        moves = _diff(f"{section}.exact", gates[section]["exact"], measured["exact"], rewrite=True)
+        for move in moves:
+            print(f"moved {move}")
     gates[section] = measured
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(gates, fp, indent=2, sort_keys=True)
@@ -145,21 +150,34 @@ def _split(tree: Dict, exact: frozenset) -> Tuple[Dict, Dict]:
     return exact_part, timed_part
 
 
-def _diff(path: str, committed, measured) -> List[str]:
-    """Every difference between two JSON values, each naming its key path."""
-    if not (isinstance(committed, dict) and isinstance(measured, dict)):
-        if committed == measured:
-            return []
-        return [
-            f"{path}: {measured!r} vs committed {committed!r} — behaviour drift "
-            "(rerun without --check only if the protocol legitimately changed)"
-        ]
-    failures = []
-    for key in sorted(committed.keys() | measured.keys()):
-        if key not in measured:
-            failures.append(f"{path}.{key}: committed, but missing from this run")
-        elif key not in committed:
-            failures.append(f"{path}.{key}: in this run, but not committed")
-        else:
-            failures += _diff(f"{path}.{key}", committed[key], measured[key])
-    return failures
+#: a key one side of a :func:`_diff` lacks
+_ABSENT = object()
+
+
+def _diff(path: str, committed, measured, rewrite: bool = False) -> List[str]:
+    """Every difference between two JSON values, each naming its key path:
+    as a ``--check`` failure, or with ``rewrite`` as the line a rewrite
+    prints — old → new, and the relative move of a number."""
+    if isinstance(committed, dict) and isinstance(measured, dict):
+        changes = []
+        for key in sorted(committed.keys() | measured.keys()):
+            changes += _diff(
+                f"{path}.{key}", committed.get(key, _ABSENT), measured.get(key, _ABSENT), rewrite
+            )
+        return changes
+    if committed == measured:
+        return []
+    if rewrite:
+        old, new = ("(absent)" if v is _ABSENT else repr(v) for v in (committed, measured))
+        line = f"{path}: {old} → {new}"
+        if committed and all(type(v) in (int, float) for v in (committed, measured)):
+            line += f" ({(measured - committed) / abs(committed):+.2%})"
+        return [line]
+    if measured is _ABSENT:
+        return [f"{path}: committed, but missing from this run"]
+    if committed is _ABSENT:
+        return [f"{path}: in this run, but not committed"]
+    return [
+        f"{path}: {measured!r} vs committed {committed!r} — behaviour drift "
+        "(rerun without --check only if the protocol legitimately changed)"
+    ]

@@ -75,15 +75,14 @@ _PROTOCOL: Dict[type, Tuple[Optional[str], Callable]] = {
 
 
 class _NsoServant:
-    """ORB-facing receiver for channel traffic from peer NSOs."""
+    """ORB-facing receiver for channel traffic from peer NSOs: its one
+    operation, ``receive(sender, message)``, is the channel manager's
+    ``on_message`` itself, so a frame reaches the channel in one call."""
 
     OP_COSTS = {"receive": PROTOCOL_COST}
 
-    def __init__(self, service: "GroupCommService"):
-        self._service = service
-
-    def receive(self, sender: str, message: Any) -> None:
-        self._service.channels.on_message(sender, message)
+    def __init__(self, channels: ChannelManager):
+        self.receive = channels.on_message
 
 
 class GroupCommService:
@@ -111,10 +110,10 @@ class GroupCommService:
         self._sent = metrics.counters("gc.sent.")
         #: peer NSO IORs are pure values; build each once, not per send
         self._peer_iors = OnFirstUse(lambda peer: IOR(peer, "RootPOA", NSO_OBJECT_ID))
-        orb.register(_NsoServant(self), object_id=NSO_OBJECT_ID)
         self.channels = ChannelManager(
             self.sim, self.name, self._transport, self._route
         )
+        orb.register(_NsoServant(self.channels), object_id=NSO_OBJECT_ID)
 
     # ------------------------------------------------------------------
     # group lifecycle

@@ -5,14 +5,15 @@ saturation with a handful of LAN clients, and the sequencer CPU bottleneck in
 peer groups, are both queueing effects at a host's CPU.  We model each node
 as a single non-preemptive FIFO processor: every piece of protocol work
 (marshalling a request, processing a delivered group message, executing a
-servant) is submitted with a cost and runs serially.
+servant) is submitted with a cost and runs serially on the node's
+:class:`~repro.sim.core.Cpu`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.sim.core import Simulator
+from repro.sim.core import Cpu, Simulator
 
 __all__ = ["Node", "SEND_OVERHEAD", "RECV_OVERHEAD", "PER_BYTE"]
 
@@ -26,16 +27,6 @@ SEND_OVERHEAD = 60e-6
 RECV_OVERHEAD = 60e-6
 #: marshalling, per byte, on either side
 PER_BYTE = 20e-9
-
-
-class _Life:
-    """One incarnation's liveness: every CPU job it submits carries it, and
-    a crash clears it, so no job of that incarnation runs afterwards."""
-
-    __slots__ = ("alive",)
-
-    def __init__(self):
-        self.alive = True
 
 
 class Node:
@@ -53,12 +44,10 @@ class Node:
         self.alive = True
         self.network = None  # set by Network.attach()
         self._handlers: Dict[str, Callable[[str, Any, int], None]] = {}
-        self._busy_until = 0.0
-        self._busy_accum = 0.0
-        # pre-resolved bound methods: execute() runs once per CPU submission
-        self._record_queue_delay = sim.obs.metrics.histogram("node.cpu_queue_delay").record
-        self._schedule_on = sim.schedule_on
-        self._life = _Life()
+        self.cpu = Cpu(sim, sim.obs.metrics.histogram("node.cpu_queue_delay").record)
+        #: ``execute(cost, fn, *args)``: run ``fn(*args)`` after ``cost``
+        #: seconds of this node's CPU, FIFO-queued (the kernel's ``Cpu.submit``)
+        self.execute = self.cpu.submit
 
     # ------------------------------------------------------------------
     # service registration and message I/O
@@ -110,28 +99,16 @@ class Node:
     # ------------------------------------------------------------------
     # CPU model
     # ------------------------------------------------------------------
-    def execute(self, cost: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` after ``cost`` seconds of CPU, FIFO-queued."""
-        if not self.alive:
-            return
-        now = self.sim.now
-        busy = self._busy_until
-        start = busy if busy > now else now
-        self._record_queue_delay(start - now)
-        until = start + cost
-        self._busy_until = until
-        self._busy_accum += cost
-        self._schedule_on(self._life, until, fn, args)
-
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds this CPU spent busy."""
         if elapsed <= 0:
             return 0.0
-        return min(1.0, self._busy_accum / elapsed)
+        return min(1.0, self.cpu.busy_total / elapsed)
 
     @property
     def busy_time(self) -> float:
-        return self._busy_accum
+        """CPU seconds of the work this node ran or has queued to run."""
+        return self.cpu.busy_total
 
     # ------------------------------------------------------------------
     # fault injection
@@ -139,14 +116,13 @@ class Node:
     def crash(self) -> None:
         """Crash-stop: drop all queued work and future messages."""
         self.alive = False
-        self._life.alive = False
+        self.cpu.crash()
 
     def recover(self) -> None:
         """Restart the node (state above this layer must be rebuilt).  The
         new incarnation runs none of the work queued before the crash."""
         self.alive = True
-        self._life = _Life()
-        self._busy_until = self.sim.now
+        self.cpu.recover()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.alive else "crashed"

@@ -102,7 +102,7 @@ class ORB:
         #: object key -> active servant
         self._servants: Dict[str, Any] = {}
         self._object_ids = itertools.count(1)
-        self._request_ids = itertools.count(1)
+        self._request_id = 0  # the last one used
         self._pending: Dict[int, Future] = {}
         # oneway invocations all resolve with None the moment the request is
         # handed to the transport: hand every caller the same already-resolved
@@ -163,7 +163,7 @@ class ORB:
         if target.node == self.node.name:
             return self._invoke_local(target, operation, args, oneway)
 
-        request_id = next(self._request_ids)
+        self._request_id = request_id = self._request_id + 1
         reply_node = "" if oneway else self.node.name
         key = target.key
         request = Request(request_id, key, operation, tuple(args), oneway, reply_node)
@@ -239,13 +239,28 @@ class ORB:
     # server side
     # ------------------------------------------------------------------
     def _on_message(self, src: str, message: Any, size: int) -> None:
+        """The end of a message's receive job: a reply resolves its call; a
+        request is resolved and its dispatch submitted as the next CPU job,
+        or it is answered ``STATUS_NOT_FOUND`` at once (a oneway is dropped)
+        when no such object is active."""
         if self.verify_wire:
             message = marshal.decode(message)
         cls = type(message)
-        if cls is Request:
-            self._handle_request(message)
-        elif cls is Reply:
-            self._handle_reply(message)
+        if cls is not Request:
+            if cls is Reply:
+                self._handle_reply(message)
+            return
+        key, operation = message.object_key, message.operation
+        entry = self._dispatch.get((key, operation)) or self._resolve(key, operation)
+        if entry is None:
+            if not message.oneway:
+                self._send_reply(message, STATUS_NOT_FOUND, key)
+            return
+        done: Optional[Future] = None
+        if not message.oneway:
+            done = Future(name=f"dispatch:{operation}#{message.request_id}")
+            done.add_done_callback(lambda f: self._reply_from_future(message, f))
+        self.node.execute(entry[0], self._execute, entry, operation, message.args, done)
 
     def _resolve(self, object_key: str, operation: str) -> Optional[Tuple[float, Any, Any]]:
         """The dispatch entry ``(cost, servant, method)`` of a request, or
@@ -261,19 +276,6 @@ class ORB:
         if method is not None:
             self._dispatch[object_key, operation] = entry
         return entry
-
-    def _handle_request(self, request: Request) -> None:
-        key, operation = request.object_key, request.operation
-        entry = self._dispatch.get((key, operation)) or self._resolve(key, operation)
-        if entry is None:
-            if not request.oneway:
-                self._send_reply(request, STATUS_NOT_FOUND, key)
-            return
-        done: Optional[Future] = None
-        if not request.oneway:
-            done = Future(name=f"dispatch:{operation}#{request.request_id}")
-            done.add_done_callback(lambda f: self._reply_from_future(request, f))
-        self.node.execute(entry[0], self._execute, entry, operation, request.args, done)
 
     def _execute(
         self, entry: Tuple[float, Any, Any], operation: str, args: Tuple, done: Optional[Future]

@@ -1,7 +1,8 @@
 """Discrete-event simulation kernel.
 
 The kernel is deliberately small: a virtual clock, a priority queue of
-scheduled callbacks, and deterministic tie-breaking.  Everything above it
+scheduled callbacks, deterministic tie-breaking, and the serial processors
+(:class:`Cpu`) that hosts queue their work on.  Everything above it
 (network, ORB, group protocols) is written as event handlers and
 generator-based processes (see :mod:`repro.sim.process`).
 
@@ -24,7 +25,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.obs import Observability, observability_from_global_options
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Simulator", "ScheduledEvent", "SimulationError"]
+__all__ = ["Simulator", "ScheduledEvent", "SimulationError", "Cpu"]
 
 
 class SimulationError(RuntimeError):
@@ -37,10 +38,10 @@ class ScheduledEvent(list):
     The handle *is* the kernel's heap entry,
     ``[time, seq, fn, args, ctx, life]``: ``seq`` is unique, so heap
     comparisons resolve on the first two slots at C speed.  ``life`` is None
-    for an ordinary event; a CPU job (:meth:`Simulator.schedule_on`) carries
-    its submitter's liveness token there, and the loop counts the job but
-    skips ``fn`` once ``life.alive`` is false.  The layout is private to this
-    module — callers use :attr:`time` and :meth:`cancel`.
+    for an ordinary event; a CPU job (:meth:`Cpu.submit`) carries its
+    processor incarnation's liveness token there, and the loop counts the
+    job but skips ``fn`` once ``life.alive`` is false.  The layout is
+    private to this module — callers use :attr:`time` and :meth:`cancel`.
     Cancellation is O(1): the entry stays in the heap with ``fn`` cleared and
     is skipped when it reaches the head.
     """
@@ -103,7 +104,11 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, fn, *args)
+        # schedule_at's entry, pushed here: a timer is armed on every hot path
+        self._seq = seq = self._seq + 1
+        ev = ScheduledEvent((self.now + delay, seq, fn, args, self._tracer.ctx, None))
+        heappush(self._queue, ev)
+        return ev
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> ScheduledEvent:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
@@ -116,12 +121,6 @@ class Simulator:
         ev = ScheduledEvent((time, seq, fn, args, self._tracer.ctx, None))
         heappush(self._queue, ev)
         return ev
-
-    def schedule_on(self, life: Any, time: float, fn: Callable, args: Tuple) -> None:
-        """Run ``fn(*args)`` at ``time`` (not before now) if ``life.alive``
-        still holds then; counted as an event either way."""
-        self._seq = seq = self._seq + 1
-        heappush(self._queue, ScheduledEvent((time, seq, fn, args, self._tracer.ctx, life)))
 
     def call_soon(self, fn: Callable, *args: Any) -> ScheduledEvent:
         """Run ``fn(*args)`` at the current time, after pending same-time events."""
@@ -200,3 +199,67 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self.now:.6f} pending={len(self._queue)}>"
+
+
+class _Life:
+    """One processor incarnation's liveness: every job it submits carries
+    it, and a crash clears it, so no job of that incarnation runs afterwards."""
+
+    __slots__ = ("alive",)
+
+    def __init__(self):
+        self.alive = True
+
+
+class Cpu:
+    """A serial, non-preemptive FIFO processor on the kernel's clock.
+
+    Each :meth:`submit` occupies the processor for ``cost`` seconds, starting
+    when the job before it ends (or now, when idle), and is one heap entry
+    due at its finish time.  ``busy_until`` is when the last queued job ends,
+    ``busy_total`` the CPU seconds of the jobs that ran or will run.  Every
+    submission reports its queueing delay to ``record_queue_delay``.
+    """
+
+    __slots__ = (
+        "_sim", "_queue", "_tracer", "_record_queue_delay", "busy_until", "busy_total", "_life"
+    )
+
+    def __init__(self, sim: Simulator, record_queue_delay: Callable[[float], None]):
+        self._sim = sim
+        self._queue = sim._queue
+        self._tracer = sim._tracer
+        self._record_queue_delay = record_queue_delay
+        self.busy_until = 0.0
+        self.busy_total = 0.0
+        self._life = _Life()
+
+    def submit(self, cost: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` after ``cost`` seconds of CPU, FIFO-queued; a
+        crashed processor takes no work."""
+        life = self._life
+        if not life.alive:
+            return
+        sim = self._sim
+        now = sim.now
+        busy = self.busy_until
+        start = busy if busy > now else now
+        self._record_queue_delay(start - now)
+        self.busy_until = until = start + cost
+        self.busy_total += cost
+        sim._seq = seq = sim._seq + 1
+        heappush(self._queue, ScheduledEvent((until, seq, fn, args, self._tracer.ctx, life)))
+
+    def crash(self) -> None:
+        """Drop every queued job for good, and the part of them that never ran
+        from ``busy_total``."""
+        self._life.alive = False
+        now = self._sim.now
+        if self.busy_until > now:
+            self.busy_total -= self.busy_until - now
+            self.busy_until = now
+
+    def recover(self) -> None:
+        """Take work again, idle from now; no job queued before the crash runs."""
+        self._life = _Life()
+        self.busy_until = self._sim.now

@@ -247,6 +247,22 @@ class TestGate:
         ) == 0
         assert run_gate(committed) == 0
 
+    def test_a_rewrite_prints_every_exact_value_it_moves(self, committed, capsys):
+        capsys.readouterr()
+        moved = {**edited({"events": 171, "cpu_s": 9.9}, drop="delivered"), 4: {"events": 1}}
+        moved["capacity"] = 0.0
+        assert run_gate(committed, result=moved, check=False) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:-1] == [
+            "moved demo.exact.2.delivered: 90 → (absent)",
+            "moved demo.exact.2.events: 180 → 171 (-5.00%)",
+            "moved demo.exact.4: (absent) → {'events': 1}",
+            "moved demo.exact.capacity: 518.0 → 0.0 (-100.00%)",
+        ]  # a timed value (cpu_s) is never listed
+        assert printed[-1].startswith("section 'demo' written")
+        assert run_gate(committed, result=moved, check=False) == 0
+        assert capsys.readouterr().out.startswith("section 'demo' written")  # nothing moved
+
     @pytest.mark.parametrize(
         "result, named",
         [

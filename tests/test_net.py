@@ -188,6 +188,9 @@ def test_a_cpu_job_skipped_after_a_crash_still_counts_as_an_event():
     assert ran == []
     assert sim.events_processed == 2  # the crash, and the job it killed
     assert sim.now == 0.5
+    # busy for the 0.1 s the job ran, not the 0.5 s it was submitted with
+    assert node.busy_time == pytest.approx(0.1)
+    assert node.utilisation(0.5) == pytest.approx(0.2)
 
 
 def test_recovered_node_receives_again():

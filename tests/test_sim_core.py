@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs import Observability
 from repro.sim import SimulationError, Simulator
+from repro.sim.core import Cpu
 
 
 def test_clock_starts_at_zero():
@@ -216,3 +217,49 @@ def test_events_without_a_context_skip_the_save_and_restore():
     sim.schedule(1.0, log.append, "ran")
     sim.run()
     assert log == ["ran"]
+
+
+# ---------------------------------------------------------------------------
+# Cpu: the kernel's serial FIFO processor
+# ---------------------------------------------------------------------------
+def make_cpu():
+    sim = Simulator()
+    delays, ran = [], []
+    return sim, Cpu(sim, delays.append), delays, ran
+
+
+def test_a_cpu_job_starts_when_the_one_before_it_ends_or_now_when_idle():
+    sim, cpu, _delays, ran = make_cpu()
+    cpu.submit(1.0, lambda: ran.append(sim.now))
+    cpu.submit(2.0, lambda: ran.append(sim.now))  # queued behind the first
+    assert cpu.busy_until == 3.0
+    sim.schedule(5.0, cpu.submit, 1.0, lambda: ran.append(sim.now))  # idle since 3
+    sim.run()
+    assert ran == [1.0, 3.0, 6.0]
+    assert (cpu.busy_until, cpu.busy_total) == (6.0, 4.0)
+    assert sim.events_processed == 4  # three jobs, one timer: a job is one event
+
+
+def test_every_cpu_submission_records_its_queueing_delay_once():
+    sim, cpu, delays, _ran = make_cpu()
+    for _ in range(3):
+        cpu.submit(1.0, lambda: None)
+    sim.schedule(2.5, cpu.submit, 1.0, lambda: None)
+    sim.run()
+    assert delays == [0.0, 1.0, 2.0, 0.5]
+
+
+def test_a_recovered_cpu_is_idle_from_now_and_runs_no_job_from_before_the_crash():
+    sim, cpu, delays, ran = make_cpu()
+    cpu.submit(5.0, ran.append, "before the crash")
+    sim.schedule(1.0, cpu.crash)
+    sim.schedule(1.5, cpu.submit, 1.0, ran.append, "while crashed")
+    sim.run(until=2.0)
+    assert (cpu.busy_until, cpu.busy_total) == (1.0, 1.0)  # 4 s never ran
+    cpu.recover()
+    assert cpu.busy_until == 2.0
+    cpu.submit(1.0, ran.append, "after the recovery")
+    sim.run()
+    assert ran == ["after the recovery"]
+    assert sim.now == 5.0  # the dead job still pops, and counts, at its time
+    assert (cpu.busy_total, delays) == (2.0, [0.0, 0.0])

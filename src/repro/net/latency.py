@@ -2,7 +2,8 @@
 
 A latency model yields one-way propagation delays (seconds).  Models are
 sampled from a named RNG stream owned by the network, so runs are
-deterministic under a fixed seed.
+deterministic under a fixed seed.  ``Network.transmit`` draws a
+:class:`JitteredLatency` in line; every other model is asked to ``sample``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ class JitteredLatency(LatencyModel):
 
     ``jitter`` is the standard deviation as a fraction of the base delay.
     Samples are clamped to ``[base / 2, base * 3]`` so a long Gaussian tail
-    cannot produce negative or absurd delays.
+    cannot produce negative or absurd delays.  The draw is
+    ``min(ceil, max(floor, rng.gauss(base, base * jitter)))``, which
+    ``Network.transmit`` runs in line (the model has no ``sample`` frame).
     """
 
     def __init__(self, base: float, jitter: float = 0.1):
@@ -51,12 +54,6 @@ class JitteredLatency(LatencyModel):
         self.jitter = jitter
         self.floor = base * 0.5
         self.ceil = base * 3.0
-
-    def sample(self, rng: random.Random) -> float:
-        value = rng.gauss(self.base, self.base * self.jitter)
-        if value < self.floor:
-            return self.floor
-        return value if value < self.ceil else self.ceil
 
     def __repr__(self) -> str:
         return f"JitteredLatency({self.base * 1e3:.3f}ms ±{self.jitter * 100:.0f}%)"

@@ -4,11 +4,11 @@ Transmission of a message from node A to node B:
 
 1. A's CPU pays the send cost (done in :meth:`Node.send`), then hands the
    message to :meth:`Network.transmit`.
-2. The network drops it if the destination is unreachable (crash/partition)
-   or the link's loss process fires — silently, as in the paper's
-   asynchronous system model.
-3. Otherwise it is delivered after serialisation + propagation delay, and
-   B's CPU pays the receive cost before the handler runs.
+2. The network drops it if the destination is unreachable (crash/partition),
+   has no handler for the service (a closed port) or the link's loss
+   process fires — silently, as in the paper's asynchronous system model.
+3. Otherwise it arrives after serialisation + propagation delay as a job
+   on B's CPU, which pays the receive cost before the handler runs.
 
 Links preserve FIFO per (src, dst) pair, like a TCP connection: delivery
 times are clamped to be non-decreasing per pair.
@@ -16,15 +16,21 @@ times are clamped to be non-decreasing per pair.
 
 from __future__ import annotations
 
+from heapq import heappush
+from math import cos, log, pi, sin, sqrt
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.net import node as node_costs
+from repro.net.latency import JitteredLatency
 from repro.net.node import Node
 from repro.net.topology import LinkSpec, Topology
 from repro.obs.metrics import OnFirstUse
 from repro.obs.tracer import UNSAMPLED
-from repro.sim.core import Simulator
+from repro.sim.core import ScheduledEvent, SimulationError, Simulator
 
 __all__ = ["Network", "NetworkStats"]
+
+_TWOPI = 2.0 * pi  # random.TWOPI, for the in-line gauss draw
 
 
 class _Pipe:
@@ -41,7 +47,7 @@ class _Route:
     """What ``transmit`` needs for one ``(src, dst)`` pair, resolved once: a
     node's site and the topology are static per run."""
 
-    __slots__ = ("node", "link", "pipe", "last_arrival", "label")
+    __slots__ = ("node", "link", "pipe", "last_arrival", "label", "gauss")
 
     def __init__(self, node: Optional[Node], link: LinkSpec, pipe: _Pipe, label: str):
         self.node = node  # None while the destination is not attached
@@ -49,6 +55,14 @@ class _Route:
         self.pipe = pipe
         self.last_arrival = 0.0  # FIFO per (src, dst): the latest arrival yet
         self.label = label  # the span's ``link`` attribute
+        latency = link.latency
+        #: a JitteredLatency link's (base, sigma, floor, ceil), drawn in line
+        #: by ``transmit``; None for any other model, which ``sample``s
+        self.gauss = (
+            (latency.base, latency.base * latency.jitter, latency.floor, latency.ceil)
+            if isinstance(latency, JitteredLatency)
+            else None
+        )
 
 
 class NetworkStats:
@@ -156,6 +170,10 @@ class Network:
 
         ``kind`` attributes this hop in the per-kind accounting (protocol
         message kinds from the gc layer; defaults to the service name).
+
+        A message that arrives is one kernel entry due at its arrival time:
+        the destination's ``Cpu.submit`` of the receive job, which drops it
+        if the node crashed in flight.
         """
         tracer = self._tracer
         stats = self.stats
@@ -167,7 +185,8 @@ class Network:
 
         # link capacity is consumed whether or not the message will arrive:
         # queue behind the pipe, then serialise onto it
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         pipe = route.pipe
         tx_end = pipe.busy if pipe.busy > now else now
         tx_end += size * 8.0 / link.bandwidth_bps
@@ -199,15 +218,44 @@ class Network:
             stats.dropped.value += 1
             tracer.end_span(span, outcome="dropped", reason="unreachable")
             return
+        handler = dst_node._handlers.get(service)
+        if handler is None:
+            stats.dropped.value += 1
+            tracer.end_span(span, outcome="dropped", reason="closed port")
+            return
         if link.loss and self._loss_rng.random() < link.loss:
             stats.dropped.value += 1
             tracer.end_span(span, outcome="lost")
             return
 
-        arrival = tx_end + link.latency.sample(self._rng)
+        gauss = route.gauss
+        if gauss is None:
+            delay = link.latency.sample(self._rng)
+        else:
+            # random.Random.gauss in line, on its gauss_next pair cache, so
+            # the stream and every draw are exactly gauss(base, sigma)'s
+            base, sigma, floor, ceil = gauss
+            rng = self._rng
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                random = rng.random
+                x2pi = random() * _TWOPI
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                z = cos(x2pi) * g2rad
+                rng.gauss_next = sin(x2pi) * g2rad
+            delay = base + z * sigma
+            # truncated: a long Gaussian tail yields no absurd delay
+            if delay < floor:
+                delay = floor
+            elif delay > ceil:
+                delay = ceil
+        arrival = tx_end + delay
         # FIFO per (src, dst): arrivals never reorder on one link.
         if arrival < route.last_arrival:
             arrival = route.last_arrival
+        if arrival < now:
+            raise SimulationError(f"cannot schedule at {arrival} before now={now}")
         route.last_arrival = arrival
         stats.delivered.value += 1
         if span is not None:
@@ -215,12 +263,19 @@ class Network:
             # the span covers queueing + serialisation + propagation
             span.end = arrival
             span.attrs["outcome"] = "delivered"
-            prev = tracer.ctx
-            tracer.ctx = span
-            self.sim.schedule_at(arrival, dst_node.deliver, src, service, payload, size)
-            tracer.ctx = prev
+            ctx = span
         else:
-            self.sim.schedule_at(arrival, dst_node.deliver, src, service, payload, size)
+            ctx = tracer.ctx
+        # the receive job's submission, pushed as Simulator.schedule_at would
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, ScheduledEvent((
+            arrival,
+            seq,
+            dst_node.execute,
+            (node_costs.RECV_OVERHEAD + size * node_costs.PER_BYTE, handler, src, payload, size),
+            ctx,
+            None,
+        )))
 
     # ------------------------------------------------------------------
     # partitions

@@ -19,8 +19,9 @@ __all__ = ["Node", "SEND_OVERHEAD", "RECV_OVERHEAD", "PER_BYTE"]
 
 # Per-message CPU costs (seconds) of every host, roughly a 2000-era
 # Pentium/Linux machine.  Higher layers add their own explicit costs (ORB
-# dispatch, NewTop protocol processing) on top.  Read at each send and
-# delivery, so a test may patch them.
+# dispatch, NewTop protocol processing) on top.  All three are read when a
+# message is sent (``Network.transmit`` reads the receive cost as it queues
+# the arrival), so a test may patch them.
 #: syscalls + ORB transport work to send one message
 SEND_OVERHEAD = 60e-6
 #: the same to receive one
@@ -33,8 +34,8 @@ class Node:
     """A host attached to the simulated network.
 
     Services (the ORB, diagnostics) register message handlers under a service
-    name; inbound messages are dispatched to the handler after the receive
-    CPU cost has been paid.
+    name; an inbound message arrives as a CPU job that runs the handler once
+    the receive cost has been paid (``Network.transmit`` queues it).
     """
 
     def __init__(self, sim: Simulator, name: str, site: str):
@@ -44,7 +45,7 @@ class Node:
         self.alive = True
         self.network = None  # set by Network.attach()
         self._handlers: Dict[str, Callable[[str, Any, int], None]] = {}
-        self.cpu = Cpu(sim, sim.obs.metrics.histogram("node.cpu_queue_delay").record)
+        self.cpu = Cpu(sim, sim.obs.metrics.histogram("node.cpu_queue_delay"))
         #: ``execute(cost, fn, *args)``: run ``fn(*args)`` after ``cost``
         #: seconds of this node's CPU, FIFO-queued (the kernel's ``Cpu.submit``)
         self.execute = self.cpu.submit
@@ -86,15 +87,6 @@ class Node:
         self.execute(
             cost, self.network.transmit, self.name, dst, service, payload, size, kind
         )
-
-    def deliver(self, src: str, service: str, payload: Any, size: int) -> None:
-        """Called by the network when a message arrives (pre-CPU)."""
-        if not self.alive:
-            return
-        handler = self._handlers.get(service)
-        if handler is None:
-            return  # unknown service: silently dropped, like a closed port
-        self.execute(RECV_OVERHEAD + size * PER_BYTE, handler, src, payload, size)
 
     # ------------------------------------------------------------------
     # CPU model

@@ -124,6 +124,13 @@ class Histogram:
     folded into ``count``, ``total``, ``min``, ``max`` and ``buckets`` when
     it fills and before any of them is read or assigned, in record order,
     so every summary is what recording one value at a time would give.
+
+    The chunk/fill protocol: ``_chunk[:_filled]`` holds the values recorded
+    since the last fold, in record order.  A writer stores the value at
+    ``_chunk[_filled]``, adds one to ``_filled`` and calls :meth:`_fold`
+    when that filled the chunk.  :meth:`record` is one writer;
+    :meth:`repro.sim.core.Cpu.submit` is the other, in line, so a CPU job
+    records its queueing delay without a call.
     """
 
     __slots__ = ("name", "_chunk", "_filled", "_count", "_total", "_min", "_max", "_buckets")

@@ -23,6 +23,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import Observability, observability_from_global_options
+from repro.obs.metrics import CHUNK, Histogram
 from repro.sim.rng import RngRegistry
 
 __all__ = ["Simulator", "ScheduledEvent", "SimulationError", "Cpu"]
@@ -218,18 +219,18 @@ class Cpu:
     when the job before it ends (or now, when idle), and is one heap entry
     due at its finish time.  ``busy_until`` is when the last queued job ends,
     ``busy_total`` the CPU seconds of the jobs that ran or will run.  Every
-    submission reports its queueing delay to ``record_queue_delay``.
+    submission records its queueing delay into ``queue_delay``.
     """
 
     __slots__ = (
-        "_sim", "_queue", "_tracer", "_record_queue_delay", "busy_until", "busy_total", "_life"
+        "_sim", "_queue", "_tracer", "_queue_delay", "busy_until", "busy_total", "_life"
     )
 
-    def __init__(self, sim: Simulator, record_queue_delay: Callable[[float], None]):
+    def __init__(self, sim: Simulator, queue_delay: Histogram):
         self._sim = sim
         self._queue = sim._queue
         self._tracer = sim._tracer
-        self._record_queue_delay = record_queue_delay
+        self._queue_delay = queue_delay
         self.busy_until = 0.0
         self.busy_total = 0.0
         self._life = _Life()
@@ -244,7 +245,13 @@ class Cpu:
         now = sim.now
         busy = self.busy_until
         start = busy if busy > now else now
-        self._record_queue_delay(start - now)
+        # Histogram.record, in line: the histogram's chunk/fill protocol
+        hist = self._queue_delay
+        filled = hist._filled
+        hist._chunk[filled] = start - now
+        hist._filled = filled + 1
+        if filled == CHUNK - 1:
+            hist._fold()
         self.busy_until = until = start + cost
         self.busy_total += cost
         sim._seq = seq = sim._seq + 1

@@ -1,5 +1,7 @@
 """Tests for the network substrate: topology, latency, CPU, partitions."""
 
+import random
+
 import pytest
 
 from repro.net import (
@@ -10,7 +12,9 @@ from repro.net import (
     Topology,
 )
 from repro.net import node as node_module
+from repro.obs import Observability
 from repro.sim import Simulator
+from repro.sim.rng import derive_seed
 
 
 def make_lan(sim=None):
@@ -34,14 +38,77 @@ def test_fixed_latency_is_constant():
     assert model.delay == 0.01
 
 
-def test_jittered_latency_within_bounds():
-    sim = Simulator()
-    rng = sim.rng("lat")
-    model = JitteredLatency(10e-3, jitter=0.2)
-    samples = [model.sample(rng) for _ in range(1000)]
-    assert all(5e-3 <= s <= 30e-3 for s in samples)
+def star(links):
+    """A network of one sender ``s`` at site ``hub`` and one node per entry
+    of ``links`` (``{node name: (site, latency model)}``), with every CPU
+    cost zero and every site-local link fixed.  A message to a node is
+    timed by its handler: ``arrivals`` holds ``(payload, sim.now)``."""
+    sim = Simulator(seed=7)
+    topo = Topology()
+    for site in ["hub"] + sorted({site for site, _ in links.values()}):
+        topo.add_site(site, FixedLatency(1e-4))
+    for site, model in {site: model for site, model in links.values()}.items():
+        topo.connect("hub", site, model)
+    net = Network(sim, topo)
+    sender = net.new_node("s", "hub")
+    arrivals = []
+    for name, (site, _) in links.items():
+        net.new_node(name, site).register(
+            "t", lambda src, payload, size: arrivals.append((payload, sim.now))
+        )
+    return sim, net, sender, arrivals
+
+
+def test_jittered_latency_within_bounds(monkeypatch):
+    set_cpu_costs(monkeypatch, 0.0)
+    sim, net, sender, arrivals = star({"d": ("far", JitteredLatency(10e-3, jitter=0.2))})
+    samples = []
+    for i in range(1000):
+        sent = sim.now
+        sender.send("d", "t", i, 0)
+        sim.run()
+        arrived = arrivals[-1][1]
+        assert sent + 5e-3 <= arrived <= sent + 30e-3
+        samples.append(arrived - sent)
     mean = sum(samples) / len(samples)
     assert abs(mean - 10e-3) < 1e-3
+
+
+def test_the_in_line_jitter_draw_is_random_gauss_on_the_network_stream(monkeypatch):
+    """``Network.transmit`` runs ``random.gauss``'s Box-Muller step itself.
+    Replayed on a fresh stream of the same seed, every delay of two
+    jittered links is ``min(ceil, max(floor, gauss(base, base * jitter)))``,
+    with a pair's two halves split across links and rounds, and the fixed
+    link between them draws nothing."""
+    set_cpu_costs(monkeypatch, 0.0)
+    near = JitteredLatency(1e-3, jitter=0.2)
+    far = JitteredLatency(10e-3, jitter=0.15)
+    links = {
+        "n1": ("near", near),
+        "f": ("fixed", FixedLatency(5e-3)),
+        "w": ("far", far),
+        "n2": ("near", near),  # a second route over near's pipe: no FIFO clamp
+    }
+    sim, net, sender, arrivals = star(links)
+    replay = random.Random(derive_seed(sim.seed, "net.latency"))
+    rounds = 2500
+    for r in range(rounds):
+        # three draws a round: a Box-Muller pair splits across links and,
+        # every other round, across the round boundary
+        sent = sim.now
+        for dst in links:
+            sender.send(dst, "t", (r, dst), 0)
+        sim.run()
+        got = dict(arrivals[-len(links):])
+        for dst, (_, model) in links.items():
+            if isinstance(model, FixedLatency):
+                expected = model.delay
+            else:
+                value = replay.gauss(model.base, model.base * model.jitter)
+                expected = min(model.ceil, max(model.floor, value))
+            assert got[r, dst] == sent + expected, (r, dst)
+    assert len(arrivals) == rounds * len(links) >= 10_000
+    assert net._rng.getstate() == replay.getstate()  # gauss_next included
 
 
 def test_latency_validation():
@@ -280,11 +347,43 @@ def test_stats_counters():
 
 
 def test_unknown_service_silently_dropped():
-    sim, net = make_lan()
+    """A service with no handler is a closed port: the message is dropped
+    at send, never arrives and costs the receiver no CPU."""
+    sim = Simulator(seed=1, obs=Observability(trace=True))
+    net = Network(sim, Topology.single_lan())
     a = net.new_node("a", "lan")
-    net.new_node("b", "lan")
+    b = net.new_node("b", "lan")
     a.send("b", "nosuch", "x", 10)
     sim.run()  # must not raise
+    assert (net.stats.messages_delivered, net.stats.messages_dropped) == (0, 1)
+    assert sim.events_processed == 1  # the send job: no arrival
+    assert b.busy_time == 0.0
+    [hop] = [r for r in sim.obs.trace_records() if r["name"] == "net.hop"]
+    assert hop["attrs"]["outcome"] == "dropped"
+    assert hop["attrs"]["reason"] == "closed port"
+
+
+def test_a_message_to_a_node_that_crashes_in_flight_is_dropped_at_arrival():
+    """The arrival is the receive job's submission, so the receiver's
+    liveness at arrival decides: crashed drops it, recovered takes it."""
+    sim, net = make_lan()
+    a = net.new_node("a", "lan")
+    b = net.new_node("b", "lan")
+    received = []
+    b.register("t", lambda src, payload, size: received.append(payload))
+    a.send("b", "t", "lost", 10)
+    sim.run(until=sim.now + 100e-6)  # sent (60 us of CPU), not yet arrived
+    assert net.stats.messages_sent == 1
+    b.crash()
+    sim.run()
+    assert received == [] and b.busy_time == 0.0
+    b.recover()
+    a.send("b", "t", "taken", 10)
+    sim.run(until=sim.now + 100e-6)
+    b.crash()
+    b.recover()  # before the arrival: the new incarnation receives it
+    sim.run()
+    assert received == ["taken"]
 
 
 def test_duplicate_node_name_rejected():

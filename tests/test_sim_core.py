@@ -1,8 +1,11 @@
 """Tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.obs import Observability
+from repro.obs.metrics import CHUNK, ZERO_BUCKET, Histogram
 from repro.sim import SimulationError, Simulator
 from repro.sim.core import Cpu
 
@@ -224,12 +227,18 @@ def test_events_without_a_context_skip_the_save_and_restore():
 # ---------------------------------------------------------------------------
 def make_cpu():
     sim = Simulator()
-    delays, ran = [], []
-    return sim, Cpu(sim, delays.append), delays, ran
+    return sim, Cpu(sim, Histogram("queue_delay")), []
+
+
+def waits(cpu):
+    """The queueing delays ``cpu`` recorded, in order: its histogram's
+    unfolded chunk, ``_chunk[:_filled]``, while fewer than CHUNK."""
+    hist = cpu._queue_delay
+    return hist._chunk[: hist._filled]
 
 
 def test_a_cpu_job_starts_when_the_one_before_it_ends_or_now_when_idle():
-    sim, cpu, _delays, ran = make_cpu()
+    sim, cpu, ran = make_cpu()
     cpu.submit(1.0, lambda: ran.append(sim.now))
     cpu.submit(2.0, lambda: ran.append(sim.now))  # queued behind the first
     assert cpu.busy_until == 3.0
@@ -241,16 +250,55 @@ def test_a_cpu_job_starts_when_the_one_before_it_ends_or_now_when_idle():
 
 
 def test_every_cpu_submission_records_its_queueing_delay_once():
-    sim, cpu, delays, _ran = make_cpu()
+    sim, cpu, _ran = make_cpu()
     for _ in range(3):
         cpu.submit(1.0, lambda: None)
     sim.schedule(2.5, cpu.submit, 1.0, lambda: None)
     sim.run()
-    assert delays == [0.0, 1.0, 2.0, 0.5]
+    assert waits(cpu) == [0.0, 1.0, 2.0, 0.5]
+
+
+def test_a_cpu_fed_histogram_equals_one_fed_through_record():
+    """``Cpu.submit`` writes the histogram's chunk itself: across chunk
+    folds, zero and non-zero waits and a crash, the histogram equals one fed
+    the same waits through ``record``, and a dead incarnation records
+    nothing."""
+    sim = Simulator()
+    fed, reference = Histogram("fed"), Histogram("reference")
+    cpu = Cpu(sim, fed)
+    crashed = {"now": False, "submits": 0}
+
+    def submit(cost):
+        now, filled = sim.now, fed._filled
+        if crashed["now"]:
+            crashed["submits"] += 1
+        else:
+            reference.record(max(cpu.busy_until, now) - now)
+        cpu.submit(cost, lambda: None)
+        if crashed["now"]:
+            assert fed._filled == filled
+
+    def crash(now):
+        crashed["now"] = now
+        (cpu.crash if now else cpu.recover)()
+
+    rng = random.Random(5)
+    t = 0.0
+    for _ in range(400):
+        t += rng.choice((0.0, 0.5, 2.0)) * rng.random()
+        sim.schedule(t, submit, rng.choice((0.1, 1.0)))
+    sim.schedule(t / 2, crash, True)
+    sim.schedule(t / 2 + 3.0, crash, False)
+    sim.run()
+    assert crashed["submits"] > 0
+    assert fed.count == reference.count == 400 - crashed["submits"] > CHUNK
+    assert 0 < reference.buckets[ZERO_BUCKET] < reference.count
+    assert fed.summary() == reference.summary()
+    assert fed.buckets == reference.buckets
 
 
 def test_a_recovered_cpu_is_idle_from_now_and_runs_no_job_from_before_the_crash():
-    sim, cpu, delays, ran = make_cpu()
+    sim, cpu, ran = make_cpu()
     cpu.submit(5.0, ran.append, "before the crash")
     sim.schedule(1.0, cpu.crash)
     sim.schedule(1.5, cpu.submit, 1.0, ran.append, "while crashed")
@@ -262,4 +310,4 @@ def test_a_recovered_cpu_is_idle_from_now_and_runs_no_job_from_before_the_crash(
     sim.run()
     assert ran == ["after the recovery"]
     assert sim.now == 5.0  # the dead job still pops, and counts, at its time
-    assert (cpu.busy_total, delays) == (2.0, [0.0, 0.0])
+    assert (cpu.busy_total, waits(cpu)) == (2.0, [0.0, 0.0])

@@ -110,16 +110,18 @@ class _Incoming:
 class ChannelManager:
     """All channels of one NSO.
 
-    ``transport(peer, message)`` is provided by the service and performs the
-    actual (unreliable) send; ``upcall(peer, inner)`` receives each message
-    in order.
+    ``transport(peer, message, kind)`` is provided by the service: it
+    performs the actual (unreliable) send under the traffic ``kind`` the
+    caller names, and returns whether the frame left this node (False once
+    the node has crashed).  ``upcall(peer, inner)`` receives each message in
+    order.
     """
 
     def __init__(
         self,
         sim: Simulator,
         local: str,
-        transport: Callable[[str, Any], None],
+        transport: Callable[[str, Any, str], bool],
         upcall: Callable[[str, Any], None],
     ):
         self.sim = sim
@@ -130,10 +132,6 @@ class ChannelManager:
         # NACK or reset from a peer with no half yet is ignored (``.get``)
         self._out: Dict[str, _Outgoing] = OnFirstUse(lambda peer: _Outgoing())
         self._in: Dict[str, _Incoming] = OnFirstUse(lambda peer: _Incoming())
-        #: True while ``transport`` is being invoked for a *retransmitted*
-        #: frame — the service reads this to classify the send under its own
-        #: ``retransmit`` traffic kind instead of the frame's payload kind.
-        self.retransmitting = False
         metrics = sim.obs.metrics
         self._retransmit_counter = metrics.counter("gc.channel.retransmissions")
         self._nack_counter = metrics.counter("gc.channel.nacks_sent")
@@ -143,8 +141,9 @@ class ChannelManager:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def send(self, peer: str, inner: Any) -> None:
-        """Reliably send ``inner`` to ``peer`` (not to self)."""
+    def send(self, peer: str, inner: Any, kind: str) -> None:
+        """Reliably send ``inner`` to ``peer`` (not to self) as traffic
+        ``kind``, piggybacking the reverse ack as ``_attach_ack`` does."""
         if peer == self.local:
             raise ValueError("channels do not loop back; deliver locally instead")
         out = self._out[peer]
@@ -152,9 +151,17 @@ class ChannelManager:
         out.next_seq = seq + 1
         out.buffer[seq] = inner
         out.sent_at[seq] = self.sim.now
-        frame = ChanData(seq, inner)
-        self._attach_ack(peer, frame)
-        self.transport(peer, frame)
+        inc = self._in[peer]
+        if inc.expected > 1:
+            if inc.unacked:
+                inc.unacked = 0
+                self._piggyback_counter.value += 1
+            if inc.ack_timer is not None:
+                inc.ack_timer.cancel()
+                inc.ack_timer = None
+            self.transport(peer, ChanData(seq, inner, inc.expected - 1), kind)
+        else:
+            self.transport(peer, ChanData(seq, inner), kind)
         if out.probe_timer is None:
             out.probe_timer = self.sim.schedule(out.rto, self._probe, peer)
 
@@ -182,23 +189,20 @@ class ChannelManager:
         out.probe_timer = self.sim.schedule(timeout, self._probe, peer)
 
     def _retransmit(self, peer: str, out: _Outgoing, seq: int) -> None:
-        """Resend buffered frame ``seq`` with the ``retransmitting`` flag
-        raised; its ack no longer times the path (Karn)."""
-        self._retransmit_counter.inc()
+        """Resend buffered frame ``seq`` as ``retransmit`` traffic; its ack
+        no longer times the path (Karn).  Counted only when the frame left
+        the node: a crashed node's probes still fire but send nothing."""
         out.sent_at[seq] = None
         frame = ChanData(seq, out.buffer[seq])
         self._attach_ack(peer, frame)
-        self.retransmitting = True
-        try:
-            self.transport(peer, frame)
-        finally:
-            self.retransmitting = False
+        if self.transport(peer, frame, "retransmit"):
+            self._retransmit_counter.inc()
 
     def _attach_ack(self, peer: str, frame: ChanData) -> None:
-        """Piggyback our cumulative receive ack for ``peer`` on an outgoing
-        data frame, discharging any pending standalone-ack debt: a
-        standalone ``ChanAck`` then only fires when the reverse direction
-        stays silent past the ack deadline."""
+        """Piggyback our cumulative receive ack for ``peer`` on a resent
+        data frame (``send`` does the same in line), discharging any pending
+        standalone-ack debt: a standalone ``ChanAck`` then only fires when
+        the reverse direction stays silent past the ack deadline."""
         inc = self._in[peer]
         if inc.expected <= 1:
             return
@@ -214,10 +218,40 @@ class ChannelManager:
     # receiving
     # ------------------------------------------------------------------
     def on_message(self, peer: str, message: Any) -> None:
-        """Entry point for every channel-layer message from ``peer``."""
+        """Entry point for every channel-layer message from ``peer``.  An
+        in-order data frame is taken here in full; a gap or a duplicate goes
+        to ``_out_of_sequence``."""
         cls = type(message)
         if cls is ChanData:
-            self._on_data(peer, message)
+            ack = message.ack
+            if ack is not None:
+                # piggybacked reverse-direction cumulative ack; one below
+                # ``low`` acknowledges nothing new and leaves the probe alone
+                out = self._out[peer]
+                if ack >= out.low:
+                    out.ack(ack, self.sim.now)
+            inc = self._in[peer]
+            if message.seq != inc.expected:
+                self._out_of_sequence(peer, inc, message)
+                return
+            # contiguous: deliver it, then any successors a repaired gap held
+            # back.  With no gap and no NACK timer there is no repair to
+            # reset (only a frame's arrival ever fills the gap buffer, never
+            # an upcall).  A send made by the upcall piggybacks the ack of
+            # the frames before this one, as the increment follows it
+            self.upcall(peer, message.inner)
+            inc.expected += 1
+            if inc.out_of_order or inc.nack_timer is not None:
+                while inc.expected in inc.out_of_order:
+                    self.upcall(peer, inc.out_of_order.pop(inc.expected))
+                    inc.expected += 1
+                self._gap_progress(peer, inc)
+            # the ack debt, as ``_bump_ack`` settles it
+            inc.unacked += 1
+            if inc.unacked >= ACK_EVERY:
+                self._send_ack(peer, inc)
+            elif inc.ack_timer is None:
+                inc.ack_timer = self.sim.schedule(ACK_DELAY, self._ack_timer_fired, peer)
         elif cls is ChanAck:
             self._out[peer].ack(message.cum_seq, self.sim.now)
         elif cls is ChanNack:
@@ -225,30 +259,15 @@ class ChannelManager:
         elif cls is ChanReset:
             self._on_reset(peer, message)
 
-    def _on_data(self, peer: str, frame: ChanData) -> None:
-        if frame.ack is not None:
-            # piggybacked reverse-direction cumulative ack
-            self._out[peer].ack(frame.ack, self.sim.now)
-        inc = self._in[peer]
+    def _out_of_sequence(self, peer: str, inc: _Incoming, frame: ChanData) -> None:
+        """A data frame past a gap (buffer it and NACK the gap) or already
+        delivered (re-ack so the sender can GC)."""
         if frame.seq < inc.expected:
-            self._bump_ack(peer, inc)  # duplicate: re-ack so sender can GC
+            self._bump_ack(peer, inc)
             return
-        if frame.seq > inc.expected:
-            if frame.seq not in inc.out_of_order:
-                inc.out_of_order[frame.seq] = frame.inner
-            self._schedule_nack(peer, inc)
-            return
-        # contiguous: deliver it, then any successors a repaired gap held
-        # back.  With no gap and no NACK timer there is no repair to reset
-        # (only a frame's arrival ever fills the gap buffer, never an upcall).
-        self.upcall(peer, frame.inner)
-        inc.expected += 1
-        if inc.out_of_order or inc.nack_timer is not None:
-            while inc.expected in inc.out_of_order:
-                self.upcall(peer, inc.out_of_order.pop(inc.expected))
-                inc.expected += 1
-            self._gap_progress(peer, inc)
-        self._bump_ack(peer, inc)
+        if frame.seq not in inc.out_of_order:
+            inc.out_of_order[frame.seq] = frame.inner
+        self._schedule_nack(peer, inc)
 
     def _gap_progress(self, peer: str, inc: _Incoming) -> None:
         """Reset NACK bookkeeping after contiguous delivery passed a gap.
@@ -287,7 +306,7 @@ class ChannelManager:
         if inc.ack_timer is not None:
             inc.ack_timer.cancel()
             inc.ack_timer = None
-        self.transport(peer, ChanAck(inc.expected - 1))
+        self.transport(peer, ChanAck(inc.expected - 1), "control")
 
     # ------------------------------------------------------------------
     # gap repair
@@ -324,7 +343,7 @@ class ChannelManager:
         first_missing = inc.expected
         last_missing = max(inc.out_of_order) - 1
         self._nack_counter.inc()
-        self.transport(peer, ChanNack(first_missing, last_missing))
+        self.transport(peer, ChanNack(first_missing, last_missing), "control")
 
     def _on_nack(self, peer: str, nack: ChanNack) -> None:
         out = self._out.get(peer)
@@ -338,7 +357,7 @@ class ChannelManager:
             # after giving up during a partition): tell the receiver to
             # skip forward, to our oldest unacked frame, instead of
             # re-NACKing forever
-            self.transport(peer, ChanReset(out.low))
+            self.transport(peer, ChanReset(out.low), "control")
 
     def _on_reset(self, peer: str, reset: ChanReset) -> None:
         inc = self._in.get(peer)

@@ -48,6 +48,8 @@ class FailureDetector:
     def __init__(self, session):
         self.session = session
         self.sim = session.sim
+        #: when each member was last heard from: the service's router writes
+        #: it for every framed message, of any kind, from a view member
         self.last_recv: Dict[str, float] = {}
         self.last_sent = 0.0
         self.suspected: Set[str] = set()
@@ -64,6 +66,7 @@ class FailureDetector:
         #: peers hold us to it, so we must never be silent longer
         self.committed_period = self.base_period
         #: heartbeat intervals advertised by peers on their last message
+        #: (the session's ``_on_data`` writes them)
         self.peer_periods: Dict[str, float] = {}
         #: last data send or receive — the backoff clock
         self.last_activity = self.sim.now
@@ -107,9 +110,6 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # observations
     # ------------------------------------------------------------------
-    def heard_from(self, member: str) -> None:
-        self.last_recv[member] = self.sim.now
-
     def sent_something(self) -> None:
         self.last_sent = self.sim.now
 
@@ -119,11 +119,6 @@ class FailureDetector:
         if self.committed_period != self.base_period:
             self.committed_period = self.base_period
             self._period_gauge.set(self.base_period)
-
-    def observe_period(self, member: str, period: float) -> None:
-        """Record the heartbeat interval ``member`` advertised on a message."""
-        if period > 0.0 and member != self.session.member_id:
-            self.peer_periods[member] = period
 
     def advertise_period(self) -> float:
         """Commit to (and return) the heartbeat interval for the coming gap.

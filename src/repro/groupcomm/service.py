@@ -15,7 +15,7 @@ The service owns the resources shared by all of its client's groups:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import GroupError
 from repro.groupcomm.channel import ChannelManager
@@ -24,7 +24,6 @@ from repro.groupcomm.lamport import LamportClock
 from repro.groupcomm.membership import MembershipEngine
 from repro.groupcomm.merger import SharedClockMerger, TicketMerger
 from repro.groupcomm.messages import (
-    ChanData,
     DataMsg,
     FlushOk,
     FlushReq,
@@ -52,19 +51,20 @@ PROTOCOL_COST = 200e-6
 NSO_OBJECT_ID = "NSO"
 
 
-def _membership(handler: Callable) -> Tuple[str, Callable]:
-    return "membership", lambda session, peer, msg: handler(session.membership, msg)
+def _membership(handler: Callable) -> Callable:
+    return lambda session, peer, msg: handler(session.membership, msg)
 
 
 #: The one table of protocol messages that travel inside channel frames
-#: (every frame carries one): class -> (traffic kind, ``consume(session,
-#: peer, message)``).  A ``DataMsg``'s kind is its own ``kind`` field; the
-#: channel layer's own acks, nacks and resets travel unframed, count as
-#: "control" traffic and never reach a session.
-_PROTOCOL: Dict[type, Tuple[Optional[str], Callable]] = {
-    DataMsg: (None, GroupSession.receive),
-    TicketMsg: ("ticket", GroupSession.receive),
-    TicketBatchMsg: ("ticket", GroupSession.receive),
+#: (every frame carries one, and each names its ``group``): class ->
+#: ``consume(session, peer, message)``.  Each sender names its frames'
+#: traffic kind: a ``DataMsg`` its own ``kind`` field, tickets "ticket",
+#: membership messages "membership"; the channel layer's own acks, nacks and
+#: resets travel unframed as "control" and never reach a session.
+_PROTOCOL: Dict[type, Callable] = {
+    DataMsg: GroupSession.receive,
+    TicketMsg: GroupSession.receive,
+    TicketBatchMsg: GroupSession.receive,
     JoinReq: _membership(MembershipEngine.on_join_req),
     LeaveReq: _membership(MembershipEngine.on_leave_req),
     SuspectMsg: _membership(MembershipEngine.on_suspect_msg),
@@ -163,15 +163,9 @@ class GroupCommService:
     # ------------------------------------------------------------------
     # transport (channel layer <-> ORB)
     # ------------------------------------------------------------------
-    def _transport(self, peer: str, message: Any) -> None:
-        if type(message) is not ChanData:
-            kind = "control"  # the channel's own acks, nacks and resets
-        elif self.channels.retransmitting:
-            kind = "retransmit"
-        else:
-            inner = message.inner
-            kind = _PROTOCOL[type(inner)][0] or inner.kind
-        if self.node.alive:
+    def _transport(self, peer: str, message: Any, kind: str) -> bool:
+        alive = self.node.alive
+        if alive:
             # per-kind send counter, mirrored so it reconciles ±0 with the
             # net layer's per-kind hop counts (a crashed node's sends never
             # reach the wire, so they are not counted here either)
@@ -179,28 +173,27 @@ class GroupCommService:
         self.orb.invoke(
             self._peer_iors[peer], "receive", (self.name, message), oneway=True, net_kind=kind
         )
+        return alive
 
     def send_protocol(self, peer: str, message: Any) -> None:
         """Send a membership-protocol message (reliably, FIFO with data)."""
         if peer == self.name:
             self._route(peer, message)
         else:
-            self.channels.send(peer, message)
+            self.channels.send(peer, message, "membership")
 
     # ------------------------------------------------------------------
     # inbound routing
     # ------------------------------------------------------------------
     def _route(self, peer: str, message: Any) -> None:
-        session = self.sessions.get(getattr(message, "group", None))
+        session = self.sessions.get(message.group)
         if session is None:
             return
         # any protocol traffic proves the peer alive (flush rounds can be
         # long; they must not starve the failure detector)
         if peer != self.name and session.view is not None and peer in session.view.members:
-            session.detector.heard_from(peer)
-        row = _PROTOCOL.get(type(message))
-        if row is not None:
-            row[1](session, peer, message)
+            session.detector.last_recv[peer] = self.sim.now
+        _PROTOCOL[type(message)](session, peer, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<GroupCommService {self.name} groups={sorted(self.sessions)}>"

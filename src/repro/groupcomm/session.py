@@ -173,6 +173,17 @@ class GroupSession:
         self._pushback_pending_bound = 4.0 * config.send_window
         self.ordering = make_ordering(config.ordering, self)
         self.detector = FailureDetector(self)
+        self._keep_sequencer()
+
+    def _keep_sequencer(self) -> None:
+        """Set ``sequencer``, the ordering sequencer: the config hint if the
+        view holds it, else rank 0.  Only a view or a config changes it."""
+        hint = self.config.sequencer_hint
+        view = self.view
+        if not view:
+            self.sequencer = ""
+        else:
+            self.sequencer = hint if hint and hint in view.members else view.members[0]
 
     # ------------------------------------------------------------------
     # public API
@@ -180,14 +191,6 @@ class GroupSession:
     @property
     def members(self) -> List[str]:
         return list(self.view.members) if self.view else []
-
-    @property
-    def sequencer(self) -> str:
-        """The ordering sequencer: the config hint if present, else rank 0."""
-        hint = self.config.sequencer_hint
-        if hint and self.view is not None and hint in self.view.members:
-            return hint
-        return self.view.members[0] if self.view else ""
 
     def send(self, payload: Any, admitted: bool = False) -> None:
         """Multicast ``payload`` to the group with the configured ordering.
@@ -361,7 +364,7 @@ class GroupSession:
                     "fanout": len(self.view.members) - 1,
                 },
             )
-        self._multicast(msg, span)
+        self._multicast(msg, span, kind)
         # symmetric ordering: peers can only deliver our message once they
         # hold a *later* timestamp from us — if nothing else goes out soon,
         # a NULL must follow (the sender-side half of the protocol traffic)
@@ -399,11 +402,12 @@ class GroupSession:
             span = tracer.start_span(
                 "gc.ticket", kind="producer", node=self.member_id, attrs=attrs
             )
-        self._multicast(msg, span)
+        self._multicast(msg, span, "ticket")
 
-    def _multicast(self, msg: Any, span) -> None:
+    def _multicast(self, msg: Any, span, kind: str) -> None:
         """The one fan-out: ``msg`` to every other member of the view, in
-        view order, under the producer ``span`` (None: nothing to enter)."""
+        view order, as traffic ``kind``, under the producer ``span`` (None:
+        nothing to enter)."""
         tracer = self._tracer
         if span is not None:
             prev = tracer.ctx
@@ -412,7 +416,7 @@ class GroupSession:
         me = self.member_id
         for member in self.view.members:
             if member != me:
-                send(member, msg)
+                send(member, msg, kind)
         if span is not None:
             tracer.ctx = prev
             tracer.end_span(span)
@@ -430,7 +434,7 @@ class GroupSession:
         """Admit a ``DataMsg``, ``TicketMsg`` or ``TicketBatchMsg`` through
         the one view/era/state gate and hand it to its stage.
 
-        Liveness evidence (``detector.heard_from``) was already taken by the
+        Liveness evidence (``detector.last_recv``) was already taken by the
         service's router, which sees every kind of protocol message.
         """
         state = self.state
@@ -462,7 +466,10 @@ class GroupSession:
 
     def _on_data(self, msg: DataMsg) -> None:
         sender = msg.sender
-        self.detector.observe_period(sender, msg.hb_period)
+        # the heartbeat interval the sender advertised scales its deadline
+        period = msg.hb_period
+        if period > 0.0 and sender != self.member_id:
+            self.detector.peer_periods[sender] = period
         self._peer_pushback[sender] = msg.pushback
         is_null = msg.is_null
         if not is_null:
@@ -681,6 +688,7 @@ class GroupSession:
 
         old_members = set(self.view.members) if self.view else set()
         self.view = install.view
+        self._keep_sequencer()
         new_members = set(install.view.members)
         joined = [m for m in install.view.members if m not in old_members]
         left = sorted(old_members - new_members)

@@ -147,6 +147,91 @@ def test_leave_reforms_group():
     assert any("n2" in left_list for _v, _j, left_list in col0.views)
 
 
+# ---------------------------------------------------------------------------
+# the kept sequencer: recomputed at every config or view change only
+# ---------------------------------------------------------------------------
+def formula_sequencer(session):
+    """The sequencer by its definition: the config hint if the view holds
+    it, else rank 0 (no view: none)."""
+    hint = session.config.sequencer_hint
+    if hint and session.view is not None and hint in session.view.members:
+        return hint
+    return session.view.members[0] if session.view else ""
+
+
+def watch_sequencer(session, seen):
+    """Check ``session.sequencer`` against its definition after every view
+    install, recording (member, view id, sequencer) in ``seen``."""
+    assert session.sequencer == formula_sequencer(session)
+
+    def on_view(view, joined, left):
+        assert session.sequencer == formula_sequencer(session)
+        seen.append((session.member_id, view.view_id, session.sequencer))
+
+    session.on_view = on_view
+
+
+def lively_asymmetric(**options):
+    return GroupConfig(
+        ordering=Ordering.ASYMMETRIC,
+        liveliness=Liveliness.LIVELY,
+        silence_period=20e-3,
+        suspicion_timeout=100e-3,
+        **options,
+    )
+
+
+def test_the_kept_sequencer_follows_rank_zero_when_it_crashes():
+    c = Cluster(3)
+    seen = []
+    sessions = [c.service(0).create_group("g", lively_asymmetric())]
+    watch_sequencer(sessions[0], seen)
+    for name in c.names[1:]:
+        sessions.append(c.services[name].join_group("g", "n0"))
+        watch_sequencer(sessions[-1], seen)
+    c.run(1.0)
+    assert {s.sequencer for s in sessions} == {"n0"}
+    c.net.crash("n0")
+    c.run(2.0)
+    assert [s.sequencer for s in sessions[1:]] == ["n1", "n1"]
+    assert ("n2", sessions[2].view.view_id, "n1") in seen
+
+
+def test_the_kept_sequencer_moves_to_a_hinted_member_that_joins_late():
+    c = Cluster(3)
+    seen = []
+    config = lively_asymmetric(sequencer_hint="n2")
+    sessions = [c.service(0).create_group("g", config)]
+    watch_sequencer(sessions[0], seen)
+    sessions.append(c.services["n1"].join_group("g", "n0"))
+    watch_sequencer(sessions[1], seen)
+    c.run(1.0)
+    # the hinted member is not in the view yet: rank 0 sequences
+    assert [s.sequencer for s in sessions] == ["n0", "n0"]
+    sessions.append(c.services["n2"].join_group("g", "n0"))
+    watch_sequencer(sessions[2], seen)
+    c.run(1.0)
+    assert [s.sequencer for s in sessions] == ["n2", "n2", "n2"]
+    assert {sequencer for _m, _v, sequencer in seen[-3:]} == {"n2"}
+
+
+def test_a_joiner_keeps_the_sequencer_the_creators_config_hints():
+    c = Cluster(2)
+    seen = []
+    creator = c.service(0).create_group("g", lively_asymmetric(sequencer_hint="n1"))
+    watch_sequencer(creator, seen)
+    # alone, the creator sequences: the hinted member is not a member yet
+    assert creator.sequencer == "n0"
+    joiner = c.services["n1"].join_group("g", "n0")
+    watch_sequencer(joiner, seen)
+    assert joiner.sequencer == "" and joiner.config.sequencer_hint == ""
+    c.run(1.0)
+    # the joiner's first install brought the creator's config, hint included
+    assert joiner.config.sequencer_hint == "n1"
+    assert (joiner.sequencer, creator.sequencer) == ("n1", "n1")
+    assert ("n1", joiner.view.view_id, "n1") in seen
+
+
 def test_crash_detected_in_lively_group():
     c = Cluster(3)
     config = GroupConfig(

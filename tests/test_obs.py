@@ -402,6 +402,105 @@ def test_retransmissions_count_under_their_own_kind():
         assert sent == hops, f"{kind}: gc sent {sent} but net recorded {hops} hops"
 
 
+def test_every_nso_frame_travels_under_the_kind_its_content_names(monkeypatch):
+    """Pins the traffic-kind mapping its senders supply: over a lossy link,
+    with a join, a leave and a crash, every NSO frame's ``net_kind`` follows
+    from what it carries, and a second send of a channel sequence number
+    is a retransmission."""
+    from repro.groupcomm import Liveliness, OrderingConfig
+    from repro.groupcomm.messages import (
+        ChanAck, ChanData, ChanNack, ChanReset, FlushOk, FlushReq, JoinReq,
+        LeaveReq, SuspectMsg, TicketBatchMsg, TicketMsg, ViewInstall,
+    )
+    from repro.orb.orb import ORB
+
+    frames = []
+    invoke = ORB.invoke
+
+    def recording_invoke(self, target, operation, args=(), oneway=False, timeout=None, net_kind=None):
+        if operation == "receive":
+            frames.append((self.node.name, target.node, args[1], net_kind))
+        return invoke(self, target, operation, args, oneway, timeout, net_kind)
+
+    monkeypatch.setattr(ORB, "invoke", recording_invoke)
+    topo = Topology()
+    topo.add_site("lan", FixedLatency(200e-6), loss=0.1)
+    c = Cluster(5, topology=topo, sites=["lan"] * 5, seed=7)
+    config = GroupConfig(
+        ordering=Ordering.ASYMMETRIC,
+        liveliness=Liveliness.LIVELY,
+        silence_period=30e-3,
+        suspicion_timeout=300e-3,
+        flush_timeout=1.0,
+        ordering_config=OrderingConfig(ticket_batch_max=4, ticket_batch_delay=2e-3),
+    )
+    sessions = [c.service(0).create_group("g", config)]
+    for name in c.names[1:]:
+        sessions.append(c.services[name].join_group("g", c.names[0]))
+    c.run(2.0)
+    for i in range(6):
+        for s in sessions[1:]:
+            s.send(f"{s.member_id}-{i}")
+    c.run(1.0)
+    sessions[1].send("alone")  # a batch of one goes out as a TicketMsg
+    c.run(1.0)
+    sessions[4].leave()
+    c.run(2.0)
+    c.net.crash(c.names[1])  # the others suspect it and tell the coordinator
+    c.run(3.0)
+    assert sessions[0].view.members == [c.names[0], c.names[2], c.names[3]]
+
+    membership = {JoinReq, LeaveReq, SuspectMsg, FlushReq, FlushOk, ViewInstall}
+    first_sends = set()
+    seen = set()
+    for src, dst, frame, kind in frames:
+        cls = type(frame)
+        if cls is not ChanData:
+            assert cls in (ChanAck, ChanNack, ChanReset) and kind == "control"
+            seen.add(cls)
+            continue
+        inner = frame.inner
+        seen.add(type(inner))
+        if (src, dst, frame.seq) in first_sends:
+            assert kind == "retransmit", (src, dst, frame.seq, inner)
+            seen.add("retransmit")
+            continue
+        first_sends.add((src, dst, frame.seq))
+        if type(inner) is DataMsg:
+            assert kind == inner.kind
+        elif type(inner) in (TicketMsg, TicketBatchMsg):
+            assert kind == "ticket"
+        else:
+            assert type(inner) in membership and kind == "membership"
+    assert seen >= membership | {
+        DataMsg, TicketMsg, TicketBatchMsg, ChanAck, ChanNack, "retransmit"
+    }
+
+
+def test_a_crashed_members_probes_count_no_retransmission():
+    """A crashed member's channel probe timers keep firing over the frames
+    it never got acked, but a dead node sends nothing: the channel counts a
+    retransmission only when the frame leaves a live node, so the counter
+    still equals ``gc.sent.retransmit``."""
+    c = Cluster(3, seed=3)
+    config = GroupConfig(ordering=Ordering.SYMMETRIC, suspicion_timeout=0.3, flush_timeout=0.3)
+    sessions = [c.service(0).create_group("g", config)]
+    for name in c.names[1:]:
+        sessions.append(c.services[name].join_group("g", c.names[0]))
+    c.run(1.0)
+    victim = sessions[2]
+    for i in range(3):
+        victim.send(f"last-{i}")
+    channels = c.service(2).channels
+    assert all(channels.outstanding_to(peer) > 0 for peer in c.names[:2])
+    c.net.crash(c.names[2])
+    c.run(90.0)
+    # the probes fired on the dead node until they gave up on the backlog
+    assert all(channels.outstanding_to(peer) == 0 for peer in c.names[:2])
+    counters = c.sim.obs.metrics.snapshot()["counters"]
+    assert counters.get("gc.sent.retransmit", 0) == counters.get("gc.channel.retransmissions", 0)
+
+
 # ---------------------------------------------------------------------------
 # ticket batching + ack piggybacking metrics (tentpole counters)
 # ---------------------------------------------------------------------------

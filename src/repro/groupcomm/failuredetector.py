@@ -51,6 +51,8 @@ class FailureDetector:
         #: when each member was last heard from: the service's router writes
         #: it for every framed message, of any kind, from a view member
         self.last_recv: Dict[str, float] = {}
+        #: when this member last sent anything (the session's ``_multicast``
+        #: writes it)
         self.last_sent = 0.0
         self.suspected: Set[str] = set()
         self._timer = None
@@ -66,9 +68,11 @@ class FailureDetector:
         #: peers hold us to it, so we must never be silent longer
         self.committed_period = self.base_period
         #: heartbeat intervals advertised by peers on their last message
-        #: (the session's ``_on_data`` writes them)
+        #: (the session's ``receive`` writes them)
         self.peer_periods: Dict[str, float] = {}
-        #: last data send or receive — the backoff clock
+        #: last data send or receive — the backoff clock (a receipt is
+        #: written by the session's ``receive``, which calls
+        #: ``note_activity`` only to snap the period back)
         self.last_activity = self.sim.now
         #: accounting mark for the suppression counter
         self._quiet_mark = self.sim.now
@@ -110,9 +114,6 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # observations
     # ------------------------------------------------------------------
-    def sent_something(self) -> None:
-        self.last_sent = self.sim.now
-
     def note_activity(self) -> None:
         """A data message was sent or received: snap back to the base rate."""
         self.last_activity = self.sim.now

@@ -48,7 +48,8 @@ class FlowController:
             raise ValueError("flow-control max_queue must be >= 0")
         self.window = window
         self.max_queue = max_queue
-        self._in_flight = 0
+        #: own data messages sent and not yet stable
+        self.in_flight = 0
         self._queue: Deque[Any] = deque()
         self.sends_delayed = 0
         self.sends_refused = 0
@@ -64,8 +65,8 @@ class FlowController:
         :class:`FlowQueueFull` (without queueing) when the pending queue is
         already at ``max_queue``.
         """
-        if self._in_flight < self.window:
-            self._in_flight += 1
+        if self.in_flight < self.window:
+            self.in_flight += 1
             return True
         if self.max_queue is not None and len(self._queue) >= self.max_queue:
             self.sends_refused += 1
@@ -83,8 +84,8 @@ class FlowController:
         before a view change must survive the replay even if the bounded
         queue is momentarily past ``max_queue``.
         """
-        if self._in_flight < self.window:
-            self._in_flight += 1
+        if self.in_flight < self.window:
+            self.in_flight += 1
             return True
         self._queue.append(payload)
         self.sends_delayed += 1
@@ -92,12 +93,12 @@ class FlowController:
 
     def release(self, count: int = 1) -> None:
         """Report ``count`` of our messages as stable (acknowledged by all)."""
-        self._in_flight = max(0, self._in_flight - count)
+        self.in_flight = max(0, self.in_flight - count)
 
     def drain(self) -> Optional[Any]:
         """Pop one queued payload if a window slot is free, claiming it."""
-        if self._queue and self._in_flight < self.window:
-            self._in_flight += 1
+        if self._queue and self.in_flight < self.window:
+            self.in_flight += 1
             return self._queue.popleft()
         return None
 
@@ -105,29 +106,12 @@ class FlowController:
     # state
     # ------------------------------------------------------------------
     @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
-    @property
     def queued(self) -> int:
         return len(self._queue)
 
-    def occupancy(self) -> float:
-        """Send-path pressure in [0, 1]: how full window + queue are.
-
-        With an unbounded queue only the window counts (a queue with no
-        limit has no meaningful fullness); with ``max_queue`` set the
-        fuller of the two dominates, so either a saturated window or a
-        saturated queue reads as pressure 1.0.
-        """
-        pressure = self._in_flight / self.window
-        if self.max_queue:
-            pressure = max(pressure, len(self._queue) / self.max_queue)
-        return min(1.0, pressure)
-
     def reset(self) -> None:
         """View change: outstanding accounting restarts with the new view."""
-        self._in_flight = 0
+        self.in_flight = 0
         # queued sends are re-queued by the session itself
 
     def pop_all_queued(self):

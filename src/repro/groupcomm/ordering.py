@@ -20,12 +20,18 @@ Both rely on the channel layer's per-pair FIFO: timestamps from one sender
 arrive monotonically, and tickets from one sequencer arrive in increasing
 global order (which is what makes cross-group order consistent for members
 of several groups sharing a sequencer).
+
+Both release through the service's cross-group mergers (``merger.py``) in
+as few frames as the merge allows: a symmetric session that is its
+merger's only one, with nothing queued there, delivers what it clears
+directly; an asymmetric event appends its tickets to its sequencer's queue
+and releases that queue alone.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sized, Tuple
 
 from repro.groupcomm.messages import DataMsg
 from repro.groupcomm.vectorclock import VectorClock
@@ -54,6 +60,9 @@ class OrderingStrategy:
     """
 
     needs_nulls = False
+    #: messages received but not yet delivered, in a container whose length
+    #: is the ordering backlog (each strategy keeps its own there)
+    backlog: Sized = ()
 
     def __init__(self, session):
         self.session = session
@@ -80,10 +89,6 @@ class OrderingStrategy:
     def on_tickets(self, tickets: List[Tuple[int, str, int]]) -> None:
         """A run of ``(ticket, target_sender, target_gseq)`` assignments
         arrived from the sequencer (asymmetric ordering only)."""
-
-    # -- state queries ----------------------------------------------------
-    def pending_count(self) -> int:
-        raise NotImplementedError
 
     # -- flush support ----------------------------------------------------
     def flush_tickets(self) -> List[Tuple[int, str, int]]:
@@ -119,7 +124,8 @@ class SymmetricOrder(OrderingStrategy):
         #: in global (timestamp, sender) order
         self._merger = session.service.clock_merger
         self.latest_ts: Dict[str, int] = {}
-        self._pending: List[Tuple[int, str, DataMsg]] = []  # heap
+        #: messages not yet cleared: a heap of (ts, sender, msg)
+        self.backlog: List[Tuple[int, str, DataMsg]] = []
         self._last_delivered_key: Tuple[Any, str] = (0, "")
         self.reset(list(session.view.members) if session.view else [])
 
@@ -133,14 +139,14 @@ class SymmetricOrder(OrderingStrategy):
     def on_local_send(self, msg: DataMsg) -> None:
         self.latest_ts[msg.sender] = msg.ts
         if not msg.is_null:
-            heapq.heappush(self._pending, (msg.ts, msg.sender, msg))
+            heapq.heappush(self.backlog, (msg.ts, msg.sender, msg))
         self._drain()
 
     def on_data(self, msg: DataMsg) -> None:
         if msg.ts > self.latest_ts[msg.sender]:
             self.latest_ts[msg.sender] = msg.ts
         if not msg.is_null:
-            heapq.heappush(self._pending, (msg.ts, msg.sender, msg))
+            heapq.heappush(self.backlog, (msg.ts, msg.sender, msg))
         self._drain()
 
     # -- delivery -------------------------------------------------------
@@ -160,7 +166,9 @@ class SymmetricOrder(OrderingStrategy):
 
     def _drain(self) -> None:
         """Hand every message that cleared group-level ordering to the
-        merger, then let the merger release what no other session gates.
+        merger, then let the merger release what no other session gates —
+        or, while this is the merger's lone session and it holds nothing,
+        straight to the application in the same (ts, sender) order.
 
         Classical Lamport-order rule: a message is deliverable once a
         timestamp ≥ its own has been received from every other member (it
@@ -169,39 +177,41 @@ class SymmetricOrder(OrderingStrategy):
         its next message, typically a NULL, confirms no earlier send is in
         flight).  This is the timestamp-exchange traffic the paper
         attributes to the symmetric protocol (§2, §5.1.3)."""
-        pending = self._pending
+        pending = self.backlog
+        merger = self._merger
+        session = self.session
+        lone = merger.lone is session and not merger.heap
         if pending:
-            session = self.session
             floor = self._floor()
             me = session.member_id
             latest = self.latest_ts
-            push = self._merger.push
+            push = merger.push
             while pending:
                 ts, sender, msg = pending[0]
                 if ts > floor or (sender != me and latest[sender] <= ts):
                     break
                 heapq.heappop(pending)
                 key = self._last_delivered_key = (ts, sender)
-                push(session, msg, key)
-        self._merger.drain()
+                if lone:
+                    session._deliver_app(msg)
+                else:
+                    push(session, msg, key)
+        if not lone:
+            merger.drain()
 
     # -- merger support ---------------------------------------------------
     def frontier_key(self) -> Tuple[Any, str]:
         """Lower bound on the key of any message this session may yet clear."""
         key = (self._floor() + 1, "")
-        if self._pending:
-            ts, sender, _msg = self._pending[0]
+        if self.backlog:
+            ts, sender, _msg = self.backlog[0]
             return min(key, (ts, sender))
         return key
-
-    # -- queries ----------------------------------------------------------
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     # -- flush ------------------------------------------------------------
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:
         seen = {}
-        for _ts, _sender, msg in self._pending:
+        for _ts, _sender, msg in self.backlog:
             seen[msg.msg_id] = msg
         for msg in union_msgs:
             if not msg.is_null:
@@ -215,7 +225,7 @@ class SymmetricOrder(OrderingStrategy):
 
     def reset(self, members: List[str]) -> None:
         self.latest_ts = {m: 0 for m in members}
-        self._pending = []
+        self.backlog = []
         self._last_delivered_key = (0, "")
 
 
@@ -233,8 +243,8 @@ class AsymmetricOrder(OrderingStrategy):
         #: coalesces the ticket announcements this member makes as sequencer
         self._batcher = service.ticket_batcher
         self._next_ticket = service.next_ticket
-        #: data messages awaiting delivery, by (sender, gseq)
-        self.arrived: Dict[Tuple[str, int], DataMsg] = {}
+        #: data messages awaiting their ticket's turn, by (sender, gseq)
+        self.backlog: Dict[Tuple[str, int], DataMsg] = {}
         #: tickets already known, by (sender, gseq) -> ticket value
         self.known_tickets: Dict[Tuple[str, int], int] = {}
         self.last_delivered_ticket = -1
@@ -244,14 +254,9 @@ class AsymmetricOrder(OrderingStrategy):
         self._batcher.purge(self.session)
 
     # -- intake ---------------------------------------------------------
-    def _learn_ticket(self, ticket: int, key: Tuple[str, int]) -> None:
-        """The single insertion point for a ticket assignment: record it and
-        enqueue it with the cross-group merger (which delivers tickets from
-        one sequencer in arrival order)."""
-        self.known_tickets[key] = ticket
-        session = self.session
-        self._merger.enqueue(session.sequencer, session, ticket, key)
-
+    # Every ticket this member learns is recorded in ``known_tickets`` and
+    # appended to its sequencer's merger queue; an event can unblock only
+    # that queue, so only that queue is released (see ``TicketMerger``).
     def stamp(self) -> Tuple[Optional[int], Optional[Dict[str, int]]]:
         session = self.session
         if session.member_id != session.sequencer:
@@ -264,44 +269,60 @@ class AsymmetricOrder(OrderingStrategy):
         return self._next_ticket(), None
 
     def on_local_send(self, msg: DataMsg) -> None:
-        if not msg.is_null:
+        merger = self._merger
+        ticket = msg.ticket
+        if ticket is not None:
+            session = self.session
             key = (msg.sender, msg.gseq)
-            self.arrived[key] = msg
-            if msg.ticket is not None:
-                self._learn_ticket(msg.ticket, key)
-        self._merger.drain()
+            self.backlog[key] = msg
+            self.known_tickets[key] = ticket
+            queue = merger.queues[session.sequencer]
+            queue.append((ticket, session, key))
+            merger.release(queue)
+            return
+        if not msg.is_null:
+            # a non-sequencer's own send: its ticket is yet to come
+            self.backlog[(msg.sender, msg.gseq)] = msg
+        if not merger.swept:
+            merger.release(())
 
     def on_data(self, msg: DataMsg) -> None:
-        if not msg.is_null:
-            key = (msg.sender, msg.gseq)
-            self.arrived[key] = msg
-            if msg.ticket is not None:
-                self._learn_ticket(msg.ticket, key)
-            elif self.session.member_id == self.session.sequencer:
-                # we are the sequencer: assign and announce a ticket (via the
-                # batcher, which may coalesce it with neighbouring ones)
-                ticket = self._next_ticket()
-                self._learn_ticket(ticket, key)
-                self._batcher.announce(self.session, ticket, key)
-        self._merger.drain()
+        merger = self._merger
+        if msg.is_null:
+            if not merger.swept:
+                merger.release(())
+            return
+        session = self.session
+        key = (msg.sender, msg.gseq)
+        self.backlog[key] = msg
+        ticket = msg.ticket
+        queues = merger.queues
+        sequencer = session.sequencer
+        if ticket is not None:
+            self.known_tickets[key] = ticket
+            queues[sequencer].append((ticket, session, key))
+        elif session.member_id == sequencer:
+            # we are the sequencer: assign and announce a ticket (via the
+            # batcher, which may coalesce it with neighbouring ones)
+            ticket = self.known_tickets[key] = self._next_ticket()
+            queues[sequencer].append((ticket, session, key))
+            self._batcher.announce(session, ticket, key)
+        elif sequencer not in queues:
+            # no ticket from our sequencer yet, so none can wait for this
+            if not merger.swept:
+                merger.release(())
+            return
+        merger.release(queues[sequencer])
 
     def on_tickets(self, tickets: List[Tuple[int, str, int]]) -> None:
+        session = self.session
+        known = self.known_tickets
+        queue = self._merger.queues[session.sequencer]
         for ticket, target_sender, target_gseq in tickets:
-            self._learn_ticket(ticket, (target_sender, target_gseq))
-        self._merger.drain()
-
-    # -- delivery (driven by the ticket merger) ---------------------------
-    def take_if_arrived(self, key: Tuple[str, int]) -> Optional[DataMsg]:
-        msg = self.arrived.pop(key, None)
-        if msg is not None:
-            self.last_delivered_ticket = self.known_tickets.get(
-                key, self.last_delivered_ticket
-            )
-        return msg
-
-    # -- queries ----------------------------------------------------------
-    def pending_count(self) -> int:
-        return len(self.arrived)
+            key = (target_sender, target_gseq)
+            known[key] = ticket
+            queue.append((ticket, session, key))
+        self._merger.release(queue)
 
     # -- flush ------------------------------------------------------------
     def flush_tickets(self) -> List[Tuple[int, str, int]]:
@@ -315,7 +336,7 @@ class AsymmetricOrder(OrderingStrategy):
         for msg in union_msgs:
             if not msg.is_null:
                 messages.setdefault((msg.sender, msg.gseq), msg)
-        for key, msg in self.arrived.items():
+        for key, msg in self.backlog.items():
             messages.setdefault(key, msg)
         tickets = dict(self.known_tickets)
         for value, sender, gseq in union_tickets:
@@ -341,7 +362,7 @@ class AsymmetricOrder(OrderingStrategy):
         return ordered
 
     def reset(self, members: List[str]) -> None:
-        self.arrived = {}
+        self.backlog = {}
         self.known_tickets = {}
         self.last_delivered_ticket = -1
 
@@ -354,7 +375,7 @@ class CausalOrder(OrderingStrategy):
     def __init__(self, session):
         super().__init__(session)
         self.delivered_vc = VectorClock()
-        self._buffer: List[DataMsg] = []
+        self.backlog: List[DataMsg] = []
 
     def stamp(self) -> Tuple[Optional[int], Optional[Dict[str, int]]]:
         """Vector stamp for an outgoing message (send counted first)."""
@@ -370,27 +391,24 @@ class CausalOrder(OrderingStrategy):
     def on_data(self, msg: DataMsg) -> None:
         if msg.is_null:
             return
-        self._buffer.append(msg)
+        self.backlog.append(msg)
         self._drain()
 
     def _drain(self) -> None:
         progressed = True
         while progressed:
             progressed = False
-            for msg in list(self._buffer):
+            for msg in list(self.backlog):
                 vector = VectorClock(msg.vector or {})
                 if vector.causally_ready(msg.sender, self.delivered_vc):
-                    self._buffer.remove(msg)
+                    self.backlog.remove(msg)
                     self.delivered_vc.increment(msg.sender)
                     self.session._deliver_app(msg)
                     progressed = True
 
-    def pending_count(self) -> int:
-        return len(self._buffer)
-
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:
         seen: Dict[Tuple[int, str, int], DataMsg] = {}
-        for msg in self._buffer:
+        for msg in self.backlog:
             seen.setdefault(msg.msg_id, msg)
         for msg in union_msgs:
             if not msg.is_null:
@@ -408,7 +426,7 @@ class CausalOrder(OrderingStrategy):
 
     def reset(self, members: List[str]) -> None:
         self.delivered_vc = VectorClock()
-        self._buffer = []
+        self.backlog = []
 
 
 class FifoOrder(OrderingStrategy):
@@ -429,9 +447,6 @@ class FifoOrder(OrderingStrategy):
         if not msg.is_null:
             self.delivered_gseq[msg.sender] = msg.gseq
             self.session._deliver_app(msg)
-
-    def pending_count(self) -> int:
-        return 0
 
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:
         remaining = [

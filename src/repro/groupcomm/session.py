@@ -20,10 +20,10 @@ The file is staged in the order a message travels:
    the ``DataMsg``) → ``_multicast``, the one fan-out loop, which ticket
    announcements (``send_tickets``) share;
 2. **receive** — ``receive``, the one view/era/state gate for data and
-   tickets alike → stability (``_ingest_acks``, a watermark per sender:
-   an ack vector re-evaluates only the senders its reporter was holding
-   back) → NULL debt
-   (``_arm_null_timer``) → the ordering strategy;
+   tickets alike, which takes a data message's bookkeeping in line →
+   stability (``_ingest_acks``, a watermark per sender: an ack vector
+   re-evaluates only the senders its reporter was holding back) → NULL
+   debt (``_arm_null_timer``) → the ordering strategy;
 3. **deliver** — ``_deliver_app``, the one upcall seam the strategies and
    mergers release messages through;
 4. **view install** — ``apply_view_install`` / ``_close``.
@@ -75,7 +75,8 @@ def _call_id(payload: Any) -> Optional[Tuple[str, int]]:
     """The one place group communication looks inside a payload: a forwarded
     invocation request names the ``(client, call_no)`` the
     :class:`~repro.obs.phases.PhaseAccountant` keys its latency tiling on;
-    every other payload is opaque (None)."""
+    every other payload is opaque (None).  Callers ask only while the
+    accountant has a call in flight."""
     if getattr(payload, "forwarded", None) is not None:
         return (payload.client, payload.call_no)
     return None
@@ -173,6 +174,7 @@ class GroupSession:
         self._pushback_pending_bound = 4.0 * config.send_window
         self.ordering = make_ordering(config.ordering, self)
         self.detector = FailureDetector(self)
+        self._ack_delay = self._ack_flush_delay()
         self._keep_sequencer()
 
     def _keep_sequencer(self) -> None:
@@ -205,7 +207,7 @@ class GroupSession:
         if self.state == "closed":
             raise NotMember(f"{self.member_id} is not a member of {self.group}")
         if self.state in ("joining", "flushing"):
-            call = _call_id(payload)
+            call = _call_id(payload) if self._phases.calls else None
             if call is not None:
                 # an invocation held behind a membership flush: start its
                 # flush-wait clock (released when the send finally goes out)
@@ -243,11 +245,7 @@ class GroupSession:
 
     def has_outstanding(self) -> bool:
         """Whether application messages are outstanding (event-driven arming)."""
-        return (
-            self.ordering.pending_count() > 0
-            or bool(self.unstable)
-            or bool(self._queued_sends)
-        )
+        return bool(self.ordering.backlog or self.unstable or self._queued_sends)
 
     def has_scheduled_null(self) -> bool:
         """Whether a reactive NULL timer is pending (a send is imminent)."""
@@ -264,10 +262,18 @@ class GroupSession:
         normalised against a few windows' worth of pending work.  Advertised
         on every outgoing frame; admission control reads the group max.
         """
-        pressure = self.flow.occupancy()
-        pending = self.ordering.pending_count()
-        if pending:
-            pressure = max(pressure, pending / self._pushback_pending_bound)
+        flow = self.flow
+        # flow-control fullness: the window, and a bounded queue's fill
+        pressure = flow.in_flight / flow.window
+        if flow.max_queue:
+            queued = flow.queued / flow.max_queue
+            if queued > pressure:
+                pressure = queued
+        backlog = self.ordering.backlog
+        if backlog:
+            pending = len(backlog) / self._pushback_pending_bound
+            if pending > pressure:
+                pressure = pending
         if self.pushback_source is not None:
             relayed = self.pushback_source()
             if relayed > pressure:
@@ -420,7 +426,7 @@ class GroupSession:
         if span is not None:
             tracer.ctx = prev
             tracer.end_span(span)
-        self.detector.sent_something()
+        self.detector.last_sent = self.sim.now
 
     def _current_acks(self) -> Dict[str, int]:
         acks = dict(self._recv_gseq)
@@ -459,34 +465,45 @@ class GroupSession:
             return
         if msg.view_id < view.view_id or msg.sender not in view.members:
             return
-        if is_data:
-            self._on_data(msg)
-        else:
+        if not is_data:
             self.ordering.on_tickets(msg.tickets)
-
-    def _on_data(self, msg: DataMsg) -> None:
+            return
         sender = msg.sender
+        detector = self.detector
         # the heartbeat interval the sender advertised scales its deadline
         period = msg.hb_period
         if period > 0.0 and sender != self.member_id:
-            self.detector.peer_periods[sender] = period
+            detector.peer_periods[sender] = period
         self._peer_pushback[sender] = msg.pushback
         is_null = msg.is_null
         if not is_null:
-            self.detector.note_activity()
+            # data activity: the backoff clock restarts (note_activity snaps
+            # a stretched heartbeat interval back)
+            detector.last_activity = self.sim.now
+            if detector.committed_period != detector.base_period:
+                detector.note_activity()
             gseq = msg.gseq
             self._recv_gseq[sender] = gseq
-            self.unstable[msg.msg_id] = msg
+            self.unstable[(msg.view_id, sender, gseq)] = msg
             if gseq == self._released[sender] + 1:
                 self._woken.append(sender)
-            call = _call_id(msg.payload)
-            if call is not None:
-                # raw request arrival at this member (before ordering):
-                # the ordering-wait clock for this member starts here
-                self._phases.on_arrival(call, self.member_id)
+            if self._phases.calls:
+                call = _call_id(msg.payload)
+                if call is not None:
+                    # raw request arrival at this member (before ordering):
+                    # the ordering-wait clock for this member starts here
+                    self._phases.on_arrival(call, self.member_id)
         self._ingest_acks(sender, msg.acks)
         if not is_null:
-            self._owe_null_reply(msg.ts)
+            # we owe the group a reply (see the NULL debt below)
+            seen = self._max_seen_ts
+            if msg.ts > seen:
+                seen = self._max_seen_ts = msg.ts
+            self._acks_owed = True
+            if self.ordering.needs_nulls and self._last_sent_ts < seen:
+                self._arm_null_timer(NULL_DELAY)
+            else:
+                self._arm_null_timer(self._ack_delay)
         self.ordering.on_data(msg)
 
     # ------------------------------------------------------------------
@@ -577,20 +594,11 @@ class GroupSession:
     #   message stays outstanding everywhere and event-driven groups never
     #   quiesce).
     # Sending anything (data or null) within ``NULL_DELAY`` cancels the debt.
+    # ``receive`` incurs it: ordering progress needs a prompt NULL
+    # (``NULL_DELAY``); a pure stability ack may be batched for longer
+    # (``_ack_delay``), and in adaptive lively groups long enough that it
+    # usually rides on the next data message.
     # ------------------------------------------------------------------
-    def _owe_null_reply(self, ts: int) -> None:
-        """A data message stamped ``ts`` arrived: we owe the group a reply."""
-        if ts > self._max_seen_ts:
-            self._max_seen_ts = ts
-        self._acks_owed = True
-        # ordering progress needs a prompt NULL (NULL_DELAY); a pure
-        # stability ack may be batched for longer, and in adaptive lively
-        # groups long enough that it usually rides on the next data message
-        if self._needs_ts_progress():
-            self._arm_null_timer(NULL_DELAY)
-        else:
-            self._arm_null_timer(self._ack_flush_delay())
-
     def _arm_null_timer(self, delay: float) -> None:
         """Have the NULL debt checked within ``delay`` (an earlier pending
         check stands; a later one is pulled forward)."""
@@ -603,7 +611,8 @@ class GroupSession:
 
     def _ack_flush_delay(self) -> float:
         """How long a pure stability ack may wait for a data message to
-        piggyback on before a NULL is emitted for it."""
+        piggyback on before a NULL is emitted for it: fixed by the config,
+        so ``_adopt_config`` stores it as ``_ack_delay``."""
         config = self.config
         if config.liveliness != Liveliness.LIVELY or not config.liveliness_config.adaptive:
             return ACK_DELAY
@@ -630,10 +639,11 @@ class GroupSession:
         self._flight.record(
             self.member_id, "deliver", self.group, f"{msg.sender}#{msg.gseq}"
         )
-        call = _call_id(msg.payload)
-        if call is not None:
-            # ordering released the request to the app: ordering wait ends
-            self._phases.on_cleared(call, self.member_id)
+        if self._phases.calls:
+            call = _call_id(msg.payload)
+            if call is not None:
+                # ordering released the request to the app: ordering wait ends
+                self._phases.on_cleared(call, self.member_id)
         if self.on_deliver is None:
             return
         tracer = self._tracer

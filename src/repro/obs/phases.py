@@ -63,7 +63,7 @@ class PhaseAccountant:
     before attempting a flush-hold release.
     """
 
-    __slots__ = ("clock", "enabled", "flush_pending", "_calls", "_flush_start")
+    __slots__ = ("clock", "enabled", "flush_pending", "calls", "_flush_start")
 
     def __init__(self, enabled: bool = True):
         #: anything with a ``now`` attribute: the simulator, once bound
@@ -71,7 +71,9 @@ class PhaseAccountant:
         self.enabled = enabled
         #: True while any call has an open flush hold (cheap send-path guard)
         self.flush_pending = False
-        self._calls: "OrderedDict[CallId, _CallEntry]" = OrderedDict()
+        #: the calls in flight (the session looks inside payloads only
+        #: while there is one)
+        self.calls: "OrderedDict[CallId, _CallEntry]" = OrderedDict()
         self._flush_start: Dict[CallId, float] = {}
 
     # ------------------------------------------------------------------
@@ -81,42 +83,44 @@ class PhaseAccountant:
         """Client binding: the invocation clock starts now."""
         if not self.enabled:
             return
-        self._calls[call_id] = _CallEntry(self.clock.now)
-        while len(self._calls) > MAX_CALLS:
-            evicted, _ = self._calls.popitem(last=False)
+        self.calls[call_id] = _CallEntry(self.clock.now)
+        while len(self.calls) > MAX_CALLS:
+            evicted, _ = self.calls.popitem(last=False)
             self._flush_start.pop(evicted, None)
+            if not self._flush_start:
+                self.flush_pending = False
 
     def on_arrival(self, call_id: CallId, member: str) -> None:
         """Session layer: the request reached ``member``'s session (raw,
         before ordering).  First arrival per member wins (retries keep the
         original wait visible)."""
-        entry = self._calls.get(call_id)
+        entry = self.calls.get(call_id)
         if entry is not None and member not in entry.arrival:
             entry.arrival[member] = self.clock.now
 
     def on_cleared(self, call_id: CallId, member: str) -> None:
         """Session layer: ordering released the request to the app at
         ``member`` — the ordering wait for this member ends now."""
-        entry = self._calls.get(call_id)
+        entry = self.calls.get(call_id)
         if entry is not None and member not in entry.cleared:
             entry.cleared[member] = self.clock.now
 
     def on_exec_submit(self, call_id: CallId, member: str) -> None:
         """Server: the servant execution window at ``member`` opens now."""
-        entry = self._calls.get(call_id)
+        entry = self.calls.get(call_id)
         if entry is not None and member not in entry.exec_submit:
             entry.exec_submit[member] = self.clock.now
 
     def on_exec_end(self, call_id: CallId, member: str) -> None:
         """Server: the servant execution window at ``member`` closes now."""
-        entry = self._calls.get(call_id)
+        entry = self.calls.get(call_id)
         if entry is not None and member not in entry.exec_end:
             entry.exec_end[member] = self.clock.now
 
     def on_flush_hold(self, call_id: CallId) -> None:
         """A message of this call was queued behind a joining/flushing
         group state; the flush wait starts now."""
-        entry = self._calls.get(call_id)
+        entry = self.calls.get(call_id)
         if entry is not None and call_id not in self._flush_start:
             self._flush_start[call_id] = self.clock.now
             self.flush_pending = True
@@ -125,7 +129,7 @@ class PhaseAccountant:
         """The held message finally went out; accumulate the flush wait."""
         start = self._flush_start.pop(call_id, None)
         if start is not None:
-            entry = self._calls.get(call_id)
+            entry = self.calls.get(call_id)
             if entry is not None:
                 entry.flush += self.clock.now - start
             if not self._flush_start:
@@ -139,7 +143,7 @@ class PhaseAccountant:
     ) -> Optional[Dict[str, float]]:
         """Fold the call's timestamps into the five-phase tiling and drop
         the entry.  Returns None when the call was never tracked."""
-        entry = self._calls.pop(call_id, None)
+        entry = self.calls.pop(call_id, None)
         # close any dangling flush hold (e.g. the call timed out mid-flush)
         start = self._flush_start.pop(call_id, None)
         if entry is None:
@@ -188,10 +192,10 @@ class PhaseAccountant:
 
     def discard(self, call_id: CallId) -> None:
         """Forget a call without recording (failed/timed-out invocations)."""
-        self._calls.pop(call_id, None)
+        self.calls.pop(call_id, None)
         self._flush_start.pop(call_id, None)
         if not self._flush_start:
             self.flush_pending = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<PhaseAccountant in_flight={len(self._calls)}>"
+        return f"<PhaseAccountant in_flight={len(self.calls)}>"

@@ -1,9 +1,12 @@
 """Tests for sender-side flow control."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.groupcomm import GroupConfig, Ordering
 from repro.groupcomm.flowcontrol import FlowController, FlowQueueFull
+from repro.groupcomm.session import GroupSession
 from tests.conftest import Cluster, Collector
 from tests.test_groupcomm_basic import build_group
 
@@ -61,25 +64,39 @@ class TestFlowControllerUnit:
         assert flow.queued == 2
 
     def test_occupancy_tracks_the_fuller_of_window_and_queue(self):
+        # the session's advertised pushback reads the flow controller's
+        # occupancy: the fuller of window and bounded queue, clamped to 1
+        def pushback(flow):
+            session = SimpleNamespace(
+                flow=flow,
+                ordering=SimpleNamespace(backlog=()),
+                _pushback_pending_bound=4.0 * flow.window,
+                pushback_source=None,
+            )
+            return GroupSession.local_pushback(session)
+
         flow = FlowController(4)  # unbounded queue: window only
         flow.try_acquire("a")
         flow.try_acquire("b")
-        assert flow.occupancy() == 0.5
+        assert pushback(flow) == 0.5
         for i in range(10):
             flow.try_acquire(i)
-        assert flow.occupancy() == 1.0  # clamped despite the long queue
+        assert pushback(flow) == 1.0  # clamped despite the long queue
 
         bounded = FlowController(4, max_queue=10)
         for i in range(9):
             bounded.try_acquire(i)
-        assert bounded.occupancy() == 1.0  # window saturated
+        assert pushback(bounded) == 1.0  # window saturated
         bounded.release(4)
         for _ in range(4):
             bounded.drain()
         # 4 in flight, 1 queued: queue pressure 0.1 < window pressure 1.0
-        assert bounded.occupancy() == 1.0
+        assert pushback(bounded) == 1.0
         bounded.release(2)
-        assert bounded.occupancy() == 0.5
+        assert pushback(bounded) == 0.5
+        bounded.release(2)
+        # nothing in flight, 1 queued: the queue's 0.1 is the fuller
+        assert pushback(bounded) == 0.1
 
     def test_reset_and_pop_queued(self):
         flow = FlowController(1)

@@ -26,6 +26,7 @@ from repro.obs import (
     render_timeline,
     write_jsonl,
 )
+from repro.obs import phases as phases_module
 from repro.obs import tracer as tracer_module
 from repro.obs.tracer import UNSAMPLED
 from repro.scenario import run_scenario
@@ -304,6 +305,20 @@ def test_standalone_recorders_read_any_clock_with_a_now():
     assert [(event[1], event[3]) for event in flight.events()] == [
         (1.5, "on_arrival"), (2.0, "on_cleared"), (2.0, "on_exec_submit"), (2.5, "on_exec_end"),
     ]
+
+
+def test_evicting_the_last_flush_hold_clears_flush_pending(monkeypatch):
+    """``flush_pending`` guards the send path's look inside each payload: a
+    call evicted past ``MAX_CALLS`` with the only open flush hold must
+    clear it, or every later send keeps looking."""
+    monkeypatch.setattr(phases_module, "MAX_CALLS", 2)
+    phases = PhaseAccountant()
+    phases.begin("a")
+    phases.on_flush_hold("a")
+    assert phases.flush_pending is True
+    phases.begin("b")
+    phases.begin("c")  # evicts "a", and with it the hold
+    assert phases.flush_pending is False
 
 
 def test_cpu_queue_histogram_counts_every_submission_and_links_keep_none():

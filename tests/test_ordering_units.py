@@ -191,7 +191,7 @@ class TestAsymmetric:
         s = StubSession("x", ["seq", "x"])
         asym = make(s, "asymmetric")
         asym.on_data(data("g", "seq", 0, ts=3, kind=KIND_NULL))
-        assert asym.pending_count() == 0
+        assert not asym.backlog
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +266,23 @@ class TestSharedClockMerger:
         assert s1.delivered == [("a", "a#1")]
         assert s2.delivered == [("b", "b#1")]
 
+    def test_a_session_left_alone_drains_the_heap_before_going_direct(self):
+        service = StubService()
+        s1 = StubSession("me", ["me", "a"], service)
+        s2 = StubSession("me", ["me", "b"], service)
+        sym1, sym2 = make(s1, "symmetric"), make(s2, "symmetric")
+        sym1.on_data(data("g1", "a", 1, ts=3))  # pending: gates g2's ts 5
+        sym2.on_data(data("g2", "b", 1, ts=5))
+        sym2.on_data(data("g2", "b", 0, ts=9, kind=KIND_NULL))
+        assert s2.delivered == []
+        sym1.detach()
+        # g2 is now the lone session, but its ts-5 message is still queued
+        # in the merger: it must go first, not be overtaken
+        assert service.clock_merger.lone is s2
+        sym2.on_data(data("g2", "b", 2, ts=10))
+        sym2.on_data(data("g2", "b", 0, ts=12, kind=KIND_NULL))
+        assert s2.delivered == [("b", "b#1"), ("b", "b#2")]
+
     def test_unregister_purges_entries(self):
         service = StubService()
         s1 = StubSession("me", ["me", "a"], service)
@@ -284,3 +301,22 @@ class TestTicketMerger:
         assert service.ticket_merger.queued_count() == 1
         service.ticket_merger.purge(s)
         assert service.ticket_merger.queued_count() == 0
+
+    def test_purge_leaves_a_deliverable_head_for_the_next_event(self):
+        # two groups under one sequencer: A's ticket 1 is known but its data
+        # is missing, so B's arrived ticket-2 message queues behind it
+        service = StubService()
+        sa = StubSession("x", ["seq", "x", "y"], service)
+        sb = StubSession("x", ["seq", "x", "y"], service)
+        asym_a, asym_b = make(sa, "asymmetric"), make(sb, "asymmetric")
+        asym_a.on_tickets([(1, "y", 1)])
+        asym_b.on_data(data("g2", "seq", 1, ts=5, ticket=2))
+        assert sb.delivered == []
+        # purging A uncovers B's message, but delivers nothing by itself...
+        service.ticket_merger.purge(sa)
+        assert sa.delivered == sb.delivered == []
+        # ...the next event of any kind does, as it did when every event
+        # swept every queue
+        asym_b.on_data(data("g2", "seq", 0, ts=6, kind=KIND_NULL))
+        assert sb.delivered == [("seq", "seq#1")]
+        assert sa.delivered == []

@@ -131,6 +131,52 @@ def test_event_driven_group_is_silent_while_idle():
     assert c.net.stats.messages_sent == sent_before  # total quiescence
 
 
+LIVELY = Liveliness.LIVELY
+
+
+@pytest.mark.parametrize(
+    "config, delay",
+    [
+        # event-driven and lively static groups batch a pure ack ACK_DELAY
+        (GroupConfig(), 10e-3),
+        (GroupConfig(liveliness=LIVELY, liveliness_config=LivelinessConfig(adaptive=False)), 10e-3),
+        # adaptive: silence_period * ACK_COALESCE_FACTOR, at least ACK_DELAY,
+        # at most the advertised interval and half the suspicion timeout
+        (GroupConfig(liveliness=LIVELY, silence_period=10e-3), 40e-3),
+        (GroupConfig(liveliness=LIVELY, silence_period=2e-3, suspicion_timeout=1.0), 10e-3),
+        (GroupConfig(liveliness=LIVELY, suspicion_timeout=100e-3), 50e-3),
+        (
+            GroupConfig(
+                liveliness=LIVELY,
+                suspicion_timeout=1.0,
+                liveliness_config=LivelinessConfig(max_silence_factor=2.0),
+            ),
+            100e-3,
+        ),
+    ],
+    ids=["event", "static", "adaptive", "adaptive-floor", "adaptive-suspicion", "adaptive-period"],
+)
+def test_a_data_receipt_arms_the_configured_ack_delay(monkeypatch, config, delay):
+    """The NULL debt of a data receipt waits the delay its group's config
+    fixes: at the creator, and at a joiner, which adopts the creator's
+    config from its first ViewInstall (it joined with the defaults)."""
+    config.ordering = Ordering.ASYMMETRIC  # no NULL_DELAY for ts progress
+    armed = []
+    arm = GroupSession._arm_null_timer
+
+    def spy(self, wait):
+        armed.append((self.member_id, wait))
+        arm(self, wait)
+
+    c = Cluster(2)
+    sessions = build_group(c, config)
+    monkeypatch.setattr(GroupSession, "_arm_null_timer", spy)
+    for session in sessions:
+        session.send(session.member_id)
+    c.run(0.5)
+    assert sorted(set(armed)) == [("n0", delay), ("n1", delay)]
+
+
 # ---------------------------------------------------------------------------
 # stability watermarks against the full recompute they replaced
 # ---------------------------------------------------------------------------

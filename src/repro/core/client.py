@@ -17,6 +17,7 @@ Depending on its style it builds a different client/server group (§2.1):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import (
@@ -26,6 +27,7 @@ from repro.core.messages import (
     ReplySet,
     ScatterArgs,
     ShedReply,
+    report_hold,
 )
 from repro.core.modes import BindingStyle, InvocationScheme, Mode, ReplyScheme, replies_needed
 from repro.core.registry import client_sink_id, server_servant_id
@@ -205,17 +207,13 @@ class GroupBinding:
         if self._scatters:
             self._scatter_width = metrics.histogram("gmi.scatter.width")
         self._start = self._invoke_plain if admission is None else self._invoke_admitted
-        # every latency and phase histogram a completed call feeds: the
-        # shard layer tags each sub-binding with its shard (``metric_tag``),
-        # so its calls are also attributable per shard
+        # every latency histogram a completed call feeds: a shard layer's
+        # sub-binding feeds its shard's copy too (``metric_tag``)
         latency = [metrics.histogram("client.invoke_latency")]
-        phases = [{n: metrics.histogram(f"inv.phase.{n}") for n in PHASE_NAMES}]
         if metric_tag is not None:
             latency.append(metrics.histogram(f"shard.invoke_latency.{metric_tag}"))
-            phases.append(
-                {n: metrics.histogram(f"shard.phase.{n}.{metric_tag}") for n in PHASE_NAMES}
-            )
-        self._latency_hists, self._phase_hists = tuple(latency), tuple(phases)
+        self._latency_hists = tuple(latency)
+        self._phase_hists = {n: metrics.histogram(f"inv.phase.{n}") for n in PHASE_NAMES}
         self._invocations_counter = metrics.counter("client.invocations")
         self._rebind_counter = metrics.counter("client.rebinds")
         self._timeout_counter = metrics.counter("client.timeouts")
@@ -344,6 +342,7 @@ class GroupBinding:
         self._bind_size = 0  # this session's joins have yet to answer
         session.on_deliver = self._on_gc_deliver
         session.on_view = self._on_gc_view
+        session.on_hold = partial(report_hold, self._phases)
         session.left.add_done_callback(lambda _f: self._on_gc_closed(session))
 
     def _on_gc_closed(self, session) -> None:
@@ -639,9 +638,9 @@ class GroupBinding:
         completing = replies[-1].member if replies else None
         phases = self._phases.finish((self._caller, pending.call_no), completing)
         if phases is not None:
+            hists = self._phase_hists
             for name, value in phases.items():
-                for hists in self._phase_hists:
-                    hists[name].record(value)
+                hists[name].record(value)
         if pending.span is not None:
             self._tracer.end_span(pending.span, outcome="ok", replies=len(replies))
         try:

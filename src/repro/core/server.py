@@ -16,6 +16,7 @@ service.  It wires the application servant to group communication:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.messages import (
@@ -26,6 +27,7 @@ from repro.core.messages import (
     ShedReply,
     StateSnapshot,
     StateUpdate,
+    report_hold,
 )
 from repro.core.modes import Mode, ReplicationPolicy, replies_needed
 from repro.core.registry import client_sink_id, server_servant_id
@@ -169,6 +171,7 @@ class ObjectGroupServer:
     def _wire_server_group(self) -> None:
         self.group.on_deliver = self._on_group_deliver
         self.group.on_view = self._on_group_view
+        self.group.on_hold = partial(report_hold, self._phases)
 
     def stop(self) -> Future:
         """Leave the server group (graceful shutdown of this member).
@@ -442,14 +445,18 @@ class ObjectGroupServer:
         # every frame back to the client advertises it, so a client-side
         # admission controller sees servant-side saturation end to end
         session.pushback_source = self._server_group_pushback
-        # (anything else delivered here is a reply on its way to the client)
+        # (anything else delivered here is a reply on its way to the client;
+        # a request taken records its ordering wait here for the tiling)
+        took, me = self._phases.on_delivered, self.member_id
         if style == "closed":
             def on_deliver(_sender: str, payload: Any) -> None:
                 if isinstance(payload, InvokeMsg):
+                    took(payload.call_id, me, session.stamps)
                     self._serve(payload, self._reply_directly)
         else:
             def on_deliver(_sender: str, payload: Any) -> None:
                 if isinstance(payload, InvokeMsg):
+                    took(payload.call_id, me, session.stamps)
                     self._handle_request(payload, group_name)
 
         def on_view(_view, _joined, left) -> None:
@@ -670,6 +677,7 @@ class ObjectGroupServer:
     # ------------------------------------------------------------------
     def _on_group_deliver(self, sender: str, payload: Any) -> None:
         if isinstance(payload, InvokeMsg):
+            self._phases.on_delivered(payload.call_id, self.member_id, self.group.stamps)
             # a forwarded request — unless we answered it locally before
             # forwarding it ourselves (§4.2)
             if payload.call_id not in self._async_handled:
@@ -726,7 +734,7 @@ class ObjectGroupServer:
     def _execute(self, invoke: InvokeMsg, done) -> None:
         """Run the servant operation on this node's CPU, then call ``done``."""
         cost = self._operations[invoke.operation][0]
-        self._phases.on_exec_submit(invoke.call_id, self.member_id)
+        now = self.sim.now
         tracer = self._tracer
         if tracer.enabled and tracer.ctx is not UNSAMPLED:
             # the paper's m3: the replica executes the invocation.  The span
@@ -745,15 +753,15 @@ class ObjectGroupServer:
             if span is not None:
                 prev = tracer.ctx
                 tracer.ctx = span
-                self.node.execute(cost, self._run_servant, span, invoke, done)
+                self.node.execute(cost, self._run_servant, span, invoke, done, now)
                 tracer.ctx = prev
                 return
-        self.node.execute(cost, self._run_servant, None, invoke, done)
+        self.node.execute(cost, self._run_servant, None, invoke, done, now)
 
-    def _run_servant(self, span, invoke: InvokeMsg, done) -> None:
+    def _run_servant(self, span, invoke: InvokeMsg, done, submitted: float) -> None:
         # node.execute scheduled us at the end of the busy window, so "now"
         # is the execution completion time for this servant run
-        self._phases.on_exec_end(invoke.call_id, self.member_id)
+        self._phases.on_executed(invoke.call_id, self.member_id, submitted)
         self._executed_counter.inc()
         method = self._operations[invoke.operation][1]
         if method is None:

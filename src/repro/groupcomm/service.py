@@ -15,6 +15,7 @@ The service owns the resources shared by all of its client's groups:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import GroupError
@@ -108,6 +109,14 @@ class GroupCommService:
         #: protocol overhead, and counting it as ``data`` would inflate the
         #: per-request data traffic the paper's tables report.
         self._sent = metrics.counters("gc.sent.")
+        #: deliveries of the sessions this service has dropped
+        self._retired_delivered = 0
+        # read from the sessions at snapshot, summed over every node's service
+        metrics.pull_counter(
+            "gc.delivered", lambda: self._retired_delivered + self._total("stats.delivered")
+        )
+        metrics.pull_gauge("gc.flow.in_flight", lambda: self._total("flow.in_flight"))
+        metrics.pull_gauge("gc.flow.queued", lambda: self._total("flow.queued"))
         #: peer NSO IORs are pure values; build each once, not per send
         self._peer_iors = OnFirstUse(lambda peer: IOR(peer, "RootPOA", NSO_OBJECT_ID))
         self.channels = ChannelManager(
@@ -150,7 +159,14 @@ class GroupCommService:
         return self.sessions.get(group)
 
     def drop_session(self, group: str) -> None:
-        self.sessions.pop(group, None)
+        """Forget ``group``'s session, keeping its deliveries in the count."""
+        session = self.sessions.pop(group, None)
+        if session is not None:
+            self._retired_delivered += session.stats.delivered
+
+    def _total(self, field: str) -> int:
+        """The dotted attribute ``field`` summed over this node's sessions."""
+        return sum(map(attrgetter(field), self.sessions.values()))
 
     # ------------------------------------------------------------------
     # shared resources

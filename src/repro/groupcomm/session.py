@@ -27,6 +27,10 @@ The file is staged in the order a message travels:
 3. **deliver** — ``_deliver_app``, the one upcall seam the strategies and
    mergers release messages through;
 4. **view install** — ``apply_view_install`` / ``_close``.
+
+Payloads are opaque: the session reads none.  The invocation layer's
+latency tiling gets times from it (``stamps``, ``on_hold``), and maps
+payloads to calls itself.
 """
 
 from __future__ import annotations
@@ -71,17 +75,6 @@ ACK_DELAY = 10e-3
 ACK_COALESCE_FACTOR = 4.0
 
 
-def _call_id(payload: Any) -> Optional[Tuple[str, int]]:
-    """The one place group communication looks inside a payload: a forwarded
-    invocation request names the ``(client, call_no)`` the
-    :class:`~repro.obs.phases.PhaseAccountant` keys its latency tiling on;
-    every other payload is opaque (None).  Callers ask only while the
-    accountant has a call in flight."""
-    if getattr(payload, "forwarded", None) is not None:
-        return (payload.client, payload.call_no)
-    return None
-
-
 class SessionStats:
     """Per-session counters (for tests and benchmarks)."""
 
@@ -112,6 +105,13 @@ class GroupSession:
         # application callbacks
         self.on_deliver: Optional[Callable[[str, Any], None]] = None
         self.on_view: Optional[Callable[[GroupView, List[str], List[str]], None]] = None
+        #: told ``(payload, True)`` of a send held behind a join or flush,
+        #: and ``(payload, False)`` of each data send while a phase flush
+        #: hold is open anywhere
+        self.on_hold: Optional[Callable[[Any, bool], None]] = None
+        #: (arrival here or None, ordering release) of the message handed to
+        #: ``on_deliver``, while the phase accountant has a call in flight
+        self.stamps: Optional[Tuple[Optional[float], float]] = None
 
         # outcome futures
         self.joined = Future(name=f"joined:{group}@{self.member_id}")
@@ -131,6 +131,8 @@ class GroupSession:
         self._released: Dict[str, int] = {m: 0 for m in members}
         self._held: Dict[str, List[str]] = {m: [] for m in members}
         self._woken: List[str] = []
+        #: arrival times of data messages received while a call is in flight
+        self._arrivals: Dict[Tuple[int, str, int], float] = {}
         self._queued_sends: List[Any] = []
         self._future_buffer: List[Tuple[str, Any]] = []
         self._last_sent_ts = 0
@@ -151,13 +153,8 @@ class GroupSession:
         self._tracer = obs.tracer
         self._flight = obs.flight
         self._phases = obs.phases
-        self._delivered_counter = obs.metrics.counter("gc.delivered")
         self._views_counter = obs.metrics.counter("gc.views_installed")
         self._unstable_hist = obs.metrics.histogram("gc.unstable_depth")
-        self._flow_inflight_g = obs.metrics.gauge("gc.flow.in_flight")
-        self._flow_queued_g = obs.metrics.gauge("gc.flow.queued")
-        #: last (in_flight, queued) reported to the aggregate flow gauges
-        self._flow_reported = (0, 0)
         self._adopt_config(config)
         self.membership = MembershipEngine(self)
         if initial_view is not None:
@@ -207,21 +204,15 @@ class GroupSession:
         if self.state == "closed":
             raise NotMember(f"{self.member_id} is not a member of {self.group}")
         if self.state in ("joining", "flushing"):
-            call = _call_id(payload) if self._phases.calls else None
-            if call is not None:
-                # an invocation held behind a membership flush: start its
-                # flush-wait clock (released when the send finally goes out)
-                self._phases.on_flush_hold(call)
+            if self.on_hold is not None:
+                self.on_hold(payload, True)
             self._queued_sends.append(payload)
             return
         acquire = self.flow.requeue if admitted else self.flow.try_acquire
-        if not acquire(payload):
-            # window full: queued inside the flow controller (try_acquire
-            # raises FlowQueueFull past max_queue — the caller sheds)
-            self._update_flow_gauges()
-            return
-        self._update_flow_gauges()
-        self._do_send(payload, KIND_DATA)
+        if acquire(payload):
+            self._do_send(payload, KIND_DATA)
+        # else the window is full: queued inside the flow controller
+        # (try_acquire raises FlowQueueFull past max_queue — the caller sheds)
 
     def leave(self) -> Future:
         """Depart gracefully; resolves once the group has reformed.
@@ -290,14 +281,6 @@ class GroupSession:
                 peak = worst
         return peak
 
-    def _update_flow_gauges(self) -> None:
-        now = (self.flow.in_flight, self.flow.queued)
-        last = self._flow_reported
-        if now != last:
-            self._flow_inflight_g.add(now[0] - last[0])
-            self._flow_queued_g.add(now[1] - last[1])
-            self._flow_reported = now
-
     # ------------------------------------------------------------------
     # sending machinery
     # ------------------------------------------------------------------
@@ -348,10 +331,8 @@ class GroupSession:
             self._flight.record(
                 self.member_id, "send", self.group, f"{self.member_id}#{gseq}"
             )
-            if self._phases.flush_pending:
-                call = _call_id(payload)
-                if call is not None:
-                    self._phases.on_flush_release(call)
+            if self._phases.flush_pending and self.on_hold is not None:
+                self.on_hold(payload, False)
         tracer = self._tracer
         span = None
         if tracer.enabled and tracer.ctx is not UNSAMPLED:
@@ -484,15 +465,13 @@ class GroupSession:
                 detector.note_activity()
             gseq = msg.gseq
             self._recv_gseq[sender] = gseq
-            self.unstable[(msg.view_id, sender, gseq)] = msg
+            key = (msg.view_id, sender, gseq)
+            self.unstable[key] = msg
             if gseq == self._released[sender] + 1:
                 self._woken.append(sender)
             if self._phases.calls:
-                call = _call_id(msg.payload)
-                if call is not None:
-                    # raw request arrival at this member (before ordering):
-                    # the ordering-wait clock for this member starts here
-                    self._phases.on_arrival(call, self.member_id)
+                # raw arrival (before ordering), handed up at delivery
+                self._arrivals[key] = self.sim.now
         self._ingest_acks(sender, msg.acks)
         if not is_null:
             # we owe the group a reply (see the NULL debt below)
@@ -582,7 +561,6 @@ class GroupSession:
                 if payload is None:
                     break
                 self._do_send(payload, KIND_DATA)
-            self._update_flow_gauges()
 
     # ------------------------------------------------------------------
     # reactive NULL scheduling
@@ -635,21 +613,18 @@ class GroupSession:
         if msg.is_null:
             return
         self.stats.delivered += 1
-        self._delivered_counter.inc()
         self._flight.record(
             self.member_id, "deliver", self.group, f"{msg.sender}#{msg.gseq}"
         )
-        if self._phases.calls:
-            call = _call_id(msg.payload)
-            if call is not None:
-                # ordering released the request to the app: ordering wait ends
-                self._phases.on_cleared(call, self.member_id)
+        arrivals = self._arrivals
+        arrival = arrivals.pop((msg.view_id, msg.sender, msg.gseq), None) if arrivals else None
         if self.on_deliver is None:
             return
+        stamps = (arrival, self.sim.now) if self._phases.calls else None
         tracer = self._tracer
         execute = self.service.node.execute
         if not tracer.enabled:
-            execute(DELIVER_COST, self._upcall, None, msg.sender, msg.payload)
+            execute(DELIVER_COST, self._upcall, None, msg.sender, msg.payload, stamps)
             return
         # parent on the *sender's* gc.send span, carried by the message: the
         # scheduler context here belongs to whichever protocol message
@@ -668,11 +643,12 @@ class GroupSession:
             )
         prev = tracer.ctx
         tracer.ctx = UNSAMPLED if span is None else span
-        execute(DELIVER_COST, self._upcall, span, msg.sender, msg.payload)
+        execute(DELIVER_COST, self._upcall, span, msg.sender, msg.payload, stamps)
         tracer.ctx = prev
 
-    def _upcall(self, span, sender: str, payload: Any) -> None:
+    def _upcall(self, span, sender: str, payload: Any, stamps) -> None:
         if self.state != "closed" and self.on_deliver is not None:
+            self.stamps = stamps
             self.on_deliver(sender, payload)
         if span is not None:
             self._tracer.end_span(span)
@@ -743,7 +719,6 @@ class GroupSession:
             # view change, so re-queueing it must not raise
             if self.flow.requeue(payload):
                 self._do_send(payload, KIND_DATA)
-        self._update_flow_gauges()
 
         # a departure intention outlives coordinator changes
         if self._leaving and self.state == "active":
@@ -767,6 +742,7 @@ class GroupSession:
         self._released = dict(zero)
         self._held = {m: [] for m in members}
         self._woken = []
+        self._arrivals = {}
         self._last_sent_ts = self.service.clock.value
         self._max_seen_ts = 0
         self._acks_owed = False
@@ -783,12 +759,6 @@ class GroupSession:
         self.detector.stop()
         self.ordering.detach()
         self._reset_view_state([])
-        # retire this session's contribution to the aggregate flow gauges
-        last = self._flow_reported
-        if last != (0, 0):
-            self._flow_inflight_g.add(-last[0])
-            self._flow_queued_g.add(-last[1])
-            self._flow_reported = (0, 0)
         self.service.drop_session(self.group)
         self.left.try_resolve(None)
         self.joined.try_fail(NotMember(f"{self.group}: membership ended"))

@@ -95,10 +95,17 @@ class Observability:
         self.flight = FlightRecorder()
         self.phases = PhaseAccountant()
         self.sim = None  # bound by Simulator.__init__
+        tracer = self.tracer
+        self.metrics.pull_counter("obs.spans_dropped", lambda: tracer.dropped)
+        self.metrics.pull_counter("obs.roots_sampled", lambda: tracer.sampled_roots)
+        self.metrics.pull_counter("obs.roots_unsampled", lambda: tracer.unsampled_roots)
 
     def bind(self, sim) -> "Observability":
         """Attach to a simulator: spans, flight events and phase marks are
-        stamped with its virtual clock."""
+        stamped with its virtual clock, and the ``sim.*`` gauges read it."""
+        if self.sim is None:
+            self.metrics.pull_gauge("sim.virtual_time", lambda: self.sim.now)
+            self.metrics.pull_gauge("sim.events_processed", lambda: self.sim.events_processed)
         self.sim = sim
         self.tracer.clock = lambda: sim.now
         self.flight.clock = sim
@@ -109,17 +116,7 @@ class Observability:
     # snapshots / export
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, Dict]:
-        """Metrics snapshot, augmented with kernel gauges and tracer
-        counters at read time."""
-        if self.sim is not None:
-            self.metrics.gauge("sim.virtual_time").set(self.sim.now)
-            self.metrics.gauge("sim.events_processed").set(
-                float(self.sim.events_processed)
-            )
-        tracer = self.tracer
-        self.metrics.counter("obs.spans_dropped").value = tracer.dropped
-        self.metrics.counter("obs.roots_sampled").value = tracer.sampled_roots
-        self.metrics.counter("obs.roots_unsampled").value = tracer.unsampled_roots
+        """The registry's snapshot, kernel and tracer values pulled in it."""
         return self.metrics.snapshot()
 
     def trace_records(self) -> List[Dict[str, Any]]:

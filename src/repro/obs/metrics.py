@@ -4,7 +4,9 @@ Everything here is deterministic and simulation-aware: values are recorded
 against **virtual** time and quantities, never wall-clock, so two runs with
 the same seed produce byte-identical snapshots.  The registry is the common
 schema the benchmarks report against; layer code holds direct references to
-its instruments (attribute increments, no name lookups on hot paths).
+its instruments (attribute increments, no name lookups on hot paths).  An
+instrument mirroring state a layer keeps anyway is *pulled* instead: read
+from that state by a snapshot, ``counter_value`` or ``diff``, never pushed.
 
 Histograms use HDR-style logarithmic bucketing: each power-of-two octave is
 split into ``SUBBUCKETS`` linear sub-buckets, giving a bounded relative
@@ -72,6 +74,24 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
+class Pulled:
+    """A counter or gauge read from the state it mirrors when asked: its
+    ``value`` is the sum of its sources' reads, in registration order."""
+
+    __slots__ = ("sources", "_cast")
+
+    def __init__(self, cast: Callable):
+        self.sources: List[Callable] = []
+        self._cast = cast
+
+    @property
+    def value(self):
+        total = 0
+        for read in self.sources:
+            total += read()
+        return self._cast(total)
+
+
 class Gauge:
     """A last-write-wins instantaneous value."""
 
@@ -83,9 +103,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Gauge {self.name}={self.value}>"
@@ -249,6 +266,14 @@ class MetricsRegistry:
         """The counters ``<prefix><kind>`` by kind, each registered the
         first time its kind is indexed (per-kind traffic accounting)."""
         return OnFirstUse(lambda kind: self._counters[prefix + kind])
+
+    def pull_counter(self, name: str, read: Callable[[], int]) -> None:
+        """Add ``read`` to the sources of the pulled counter ``name``."""
+        self._counters.setdefault(name, Pulled(int)).sources.append(read)
+
+    def pull_gauge(self, name: str, read: Callable[[], float]) -> None:
+        """Add ``read`` to the sources of the pulled gauge ``name``."""
+        self._gauges.setdefault(name, Pulled(float)).sources.append(read)
 
     # ------------------------------------------------------------------
     # read-side accessors (SLO evaluation, report building)

@@ -4,8 +4,9 @@ End-to-end invocation latency over a NewTop group channel is a composite:
 the request waits in CPU/send queues, waits for its ordering ticket, may
 stall behind a membership flush, executes at the servants, and finally the
 replies are collected/combined.  This module splits the end-to-end number
-into those five phases *without touching a single message format*: layers
-report timestamps into a bounded side-table keyed by ``(client, call_no)``
+into those five phases *without touching a single message format*: the
+invocation layer, which knows the call behind every request it takes,
+reports timestamps into a bounded side-table keyed by ``(client, call_no)``
 and the client binding folds them into ``inv.phase.*`` histograms when the
 call completes.
 
@@ -43,24 +44,25 @@ CallId = Tuple[str, int]
 
 
 class _CallEntry:
-    __slots__ = ("t0", "arrival", "cleared", "exec_submit", "exec_end", "flush")
+    __slots__ = ("t0", "ordered", "executed", "flush")
 
     def __init__(self, t0: float):
         self.t0 = t0
-        self.arrival: Dict[str, float] = {}
-        self.cleared: Dict[str, float] = {}
-        self.exec_submit: Dict[str, float] = {}
-        self.exec_end: Dict[str, float] = {}
+        #: member -> (arrival, cleared) of the request it took, and
+        #: (submitted, ended) of its servant execution window
+        self.ordered: Dict[str, Tuple[Optional[float], float]] = {}
+        self.executed: Dict[str, Tuple[float, float]] = {}
         self.flush = 0.0
 
 
 class PhaseAccountant:
     """Bounded side-table of in-flight call timestamps.
 
-    Every hook is a couple of dict operations on the hot path; calls the
-    table never saw (capacity eviction, g2g traffic) simply yield no
-    breakdown.  ``flush_pending`` is a cheap guard the send path checks
-    before attempting a flush-hold release.
+    Every hook is a couple of dict operations, called once per request a
+    member takes and once per servant execution; calls the table never saw
+    (capacity eviction, g2g traffic) simply yield no breakdown.
+    ``flush_pending`` is a cheap guard the send path checks before
+    reporting a send that may release a flush hold.
     """
 
     __slots__ = ("clock", "enabled", "flush_pending", "calls", "_flush_start")
@@ -71,13 +73,12 @@ class PhaseAccountant:
         self.enabled = enabled
         #: True while any call has an open flush hold (cheap send-path guard)
         self.flush_pending = False
-        #: the calls in flight (the session looks inside payloads only
-        #: while there is one)
+        #: the calls in flight (sessions stamp arrivals only while there is one)
         self.calls: "OrderedDict[CallId, _CallEntry]" = OrderedDict()
         self._flush_start: Dict[CallId, float] = {}
 
     # ------------------------------------------------------------------
-    # lifecycle hooks (called by core/groupcomm layers)
+    # lifecycle hooks (called by the invocation layer)
     # ------------------------------------------------------------------
     def begin(self, call_id: CallId) -> None:
         """Client binding: the invocation clock starts now."""
@@ -86,36 +87,23 @@ class PhaseAccountant:
         self.calls[call_id] = _CallEntry(self.clock.now)
         while len(self.calls) > MAX_CALLS:
             evicted, _ = self.calls.popitem(last=False)
-            self._flush_start.pop(evicted, None)
-            if not self._flush_start:
-                self.flush_pending = False
+            self._end_hold(evicted)
 
-    def on_arrival(self, call_id: CallId, member: str) -> None:
-        """Session layer: the request reached ``member``'s session (raw,
-        before ordering).  First arrival per member wins (retries keep the
-        original wait visible)."""
+    def on_delivered(self, call_id: CallId, member: str, stamps) -> None:
+        """Server: ``member`` took the call's request, stamped ``(arrival,
+        cleared)`` by its session (``GroupSession.stamps``, None while no
+        call was in flight): the ordering wait.  The first per member wins
+        (a retry keeps the original wait visible)."""
         entry = self.calls.get(call_id)
-        if entry is not None and member not in entry.arrival:
-            entry.arrival[member] = self.clock.now
+        if entry is not None and stamps is not None and member not in entry.ordered:
+            entry.ordered[member] = stamps
 
-    def on_cleared(self, call_id: CallId, member: str) -> None:
-        """Session layer: ordering released the request to the app at
-        ``member`` — the ordering wait for this member ends now."""
+    def on_executed(self, call_id: CallId, member: str, submitted: float) -> None:
+        """Server: the servant execution window at ``member``, opened at
+        ``submitted``, closes now.  The first execution per member wins."""
         entry = self.calls.get(call_id)
-        if entry is not None and member not in entry.cleared:
-            entry.cleared[member] = self.clock.now
-
-    def on_exec_submit(self, call_id: CallId, member: str) -> None:
-        """Server: the servant execution window at ``member`` opens now."""
-        entry = self.calls.get(call_id)
-        if entry is not None and member not in entry.exec_submit:
-            entry.exec_submit[member] = self.clock.now
-
-    def on_exec_end(self, call_id: CallId, member: str) -> None:
-        """Server: the servant execution window at ``member`` closes now."""
-        entry = self.calls.get(call_id)
-        if entry is not None and member not in entry.exec_end:
-            entry.exec_end[member] = self.clock.now
+        if entry is not None and member not in entry.executed:
+            entry.executed[member] = (submitted, self.clock.now)
 
     def on_flush_hold(self, call_id: CallId) -> None:
         """A message of this call was queued behind a joining/flushing
@@ -127,13 +115,16 @@ class PhaseAccountant:
 
     def on_flush_release(self, call_id: CallId) -> None:
         """The held message finally went out; accumulate the flush wait."""
+        start = self._end_hold(call_id)
+        entry = self.calls.get(call_id)
+        if start is not None and entry is not None:
+            entry.flush += self.clock.now - start
+
+    def _end_hold(self, call_id: CallId) -> Optional[float]:
+        """Close the call's flush hold, if one is open; returns its start."""
         start = self._flush_start.pop(call_id, None)
-        if start is not None:
-            entry = self.calls.get(call_id)
-            if entry is not None:
-                entry.flush += self.clock.now - start
-            if not self._flush_start:
-                self.flush_pending = False
+        self.flush_pending = bool(self._flush_start)
+        return start
 
     # ------------------------------------------------------------------
     # completion
@@ -145,27 +136,22 @@ class PhaseAccountant:
         the entry.  Returns None when the call was never tracked."""
         entry = self.calls.pop(call_id, None)
         # close any dangling flush hold (e.g. the call timed out mid-flush)
-        start = self._flush_start.pop(call_id, None)
+        start = self._end_hold(call_id)
         if entry is None:
-            if not self._flush_start:
-                self.flush_pending = False
             return None
         t_end = self.clock.now
         if start is not None:
             entry.flush += t_end - start
-            if not self._flush_start:
-                self.flush_pending = False
         e2e = max(t_end - entry.t0, 0.0)
         m = completing_member
         order = execute = reply = 0.0
         if m is not None:
-            arr = entry.arrival.get(m)
-            clr = entry.cleared.get(m)
-            if arr is not None and clr is not None:
-                order = max(clr - arr, 0.0)
-            sub = entry.exec_submit.get(m)
-            end = entry.exec_end.get(m)
-            if sub is not None and end is not None:
+            arrival, cleared = entry.ordered.get(m, (None, 0.0))
+            if arrival is not None:
+                order = max(cleared - arrival, 0.0)
+            window = entry.executed.get(m)
+            if window is not None:
+                sub, end = window
                 execute = max(end - sub, 0.0)
                 reply = max(t_end - end, 0.0)
         flush = min(entry.flush, e2e)
@@ -182,20 +168,12 @@ class PhaseAccountant:
             reply *= scale
             flush *= scale
             queue = 0.0
-        return {
-            "queue": queue,
-            "order": order,
-            "flush": flush,
-            "execute": execute,
-            "reply": reply,
-        }
+        return {"queue": queue, "order": order, "flush": flush, "execute": execute, "reply": reply}
 
     def discard(self, call_id: CallId) -> None:
         """Forget a call without recording (failed/timed-out invocations)."""
         self.calls.pop(call_id, None)
-        self._flush_start.pop(call_id, None)
-        if not self._flush_start:
-            self.flush_pending = False
+        self._end_hold(call_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PhaseAccountant in_flight={len(self.calls)}>"

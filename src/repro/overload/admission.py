@@ -72,7 +72,7 @@ class AdmissionController:
     fails) or a retry-after hint in seconds to shed.
     """
 
-    __slots__ = ("config", "name", "inflight", "_admitted_c", "_shed_c", "_inflight_g")
+    __slots__ = ("config", "name", "inflight", "_admitted_c", "_shed_c")
 
     def __init__(self, sim, config: AdmissionConfig, name: str = ""):
         self.config = config
@@ -81,7 +81,7 @@ class AdmissionController:
         metrics = sim.obs.metrics
         self._admitted_c = metrics.counter("overload.admitted")
         self._shed_c = metrics.counter("overload.shed")
-        self._inflight_g = metrics.gauge("overload.inflight")
+        metrics.pull_gauge("overload.inflight", lambda: self.inflight)
 
     def try_admit(self, pushback: float = 0.0) -> Optional[float]:
         """Admit (``None``) or shed (retry-after hint in seconds)."""
@@ -91,7 +91,6 @@ class AdmissionController:
         if pushback >= PUSHBACK_HIGH:
             return self._shed(pushback)
         self.inflight += 1
-        self._inflight_g.add(1)
         self._admitted_c.inc()
         return None
 
@@ -99,13 +98,10 @@ class AdmissionController:
         """An admitted call finished (or failed): free its inflight slot."""
         if self.inflight > 0:
             self.inflight -= 1
-            self._inflight_g.add(-1)
 
     def reset(self) -> None:
         """Process restart: every in-flight slot died with its collector."""
-        if self.inflight:
-            self._inflight_g.add(-self.inflight)
-            self.inflight = 0
+        self.inflight = 0
 
     def _shed(self, pressure: float) -> float:
         self._shed_c.inc()

@@ -314,7 +314,7 @@ class OpenLoopGenerator:
         self._errors_c = metrics.counter("scenario.errors")
         self._shed_c = metrics.counter("scenario.shed")
         self._latency_hist = metrics.histogram("scenario.latency")
-        self._in_flight_gauge = metrics.gauge("scenario.in_flight")
+        metrics.pull_gauge("scenario.in_flight", lambda: self.in_flight)
         self._issuing_done = False
         self._issue_index = 0
 
@@ -357,12 +357,10 @@ class OpenLoopGenerator:
         self._issue_index += 1
         future = issuer()
         self.in_flight += 1
-        self._in_flight_gauge.set(float(self.in_flight))
         future.add_done_callback(lambda f, t=elapsed: self._on_complete(f, t))
 
     def _on_complete(self, future: Future, issued_at: float) -> None:
         self.in_flight -= 1
-        self._in_flight_gauge.set(float(self.in_flight))
         if future.failed:
             if isinstance(future.exception, Overloaded):
                 # admission control refused the call before execution: that

@@ -180,12 +180,12 @@ def record_executions():
     orig_run = ObjectGroupServer._run_servant
     orig_restart = ObjectGroupServer.restart
 
-    def patched_run(self, span, invoke, done):
+    def patched_run(self, span, invoke, *rest):
         executions.append(
             (self.member_id, incarnations.get(self.member_id, 0),
              invoke.client, invoke.call_no)
         )
-        orig_run(self, span, invoke, done)
+        orig_run(self, span, invoke, *rest)
 
     def patched_restart(self):
         incarnations[self.member_id] = incarnations.get(self.member_id, 0) + 1

@@ -143,11 +143,11 @@ def delivered(monkeypatch, deployment):
     log = {}
     upcall = GroupSession._upcall
 
-    def spy(self, span, sender, payload):
+    def spy(self, span, sender, payload, *rest):
         log.setdefault((self.member_id, self.group), []).append(
             (self.sim.now, sender, payload)
         )
-        upcall(self, span, sender, payload)
+        upcall(self, span, sender, payload, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(GroupSession, "_upcall", spy)

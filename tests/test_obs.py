@@ -4,7 +4,9 @@ end-to-end causal traces of the paper's fig. 9 m1-m6 invocation path."""
 import io
 import json
 import math
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -31,6 +33,8 @@ from repro.obs import (
 from repro.obs.metrics import CHUNK, SUBBUCKETS, ZERO_BUCKET
 from tests.conftest import Cluster, Collector
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 
 # ---------------------------------------------------------------------------
 # metrics primitives
@@ -44,8 +48,7 @@ def test_counter_and_gauge_basics():
     assert registry.counter("a.b") is counter  # cached by name
     gauge = registry.gauge("depth")
     gauge.set(2.5)
-    gauge.add(0.5)
-    assert gauge.value == 3.0
+    assert gauge.value == 2.5
 
 
 def test_histogram_percentiles_bracket_observations():
@@ -556,3 +559,48 @@ def test_bench_cli_trace_and_metrics_flags(capsys, tmp_path):
     assert records
     # run-namespaced trace ids keep traces from different runs apart
     assert all(":" in str(r["trace"]) for r in records)
+
+
+# ---------------------------------------------------------------------------
+# the metric catalogue: docs/OBSERVABILITY.md's Metrics table against the
+# instruments src/repro registers
+# ---------------------------------------------------------------------------
+_REGISTERS = re.compile(
+    r"\.(?:counter|gauge|histogram|counters|pull_counter|pull_gauge)\(\s*(f?)\"([^\"]+)\""
+)
+
+
+def _emitted_names():
+    """Every instrument name registered under ``src/repro``, as a literal or
+    a prefix: an f-string is cut at its first field and ``counters`` takes
+    a prefix, and both end in ``*``."""
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for fstring, name in _REGISTERS.findall(path.read_text()):
+            if fstring:
+                name = name.split("{", 1)[0] + "*"
+            elif name.endswith("."):
+                name += "*"
+            names.add(name)
+    return names
+
+
+def _documented_names():
+    """The backticked names in the first column of the Metrics table, with
+    ``<kind>``, ``<phase>`` and an ``sN`` component read as ``*``."""
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    section = text.split("\n## Metrics\n", 1)[1].split("\n#", 1)[0]
+    names = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                name = re.sub(r"<(kind|phase)>$", "*", name)
+                names.add(re.sub(r"\.sN$", ".*", name))
+    return names
+
+
+def test_the_metrics_table_names_every_instrument_and_no_other():
+    emitted, documented = _emitted_names(), _documented_names()
+    assert len(emitted) > 50
+    assert sorted(emitted - documented) == [], "emitted but not documented"
+    assert sorted(documented - emitted) == [], "documented but never emitted"

@@ -3,13 +3,16 @@ per-phase latency decomposition, metrics window diffs, and the offline
 ``python -m repro.obs`` CLI."""
 
 import json
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.harness import request_reply_point
+from repro.bench.harness import request_reply_deployment, request_reply_point
+from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.bench.profiling import count_calls
 from repro.core import BindingStyle, Mode
+from repro.groupcomm import GroupConfig, Ordering
 from repro.groupcomm.ordering import AsymmetricOrder
 from repro.net import Network, Topology
 from repro.obs import (
@@ -31,7 +34,9 @@ from repro.obs import tracer as tracer_module
 from repro.obs.tracer import UNSAMPLED
 from repro.scenario import run_scenario
 from repro.sim import Simulator
+from tests.conftest import Cluster
 from tests.invariants import check_invariants, record_protocol
+from tests.test_groupcomm_basic import build_group
 from tests.test_invariant_sweep import sweep_spec
 
 
@@ -293,17 +298,18 @@ def test_standalone_recorders_read_any_clock_with_a_now():
     flight.clock = phases.clock = clock
     call = ("c0", 1)
     phases.begin(call)
-    for now, hook in ((1.5, phases.on_arrival), (2.0, phases.on_cleared),
-                      (2.0, phases.on_exec_submit), (2.5, phases.on_exec_end)):
+    # arrived at 1.5, released by ordering at 2.0; executed from 2.0 to 2.5
+    for now, hook, args in ((2.0, phases.on_delivered, ((1.5, 2.0),)),
+                            (2.5, phases.on_executed, (2.0,))):
         clock.now = now
-        hook(call, "s0")
+        hook(call, "s0", *args)
         flight.record("s0", hook.__name__)
     clock.now = 3.0
     assert phases.finish(call, "s0") == {
         "queue": 0.5, "order": 0.5, "flush": 0.0, "execute": 0.5, "reply": 0.5,
     }
     assert [(event[1], event[3]) for event in flight.events()] == [
-        (1.5, "on_arrival"), (2.0, "on_cleared"), (2.0, "on_exec_submit"), (2.5, "on_exec_end"),
+        (2.0, "on_delivered"), (2.5, "on_executed"),
     ]
 
 
@@ -419,6 +425,86 @@ def test_metrics_table_aligns_negative_and_missing_values():
     # window histogram rows carry count+mean; percentiles render as dashes
     assert lines["lat"].count("-") >= 4
     assert "2.000000" in lines["lat"]
+
+
+# ---------------------------------------------------------------------------
+# pulled instruments: read when a snapshot is taken, by every read path
+# ---------------------------------------------------------------------------
+def test_pulled_instruments_sum_their_sources_on_every_read_path():
+    registry = MetricsRegistry()
+    state = {"a": 3, "b": 4}
+    registry.pull_counter("x", lambda: state["a"])
+    registry.pull_counter("x", lambda: state["b"])
+    registry.pull_gauge("g", lambda: state["a"])
+    before = registry.snapshot()
+    assert before["counters"]["x"] == 7 and before["gauges"]["g"] == 3.0
+    state["a"] = 10
+    assert registry.counter_value("x") == 14
+    delta = registry.diff(before)
+    assert delta["counters"]["x"] == 7
+    assert delta["gauges"]["g"] == 7.0
+
+
+def test_a_window_diff_sees_the_tracer_and_kernel_values():
+    """``MetricsRegistry.diff`` snapshots the registry itself, so what
+    ``Observability.metrics_snapshot`` used to set at read time (roots,
+    dropped spans, the kernel's clock and event count) must be in the
+    registry's own reads, or a window reports zero for it."""
+    env, bindings = request_reply_deployment("lan", 2, obs=Observability(trace=True))
+    obs = env.sim.obs
+    before = obs.metrics_snapshot()
+    events, now = env.sim.events_processed, env.sim.now
+    workers = [
+        ClosedLoopClient(env.sim, binding, operation="draw", requests=5, warmup=0)
+        for binding in bindings
+    ]
+    run_until_done(env.sim, [w.done for w in workers], deadline=env.sim.now + 60.0)
+    delta = obs.metrics.diff(before)
+    assert delta["counters"]["obs.roots_sampled"] == 10
+    assert delta["counters"]["obs.spans_dropped"] == 0
+    assert delta["gauges"]["sim.events_processed"] == env.sim.events_processed - events
+    assert delta["gauges"]["sim.events_processed"] > 0
+    assert delta["gauges"]["sim.virtual_time"] == env.sim.now - now
+    assert obs.metrics.counter_value("obs.roots_sampled") == obs.tracer.sampled_roots
+    assert obs.metrics_snapshot() == obs.metrics.snapshot()
+
+
+def test_gc_delivered_never_drops_across_a_close_or_a_restart():
+    env, bindings = request_reply_deployment("lan", 1)
+    delivered = partial(env.sim.obs.metrics.counter_value, "gc.delivered")
+
+    def calls(n):
+        worker = ClosedLoopClient(env.sim, bindings[0], operation="draw",
+                                  requests=n, warmup=0)
+        run_until_done(env.sim, [worker.done], deadline=env.sim.now + 60.0)
+
+    calls(5)
+    server = env.services["s2"].servers["rand"]
+    dead = server.group
+    seen = delivered()
+    assert dead.stats.delivered > 0
+    env.net.crash("s2")
+    env.net.recover("s2")
+    server.restart()  # closes every session of the dead incarnation
+    assert dead.state == "closed"
+    assert delivered() == seen
+    calls(5)  # outstanding traffic has the survivors suspect the dead s2
+    env.run(5.0)
+    assert server.ready.done and not server.ready.failed  # s2 is back in
+    assert delivered() > seen
+
+
+def test_a_closed_session_leaves_the_flow_gauges():
+    c = Cluster(3)
+    config = GroupConfig(ordering=Ordering.ASYMMETRIC, send_window=2, flow_max_queue=3)
+    sessions = build_group(c, config)
+    for i in range(5):  # fills the window (2) and the queue (3)
+        sessions[0].send(i)
+    gauges = c.sim.obs.metrics.snapshot()["gauges"]
+    assert (gauges["gc.flow.in_flight"], gauges["gc.flow.queued"]) == (2.0, 3.0)
+    sessions[0]._close()
+    gauges = c.sim.obs.metrics.snapshot()["gauges"]
+    assert (gauges["gc.flow.in_flight"], gauges["gc.flow.queued"]) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,6 @@ def _full_recompute(self, reporter: str, acks: Dict[str, int]) -> None:
             if payload is None:
                 break
             self._do_send(payload, KIND_DATA)
-        self._update_flow_gauges()
 
 
 def _member_n0(members, full_recompute: bool):

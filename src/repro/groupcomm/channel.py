@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.groupcomm.messages import ChanAck, ChanData, ChanNack, ChanReset
 from repro.obs.metrics import OnFirstUse
-from repro.sim.core import Simulator
+from repro.sim.core import Deadline, Simulator
 
 __all__ = ["ChannelManager"]
 
@@ -94,15 +94,17 @@ class _Outgoing:
 
 
 class _Incoming:
-    """Receiver half: contiguous delivery, gap detection, ack bookkeeping."""
+    """Receiver half: contiguous delivery, gap detection, ack bookkeeping.
+    ``ack_timer`` is the standalone-ack debt: armed by the first unacked
+    receipt, disarmed by any frame that carries the ack."""
 
     __slots__ = ("expected", "out_of_order", "unacked", "ack_timer", "nack_timer", "nack_tries")
 
-    def __init__(self):
+    def __init__(self, ack_timer: Deadline):
         self.expected = 1
         self.out_of_order: Dict[int, Any] = {}
         self.unacked = 0
-        self.ack_timer = None
+        self.ack_timer = ack_timer
         self.nack_timer = None
         self.nack_tries = 0
 
@@ -131,7 +133,9 @@ class ChannelManager:
         # the two halves of each peer's channel, created on first use; a
         # NACK or reset from a peer with no half yet is ignored (``.get``)
         self._out: Dict[str, _Outgoing] = OnFirstUse(lambda peer: _Outgoing())
-        self._in: Dict[str, _Incoming] = OnFirstUse(lambda peer: _Incoming())
+        self._in: Dict[str, _Incoming] = OnFirstUse(
+            lambda peer: _Incoming(Deadline(sim, self._ack_timer_fired, peer))
+        )
         metrics = sim.obs.metrics
         self._retransmit_counter = metrics.counter("gc.channel.retransmissions")
         self._nack_counter = metrics.counter("gc.channel.nacks_sent")
@@ -156,9 +160,7 @@ class ChannelManager:
             if inc.unacked:
                 inc.unacked = 0
                 self._piggyback_counter.value += 1
-            if inc.ack_timer is not None:
-                inc.ack_timer.cancel()
-                inc.ack_timer = None
+            inc.ack_timer.due = None
             self.transport(peer, ChanData(seq, inner, inc.expected - 1), kind)
         else:
             self.transport(peer, ChanData(seq, inner), kind)
@@ -210,9 +212,7 @@ class ChannelManager:
         if inc.unacked:
             inc.unacked = 0
             self._piggyback_counter.value += 1
-        if inc.ack_timer is not None:
-            inc.ack_timer.cancel()
-            inc.ack_timer = None
+        inc.ack_timer.due = None
 
     # ------------------------------------------------------------------
     # receiving
@@ -250,8 +250,8 @@ class ChannelManager:
             inc.unacked += 1
             if inc.unacked >= ACK_EVERY:
                 self._send_ack(peer, inc)
-            elif inc.ack_timer is None:
-                inc.ack_timer = self.sim.schedule(ACK_DELAY, self._ack_timer_fired, peer)
+            elif inc.ack_timer.due is None:
+                inc.ack_timer.arm(ACK_DELAY)
         elif cls is ChanAck:
             self._out[peer].ack(message.cum_seq, self.sim.now)
         elif cls is ChanNack:
@@ -292,20 +292,17 @@ class ChannelManager:
         inc.unacked += 1
         if inc.unacked >= ACK_EVERY:
             self._send_ack(peer, inc)
-        elif inc.ack_timer is None:
-            inc.ack_timer = self.sim.schedule(ACK_DELAY, self._ack_timer_fired, peer)
+        elif inc.ack_timer.due is None:
+            inc.ack_timer.arm(ACK_DELAY)
 
     def _ack_timer_fired(self, peer: str) -> None:
         inc = self._in[peer]
-        inc.ack_timer = None
         if inc.unacked:
             self._send_ack(peer, inc)
 
     def _send_ack(self, peer: str, inc: _Incoming) -> None:
         inc.unacked = 0
-        if inc.ack_timer is not None:
-            inc.ack_timer.cancel()
-            inc.ack_timer = None
+        inc.ack_timer.due = None
         self.transport(peer, ChanAck(inc.expected - 1), "control")
 
     # ------------------------------------------------------------------

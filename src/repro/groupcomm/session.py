@@ -23,7 +23,7 @@ The file is staged in the order a message travels:
    tickets alike, which takes a data message's bookkeeping in line →
    stability (``_ingest_acks``, a watermark per sender: an ack vector
    re-evaluates only the senders its reporter was holding back) → NULL
-   debt (``_arm_null_timer``) → the ordering strategy;
+   debt (the ``_null_timer`` deadline) → the ordering strategy;
 3. **deliver** — ``_deliver_app``, the one upcall seam the strategies and
    mergers release messages through;
 4. **view install** — ``apply_view_install`` / ``_close``.
@@ -53,6 +53,7 @@ from repro.groupcomm.messages import (
 from repro.groupcomm.ordering import make_ordering
 from repro.groupcomm.views import GroupView
 from repro.obs.tracer import UNSAMPLED
+from repro.sim.core import Deadline
 from repro.sim.futures import Future
 
 __all__ = ["GroupSession"]
@@ -139,7 +140,8 @@ class GroupSession:
         self._max_seen_ts = 0
         self._acks_owed = False
         self._self_ack_owed = False
-        self._null_timer = None
+        #: the NULL debt: due when it must be checked, None while none is owed
+        self._null_timer = Deadline(self.sim, self._null_timer_fired)
         self._leaving = False
         #: send-path pressure peers piggybacked on their latest message
         self._peer_pushback: Dict[str, float] = {}
@@ -240,7 +242,7 @@ class GroupSession:
 
     def has_scheduled_null(self) -> bool:
         """Whether a reactive NULL timer is pending (a send is imminent)."""
-        return self._null_timer is not None
+        return self._null_timer.due is not None
 
     def _needs_ts_progress(self) -> bool:
         return self.ordering.needs_nulls and self._last_sent_ts < self._max_seen_ts
@@ -480,9 +482,14 @@ class GroupSession:
                 seen = self._max_seen_ts = msg.ts
             self._acks_owed = True
             if self.ordering.needs_nulls and self._last_sent_ts < seen:
-                self._arm_null_timer(NULL_DELAY)
+                delay = NULL_DELAY
             else:
-                self._arm_null_timer(self._ack_delay)
+                delay = self._ack_delay
+            # ``_arm_null_timer``, in line: an earlier pending check stands
+            timer = self._null_timer
+            due = timer.due
+            if due is None or self.sim.now + delay < due:
+                timer.arm(delay)
         self.ordering.on_data(msg)
 
     # ------------------------------------------------------------------
@@ -571,21 +578,21 @@ class GroupSession:
     # - stability needs our piggybacked acks to reach the sender (else the
     #   message stays outstanding everywhere and event-driven groups never
     #   quiesce).
-    # Sending anything (data or null) within ``NULL_DELAY`` cancels the debt.
+    # Sending anything (data or null) within ``NULL_DELAY`` pays the debt.
     # ``receive`` incurs it: ordering progress needs a prompt NULL
     # (``NULL_DELAY``); a pure stability ack may be batched for longer
     # (``_ack_delay``), and in adaptive lively groups long enough that it
-    # usually rides on the next data message.
+    # usually rides on the next data message.  The debt is one
+    # ``Deadline``, ``_null_timer``: ``receive`` (in line) and a symmetric
+    # data send (``_arm_null_timer``) arm it, and a view reset disarms it.
     # ------------------------------------------------------------------
     def _arm_null_timer(self, delay: float) -> None:
         """Have the NULL debt checked within ``delay`` (an earlier pending
         check stands; a later one is pulled forward)."""
         timer = self._null_timer
-        if timer is not None:
-            if self.sim.now + delay >= timer.time:
-                return
-            timer.cancel()
-        self._null_timer = self.sim.schedule(delay, self._null_timer_fired)
+        due = timer.due
+        if due is None or self.sim.now + delay < due:
+            timer.arm(delay)
 
     def _ack_flush_delay(self) -> float:
         """How long a pure stability ack may wait for a data message to
@@ -600,7 +607,6 @@ class GroupSession:
         return min(window, self.detector.max_period, config.suspicion_timeout / 2.0)
 
     def _null_timer_fired(self) -> None:
-        self._null_timer = None
         if self.state not in ("active", "flushing"):
             return
         if self._acks_owed or self._self_ack_owed or self._needs_ts_progress():
@@ -748,9 +754,7 @@ class GroupSession:
         self._acks_owed = False
         self._self_ack_owed = False
         self._peer_pushback = {}
-        if self._null_timer is not None:
-            self._null_timer.cancel()
-            self._null_timer = None
+        self._null_timer.due = None
 
     def _close(self) -> None:
         if self.state == "closed":

@@ -23,14 +23,21 @@ redistributes it.  If the sequencer crashes with a pending batch, nobody
 ever saw those tickets and the new view's deterministic finalize order
 applies — exactly as with a lost single TicketMsg.
 
-With ``ticket_batch_max`` at its default of 1 every announcement flushes
-immediately as a plain ``TicketMsg``: wire behaviour is byte-identical to
-the unbatched protocol.
+With ``ticket_batch_max`` at its default of 1 an announcement with nothing
+pending goes straight to ``GroupSession.send_tickets`` as a plain
+``TicketMsg``, with no pending state and no flush: wire behaviour is the
+unbatched protocol's.  One that finds assignments pending (a batching
+group's, on the same sequencer) joins them and flushes them all, so the
+global ticket order holds across groups that batch and groups that do not.
+The batch window is a :class:`~repro.sim.core.Deadline`: the first pending
+assignment arms it, and a flush disarms it.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
+
+from repro.sim.core import Deadline
 
 __all__ = ["TicketBatcher"]
 
@@ -52,25 +59,27 @@ class TicketBatcher:
         self.service = service
         self.sim = service.sim
         self._pending: List[_Pending] = []
-        self._timer = None
+        self._timer = Deadline(self.sim, self.flush)
         self._batched_counter = service.sim.obs.metrics.counter("gc.tickets_batched")
 
     # ------------------------------------------------------------------
     # sequencer side
     # ------------------------------------------------------------------
     def announce(self, session, ticket: int, key: Tuple[str, int]) -> None:
-        """Queue one ticket assignment for multicast (or send it now)."""
-        self._pending.append(_Pending(ticket, session, key))
+        """Send one ticket assignment now, or queue it for multicast."""
         config = session.config.ordering_config
-        if config.ticket_batch_max <= 1 or len(self._pending) >= config.ticket_batch_max:
+        pending = self._pending
+        if not pending and config.ticket_batch_max <= 1:
+            session.send_tickets([(ticket, *key)])
+            return
+        pending.append(_Pending(ticket, session, key))
+        if len(pending) >= config.ticket_batch_max:
             self.flush()
             return
-        deadline = self.sim.now + config.ticket_batch_delay
-        if self._timer is not None and deadline < self._timer.time:
-            self._timer.cancel()
-            self._timer = None
-        if self._timer is None:
-            self._timer = self.sim.schedule(config.ticket_batch_delay, self._timer_fired)
+        delay = config.ticket_batch_delay
+        due = self._timer.due
+        if due is None or self.sim.now + delay < due:
+            self._timer.arm(delay)
 
     def flush(self) -> None:
         """Multicast every pending assignment, in global ticket order.
@@ -80,9 +89,9 @@ class TicketBatcher:
         format by run length).  Entries whose session's view moved on are
         dropped — their tickets travelled with the flush protocol instead.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if not self._pending:
+            return
+        self._timer.due = None
         pending, self._pending = self._pending, []
         live = [
             entry
@@ -104,10 +113,6 @@ class TicketBatcher:
                 self._batched_counter.inc(len(run))
             index += len(run)
 
-    def _timer_fired(self) -> None:
-        self._timer = None
-        self.flush()
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -115,9 +120,8 @@ class TicketBatcher:
         """Drop pending assignments for a session leaving its view (the
         flush-protocol union carries them instead)."""
         self._pending = [e for e in self._pending if e.session is not session]
-        if not self._pending and self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if not self._pending:
+            self._timer.due = None
 
     def pending_count(self) -> int:
         return len(self._pending)

@@ -1,10 +1,11 @@
 """Discrete-event simulation kernel.
 
 The kernel is deliberately small: a virtual clock, a priority queue of
-scheduled callbacks, deterministic tie-breaking, and the serial processors
-(:class:`Cpu`) that hosts queue their work on.  Everything above it
-(network, ORB, group protocols) is written as event handlers and
-generator-based processes (see :mod:`repro.sim.process`).
+scheduled callbacks, deterministic tie-breaking, re-armable timers
+(:class:`Deadline`), and the serial processors (:class:`Cpu`) that hosts
+queue their work on.  Everything above it (network, ORB, group protocols)
+is written as event handlers and generator-based processes (see
+:mod:`repro.sim.process`).
 
 Determinism matters for a protocol testbed: two runs with the same seed must
 produce identical histories.  The kernel therefore breaks timestamp ties by
@@ -19,14 +20,14 @@ around the callback's execution, so causality flows through the event loop
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import Observability, observability_from_global_options
 from repro.obs.metrics import CHUNK, Histogram
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Simulator", "ScheduledEvent", "SimulationError", "Cpu"]
+__all__ = ["Simulator", "ScheduledEvent", "SimulationError", "Cpu", "Deadline"]
 
 
 class SimulationError(RuntimeError):
@@ -41,22 +42,66 @@ class ScheduledEvent(list):
     comparisons resolve on the first two slots at C speed.  ``life`` is None
     for an ordinary event; a CPU job (:meth:`Cpu.submit`) carries its
     processor incarnation's liveness token there, and the loop counts the
-    job but skips ``fn`` once ``life.alive`` is false.  The layout is
-    private to this module — callers use :attr:`time` and :meth:`cancel`.
-    Cancellation is O(1): the entry stays in the heap with ``fn`` cleared and
-    is skipped when it reaches the head.
+    job but skips ``fn`` once ``life.alive`` is false.  A :class:`Deadline`'s
+    entry has no ``fn`` and the deadline itself in ``life``.  The layout is
+    private to this module — callers use :meth:`cancel`.  Cancellation is
+    O(1): the entry stays in the heap with ``fn`` cleared and is skipped
+    when it reaches the head.
     """
 
     __slots__ = ()
 
-    @property
-    def time(self) -> float:
-        """Virtual time the callback is (or was) due at."""
-        return self[0]
-
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent; a no-op once it ran."""
         self[2] = None
+
+
+class Deadline:
+    """A re-armable timer: ``fn(*args)`` at ``due``, for a debt that the next
+    send usually pays before it falls due (an ack, a NULL, a ticket batch).
+
+    ``arm(delay)`` is :meth:`Simulator.schedule` after cancelling the
+    previous arm, and assigning ``due = None`` (disarm) is ``cancel()`` —
+    exactly: arming reserves the ``seq`` that ``schedule`` would have drawn
+    at that moment, so the callback runs at the same ``(due, seq)``, counted
+    like any event, under the trace context of the latest arm.  What it
+    saves is kernel work.  Disarming is a field write, and an arm pushes a
+    heap entry only when the deadline has none pending at or before ``due``.
+    The run loop takes a deadline's entry on its cancelled-entry branch:
+    one that reaches the head after its deadline moved later goes back in at
+    the reserved ``(due, seq)``, and one the deadline no longer owns
+    (re-armed earlier, or disarmed) is dropped, uncounted.
+
+    ``due`` is when the callback runs, or None while disarmed; the callback
+    finds it None, and may arm again.
+    """
+
+    __slots__ = ("due", "fn", "args", "_sim", "_seq", "_ctx", "_entry")
+
+    def __init__(self, sim: "Simulator", fn: Callable, *args: Any):
+        self.due: Optional[float] = None
+        self.fn = fn
+        self.args = args
+        self._sim = sim
+        self._seq = 0  # the reserved tie-break of the latest arm
+        self._ctx = None  # the trace context of the latest arm
+        self._entry: Optional[list] = None  # the heap entry it owns, if any
+
+    def arm(self, delay: float) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now instead of at ``due``."""
+        if delay < 0:
+            raise SimulationError(f"cannot arm in the past (delay={delay})")
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        self._seq = seq
+        self.due = due = sim.now + delay
+        self._ctx = sim._tracer.ctx
+        entry = self._entry
+        if entry is None or entry[0] > due:
+            # none pending at or before due: a fresh entry (any later one
+            # is stranded, and dropped when it surfaces)
+            self._entry = entry = [due, seq, None, None, None, self]
+            heappush(sim._queue, entry)
 
 
 class Simulator:
@@ -131,14 +176,17 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> Tuple[int, bool]:
-        """The single event-execution loop behind :meth:`step` and
-        :meth:`run`: pop ready events (skipping cancelled ones), advance the
-        clock, and invoke callbacks under the scheduled trace context — all
-        but the CPU jobs of a crashed incarnation, which count as executed
-        and do nothing.
+        """The single event-execution loop behind :meth:`run`: pop ready
+        events (skipping cancelled ones), advance the clock, and invoke
+        callbacks under the scheduled trace context — all but the CPU jobs
+        of a crashed incarnation, which count as executed and do nothing.
 
         Returns ``(executed, hit_cap)`` where ``hit_cap`` means the
         ``max_events`` budget stopped the loop while runnable events remain.
+
+        A :class:`Deadline`'s entry comes up on the cancelled-entry branch
+        (no ``fn``), so an ordinary event pays no check for it; the entry is
+        dropped, pushed back, or run as a counted event there.
 
         Fast path: when neither the event nor the caller carries a trace
         context (the common case with tracing off or unsampled), the tracer
@@ -150,12 +198,33 @@ class Simulator:
         executed = 0
         while queue:
             time, _seq, fn, args, ctx, life = queue[0]
-            if fn is None:  # cancelled
-                heappop(queue)
-                continue
-            if until is not None and time > until:
+            if fn is None:
+                if life is None:  # cancelled
+                    heappop(queue)
+                    continue
+                # a deadline's entry: ``life`` is the Deadline
+                entry = queue[0]
+                if life._entry is not entry or life.due is None:
+                    # stranded by an earlier re-arm, or disarmed: no event
+                    heappop(queue)
+                    if life._entry is entry:
+                        life._entry = None
+                    continue
+                if life._seq != _seq:
+                    # re-armed later: back in at the reserved key, uncounted
+                    entry[0] = life.due
+                    entry[1] = life._seq
+                    heapreplace(queue, entry)
+                    continue
+                if until is not None and time > until:
+                    break
+                if max_events is not None and executed >= max_events:
+                    return executed, True
+                life._entry = life.due = None
+                fn, args, ctx, life = life.fn, life.args, life._ctx, None
+            elif until is not None and time > until:
                 break
-            if max_events is not None and executed >= max_events:
+            elif max_events is not None and executed >= max_events:
                 # events <= until remain unprocessed: the clock must NOT
                 # jump to until, or they would fire "in the past"
                 return executed, True
@@ -195,8 +264,14 @@ class Simulator:
             self._running = False
 
     def pending_count(self) -> int:
-        """Number of non-cancelled scheduled events (O(n); diagnostics only)."""
-        return sum(1 for ev in self._queue if ev[2] is not None)
+        """Number of events still to run: scheduled ones not cancelled, and
+        armed deadlines, each once (O(n); diagnostics only)."""
+        return sum(
+            1
+            for ev in self._queue
+            if ev[2] is not None
+            or (ev[5] is not None and ev[5]._entry is ev and ev[5].due is not None)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self.now:.6f} pending={len(self._queue)}>"

@@ -33,6 +33,11 @@ reproduction exists to demonstrate:
    install a later view) delivered exactly the same set of that view's
    messages.
 
+Those checks take one group at a time.  ``check_cross_group_order()``
+takes members' deliveries across groups: two members order any two
+messages they both deliver the same way, whichever groups carried them
+(§2.1's multi-group total order).
+
 Members that crash mid-run may legitimately diverge in their final
 instants (the protocols are non-uniform: agreement binds the members that
 survive into the next view), so pass their ids via ``exclude``.
@@ -57,6 +62,7 @@ __all__ = [
     "ProtocolRecord",
     "record_protocol",
     "check_invariants",
+    "check_cross_group_order",
     "record_executions",
     "check_exactly_once",
     "check_convergence",
@@ -81,6 +87,8 @@ class ProtocolRecord:
 
     def __init__(self):
         self.events: Dict[Tuple[str, str], List[tuple]] = {}
+        #: per member, its deliveries across all its groups, in order
+        self.delivered: Dict[str, List[Tuple[str, MsgId]]] = {}
         #: the run's protocol flight recorder (captured from the first
         #: recorded session's simulator) — lets a failing invariant check
         #: attach the causally-ordered protocol-event tail as a post-mortem
@@ -137,6 +145,9 @@ def record_protocol():
             # cross-era frames, so this always matches the delivering view
             record.log(self.group, self.member_id).append(
                 ("deliver", (msg.era, msg.view_id), msg.sender, msg.gseq)
+            )
+            record.delivered.setdefault(self.member_id, []).append(
+                (self.group, ((msg.era, msg.view_id), msg.sender, msg.gseq))
             )
         orig_deliver(self, msg)
 
@@ -462,6 +473,40 @@ def check_invariants(
         recorder = flight if flight is not None else record.flight
         if recorder is not None and len(recorder):
             violations.append(recorder.render(last=60))
+    return violations
+
+
+def check_cross_group_order(
+    record: ProtocolRecord, groups: Iterable[str], exclude: Iterable[str] = ()
+) -> List[str]:
+    """Multi-group total order (§2.1): any two members deliver any two
+    messages they both deliver, whatever group each was sent in, in the same
+    relative order (empty = pass).  ``groups`` names the total-order groups
+    to hold to it; a member's deliveries in other groups are ignored.
+    ``exclude`` names members whose guarantees lapsed, as for
+    :func:`check_invariants`, which does not run this check."""
+    chosen, excluded = frozenset(groups), frozenset(exclude)
+    orders = {
+        member: [entry for entry in log if entry[0] in chosen]
+        for member, log in record.delivered.items()
+        if member not in excluded
+    }
+    violations = []
+    members = sorted(orders)
+    for i, m1 in enumerate(members):
+        for m2 in members[i + 1 :]:
+            common = set(orders[m1]) & set(orders[m2])
+            seq1 = [x for x in orders[m1] if x in common]
+            seq2 = [x for x in orders[m2] if x in common]
+            if seq1 != seq2:
+                spot = next(
+                    (k for k, (a, b) in enumerate(zip(seq1, seq2)) if a != b),
+                    min(len(seq1), len(seq2)),
+                )
+                violations.append(
+                    f"cross-group order: {m1} and {m2} disagree at common "
+                    f"position {spot}: {seq1[spot:spot+2]} vs {seq2[spot:spot+2]}"
+                )
     return violations
 
 

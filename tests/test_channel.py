@@ -205,10 +205,16 @@ def test_nack_backoff_resets_once_gap_fills():
     pipe.loss_seqs.add(("a", 6))
     for i in range(5, 9):
         pipe.a.send("b", i, "data")
-    sim.run(until=sim.now + 2 * 1e-3 + 1e-6)  # gap detected, retry timer armed
+    sim.run(until=sim.now + 1e-3 + 1e-6)  # gap detected, retry timer armed
     assert inc.out_of_order
     assert inc.nack_timer is not None
-    assert inc.nack_timer.time - sim.now <= NACK_RETRY + 1e-9
+    # hold the repair back: the retry NACK must leave within NACK_RETRY
+    nacks = lambda: sum(1 for src, _k, m in pipe.sent if src == "b" and type(m) is ChanNack)
+    before = nacks()
+    pipe.down = True
+    sim.run(until=sim.now + NACK_RETRY + 1e-9)
+    assert nacks() == before + 1
+    pipe.down = False
     sim.run(until=sim.now + 0.5)
     assert pipe.delivered_b == list(range(1, 9))
 

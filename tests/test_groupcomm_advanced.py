@@ -6,6 +6,7 @@ import pytest
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.net import FixedLatency, Topology
 from tests.conftest import Cluster, Collector
+from tests.invariants import check_cross_group_order, record_protocol
 from tests.test_groupcomm_basic import build_group
 
 
@@ -161,6 +162,70 @@ def test_multigroup_member_delivers_consistent_cross_group_order(ordering):
     c.run(2.0)
     assert len(log0) == 16
     assert log0 == log1
+
+
+#: the cross-group reproducer's one-way delays, in ms (every other pair: 60)
+CROSS_LINKS = {
+    ("n0", "n1"): 10, ("n0", "n2"): 1, ("n1", "n2"): 30,
+    ("n1", "n3"): 1, ("n0", "n3"): 50, ("n2", "n4"): 1,
+}
+CROSS_KNOWN_FAILURE = "ROADMAP item 1: multi-group total order across partial overlaps"
+
+
+def _asymmetric(sequencer):
+    return GroupConfig(ordering=Ordering.ASYMMETRIC, sequencer_hint=sequencer)
+
+
+@pytest.mark.parametrize(
+    "config_a, config_b, k",
+    [
+        pytest.param(
+            GroupConfig(), GroupConfig(), 5, id="symmetric-event-driven",
+            marks=pytest.mark.xfail(strict=True, reason=CROSS_KNOWN_FAILURE),
+        ),
+        pytest.param(
+            _asymmetric("n0"), _asymmetric("n1"), 0, id="asymmetric-two-sequencers",
+            marks=pytest.mark.xfail(strict=True, reason=CROSS_KNOWN_FAILURE),
+        ),
+        pytest.param(_asymmetric("n0"), _asymmetric("n0"), 0, id="asymmetric-one-sequencer"),
+    ],
+)
+def test_partially_overlapping_groups_deliver_in_one_cross_group_order(config_a, config_b, k):
+    """§2.1 across partial overlaps: X = n0 and Y = n1 are in groups A and
+    B; Z = n2 is in A only, W = n3 in B only, and V = n4 shares group C
+    with Z.  Z multicasts ``k`` messages in C (its one NSO clock moves
+    ahead of W's), then Z sends mA in A and W sends mB in B at the same
+    instant: X and Y must deliver the two in the same order."""
+    topology = Topology()
+    names = [f"n{i}" for i in range(5)]
+    for name in names:
+        topology.add_site(name, FixedLatency(Topology.LAN_LATENCY))
+    for (a, b), ms in CROSS_LINKS.items():
+        topology.connect(a, b, FixedLatency(ms * 1e-3))
+    topology.set_default_wan(FixedLatency(60e-3))
+    with record_protocol() as record:
+        c = Cluster(5, topology=topology, sites=names)
+        a = {"n0": c.services["n0"].create_group("A", config_a)}
+        b = {"n0": c.services["n0"].create_group("B", config_b)}
+        z_in_c = c.services["n2"].create_group("C", GroupConfig())
+        for group, sessions, joiners in (("A", a, ("n1", "n2")), ("B", b, ("n1", "n3"))):
+            for member in joiners:
+                sessions[member] = c.services[member].join_group(group, "n0")
+                c.run(1.0)
+        c.services["n4"].join_group("C", "n2")
+        c.run(1.0)
+        delivered = {"n0": [], "n1": []}
+        for sessions in (a, b):
+            for member, log in delivered.items():
+                sessions[member].on_deliver = lambda sender, p, log=log: log.append(p)
+        for i in range(k):
+            z_in_c.send(f"c{i}")
+        c.run(0.5)
+        a["n2"].send("mA")
+        b["n3"].send("mB")
+        c.run(3.0)
+    assert sorted(delivered["n0"]) == sorted(delivered["n1"]) == ["mA", "mB"]
+    assert check_cross_group_order(record, ["A", "B"]) == []
 
 
 def test_fig7_causality_between_related_requests():

@@ -134,7 +134,8 @@ def test_session_close_clears_null_debt_and_timer():
     c.run(1.0)
     closed = sessions[0]
     assert closed.state == "closed"
-    assert closed._null_timer is None
+    assert closed._null_timer.due is None
+    assert not closed.has_scheduled_null()
     assert not closed._acks_owed and not closed._self_ack_owed
     assert closed._max_seen_ts == 0
 

@@ -1,6 +1,7 @@
 """Observability layer tests: tracer, metrics, exporters, and the
 end-to-end causal traces of the paper's fig. 9 m1-m6 invocation path."""
 
+import ast
 import io
 import json
 import math
@@ -604,3 +605,47 @@ def test_the_metrics_table_names_every_instrument_and_no_other():
     assert len(emitted) > 50
     assert sorted(emitted - documented) == [], "emitted but not documented"
     assert sorted(documented - emitted) == [], "documented but never emitted"
+
+
+# ---------------------------------------------------------------------------
+# the span and flight-event catalogues: docs/OBSERVABILITY.md's tables
+# against the start_span and flight.record calls under src/repro
+# ---------------------------------------------------------------------------
+def _emitted_literals(method, position, receiver=None):
+    """The string literal each ``.<method>(`` call under ``src/repro`` passes
+    at ``position``, on an attribute named ``receiver`` when one is given
+    (a flight recorder's ``record``, not a histogram's).  Every such call
+    must pass a literal, or the tables could not be checked."""
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for call in ast.walk(ast.parse(path.read_text())):
+            func = getattr(call, "func", None)
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == method
+                and receiver in (None, getattr(func.value, "attr", None))
+            ):
+                arg = call.args[position]
+                assert isinstance(arg, ast.Constant), f"{path}: {ast.dump(arg)}"
+                names.add(arg.value)
+    return names
+
+
+def _table_names(heading):
+    """The backticked names in the first column of the table that follows
+    ``heading`` in docs/OBSERVABILITY.md."""
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    section = text.split(heading, 1)[1].split("\n#", 1)[0]
+    names = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            names.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    return names
+
+
+def test_the_span_and_flight_tables_name_every_emitted_name_and_no_other():
+    spans = _emitted_literals("start_span", 0)
+    kinds = _emitted_literals("record", 1, receiver="_flight")
+    assert {"invoke", "gc.send"} <= spans and {"send", "shed"} <= kinds
+    assert spans == _table_names("| span | what it covers |")
+    assert kinds == _table_names("| kind | recorded when | detail |")

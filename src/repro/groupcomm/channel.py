@@ -376,6 +376,12 @@ class ChannelManager:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
+    def unacked(self):
+        """``(peer, message)`` of every frame sent and not yet acknowledged."""
+        for peer, out in self._out.items():
+            for inner in out.buffer.values():
+                yield peer, inner
+
     def outstanding_to(self, peer: str) -> int:
         out = self._out.get(peer)
         return len(out.buffer) if out else 0

@@ -16,7 +16,7 @@ times are clamped to be non-decreasing per pair.
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heappush, heapreplace
 from math import cos, log, pi, sin, sqrt
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -26,7 +26,7 @@ from repro.net.node import Node
 from repro.net.topology import LinkSpec, Topology
 from repro.obs.metrics import OnFirstUse
 from repro.obs.tracer import UNSAMPLED
-from repro.sim.core import ScheduledEvent, SimulationError, Simulator
+from repro.sim.core import SimulationError, Simulator
 
 __all__ = ["Network", "NetworkStats"]
 
@@ -171,9 +171,10 @@ class Network:
         ``kind`` attributes this hop in the per-kind accounting (protocol
         message kinds from the gc layer; defaults to the service name).
 
-        A message that arrives is one kernel entry due at its arrival time:
-        the destination's ``Cpu.submit`` of the receive job, which drops it
-        if the node crashed in flight.
+        A message that arrives is one kernel entry due at its arrival time,
+        which the event loop turns into the destination CPU's receive job in
+        place, or drops if the node crashed in flight (see
+        ``repro.sim.core.ScheduledEvent``).
         """
         tracer = self._tracer
         stats = self.stats
@@ -266,16 +267,21 @@ class Network:
             ctx = span
         else:
             ctx = tracer.ctx
-        # the receive job's submission, pushed as Simulator.schedule_at would
+        # the arrival, as Simulator.schedule_at would push it
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, ScheduledEvent((
+        entry = [
             arrival,
             seq,
-            dst_node.execute,
+            None,
             (node_costs.RECV_OVERHEAD + size * node_costs.PER_BYTE, handler, src, payload, size),
             ctx,
-            None,
-        )))
+            dst_node.cpu,
+        ]
+        if sim._vacant:
+            sim._vacant = False
+            heapreplace(sim._queue, entry)
+        else:
+            heappush(sim._queue, entry)
 
     # ------------------------------------------------------------------
     # partitions

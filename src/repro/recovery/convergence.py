@@ -8,7 +8,13 @@ every live serving node (node alive, hosting a member of the service):
   (nobody shrunk out, nobody stale);
 - reports the same servant state digest (the state transfer actually
   brought the rejoiner back in sync — replica divergence would silently
-  break active replication's "any reply is the answer" contract).
+  break active replication's "any reply is the answer" contract);
+- has membership settled: no flush in progress, and no membership frame of
+  the group (join, leave, suspicion, flush, install) sent to a live node
+  and not yet acknowledged.  Equal views are not enough: a suspicion sent
+  during a partition is delivered after the heal and can still expel a
+  member.  Data frames do not count — a lively group always has some in
+  flight.
 
 The status dict is deliberately JSON-friendly: the scenario runner embeds
 it verbatim in reports, and :class:`~repro.recovery.manager.RecoveryManager`
@@ -20,6 +26,15 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
+from repro.groupcomm.messages import (
+    FlushOk,
+    FlushReq,
+    JoinReq,
+    LeaveReq,
+    SuspectMsg,
+    ViewInstall,
+)
+
 __all__ = ["state_digest", "convergence_status"]
 
 
@@ -29,6 +44,23 @@ def state_digest(servant) -> Optional[str]:
     if get_state is None:
         return None
     return hashlib.sha256(repr(get_state()).encode()).hexdigest()[:16]
+
+
+#: the frames of the membership protocol: one still unacknowledged can change a view
+_MEMBERSHIP_FRAMES = (JoinReq, LeaveReq, SuspectMsg, FlushReq, FlushOk, ViewInstall)
+
+
+def _membership_unsettled(session, nodes) -> bool:
+    """Is ``session``'s membership still moving: a flush in progress, or one
+    of its group's membership frames unacknowledged by a live node?"""
+    if session.state == "flushing" or session.membership.coordinating:
+        return True
+    return any(
+        type(message) in _MEMBERSHIP_FRAMES
+        and message.group == session.group
+        and nodes[peer].alive
+        for peer, message in session.service.channels.unacked()
+    )
 
 
 def convergence_status(services, service_name: str, net) -> Dict:
@@ -75,7 +107,14 @@ def convergence_status(services, service_name: str, net) -> Dict:
         and set(primary) == set(live)
     )
     state_ok = len(set(digests.values())) <= 1
-    converged = bool(live) and view_ok and state_ok
+    unsettled = [
+        name
+        for name, server in servers.items()
+        if server.group is not None
+        and server.group.state != "closed"
+        and _membership_unsettled(server.group, net.nodes)
+    ]
+    converged = bool(live) and view_ok and state_ok and not unsettled
 
     # members the recovery manager should actively rejoin: session closed /
     # not installed, or fallen out of the primary view entirely.  A member
@@ -92,8 +131,10 @@ def convergence_status(services, service_name: str, net) -> Dict:
         detail = "no live members"
     elif not view_ok:
         detail = f"views diverge: {views}"
-    else:
+    elif not state_ok:
         detail = f"state digests diverge: {digests}"
+    else:
+        detail = f"membership still moving at {unsettled}"
     return {
         "converged": converged,
         "live": live,

@@ -13,8 +13,10 @@ module knows what has to happen *above* the network for the group to heal:
   whichever members the majority view left behind.
 
 The watch polls :func:`~repro.recovery.convergence.convergence_status`
-every ``POLL_PERIOD`` until the group converges, records the time from the
-last recovery fault into the ``recovery.time`` histogram, and bumps
+every ``POLL_PERIOD`` until the group has stayed converged for one
+suspicion timeout (a member the group was about to expel is gone by then),
+records the time from the last recovery fault to the first poll of that
+stretch into the ``recovery.time`` histogram, and bumps
 ``recovery.converged``.  Divergent-but-stuck members (e.g. a short
 partition where the minority installed a solo view the majority never
 noticed) are force-rejoined after ``STUCK_POLLS`` quiet polls — the one
@@ -53,6 +55,7 @@ class RecoveryManager:
         self._watching = False
         self._polls = 0
         self._stuck_polls = 0
+        self._converged_at: Optional[float] = None  # first poll of the converged stretch
         self._restarting: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -111,6 +114,7 @@ class RecoveryManager:
         self._last_fault = self.sim.now
         self._polls = 0
         self._stuck_polls = 0
+        self._converged_at = None
         if not self._watching:
             self._watching = True
             self.sim.schedule(self.POLL_PERIOD, self._watch)
@@ -120,33 +124,48 @@ class RecoveryManager:
             return
         status = convergence_status(self.services, self.service_name, self.net)
         if status["converged"]:
-            self._watching = False
-            self._recovery_time.record(self.sim.now - self._last_fault)
-            self._converged_counter.inc()
-            return
-        acted = False
-        for name in status["stragglers"]:
-            server = self._server_of(name)
-            if server is None or name in self._restarting:
-                continue
-            if server.group is not None and server.group.state == "joining":
-                continue  # already on its way back in
-            if self._is_rejoin_contact(name):
-                continue
-            self._restart(name, server)
-            acted = True
-        if acted or self._restarting:
-            self._stuck_polls = 0
+            now = self.sim.now
+            if self._converged_at is None:
+                self._converged_at = now
+            if now - self._converged_at >= self._settle_time(status["live"]):
+                self._watching = False
+                self._recovery_time.record(self._converged_at - self._last_fault)
+                self._converged_counter.inc()
+                return
         else:
-            self._stuck_polls += 1
-            if self._stuck_polls >= self.STUCK_POLLS:
-                self._force_rejoin_divergent(status)
+            self._converged_at = None
+            acted = False
+            for name in status["stragglers"]:
+                server = self._server_of(name)
+                if server is None or name in self._restarting:
+                    continue
+                if server.group is not None and server.group.state == "joining":
+                    continue  # already on its way back in
+                if self._is_rejoin_contact(name):
+                    continue
+                self._restart(name, server)
+                acted = True
+            if acted or self._restarting:
                 self._stuck_polls = 0
+            else:
+                self._stuck_polls += 1
+                if self._stuck_polls >= self.STUCK_POLLS:
+                    self._force_rejoin_divergent(status)
+                    self._stuck_polls = 0
         self._polls += 1
         if self._polls < self.MAX_POLLS:
             self.sim.schedule(self.POLL_PERIOD, self._watch)
         else:
             self._watching = False
+
+    def _settle_time(self, live) -> float:
+        """One suspicion timeout of the group: how long a converged group
+        must stay so before the watch believes it."""
+        sessions = [self._server_of(name).group for name in live]
+        return max(
+            (session.config.suspicion_timeout for session in sessions if session is not None),
+            default=0.0,
+        )
 
     def _force_rejoin_divergent(self, status) -> None:
         """Repair stuck view divergence the protocol itself will not heal.

@@ -43,10 +43,15 @@ class ScheduledEvent(list):
     for an ordinary event; a CPU job (:meth:`Cpu.submit`) carries its
     processor incarnation's liveness token there, and the loop counts the
     job but skips ``fn`` once ``life.alive`` is false.  A :class:`Deadline`'s
-    entry has no ``fn`` and the deadline itself in ``life``.  The layout is
-    private to this module — callers use :meth:`cancel`.  Cancellation is
-    O(1): the entry stays in the heap with ``fn`` cleared and is skipped
-    when it reaches the head.
+    entry has neither ``fn`` nor ``args``, and the deadline itself in
+    ``life``.  A message's arrival (``Network.transmit``) has no ``fn``,
+    ``(cost, handler, *handler_args)`` in ``args`` and the destination
+    :class:`Cpu` in ``life``; the loop re-keys that same list as the
+    receive job.  Only such never-handed-out lists are re-keyed: a handle
+    :meth:`Simulator.schedule` gives out keeps its key.  The layout is
+    private to the kernel and the network — callers use :meth:`cancel`.
+    Cancellation is O(1): the entry stays in the heap with ``fn`` cleared
+    and is skipped when it reaches the head.
     """
 
     __slots__ = ()
@@ -101,7 +106,11 @@ class Deadline:
             # none pending at or before due: a fresh entry (any later one
             # is stranded, and dropped when it surfaces)
             self._entry = entry = [due, seq, None, None, None, self]
-            heappush(sim._queue, entry)
+            if sim._vacant:
+                sim._vacant = False
+                heapreplace(sim._queue, entry)
+            else:
+                heappush(sim._queue, entry)
 
 
 class Simulator:
@@ -121,6 +130,9 @@ class Simulator:
         self.now = 0.0
         self._queue: List[ScheduledEvent] = []  # a heap of handles
         self._seq = 0  # insertion order: the tie-break among equal times
+        # the heap root is the running event's entry, free for the first
+        # entry a push site adds (``heapreplace``, not a push and a pop)
+        self._vacant = False
         self._rngs = RngRegistry(seed)
         self.seed = seed
         self._running = False
@@ -153,7 +165,11 @@ class Simulator:
         # schedule_at's entry, pushed here: a timer is armed on every hot path
         self._seq = seq = self._seq + 1
         ev = ScheduledEvent((self.now + delay, seq, fn, args, self._tracer.ctx, None))
-        heappush(self._queue, ev)
+        if self._vacant:
+            self._vacant = False
+            heapreplace(self._queue, ev)
+        else:
+            heappush(self._queue, ev)
         return ev
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> ScheduledEvent:
@@ -165,7 +181,11 @@ class Simulator:
         self._seq = seq = self._seq + 1
         # ctx: the trace context active now, restored around the callback
         ev = ScheduledEvent((time, seq, fn, args, self._tracer.ctx, None))
-        heappush(self._queue, ev)
+        if self._vacant:
+            self._vacant = False
+            heapreplace(self._queue, ev)
+        else:
+            heappush(self._queue, ev)
         return ev
 
     def call_soon(self, fn: Callable, *args: Any) -> ScheduledEvent:
@@ -176,7 +196,7 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> Tuple[int, bool]:
-        """The single event-execution loop behind :meth:`run`: pop ready
+        """The single event-execution loop behind :meth:`run`: take ready
         events (skipping cancelled ones), advance the clock, and invoke
         callbacks under the scheduled trace context — all but the CPU jobs
         of a crashed incarnation, which count as executed and do nothing.
@@ -184,9 +204,21 @@ class Simulator:
         Returns ``(executed, hit_cap)`` where ``hit_cap`` means the
         ``max_events`` budget stopped the loop while runnable events remain.
 
-        A :class:`Deadline`'s entry comes up on the cancelled-entry branch
-        (no ``fn``), so an ordinary event pays no check for it; the entry is
-        dropped, pushed back, or run as a counted event there.
+        *Hold*: a callback runs while its entry is still the heap root, and
+        the root is marked vacant (``_vacant``).  Nothing it pushes can sort
+        before it (its time is ``now`` or later, its ``seq`` fresh), so the
+        first push site to add an entry meanwhile replaces the root with one
+        ``heapreplace``; the loop pops the entry only if the slot is still
+        vacant when the callback returns or raises.
+
+        The entries with no ``fn`` come up on one branch, so an ordinary
+        event pays no check for them: a cancelled one is dropped; a
+        :class:`Deadline`'s entry is dropped, pushed back, or run as a
+        counted event; a message's *arrival* (``args`` set, the destination
+        :class:`Cpu` in ``life``) counts as an event and becomes its receive
+        job in place — :meth:`Cpu.submit`'s arithmetic, the job's ``seq``
+        drawn now, and the same list re-keyed — unless the processor's
+        current incarnation is dead.
 
         Fast path: when neither the event nor the caller carries a trace
         context (the common case with tracing off or unsampled), the tracer
@@ -197,13 +229,48 @@ class Simulator:
         tracer = self._tracer
         executed = 0
         while queue:
-            time, _seq, fn, args, ctx, life = queue[0]
+            entry = queue[0]
+            time, _seq, fn, args, ctx, life = entry
             if fn is None:
                 if life is None:  # cancelled
                     heappop(queue)
                     continue
+                if args is not None:
+                    # an arrival: ``life`` is the destination's Cpu, ``args``
+                    # ``(cost, handler, *handler_args)``
+                    if until is not None and time > until:
+                        break
+                    if max_events is not None and executed >= max_events:
+                        return executed, True
+                    self.now = time
+                    self._events_processed += 1
+                    executed += 1
+                    cpu = life
+                    life = cpu._life
+                    if not life.alive:
+                        heappop(queue)  # the node crashed in flight
+                        continue
+                    # Cpu.submit, in line
+                    busy = cpu.busy_until
+                    start = busy if busy > time else time
+                    hist = cpu._queue_delay
+                    filled = hist._filled
+                    hist._chunk[filled] = start - time
+                    hist._filled = filled + 1
+                    if filled == CHUNK - 1:
+                        hist._fold()
+                    cost = args[0]
+                    cpu.busy_until = end = start + cost
+                    cpu.busy_total += cost
+                    self._seq = seq = self._seq + 1
+                    entry[0] = end
+                    entry[1] = seq
+                    entry[2] = args[1]
+                    entry[3] = args[2:]
+                    entry[5] = life
+                    heapreplace(queue, entry)
+                    continue
                 # a deadline's entry: ``life`` is the Deadline
-                entry = queue[0]
                 if life._entry is not entry or life.due is None:
                     # stranded by an earlier re-arm, or disarmed: no event
                     heappop(queue)
@@ -228,21 +295,27 @@ class Simulator:
                 # events <= until remain unprocessed: the clock must NOT
                 # jump to until, or they would fire "in the past"
                 return executed, True
-            heappop(queue)
             self.now = time
             self._events_processed += 1
             executed += 1
             if life is not None and not life.alive:
+                heappop(queue)
                 continue  # a CPU job of an incarnation that has crashed
-            if ctx is None and tracer.ctx is None:
-                fn(*args)
-            else:
-                prev_ctx = tracer.ctx
-                tracer.ctx = ctx
-                try:
+            self._vacant = True
+            try:
+                if ctx is None and tracer.ctx is None:
                     fn(*args)
-                finally:
-                    tracer.ctx = prev_ctx
+                else:
+                    prev_ctx = tracer.ctx
+                    tracer.ctx = ctx
+                    try:
+                        fn(*args)
+                    finally:
+                        tracer.ctx = prev_ctx
+            finally:
+                if self._vacant:  # the callback pushed nothing
+                    self._vacant = False
+                    heappop(queue)
         return executed, False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -264,13 +337,19 @@ class Simulator:
             self._running = False
 
     def pending_count(self) -> int:
-        """Number of events still to run: scheduled ones not cancelled, and
-        armed deadlines, each once (O(n); diagnostics only)."""
+        """Number of events still to run: scheduled ones not cancelled,
+        arrivals, and armed deadlines, each once, and not the one running
+        now (O(n); diagnostics only)."""
+        running = self._queue[0] if self._vacant else None
         return sum(
             1
             for ev in self._queue
-            if ev[2] is not None
-            or (ev[5] is not None and ev[5]._entry is ev and ev[5].due is not None)
+            if ev is not running
+            and (
+                ev[2] is not None
+                or ev[5] is not None
+                and (ev[3] is not None or ev[5]._entry is ev and ev[5].due is not None)
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -330,7 +409,12 @@ class Cpu:
         self.busy_until = until = start + cost
         self.busy_total += cost
         sim._seq = seq = sim._seq + 1
-        heappush(self._queue, ScheduledEvent((until, seq, fn, args, self._tracer.ctx, life)))
+        entry = ScheduledEvent((until, seq, fn, args, self._tracer.ctx, life))
+        if sim._vacant:
+            sim._vacant = False
+            heapreplace(self._queue, entry)
+        else:
+            heappush(self._queue, entry)
 
     def crash(self) -> None:
         """Drop every queued job for good, and the part of them that never ran

@@ -364,8 +364,9 @@ def test_unknown_service_silently_dropped():
 
 
 def test_a_message_to_a_node_that_crashes_in_flight_is_dropped_at_arrival():
-    """The arrival is the receive job's submission, so the receiver's
-    liveness at arrival decides: crashed drops it, recovered takes it."""
+    """The arrival becomes the receive job when it is due, so the
+    receiver's liveness at arrival decides: crashed drops it, recovered
+    takes it."""
     sim, net = make_lan()
     a = net.new_node("a", "lan")
     b = net.new_node("b", "lan")

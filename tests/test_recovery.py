@@ -476,6 +476,41 @@ def test_stuck_solo_minority_is_force_rejoined():
     assert sorted(status["view"]) == ["s0", "s1", "s2"]
 
 
+def test_a_suspicion_delivered_after_the_heal_does_not_end_the_watch_early():
+    """s2, partitioned alone, suspects s0 and s1.  Its ``SuspectMsg``s wait
+    in its channel and reach the coordinator after the heal, which then
+    expels s1 although every view is still equal at the first poll.  The
+    group is not converged while a membership frame is unacknowledged, and
+    the watch stays on for one suspicion timeout after it first sees
+    convergence, so it restarts s1 and the group ends whole.
+
+    The expulsion itself is membership finding (a) — a minority's
+    suspicion can expel a majority member after the heal — and is still
+    open; this test pins only that recovery repairs it."""
+    c = AppCluster(servers=3, clients=1)
+    c.serve_all("svc", Counter)  # event-driven
+    bind_scheme(c)
+    recovery = RecoveryManager(c.sim, c.net, c.services, "svc")
+    c.net.partition({"s2"})
+    membership = c.services["s2"].servers["svc"].group.membership
+    membership.on_local_suspicion("s0")
+    membership.on_local_suspicion("s1")
+    c.run(0.05)
+    c.net.heal()
+    recovery.after_heal()
+    c.run(RecoveryManager.POLL_PERIOD)
+    status = convergence_status(c.services, "svc", c.net)
+    assert sorted(set(map(tuple, status["views"].values()))) == [("s0", "s1", "s2")]
+    assert not status["converged"]  # s2's suspicions are still in flight
+    c.run(30.0)
+    counter = c.sim.obs.metrics.counter_value
+    assert counter("recovery.restarts") >= 1
+    assert counter("recovery.converged") == 1
+    status = convergence_status(c.services, "svc", c.net)
+    assert status["converged"], status
+    assert status["view"] == ["s0", "s1", "s2"]
+
+
 # ---------------------------------------------------------------------------
 # client-side retry policy
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Tests for the discrete-event kernel."""
 
+import itertools
+import operator
 import random
+from contextlib import contextmanager
+from heapq import heappop
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.net import FixedLatency, Network, Topology
+from repro.net import node as node_costs
 from repro.obs import Observability
 from repro.obs.metrics import CHUNK, ZERO_BUCKET, Histogram
 from repro.sim import SimulationError, Simulator
@@ -441,3 +447,266 @@ def test_a_recovered_cpu_is_idle_from_now_and_runs_no_job_from_before_the_crash(
     assert ran == ["after the recovery"]
     assert sim.now == 5.0  # the dead job still pops, and counts, at its time
     assert (cpu.busy_total, waits(cpu)) == (2.0, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# hold and in-place admission: the loop against one that pops, then pushes
+# ---------------------------------------------------------------------------
+class PopThenPush(Simulator):
+    """The reference loop: an entry leaves the heap before its callback
+    runs, every push is a ``heappush``, and an arrival is a call of its
+    destination's ``Cpu.submit`` under the arrival's trace context."""
+
+    def _run_loop(self, until, max_events):
+        queue = self._queue
+        tracer = self._tracer
+        executed = 0
+        while queue:
+            time, _seq, fn, args, ctx, life = queue[0]
+            if fn is None and life is None:  # cancelled
+                heappop(queue)
+                continue
+            if until is not None and time > until:
+                break
+            if max_events is not None and executed >= max_events:
+                return executed, True
+            heappop(queue)
+            self.now = time
+            self._events_processed += 1
+            executed += 1
+            if fn is None:  # an arrival: ``life`` is the destination's Cpu
+                fn, life = life.submit, None
+            if life is not None and not life.alive:
+                continue
+            prev, tracer.ctx = tracer.ctx, ctx
+            try:
+                fn(*args)
+            finally:
+                tracer.ctx = prev
+        return executed, False
+
+    def pending_count(self):
+        return sum(1 for ev in self._queue if ev[2] is not None or ev[5] is not None)
+
+
+class Boom(Exception):
+    """A callback's deliberate failure."""
+
+
+def _heap_is_valid(queue):
+    return all(queue[(i - 1) // 2][:2] < queue[i][:2] for i in range(1, len(queue)))
+
+
+@contextmanager
+def _round_receive_cost(cost):
+    """A receive costs ``cost`` seconds and nothing per byte, so receive
+    jobs land on the same grid as every other event."""
+    saved = node_costs.RECV_OVERHEAD, node_costs.PER_BYTE
+    node_costs.RECV_OVERHEAD, node_costs.PER_BYTE = cost, 0.0
+    try:
+        yield
+    finally:
+        node_costs.RECV_OVERHEAD, node_costs.PER_BYTE = saved
+
+
+def _lan_pair(sim):
+    """A sender ``s`` and a receiver ``r`` on one LAN, 0.5 s apart."""
+    topology = Topology()
+    topology.add_site("lan", FixedLatency(0.5))
+    net = Network(sim, topology)
+    net.new_node("s", "lan")
+    return net, net.new_node("r", "lan")
+
+
+def _replay(sim_class, make_timer, script, reactions):
+    """Run ``script`` on a kernel of ``sim_class`` with a sender ``s`` and a
+    receiver ``r`` 0.5 s apart; each firing applies the next list of
+    ``reactions`` (push nothing, one entry or several; arm, disarm, cancel,
+    submit, send, crash, recover; cancel its own handle; raise).  Returns
+    the firings ``(label, now, ctx, pending_count())`` and the states after
+    every step, every reaction list and every ``run`` slice (a slice that
+    raised records that too)."""
+    sim = sim_class(seed=3)
+    tracer = sim.obs.tracer
+    net, receiver = _lan_pair(sim)
+    receiver.register("t", lambda src, label, size: fire(label))
+    cpu = receiver.cpu
+    fired, states, handles = [], [], {}
+    labels = itertools.count()
+
+    def fire(label):
+        fired.append((label, sim.now, tracer.ctx, sim.pending_count()))
+        if len(fired) <= len(reactions):
+            k = len(fired)
+            for j, action in enumerate(reactions[k - 1]):
+                apply(action, f"reaction{k}.{j}", label)
+            states.append(("reacted", sim.pending_count(), cpu.busy_until, cpu.busy_total))
+
+    def apply(action, ctx, running):
+        kind = action[0]
+        label = f"{kind}{next(labels)}"
+        prev, tracer.ctx = tracer.ctx, ctx
+        try:
+            if kind == "schedule":
+                handles[label] = sim.schedule(action[1], fire, label)
+            elif kind == "schedule_at":
+                handles[label] = sim.schedule_at(sim.now + action[1], fire, label)
+            elif kind == "arm":
+                timers[action[1]].arm(action[2])
+            elif kind == "disarm":
+                _disarm(timers[action[1]])
+            elif kind == "cancel":
+                if handles:
+                    handles[sorted(handles)[action[1] % len(handles)]].cancel()
+            elif kind == "cancel_self":
+                if running in handles:
+                    handles[running].cancel()
+            elif kind == "submit":
+                cpu.submit(action[1], fire, label)
+            elif kind == "send":
+                net.transmit("s", "r", "t", label, 0)
+            elif kind == "crash":
+                if receiver.alive:
+                    net.crash("r")
+            elif kind == "recover":
+                if not receiver.alive:
+                    net.recover("r")
+            elif kind == "raise" and running is not None:
+                raise Boom(label)
+        finally:
+            tracer.ctx = prev
+
+    def run(until=None, max_events=None):
+        try:
+            sim.run(until=until, max_events=max_events)
+        except Boom:
+            states.append("raised")
+        states.append((sim.events_processed, sim.now, sim.pending_count()))
+
+    timers = [make_timer(sim, fire, f"deadline{i}") for i in range(2)]
+    with _round_receive_cost(0.5):
+        for step, action in enumerate(script):
+            if action[0] == "run":
+                run(None if action[1] is None else sim.now + action[1], action[2])
+            else:
+                apply(action, f"step{step}", None)
+                states.append(sim.pending_count())
+        while sim.pending_count():
+            run()
+        run()
+    hist = cpu._queue_delay
+    states.append((cpu.busy_until, cpu.busy_total, hist.count, hist.total))
+    return fired, states
+
+
+_GRID = st.sampled_from([0.0, 0.5, 1.0])
+_KERNEL_ACTIONS = st.one_of(
+    st.tuples(st.just("schedule"), _GRID),
+    st.tuples(st.just("schedule_at"), _GRID),
+    st.tuples(st.just("arm"), st.integers(0, 1), _GRID),
+    st.tuples(st.just("disarm"), st.integers(0, 1)),
+    st.tuples(st.just("cancel"), st.integers(0, 9)),
+    st.tuples(st.just("submit"), _GRID),
+    st.tuples(st.just("send")),
+    st.tuples(st.just("send")),
+    st.tuples(st.sampled_from(["crash", "recover"])),
+)
+_REACTIONS = st.lists(
+    st.lists(
+        st.one_of(_KERNEL_ACTIONS, st.tuples(st.sampled_from(["cancel_self", "raise"]))),
+        max_size=3,
+    ),
+    max_size=15,
+)
+_RUN_SLICES = st.tuples(
+    st.just("run"),
+    st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 1.5]),
+    st.sampled_from([None, 0, 1, 2, 3]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    script=st.lists(st.one_of(_KERNEL_ACTIONS, _KERNEL_ACTIONS, _RUN_SLICES), max_size=30),
+    reactions=_REACTIONS,
+)
+# a callback pushes two entries: only the first may take the held root
+@example(script=[("schedule", 0.5)], reactions=[[("schedule", 0.5), ("schedule", 1.0)]])
+# a callback raises after pushing, and the run goes on
+@example(
+    script=[("schedule", 0.5), ("schedule", 1.0), ("run", None, None)],
+    reactions=[[("schedule", 0.5), ("raise",)]],
+)
+# an arrival due after ``until`` is not admitted by that slice
+@example(script=[("send",), ("run", 0.25, None)], reactions=[])
+# crashed and recovered in flight: the new incarnation takes the message
+@example(script=[("send",), ("crash",), ("recover",)], reactions=[])
+def test_the_holding_loop_runs_what_a_pop_then_push_loop_runs(script, reactions):
+    """Random scripts and callbacks, through ``run(until=, max_events=)``
+    slices and raising callbacks: the kernel (holding the running entry at
+    the heap root, admitting arrivals in place) fires the same callbacks at
+    the same times under the same contexts, counts the same events, keeps
+    the same clock and CPU accounts, and reports the same
+    ``pending_count()`` — from inside callbacks too — as a loop that pops
+    every entry before running it and submits every arrival."""
+    assert _replay(Simulator, Deadline, script, reactions) == _replay(
+        PopThenPush, ScheduledDeadline, script, reactions
+    )
+
+
+def test_a_callback_that_raises_leaves_its_entry_gone_and_the_heap_valid():
+    sim = Simulator()
+    failing = sim.schedule(1.0, operator.truediv, 1, 0)
+    later = [sim.schedule(t, lambda: None) for t in (3.0, 2.0, 4.0, 2.0)]
+    with pytest.raises(ZeroDivisionError):
+        sim.run()
+    assert (sim.now, sim.events_processed, sim.pending_count()) == (1.0, 1, 4)
+    assert all(entry is not failing for entry in sim._queue)
+    assert len(sim._queue) == 4 and _heap_is_valid(sim._queue) and not sim._vacant
+    sim.run()
+    assert (sim.now, sim.events_processed) == (4.0, 5)
+    assert later[0][2] is not None  # handles are never re-keyed or cleared
+
+
+def test_a_callback_that_raises_after_pushing_leaves_its_entry_gone_and_the_heap_valid():
+    sim = Simulator()
+    log = []
+
+    def push_then_raise():
+        sim.schedule(0.5, log.append, "first")
+        sim.schedule(0.0, log.append, "second")
+        raise Boom
+
+    failing = sim.schedule(1.0, push_then_raise)
+    sim.schedule(1.0, log.append, "tie")
+    with pytest.raises(Boom):
+        sim.run()
+    assert all(entry is not failing for entry in sim._queue)
+    assert len(sim._queue) == 3 and _heap_is_valid(sim._queue) and not sim._vacant
+    assert sim.pending_count() == 3
+    sim.run()
+    assert log == ["tie", "second", "first"] and sim.events_processed == 4
+
+
+def test_run_until_and_max_events_stop_on_an_arrival_as_on_any_event():
+    """An arrival is one event under both budgets: due after ``until`` it
+    waits; admitted, it counts one event and its receive job is a second."""
+    sim = Simulator()
+    net, receiver = _lan_pair(sim)
+    got = []
+    receiver.register("t", lambda src, payload, size: got.append((payload, sim.now)))
+    with _round_receive_cost(0.25):
+        net.transmit("s", "r", "t", "hello", 0)
+    assert sim.pending_count() == 1
+    sim.run(until=0.4)
+    assert (sim.now, sim.events_processed, sim.pending_count()) == (0.4, 0, 1)
+    sim.run(max_events=0)
+    assert (sim.now, sim.events_processed, sim.pending_count()) == (0.4, 0, 1)
+    sim.run(max_events=1)  # the arrival counts, the job waits
+    assert (sim.now, sim.events_processed, sim.pending_count()) == (0.5, 1, 1)
+    assert receiver.cpu.busy_until == 0.75 and got == []
+    sim.run(until=0.6, max_events=5)
+    assert (sim.now, sim.events_processed, got) == (0.6, 1, [])
+    sim.run(max_events=1)
+    assert (sim.now, sim.events_processed, got) == (0.75, 2, [("hello", 0.75)])
+    assert sim.pending_count() == 0 and sim._queue == []

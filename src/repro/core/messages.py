@@ -39,9 +39,11 @@ class InvokeMsg:
 
     __slots__ = (
         "client", "call_no", "operation", "args", "mode",
-        "forwarded", "reply_group",
+        "forwarded", "reply_group", "call_id",
     )
-    _fields = __slots__
+    #: wire fields only: ``call_id``, ``(client, call_no)``, is built with
+    #: the message and never marshalled
+    _fields = __slots__[:-1]
 
     def __init__(
         self,
@@ -60,10 +62,7 @@ class InvokeMsg:
         self.mode = mode
         self.forwarded = forwarded
         self.reply_group = reply_group
-
-    @property
-    def call_id(self) -> Tuple[str, int]:
-        return (self.client, self.call_no)
+        self.call_id: Tuple[str, int] = (client, call_no)
 
     def __repr__(self) -> str:
         return f"<Invoke {self.client}#{self.call_no} {self.operation} {self.mode}>"
@@ -80,8 +79,8 @@ def report_hold(phases, payload: Any, held: bool) -> None:
 class ReplyMsg:
     """One member's reply to one call."""
 
-    __slots__ = ("client", "call_no", "member", "ok", "value")
-    _fields = __slots__
+    __slots__ = ("client", "call_no", "member", "ok", "value", "call_id")
+    _fields = __slots__[:-1]  # ``call_id``: see InvokeMsg
 
     def __init__(self, client: str, call_no: int, member: str, ok: bool, value: Any):
         self.client = client
@@ -89,10 +88,7 @@ class ReplyMsg:
         self.member = member
         self.ok = ok
         self.value = value
-
-    @property
-    def call_id(self) -> Tuple[str, int]:
-        return (self.client, self.call_no)
+        self.call_id: Tuple[str, int] = (client, call_no)
 
     def __repr__(self) -> str:
         return f"<Reply {self.client}#{self.call_no} from {self.member}>"
@@ -102,17 +98,14 @@ class ReplyMsg:
 class ReplySet:
     """The request manager's gathered replies, returned to the client."""
 
-    __slots__ = ("client", "call_no", "replies")
-    _fields = __slots__
+    __slots__ = ("client", "call_no", "replies", "call_id")
+    _fields = __slots__[:-1]  # ``call_id``: see InvokeMsg
 
     def __init__(self, client: str, call_no: int, replies: List[ReplyMsg]):
         self.client = client
         self.call_no = call_no
         self.replies = list(replies)
-
-    @property
-    def call_id(self) -> Tuple[str, int]:
-        return (self.client, self.call_no)
+        self.call_id: Tuple[str, int] = (client, call_no)
 
 
 @corba_struct

@@ -75,10 +75,10 @@ class DataMsg:
     __slots__ = (
         "group", "sender", "view_id", "gseq", "ts",
         "kind", "payload", "ticket", "vector", "acks",
-        "hb_period", "era", "pushback", "_mid", "is_null", "_wire_size", "span",
+        "hb_period", "era", "pushback", "msg_id", "is_null", "_wire_size", "span",
     )
-    #: wire fields only — ``_mid`` is a lazily built identity cache,
-    #: ``is_null`` is derived from ``kind`` at construction,
+    #: wire fields only — ``msg_id``, ``(view_id, sender, gseq)``, and
+    #: ``is_null`` are derived from the fields at construction,
     #: ``_wire_size`` is what ``marshal.wire_size`` found at the first send (a
     #: multicast sizes its message once, not once per member): never
     #: marshalled, and sound because no field changes after that send; and
@@ -115,17 +115,10 @@ class DataMsg:
         self.hb_period = hb_period
         self.era = era
         self.pushback = pushback
-        self._mid: Optional[Tuple[int, str, int]] = None
+        self.msg_id: Tuple[int, str, int] = (view_id, sender, gseq)
         self.is_null = kind == KIND_NULL
         self._wire_size: Optional[int] = None
         self.span: Any = None
-
-    @property
-    def msg_id(self) -> Tuple[int, str, int]:
-        mid = self._mid
-        if mid is None:
-            mid = self._mid = (self.view_id, self.sender, self.gseq)
-        return mid
 
     def __repr__(self) -> str:
         extra = f" tkt={self.ticket}" if self.ticket is not None else ""

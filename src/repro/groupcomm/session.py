@@ -711,6 +711,8 @@ class GroupSession:
             self.joined.try_resolve(install.view)
         if self.on_view is not None:
             self.on_view(install.view, joined, left)
+        if self.state == "closed":
+            return  # the upcall ended the membership: nothing is replayed
 
         # replay buffered new-view traffic, then queued application sends
         # (both the flush-time queue and anything flow control held back)

@@ -259,50 +259,59 @@ def wire_size(value: Any) -> int:
 def sum_sizes(values: Any, n: int, strs: StrSizes) -> int:
     """``n`` plus the encoded size of every item of ``values``.
 
-    Leaves are sized in line: the walk costs one call per non-empty container
-    or struct, not one per field, and a struct with a size memo is walked once.
-    A string found in ``strs`` costs no call; one that is not is sized and
-    kept while ``strs`` has room.
+    Leaves are sized in line, and a non-empty container or struct met on
+    the way is pushed onto a stack of ``(items, rest)`` cons cells and walked
+    once the current items are done, so the walk costs no call per container
+    or field; it calls itself only to fill a struct's size memo, which is
+    therefore walked once.  A string found in ``strs`` costs no call; one
+    that is not is sized and kept while ``strs`` has room.
     """
-    for value in values:
-        t = value.__class__
-        if t is str:
-            if value in strs:
-                n += strs[value]
-            else:
-                # utf-8 length == str length for ASCII, the overwhelming case
-                size = 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
-                if strs.room:
-                    strs.room -= 1
-                    strs[value] = size
-                n += size
-        elif t is int:
-            if not _INT_MIN <= value <= _INT_MAX:
-                raise MarshalError(f"cannot marshal int outside signed 64-bit: {value}")
-            n += 9
-        elif t is float:
-            n += 9
-        elif t is bool or value is None:
-            n += 1
-        elif t is tuple or t is list:
-            n = sum_sizes(value, n + 5, strs) if value else n + 5
-        elif t is dict:
-            if value:
-                n = sum_sizes(value.values(), sum_sizes(value, n + 5, strs), strs)
-            else:
+    stack = None
+    while True:
+        for value in values:
+            t = value.__class__
+            if t is str:
+                if value in strs:
+                    n += strs[value]
+                else:
+                    # utf-8 length == str length for ASCII, the overwhelming case
+                    size = 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+                    if strs.room:
+                        strs.room -= 1
+                        strs[value] = size
+                    n += size
+            elif t is int:
+                if not _INT_MIN <= value <= _INT_MAX:
+                    raise MarshalError(f"cannot marshal int outside signed 64-bit: {value}")
+                n += 9
+            elif t is float:
+                n += 9
+            elif t is bool or value is None:
+                n += 1
+            elif t is tuple or t is list:
                 n += 5
-        elif t is bytes:
-            n += 5 + len(value)
-        elif t in _STRUCT_SIZERS:
-            header_len, fields_of, memo = _STRUCT_SIZERS[t]
-            if not memo:
-                n = sum_sizes(fields_of(value), n + header_len, strs)
-                continue
-            if value._wire_size is None:
-                value._wire_size = sum_sizes(fields_of(value), header_len, strs)
-            n += value._wire_size
-        else:
-            # subclasses and oddballs: fall back to encoding (raises
-            # MarshalError for unencodable values, exactly like encode would)
-            n += len(encode(value))
-    return n
+                if value:
+                    stack = (value, stack)
+            elif t is dict:
+                n += 5
+                if value:
+                    stack = (value, (value.values(), stack))
+            elif t is bytes:
+                n += 5 + len(value)
+            elif t in _STRUCT_SIZERS:
+                header_len, fields_of, memo = _STRUCT_SIZERS[t]
+                if memo:
+                    size = value._wire_size
+                    if size is None:
+                        size = value._wire_size = sum_sizes(fields_of(value), header_len, strs)
+                    n += size
+                else:
+                    n += header_len
+                    stack = (fields_of(value), stack)
+            else:
+                # subclasses and oddballs: fall back to encoding (raises
+                # MarshalError for unencodable values, exactly like encode would)
+                n += len(encode(value))
+        if stack is None:
+            return n
+        values, stack = stack

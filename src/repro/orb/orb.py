@@ -83,6 +83,11 @@ def servant_operation(servant: Any, operation: str) -> Tuple[float, Optional[Cal
     return cost, method if callable(method) else None
 
 
+def _dropped(*_args: Any) -> None:
+    """The dispatch job of a oneway to an operation its servant does not
+    offer: the request is charged its cost, and nothing runs."""
+
+
 class ORB:
     """Object request broker bound to one simulated node."""
 
@@ -219,20 +224,19 @@ class ORB:
         return data
 
     def _invoke_local(self, target: IOR, operation: str, args: Tuple, oneway: bool) -> Future:
-        """Colocated call: no marshalling, no network, small CPU cost."""
-        fut = Future(name=f"local:{operation}")
+        """Colocated call: no marshalling, no network, small CPU cost.  A
+        oneway resolves once handed over, as a remote one does, and its CPU
+        job is the servant method itself."""
         key = target.key
         entry = self._dispatch.get((key, operation)) or self._resolve(key, operation)
-
-        def run() -> None:
-            if entry is None:
-                fut.fail(ObjectNotFound(key))
-                return
-            self._execute(entry, operation, args, fut if not oneway else None)
-            if oneway and not fut.done:
-                fut.resolve(None)
-
-        self.node.execute(LOCAL_CALL_OVERHEAD, run)
+        if oneway and entry is not None:
+            self.node.execute(LOCAL_CALL_OVERHEAD, entry[2] or _dropped, *args)
+            return self._oneway_done
+        fut = Future(name=f"local:{operation}")
+        if entry is None:
+            self.node.execute(LOCAL_CALL_OVERHEAD, fut.fail, ObjectNotFound(key))
+        else:
+            self.node.execute(LOCAL_CALL_OVERHEAD, self._execute, entry, operation, args, fut)
         return fut
 
     # ------------------------------------------------------------------
@@ -242,7 +246,10 @@ class ORB:
         """The end of a message's receive job: a reply resolves its call; a
         request is resolved and its dispatch submitted as the next CPU job,
         or it is answered ``STATUS_NOT_FOUND`` at once (a oneway is dropped)
-        when no such object is active."""
+        when no such object is active.  A oneway's dispatch job is its
+        servant method itself: nothing answers it, so an exception the
+        servant raises is a bug of the simulation and propagates out of
+        ``Simulator.run``."""
         if self.verify_wire:
             message = marshal.decode(message)
         cls = type(message)
@@ -252,22 +259,23 @@ class ORB:
             return
         key, operation = message.object_key, message.operation
         entry = self._dispatch.get((key, operation)) or self._resolve(key, operation)
-        if entry is None:
-            if not message.oneway:
-                self._send_reply(message, STATUS_NOT_FOUND, key)
+        if message.oneway:
+            if entry is not None:
+                self.node.execute(entry[0], entry[2] or _dropped, *message.args)
             return
-        done: Optional[Future] = None
-        if not message.oneway:
-            done = Future(name=f"dispatch:{operation}#{message.request_id}")
-            done.add_done_callback(lambda f: self._reply_from_future(message, f))
+        if entry is None:
+            self._send_reply(message, STATUS_NOT_FOUND, key)
+            return
+        done = Future(name=f"dispatch:{operation}#{message.request_id}")
+        done.add_done_callback(lambda f: self._reply_from_future(message, f))
         self.node.execute(entry[0], self._execute, entry, operation, message.args, done)
 
     def _resolve(self, object_key: str, operation: str) -> Optional[Tuple[float, Any, Any]]:
         """The dispatch entry ``(cost, servant, method)`` of a request, or
         None when no such object is active.  ``method`` is None for an
         operation the servant does not offer: the caller still charges
-        ``cost`` and :meth:`_execute` fails the call after it, so a bad
-        request occupies the CPU exactly like a good one."""
+        ``cost``, then :meth:`_execute` fails a two-way call and a oneway is
+        dropped, so a bad request occupies the CPU exactly like a good one."""
         servant = self._servants.get(object_key)
         if servant is None:
             return None
@@ -278,27 +286,25 @@ class ORB:
         return entry
 
     def _execute(
-        self, entry: Tuple[float, Any, Any], operation: str, args: Tuple, done: Optional[Future]
+        self, entry: Tuple[float, Any, Any], operation: str, args: Tuple, done: Future
     ) -> None:
-        """Run the servant method; propagate its result/exception to ``done``.
+        """A two-way call's dispatch job: run the servant method and settle
+        ``done`` with its result, or with its exception as the caller's
+        :class:`ApplicationError`.
 
         A servant method may return a :class:`Future` to defer its reply —
         the request-manager machinery in the invocation layer relies on this.
         """
         _cost, servant, method = entry
         if method is None:
-            if done:
-                private = operation.startswith("_")
-                name = operation if private else f"{type(servant).__name__}.{operation}"
-                done.fail(BadOperation(name))
+            private = operation.startswith("_")
+            name = operation if private else f"{type(servant).__name__}.{operation}"
+            done.fail(BadOperation(name))
             return
         try:
             result = method(*args)
         except Exception as exc:  # noqa: BLE001 - servant errors go to caller
-            if done:
-                done.fail(ApplicationError(str(exc)))
-            return
-        if done is None:
+            done.fail(ApplicationError(str(exc)))
             return
         if isinstance(result, Future):
             result.then(lambda value: value, into=done)

@@ -68,7 +68,6 @@ REACH_ALLOW_LIST = {
     # -- ORB colocation: a call to a servant on the caller's own node skips the
     # network; no deployment puts a client beside its server
     "orb.orb:ORB._invoke_local": "ORB colocation",
-    "orb.orb:ORB._invoke_local.<locals>.run": "ORB colocation",
     # -- the deterministic latency fake: every topology draws JitteredLatency
     "net.latency:FixedLatency.__init__": "deterministic test latency",
     "net.latency:FixedLatency.sample": "deterministic test latency",

@@ -325,6 +325,30 @@ def test_wire_fields_and_sizes_are_pinned(name):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+#: struct -> (non-wire id slot, the wire fields it is built from in
+#: ``__init__``): never marshalled, so no pin above moves with it
+ID_SLOTS = {
+    "DataMsg": ("msg_id", ("view_id", "sender", "gseq")),
+    "InvokeMsg": ("call_id", ("client", "call_no")),
+    "ReplyMsg": ("call_id", ("client", "call_no")),
+    "ReplySet": ("call_id", ("client", "call_no")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ID_SLOTS))
+def test_an_id_slot_is_built_with_its_message_and_never_reaches_the_wire(name):
+    slot, parts = ID_SLOTS[name]
+    cls, registered = _STRUCT_REGISTRY[name]
+    assert slot in cls.__slots__ and slot not in registered
+    sample = _build_sample(name, cls, registered)
+    expected = tuple(getattr(sample, field) for field in parts)
+    assert getattr(sample, slot) == expected
+    data = encode(sample)
+    assert getattr(decode(data), slot) == expected  # the decoder builds it again
+    setattr(sample, slot, ("not", "on", "the", "wire"))
+    assert encode(sample) == data
+
+
 #: options deleted because no benchmark, scenario or example ever set them:
 #: (config class, deleted keyword, scenario spec section that names it —
 #: None for a field of the ``group`` section itself)

@@ -416,6 +416,55 @@ class TestOnewaySemantics:
         run_process(sim, proc(), until=1.0)
         sim.run(until=2.0)  # the late reply arrives and must be dropped
 
+    @pytest.mark.parametrize("colocated", [False, True])
+    @pytest.mark.parametrize(
+        "operation, args, raised", [("boom", (), ValueError), ("echo", (), TypeError)]
+    )
+    def test_a_oneway_servant_exception_propagates_out_of_the_run(
+        self, colocated, operation, args, raised
+    ):
+        """A oneway's dispatch job is its servant method: no reply can carry
+        the exception, so it is a bug of the simulation and never swallowed."""
+        sim, net, a, b = make_pair()
+        servant = Echo()
+        ior = b.register(servant)
+        caller = b if colocated else a
+        assert caller.invoke(ior, operation, args, oneway=True).done
+        caller.invoke(ior, "fire_and_forget", ("after",), oneway=True)
+        with pytest.raises(raised):
+            sim.run()
+        sim.run()  # the run carries on from the next event
+        assert servant.calls == ["after"]
+
+    @pytest.mark.parametrize("colocated", [False, True])
+    def test_a_two_way_call_still_gets_the_servant_exception(self, colocated):
+        sim, net, a, b = make_pair()
+        ior = b.register(Echo())
+        assert timed(sim, b if colocated else a, ior, "boom")[0] == "ApplicationError"
+
+    @pytest.mark.parametrize("operation", ["nosuch", "_private"])
+    def test_a_oneway_to_a_bad_operation_is_charged_its_dispatch_cost_and_dropped(
+        self, operation
+    ):
+        sim, net, a, b = make_pair()
+        ior = b.register(Priced("p", 10e-3), object_id="obj")
+        a.invoke(ior, operation, (), oneway=True)
+        sim.run()
+        received_and_dispatched = b.node.busy_time
+        b.deactivate(ior)  # the same request again, to no object: received only
+        a.invoke(ior, operation, (), oneway=True)
+        sim.run()
+        received = b.node.busy_time - received_and_dispatched
+        dispatch = orb_module.DISPATCH_OVERHEAD + 10e-3
+        assert received_and_dispatched - received == pytest.approx(dispatch, abs=1e-12)
+        assert net.stats.messages_sent == 2  # and nothing answered either
+        # colocated: charged the local call overhead, dropped, resolved
+        ior = b.register(Priced("p", 10e-3), object_id="obj")
+        before = b.node.busy_time
+        assert b.invoke(ior, operation, (), oneway=True).done
+        sim.run()
+        assert b.node.busy_time - before == pytest.approx(orb_module.LOCAL_CALL_OVERHEAD)
+
 
 # ---------------------------------------------------------------------------
 # the CPU model a remote call runs on, pinned to exact virtual times

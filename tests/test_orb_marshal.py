@@ -1,12 +1,17 @@
 """Tests for the CDR-style wire codec."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
 import repro.orb.orb as orb_module
 from repro.bench.profiling import count_calls
 from repro.groupcomm import GroupConfig
-from repro.groupcomm.messages import ChanAck, ChanData, DataMsg, TicketBatchMsg, TicketMsg
+from repro.groupcomm.messages import (
+    ChanAck, ChanData, DataMsg, TicketBatchMsg, TicketMsg, ViewInstall,
+)
+from repro.groupcomm.views import GroupView
 from repro.orb import GIOP_OVERHEAD, ORB, marshal
 from repro.orb.ior import IOGR, IOR
 from repro.orb.marshal import MarshalError, corba_struct, decode, encode, wire_size
@@ -256,7 +261,15 @@ def test_a_hop_is_sized_exactly_from_its_memoised_parts(monkeypatch, cap):
                 for _again in range(2):  # the second time reads the memos
                     client.invoke(target, operation, args, oneway=oneway)
     client.invoke(IOR("server", "RootPOA", "gone"), "echo", ("plain",))
-    sim.run()
+    raised = []
+    while True:  # a oneway servant's exception ends the run: carry on after it
+        try:
+            sim.run()
+            break
+        except (ValueError, TypeError) as exc:
+            raised.append(exc)
+    # oneways that raise: wrong arity to echo/écho, any boom, twice each
+    assert len(raised) == 2 * (2 * 2 + len(arguments))
     assert len(requests) == 4 * len(arguments) * 2 * 2 + 1
     assert len(replies) == 4 * len(arguments) * 2 + 1
     for message, size in requests + replies:
@@ -324,14 +337,72 @@ _VALUES = st.recursive(
 )
 
 
-@given(_VALUES, st.sampled_from([2**63, -(2**63) - 1]))
+def _memoised(value):
+    """Every struct inside ``value`` (itself included) that keeps a size memo."""
+    found, todo = [], [value]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item)
+            todo.extend(item.values())
+        elif type(item) in marshal._STRUCT_SIZERS:
+            if marshal._STRUCT_SIZERS[type(item)][2]:
+                found.append(item)
+            todo.extend(getattr(item, field) for field in type(item)._fields)
+    return found
+
+
+def _install(unstable):
+    """A ``ViewInstall`` whose closing set is ``unstable``: memos in a list
+    inside a struct that keeps none."""
+    return ViewInstall("g", GroupView("g", 2, ["n0", "n1"]), 1, GroupConfig(), unstable, [])
+
+
+_INSTALLS = st.lists(_VALUES, max_size=3).map(
+    lambda payloads: _install([data_msg(payload) for payload in payloads])
+)
+
+
+@given(st.one_of(_INSTALLS, _VALUES), st.sampled_from([2**63, -(2**63) - 1]))
 def test_wire_size_is_the_encoded_length_for_any_nested_value(value, too_big):
-    size = wire_size(value)
+    """And the walk fills each memo nested in containers and in structs that
+    keep none exactly once, to that struct's own size, and only when the
+    walk succeeds."""
+    memos = _memoised(value)  # holds them all, so no id is reused
+    fills = {}
+
+    def counting(fields_of):
+        def fields(struct):
+            fills[id(struct)] = fills.get(id(struct), 0) + 1
+            return fields_of(struct)
+
+        return fields
+
+    counted = {
+        cls: (header_len, counting(fields_of), memo)
+        for cls, (header_len, fields_of, memo) in marshal._STRUCT_SIZERS.items()
+        if memo
+    }
+    with mock.patch.dict(marshal._STRUCT_SIZERS, counted):
+        size = wire_size(value)
+        assert wire_size(value) == size  # the second sizing reads the memos
     assert size == len(encode(value))
-    assert wire_size(value) == size  # the second sizing reads the memos
-    for bad in ([value, {"k": (too_big,)}], data_msg([value, too_big])):
+    for struct in memos:
+        assert fills[id(struct)] == 1
+        assert struct._wire_size == len(encode(struct))
+
+    # the last holds the out-of-range int in a memo, in a struct without one,
+    # in a memo, in the install's list; ``fresh`` is ``value`` with no memo filled
+    fresh = decode(encode(value))
+    inner = data_msg({"k": (too_big,)})
+    outer = data_msg(ChanData(1, [fresh, inner], None))
+    wrapped = data_msg([value, too_big])
+    for bad in ([value, {"k": (too_big,)}], wrapped, _install([outer])):
         for _twice in range(2):  # a failed walk must not leave a memo behind
             with pytest.raises(MarshalError):
                 wire_size(bad)
         with pytest.raises(MarshalError):
             encode(bad)
+    assert wrapped._wire_size is inner._wire_size is outer._wire_size is None

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.core import BindingStyle, Mode
+from repro.core.messages import InvokeMsg, ReplyMsg, ReplySet
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.groupcomm.messages import DataMsg
 from repro.net import Network
 from repro.orb import ORB, MarshalError
 from repro.recovery.convergence import state_digest
@@ -28,7 +30,7 @@ from tests.core_helpers import AppCluster, Counter, bind_scheme
 from tests.invariants import check_invariants
 from tests.test_groupcomm_basic import build_group
 from tests.test_invariant_sweep import join_under_loss
-from tests.test_orb import setup_pair
+from tests.test_orb import Echo, setup_pair
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
@@ -207,3 +209,28 @@ def test_unmarshallable_argument_fails_at_the_call_site(monkeypatch, verify_wire
             client.invoke(target, "incr", (unmarshallable,))
     sim.run()
     assert sim.obs.metrics_snapshot()["counters"].get("net.sent", 0) == 0
+
+
+def test_a_message_decoded_on_arrival_rebuilds_its_id_slots(monkeypatch):
+    """Under ``verify_wire`` a receiver gets a decoded copy: the non-wire
+    ``call_id``/``msg_id`` it reads come from that copy's constructor."""
+    monkeypatch.setattr(ORB, "verify_wire", True)
+    sim, _net, client, server = setup_pair()
+    servant = Echo()
+    target = server.register(servant)
+    reply = ReplyMsg("c1", 3, "m1", True, "v")
+    sent = [
+        InvokeMsg("c1", 3, "op", (1, "two"), "all", False, ""),
+        reply,
+        ReplySet("c1", 3, [reply]),
+        DataMsg("g", "m1", 2, 7, 31, "data", b"payload", None, None, {"m1": 7}),
+    ]
+    for message in sent:
+        client.invoke(target, "fire_and_forget", (message,), oneway=True)
+    sim.run()
+    assert [type(message) for message in servant.calls] == [type(message) for message in sent]
+    assert not any(got is message for got, message in zip(servant.calls, sent))
+    invoke, reply_back, reply_set, data = servant.calls
+    assert invoke.call_id == reply_back.call_id == reply_set.call_id == ("c1", 3)
+    assert reply_set.replies[0].call_id == ("c1", 3)
+    assert data.msg_id == (2, "m1", 7)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import repro.groupcomm.session as session_module
 from repro.errors import NotMember
 from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering
-from repro.groupcomm.messages import KIND_DATA, KIND_NULL, DataMsg
+from repro.groupcomm.messages import KIND_DATA, KIND_NULL, DataMsg, ViewInstall
 from repro.groupcomm.session import GroupSession
 from repro.groupcomm.views import GroupView
 from repro.sim.core import Deadline
@@ -81,6 +81,25 @@ def test_closed_session_rejects_operations():
         sessions[0].send("late")
     # idempotent leave
     assert sessions[0].leave().done
+
+
+def test_an_install_whose_view_upcall_closes_the_session_replays_nothing():
+    """``on_view`` may end the membership it is told of (here: a member that
+    leaves once it is alone), and the install stops there: replaying the
+    send queued behind the flush into the closed session would file it as
+    unstable and raise ``KeyError`` on the emptied stability watermarks."""
+    c = Cluster(2)
+    session = build_group(c, GroupConfig())[0]
+    view = session.view
+    session.state = "flushing"  # what a flush in progress looks like here
+    session.send("queued behind the flush")
+    alone = GroupView(view.group, view.view_id + 1, [session.member_id], era=view.era)
+    session.on_view = lambda _view, _joined, _left: session.leave()
+    sent = session.stats.sent
+    session.apply_view_install(ViewInstall(view.group, alone, 0, session.config, [], []))
+    assert session.state == "closed" and session.left.done
+    assert session.unstable == {} and session.stats.sent == sent
+    assert c.service(0).session(view.group) is None
 
 
 def test_group_details_none_while_joining():

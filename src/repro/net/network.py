@@ -16,21 +16,16 @@ times are clamped to be non-decreasing per pair.
 
 from __future__ import annotations
 
-from heapq import heappush, heapreplace
-from math import cos, log, pi, sin, sqrt
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.net import node as node_costs
-from repro.net.latency import JitteredLatency
 from repro.net.node import Node
 from repro.net.topology import LinkSpec, Topology
 from repro.obs.metrics import OnFirstUse
 from repro.obs.tracer import UNSAMPLED
-from repro.sim.core import SimulationError, Simulator
+from repro.sim.core import Simulator
 
 __all__ = ["Network", "NetworkStats"]
-
-_TWOPI = 2.0 * pi  # random.TWOPI, for the in-line gauss draw
 
 
 class _Pipe:
@@ -56,13 +51,9 @@ class _Route:
         self.last_arrival = 0.0  # FIFO per (src, dst): the latest arrival yet
         self.label = label  # the span's ``link`` attribute
         latency = link.latency
-        #: a JitteredLatency link's (base, sigma, floor, ceil), drawn in line
-        #: by ``transmit``; None for any other model, which ``sample``s
-        self.gauss = (
-            (latency.base, latency.base * latency.jitter, latency.floor, latency.ceil)
-            if isinstance(latency, JitteredLatency)
-            else None
-        )
+        #: what ``transmit`` draws the delay from: ``gauss(base, sigma)``
+        #: clamped to ``[floor, ceil]``
+        self.gauss = (latency.base, latency.base * latency.jitter, latency.floor, latency.ceil)
 
 
 class NetworkStats:
@@ -171,10 +162,9 @@ class Network:
         ``kind`` attributes this hop in the per-kind accounting (protocol
         message kinds from the gc layer; defaults to the service name).
 
-        A message that arrives is one kernel entry due at its arrival time,
-        which the event loop turns into the destination CPU's receive job in
-        place, or drops if the node crashed in flight (see
-        ``repro.sim.core.ScheduledEvent``).
+        A message that arrives is an event at its arrival time that submits
+        the receive job to the destination's CPU (which a node that crashed
+        in flight refuses).
         """
         tracer = self._tracer
         stats = self.stats
@@ -229,59 +219,31 @@ class Network:
             tracer.end_span(span, outcome="lost")
             return
 
-        gauss = route.gauss
-        if gauss is None:
-            delay = link.latency.sample(self._rng)
-        else:
-            # random.Random.gauss in line, on its gauss_next pair cache, so
-            # the stream and every draw are exactly gauss(base, sigma)'s
-            base, sigma, floor, ceil = gauss
-            rng = self._rng
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                random = rng.random
-                x2pi = random() * _TWOPI
-                g2rad = sqrt(-2.0 * log(1.0 - random()))
-                z = cos(x2pi) * g2rad
-                rng.gauss_next = sin(x2pi) * g2rad
-            delay = base + z * sigma
-            # truncated: a long Gaussian tail yields no absurd delay
-            if delay < floor:
-                delay = floor
-            elif delay > ceil:
-                delay = ceil
+        base, sigma, floor, ceil = route.gauss
+        delay = self._rng.gauss(base, sigma)
+        # truncated: a long Gaussian tail yields no absurd delay
+        if delay < floor:
+            delay = floor
+        elif delay > ceil:
+            delay = ceil
         arrival = tx_end + delay
         # FIFO per (src, dst): arrivals never reorder on one link.
         if arrival < route.last_arrival:
             arrival = route.last_arrival
-        if arrival < now:
-            raise SimulationError(f"cannot schedule at {arrival} before now={now}")
         route.last_arrival = arrival
         stats.delivered.value += 1
-        if span is not None:
-            # the hop's extent is known now: close it at the arrival time so
-            # the span covers queueing + serialisation + propagation
-            span.end = arrival
-            span.attrs["outcome"] = "delivered"
-            ctx = span
-        else:
-            ctx = tracer.ctx
-        # the arrival, as Simulator.schedule_at would push it
-        sim._seq = seq = sim._seq + 1
-        entry = [
-            arrival,
-            seq,
-            None,
-            (node_costs.RECV_OVERHEAD + size * node_costs.PER_BYTE, handler, src, payload, size),
-            ctx,
-            dst_node.cpu,
-        ]
-        if sim._vacant:
-            sim._vacant = False
-            heapreplace(sim._queue, entry)
-        else:
-            heappush(sim._queue, entry)
+        cost = node_costs.RECV_OVERHEAD + size * node_costs.PER_BYTE
+        if span is None:
+            sim.schedule_at(arrival, dst_node.cpu.submit, cost, handler, src, payload, size)
+            return
+        # the hop's extent is known now: close it at the arrival time so the
+        # span covers queueing + serialisation + propagation; the receive job
+        # runs under it
+        span.end = arrival
+        span.attrs["outcome"] = "delivered"
+        prev, tracer.ctx = tracer.ctx, span
+        sim.schedule_at(arrival, dst_node.cpu.submit, cost, handler, src, payload, size)
+        tracer.ctx = prev
 
     # ------------------------------------------------------------------
     # partitions

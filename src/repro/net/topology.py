@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.net.latency import FixedLatency, JitteredLatency, LatencyModel
+from repro.net.latency import JitteredLatency
 
 __all__ = ["Topology", "LinkSpec"]
 
@@ -21,7 +21,7 @@ class LinkSpec:
 
     __slots__ = ("latency", "bandwidth_bps", "loss")
 
-    def __init__(self, latency: LatencyModel, bandwidth_bps: float, loss: float = 0.0):
+    def __init__(self, latency: JitteredLatency, bandwidth_bps: float, loss: float = 0.0):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if not 0.0 <= loss < 1.0:
@@ -58,7 +58,7 @@ class Topology:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_site(self, name: str, latency: LatencyModel, loss: float = 0.0) -> str:
+    def add_site(self, name: str, latency: JitteredLatency, loss: float = 0.0) -> str:
         """Register a site: a 100 Mbit LAN segment with ``latency`` inside it."""
         if name in self._sites:
             raise ValueError(f"site {name!r} already exists")
@@ -66,7 +66,7 @@ class Topology:
         return name
 
     def connect(
-        self, site_a: str, site_b: str, latency: LatencyModel, loss: float = 0.0
+        self, site_a: str, site_b: str, latency: JitteredLatency, loss: float = 0.0
     ) -> None:
         """Set the (symmetric) inter-site link spec."""
         self._require_site(site_a)
@@ -74,7 +74,7 @@ class Topology:
         spec = LinkSpec(latency, self.DEFAULT_WAN_BANDWIDTH, loss)
         self._links[self._key(site_a, site_b)] = spec
 
-    def set_default_wan(self, latency: LatencyModel, loss: float = 0.0) -> None:
+    def set_default_wan(self, latency: JitteredLatency, loss: float = 0.0) -> None:
         """Fallback spec for site pairs without an explicit link."""
         self._default_wan = LinkSpec(latency, self.DEFAULT_WAN_BANDWIDTH, loss)
 

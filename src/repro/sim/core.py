@@ -44,14 +44,9 @@ class ScheduledEvent(list):
     processor incarnation's liveness token there, and the loop counts the
     job but skips ``fn`` once ``life.alive`` is false.  A :class:`Deadline`'s
     entry has neither ``fn`` nor ``args``, and the deadline itself in
-    ``life``.  A message's arrival (``Network.transmit``) has no ``fn``,
-    ``(cost, handler, *handler_args)`` in ``args`` and the destination
-    :class:`Cpu` in ``life``; the loop re-keys that same list as the
-    receive job.  Only such never-handed-out lists are re-keyed: a handle
-    :meth:`Simulator.schedule` gives out keeps its key.  The layout is
-    private to the kernel and the network — callers use :meth:`cancel`.
-    Cancellation is O(1): the entry stays in the heap with ``fn`` cleared
-    and is skipped when it reaches the head.
+    ``life``.  The layout is private to this module — callers use
+    :meth:`cancel`.  Cancellation is O(1): the entry stays in the heap with
+    ``fn`` cleared and is skipped when it reaches the head.
     """
 
     __slots__ = ()
@@ -214,11 +209,7 @@ class Simulator:
         The entries with no ``fn`` come up on one branch, so an ordinary
         event pays no check for them: a cancelled one is dropped; a
         :class:`Deadline`'s entry is dropped, pushed back, or run as a
-        counted event; a message's *arrival* (``args`` set, the destination
-        :class:`Cpu` in ``life``) counts as an event and becomes its receive
-        job in place — :meth:`Cpu.submit`'s arithmetic, the job's ``seq``
-        drawn now, and the same list re-keyed — unless the processor's
-        current incarnation is dead.
+        counted event.
 
         Fast path: when neither the event nor the caller carries a trace
         context (the common case with tracing off or unsampled), the tracer
@@ -234,41 +225,6 @@ class Simulator:
             if fn is None:
                 if life is None:  # cancelled
                     heappop(queue)
-                    continue
-                if args is not None:
-                    # an arrival: ``life`` is the destination's Cpu, ``args``
-                    # ``(cost, handler, *handler_args)``
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        return executed, True
-                    self.now = time
-                    self._events_processed += 1
-                    executed += 1
-                    cpu = life
-                    life = cpu._life
-                    if not life.alive:
-                        heappop(queue)  # the node crashed in flight
-                        continue
-                    # Cpu.submit, in line
-                    busy = cpu.busy_until
-                    start = busy if busy > time else time
-                    hist = cpu._queue_delay
-                    filled = hist._filled
-                    hist._chunk[filled] = start - time
-                    hist._filled = filled + 1
-                    if filled == CHUNK - 1:
-                        hist._fold()
-                    cost = args[0]
-                    cpu.busy_until = end = start + cost
-                    cpu.busy_total += cost
-                    self._seq = seq = self._seq + 1
-                    entry[0] = end
-                    entry[1] = seq
-                    entry[2] = args[1]
-                    entry[3] = args[2:]
-                    entry[5] = life
-                    heapreplace(queue, entry)
                     continue
                 # a deadline's entry: ``life`` is the Deadline
                 if life._entry is not entry or life.due is None:
@@ -337,9 +293,9 @@ class Simulator:
             self._running = False
 
     def pending_count(self) -> int:
-        """Number of events still to run: scheduled ones not cancelled,
-        arrivals, and armed deadlines, each once, and not the one running
-        now (O(n); diagnostics only)."""
+        """Number of events still to run: scheduled ones not cancelled and
+        armed deadlines, each once, and not the one running now (O(n);
+        diagnostics only)."""
         running = self._queue[0] if self._vacant else None
         return sum(
             1
@@ -347,8 +303,7 @@ class Simulator:
             if ev is not running
             and (
                 ev[2] is not None
-                or ev[5] is not None
-                and (ev[3] is not None or ev[5]._entry is ev and ev[5].due is not None)
+                or ev[5] is not None and ev[5]._entry is ev and ev[5].due is not None
             )
         )
 

@@ -70,7 +70,6 @@ REACH_ALLOW_LIST = {
     "orb.orb:ORB._invoke_local": "ORB colocation",
     # -- the deterministic latency fake: every topology draws JitteredLatency
     "net.latency:FixedLatency.__init__": "deterministic test latency",
-    "net.latency:FixedLatency.sample": "deterministic test latency",
     # -- teardown: no example, scenario or bench closes these before its end
     "core.combined:CombinedBinding.close": "teardown of a combined binding",
     "shard.binding:ShardedBinding.close": "teardown of a sharded binding",

@@ -1,6 +1,8 @@
 """Tests for the network substrate: topology, latency, CPU, partitions."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.net import (
     Node,
     Topology,
 )
+from repro.net import network as network_module
 from repro.net import node as node_module
 from repro.obs import Observability
 from repro.sim import Simulator
@@ -32,10 +35,10 @@ def set_cpu_costs(monkeypatch, overhead):
 
 
 def test_fixed_latency_is_constant():
-    sim = Simulator()
     model = FixedLatency(0.01)
-    assert model.sample(sim.rng("x")) == 0.01
-    assert model.delay == 0.01
+    assert isinstance(model, JitteredLatency)
+    assert (model.delay, model.base, model.jitter) == (0.01, 0.01, 0.0)
+    assert model.floor == model.ceil == 0.01
 
 
 def star(links):
@@ -74,26 +77,28 @@ def test_jittered_latency_within_bounds(monkeypatch):
     assert abs(mean - 10e-3) < 1e-3
 
 
-def test_the_in_line_jitter_draw_is_random_gauss_on_the_network_stream(monkeypatch):
-    """``Network.transmit`` runs ``random.gauss``'s Box-Muller step itself.
-    Replayed on a fresh stream of the same seed, every delay of two
-    jittered links is ``min(ceil, max(floor, gauss(base, base * jitter)))``,
-    with a pair's two halves split across links and rounds, and the fixed
-    link between them draws nothing."""
+def test_every_link_draws_its_delay_with_random_gauss_on_the_network_stream(monkeypatch):
+    """Replayed on a fresh stream of the same seed, every delay of two
+    jittered links and two fixed ones is
+    ``min(ceil, max(floor, gauss(base, base * jitter)))``, with a
+    Box-Muller pair's two halves split across links and rounds; a fixed
+    link's delay is exactly its own."""
     set_cpu_costs(monkeypatch, 0.0)
     near = JitteredLatency(1e-3, jitter=0.2)
-    far = JitteredLatency(10e-3, jitter=0.15)
+    far = JitteredLatency(10e-3, jitter=1.5)  # wide: both clamps bite
     links = {
         "n1": ("near", near),
         "f": ("fixed", FixedLatency(5e-3)),
         "w": ("far", far),
         "n2": ("near", near),  # a second route over near's pipe: no FIFO clamp
+        "z": ("zero", FixedLatency(0.0)),
     }
     sim, net, sender, arrivals = star(links)
     replay = random.Random(derive_seed(sim.seed, "net.latency"))
+    clamped = set()
     rounds = 2500
     for r in range(rounds):
-        # three draws a round: a Box-Muller pair splits across links and,
+        # five draws a round: a Box-Muller pair splits across links and,
         # every other round, across the round boundary
         sent = sim.now
         for dst in links:
@@ -101,13 +106,14 @@ def test_the_in_line_jitter_draw_is_random_gauss_on_the_network_stream(monkeypat
         sim.run()
         got = dict(arrivals[-len(links):])
         for dst, (_, model) in links.items():
-            if isinstance(model, FixedLatency):
-                expected = model.delay
-            else:
-                value = replay.gauss(model.base, model.base * model.jitter)
-                expected = min(model.ceil, max(model.floor, value))
+            value = replay.gauss(model.base, model.base * model.jitter)
+            expected = min(model.ceil, max(model.floor, value))
             assert got[r, dst] == sent + expected, (r, dst)
+            if model.jitter and expected != value:
+                clamped.add(expected)
+        assert (got[r, "f"], got[r, "z"]) == (sent + 5e-3, sent)
     assert len(arrivals) == rounds * len(links) >= 10_000
+    assert {far.floor, far.ceil, near.floor} <= clamped
     assert net._rng.getstate() == replay.getstate()  # gauss_next included
 
 
@@ -363,6 +369,21 @@ def test_unknown_service_silently_dropped():
     assert hop["attrs"]["reason"] == "closed port"
 
 
+def test_a_traced_hop_is_the_context_its_receive_job_runs_under():
+    sim = Simulator(seed=1, obs=Observability(trace=True))
+    tracer = sim.obs.tracer
+    net = Network(sim, Topology.single_lan())
+    a = net.new_node("a", "lan")
+    b = net.new_node("b", "lan")
+    seen = []
+    b.register("t", lambda src, payload, size: seen.append(tracer.ctx.span_id))
+    sim.schedule(0.0, net.transmit, "a", "b", "t", "x", 10)
+    sim.run()
+    [hop] = [r for r in sim.obs.trace_records() if r["name"] == "net.hop"]
+    assert seen == [hop["span"]]
+    assert hop["attrs"]["outcome"] == "delivered" and tracer.ctx is None
+
+
 def test_a_message_to_a_node_that_crashes_in_flight_is_dropped_at_arrival():
     """The arrival becomes the receive job when it is due, so the
     receiver's liveness at arrival decides: crashed drops it, recovered
@@ -411,15 +432,15 @@ def test_duplicate_service_registration_rejected():
 # ---------------------------------------------------------------------------
 # the route record: one per (src, dst), resolved on first use
 # ---------------------------------------------------------------------------
-class ScriptedLatency(FixedLatency):
-    """Hands out the given one-way delays in order."""
+class ScriptedStream:
+    """Stands in for the network's latency stream: ``gauss`` hands out the
+    given values in order, whatever it is asked for."""
 
-    def __init__(self, *delays):
-        super().__init__(0.0)
-        self.delays = list(delays)
+    def __init__(self, *values):
+        self.values = list(values)
 
-    def sample(self, rng):
-        return self.delays.pop(0)
+    def gauss(self, mu, sigma):
+        return self.values.pop(0)
 
 
 def test_message_to_an_unattached_node_is_dropped_and_no_stale_route_survives():
@@ -467,8 +488,9 @@ def test_routes_across_one_site_pair_share_a_pipe_but_not_a_fifo_clamp(monkeypat
     topo = Topology()
     topo.add_site("A", FixedLatency(1e-4))
     topo.add_site("B", FixedLatency(1e-4))
-    topo.connect("A", "B", ScriptedLatency(10e-3, 1e-3, 1e-3))
+    topo.connect("A", "B", JitteredLatency(4e-3))  # delays clamped to [2, 12] ms
     net = Network(sim, topo)
+    net._rng = ScriptedStream(12e-3, 2e-3, 2e-3)
     a1, a2 = (net.new_node(name, "A") for name in ("a1", "a2"))
     arrivals = []
     for name in ("b1", "b2"):
@@ -476,15 +498,15 @@ def test_routes_across_one_site_pair_share_a_pipe_but_not_a_fifo_clamp(monkeypat
         node.register("t", lambda src, payload, size: arrivals.append((payload, sim.now)))
     size = 1000
     tx = size * 8.0 / Topology.DEFAULT_WAN_BANDWIDTH
-    a1.send("b1", "t", "a1-first", size)  # 10 ms in flight
-    a2.send("b2", "t", "a2", size)  # 1 ms, but queued behind a1's frame
-    a1.send("b1", "t", "a1-second", size)  # 1 ms, but FIFO behind a1-first
+    a1.send("b1", "t", "a1-first", size)  # 12 ms in flight
+    a2.send("b2", "t", "a2", size)  # 2 ms, but queued behind a1's frame
+    a1.send("b1", "t", "a1-second", size)  # 2 ms, but FIFO behind a1-first
     sim.run()
     at = dict(arrivals)
     # one pipe: the three frames serialise one after another
-    assert at["a2"] == pytest.approx(2 * tx + 1e-3)
+    assert at["a2"] == pytest.approx(2 * tx + 2e-3)
     # the FIFO clamp is per (src, dst): a2 -> b2 overtakes a1 -> b1 ...
-    assert at["a2"] < at["a1-first"] == pytest.approx(tx + 10e-3)
+    assert at["a2"] < at["a1-first"] == pytest.approx(tx + 12e-3)
     # ... but a1's second frame waits for its first
     assert at["a1-second"] == at["a1-first"]
     assert [payload for payload, _ in arrivals] == ["a2", "a1-first", "a1-second"]
@@ -505,3 +527,16 @@ def test_topology_is_consulted_once_per_route():
     sim.run()
     assert lookups == [("lan", "lan"), ("lan", "lan")]  # a -> b and b -> a
     assert net.stats.messages_delivered == 10
+
+
+def test_the_network_pushes_through_the_kernel_and_never_touches_its_heap():
+    """``repro/net/network.py`` is a plain client of the kernel: it imports
+    no ``heapq`` and reads none of the heap's state (``_queue``,
+    ``_vacant``, ``_seq``), so the entry layout stays private to
+    ``repro.sim.core``."""
+    tree = ast.parse(Path(network_module.__file__).read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "heapq" not in imported
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not read & {"_queue", "_vacant", "_seq"}

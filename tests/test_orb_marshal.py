@@ -107,8 +107,21 @@ def test_unknown_tag_raises():
         decode(b"Z")
 
 
-def test_struct_roundtrip_creates_fresh_object():
-    @corba_struct
+@pytest.fixture
+def local_struct():
+    """``corba_struct`` for a struct that lives for one test: whatever it
+    registers leaves the marshal registries again afterwards, so no later
+    test (the registry audits of ``test_marshal_registry_roundtrip``) sees
+    it."""
+    saved = dict(marshal._STRUCT_REGISTRY), dict(marshal._STRUCT_SIZERS)
+    yield corba_struct
+    for table, before in zip((marshal._STRUCT_REGISTRY, marshal._STRUCT_SIZERS), saved):
+        table.clear()
+        table.update(before)
+
+
+def test_struct_roundtrip_creates_fresh_object(local_struct):
+    @local_struct
     class Point:
         __slots__ = ("x", "y")
         _fields = ("x", "y")
@@ -124,8 +137,8 @@ def test_struct_roundtrip_creates_fresh_object():
     assert q is not p
 
 
-def test_struct_isolation_no_shared_state():
-    @corba_struct
+def test_struct_isolation_no_shared_state(local_struct):
+    @local_struct
     class Box:
         __slots__ = ("items",)
         _fields = ("items",)
@@ -147,8 +160,8 @@ def test_struct_without_fields_rejected():
             pass
 
 
-def test_duplicate_struct_name_rejected():
-    @corba_struct
+def test_duplicate_struct_name_rejected(local_struct):
+    @local_struct
     class Unique1:
         __slots__ = ("a",)
         _fields = ("a",)
@@ -159,7 +172,7 @@ def test_duplicate_struct_name_rejected():
     with pytest.raises(MarshalError):
         # different class object, same name
         cls = type("Unique1", (), {"__slots__": ("a",), "_fields": ("a",)})
-        corba_struct(cls)
+        local_struct(cls)
 
 
 def test_ior_and_iogr_are_marshallable():

@@ -450,12 +450,11 @@ def test_a_recovered_cpu_is_idle_from_now_and_runs_no_job_from_before_the_crash(
 
 
 # ---------------------------------------------------------------------------
-# hold and in-place admission: the loop against one that pops, then pushes
+# hold: the loop against one that pops, then pushes
 # ---------------------------------------------------------------------------
 class PopThenPush(Simulator):
     """The reference loop: an entry leaves the heap before its callback
-    runs, every push is a ``heappush``, and an arrival is a call of its
-    destination's ``Cpu.submit`` under the arrival's trace context."""
+    runs, and every push is a ``heappush``."""
 
     def _run_loop(self, until, max_events):
         queue = self._queue
@@ -463,7 +462,7 @@ class PopThenPush(Simulator):
         executed = 0
         while queue:
             time, _seq, fn, args, ctx, life = queue[0]
-            if fn is None and life is None:  # cancelled
+            if fn is None:  # cancelled
                 heappop(queue)
                 continue
             if until is not None and time > until:
@@ -474,8 +473,6 @@ class PopThenPush(Simulator):
             self.now = time
             self._events_processed += 1
             executed += 1
-            if fn is None:  # an arrival: ``life`` is the destination's Cpu
-                fn, life = life.submit, None
             if life is not None and not life.alive:
                 continue
             prev, tracer.ctx = tracer.ctx, ctx
@@ -486,7 +483,7 @@ class PopThenPush(Simulator):
         return executed, False
 
     def pending_count(self):
-        return sum(1 for ev in self._queue if ev[2] is not None or ev[5] is not None)
+        return sum(1 for ev in self._queue if ev[2] is not None)
 
 
 class Boom(Exception):
@@ -637,18 +634,18 @@ _RUN_SLICES = st.tuples(
     script=[("schedule", 0.5), ("schedule", 1.0), ("run", None, None)],
     reactions=[[("schedule", 0.5), ("raise",)]],
 )
-# an arrival due after ``until`` is not admitted by that slice
+# an arrival due after ``until`` does not run in that slice
 @example(script=[("send",), ("run", 0.25, None)], reactions=[])
 # crashed and recovered in flight: the new incarnation takes the message
 @example(script=[("send",), ("crash",), ("recover",)], reactions=[])
 def test_the_holding_loop_runs_what_a_pop_then_push_loop_runs(script, reactions):
     """Random scripts and callbacks, through ``run(until=, max_events=)``
     slices and raising callbacks: the kernel (holding the running entry at
-    the heap root, admitting arrivals in place) fires the same callbacks at
-    the same times under the same contexts, counts the same events, keeps
-    the same clock and CPU accounts, and reports the same
+    the heap root) fires the same callbacks at the same times under the
+    same contexts, counts the same events, keeps the same clock and CPU
+    accounts, and reports the same
     ``pending_count()`` — from inside callbacks too — as a loop that pops
-    every entry before running it and submits every arrival."""
+    every entry before running it."""
     assert _replay(Simulator, Deadline, script, reactions) == _replay(
         PopThenPush, ScheduledDeadline, script, reactions
     )
@@ -690,7 +687,7 @@ def test_a_callback_that_raises_after_pushing_leaves_its_entry_gone_and_the_heap
 
 def test_run_until_and_max_events_stop_on_an_arrival_as_on_any_event():
     """An arrival is one event under both budgets: due after ``until`` it
-    waits; admitted, it counts one event and its receive job is a second."""
+    waits; run, it counts one event and its receive job is a second."""
     sim = Simulator()
     net, receiver = _lan_pair(sim)
     got = []

@@ -195,5 +195,6 @@ class FailureDetector:
                     newly_suspected.append(member)
             for member in newly_suspected:
                 self.session.membership.on_local_suspicion(member)
-        if not self._stopped:
+        if not self._stopped and self._timer is None:
+            # a solo flush this tick completed may have restarted the chain
             self._timer = self.sim.schedule(self.period, self._tick)

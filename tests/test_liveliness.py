@@ -4,6 +4,7 @@ heartbeat deadlines, and the protocol-traffic budget SLO."""
 import pytest
 
 from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering
+from repro.groupcomm.failuredetector import FailureDetector
 from repro.obs.metrics import MetricsRegistry
 from repro.scenario.slo import SloContext, build_slos, evaluate_slos
 from tests.conftest import Cluster, Collector
@@ -78,6 +79,39 @@ def test_crashed_member_in_quiescent_group_suspected_within_adaptive_bound():
     # group reforms around the failure
     assert detected_at - crash_at < 1.5
     assert set(survivor.view.members) == {"n0", "n1"}
+
+
+def test_a_tick_that_completes_a_solo_flush_leaves_one_heartbeat_chain(monkeypatch):
+    """The tick that suspects the last peer completes a solo flush, whose
+    view install restarts the detector: the member still ticks once per
+    period, not on two interleaved chains for the rest of the run."""
+    ticks = {}
+    tick = FailureDetector._tick
+
+    def counting_tick(self):
+        ticks[self.session.member_id] = ticks.get(self.session.member_id, 0) + 1
+        tick(self)
+
+    monkeypatch.setattr(FailureDetector, "_tick", counting_tick)
+    c = Cluster(2, prefix="s")
+    config = GroupConfig(
+        ordering=Ordering.SYMMETRIC, liveliness=Liveliness.LIVELY, suspicion_timeout=0.1
+    )
+    sessions = build_group(c, config)
+    c.net.partition({"s0"}, {"s1"})
+    c.run(1.0)
+    assert [list(s.view.members) for s in sessions] == [["s0"], ["s1"]]
+    ticks.clear()
+    c.run(1.0)
+    # one 33.3 ms chain each (two tick 60-62 times a second)
+    assert sorted(ticks) == ["s0", "s1"] and all(30 <= n <= 31 for n in ticks.values())
+    live = [
+        entry[5].fn if entry[2] is None else entry[2]
+        for entry in c.sim._queue
+        if entry[2] is not None or entry[5]._entry is entry and entry[5].due is not None
+    ]
+    chains = [fn for fn in live if getattr(fn, "__func__", None) is counting_tick]
+    assert sorted(fn.__self__.session.member_id for fn in chains) == ["s0", "s1"]
 
 
 def test_symmetric_total_order_delivers_after_quiescent_gap():

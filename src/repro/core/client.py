@@ -46,6 +46,7 @@ from repro.obs.tracer import UNSAMPLED
 from repro.orb.ior import IOR
 from repro.overload import AdmissionConfig, AdmissionController, shed_on_overflow
 from repro.recovery.policy import RetryPolicy
+from repro.sim.core import Deadline
 from repro.sim.futures import Future
 from repro.sim.process import all_of
 
@@ -113,6 +114,7 @@ class _PendingCall:
         "future",
         "replies",
         "timer",
+        "backoff",
         "span",
         "sent_at",
         "timeout",
@@ -126,7 +128,9 @@ class _PendingCall:
         self.mode = mode
         self.future = future
         self.replies: Dict[str, ReplyMsg] = {}
-        self.timer = None
+        #: the call's one timer: its timeout, or a retry's backoff
+        self.timer: Optional[Deadline] = None
+        self.backoff = False  # the timer ends a retry's backoff
         self.span = None  # root trace span for this invocation
         self.sent_at = 0.0
         self.timeout: Optional[float] = None
@@ -233,6 +237,8 @@ class GroupBinding:
         self._closed = False
         self._pending: Dict[int, _PendingCall] = {}
         self._queued: List[_PendingCall] = []
+        #: call timers that ended calls left disarmed, for the next calls
+        self._spare_timers: List[Deadline] = []
         #: who the servers see calling (dedupe key, reply address) and the
         #: group their gathered replies travel back through ("": this one)
         self._caller = self.client_id
@@ -520,7 +526,7 @@ class GroupBinding:
             self._phases.begin(call_id)
             if timeout is not None:
                 pending.timeout = timeout
-                pending.timer = self.sim.schedule(timeout, self._on_call_timeout, call_no)
+                self._arm(pending, timeout)
         if self._bound:
             self._send_invoke(pending)
         else:
@@ -606,12 +612,8 @@ class GroupBinding:
         ):
             pending.attempts += 1
             self._retry_counter.inc()
-            if pending.timer is not None:
-                pending.timer.cancel()
-            delay = policy.retry_after_delay(hint, pending.attempts, self._backoff_rng)
-            pending.timer = self.sim.schedule(
-                delay, self._retry_call, pending.call_no
-            )
+            pending.backoff = True
+            self._arm(pending, policy.retry_after_delay(hint, pending.attempts, self._backoff_rng))
             return True
         self._drop(pending)
         self._reject(pending, failure)
@@ -623,8 +625,11 @@ class GroupBinding:
         if pending in self._queued:
             self._queued.remove(pending)
         self.service.unregister_pending((self._caller, pending.call_no))
-        if pending.timer is not None:
-            pending.timer.cancel()
+        timer = pending.timer
+        if timer is not None:  # the next call takes it over
+            pending.timer = None
+            timer.due = None
+            self._spare_timers.append(timer)
 
     def _complete(self, pending: _PendingCall, replies: List[ReplyMsg]) -> None:
         """The replies the call's mode needs are in: account for the call,
@@ -685,24 +690,31 @@ class GroupBinding:
         self._forwarded_counter.inc()
         pending.future.resolve(None)
 
-    def _on_call_timeout(self, call_no: int) -> None:
-        pending = self._pending.get(call_no)
-        if pending is not None and not self._retry_or_fail(
-            pending, CommFailure(f"call #{call_no} ({pending.operation}) timed out")
-        ):
-            self._timeout_counter.inc()
+    def _arm(self, pending: _PendingCall, delay: float) -> None:
+        """Arm the call's timer ``delay`` from now.  A call without one takes
+        a spare an ended call left, so the kernel holds one timer entry per
+        outstanding call, not one per call of the last timeout."""
+        timer = pending.timer
+        if timer is None:
+            spares = self._spare_timers
+            timer = spares.pop() if spares else Deadline(self.sim, self._on_call_timer)
+            timer.args = (pending,)
+            pending.timer = timer
+        timer.arm(delay)
 
-    def _retry_call(self, call_no: int) -> None:
-        pending = self._pending.get(call_no)
-        if pending is None or self._closed:
+    def _on_call_timer(self, pending: _PendingCall) -> None:
+        """A live call's timer fired: the call timed out (retry or fail it),
+        or its retry's backoff ended (send it again, under its timeout if it
+        has one: shed-triggered retries exist for calls without one too)."""
+        if not pending.backoff:
+            if not self._retry_or_fail(
+                pending, CommFailure(f"call #{pending.call_no} ({pending.operation}) timed out")
+            ):
+                self._timeout_counter.inc()
             return
-        # shed-triggered retries exist for calls without a timeout too
+        pending.backoff = False
         if pending.timeout is not None:
-            pending.timer = self.sim.schedule(
-                pending.timeout, self._on_call_timeout, call_no
-            )
-        else:
-            pending.timer = None
+            pending.timer.arm(pending.timeout)
         if self._bound:
             self._send_invoke(pending)
         elif pending not in self._queued:

@@ -37,6 +37,7 @@ from repro.core.modes import InvocationScheme, ReplyScheme
 from repro.core.scheme import SchemeConfig
 from repro.errors import ApplicationError, BindingBroken, CommFailure, ConfigurationError
 from repro.orb.ior import IOR
+from repro.sim.core import Deadline
 from repro.sim.futures import Future
 
 __all__ = ["CombinedBinding", "COMBINE_COST", "combiner_servant_id"]
@@ -117,8 +118,8 @@ class CombinedBinding:
         self._peers = [iors[m] for m in self.cohort if self.is_root and m != self.client_id]
         self._closed = False
         self._calls = itertools.count(1)
-        #: logical call_no -> (future, timer)
-        self._pending: Dict[int, Tuple[Future, Any]] = {}
+        #: logical call_no -> (future, its timeout)
+        self._pending: Dict[int, Tuple[Future, Deadline]] = {}
         #: the rendezvous: logical call_no -> [(operation, timeout) once the
         #: local caller has invoked, {rank: contribution}].  A child's share
         #: may arrive before the local caller invokes; the slot fires once,
@@ -170,9 +171,9 @@ class CombinedBinding:
         call_no = next(self._calls)
         future = Future(name=f"combined:{operation}@{self.client_id}#{call_no}")
         if self._waits:
-            timer = None
+            timer = Deadline(self.sim, self._on_timeout, call_no)
             if timeout is not None:
-                timer = self.sim.schedule(timeout, self._on_timeout, call_no)
+                timer.arm(timeout)
             self._pending[call_no] = (future, timer)
         else:
             # the rendezvous and the one-way group call still happen below
@@ -261,8 +262,7 @@ class CombinedBinding:
         if entry is None:
             return
         future, timer = entry
-        if timer is not None:
-            timer.cancel()
+        timer.due = None
         if reply.ok:
             future.try_resolve(reply.value)
         else:
@@ -287,8 +287,7 @@ class CombinedBinding:
         self._slots.clear()
         pending, self._pending = self._pending, {}
         for future, timer in pending.values():
-            if timer is not None:
-                timer.cancel()
+            timer.due = None
             future.try_fail(BindingBroken("combined binding closed"))
         if self._binding is not None:
             self._binding.close()

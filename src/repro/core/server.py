@@ -40,6 +40,7 @@ from repro.orb.ior import IOR
 from repro.orb.orb import servant_operation
 from repro.overload import AdmissionConfig, AdmissionController, shed_on_overflow
 from repro.recovery.policy import RetryPolicy
+from repro.sim.core import Deadline
 from repro.sim.futures import Future
 
 __all__ = ["ObjectGroupServer", "EXECUTION_OVERHEAD", "REPLY_CACHE_SIZE"]
@@ -291,7 +292,8 @@ class ObjectGroupServer:
         join_timeout = (
             self.config.suspicion_timeout + 2 * self.config.flush_timeout + 0.5
         )
-        timer = self.sim.schedule(join_timeout, self._on_join_timeout, session, epoch)
+        timer = Deadline(self.sim, self._on_join_timeout, session, epoch)
+        timer.arm(join_timeout)
         session.joined.add_done_callback(
             lambda f: self._on_joined(f, timer, attempt, epoch)
         )
@@ -304,8 +306,8 @@ class ObjectGroupServer:
         self._advertise()
         self._entered("server.recreated" if recreated else None)
 
-    def _on_joined(self, fut: Future, timer, attempt: int, epoch: int) -> None:
-        timer.cancel()
+    def _on_joined(self, fut: Future, timer: Deadline, attempt: int, epoch: int) -> None:
+        timer.due = None
         if epoch != self._restart_epoch:
             return
         if fut.failed:

@@ -54,12 +54,12 @@ class _Outgoing:
         "srtt", "rttvar", "rto",
     )
 
-    def __init__(self):
+    def __init__(self, probe_timer: Deadline):
         self.low = 1
         self.next_seq = 1
         self.buffer: Dict[int, Any] = {}
         self.sent_at: Dict[int, Optional[float]] = {}
-        self.probe_timer = None
+        self.probe_timer = probe_timer
         self.probes = 0
         self.probed = 0  # the oldest frame the last probe found unacked
         self.srtt: Optional[float] = None
@@ -100,12 +100,12 @@ class _Incoming:
 
     __slots__ = ("expected", "out_of_order", "unacked", "ack_timer", "nack_timer", "nack_tries")
 
-    def __init__(self, ack_timer: Deadline):
+    def __init__(self, ack_timer: Deadline, nack_timer: Deadline):
         self.expected = 1
         self.out_of_order: Dict[int, Any] = {}
         self.unacked = 0
         self.ack_timer = ack_timer
-        self.nack_timer = None
+        self.nack_timer = nack_timer
         self.nack_tries = 0
 
 
@@ -132,9 +132,14 @@ class ChannelManager:
         self.upcall = upcall
         # the two halves of each peer's channel, created on first use; a
         # NACK or reset from a peer with no half yet is ignored (``.get``)
-        self._out: Dict[str, _Outgoing] = OnFirstUse(lambda peer: _Outgoing())
+        self._out: Dict[str, _Outgoing] = OnFirstUse(
+            lambda peer: _Outgoing(Deadline(sim, self._probe, peer))
+        )
         self._in: Dict[str, _Incoming] = OnFirstUse(
-            lambda peer: _Incoming(Deadline(sim, self._ack_timer_fired, peer))
+            lambda peer: _Incoming(
+                Deadline(sim, self._ack_timer_fired, peer),
+                Deadline(sim, self._nack_timer_fired, peer),
+            )
         )
         metrics = sim.obs.metrics
         self._retransmit_counter = metrics.counter("gc.channel.retransmissions")
@@ -164,8 +169,8 @@ class ChannelManager:
             self.transport(peer, ChanData(seq, inner, inc.expected - 1), kind)
         else:
             self.transport(peer, ChanData(seq, inner), kind)
-        if out.probe_timer is None:
-            out.probe_timer = self.sim.schedule(out.rto, self._probe, peer)
+        if out.probe_timer.due is None:
+            out.probe_timer.arm(out.rto)
 
     def _probe(self, peer: str) -> None:
         """Retransmit the oldest unacked frame if the last probe, a timeout
@@ -173,7 +178,6 @@ class ChannelManager:
         successors, which gap-driven NACKs cannot see.  Each such probe
         doubles the timeout until an ack moves ``low``."""
         out = self._out[peer]
-        out.probe_timer = None
         if not out.buffer:
             return
         if out.probes > PROBE_MAX:
@@ -188,7 +192,7 @@ class ChannelManager:
             self._retransmit(peer, out, out.low)
         out.probed = out.low
         timeout = min(out.rto * 2 ** out.probes, RTO_MAX)
-        out.probe_timer = self.sim.schedule(timeout, self._probe, peer)
+        out.probe_timer.arm(timeout)
 
     def _retransmit(self, peer: str, out: _Outgoing, seq: int) -> None:
         """Resend buffered frame ``seq`` as ``retransmit`` traffic; its ack
@@ -241,7 +245,7 @@ class ChannelManager:
             # the frames before this one, as the increment follows it
             self.upcall(peer, message.inner)
             inc.expected += 1
-            if inc.out_of_order or inc.nack_timer is not None:
+            if inc.out_of_order or inc.nack_timer.due is not None:
                 while inc.expected in inc.out_of_order:
                     self.upcall(peer, inc.out_of_order.pop(inc.expected))
                     inc.expected += 1
@@ -276,9 +280,7 @@ class ChannelManager:
         a later, unrelated gap must start from the base retry interval, not
         mid-backoff from a repair that already succeeded.
         """
-        if inc.nack_timer is not None:
-            inc.nack_timer.cancel()
-            inc.nack_timer = None
+        inc.nack_timer.due = None
         inc.nack_tries = 0
         if inc.out_of_order:
             # the head gap filled but a later one remains: restart the NACK
@@ -309,17 +311,16 @@ class ChannelManager:
     # gap repair
     # ------------------------------------------------------------------
     def _schedule_nack(self, peer: str, inc: _Incoming) -> None:
-        if inc.nack_timer is not None:
+        if inc.nack_timer.due is not None:
             return
         self._send_nack(peer, inc)
-        inc.nack_timer = self.sim.schedule(NACK_RETRY, self._nack_timer_fired, peer)
+        inc.nack_timer.arm(NACK_RETRY)
 
     def _nack_period(self, tries: int) -> float:
         return min(NACK_RETRY * (NACK_BACKOFF ** tries), 1.0)
 
     def _nack_timer_fired(self, peer: str) -> None:
         inc = self._in[peer]
-        inc.nack_timer = None
         if not inc.out_of_order:
             inc.nack_tries = 0
             return
@@ -332,9 +333,7 @@ class ChannelManager:
             self._skip_to(peer, inc, min(inc.out_of_order))
             return
         self._send_nack(peer, inc)
-        inc.nack_timer = self.sim.schedule(
-            self._nack_period(inc.nack_tries), self._nack_timer_fired, peer
-        )
+        inc.nack_timer.arm(self._nack_period(inc.nack_tries))
 
     def _send_nack(self, peer: str, inc: _Incoming) -> None:
         first_missing = inc.expected

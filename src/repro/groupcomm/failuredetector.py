@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.groupcomm.config import Liveliness
+from repro.sim.core import Deadline
 
 __all__ = ["FailureDetector"]
 
@@ -55,7 +56,7 @@ class FailureDetector:
         #: writes it)
         self.last_sent = 0.0
         self.suspected: Set[str] = set()
-        self._timer = None
+        self._timer = Deadline(self.sim, self._tick)
         self._stopped = False
         config = session.config
         live = config.liveliness_config
@@ -89,14 +90,12 @@ class FailureDetector:
         self.last_sent = now
         for member in self.session.view.members:
             self.last_recv.setdefault(member, now)
-        if self._timer is None and not self._stopped:
-            self._timer = self.sim.schedule(self.period, self._tick)
+        if self._timer.due is None and not self._stopped:
+            self._timer.arm(self.period)
 
     def stop(self) -> None:
         self._stopped = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._timer.due = None
 
     def on_view_change(self) -> None:
         now = self.sim.now
@@ -163,7 +162,6 @@ class FailureDetector:
         return self.session.has_outstanding()
 
     def _tick(self) -> None:
-        self._timer = None
         if self._stopped or self.session.view is None:
             return
         if not self.session.service.node.alive:
@@ -195,6 +193,6 @@ class FailureDetector:
                     newly_suspected.append(member)
             for member in newly_suspected:
                 self.session.membership.on_local_suspicion(member)
-        if not self._stopped and self._timer is None:
+        if not self._stopped and self._timer.due is None:
             # a solo flush this tick completed may have restarted the chain
-            self._timer = self.sim.schedule(self.period, self._tick)
+            self._timer.arm(self.period)

@@ -32,6 +32,7 @@ from repro.groupcomm.messages import (
     ViewInstall,
 )
 from repro.groupcomm.views import GroupView
+from repro.sim.core import Deadline
 
 __all__ = ["MembershipEngine"]
 
@@ -55,7 +56,7 @@ class MembershipEngine:
         self.attempt = 0
         self._proposed: List[str] = []
         self._oks: Dict[str, FlushOk] = {}
-        self._flush_timer = None
+        self._flush_timer = Deadline(self.sim, self._flush_timed_out)
         # member-side: last flush answered (view_id, attempt)
         self._answered: Tuple[int, int] = (-1, -1)
         self.views_installed = 0
@@ -205,17 +206,9 @@ class MembershipEngine:
                 session.service.send_protocol(member, req)
         if session.member_id in view.members or session.member_id in joiners:
             self.on_flush_req(req)
-        self._arm_flush_timer()
-
-    def _arm_flush_timer(self) -> None:
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-        self._flush_timer = self.sim.schedule(
-            self.session.config.flush_timeout, self._flush_timed_out
-        )
+        self._flush_timer.arm(self.session.config.flush_timeout)
 
     def _flush_timed_out(self) -> None:
-        self._flush_timer = None
         if not self.coordinating:
             return
         missing = [m for m in self._proposed if m not in self._oks]
@@ -242,9 +235,7 @@ class MembershipEngine:
     def _complete_flush(self) -> None:
         session = self.session
         self._flushes_completed.inc()
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-            self._flush_timer = None
+        self._flush_timer.due = None
         union: Dict[Tuple[int, str, int], DataMsg] = {}
         tickets: Dict[Tuple[str, int], int] = {}
         for ok in self._oks.values():

@@ -40,7 +40,7 @@ from repro.core.server import ObjectGroupServer
 from repro.errors import GroupError, ProvisioningError
 from repro.groupcomm.config import GroupConfig
 from repro.shard.layout import round_robin, shard_service_name
-from repro.sim.core import ScheduledEvent
+from repro.sim.core import Deadline
 from repro.sim.futures import Future
 
 __all__ = ["ShardedServer"]
@@ -120,7 +120,7 @@ class ShardedServer(ObjectGroupServer):
         self.assignment: Optional[List[List[str]]] = None
         self.layout_version = 0
         #: shard_no -> the one timer that ends its retirement
-        self._retiring: Dict[int, ScheduledEvent] = {}
+        self._retiring: Dict[int, Deadline] = {}
 
         metrics = service.sim.obs.metrics
         self._recompute_counter = metrics.counter("shard.layout.recomputes")
@@ -252,9 +252,8 @@ class ShardedServer(ObjectGroupServer):
             # excluded (or torn down) underneath us: nothing left to hand over
             self._finish_retirement(shard_no, graceful=False)
             return
-        self._retiring[shard_no] = self.sim.schedule(
-            self._retire_timeout(), self._retirement_due, shard_no
-        )
+        timer = self._retiring[shard_no] = Deadline(self.sim, self._retirement_due, shard_no)
+        timer.arm(self._retire_timeout())
         server.on_joins = lambda joined: self._on_retiring_joins(shard_no, joined)
         session.left.add_done_callback(lambda _f: self._on_retiring_closed(shard_no))
 
@@ -264,8 +263,7 @@ class ShardedServer(ObjectGroupServer):
         instant: the timer is pulled forward to now rather than leaving from
         inside the install (a leave there could start a flush mid-install)."""
         if any(member in self.assignment[shard_no] for member in joined):
-            self._retiring[shard_no].cancel()
-            self._retiring[shard_no] = self.sim.schedule(0.0, self._retirement_due, shard_no)
+            self._retiring[shard_no].arm(0.0)
 
     def _retirement_due(self, shard_no: int) -> None:
         self._cancel_retirement(shard_no)
@@ -282,7 +280,7 @@ class ShardedServer(ObjectGroupServer):
         timer = self._retiring.pop(shard_no, None)
         if timer is None:
             return False
-        timer.cancel()
+        timer.due = None
         self.shard_servers[shard_no].on_joins = None
         return True
 

@@ -8,7 +8,7 @@ Public surface:
   ``all_of``, ``with_timeout``, ``run_process``).
 """
 
-from repro.sim.core import ScheduledEvent, SimulationError, Simulator
+from repro.sim.core import SimulationError, Simulator
 from repro.sim.futures import Future, FutureError, SimTimeout
 from repro.sim.process import (
     Process,
@@ -22,7 +22,6 @@ from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
     "Simulator",
-    "ScheduledEvent",
     "SimulationError",
     "Future",
     "FutureError",

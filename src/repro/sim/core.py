@@ -27,53 +27,33 @@ from repro.obs import Observability, observability_from_global_options
 from repro.obs.metrics import CHUNK, Histogram
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Simulator", "ScheduledEvent", "SimulationError", "Cpu", "Deadline"]
+__all__ = ["Simulator", "SimulationError", "Cpu", "Deadline"]
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling in the past)."""
 
 
-class ScheduledEvent(list):
-    """Handle for a scheduled callback; supports cancellation.
-
-    The handle *is* the kernel's heap entry,
-    ``[time, seq, fn, args, ctx, life]``: ``seq`` is unique, so heap
-    comparisons resolve on the first two slots at C speed.  ``life`` is None
-    for an ordinary event; a CPU job (:meth:`Cpu.submit`) carries its
-    processor incarnation's liveness token there, and the loop counts the
-    job but skips ``fn`` once ``life.alive`` is false.  A :class:`Deadline`'s
-    entry has neither ``fn`` nor ``args``, and the deadline itself in
-    ``life``.  The layout is private to this module — callers use
-    :meth:`cancel`.  Cancellation is O(1): the entry stays in the heap with
-    ``fn`` cleared and is skipped when it reaches the head.
-    """
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent; a no-op once it ran."""
-        self[2] = None
-
-
 class Deadline:
-    """A re-armable timer: ``fn(*args)`` at ``due``, for a debt that the next
-    send usually pays before it falls due (an ack, a NULL, a ticket batch).
+    """The kernel's one stoppable timer: ``fn(*args)`` at ``due``, for a
+    timeout or a debt that a later event usually settles first (a reply, an
+    ack, a NULL, a ticket batch).
 
-    ``arm(delay)`` is :meth:`Simulator.schedule` after cancelling the
-    previous arm, and assigning ``due = None`` (disarm) is ``cancel()`` —
-    exactly: arming reserves the ``seq`` that ``schedule`` would have drawn
-    at that moment, so the callback runs at the same ``(due, seq)``, counted
-    like any event, under the trace context of the latest arm.  What it
-    saves is kernel work.  Disarming is a field write, and an arm pushes a
-    heap entry only when the deadline has none pending at or before ``due``.
-    The run loop takes a deadline's entry on its cancelled-entry branch:
-    one that reaches the head after its deadline moved later goes back in at
-    the reserved ``(due, seq)``, and one the deadline no longer owns
-    (re-armed earlier, or disarmed) is dropped, uncounted.
+    ``arm(delay)`` moves the callback to ``delay`` seconds from now, and
+    assigning ``due = None`` disarms it.  Arming reserves the ``seq`` that
+    :meth:`Simulator.schedule` would have drawn at that moment, so the
+    callback runs at the same ``(due, seq)`` as an event scheduled then,
+    counted like any event, under the trace context of the latest arm.
+    Disarming is a field write, and an arm pushes a heap entry only when
+    the deadline has none pending at or before ``due``.  Its entry,
+    ``[time, seq, None, None, None, deadline]``, has no ``fn``: the run loop
+    drops one the deadline no longer owns (re-armed earlier, or disarmed),
+    uncounted, pushes one that surfaces after the deadline moved later back
+    in at the reserved ``(due, seq)``, and otherwise runs the callback.
 
     ``due`` is when the callback runs, or None while disarmed; the callback
-    finds it None, and may arm again.
+    finds it None, and may arm again.  ``fn`` and ``args`` may be replaced
+    while disarmed, so that one deadline serves a run of calls in turn.
     """
 
     __slots__ = ("due", "fn", "args", "_sim", "_seq", "_ctx", "_entry")
@@ -118,12 +98,21 @@ class Simulator:
         sim.run()
 
     Time is in **seconds** (floats).  Milliseconds in reports are derived.
+
+    The queue is a heap of entries ``[time, seq, fn, args, ctx, life]``:
+    ``seq`` is unique, so heap comparisons resolve on the first two slots at
+    C speed.  ``life`` is None for an ordinary event; a CPU job
+    (:meth:`Cpu.submit`) carries its processor incarnation's liveness token
+    there, and the loop counts the job but skips ``fn`` once ``life.alive``
+    is false.  A :class:`Deadline`'s entry has no ``fn`` and holds the
+    deadline in ``life``.  An event, once scheduled, runs: a timer that may
+    have to stop is a :class:`Deadline`.
     """
 
     def __init__(self, seed: int = 0, obs: Optional[Observability] = None):
         #: current virtual time, in seconds (advanced by the event loop only)
         self.now = 0.0
-        self._queue: List[ScheduledEvent] = []  # a heap of handles
+        self._queue: List[list] = []  # a heap of entries
         self._seq = 0  # insertion order: the tie-break among equal times
         # the heap root is the running event's entry, free for the first
         # entry a push site adds (``heapreplace``, not a push and a pop)
@@ -153,21 +142,21 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` seconds of virtual time; a zero
+        delay runs it after the events already due now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # schedule_at's entry, pushed here: a timer is armed on every hot path
         self._seq = seq = self._seq + 1
-        ev = ScheduledEvent((self.now + delay, seq, fn, args, self._tracer.ctx, None))
+        ev = [self.now + delay, seq, fn, args, self._tracer.ctx, None]
         if self._vacant:
             self._vacant = False
             heapreplace(self._queue, ev)
         else:
             heappush(self._queue, ev)
-        return ev
 
-    def schedule_at(self, time: float, fn: Callable, *args: Any) -> ScheduledEvent:
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -175,26 +164,21 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         # ctx: the trace context active now, restored around the callback
-        ev = ScheduledEvent((time, seq, fn, args, self._tracer.ctx, None))
+        ev = [time, seq, fn, args, self._tracer.ctx, None]
         if self._vacant:
             self._vacant = False
             heapreplace(self._queue, ev)
         else:
             heappush(self._queue, ev)
-        return ev
-
-    def call_soon(self, fn: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``fn(*args)`` at the current time, after pending same-time events."""
-        return self.schedule(0.0, fn, *args)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> Tuple[int, bool]:
         """The single event-execution loop behind :meth:`run`: take ready
-        events (skipping cancelled ones), advance the clock, and invoke
-        callbacks under the scheduled trace context — all but the CPU jobs
-        of a crashed incarnation, which count as executed and do nothing.
+        events, advance the clock, and invoke callbacks under the scheduled
+        trace context — all but the CPU jobs of a crashed incarnation, which
+        count as executed and do nothing.
 
         Returns ``(executed, hit_cap)`` where ``hit_cap`` means the
         ``max_events`` budget stopped the loop while runnable events remain.
@@ -206,10 +190,9 @@ class Simulator:
         ``heapreplace``; the loop pops the entry only if the slot is still
         vacant when the callback returns or raises.
 
-        The entries with no ``fn`` come up on one branch, so an ordinary
-        event pays no check for them: a cancelled one is dropped; a
-        :class:`Deadline`'s entry is dropped, pushed back, or run as a
-        counted event.
+        A :class:`Deadline`'s entry (no ``fn``) comes up on one branch, so an
+        ordinary event pays no check for it: it is dropped, pushed back, or
+        run as a counted event.
 
         Fast path: when neither the event nor the caller carries a trace
         context (the common case with tracing off or unsampled), the tracer
@@ -222,11 +205,7 @@ class Simulator:
         while queue:
             entry = queue[0]
             time, _seq, fn, args, ctx, life = entry
-            if fn is None:
-                if life is None:  # cancelled
-                    heappop(queue)
-                    continue
-                # a deadline's entry: ``life`` is the Deadline
+            if fn is None:  # a deadline's entry: ``life`` is the Deadline
                 if life._entry is not entry or life.due is None:
                     # stranded by an earlier re-arm, or disarmed: no event
                     heappop(queue)
@@ -293,18 +272,15 @@ class Simulator:
             self._running = False
 
     def pending_count(self) -> int:
-        """Number of events still to run: scheduled ones not cancelled and
-        armed deadlines, each once, and not the one running now (O(n);
+        """Number of events still to run: scheduled ones and armed
+        deadlines, each once, and not the one running now (O(n);
         diagnostics only)."""
         running = self._queue[0] if self._vacant else None
         return sum(
             1
             for ev in self._queue
             if ev is not running
-            and (
-                ev[2] is not None
-                or ev[5] is not None and ev[5]._entry is ev and ev[5].due is not None
-            )
+            and (ev[2] is not None or ev[5]._entry is ev and ev[5].due is not None)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -364,7 +340,7 @@ class Cpu:
         self.busy_until = until = start + cost
         self.busy_total += cost
         sim._seq = seq = sim._seq + 1
-        entry = ScheduledEvent((until, seq, fn, args, self._tracer.ctx, life))
+        entry = [until, seq, fn, args, self._tracer.ctx, life]
         if sim._vacant:
             sim._vacant = False
             heapreplace(self._queue, entry)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable, List, Optional
 
-from repro.sim.core import Simulator
+from repro.sim.core import Deadline, Simulator
 from repro.sim.futures import Future, SimTimeout
 
 __all__ = [
@@ -41,7 +41,7 @@ class Process(Future):
         self._sim = sim
         self._gen = gen
         sim.obs.metrics.counter("sim.processes_spawned").inc()
-        sim.call_soon(self._step, None, None)
+        sim.schedule(0.0, self._step, None, None)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         """Advance the generator until it yields a pending future or finishes."""
@@ -128,11 +128,15 @@ def with_timeout(sim: Simulator, future: Future, timeout: float) -> Future:
     """Wrap ``future`` with a deadline; fails with :class:`SimTimeout` if it
     does not complete within ``timeout`` seconds of virtual time."""
     wrapped = Future(name=f"timeout({future.name}, {timeout})")
-    timer = sim.schedule(
-        timeout, lambda: wrapped.try_fail(SimTimeout(f"{future.name}: {timeout}s"))
+    timer = Deadline(
+        sim, lambda: wrapped.try_fail(SimTimeout(f"{future.name}: {timeout}s"))
     )
+    timer.arm(timeout)
 
-    future.add_done_callback(lambda _fut: timer.cancel())
+    def disarm(_fut: Future) -> None:
+        timer.due = None
+
+    future.add_done_callback(disarm)
     return future.then(lambda value: value, into=wrapped)
 
 

@@ -73,9 +73,8 @@ class AppCluster:
 
 
 def cancelled(timer) -> bool:
-    """Whether a kernel timer was cancelled: ``ScheduledEvent.cancel`` clears
-    the callback slot of the heap entry the handle is."""
-    return timer[2] is None
+    """Whether a :class:`~repro.sim.core.Deadline` is disarmed."""
+    return timer.due is None
 
 
 def bind_scheme(

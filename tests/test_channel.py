@@ -7,6 +7,7 @@ import pytest
 from repro.groupcomm.channel import ACK_EVERY, PROBE_MAX, RTO_MAX, RTO_MIN, ChannelManager
 from repro.groupcomm.messages import ChanAck, ChanData, ChanNack, ChanReset
 from repro.sim import Simulator
+from repro.sim.core import Deadline
 
 
 class Pipe:
@@ -199,7 +200,7 @@ def test_nack_backoff_resets_once_gap_fills():
     # bookkeeping fully reset after the repair
     inc = b_in["a"]
     assert inc.nack_tries == 0
-    assert inc.nack_timer is None
+    assert inc.nack_timer.due is None
     # second, unrelated gap much later: the first NACK retry must be
     # scheduled at the base NACK_RETRY interval (no inherited backoff)
     pipe.loss_seqs.add(("a", 6))
@@ -207,7 +208,7 @@ def test_nack_backoff_resets_once_gap_fills():
         pipe.a.send("b", i, "data")
     sim.run(until=sim.now + 1e-3 + 1e-6)  # gap detected, retry timer armed
     assert inc.out_of_order
-    assert inc.nack_timer is not None
+    assert inc.nack_timer.due is not None
     # hold the repair back: the retry NACK must leave within NACK_RETRY
     nacks = lambda: sum(1 for src, _k, m in pipe.sent if src == "b" and type(m) is ChanNack)
     before = nacks()
@@ -239,11 +240,11 @@ def test_nack_tries_reset_when_head_gap_fills_but_later_gap_remains():
     assert inc_factory().nack_tries == 0, (
         f"nack_tries must reset when a gap fills (was {tries_before})"
     )
-    assert inc_factory().nack_timer is not None  # fresh cycle for frame 3
+    assert inc_factory().nack_timer.due is not None  # fresh cycle for frame 3
     b.on_message("a", ChanData(3, "three"))
     assert delivered == ["one", "two", "three", "four"]
     assert inc_factory().nack_tries == 0
-    assert inc_factory().nack_timer is None
+    assert inc_factory().nack_timer.due is None
 
 
 def test_piggybacked_acks_advance_sender_stability():
@@ -426,23 +427,23 @@ def test_the_ack_of_a_resent_frame_leaves_the_timeout_alone():
     assert out.srtt > srtt and out.rto > rto
 
 
-def test_on_a_lan_path_the_probe_period_is_the_floor():
+def test_on_a_lan_path_the_probe_period_is_the_floor(monkeypatch):
     """Pipe's 1 ms path measures a round trip (ack delay included) well
     below ``RTO_MIN``, so every probe is armed at ``RTO_MIN``: the period
     LAN runs had before the timeout was measured."""
     sim = Simulator()
     pipe = Pipe(sim)
     probe_delays = []
-    schedule = sim.schedule
+    arm = Deadline.arm
 
-    def spy(delay, fn, *args):
-        if fn == pipe.a._probe:
+    def spy(timer, delay):
+        if timer.fn == pipe.a._probe:
             probe_delays.append(delay)
-        return schedule(delay, fn, *args)
+        arm(timer, delay)
 
-    sim.schedule = spy
+    monkeypatch.setattr(Deadline, "arm", spy)
     for i in range(100):
-        schedule(i * 7e-3, pipe.a.send, "b", i, "data")
+        sim.schedule(i * 7e-3, pipe.a.send, "b", i, "data")
     sim.run(until=2.0)
     out = pipe.a._out["b"]
     assert out.srtt is not None and out.srtt + 4 * out.rttvar < RTO_MIN

@@ -4,7 +4,7 @@ import itertools
 import operator
 import random
 from contextlib import contextmanager
-from heapq import heappop
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -63,10 +63,11 @@ def test_run_until_with_empty_queue_advances_clock():
 def test_cancel_prevents_execution():
     sim = Simulator()
     log = []
-    handle = sim.schedule(1.0, log.append, "x")
-    handle.cancel()
+    timer = Deadline(sim, log.append, "x")
+    timer.arm(1.0)
+    timer.due = None
     sim.run()
-    assert log == []
+    assert log == [] and sim.events_processed == 0
 
 
 def test_cannot_schedule_in_past():
@@ -98,11 +99,11 @@ def test_nested_scheduling_from_callback():
     assert log == [("outer", 1.0), ("inner", 2.0)]
 
 
-def test_call_soon_runs_after_pending_same_time_events():
+def test_a_zero_delay_event_runs_after_pending_same_time_events():
     sim = Simulator()
     log = []
-    sim.schedule(0.0, log.append, "first")
-    sim.call_soon(log.append, "second")
+    sim.schedule_at(0.0, log.append, "first")
+    sim.schedule(0.0, log.append, "second")
     sim.run()
     assert log == ["first", "second"]
 
@@ -142,21 +143,27 @@ def test_run_is_not_reentrant():
 
 
 # ---------------------------------------------------------------------------
-# the handle is the heap entry: what callers may rely on
+# stopping a timer: a Deadline disarmed
 # ---------------------------------------------------------------------------
+def _armed(sim, delay, fn, *args):
+    timer = Deadline(sim, fn, *args)
+    timer.arm(delay)
+    return timer
+
+
 def test_cancel_is_idempotent_and_safe_after_the_event_fired():
     sim = Simulator()
     log = []
-    fired = sim.schedule(1.0, log.append, "fired")
-    dropped = sim.schedule(2.0, log.append, "dropped")
+    fired = _armed(sim, 1.0, log.append, "fired")
+    dropped = _armed(sim, 2.0, log.append, "dropped")
     assert sim.pending_count() == 2
-    dropped.cancel()
-    dropped.cancel()
+    dropped.due = None
+    dropped.due = None
     assert sim.pending_count() == 1
     sim.run()
     assert log == ["fired"]
-    fired.cancel()  # too late to matter, and harmless
-    fired.cancel()
+    fired.due = None  # too late to matter, and harmless
+    fired.due = None
     sim.schedule(1.0, log.append, "later")
     sim.run()
     assert log == ["fired", "later"]
@@ -166,17 +173,17 @@ def test_cancel_is_idempotent_and_safe_after_the_event_fired():
 def test_a_cancelled_head_is_skipped_by_run_and_pending_count():
     sim = Simulator()
     log = []
-    heads = [sim.schedule(1.0, log.append, f"head{i}") for i in range(3)]
+    heads = [_armed(sim, 1.0, log.append, f"head{i}") for i in range(3)]
     sim.schedule(2.0, log.append, "a")
     sim.schedule(3.0, log.append, "b")
     sim.schedule(4.0, log.append, "c")
     for head in heads:
-        head.cancel()
+        head.due = None
     assert sim.pending_count() == 3
     sim.run(max_events=1)
     assert log == ["a"]
     assert sim.now == 2.0  # the clock never visited the cancelled 1.0
-    sim.schedule(2.5, log.append, "cancelled too").cancel()
+    _armed(sim, 0.5, log.append, "cancelled too").due = None
     sim.run(until=3.5)
     assert log == ["a", "b"]
     assert sim.pending_count() == 1
@@ -188,9 +195,11 @@ def test_a_cancelled_head_is_skipped_by_run_and_pending_count():
 def test_a_thousand_same_timestamp_events_run_in_insertion_order():
     sim = Simulator()
     log = []
-    handles = [sim.schedule_at(1.0, log.append, i) for i in range(1000)]
-    for handle in handles[::7]:
-        handle.cancel()
+    for i in range(1000):
+        if i % 7:
+            sim.schedule_at(1.0, log.append, i)
+        else:  # a stopped timer among them
+            _armed(sim, 1.0, log.append, i).due = None
     # a callback scheduling at its own timestamp queues behind all of them
     sim.schedule_at(0.5, lambda: sim.schedule_at(1.0, log.append, "last"))
     sim.run()
@@ -231,8 +240,57 @@ def test_events_without_a_context_skip_the_save_and_restore():
 # ---------------------------------------------------------------------------
 # Deadline: schedule/cancel by another name
 # ---------------------------------------------------------------------------
+class PopThenPush(Simulator):
+    """The reference loop: an entry leaves the heap before its callback
+    runs, and every push is a ``heappush``.  Its ``schedule`` and
+    ``schedule_at`` return the entry, which ``_stop`` cancels by clearing
+    its callback; the loop drops such an entry when it surfaces (so no
+    :class:`Deadline` may run on this kernel)."""
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, time, fn, *args):
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at {time} before now={self.now}")
+        self._seq += 1
+        entry = [time, self._seq, fn, args, self._tracer.ctx, None]
+        heappush(self._queue, entry)
+        return entry
+
+    def _run_loop(self, until, max_events):
+        queue = self._queue
+        tracer = self._tracer
+        executed = 0
+        while queue:
+            time, _seq, fn, args, ctx, life = queue[0]
+            if fn is None:  # cancelled
+                heappop(queue)
+                continue
+            if until is not None and time > until:
+                break
+            if max_events is not None and executed >= max_events:
+                return executed, True
+            heappop(queue)
+            self.now = time
+            self._events_processed += 1
+            executed += 1
+            if life is not None and not life.alive:
+                continue
+            prev, tracer.ctx = tracer.ctx, ctx
+            try:
+                fn(*args)
+            finally:
+                tracer.ctx = prev
+        return executed, False
+
+    def pending_count(self):
+        return sum(1 for ev in self._queue if ev[2] is not None)
+
+
 class ScheduledDeadline:
-    """The reference: a deadline as ``schedule`` after ``cancel``."""
+    """The reference: a deadline as ``schedule`` after ``cancel``, on a
+    :class:`PopThenPush` kernel."""
 
     def __init__(self, sim, fn, *args):
         self.sim, self.fn, self.args = sim, fn, args
@@ -244,7 +302,7 @@ class ScheduledDeadline:
 
     def disarm(self):
         if self.event is not None:
-            self.event.cancel()
+            _stop(self.event)
             self.event = None
 
     def _fire(self):
@@ -259,14 +317,29 @@ def _disarm(timer):
         timer.disarm()
 
 
-def _play(make_timer, script, reactions):
+def _start(sim, delay, fn, label):
+    """A one-shot timer that may be stopped: on the kernel a ``Deadline``
+    armed once, on :class:`PopThenPush` a scheduled entry."""
+    if isinstance(sim, PopThenPush):
+        return sim.schedule(delay, fn, label)
+    return _armed(sim, delay, fn, label)
+
+
+def _stop(timer):
+    if isinstance(timer, Deadline):
+        timer.due = None
+    else:
+        timer[2] = None  # the reference kernel's cancel
+
+
+def _play(sim_class, make_timer, script, reactions):
     """Run ``script`` (timer and event actions, and ``run`` slices) on a
-    fresh kernel whose deadlines ``make_timer`` builds; each firing applies
-    the next of ``reactions``.  Every action runs under its own trace
-    context.  Returns the firings ``(label, now, ctx)`` and, after each
-    step, ``pending_count()`` and after each slice ``events_processed`` and
-    ``now`` too."""
-    sim = Simulator()
+    fresh kernel of ``sim_class`` whose deadlines ``make_timer`` builds; each
+    firing applies the next of ``reactions``.  Every action runs under its
+    own trace context.  Returns the firings ``(label, now, ctx)`` and, after
+    each step, ``pending_count()`` and after each slice ``events_processed``
+    and ``now`` too."""
+    sim = sim_class()
     tracer = sim.obs.tracer
     fired, events, states = [], [], []
 
@@ -283,9 +356,9 @@ def _play(make_timer, script, reactions):
         elif kind == "disarm":
             _disarm(timers[index])
         elif kind == "schedule":
-            events.append(sim.schedule(delay, fire, f"event{len(events)}"))
+            events.append(_start(sim, delay, fire, f"event{len(events)}"))
         elif events:
-            events[index % len(events)].cancel()
+            _stop(events[index % len(events)])
         tracer.ctx = prev
 
     timers = [make_timer(sim, fire, f"deadline{i}") for i in range(2)]
@@ -332,8 +405,12 @@ def test_a_deadline_is_schedule_and_cancel_by_another_name(script, reactions):
     """Arms (earlier and later), disarms, and ordinary events at colliding
     times, driven through ``run(until=, max_events=)`` slices: the kernel's
     ``Deadline`` fires the same callbacks at the same times under the same
-    contexts as ``schedule``/``cancel``, and counts the same events."""
-    assert _play(Deadline, script, reactions) == _play(ScheduledDeadline, script, reactions)
+    contexts as ``schedule``/``cancel`` on the reference kernel, and counts
+    the same events; so does a one-shot ``Deadline`` disarmed (``cancel``)
+    against a cancelled event."""
+    assert _play(Simulator, Deadline, script, reactions) == _play(
+        PopThenPush, ScheduledDeadline, script, reactions
+    )
 
 
 def test_a_deadline_re_armed_later_keeps_one_heap_entry_and_fires_once():
@@ -452,40 +529,6 @@ def test_a_recovered_cpu_is_idle_from_now_and_runs_no_job_from_before_the_crash(
 # ---------------------------------------------------------------------------
 # hold: the loop against one that pops, then pushes
 # ---------------------------------------------------------------------------
-class PopThenPush(Simulator):
-    """The reference loop: an entry leaves the heap before its callback
-    runs, and every push is a ``heappush``."""
-
-    def _run_loop(self, until, max_events):
-        queue = self._queue
-        tracer = self._tracer
-        executed = 0
-        while queue:
-            time, _seq, fn, args, ctx, life = queue[0]
-            if fn is None:  # cancelled
-                heappop(queue)
-                continue
-            if until is not None and time > until:
-                break
-            if max_events is not None and executed >= max_events:
-                return executed, True
-            heappop(queue)
-            self.now = time
-            self._events_processed += 1
-            executed += 1
-            if life is not None and not life.alive:
-                continue
-            prev, tracer.ctx = tracer.ctx, ctx
-            try:
-                fn(*args)
-            finally:
-                tracer.ctx = prev
-        return executed, False
-
-    def pending_count(self):
-        return sum(1 for ev in self._queue if ev[2] is not None)
-
-
 class Boom(Exception):
     """A callback's deliberate failure."""
 
@@ -518,8 +561,9 @@ def _lan_pair(sim):
 def _replay(sim_class, make_timer, script, reactions):
     """Run ``script`` on a kernel of ``sim_class`` with a sender ``s`` and a
     receiver ``r`` 0.5 s apart; each firing applies the next list of
-    ``reactions`` (push nothing, one entry or several; arm, disarm, cancel,
-    submit, send, crash, recover; cancel its own handle; raise).  Returns
+    ``reactions`` (push nothing, one entry or several; start or stop a
+    one-shot timer, arm, disarm, submit, send, crash, recover; stop its own
+    timer; raise).  Returns
     the firings ``(label, now, ctx, pending_count())`` and the states after
     every step, every reaction list and every ``run`` slice (a slice that
     raised records that too)."""
@@ -545,19 +589,21 @@ def _replay(sim_class, make_timer, script, reactions):
         prev, tracer.ctx = tracer.ctx, ctx
         try:
             if kind == "schedule":
-                handles[label] = sim.schedule(action[1], fire, label)
+                sim.schedule(action[1], fire, label)
             elif kind == "schedule_at":
-                handles[label] = sim.schedule_at(sim.now + action[1], fire, label)
+                sim.schedule_at(sim.now + action[1], fire, label)
+            elif kind == "start":
+                handles[label] = _start(sim, action[1], fire, label)
             elif kind == "arm":
                 timers[action[1]].arm(action[2])
             elif kind == "disarm":
                 _disarm(timers[action[1]])
             elif kind == "cancel":
                 if handles:
-                    handles[sorted(handles)[action[1] % len(handles)]].cancel()
+                    _stop(handles[sorted(handles)[action[1] % len(handles)]])
             elif kind == "cancel_self":
                 if running in handles:
-                    handles[running].cancel()
+                    _stop(handles[running])
             elif kind == "submit":
                 cpu.submit(action[1], fire, label)
             elif kind == "send":
@@ -600,6 +646,7 @@ _GRID = st.sampled_from([0.0, 0.5, 1.0])
 _KERNEL_ACTIONS = st.one_of(
     st.tuples(st.just("schedule"), _GRID),
     st.tuples(st.just("schedule_at"), _GRID),
+    st.tuples(st.just("start"), _GRID),
     st.tuples(st.just("arm"), st.integers(0, 1), _GRID),
     st.tuples(st.just("disarm"), st.integers(0, 1)),
     st.tuples(st.just("cancel"), st.integers(0, 9)),
@@ -645,7 +692,8 @@ def test_the_holding_loop_runs_what_a_pop_then_push_loop_runs(script, reactions)
     same contexts, counts the same events, keeps the same clock and CPU
     accounts, and reports the same
     ``pending_count()`` — from inside callbacks too — as a loop that pops
-    every entry before running it."""
+    every entry before running it and stops a timer by cancelling its
+    entry."""
     assert _replay(Simulator, Deadline, script, reactions) == _replay(
         PopThenPush, ScheduledDeadline, script, reactions
     )
@@ -653,8 +701,10 @@ def test_the_holding_loop_runs_what_a_pop_then_push_loop_runs(script, reactions)
 
 def test_a_callback_that_raises_leaves_its_entry_gone_and_the_heap_valid():
     sim = Simulator()
-    failing = sim.schedule(1.0, operator.truediv, 1, 0)
-    later = [sim.schedule(t, lambda: None) for t in (3.0, 2.0, 4.0, 2.0)]
+    sim.schedule(1.0, operator.truediv, 1, 0)
+    failing = sim._queue[0]
+    for t in (3.0, 2.0, 4.0, 2.0):
+        sim.schedule(t, lambda: None)
     with pytest.raises(ZeroDivisionError):
         sim.run()
     assert (sim.now, sim.events_processed, sim.pending_count()) == (1.0, 1, 4)
@@ -662,7 +712,6 @@ def test_a_callback_that_raises_leaves_its_entry_gone_and_the_heap_valid():
     assert len(sim._queue) == 4 and _heap_is_valid(sim._queue) and not sim._vacant
     sim.run()
     assert (sim.now, sim.events_processed) == (4.0, 5)
-    assert later[0][2] is not None  # handles are never re-keyed or cleared
 
 
 def test_a_callback_that_raises_after_pushing_leaves_its_entry_gone_and_the_heap_valid():
@@ -674,7 +723,8 @@ def test_a_callback_that_raises_after_pushing_leaves_its_entry_gone_and_the_heap
         sim.schedule(0.0, log.append, "second")
         raise Boom
 
-    failing = sim.schedule(1.0, push_then_raise)
+    sim.schedule(1.0, push_then_raise)
+    failing = sim._queue[0]
     sim.schedule(1.0, log.append, "tie")
     with pytest.raises(Boom):
         sim.run()

@@ -378,9 +378,8 @@ TIMER_ALLOW_LIST = {
         "member, which no single member can announce; MAX_POLLS bounds it",
     "core.client:GroupBinding._lookup_and_bind":
         "registry retries while rebinding, bounded by REBIND (a RetryPolicy)",
-    "core.client:GroupBinding._on_call_timeout":
+    "core.client:GroupBinding._on_call_timer":
         "call retries, bounded by the binding's RetryPolicy",
-    "core.client:GroupBinding._retry_call": "as _on_call_timeout",
     "core.server:ObjectGroupServer._enter":
         "entering the group: lookup and join retries, bounded by REJOIN (a RetryPolicy)",
     "shard.binding:ShardedBinding._attempt":
@@ -388,7 +387,7 @@ TIMER_ALLOW_LIST = {
 }
 
 #: the kernel calls that arm a timer
-_TIMER_CALLS = {"schedule", "schedule_at", "call_soon"}
+_TIMER_CALLS = {"schedule", "schedule_at"}
 
 
 def _callee(call):
@@ -411,7 +410,7 @@ def _self_arming_timers(root):
     kernel timer calls and that arms that timer again, in its own body or
     in a method of its class it reaches through ``self.<name>`` references
     (calls, callbacks and closures alike).  A method is a timer when
-    ``self.method`` is handed to ``schedule``/``schedule_at``/``call_soon``
+    ``self.method`` is handed to ``schedule``/``schedule_at``
     (each such call arms it) or to a ``Deadline``, which ``.arm(`` re-arms:
     on ``self.<attr>`` the deadline that attribute holds, on anything else
     every deadline the class builds.  Read with ``ast`` (no import)."""
@@ -512,6 +511,46 @@ def test_no_timer_re_arms_itself_where_an_event_could_tell_it():
         "allow-list them with a reason), and allow-listed ones that no longer "
         f"do: {sorted(timers ^ set(TIMER_ALLOW_LIST))}"
     )
+
+
+def _stopped_without_a_deadline(root):
+    """``path:line`` of every ``.cancel(`` call under ``src/repro`` and every
+    ``schedule``/``schedule_at`` call whose result is used (anything but a
+    statement of its own).  Read with ``ast`` (no import)."""
+    src = root / "src" / "repro"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                _callee(node) == "cancel"
+                or _callee(node) in ("schedule", "schedule_at") and id(node) not in statements
+            ):
+                found.append(f"{path.relative_to(src)}:{node.lineno}")
+    return found
+
+
+def test_the_one_timer_audit_sees_a_kept_event_and_a_cancel(tmp_path):
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "timers.py").write_text(textwrap.dedent("""
+        def arm(sim, fn):
+            sim.schedule(1.0, fn)
+            handle = sim.schedule_at(2.0, fn)
+            handle.cancel()
+            return lambda: sim.schedule(3.0, fn)
+    """))
+    assert _stopped_without_a_deadline(tmp_path) == ["timers.py:4", "timers.py:5", "timers.py:6"]
+
+
+def test_every_timer_that_stops_is_a_deadline():
+    """An event, once scheduled, runs: a timer that a reply, an ack or a
+    teardown may stop is a ``Deadline`` (disarmed with ``due = None``), so
+    nothing under ``src/repro`` keeps what ``schedule``/``schedule_at``
+    return or calls ``.cancel(``."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    assert _stopped_without_a_deadline(root) == []
 
 
 # ---------------------------------------------------------------------------

@@ -23,33 +23,36 @@ __all__ = [
 ]
 
 
-def run_until_done(
-    sim: Simulator,
-    futures: List[Future],
-    deadline: float,
-    max_events: int = 2048,
-) -> None:
-    """Run the simulator until all futures resolve or ``deadline`` passes.
+class _Drained(Exception):
+    """Raised by the event that ends :func:`run_until_done`'s run."""
 
-    (Plain ``sim.run()`` never returns in lively groups — heartbeat timers
-    reschedule forever — so experiments advance in bounded slices.)
 
-    Slices are **event-count-bounded** (``max_events`` callbacks per
-    slice), not fixed time slices: an idle stretch costs nothing extra,
-    and a busy group is checked at a granularity that tracks its own
-    activity — long scenarios no longer pay O(deadline/step) wakeups.
-    """
-    pending = [f for f in futures if not f.done]
-    while sim.now < deadline:
-        pending = [f for f in pending if not f.done]
-        if not pending:
-            return
-        # a slice that finds nothing to execute before the deadline (queue
-        # drained, or only later events remain) advances the clock to it
-        sim.run(until=deadline, max_events=max_events)
-    if not all(f.done for f in futures):
-        unfinished = [f.name for f in futures if not f.done]
-        raise RuntimeError(f"workload did not finish by t={deadline}: {unfinished}")
+def _drained() -> None:
+    raise _Drained
+
+
+def run_until_done(sim: Simulator, futures: List[Future], deadline: float) -> None:
+    """Run the simulator until every future in ``futures`` is done, and stop
+    at the instant the last one finished (after the events already due then),
+    however many events ran before it; raise if ``deadline`` passes first.
+    (Plain ``sim.run()`` never returns in lively groups: heartbeats recur.)"""
+    left = [f for f in futures if not f.done]
+
+    def finished(_fut: Future) -> None:
+        left.pop()
+        if not left:
+            sim.schedule(0.0, _drained)
+
+    for fut in left:
+        fut.add_done_callback(finished)
+    if not left:
+        return
+    try:
+        sim.run(until=deadline)
+    except _Drained:
+        return
+    unfinished = [f.name for f in futures if not f.done]
+    raise RuntimeError(f"workload did not finish by t={deadline}: {unfinished}")
 
 
 class ClosedLoopClient:

@@ -23,7 +23,7 @@ from repro.scenario import (
     next_arrival,
     run_scenario,
 )
-from repro.scenario.__main__ import gate_specs, main as scenario_main
+from repro.scenario.__main__ import gate_specs, gated, main as scenario_main
 from repro.sim import Future, Simulator
 from tests.core_helpers import AppCluster, Counter
 
@@ -194,16 +194,44 @@ def test_run_with_max_events_does_not_skip_clock_past_pending_events():
     assert sim.now == 10.0
 
 
-def test_run_until_done_advances_through_many_slices():
+def test_run_until_done_ends_at_the_instant_its_last_future_resolves():
     sim = Simulator(seed=0)
-    future = Future(name="late")
-    # far more events than one max_events slice can hold
-    for i in range(5000):
-        sim.schedule(i * 1e-3, lambda: None)
-    sim.schedule(6.0, future.try_resolve, None)
-    run_until_done(sim, [future], deadline=10.0, max_events=512)
-    assert future.done
-    assert sim.now <= 10.0
+    futures = [Future(name="early"), Future(name="late")]
+    ran = []
+    for i in range(10000):
+        sim.schedule(i * 1e-3, ran.append, i)
+    sim.schedule(6.0, futures[1].try_resolve, None)
+    sim.schedule(2.0, futures[0].try_fail, RuntimeError("done all the same"))
+    sim.schedule(6.0, ran.append, "due with it")
+    run_until_done(sim, futures, deadline=10.0)
+    assert sim.now == 6.0 and ran[-1] == "due with it"
+    run_until_done(sim, futures, deadline=10.0)  # nothing left to wait for
+    assert sim.now == 6.0 and ran[-1] == "due with it"
+
+
+def test_a_drain_ends_where_its_futures_resolve_however_many_events_ran(monkeypatch):
+    """One extra periodic no-op timer adds events and changes nothing else:
+    the drain ends at the virtual instant the traffic finished, not at an
+    event count, so the grace window and every value in the section hold."""
+    from repro.scenario import runner
+
+    spec = SCENARIOS / "map_reduce.json"
+    plain = gated(run_scenario(spec))
+
+    class Ticking(runner.Environment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sim = self.sim
+
+            def tick():
+                sim.schedule(0.25, tick)
+
+            sim.schedule(0.25, tick)
+
+    monkeypatch.setattr(runner, "Environment", Ticking)
+    ticking = gated(run_scenario(spec))
+    assert ticking.pop("events_processed") > plain.pop("events_processed")
+    assert ticking == plain
 
 
 def test_run_until_done_raises_on_unresolved_futures():
@@ -264,6 +292,7 @@ def test_manager_crash_mid_burst_rebinds_without_losing_or_duplicating():
     schedule = FaultSchedule([FaultEvent(at=0.8, kind="crash", target="manager")])
     schedule.install(c.sim, c.net, resolve_target=lambda name: binding.manager)
     run_until_done(c.sim, [generator.finished], deadline=c.sim.now + 30.0)
+    c.run(1.0)  # a FIRST reply leaves before every survivor executed the call
 
     stats = generator.stats
     assert stats.offered > 10

@@ -706,20 +706,19 @@ class GroupBinding:
         """A live call's timer fired: the call timed out (retry or fail it),
         or its retry's backoff ended (send it again, under its timeout if it
         has one: shed-triggered retries exist for calls without one too)."""
-        if not pending.backoff:
-            if not self._retry_or_fail(
-                pending, CommFailure(f"call #{pending.call_no} ({pending.operation}) timed out")
-            ):
-                self._timeout_counter.inc()
-            return
-        pending.backoff = False
-        if pending.timeout is not None:
-            pending.timer.arm(pending.timeout)
-        if self._bound:
-            self._send_invoke(pending)
-        elif pending not in self._queued:
-            # mid-rebind: the new binding will flush the queue on ready
-            self._queued.append(pending)
+        if pending.backoff:
+            pending.backoff = False
+            if pending.timeout is not None:
+                pending.timer.arm(pending.timeout)
+            if self._bound:
+                self._send_invoke(pending)
+            elif pending not in self._queued:
+                # mid-rebind: the new binding will flush the queue on ready
+                self._queued.append(pending)
+        elif not self._retry_or_fail(
+            pending, CommFailure(f"call #{pending.call_no} ({pending.operation}) timed out")
+        ):
+            self._timeout_counter.inc()
 
     # ------------------------------------------------------------------
     # reply paths

@@ -27,7 +27,7 @@ instead of breaking.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.groupcomm.config import Liveliness
 from repro.sim.core import Deadline

@@ -1,5 +1,10 @@
-"""Shared test fixtures: simulated clusters with ORBs and NewTop services."""
+"""Shared test fixtures: simulated clusters with ORBs and NewTop services.
 
+``--file-order-seed N`` runs the test files in an order shuffled by seed N,
+each file's tests in their own order: no test may depend on what an earlier
+file left behind."""
+
+import random
 from typing import Dict, List, Optional
 
 import pytest
@@ -81,3 +86,25 @@ def cluster():
 @pytest.fixture
 def collector():
     return Collector
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--file-order-seed", type=int, default=None,
+        help="run the test files in an order shuffled by this seed",
+    )
+
+
+def pytest_report_header(config):
+    seed = config.getoption("--file-order-seed")
+    return None if seed is None else f"file order shuffled with seed {seed}"
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--file-order-seed")
+    if seed is None:
+        return
+    files = list(dict.fromkeys(item.path for item in items))
+    random.Random(seed).shuffle(files)
+    rank = {path: i for i, path in enumerate(files)}
+    items.sort(key=lambda item: rank[item.path])  # stable: a file keeps its order

@@ -27,30 +27,33 @@ class _Drained(Exception):
     """Raised by the event that ends :func:`run_until_done`'s run."""
 
 
-def _drained() -> None:
-    raise _Drained
-
-
 def run_until_done(sim: Simulator, futures: List[Future], deadline: float) -> None:
     """Run the simulator until every future in ``futures`` is done, and stop
     at the instant the last one finished (after the events already due then),
-    however many events ran before it; raise if ``deadline`` passes first.
-    (Plain ``sim.run()`` never returns in lively groups: heartbeats recur.)"""
+    however many events ran before it; raise if ``deadline`` passes first, and
+    let no later resolution stop a run.  (Lively groups never drain.)"""
     left = [f for f in futures if not f.done]
+    if not left:
+        return
+    active = True
+
+    def drained() -> None:
+        if active:
+            raise _Drained
 
     def finished(_fut: Future) -> None:
         left.pop()
-        if not left:
-            sim.schedule(0.0, _drained)
+        if not left and active:
+            sim.schedule(0.0, drained)
 
     for fut in left:
         fut.add_done_callback(finished)
-    if not left:
-        return
     try:
         sim.run(until=deadline)
     except _Drained:
         return
+    finally:
+        active = False
     unfinished = [f.name for f in futures if not f.done]
     raise RuntimeError(f"workload did not finish by t={deadline}: {unfinished}")
 

@@ -289,11 +289,8 @@ class ObjectGroupServer:
         # the contact may still carry our dead incarnation in its view (a
         # crash shorter than the suspicion timeout): the JoinReq is ignored
         # until suspicion removes us, so the timeout must outlast it
-        join_timeout = (
-            self.config.suspicion_timeout + 2 * self.config.flush_timeout + 0.5
-        )
         timer = Deadline(self.sim, self._on_join_timeout, session, epoch)
-        timer.arm(join_timeout)
+        timer.arm(self.config.suspicion_timeout + 2 * self.config.flush_timeout + 0.5)
         session.joined.add_done_callback(
             lambda f: self._on_joined(f, timer, attempt, epoch)
         )

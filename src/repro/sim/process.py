@@ -128,9 +128,7 @@ def with_timeout(sim: Simulator, future: Future, timeout: float) -> Future:
     """Wrap ``future`` with a deadline; fails with :class:`SimTimeout` if it
     does not complete within ``timeout`` seconds of virtual time."""
     wrapped = Future(name=f"timeout({future.name}, {timeout})")
-    timer = Deadline(
-        sim, lambda: wrapped.try_fail(SimTimeout(f"{future.name}: {timeout}s"))
-    )
+    timer = Deadline(sim, lambda: wrapped.try_fail(SimTimeout(f"{future.name}: {timeout}s")))
     timer.arm(timeout)
 
     def disarm(_fut: Future) -> None:

@@ -485,12 +485,16 @@ def test_gc_delivered_never_drops_across_a_close_or_a_restart():
     assert dead.stats.delivered > 0
     env.net.crash("s2")
     env.net.recover("s2")
+    restarted = env.sim.now
     server.restart()  # closes every session of the dead incarnation
     assert dead.state == "closed"
     assert delivered() == seen
     calls(5)  # outstanding traffic has the survivors suspect the dead s2
-    # the rejoin waits out a join timeout while the survivors still hold s2
-    run_until_done(env.sim, [server.ready], deadline=env.sim.now + 60.0)
+    # the rejoin waits out one join timeout while the survivors still hold
+    # s2, then the second attempt gets in within a second
+    config = server.config
+    join_timeout = config.suspicion_timeout + 2 * config.flush_timeout + 0.5
+    run_until_done(env.sim, [server.ready], deadline=restarted + join_timeout + 1.0)
     assert not server.ready.failed  # s2 is back in
     assert delivered() > seen
 

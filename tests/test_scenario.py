@@ -240,6 +240,30 @@ def test_run_until_done_raises_on_unresolved_futures():
         run_until_done(sim, [Future(name="never")], deadline=1.0)
 
 
+def test_a_future_that_resolves_after_a_missed_deadline_stops_no_later_run():
+    sim = Simulator(seed=0)
+    late = Future(name="late")
+    sim.schedule(2.0, late.try_resolve, None)
+    sim.schedule(3.0, sim.schedule, 0.0, lambda: None)
+    with pytest.raises(RuntimeError, match="did not finish"):
+        run_until_done(sim, [late], deadline=1.0)
+    sim.run(until=5.0)  # the late future resolves in here
+    assert late.done and sim.now == 5.0
+
+
+def test_calls_that_time_out_after_a_missed_drain_leave_the_run_standing():
+    """Both replicas crash and the drain ends before the in-flight calls
+    time out; they fail during the convergence grace that follows."""
+    spec = json.loads((SCENARIOS / "lan_crash_restart.json").read_text())
+    spec["group"]["replicas"] = 2
+    spec["traffic"].update(duration=2.0, drain=0.5, timeout=2.0)
+    spec["faults"] = [
+        {"at": 1.0, "kind": "crash", "target": target} for target in ("s0", "s1")
+    ]
+    report = run_scenario(spec)
+    assert report["sim"]["drained"] is False
+
+
 # ---------------------------------------------------------------------------
 # fault schedules against a live cluster
 # ---------------------------------------------------------------------------

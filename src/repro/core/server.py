@@ -31,7 +31,7 @@ from repro.core.messages import (
 )
 from repro.core.modes import Mode, ReplicationPolicy, replies_needed
 from repro.core.registry import client_sink_id, server_servant_id
-from repro.errors import ApplicationError, GroupError
+from repro.errors import ApplicationError, GroupError, NotMember
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.obs.metrics import OnFirstUse
@@ -592,7 +592,8 @@ class ObjectGroupServer:
         """Re-issue the client's request inside the server group (§4.1 ii).
 
         The one place a request enters the server group.  Returns False if
-        a bounded flow queue (``flow_max_queue``) refused the re-multicast:
+        a bounded flow queue (``flow_max_queue``) refused the re-multicast,
+        or the server-group session has closed (this member was expelled):
         nothing was forwarded, so nothing executed anywhere, and the call
         is shed (a one-way call is counted and dropped; any other gives
         back its inflight slot).
@@ -613,7 +614,7 @@ class ObjectGroupServer:
         )
         try:
             self.group.send(forwarded)
-        except FlowQueueFull:
+        except (FlowQueueFull, NotMember):
             hint = shed_on_overflow(self.sim.obs.metrics)
             if invoke.mode != Mode.ONE_WAY:
                 if self.admission is not None:

@@ -11,7 +11,8 @@ This package bounds the damage at the earliest possible point:
   hint *before* any execution, so exactly-once semantics are never at
   risk: there is nothing to deduplicate for a call that never ran;
 - :func:`shed_on_overflow` — the one rule for a send a bounded flow queue
-  refused, at a binding or a request manager alike.
+  refused, at a binding or a request manager alike, or that a manager's
+  closed server-group session refused.
 
 Servant-side pressure reaches the admission points through the group
 sessions themselves: every data/NULL frame piggybacks the sender's

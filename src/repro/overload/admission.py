@@ -58,8 +58,9 @@ class AdmissionConfig:
 
 def shed_on_overflow(metrics) -> float:
     """A bounded flow queue refused a send, at a binding or a request
-    manager: count the shed and return its retry-after hint (full
-    pressure, whether or not an admission policy is configured there)."""
+    manager, or a manager's server-group session has closed: count the shed
+    and return its retry-after hint (full pressure, whether or not an
+    admission policy is configured there)."""
     metrics.counter("overload.shed").inc()
     return RETRY_AFTER * 4.0
 

@@ -361,6 +361,28 @@ def test_manager_gives_back_every_inflight_slot(monkeypatch):
     assert c.sim.obs.metrics.gauge("overload.inflight").value == 0
 
 
+def test_a_manager_expelled_from_its_server_group_sheds_instead_of_raising():
+    """A request manager whose server-group session has closed (it was
+    expelled while a client still binds to it) sheds the call, as a full
+    flow queue does: NotMember never escapes the delivery upcall, and the
+    inflight slot comes back."""
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all("svc", Counter, config=FAST, admission=AdmissionConfig())
+    binding = c.client(0).bind("svc", style=BindingStyle.OPEN)
+    c.run(1.0)
+    assert binding.ready.done
+    manager = next(s for s in servers if s.member_id == binding.manager)
+    manager.group._close()
+
+    fut = binding.invoke("incr", (1,), timeout=0.5)
+    c.run(0.2)
+    assert c.sim.obs.metrics.counter_value("overload.shed") >= 1
+    assert manager.admission.inflight == 0
+    assert all(s.servant.value == 0 for s in servers)  # it ran nowhere
+    c.run(2.0)
+    assert fut.done
+
+
 @pytest.mark.parametrize("mode", [Mode.ALL, Mode.ONE_WAY])
 def test_full_flow_queue_sheds_and_never_escapes_the_simulator(mode):
     """A saturated bounded flow queue refuses *new* forwards (shed) but

@@ -43,9 +43,9 @@ class LivelinessConfig:
     unstable-ack or timestamp debt, no pending reactive NULL — up to
     ``silence_period * max_silence_factor``, and snaps back to
     ``silence_period`` on the first data send or receive.  Every outgoing
-    message advertises the sender's committed interval so peers scale their
-    suspicion deadline to three advertised periods instead of the static
-    config (both constants live in :mod:`repro.groupcomm.failuredetector`).
+    message advertises the sender's committed interval, and peers stretch a
+    backed-off sender's suspicion deadline to three advertised periods (both
+    constants live in :mod:`repro.groupcomm.failuredetector`).
     """
 
     __slots__ = ("adaptive", "max_silence_factor")
@@ -100,9 +100,9 @@ class GroupConfig:
     """Per-group protocol parameters.
 
     ``silence_period`` is the lively-mode heartbeat period, and
-    ``suspicion_timeout`` how long a silent member is tolerated before the
-    failure suspector triggers membership agreement.  The NULL and
-    stability-ack delays are protocol constants of
+    ``suspicion_timeout`` how long a silent member at that period is
+    tolerated before it is suspected and membership agreement starts.
+    The NULL and stability-ack delays are protocol constants of
     :mod:`repro.groupcomm.session`, the same for every group.
     """
 

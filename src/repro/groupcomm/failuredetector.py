@@ -1,16 +1,17 @@
 """Time-silence and failure suspicion (§3), quiescence-aware.
 
-One detector per group session.  It periodically:
+One detector per group session, with two timers:
 
-- sends a NULL ("I am alive") message if the member has been silent for its
-  *committed* heartbeat interval; and
-- suspects members not heard from within their deadline.
+- the heartbeat *tick* sends a NULL ("I am alive") message if the member
+  has been silent for its *committed* heartbeat interval; and
+- the *watch* fires at the earliest deadline of an unsuspected member and
+  suspects each member silent past its own: at the deadline, not a poll.
 
-In a **lively** group both mechanisms run for the group's lifetime.  In an
-**event-driven** group they are armed only while application messages are
-outstanding in the group — when the group quiesces, the timers idle and the
-baselines are refreshed so that re-arming cannot produce instant false
-suspicion.
+In a **lively** group both run for the group's lifetime.  In an
+**event-driven** group they act only while application messages are
+outstanding in the group — while it is quiesced, the tick sends nothing,
+the watch suspects no one, and both refresh the baselines so that arming
+later cannot suspect at once.
 
 Adaptive suppression (``LivelinessConfig.adaptive``, lively groups only):
 while the member is quiescent the committed interval doubles per idle base
@@ -19,10 +20,9 @@ max_silence_factor``, and snaps back to ``silence_period`` on the first
 data send or receive.  The interval is *forward-looking*: every outgoing
 message advertises the interval computed from the idle time at send, so
 the last message before a long gap already announces the long gap.
-Receivers record the advertisement and scale each member's suspicion
-deadline to ``max(suspicion_timeout, advertised * SUSPICION_PERIODS)`` —
-failure detection latency degrades gracefully with the advertised period
-instead of breaking.
+Receivers record the advertisement and stretch a backed-off member's
+deadline to ``max(suspicion_timeout, advertised * SUSPICION_PERIODS)``; a
+member at the base period is held to ``suspicion_timeout``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class FailureDetector:
         self.last_sent = 0.0
         self.suspected: Set[str] = set()
         self._timer = Deadline(self.sim, self._tick)
+        self._watch = Deadline(self.sim, self._watch_fired)
         self._stopped = False
         config = session.config
         live = config.liveliness_config
@@ -68,8 +69,8 @@ class FailureDetector:
         #: the interval this member has committed to (and advertised);
         #: peers hold us to it, so we must never be silent longer
         self.committed_period = self.base_period
-        #: heartbeat intervals advertised by peers on their last message
-        #: (the session's ``receive`` writes them)
+        #: heartbeat interval each view member advertised on its last message
+        #: (the session's ``receive`` writes them), the base period until then
         self.peer_periods: Dict[str, float] = {}
         #: last data send or receive — the backoff clock (a receipt is
         #: written by the session's ``receive``, which calls
@@ -78,6 +79,10 @@ class FailureDetector:
         #: accounting mark for the suppression counter
         self._quiet_mark = self.sim.now
         self.period = min(config.silence_period, config.suspicion_timeout / 3.0)
+        #: an advertised period above this stretches a deadline past the timeout
+        self.stretch_floor = max(
+            self.base_period, config.suspicion_timeout / SUSPICION_PERIODS
+        )
         metrics = self.sim.obs.metrics
         self._suppressed = metrics.counter("gc.null_suppressed")
         self._period_gauge = metrics.gauge("gc.adaptive_period")
@@ -90,12 +95,15 @@ class FailureDetector:
         self.last_sent = now
         for member in self.session.view.members:
             self.last_recv.setdefault(member, now)
+            self.peer_periods.setdefault(member, self.base_period)
         if self._timer.due is None and not self._stopped:
             self._timer.arm(self.period)
+        self.arm_watch()
 
     def stop(self) -> None:
         self._stopped = True
         self._timer.due = None
+        self._watch.due = None
 
     def on_view_change(self) -> None:
         now = self.sim.now
@@ -142,19 +150,55 @@ class FailureDetector:
         return period
 
     def deadline_for(self, member: str) -> float:
-        """Suspicion deadline for ``member``, scaled to its advertisement.
-
-        Active members advertise the base period, so the deadline floors at
-        the static ``suspicion_timeout`` and detection latency is unchanged
-        for busy groups; only members that announced a backed-off interval
-        get proportionally more slack.
+        """How long ``member`` may stay silent: ``suspicion_timeout`` while
+        it advertises the base period, whatever that period is; only a
+        backed-off advertisement stretches it, to ``max(suspicion_timeout,
+        advertised * SUSPICION_PERIODS)``.
         """
-        timeout = self.session.config.suspicion_timeout
-        advertised = self.peer_periods.get(member, 0.0)
-        return max(timeout, advertised * SUSPICION_PERIODS)
+        advertised = self.peer_periods[member]
+        if advertised > self.stretch_floor:
+            return advertised * SUSPICION_PERIODS
+        return self.session.config.suspicion_timeout
 
     # ------------------------------------------------------------------
-    # the periodic tick
+    # the watch: suspicion at the earliest deadline
+    # ------------------------------------------------------------------
+    def _deadlines(self):
+        """``(member, when its deadline passes)`` for each unsuspected peer."""
+        me = self.session.member_id
+        return [
+            (m, self.last_recv[m] + self.deadline_for(m))
+            for m in self.session.view.members
+            if m != me and m not in self.suspected
+        ]
+
+    def arm_watch(self) -> None:
+        """Arm the watch for the earliest deadline: at a start, after each
+        fire, and when a peer's lower advertisement brings its deadline in."""
+        if not self._stopped:
+            dues = [due for _, due in self._deadlines()]
+            if dues:
+                self._watch.arm(min(dues) - self.sim.now)
+
+    def _watch_fired(self) -> None:
+        session = self.session
+        if self._stopped or session.view is None or not session.service.node.alive:
+            return  # crash-stop: a dead member's timers die with it
+        now = self.sim.now
+        if not self._armed():
+            # quiesced event-driven group: no one is suspected (see _tick)
+            for member in session.view.members:
+                self.last_recv[member] = now
+        else:
+            # gather all suspicions first so a single flush covers them
+            expired = [m for m, due in self._deadlines() if due <= now]
+            self.suspected.update(expired)
+            for member in expired:
+                session.membership.on_local_suspicion(member)
+        self.arm_watch()
+
+    # ------------------------------------------------------------------
+    # the heartbeat tick
     # ------------------------------------------------------------------
     def _armed(self) -> bool:
         if self.session.config.liveliness == Liveliness.LIVELY:
@@ -168,8 +212,8 @@ class FailureDetector:
             return  # crash-stop: a dead member's timers die with it
         now = self.sim.now
         if not self._armed():
-            # quiesced event-driven group: refresh baselines so arming later
-            # does not instantly suspect everyone
+            # quiesced event-driven group: refresh baselines so that the
+            # watch does not suspect everyone as soon as the group arms
             self.last_sent = now
             self._quiet_mark = now
             for member in self.session.view.members:
@@ -182,17 +226,5 @@ class FailureDetector:
                 # a static-regime heartbeat slot elapsed without a NULL
                 self._suppressed.inc()
                 self._quiet_mark = now
-            # gather all suspicions first so a single flush covers them
-            newly_suspected = []
-            for member in self.session.view.members:
-                if member == self.session.member_id or member in self.suspected:
-                    continue
-                heard = self.last_recv.get(member, now)
-                if now - heard > self.deadline_for(member):
-                    self.suspected.add(member)
-                    newly_suspected.append(member)
-            for member in newly_suspected:
-                self.session.membership.on_local_suspicion(member)
-        if not self._stopped and self._timer.due is None:
-            # a solo flush this tick completed may have restarted the chain
+        if not self._stopped:
             self._timer.arm(self.period)

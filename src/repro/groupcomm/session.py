@@ -456,7 +456,10 @@ class GroupSession:
         # the heartbeat interval the sender advertised scales its deadline
         period = msg.hb_period
         if period > 0.0 and sender != self.member_id:
+            before = detector.peer_periods[sender]
             detector.peer_periods[sender] = period
+            if period < before and before > detector.stretch_floor:
+                detector.arm_watch()  # a stretched deadline shrank: pull the watch
         self._peer_pushback[sender] = msg.pushback
         is_null = msg.is_null
         if not is_null:

@@ -43,7 +43,6 @@ REACH_ALLOW_LIST = {
     "core.client:GroupBinding._break": "failure path: every member a binding knew is gone",
     "core.client:GroupBinding._handle_bind_failure": "failure path: a bind whose lookup or join fails",
     "core.client:GroupBinding._shed_locally": "failure path: the binding's own flow queue overflows",
-    "overload.admission:shed_on_overflow": "failure path: the one overflow rule, which no gated load trips",
     "overload.admission:AdmissionController.reset": "failure path: a restart of a member with admission on",
     "core.combined:CombinedBinding._on_timeout": "failure path: a cohort member never contributes",
     "core.group_to_group:GroupToGroupBinding._rebind": "failure path: the server group's manager dies",

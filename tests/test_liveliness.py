@@ -1,10 +1,14 @@
 """Quiescence-aware liveliness: adaptive NULL suppression, advertised
 heartbeat deadlines, and the protocol-traffic budget SLO."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering
-from repro.groupcomm.failuredetector import FailureDetector
+from repro.groupcomm.failuredetector import SUSPICION_PERIODS, FailureDetector
+from repro.groupcomm.messages import KIND_NULL, DataMsg
 from repro.obs.metrics import MetricsRegistry
 from repro.scenario.slo import SloContext, build_slos, evaluate_slos
 from tests.conftest import Cluster, Collector
@@ -81,10 +85,85 @@ def test_crashed_member_in_quiescent_group_suspected_within_adaptive_bound():
     assert set(survivor.view.members) == {"n0", "n1"}
 
 
+# ---------------------------------------------------------------------------
+# suspicion at the deadline
+# ---------------------------------------------------------------------------
+def reference_suspicion(base, timeout, receipts):
+    """When a peer heard at ``receipts`` — ``(time, advertised period)`` in
+    order — is first suspected: at the first deadline that passes before its
+    next receipt.  A peer at the base period may stay silent for
+    ``timeout``; a backed-off one for ``SUSPICION_PERIODS`` advertised
+    periods, and never less than ``timeout``."""
+    later = [at for at, _ in receipts[1:]] + [math.inf]
+    for (at, period), next_at in zip(receipts, later):
+        if period <= base:
+            deadline = timeout
+        else:
+            deadline = max(timeout, period * SUSPICION_PERIODS)
+        if at + deadline < next_at:
+            return at + deadline
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    base=st.sampled_from([0.02, 0.05]),
+    timeout=st.sampled_from([0.1, 0.15, 0.3]),
+    first=st.sampled_from([1, 2, 4, 8]),
+    gaps=st.lists(st.tuples(st.integers(1, 500), st.sampled_from([1, 2, 4, 8])), max_size=8),
+)
+# suspicion_timeout < 3 x silence_period, at the base period
+@example(base=0.05, timeout=0.1, first=1, gaps=[])
+# a backed-off peer is allowed SUSPICION_PERIODS advertised periods
+@example(base=0.02, timeout=0.1, first=8, gaps=[])
+# the on-time case: no poll tick between the deadline and the suspicion
+@example(base=0.02, timeout=0.1, first=1, gaps=[(40, 1)])
+# a snap-back from 0.16 s to 0.02 s pulls the deadline forward
+@example(base=0.02, timeout=0.1, first=8, gaps=[(50, 1)])
+def test_a_silent_peer_is_suspected_the_instant_its_deadline_passes(base, timeout, first, gaps):
+    """Receipts of one crashed peer's NULLs reach a member: the first 5 ms
+    after the crash, advertising ``first`` base periods, then each ``ms``
+    after the previous one, advertising ``factor`` base periods.  The member
+    suspects the peer at the instant the reference says, never earlier and
+    never a poll tick later."""
+    c = Cluster(2)
+    config = GroupConfig(
+        ordering=Ordering.ASYMMETRIC,
+        liveliness=Liveliness.LIVELY,
+        silence_period=base,
+        suspicion_timeout=timeout,
+        liveliness_config=LivelinessConfig(adaptive=False),
+    )
+    member, _peer = build_group(c, config)
+    view = member.view
+    suspected = []
+    member.membership.on_local_suspicion = lambda m: suspected.append((c.sim.now, m))
+    c.net.crash("n1")
+
+    # the peer's last real NULL left within one heartbeat of the crash, so
+    # its deadline passes after the first receipt
+    at = c.sim.now + 0.005
+    receipts = [(at, base * first)]
+    for ms, factor in gaps:
+        at += ms / 1000
+        receipts.append((at, base * factor))
+    due = reference_suspicion(base, timeout, receipts)
+    route = c.services["n0"]._route
+    for at, period in receipts:
+        # the NULL of a member that has sent no data: it acks nothing
+        acks = dict.fromkeys(view.members, 0)
+        msg = DataMsg(
+            "g", "n1", view.view_id, 0, 0, KIND_NULL, None, None, None, acks, period, view.era
+        )
+        c.sim.schedule_at(at, route, "n1", msg)
+    c.sim.run(until=due + 1.0)
+    assert suspected and suspected[0][1] == "n1"
+    assert due <= suspected[0][0] <= due + 1e-9
+
+
 def test_a_tick_that_completes_a_solo_flush_leaves_one_heartbeat_chain(monkeypatch):
-    """The tick that suspects the last peer completes a solo flush, whose
-    view install restarts the detector: the member still ticks once per
-    period, not on two interleaved chains for the rest of the run."""
+    """The suspicion of the last peer completes a solo flush, whose view
+    install restarts the detector: the member still ticks once per period,
+    not on two interleaved chains for the rest of the run."""
     ticks = {}
     tick = FailureDetector._tick
 

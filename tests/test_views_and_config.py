@@ -363,7 +363,10 @@ def test_every_option_is_set_by_a_benchmark_scenario_or_example():
 #: timer is allowed only where no such event exists or a retry bound ends it.
 TIMER_ALLOW_LIST = {
     "groupcomm.failuredetector:FailureDetector._tick":
-        "the heartbeat tick: silence is what it detects, and silence sends no event",
+        "the heartbeat: a member silent for its committed interval owes a NULL, "
+        "and its own silence sends it no event",
+    "groupcomm.failuredetector:FailureDetector._watch_fired":
+        "the suspicion watch: silence past a deadline sends no event",
     "groupcomm.channel:ChannelManager._probe":
         "retransmits the oldest unacked frame once it outlives the peer's measured "
         "timeout: a lost frame or ack sends no event; PROBE_MAX bounds it",

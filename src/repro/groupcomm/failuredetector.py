@@ -150,11 +150,9 @@ class FailureDetector:
         return period
 
     def deadline_for(self, member: str) -> float:
-        """How long ``member`` may stay silent: ``suspicion_timeout`` while
-        it advertises the base period, whatever that period is; only a
-        backed-off advertisement stretches it, to ``max(suspicion_timeout,
-        advertised * SUSPICION_PERIODS)``.
-        """
+        """How long ``member`` may stay silent: ``suspicion_timeout``, unless
+        it advertised a backed-off period, which stretches the deadline to
+        ``max(suspicion_timeout, advertised * SUSPICION_PERIODS)``."""
         advertised = self.peer_periods[member]
         if advertised > self.stretch_floor:
             return advertised * SUSPICION_PERIODS

@@ -24,7 +24,6 @@ class WhiteboardMember:
         #: stroke id -> (owner, colour, list of points)
         self.strokes: Dict[str, Tuple[str, str, List[Tuple[float, float]]]] = {}
         self._next_stroke = 0
-        self.ops_applied = 0
         session.on_deliver = self._deliver
 
     # ------------------------------------------------------------------
@@ -49,7 +48,6 @@ class WhiteboardMember:
     def _deliver(self, sender: str, payload) -> None:
         if not isinstance(payload, dict) or "op" not in payload:
             return
-        self.ops_applied += 1
         op = payload["op"]
         if op == "draw":
             points = [tuple(p) for p in payload["points"]]

@@ -27,7 +27,6 @@ from repro.core.messages import (
     ReplySet,
     ScatterArgs,
     ShedReply,
-    report_hold,
 )
 from repro.core.modes import BindingStyle, InvocationScheme, Mode, ReplyScheme, replies_needed
 from repro.core.registry import client_sink_id, server_servant_id
@@ -41,7 +40,6 @@ from repro.errors import (
 )
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.flowcontrol import FlowQueueFull
-from repro.obs.phases import PHASE_NAMES
 from repro.obs.tracer import UNSAMPLED
 from repro.orb.ior import IOR
 from repro.overload import AdmissionConfig, AdmissionController, shed_on_overflow
@@ -50,7 +48,10 @@ from repro.sim.core import Deadline
 from repro.sim.futures import Future
 from repro.sim.process import all_of
 
-__all__ = ["GroupBinding", "InvocationResult"]
+__all__ = ["GroupBinding", "InvocationResult", "PHASE_NAMES", "phase_tiling"]
+
+#: the five phases a call's end-to-end latency tiles into (``inv.phase.*``)
+PHASE_NAMES = ("queue", "order", "flush", "execute", "reply")
 
 
 class InvocationResult:
@@ -119,6 +120,10 @@ class _PendingCall:
         "sent_at",
         "timeout",
         "attempts",
+        "ordered",
+        "executed",
+        "flush",
+        "hold_start",
     )
 
     def __init__(self, call_no: int, operation: str, args: Tuple, mode: str, future: Future):
@@ -135,6 +140,95 @@ class _PendingCall:
         self.sent_at = 0.0
         self.timeout: Optional[float] = None
         self.attempts = 0  # retransmissions so far (RetryPolicy)
+        # -- the phase record, stamped while the call is indexed in
+        # ``obs.calls`` and read only by :func:`phase_tiling` --
+        #: member -> (arrival or None, ordering release) of the request it
+        #: took, and (submitted, ended) of its servant execution window
+        self.ordered: Dict[str, Tuple[Optional[float], float]] = {}
+        self.executed: Dict[str, Tuple[float, float]] = {}
+        #: time its messages sat held behind membership flushes, and the
+        #: start of the hold still open (None: none is)
+        self.flush = 0.0
+        self.hold_start: Optional[float] = None
+
+    def end_hold(self, obs, now: float) -> None:
+        """Close the call's open flush hold at ``now``."""
+        self.flush += now - self.hold_start
+        self.hold_start = None
+        obs.open_holds -= 1
+
+
+def phase_tiling(pending: _PendingCall, completing: Optional[str], now: float) -> Dict[str, float]:
+    """Split a call's end-to-end latency (``sent_at`` to ``now``) into the
+    five :data:`PHASE_NAMES`, an exact tiling.  For the completing member m★
+    (the one whose reply satisfied the mode):
+
+    - ``order``: m★'s ordering wait, raw arrival to ordered delivery;
+    - ``execute``: m★'s servant execution window;
+    - ``reply``: the end of that window to now;
+    - ``flush``: the time the call's messages sat held behind membership
+      flush and join rounds, over all hops;
+    - ``queue``: the residual (CPU queues, send costs, network transit).
+
+    Because ``queue`` is the residual, the phase means sum to the
+    end-to-end mean, which the scenario report reconciles."""
+    e2e = max(now - pending.sent_at, 0.0)
+    order = execute = reply = 0.0
+    if completing is not None:
+        arrival, cleared = pending.ordered.get(completing, (None, 0.0))
+        if arrival is not None:
+            order = max(cleared - arrival, 0.0)
+        window = pending.executed.get(completing)
+        if window is not None:
+            sub, end = window
+            execute = max(end - sub, 0.0)
+            reply = max(now - end, 0.0)
+    flush = min(pending.flush, e2e)
+    queue = e2e - order - execute - reply - flush
+    if queue < 0.0:
+        # over-attribution (a flush overlapping execution): shrink the
+        # measured phases proportionally so that the sum still equals e2e
+        measured = order + execute + reply + flush
+        scale = e2e / measured if measured > 0 else 0.0
+        order *= scale
+        execute *= scale
+        reply *= scale
+        flush *= scale
+        queue = 0.0
+    return {"queue": queue, "order": order, "flush": flush, "execute": execute, "reply": reply}
+
+
+def note_ordered(calls: Dict, call_id: Tuple[str, int], member: str, stamps) -> None:
+    """``member`` took an indexed call's request, with its session's
+    ``stamps``: the ordering wait.  The first per member wins, so a retry
+    keeps the original wait visible."""
+    pending = calls.get(call_id)
+    if pending is not None and stamps is not None and member not in pending.ordered:
+        pending.ordered[member] = stamps
+
+
+def note_executed(calls: Dict, call_id: Tuple[str, int], member: str, window) -> None:
+    """``member`` ran an indexed call's servant over ``window``, (submitted,
+    ended).  The first execution per member wins."""
+    pending = calls.get(call_id)
+    if pending is not None and member not in pending.executed:
+        pending.executed[member] = window
+
+
+def report_hold(sim, payload: Any, held: bool) -> None:
+    """A session's ``on_hold``: a held request opens its indexed call's flush
+    wait, and a request sent while one is open closes it."""
+    if isinstance(payload, InvokeMsg):
+        obs = sim.obs
+        pending = obs.calls.get(payload.call_id)
+        if pending is None:
+            return
+        if held:
+            if pending.hold_start is None:
+                pending.hold_start = sim.now
+                obs.open_holds += 1
+        elif pending.hold_start is not None:
+            pending.end_hold(obs, sim.now)
 
 
 class GroupBinding:
@@ -186,7 +280,9 @@ class GroupBinding:
         obs = service.sim.obs
         metrics = obs.metrics
         self._tracer = obs.tracer
-        self._phases = obs.phases
+        #: the index the binding's calls enter while outstanding, so that the
+        #: layers they cross stamp their phase records (None: they enter none)
+        self._calls: Optional[Dict] = obs.calls
         # -- the call plan: every choice a call would make, made here once --
         reply = scheme.reply if scheme is not None else None
         #: the mode a call runs in when it names none, and the modes it may
@@ -348,7 +444,7 @@ class GroupBinding:
         self._bind_size = 0  # this session's joins have yet to answer
         session.on_deliver = self._on_gc_deliver
         session.on_view = self._on_gc_view
-        session.on_hold = partial(report_hold, self._phases)
+        session.on_hold = partial(report_hold, self.sim)
         session.left.add_done_callback(lambda _f: self._on_gc_closed(session))
 
     def _on_gc_closed(self, session) -> None:
@@ -522,8 +618,10 @@ class GroupBinding:
         if not one_way:
             self._pending[call_no] = pending
             call_id = (self._caller, call_no)
-            self.service.register_pending(call_id, self)
-            self._phases.begin(call_id)
+            if self.style == BindingStyle.CLOSED:  # replies come point to point
+                self.service.register_pending(call_id, self)
+            if self._calls is not None:
+                self._calls[call_id] = pending
             if timeout is not None:
                 pending.timeout = timeout
                 self._arm(pending, timeout)
@@ -620,11 +718,18 @@ class GroupBinding:
         return False
 
     def _drop(self, pending: _PendingCall) -> None:
-        """Forget an outstanding call, however it ends."""
+        """Forget an outstanding call, however it ends; a flush hold it has
+        open closes now."""
         self._pending.pop(pending.call_no, None)
         if pending in self._queued:
             self._queued.remove(pending)
-        self.service.unregister_pending((self._caller, pending.call_no))
+        call_id = (self._caller, pending.call_no)
+        if self.style == BindingStyle.CLOSED:
+            self.service.unregister_pending(call_id)
+        if self._calls is not None:
+            self._calls.pop(call_id, None)
+        if pending.hold_start is not None:
+            pending.end_hold(self.sim.obs, self.sim.now)
         timer = pending.timer
         if timer is not None:  # the next call takes it over
             pending.timer = None
@@ -635,16 +740,16 @@ class GroupBinding:
         """The replies the call's mode needs are in: account for the call,
         then settle its future with the outcome the plan shapes from them."""
         self._drop(pending)
-        latency = self.sim.now - pending.sent_at
+        now = self.sim.now
+        latency = now - pending.sent_at
         for hist in self._latency_hists:
             hist.record(latency)
-        # the completing member: the reply whose arrival satisfied the
-        # invocation mode is the last one gathered (insertion order)
-        completing = replies[-1].member if replies else None
-        phases = self._phases.finish((self._caller, pending.call_no), completing)
-        if phases is not None:
+        if self._calls is not None:
+            # the completing member: the reply whose arrival satisfied the
+            # invocation mode is the last one gathered (insertion order)
+            completing = replies[-1].member if replies else None
             hists = self._phase_hists
-            for name, value in phases.items():
+            for name, value in phase_tiling(pending, completing, now).items():
                 hists[name].record(value)
         if pending.span is not None:
             self._tracer.end_span(pending.span, outcome="ok", replies=len(replies))
@@ -660,7 +765,6 @@ class GroupBinding:
         settled when issued, or one met twice at teardown)."""
         if pending.future.done:
             return
-        self._phases.discard((self._caller, pending.call_no))
         if pending.span is not None:
             self._tracer.end_span(pending.span, outcome="error", replies=0)
         self._settle(pending, False, exc)

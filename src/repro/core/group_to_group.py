@@ -26,7 +26,6 @@ from typing import Any, List
 from repro.core.client import GroupBinding
 from repro.core.modes import BindingStyle
 from repro.errors import BindingBroken, ConfigurationError
-from repro.obs.phases import PhaseAccountant
 
 __all__ = ["GroupToGroupBinding"]
 
@@ -44,7 +43,6 @@ class GroupToGroupBinding(GroupBinding):
     ):
         if getattr(bind_kwargs.get("scheme"), "is_combined", False):
             raise ConfigurationError("a combined scheme binds through bind(), not group-to-group")
-        self.client_group = client_group
         self.client_members = list(client_members)
         self.monitor_name = f"g2g:{client_group}:{target_service}"
         # open by construction: naming a style here is a TypeError
@@ -58,8 +56,9 @@ class GroupToGroupBinding(GroupBinding):
         self._reply_group = self.monitor_name
         self._span_attrs = {"client_group": client_group}
         # gz's copies are one call to the servers: its phases belong to no
-        # single member, so a g2g call yields no inv.phase.* breakdown
-        self._phases = PhaseAccountant(enabled=False)
+        # single member, so a g2g call enters no index and yields no
+        # inv.phase.* breakdown
+        self._calls = None
 
     def _bind_to(self, members: List[str]) -> None:
         """Build gz: the first gx member creates it, the others join

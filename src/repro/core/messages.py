@@ -13,7 +13,6 @@ from repro.orb.marshal import corba_struct
 
 __all__ = [
     "InvokeMsg",
-    "report_hold",
     "ReplyMsg",
     "ReplySet",
     "ShedReply",
@@ -66,13 +65,6 @@ class InvokeMsg:
 
     def __repr__(self) -> str:
         return f"<Invoke {self.client}#{self.call_no} {self.operation} {self.mode}>"
-
-
-def report_hold(phases, payload: Any, held: bool) -> None:
-    """A session's ``on_hold``, bound to ``phases``: a held request opens its
-    call's flush wait, and a request sent while one is open closes it."""
-    if isinstance(payload, InvokeMsg):
-        (phases.on_flush_hold if held else phases.on_flush_release)(payload.call_id)
 
 
 @corba_struct

@@ -27,8 +27,8 @@ from repro.core.messages import (
     ShedReply,
     StateSnapshot,
     StateUpdate,
-    report_hold,
 )
+from repro.core.client import note_executed, note_ordered, report_hold
 from repro.core.modes import Mode, ReplicationPolicy, replies_needed
 from repro.core.registry import client_sink_id, server_servant_id
 from repro.errors import ApplicationError, GroupError, NotMember
@@ -143,7 +143,7 @@ class ObjectGroupServer:
         obs = service.sim.obs
         self._tracer = obs.tracer
         self._flight = obs.flight
-        self._phases = obs.phases
+        self._calls = obs.calls
         self._executed_counter = obs.metrics.counter("server.requests_executed")
         self._dup_counter = obs.metrics.counter("server.duplicates_suppressed")
         self._cache_hit_counter = obs.metrics.counter("server.reply_cache_hits")
@@ -172,7 +172,7 @@ class ObjectGroupServer:
     def _wire_server_group(self) -> None:
         self.group.on_deliver = self._on_group_deliver
         self.group.on_view = self._on_group_view
-        self.group.on_hold = partial(report_hold, self._phases)
+        self.group.on_hold = partial(report_hold, self.sim)
 
     def stop(self) -> Future:
         """Leave the server group (graceful shutdown of this member).
@@ -446,16 +446,16 @@ class ObjectGroupServer:
         session.pushback_source = self._server_group_pushback
         # (anything else delivered here is a reply on its way to the client;
         # a request taken records its ordering wait here for the tiling)
-        took, me = self._phases.on_delivered, self.member_id
+        calls, me = self._calls, self.member_id
         if style == "closed":
             def on_deliver(_sender: str, payload: Any) -> None:
                 if isinstance(payload, InvokeMsg):
-                    took(payload.call_id, me, session.stamps)
+                    note_ordered(calls, payload.call_id, me, session.stamps)
                     self._serve(payload, self._reply_directly)
         else:
             def on_deliver(_sender: str, payload: Any) -> None:
                 if isinstance(payload, InvokeMsg):
-                    took(payload.call_id, me, session.stamps)
+                    note_ordered(calls, payload.call_id, me, session.stamps)
                     self._handle_request(payload, group_name)
 
         def on_view(_view, _joined, left) -> None:
@@ -677,7 +677,7 @@ class ObjectGroupServer:
     # ------------------------------------------------------------------
     def _on_group_deliver(self, sender: str, payload: Any) -> None:
         if isinstance(payload, InvokeMsg):
-            self._phases.on_delivered(payload.call_id, self.member_id, self.group.stamps)
+            note_ordered(self._calls, payload.call_id, self.member_id, self.group.stamps)
             # a forwarded request — unless we answered it locally before
             # forwarding it ourselves (§4.2)
             if payload.call_id not in self._async_handled:
@@ -761,7 +761,7 @@ class ObjectGroupServer:
     def _run_servant(self, span, invoke: InvokeMsg, done, submitted: float) -> None:
         # node.execute scheduled us at the end of the busy window, so "now"
         # is the execution completion time for this servant run
-        self._phases.on_executed(invoke.call_id, self.member_id, submitted)
+        note_executed(self._calls, invoke.call_id, self.member_id, (submitted, self.sim.now))
         self._executed_counter.inc()
         method = self._operations[invoke.operation][1]
         if method is None:

@@ -51,8 +51,6 @@ class FlowController:
         #: own data messages sent and not yet stable
         self.in_flight = 0
         self._queue: Deque[Any] = deque()
-        self.sends_delayed = 0
-        self.sends_refused = 0
 
     # ------------------------------------------------------------------
     # send path
@@ -69,12 +67,10 @@ class FlowController:
             self.in_flight += 1
             return True
         if self.max_queue is not None and len(self._queue) >= self.max_queue:
-            self.sends_refused += 1
             raise FlowQueueFull(
                 f"flow-control queue full ({len(self._queue)}/{self.max_queue})"
             )
         self._queue.append(payload)
-        self.sends_delayed += 1
         return False
 
     def requeue(self, payload: Any) -> bool:
@@ -88,7 +84,6 @@ class FlowController:
             self.in_flight += 1
             return True
         self._queue.append(payload)
-        self.sends_delayed += 1
         return False
 
     def release(self, count: int = 1) -> None:

@@ -59,7 +59,6 @@ class MembershipEngine:
         self._flush_timer = Deadline(self.sim, self._flush_timed_out)
         # member-side: last flush answered (view_id, attempt)
         self._answered: Tuple[int, int] = (-1, -1)
-        self.views_installed = 0
 
     # ------------------------------------------------------------------
     # role computation
@@ -145,11 +144,15 @@ class MembershipEngine:
                     SuspectMsg(self.session.group, member),
                 )
 
-    def on_suspect_msg(self, msg: SuspectMsg) -> None:
-        if self.session.state == "closed":
+    def on_suspect_msg(self, peer: str, msg: SuspectMsg) -> None:
+        """``peer`` reports a suspicion.  Only a member of our view may: a
+        report that waited out a partition in the channel may come from a
+        member the group has since left behind."""
+        view = self.session.view
+        if self.session.state == "closed" or view is None:
             return
-        if self.session.view is not None and msg.suspect not in self.session.view.members:
-            return  # stale: already removed
+        if peer not in view.members or msg.suspect not in view.members:
+            return  # stale: from outside the view, or already removed
         if self._i_coordinate():
             if msg.suspect != self.session.member_id:
                 self.pending_remove.add(msg.suspect)
@@ -208,9 +211,14 @@ class MembershipEngine:
             self.on_flush_req(req)
         self._flush_timer.arm(self.session.config.flush_timeout)
 
+    def stop(self) -> None:
+        """The session closed: any flush round it coordinates ends here."""
+        self.coordinating = False
+        self._flush_timer.due = None
+
     def _flush_timed_out(self) -> None:
-        if not self.coordinating:
-            return
+        if not self.coordinating or not self.session.service.node.alive:
+            return  # crash-stop: a dead coordinator's timers die with it
         missing = [m for m in self._proposed if m not in self._oks]
         if not missing:
             return
@@ -319,7 +327,6 @@ class MembershipEngine:
         self._answered = (-1, -1)
         self.attempt = 0
         session.apply_view_install(install)
-        self.views_installed += 1
         self.pending_add -= set(install.view.members)
         self.pending_remove = {
             m for m in self.pending_remove if m in install.view.members

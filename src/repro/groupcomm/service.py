@@ -68,7 +68,7 @@ _PROTOCOL: Dict[type, Callable] = {
     TicketBatchMsg: GroupSession.receive,
     JoinReq: _membership(MembershipEngine.on_join_req),
     LeaveReq: _membership(MembershipEngine.on_leave_req),
-    SuspectMsg: _membership(MembershipEngine.on_suspect_msg),
+    SuspectMsg: lambda session, peer, msg: session.membership.on_suspect_msg(peer, msg),
     FlushReq: _membership(MembershipEngine.on_flush_req),
     FlushOk: _membership(MembershipEngine.on_flush_ok),
     ViewInstall: _membership(MembershipEngine.on_view_install),

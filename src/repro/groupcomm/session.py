@@ -83,7 +83,6 @@ class SessionStats:
         self.sent = 0
         self.nulls_sent = 0
         self.delivered = 0
-        self.views = 0
 
 
 class GroupSession:
@@ -111,7 +110,7 @@ class GroupSession:
         #: hold is open anywhere
         self.on_hold: Optional[Callable[[Any, bool], None]] = None
         #: (arrival here or None, ordering release) of the message handed to
-        #: ``on_deliver``, while the phase accountant has a call in flight
+        #: ``on_deliver``, while ``obs.calls`` holds a call in flight
         self.stamps: Optional[Tuple[Optional[float], float]] = None
 
         # outcome futures
@@ -154,7 +153,10 @@ class GroupSession:
         obs = self.sim.obs
         self._tracer = obs.tracer
         self._flight = obs.flight
-        self._phases = obs.phases
+        self._obs = obs
+        #: the invocation layer's calls in flight (``obs.calls``): arrivals
+        #: are stamped for the phase tiling only while it holds one
+        self._calls = obs.calls
         self._views_counter = obs.metrics.counter("gc.views_installed")
         self._unstable_hist = obs.metrics.histogram("gc.unstable_depth")
         self._adopt_config(config)
@@ -333,7 +335,7 @@ class GroupSession:
             self._flight.record(
                 self.member_id, "send", self.group, f"{self.member_id}#{gseq}"
             )
-            if self._phases.flush_pending and self.on_hold is not None:
+            if self._obs.open_holds and self.on_hold is not None:
                 self.on_hold(payload, False)
         tracer = self._tracer
         span = None
@@ -474,7 +476,7 @@ class GroupSession:
             self.unstable[key] = msg
             if gseq == self._released[sender] + 1:
                 self._woken.append(sender)
-            if self._phases.calls:
+            if self._calls:
                 # raw arrival (before ordering), handed up at delivery
                 self._arrivals[key] = self.sim.now
         self._ingest_acks(sender, msg.acks)
@@ -629,7 +631,7 @@ class GroupSession:
         arrival = arrivals.pop((msg.view_id, msg.sender, msg.gseq), None) if arrivals else None
         if self.on_deliver is None:
             return
-        stamps = (arrival, self.sim.now) if self._phases.calls else None
+        stamps = (arrival, self.sim.now) if self._calls else None
         tracer = self._tracer
         execute = self.service.node.execute
         if not tracer.enabled:
@@ -690,7 +692,6 @@ class GroupSession:
 
         self._reset_view_state(install.view.members)
         self.state = "active"
-        self.stats.views += 1
         self._views_counter.inc()
         self._flight.record(
             self.member_id,
@@ -766,6 +767,7 @@ class GroupSession:
             return
         self.state = "closed"
         self.detector.stop()
+        self.membership.stop()
         self.ordering.detach()
         self._reset_view_state([])
         self.service.drop_session(self.group)

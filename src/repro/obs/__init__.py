@@ -14,11 +14,12 @@ bundles
 - a :class:`~repro.obs.flight.FlightRecorder` — per-node ring buffers of
   compact protocol events (send/deliver/ticket/flush/view/suspect/restart)
   dumped into reports when an SLO or invariant verdict fails, and
-- a :class:`~repro.obs.phases.PhaseAccountant` decomposing invocation
-  latency into queue / order / flush / execute / reply phases
-  (``inv.phase.*`` histograms).
+- the index of invocations in flight (``calls``), whose records the
+  layers a call crosses stamp so that the client can tile its latency into
+  queue / order / flush / execute / reply phases (``inv.phase.*``
+  histograms, :func:`repro.core.client.phase_tiling`).
 
-Metrics, the flight recorder and phase accounting are always on (they are
+Metrics, the flight recorder and the phase stamps are always on (they are
 cheap and deterministic); span recording is opt-in via
 ``Observability(trace=True)`` (or a :class:`TraceConfig` for sampled
 tracing), or the process-wide :func:`configure` options behind the
@@ -49,7 +50,6 @@ from repro.obs.metrics import (
     diff_snapshots,
     merge_snapshots,
 )
-from repro.obs.phases import PHASE_NAMES, PhaseAccountant
 from repro.obs.tracer import UNSAMPLED, Span, TraceConfig, Tracer
 
 __all__ = [
@@ -62,8 +62,6 @@ __all__ = [
     "Span",
     "UNSAMPLED",
     "FlightRecorder",
-    "PhaseAccountant",
-    "PHASE_NAMES",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -80,7 +78,7 @@ __all__ = [
 
 
 class Observability:
-    """Tracer + metrics + flight recorder + phase accountant for one run.
+    """Tracer + metrics + flight recorder + call index for one run.
 
     ``trace`` accepts either a bool (full tracing on/off) or a
     :class:`TraceConfig` (tracing on, with that sampling rate).
@@ -93,7 +91,12 @@ class Observability:
         else:
             self.tracer = Tracer(enabled=bool(trace))
         self.flight = FlightRecorder()
-        self.phases = PhaseAccountant()
+        #: the invocation layer's calls in flight, call id -> the binding's
+        #: pending call (its phase record), and how many have an open flush
+        #: hold: sessions stamp arrivals while a call is in flight, and
+        #: report sends to ``on_hold`` while a hold is open
+        self.calls: Dict[Tuple[str, int], Any] = {}
+        self.open_holds = 0
         self.sim = None  # bound by Simulator.__init__
         tracer = self.tracer
         self.metrics.pull_counter("obs.spans_dropped", lambda: tracer.dropped)
@@ -101,15 +104,14 @@ class Observability:
         self.metrics.pull_counter("obs.roots_unsampled", lambda: tracer.unsampled_roots)
 
     def bind(self, sim) -> "Observability":
-        """Attach to a simulator: spans, flight events and phase marks are
-        stamped with its virtual clock, and the ``sim.*`` gauges read it."""
+        """Attach to a simulator: spans and flight events are stamped with
+        its virtual clock, and the ``sim.*`` gauges read it."""
         if self.sim is None:
             self.metrics.pull_gauge("sim.virtual_time", lambda: self.sim.now)
             self.metrics.pull_gauge("sim.events_processed", lambda: self.sim.events_processed)
         self.sim = sim
         self.tracer.clock = lambda: sim.now
         self.flight.clock = sim
-        self.phases.clock = sim
         return self
 
     # ------------------------------------------------------------------

@@ -24,9 +24,9 @@ from repro.apps.chat import make_peer_config
 from repro.apps.mapreduce import MapReduceServant
 from repro.apps.randserver import RandomNumberServant
 from repro.apps.sharded_kvstore import ShardKVServant, ShardedKVClient
+from repro.core.client import PHASE_NAMES
 from repro.core.modes import BindingStyle, InvocationScheme
 from repro.groupcomm.config import GroupConfig
-from repro.obs.phases import PHASE_NAMES
 from repro.overload import AdmissionConfig
 from repro.recovery import RecoveryManager, convergence_status
 from repro.shard import sharded_convergence_status

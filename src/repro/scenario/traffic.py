@@ -61,7 +61,6 @@ class KeySampler:
         if multi_size < 1:
             raise ValueError("keys.multi_size must be >= 1")
         self.space = int(space)
-        self.distribution = distribution
         self.alpha = float(alpha)
         self.multi_fraction = float(multi_fraction)
         self.multi_size = int(multi_size)
@@ -168,7 +167,6 @@ class Population:
         self._size = initial
         self._next_step = 0
         self._next_churn: Optional[float] = None
-        self._now = 0.0
         self.joins = 0
         self.leaves = 0
         self.peak_seen = initial
@@ -226,7 +224,6 @@ class Population:
                     self._size = self._clamp(self._size - 1)
                 self._next_churn = churn_at + self._churn_gap()
             self.peak_seen = max(self.peak_seen, self._size)
-        self._now = t
         return self._size
 
     def describe(self) -> Dict[str, object]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.groupcomm.messages import SuspectMsg
 from tests.conftest import Cluster, Collector
 from tests.invariants import check_invariants, record_protocol
 from tests.test_groupcomm_basic import build_group
@@ -204,3 +205,57 @@ def test_a_view_install_from_a_dead_era_does_not_close_the_new_one():
     assert session.state != "closed"
     assert c.service(0).session("g") is session
     assert (session.view.view_id, session.view.members) == (1, ["n0"])
+
+
+def _coordinating_a_flush_that_n2_cannot_answer():
+    """n0 coordinates a flush that waits on the crashed n2: its flush timer
+    is armed for ``flush_timeout``."""
+    c = Cluster(4)
+    sessions = build_group(c, GroupConfig())
+    c.net.crash("n2")
+    sessions[0].membership.on_local_suspicion("n3")
+    c.run(0.01)
+    assert sessions[0].membership.coordinating
+    return c, sessions
+
+
+def _flush_records_of(c, node):
+    return [e for e in c.sim.obs.flight.events(node) if e[3] in ("flush_start", "flush", "view")]
+
+
+def test_a_closed_coordinator_starts_no_flush_round_when_its_timer_would_fire():
+    c, sessions = _coordinating_a_flush_that_n2_cannot_answer()
+    n0, n1 = sessions[0], sessions[1]
+    before = len(_flush_records_of(c, "n0")), len(_flush_records_of(c, "n1"))
+    n0._close()
+    assert not n0.membership.coordinating
+    c.run(1.0)
+    # no attempt 2 from the closed n0, and so no FlushReq for n1 to answer
+    assert (len(_flush_records_of(c, "n0")), len(_flush_records_of(c, "n1"))) == before
+
+
+def test_a_crashed_coordinators_flush_timer_starts_no_round_and_installs_nothing():
+    c, sessions = _coordinating_a_flush_that_n2_cannot_answer()
+    n0 = sessions[0]
+    before = len(_flush_records_of(c, "n0"))
+    c.net.crash("n0")
+    c.run(1.0)
+    assert len(_flush_records_of(c, "n0")) == before
+    assert n0.view.view_id == 3 and n0.view.members == ["n0", "n1", "n2", "n3"]
+
+
+def test_a_suspicion_routed_from_outside_the_view_is_dropped():
+    """A ``SuspectMsg`` counts only from a member of the receiver's view: a
+    stale report from a node the group has left behind (one delivered after
+    a partition heals) must not expel a healthy member."""
+    c = Cluster(4)
+    sessions = build_group(c, GroupConfig(), members=["n0", "n1", "n2"])
+    assert sessions[0].view.view_id == 3
+    c.service(0)._route("n3", SuspectMsg("g", "n1"))
+    c.run(1.0)
+    assert sessions[0].view.view_id == 3
+    assert sessions[0].view.members == ["n0", "n1", "n2"]
+    # the same report from a member still starts the flush that removes n1
+    c.service(0)._route("n2", SuspectMsg("g", "n1"))
+    c.run(1.0)
+    assert sessions[0].view.members == ["n0", "n2"]

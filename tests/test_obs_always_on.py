@@ -11,15 +11,17 @@ import pytest
 from repro.bench.harness import request_reply_deployment, request_reply_point
 from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.bench.profiling import count_calls
-from repro.core import BindingStyle, Mode
-from repro.groupcomm import GroupConfig, Ordering
+from repro.core import BindingStyle, InvokeMsg, Mode
+from repro.core.client import _PendingCall, note_executed, note_ordered, phase_tiling
+from repro.errors import BindingBroken, CommFailure, Overloaded
+from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.groupcomm.flowcontrol import FlowQueueFull
 from repro.groupcomm.ordering import AsymmetricOrder
 from repro.net import Network, Topology
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     Observability,
-    PhaseAccountant,
     TraceConfig,
     Tracer,
     build_trees,
@@ -29,12 +31,15 @@ from repro.obs import (
     render_timeline,
     write_jsonl,
 )
-from repro.obs import phases as phases_module
 from repro.obs import tracer as tracer_module
 from repro.obs.tracer import UNSAMPLED
+from repro.overload import AdmissionConfig
+from repro.recovery import RetryPolicy
 from repro.scenario import run_scenario
 from repro.sim import Simulator
+from repro.sim.futures import Future
 from tests.conftest import Cluster
+from tests.core_helpers import AppCluster, Counter
 from tests.invariants import check_invariants, record_protocol
 from tests.test_groupcomm_basic import build_group
 from tests.test_invariant_sweep import sweep_spec
@@ -290,41 +295,136 @@ def test_phase_decomposition_reconciles_with_end_to_end_latency():
 
 
 def test_standalone_recorders_read_any_clock_with_a_now():
-    """Bound to a simulator the recorders read its ``now``; any object with
-    a ``now`` attribute serves, and an unbound one stamps 0.0."""
-    assert FlightRecorder().clock.now == PhaseAccountant().clock.now == 0.0
+    """Bound to a simulator the flight recorder reads its ``now``; any object
+    with a ``now`` attribute serves, and an unbound one stamps 0.0.  The
+    phase tiling reads the stamps a call's record took at those times."""
+    assert FlightRecorder().clock.now == 0.0
     clock = SimpleNamespace(now=1.0)
-    flight, phases = FlightRecorder(), PhaseAccountant()
-    flight.clock = phases.clock = clock
-    call = ("c0", 1)
-    phases.begin(call)
+    flight = FlightRecorder()
+    flight.clock = clock
+    pending = _PendingCall(1, "op", (), Mode.ALL, Future())
+    pending.sent_at = clock.now
+    calls = {("c0", 1): pending}
     # arrived at 1.5, released by ordering at 2.0; executed from 2.0 to 2.5
-    for now, hook, args in ((2.0, phases.on_delivered, ((1.5, 2.0),)),
-                            (2.5, phases.on_executed, (2.0,))):
+    for now, note, window in ((2.0, note_ordered, (1.5, 2.0)),
+                              (2.5, note_executed, (2.0, 2.5))):
         clock.now = now
-        hook(call, "s0", *args)
-        flight.record("s0", hook.__name__)
-    clock.now = 3.0
-    assert phases.finish(call, "s0") == {
+        note(calls, ("c0", 1), "s0", window)
+        note(calls, ("c0", 1), "s0", (now, now))  # the first stamp per member wins
+        note(calls, ("c0", 2), "s0", window)  # a call the index never held
+        flight.record("s0", note.__name__)
+    assert phase_tiling(pending, "s0", 3.0) == {
         "queue": 0.5, "order": 0.5, "flush": 0.0, "execute": 0.5, "reply": 0.5,
     }
+    # no completing member: the whole latency is queueing
+    assert phase_tiling(pending, None, 3.0)["queue"] == 2.0
     assert [(event[1], event[3]) for event in flight.events()] == [
-        (2.0, "on_delivered"), (2.5, "on_executed"),
+        (2.0, "note_ordered"), (2.5, "note_executed"),
     ]
 
 
-def test_evicting_the_last_flush_hold_clears_flush_pending(monkeypatch):
-    """``flush_pending`` guards the send path's look inside each payload: a
-    call evicted past ``MAX_CALLS`` with the only open flush hold must
-    clear it, or every later send keeps looking."""
-    monkeypatch.setattr(phases_module, "MAX_CALLS", 2)
-    phases = PhaseAccountant()
-    phases.begin("a")
-    phases.on_flush_hold("a")
-    assert phases.flush_pending is True
-    phases.begin("b")
-    phases.begin("c")  # evicts "a", and with it the hold
-    assert phases.flush_pending is False
+def test_a_flush_that_overlaps_execution_shrinks_the_phases_to_a_tiling():
+    pending = _PendingCall(1, "op", (), Mode.ALL, Future())
+    pending.executed["s0"] = (0.0, 0.5)
+    pending.flush = 1.0
+    tiling = phase_tiling(pending, "s0", 1.0)
+    assert sum(tiling.values()) == pytest.approx(1.0)
+    assert tiling["queue"] == 0.0
+    assert tiling["flush"] == pytest.approx(2 * tiling["execute"])
+
+
+def _hold_every_call(binding):
+    """Hold each outstanding call behind a flush, as a session reports a
+    send it queues while joining or flushing."""
+    for pending in binding._pending.values():
+        binding._gc.on_hold(
+            InvokeMsg(binding._caller, pending.call_no, pending.operation,
+                      pending.args, pending.mode, False, ""),
+            True,
+        )
+
+
+def _deployment(servers=3, style=BindingStyle.OPEN, **serve_kwargs):
+    c = AppCluster(servers=servers, clients=1)
+    c.serve_all("svc", Counter, **serve_kwargs)
+    binding = c.client(0).bind(
+        "svc", style=style, liveliness=Liveliness.LIVELY, suspicion_timeout=0.1
+    )
+    c.run(1.0)
+    return c, binding
+
+
+def _completion():
+    # closed: the request goes out once (an open manager's forward would
+    # release the hold), so the hold is still open when the replies are in
+    c, binding = _deployment(style=BindingStyle.CLOSED)
+    return c, binding, [binding.invoke("incr", (1,), timeout=5.0)], 2.0
+
+
+def _timeout():
+    c, binding = _deployment()
+    return c, binding, [binding.invoke("incr", (1,), timeout=1e-4)], 1.0  # under a LAN hop
+
+
+def _manager_shed():
+    c, binding = _deployment(admission=AdmissionConfig(max_inflight=1))
+    futures = [binding.invoke("incr", (1,), mode=Mode.FIRST, timeout=5.0) for _ in range(4)]
+    return c, binding, futures, 2.0
+
+
+def _local_shed():
+    c, binding = _deployment()
+
+    def full(payload, admitted=False):
+        raise FlowQueueFull("send queue full")
+
+    binding._gc.send = full
+    binding.retry_policy = RetryPolicy(max_attempts=1, base_delay=0.05, max_delay=0.05)
+    return c, binding, [binding.invoke("incr", (1,), timeout=5.0)], 1.0  # shed, retried, shed
+
+
+def _close():
+    c, binding = _deployment()
+    futures = [binding.invoke("incr", (1,), timeout=5.0)]
+    c.sim.schedule(1e-4, binding.close)
+    return c, binding, futures, 1.0
+
+
+def _broken_rebind():
+    c, binding = _deployment(servers=1)
+    futures = [binding.invoke("incr", (1,), timeout=5.0)]
+    c.net.crash(binding.manager)  # the only server: no member to rebind to
+    return c, binding, futures, 2.0
+
+
+CALL_ENDINGS = {
+    "completion": (_completion, None),
+    "timeout": (_timeout, CommFailure),
+    "manager_shed": (_manager_shed, Overloaded),
+    "local_shed": (_local_shed, Overloaded),
+    "close": (_close, BindingBroken),
+    "broken_rebind": (_broken_rebind, BindingBroken),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(CALL_ENDINGS))
+def test_every_way_a_call_ends_leaves_no_call_indexed_and_no_hold_open(ending):
+    """A call leaves ``obs.calls`` however it ends, and a flush hold it has
+    open closes with it: a hold left open would keep every later send
+    reporting to ``on_hold``."""
+    issue, error = CALL_ENDINGS[ending]
+    c, binding, futures, settle = issue()
+    obs = c.sim.obs
+    _hold_every_call(binding)
+    assert len(obs.calls) == obs.open_holds == len(futures)
+    c.run(settle)
+    assert all(f.done for f in futures)
+    if error is None:
+        assert not any(f.failed for f in futures)
+    else:
+        assert any(isinstance(f.exception, error) for f in futures if f.failed)
+    assert obs.calls == {}
+    assert obs.open_holds == 0
 
 
 def test_cpu_queue_histogram_counts_every_submission_and_links_keep_none():

@@ -14,7 +14,7 @@ from repro.bench.harness import request_reply_deployment
 from repro.bench.workloads import ClosedLoopClient, run_until_done
 from repro.core import BindingStyle, Mode
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
-from repro.obs.phases import PHASE_NAMES
+from repro.core.client import PHASE_NAMES
 
 Z = -(10**9)  # the zero bucket
 

@@ -557,6 +557,82 @@ def test_every_timer_that_stops_is_a_deadline():
 
 
 # ---------------------------------------------------------------------------
+# every stored attribute has a reader
+# ---------------------------------------------------------------------------
+#: attributes stored under src/repro that nothing there loads, kept
+#: regardless, each with its reason
+WRITE_ONLY_ALLOW_LIST = {
+    "bench.workloads:ClosedLoopClient.latency_sum":
+        "read by benchmarks/bench_gmi.py and bench_sharding.py for their mean latency",
+    "core.client:GroupBinding.rebinds":
+        "read by examples/replicated_kvstore.py and the tests: this binding's count, "
+        "where the client.rebinds counter sums every binding of the run",
+    "groupcomm.session:SessionStats.nulls_sent":
+        "read by the tests: this session's NULLs, where gc.sent.null sums every session",
+}
+
+
+def _write_only_attributes(root):
+    """``module:Class.name`` for every ``self.name`` a class under
+    ``src/repro`` stores that nothing there loads: no ``x.name`` is read or
+    called, and no ``getattr``/``hasattr`` names it.  ``self.name += 1``
+    alone is a store.  Read with ``ast`` (no import)."""
+    src = root / "src" / "repro"
+    stored, loaded = {}, set()
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and _callee(node) in ("getattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                loaded.add(node.args[1].value)
+            elif isinstance(node, ast.ClassDef):
+                for item in ast.walk(node):
+                    name = _self_attr(item)
+                    if name is not None and isinstance(item.ctx, ast.Store):
+                        stored.setdefault(name, set()).add(f"{module}:{node.name}.{name}")
+    return {key for name, keys in stored.items() if name not in loaded for key in keys}
+
+
+def test_the_reader_audit_sees_a_field_only_stored_or_only_counted(tmp_path):
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "engine.py").write_text(textwrap.dedent("""
+        class Engine:
+            def __init__(self, other):
+                self.kept = 0
+                self.lost = 0
+                self.bumped = 0
+                self.named = 0
+                self.called = other
+            def step(self):
+                self.bumped += 1
+                self.lost = self.kept
+                self.called()
+                return getattr(self, "named")
+    """))
+    assert _write_only_attributes(tmp_path) == {"engine:Engine.lost", "engine:Engine.bumped"}
+
+
+def test_every_stored_attribute_has_a_reader():
+    """A field nothing reads is dead weight on every path that keeps it up:
+    delete it, or allow-list it with the reader outside ``src/repro``."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    unread = _write_only_attributes(root)
+    assert unread == set(WRITE_ONLY_ALLOW_LIST), (
+        "attributes stored and never loaded (delete them, or allow-list them "
+        "with a reason), and allow-listed ones that gained a reader: "
+        f"{sorted(unread ^ set(WRITE_ONLY_ALLOW_LIST))}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # the reach audit's static half
 # ---------------------------------------------------------------------------
 def test_every_reach_allow_list_entry_names_a_function_and_gives_its_reason():

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import GroupBinding, Mode
-from repro.errors import BindingBroken
+from repro.errors import BindingBroken, ReproError
 from repro.sim import Future, Simulator, spawn
 from repro.bench.stats import LatencySample
 
@@ -27,35 +27,46 @@ class _Drained(Exception):
     """Raised by the event that ends :func:`run_until_done`'s run."""
 
 
+def _is_bug(fut: Future) -> bool:
+    """``fut`` failed with an exception no call documents (not a ReproError)."""
+    exc = fut.exception
+    return exc is not None and not isinstance(exc, ReproError)
+
+
 def run_until_done(sim: Simulator, futures: List[Future], deadline: float) -> None:
     """Run the simulator until every future in ``futures`` is done, and stop
     at the instant the last one finished (after the events already due then),
     however many events ran before it; raise if ``deadline`` passes first, and
-    let no later resolution stop a run.  (Lively groups never drain.)"""
+    let no later resolution stop a run.  (Lively groups never drain.)  A
+    future that failed with anything but a ``ReproError`` is a bug, not an
+    outcome: the run stops there and re-raises its exception."""
     left = [f for f in futures if not f.done]
-    if not left:
-        return
     active = True
 
     def drained() -> None:
         if active:
             raise _Drained
 
-    def finished(_fut: Future) -> None:
+    def finished(fut: Future) -> None:
         left.pop()
-        if not left and active:
+        if active and (not left or _is_bug(fut)):
             sim.schedule(0.0, drained)
 
     for fut in left:
         fut.add_done_callback(finished)
-    try:
-        sim.run(until=deadline)
-    except _Drained:
-        return
-    finally:
-        active = False
+    if left:
+        try:
+            sim.run(until=deadline)
+        except _Drained:
+            pass
+        finally:
+            active = False
+    for fut in futures:
+        if _is_bug(fut):
+            raise fut.exception
     unfinished = [f.name for f in futures if not f.done]
-    raise RuntimeError(f"workload did not finish by t={deadline}: {unfinished}")
+    if unfinished:
+        raise RuntimeError(f"workload did not finish by t={deadline}: {unfinished}")
 
 
 class ClosedLoopClient:
@@ -118,7 +129,7 @@ class ClosedLoopClient:
             self.outstanding += 1
             try:
                 request = self.issue(i)
-            except Exception as exc:  # noqa: BLE001 - count and continue
+            except ReproError as exc:  # a documented failure: count it, go on
                 request = Future(name="issue-failed")
                 request.fail(exc)
             # recorded in the request's done-callback, which then wakes this

@@ -6,7 +6,7 @@ suspicion, it
 
 1. multicasts ``FlushReq`` to the proposed membership;
 2. members stop sending application messages and answer ``FlushOk`` with
-   their unstable messages and known ordering tickets;
+   their unstable messages and the ordering tickets a survivor may lack;
 3. the coordinator unions the contributions and multicasts ``ViewInstall``;
 4. each member delivers the closing message set (in the ordering protocol's
    deterministic final order), installs the view, and resumes.

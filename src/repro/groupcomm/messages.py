@@ -258,7 +258,7 @@ class FlushReq:
 @corba_struct
 class FlushOk:
     """A member's flush contribution: its unstable messages and the ordering
-    tickets it knows.  The coordinator redistributes the union so every
+    tickets above its stability floor.  The coordinator unions them so every
     survivor can deliver exactly the same closed set; each survivor's own
     ordering state decides which of it is still undelivered there.
     """

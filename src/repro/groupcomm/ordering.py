@@ -92,7 +92,7 @@ class OrderingStrategy:
 
     # -- flush support ----------------------------------------------------
     def flush_tickets(self) -> List[Tuple[int, str, int]]:
-        """Ticket assignments this member knows of, for FlushOk."""
+        """Ticket assignments another member may lack, for FlushOk."""
         return []
 
     def finalize(
@@ -326,9 +326,17 @@ class AsymmetricOrder(OrderingStrategy):
 
     # -- flush ------------------------------------------------------------
     def flush_tickets(self) -> List[Tuple[int, str, int]]:
+        # the floor is the ticket the sequencer's highest stable message
+        # embeds: every member acked that message, and (FIFO channels,
+        # ``stamp``'s batcher flush) every ticket below it came first
+        session = self.session
+        sequencer = session.sequencer
+        known = self.known_tickets
+        floor = known.get((sequencer, session._released[sequencer]), -1)
         return [
             (ticket, sender, gseq)
-            for (sender, gseq), ticket in self.known_tickets.items()
+            for (sender, gseq), ticket in known.items()
+            if ticket > floor
         ]
 
     def finalize(self, union_msgs, union_tickets) -> List[DataMsg]:

@@ -668,7 +668,7 @@ class GroupSession:
     # flush / view change support
     # ------------------------------------------------------------------
     def collect_flush_state(self):
-        """(unstable messages, known tickets) for FlushOk."""
+        """(unstable messages, tickets a survivor may lack) for FlushOk."""
         if self.view is None:
             return [], []
         return list(self.unstable.values()), self.ordering.flush_tickets()

@@ -16,10 +16,10 @@ in assignment order whenever any batch closes preserves the global
 sequence.  For the same reason the sequencer's own self-ticketed data
 messages force a flush first (see ``AsymmetricOrder.stamp``).
 
-Pending (announced-but-unsent) tickets are safe across view changes: the
-assignment is already in the ordering strategy's ``known_tickets``, so the
-sequencer's FlushOk reports it and the coordinator's ViewInstall union
-redistributes it.  If the sequencer crashes with a pending batch, nobody
+Pending (announced-but-unsent) tickets are safe across view changes: each
+is in ``known_tickets`` above the flush's stability floor (an own send since
+would have flushed it), so the sequencer's FlushOk reports it and the
+ViewInstall union carries it.  If the sequencer crashes with a batch, nobody
 ever saw those tickets and the new view's deterministic finalize order
 applies — exactly as with a lost single TicketMsg.
 

@@ -17,13 +17,14 @@ from repro.bench import (
     gate,
     peer_point,
     request_reply_point,
+    run_until_done,
     summarize,
     sweep,
 )
 from repro.bench.__main__ import experiments, load
 from repro.bench.env import REQUEST_REPLY_CONFIGS, _client_site, _server_site
 from repro.core import BindingStyle, Mode
-from repro.errors import BindingBroken
+from repro.errors import BindingBroken, Overloaded
 from repro.groupcomm import Ordering
 from repro.scenario import load_spec
 from repro.scenario.__main__ import spec_sha256
@@ -114,7 +115,7 @@ class TestClosedLoopClient:
         def issue(i):
             issued.append((i, sim.now))
             if i == 3:
-                raise ValueError("refused at the call site")
+                raise Overloaded("refused at the call site")
             reply = Future(name=f"r{i}")
             if i in failures:
                 sim.schedule(0.5, reply.fail, failures[i])
@@ -136,6 +137,27 @@ class TestClosedLoopClient:
         assert client.latency_sum == 0.0 + first + second
         assert client.first_timed_start == pytest.approx(0.1)
         assert client.last_completion == pytest.approx(1.3)
+
+    def test_a_bug_in_issue_escapes_the_run_instead_of_counting_as_a_failed_call(self):
+        """Only a ``ReproError`` is an outcome: an ``AttributeError`` out of
+        ``issue()`` (a slot missing on the invocation path, say) must stop
+        the run and reach its caller, not pass as a failed request."""
+        sim = Simulator(seed=1)
+        issued = []
+
+        def issue(i):
+            issued.append(i)
+            if i == 2:
+                raise AttributeError("'_PendingCall' object has no attribute 'stamps'")
+            reply = Future(name=f"r{i}")
+            sim.schedule(0.1, reply.resolve, i)
+            return reply
+
+        client = ClosedLoopClient(sim, issue=issue, requests=9, warmup=1)
+        with pytest.raises(AttributeError, match="_PendingCall"):
+            run_until_done(sim, [client.done], deadline=10.0)
+        assert issued == [0, 1, 2] and client.errors == 0
+        assert sim.now == pytest.approx(0.2)
 
     def test_window_3_refills_on_any_completion_and_drains_before_done(self):
         sim = Simulator(seed=1)

@@ -259,3 +259,123 @@ def test_a_suspicion_routed_from_outside_the_view_is_dropped():
     c.service(0)._route("n2", SuspectMsg("g", "n1"))
     c.run(1.0)
     assert sessions[0].view.members == ["n0", "n2"]
+
+
+ASYMMETRIC_QUIET = dict(ordering=Ordering.ASYMMETRIC, suspicion_timeout=5.0, flush_timeout=2.0)
+
+
+def _capture_flush_oks(c, oks):
+    """Route ``c``'s traffic through a hook that records each FlushOk a
+    member sends its coordinator; returns the hook's ``drop`` rule list:
+    ``(src, dst, predicate on the frame's inner message)``."""
+    from repro.groupcomm.messages import ChanData, FlushOk
+
+    transmit = c.net.transmit
+    rules = []
+
+    def hook(src, dst, service, payload, size, kind=None):
+        frame = payload.args[1] if len(payload.args) > 1 else None
+        if isinstance(frame, ChanData):
+            inner = frame.inner
+            if isinstance(inner, FlushOk):
+                oks.append(inner)
+            for rule_src, rule_dst, matches in rules:
+                if (src, dst) == (rule_src, rule_dst) and matches(inner):
+                    dst = "unplugged"  # no such node: counted as sent, then dropped
+        transmit(src, dst, service, payload, size, kind)
+
+    c.net.transmit = hook
+    return rules
+
+
+def test_a_ticket_only_one_survivor_holds_reaches_every_survivor_through_the_flush():
+    """A flush reports only the tickets above the sequencer's highest stable
+    message, so the one ticket that matters here must still travel.
+
+    n3's ``m`` is ticketed by the sequencer n0, but that ticket reaches n1
+    only; n0's own ``s`` follows it, and n2's ``k`` never reaches n0, so it
+    has no ticket at all.  n0 crashes before it repairs anything.  n1 has
+    delivered ``m`` and ``s``; n2 and n3 must deliver them in the same
+    order, and ``k`` after both, which they can only do if n1's FlushOk
+    carries ``m``'s ticket.  The tickets of the warm-up messages, stable
+    everywhere, travel in no FlushOk."""
+    from repro.groupcomm.messages import DataMsg, TicketMsg
+
+    c = Cluster(4)
+    with record_protocol() as record:
+        sessions = build_group(c, GroupConfig(**ASYMMETRIC_QUIET))
+        n0, n1, n2, n3 = sessions
+        delivered = {}
+        for session in sessions:
+            log = delivered[session.member_id] = []
+            session.on_deliver = lambda _sender, payload, log=log: log.append(payload)
+        n1.send("w1")
+        c.run(0.005)
+        n0.send("w0")
+        c.run(0.2)
+        assert n1._released["n0"] == 1  # the floor: w0's ticket
+        warm_tickets = {n1.ordering.known_tickets[key] for key in (("n1", 1), ("n0", 1))}
+
+        oks = []
+        rules = _capture_flush_oks(c, oks)
+        is_k = lambda msg: isinstance(msg, DataMsg) and msg.payload == "k"
+        is_t = lambda msg: isinstance(msg, TicketMsg) and msg.target_sender == "n3"
+        rules += [("n2", "n0", is_k), ("n0", "n2", is_t), ("n0", "n3", is_t)]
+        coordinator_flush_ok = n1.membership.on_flush_ok
+        n1.membership.on_flush_ok = lambda ok: (oks.append(ok), coordinator_flush_ok(ok))
+        n2.send("k")
+        c.run(0.002)
+        n3.send("m")
+        c.run(0.002)
+        n0.send("s")
+        c.run(0.002)
+        assert delivered["n1"][-2:] == ["m", "s"]
+        assert "m" not in delivered["n2"] and "m" not in delivered["n3"]
+        c.net.crash("n0")
+        for session in sessions[1:]:
+            session.detector.suspected.add("n0")
+        n1.membership.on_local_suspicion("n0")
+        c.run(1.0)
+
+    assert [(s.view.view_id, s.view.members) for s in sessions[1:]] == [
+        (4, ["n1", "n2", "n3"])
+    ] * 3
+    expected = ["w1", "w0", "m", "s", "k"]
+    assert [delivered[name] for name in ("n1", "n2", "n3")] == [expected] * 3
+    assert check_invariants(record, total_order=True) == []
+    reported = {ok.sender: sorted(t for t, _s, _g in ok.tickets) for ok in oks}
+    assert sorted(reported) == ["n1", "n2", "n3"]
+    assert reported["n2"] == reported["n3"] == []
+    assert len(reported["n1"]) == 2 and not warm_tickets & set(reported["n1"])
+
+
+def _flush_ok_after(rounds: int):
+    """An asymmetric group of three runs ``rounds`` rounds in which n1 and n2
+    send and the sequencer n0 answers, as a request manager answers a
+    call; then a join flushes it: n1's FlushOk."""
+    c = Cluster(4)
+    sessions = build_group(c, GroupConfig(**ASYMMETRIC_QUIET), members=["n0", "n1", "n2"])
+    for _ in range(rounds):
+        sessions[1].send("a")
+        sessions[2].send("b")
+        c.run(0.002)
+        sessions[0].send("reply")
+        c.run(0.002)
+    c.run(0.2)
+    oks = []
+    _capture_flush_oks(c, oks)
+    c.service(3).join_group("g", "n0")
+    c.run(1.0)
+    [ok] = [ok for ok in oks if ok.sender == "n1"]
+    return ok
+
+
+def test_a_flush_ok_does_not_grow_with_the_views_age():
+    """Twice the traffic in the view, the same FlushOk: it carries the
+    unstable window, not every ticket the view has seen.  (The floor is the
+    sequencer's own stable message, so the sequencer here multicasts too.)"""
+    from repro.orb.marshal import wire_size
+
+    young, old = _flush_ok_after(20), _flush_ok_after(40)
+    assert len(old.tickets) == len(young.tickets) <= 2
+    assert wire_size(old) == wire_size(young)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.workloads import run_until_done
 from repro.core import BindingStyle, Mode
+from repro.errors import CommFailure
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.scenario import (
     DiurnalArrivals,
@@ -201,7 +202,7 @@ def test_run_until_done_ends_at_the_instant_its_last_future_resolves():
     for i in range(10000):
         sim.schedule(i * 1e-3, ran.append, i)
     sim.schedule(6.0, futures[1].try_resolve, None)
-    sim.schedule(2.0, futures[0].try_fail, RuntimeError("done all the same"))
+    sim.schedule(2.0, futures[0].try_fail, CommFailure("done all the same"))
     sim.schedule(6.0, ran.append, "due with it")
     run_until_done(sim, futures, deadline=10.0)
     assert sim.now == 6.0 and ran[-1] == "due with it"

@@ -27,9 +27,10 @@ member at the base period is held to ``suspicion_timeout``.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
 from repro.groupcomm.config import Liveliness
+from repro.groupcomm.membership import Suspect
 from repro.sim.core import Deadline
 
 __all__ = ["FailureDetector"]
@@ -55,7 +56,6 @@ class FailureDetector:
         #: when this member last sent anything (the session's ``_multicast``
         #: writes it)
         self.last_sent = 0.0
-        self.suspected: Set[str] = set()
         self._timer = Deadline(self.sim, self._tick)
         self._watch = Deadline(self.sim, self._watch_fired)
         self._stopped = False
@@ -107,7 +107,6 @@ class FailureDetector:
 
     def on_view_change(self) -> None:
         now = self.sim.now
-        self.suspected.clear()
         self.last_recv = {m: now for m in self.session.view.members}
         self.last_sent = now
         # adaptive state is view-local: stale advertisements from the old
@@ -164,10 +163,11 @@ class FailureDetector:
     def _deadlines(self):
         """``(member, when its deadline passes)`` for each unsuspected peer."""
         me = self.session.member_id
+        suspected = self.session.membership.suspected
         return [
             (m, self.last_recv[m] + self.deadline_for(m))
             for m in self.session.view.members
-            if m != me and m not in self.suspected
+            if m != me and m not in suspected
         ]
 
     def arm_watch(self) -> None:
@@ -188,11 +188,9 @@ class FailureDetector:
             for member in session.view.members:
                 self.last_recv[member] = now
         else:
-            # gather all suspicions first so a single flush covers them
             expired = [m for m, due in self._deadlines() if due <= now]
-            self.suspected.update(expired)
-            for member in expired:
-                session.membership.on_local_suspicion(member)
+            if expired:
+                session.membership_step(session.member_id, Suspect(expired))
         self.arm_watch()
 
     # ------------------------------------------------------------------

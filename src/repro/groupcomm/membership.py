@@ -16,11 +16,30 @@ survivor delivers the same closed set of old-view messages before the new
 view.  A coordinator that crashes mid-flush is suspected by the survivors,
 and the next-ranked member restarts the flush with a higher attempt number.
 Partitions yield independent views on each side (partitionable membership).
+
+**One transition function.**  ``MembershipEngine.step(peer, event)`` is the
+whole protocol of one member: it reads and writes only the engine's state
+(view, suspected set, pending changes, the coordinator's round) and yields
+what to do, in order: ``("send", peer, msg)``, ``("arm",)`` the flush timer,
+``("complete",)`` (the round is done: disarm it), ``("answer", req)`` (send
+a ``FlushOk`` filled from the session), ``("install", install)``,
+``("close",)``, and ``("suspect", member)``, ``("flush", attempt, size)``
+and ``("timeout", missing)`` to count and record.  Its inputs are a routed
+message of the six kinds with its peer, a :class:`Suspect`, a
+:class:`Join`, the member's own ``LeaveReq``, and ``TIMEOUT``, ``CRASH``
+and ``CLOSE``; a crashed or closed engine ignores them all.  The shell,
+``GroupSession.membership_step``, applies each output before ``step`` goes
+on, so a re-entrant input (a message to oneself, a leave from the view
+upcall) lands where it always has.  The channel contract assumed: each pair
+of members is a reliable FIFO stream, across a partition too (frames wait
+for the heal); pairs interleave arbitrarily; a crashed member's frames in
+flight arrive as a prefix of what it sent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import namedtuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.groupcomm.messages import (
     DataMsg,
@@ -32,22 +51,30 @@ from repro.groupcomm.messages import (
     ViewInstall,
 )
 from repro.groupcomm.views import GroupView
-from repro.sim.core import Deadline
 
-__all__ = ["MembershipEngine"]
+__all__ = ["MembershipEngine", "Suspect", "Join", "TIMEOUT", "CRASH", "CLOSE", "MESSAGES"]
+
+#: the local inputs that carry no data
+TIMEOUT, CRASH, CLOSE = "timeout", "crash", "close"
+#: the failure detector suspects ``members``, all at once (one flush covers them)
+Suspect = namedtuple("Suspect", "members")
+#: ask ``contact`` to sponsor this joining member
+Join = namedtuple("Join", "contact")
 
 
 class MembershipEngine:
-    """Per-session membership state machine."""
+    """One member's membership state machine: see the module docstring."""
 
-    def __init__(self, session):
-        self.session = session
-        self.sim = session.sim
-        metrics = session.sim.obs.metrics
-        self._flushes_started = metrics.counter("gc.membership.flushes_started")
-        self._flushes_completed = metrics.counter("gc.membership.flushes_completed")
-        self._flush_timeouts = metrics.counter("gc.membership.flush_timeouts")
-        self._suspicions = metrics.counter("gc.membership.suspicions")
+    def __init__(self, me: str, group: str, view: Optional[GroupView], config):
+        self.me = me
+        self.group = group
+        #: the installed view; None while joining
+        self.view = view
+        #: the group's configuration, carried in every ``ViewInstall``
+        self.config = config
+        #: members this one believes crashed (until the next install)
+        self.suspected: Set[str] = set()
+        self.stopped = False
         # pending changes known to me (acted on when I coordinate)
         self.pending_add: Set[str] = set()
         self.pending_remove: Set[str] = set()
@@ -56,194 +83,159 @@ class MembershipEngine:
         self.attempt = 0
         self._proposed: List[str] = []
         self._oks: Dict[str, FlushOk] = {}
-        self._flush_timer = Deadline(self.sim, self._flush_timed_out)
         # member-side: last flush answered (view_id, attempt)
         self._answered: Tuple[int, int] = (-1, -1)
+
+    def step(self, peer: str, event) -> Iterator[tuple]:
+        """Take one input; the outputs come as the iterator is drained."""
+        if self.stopped:
+            return ()
+        if event is TIMEOUT:
+            return self._timed_out()
+        if event is CLOSE or event is CRASH:
+            self.stopped = True
+            if event is CLOSE:
+                self.coordinating = False
+            return ()
+        return _HANDLERS[type(event)](self, peer, event)
 
     # ------------------------------------------------------------------
     # role computation
     # ------------------------------------------------------------------
-    def believed_coordinator(self) -> Optional[str]:
-        """First member of the view not suspected of having crashed.
-
-        Voluntary leavers are *not* skipped: a coordinator remains able to
-        drive the flush that removes itself (§4.1's graceful departures).
-        """
-        view = self.session.view
-        if view is None:
+    def _coordinator(self) -> Optional[str]:
+        """First member of the view not suspected of having crashed.  Leavers
+        are *not* skipped: a coordinator may drive the flush that removes
+        itself (§4.1's graceful departures)."""
+        if self.view is None:
             return None
-        suspected = self.session.detector.suspected
-        for member in view.members:
-            if member not in suspected:
+        for member in self.view.members:
+            if member not in self.suspected:
                 return member
         return None
 
     def _i_coordinate(self) -> bool:
-        return self.believed_coordinator() == self.session.member_id
+        return self._coordinator() == self.me
 
     # ------------------------------------------------------------------
     # change intake
     # ------------------------------------------------------------------
-    def request_join(self, contact: str) -> None:
-        """Joiner side: ask ``contact`` to sponsor our membership."""
-        self.session.service.send_protocol(
-            contact, JoinReq(self.session.group, self.session.member_id)
-        )
+    def _on_join(self, peer: str, join: Join):
+        yield ("send", join.contact, JoinReq(self.group, self.me))
 
-    def request_leave(self) -> None:
-        """Leaver side: route our departure to the coordinator."""
-        self.on_leave_req(LeaveReq(self.session.group, self.session.member_id))
-
-    def on_join_req(self, req: JoinReq) -> None:
-        if self.session.state == "closed":
-            return
+    def _on_join_req(self, peer: str, req: JoinReq):
         if self._i_coordinate():
-            if req.member not in (self.session.view.members if self.session.view else []):
+            if req.member not in self.view.members:
                 self.pending_add.add(req.member)
-            self.maybe_start_flush()
+            yield from self._maybe_start_flush()
         else:
-            self._forward(req)
+            yield from self._forward(req)
 
-    def on_leave_req(self, req: LeaveReq) -> None:
-        if self.session.state == "closed":
-            return
-        if self.session.view is not None and req.member not in self.session.view.members:
+    def _on_leave_req(self, peer: str, req: LeaveReq):
+        if self.view is not None and req.member not in self.view.members:
             return  # stale: already removed
         if self._i_coordinate():
             self.pending_remove.add(req.member)
             self.pending_add.discard(req.member)
-            self.maybe_start_flush()
+            yield from self._maybe_start_flush()
         else:
-            self._forward(req)
+            yield from self._forward(req)
 
-    def on_local_suspicion(self, member: str) -> None:
-        """Our failure detector suspects ``member``."""
-        if self.session.state == "closed":
-            return
-        self._suspicions.inc()
-        self.session._flight.record(
-            self.session.member_id, "suspect", self.session.group, member
-        )
-        self.session._tracer.event(
-            "gc.suspicion", group=self.session.group, suspect=member
-        )
-        if self.coordinating and member in self._proposed:
-            # a member we are waiting on just died: restart without it
-            self.pending_remove.add(member)
-            self.coordinating = False
-            self._start_flush()
-            return
-        if self._i_coordinate():
-            self.pending_remove.add(member)
-            self.maybe_start_flush()
-        else:
-            coordinator = self.believed_coordinator()
-            if coordinator is not None:
-                self.session.service.send_protocol(
-                    coordinator,
-                    SuspectMsg(self.session.group, member),
-                )
+    def _on_suspect(self, peer: str, event: Suspect):
+        self.suspected.update(event.members)
+        for member in event.members:
+            if self.stopped:
+                return  # the previous suspicion ended the membership
+            yield ("suspect", member)
+            if self.coordinating and member in self._proposed:
+                # a member we are waiting on just died: restart without it
+                self.pending_remove.add(member)
+                self.coordinating = False
+                yield from self._start_flush()
+            elif self._i_coordinate():
+                self.pending_remove.add(member)
+                yield from self._maybe_start_flush()
+            else:
+                coordinator = self._coordinator()
+                if coordinator is not None:
+                    yield ("send", coordinator, SuspectMsg(self.group, member))
 
-    def on_suspect_msg(self, peer: str, msg: SuspectMsg) -> None:
-        """``peer`` reports a suspicion.  Only a member of our view may: a
-        report that waited out a partition in the channel may come from a
-        member the group has since left behind."""
-        view = self.session.view
-        if self.session.state == "closed" or view is None:
-            return
-        if peer not in view.members or msg.suspect not in view.members:
+    def _on_suspect_msg(self, peer: str, msg: SuspectMsg):
+        # only a member of our view may report: one that waited out a
+        # partition may come from a member the group has left behind
+        view = self.view
+        if view is None or peer not in view.members or msg.suspect not in view.members:
             return  # stale: from outside the view, or already removed
         if self._i_coordinate():
-            if msg.suspect != self.session.member_id:
+            if msg.suspect != self.me:
                 self.pending_remove.add(msg.suspect)
-                self.maybe_start_flush()
+                yield from self._maybe_start_flush()
         else:
-            self._forward(msg)
+            yield from self._forward(msg)
 
-    def _forward(self, msg) -> None:
-        coordinator = self.believed_coordinator()
-        if coordinator is not None and coordinator != self.session.member_id:
-            self.session.service.send_protocol(coordinator, msg)
+    def _forward(self, msg):
+        coordinator = self._coordinator()
+        if coordinator is not None:
+            yield ("send", coordinator, msg)
 
     # ------------------------------------------------------------------
     # coordinator side
     # ------------------------------------------------------------------
-    def maybe_start_flush(self) -> None:
-        if self.coordinating or self.session.view is None:
-            return
-        if not self.pending_add and not self.pending_remove:
-            return
-        if not self._i_coordinate():
-            return
-        self._start_flush()
+    def _maybe_start_flush(self):
+        pending = self.pending_add or self.pending_remove
+        if pending and not self.coordinating and self._i_coordinate():
+            yield from self._start_flush()
 
-    def _start_flush(self) -> None:
-        session = self.session
-        view = session.view
+    def _start_flush(self):
+        view = self.view
         survivors = [
             m
             for m in view.members
-            if m not in self.pending_remove and m not in session.detector.suspected
+            if m not in self.pending_remove and m not in self.suspected
         ]
-        joiners = sorted(self.pending_add - set(view.members))
-        proposed = survivors + joiners
+        proposed = survivors + sorted(self.pending_add - set(view.members))
         if not proposed:
             # everyone (including us) is leaving: the group simply dissolves
-            session._close()
+            yield ("close",)
             return
         self.coordinating = True
         self.attempt += 1
-        self._flushes_started.inc()
-        session._flight.record(
-            session.member_id,
-            "flush_start",
-            session.group,
-            f"attempt={self.attempt} proposed={len(proposed)}",
-        )
         self._proposed = proposed
         self._oks = {}
-        req = FlushReq(session.group, view.view_id, self.attempt, session.member_id)
-        # everyone proposed must answer; we answer ourselves directly
+        yield ("flush", self.attempt, len(proposed))
+        req = FlushReq(self.group, view.view_id, self.attempt, self.me)
+        # everyone proposed answers, and we do last (a leaving coordinator
+        # is not proposed but still hands over its messages)
         for member in proposed:
-            if member != session.member_id:
-                session.service.send_protocol(member, req)
-        if session.member_id in view.members or session.member_id in joiners:
-            self.on_flush_req(req)
-        self._flush_timer.arm(self.session.config.flush_timeout)
+            if member != self.me:
+                yield ("send", member, req)
+        yield ("send", self.me, req)
+        yield ("arm",)
 
-    def stop(self) -> None:
-        """The session closed: any flush round it coordinates ends here."""
-        self.coordinating = False
-        self._flush_timer.due = None
-
-    def _flush_timed_out(self) -> None:
-        if not self.coordinating or not self.session.service.node.alive:
-            return  # crash-stop: a dead coordinator's timers die with it
-        missing = [m for m in self._proposed if m not in self._oks]
-        if not missing:
+    def _timed_out(self):
+        if not self.coordinating:
             return
-        self._flush_timeouts.inc()
         # non-responders are presumed crashed: drop them and retry
+        missing = [m for m in self._proposed if m not in self._oks]
+        yield ("timeout", missing)
         for member in missing:
-            self.session.detector.suspected.add(member)
+            self.suspected.add(member)
             self.pending_remove.add(member)
             self.pending_add.discard(member)
         self.coordinating = False
-        self._start_flush()
+        yield from self._start_flush()
 
-    def on_flush_ok(self, ok: FlushOk) -> None:
+    def _on_flush_ok(self, peer: str, ok: FlushOk):
         if not self.coordinating:
             return
-        if ok.view_id != self.session.view.view_id or ok.attempt != self.attempt:
+        if ok.view_id != self.view.view_id or ok.attempt != self.attempt:
             return
         self._oks[ok.sender] = ok
         if all(m in self._oks for m in self._proposed):
-            self._complete_flush()
+            yield from self._complete_flush()
 
-    def _complete_flush(self) -> None:
-        session = self.session
-        self._flushes_completed.inc()
-        self._flush_timer.due = None
+    def _complete_flush(self):
+        yield ("complete",)
+        view = self.view
         union: Dict[Tuple[int, str, int], DataMsg] = {}
         tickets: Dict[Tuple[str, int], int] = {}
         for ok in self._oks.values():
@@ -251,85 +243,73 @@ class MembershipEngine:
                 union.setdefault(msg.msg_id, msg)
             for value, sender, gseq in ok.tickets:
                 tickets.setdefault((sender, gseq), value)
-        new_view = GroupView(
-            session.group,
-            session.view.view_id + 1,
-            self._proposed,
-            era=session.view.era,
-        )
+        new_view = GroupView(self.group, view.view_id + 1, self._proposed, era=view.era)
         install = ViewInstall(
-            session.group,
+            self.group,
             new_view,
             self.attempt,
-            session.config,
+            self.config,
             list(union.values()),
             [(v, s, g) for (s, g), v in tickets.items()],
         )
         # inform survivors, joiners, and voluntary leavers (so they can close)
         # — in proposed (view) order, then leavers: the send order shapes the
         # downstream event schedule, so it must not depend on set hashing
-        proposed = set(self._proposed)
-        leavers = sorted(self.pending_remove & set(session.view.members) - proposed)
-        for member in list(self._proposed) + leavers:
-            if member != session.member_id:
-                session.service.send_protocol(member, install)
+        leavers = sorted(self.pending_remove & set(view.members) - set(self._proposed))
+        for member in self._proposed + leavers:
+            if member != self.me:
+                yield ("send", member, install)
         # reset coordinator state before applying our own install
         self.coordinating = False
         self.pending_add -= set(new_view.members)
         self.pending_remove.clear()
-        self.on_view_install(install)
+        yield ("send", self.me, install)
 
     # ------------------------------------------------------------------
     # member side
     # ------------------------------------------------------------------
-    def on_flush_req(self, req: FlushReq) -> None:
-        session = self.session
-        if session.state == "closed":
-            return
-        current_view_id = session.view.view_id if session.view else req.view_id
-        if req.view_id != current_view_id:
+    def _on_flush_req(self, peer: str, req: FlushReq):
+        if self.view is not None and req.view_id != self.view.view_id:
             return
         if (req.view_id, req.attempt) <= self._answered:
             return
         self._answered = (req.view_id, req.attempt)
         self.attempt = max(self.attempt, req.attempt)
-        session._flight.record(
-            session.member_id,
-            "flush",
-            session.group,
-            f"v{req.view_id} attempt={req.attempt} coord={req.coordinator}",
-        )
-        if session.state == "active":
-            session.state = "flushing"
-        unstable, ticket_list = session.collect_flush_state()
-        ok = FlushOk(
-            session.group, req.view_id, req.attempt, session.member_id, unstable, ticket_list
-        )
-        if req.coordinator == session.member_id:
-            self.on_flush_ok(ok)
-        else:
-            session.service.send_protocol(req.coordinator, ok)
+        yield ("answer", req)
 
-    def on_view_install(self, install: ViewInstall) -> None:
-        session = self.session
-        if session.state == "closed":
-            return
-        view, new = session.view, install.view
+    def _on_view_install(self, peer: str, install: ViewInstall):
+        view, new = self.view, install.view
         if view is not None and (new.era != view.era or new.view_id <= view.view_id):
             return  # from a dead era of the group, or stale
-        if session.member_id not in install.view.members:
-            if session.state == "joining":
-                return  # stale install from before our join; ours is coming
-            self._answered = (-1, -1)
-            self.attempt = 0
-            session._close()
-            return
+        member = self.me in new.members
+        if not member and view is None:
+            return  # stale install from before our join; ours is coming
         self._answered = (-1, -1)
         self.attempt = 0
-        session.apply_view_install(install)
-        self.pending_add -= set(install.view.members)
-        self.pending_remove = {
-            m for m in self.pending_remove if m in install.view.members
-        }
+        if not member:
+            yield ("close",)
+            return
+        if view is None:
+            self.config = install.config
+        self.view = new
+        self.suspected.clear()
+        yield ("install", install)
+        self.pending_add -= set(new.members)
+        self.pending_remove = {m for m in self.pending_remove if m in new.members}
         # changes queued while flushing trigger the next round
-        self.maybe_start_flush()
+        yield from self._maybe_start_flush()
+
+
+_HANDLERS = {
+    JoinReq: MembershipEngine._on_join_req,
+    LeaveReq: MembershipEngine._on_leave_req,
+    SuspectMsg: MembershipEngine._on_suspect_msg,
+    FlushReq: MembershipEngine._on_flush_req,
+    FlushOk: MembershipEngine._on_flush_ok,
+    ViewInstall: MembershipEngine._on_view_install,
+    Suspect: MembershipEngine._on_suspect,
+    Join: MembershipEngine._on_join,
+}
+
+#: the protocol messages ``step`` takes from the channel
+MESSAGES = (JoinReq, LeaveReq, SuspectMsg, FlushReq, FlushOk, ViewInstall)

@@ -22,19 +22,9 @@ from repro.errors import GroupError
 from repro.groupcomm.channel import ChannelManager
 from repro.groupcomm.config import GroupConfig
 from repro.groupcomm.lamport import LamportClock
-from repro.groupcomm.membership import MembershipEngine
+from repro.groupcomm.membership import MESSAGES, Join
 from repro.groupcomm.merger import SharedClockMerger, TicketMerger
-from repro.groupcomm.messages import (
-    DataMsg,
-    FlushOk,
-    FlushReq,
-    JoinReq,
-    LeaveReq,
-    SuspectMsg,
-    TicketBatchMsg,
-    TicketMsg,
-    ViewInstall,
-)
+from repro.groupcomm.messages import DataMsg, TicketBatchMsg, TicketMsg
 from repro.groupcomm.session import GroupSession
 from repro.groupcomm.ticketbatch import TicketBatcher
 from repro.groupcomm.views import GroupView
@@ -52,10 +42,6 @@ PROTOCOL_COST = 200e-6
 NSO_OBJECT_ID = "NSO"
 
 
-def _membership(handler: Callable) -> Callable:
-    return lambda session, peer, msg: handler(session.membership, msg)
-
-
 #: The one table of protocol messages that travel inside channel frames
 #: (every frame carries one, and each names its ``group``): class ->
 #: ``consume(session, peer, message)``.  Each sender names its frames'
@@ -66,12 +52,7 @@ _PROTOCOL: Dict[type, Callable] = {
     DataMsg: GroupSession.receive,
     TicketMsg: GroupSession.receive,
     TicketBatchMsg: GroupSession.receive,
-    JoinReq: _membership(MembershipEngine.on_join_req),
-    LeaveReq: _membership(MembershipEngine.on_leave_req),
-    SuspectMsg: lambda session, peer, msg: session.membership.on_suspect_msg(peer, msg),
-    FlushReq: _membership(MembershipEngine.on_flush_req),
-    FlushOk: _membership(MembershipEngine.on_flush_ok),
-    ViewInstall: _membership(MembershipEngine.on_view_install),
+    **dict.fromkeys(MESSAGES, GroupSession.membership_step),
 }
 
 
@@ -152,7 +133,7 @@ class GroupCommService:
             raise GroupError("cannot join via self; name another member")
         session = GroupSession(self, group, GroupConfig(), initial_view=None)
         self.sessions[group] = session
-        session.membership.request_join(contact)
+        session.membership_step(self.name, Join(contact))
         return session
 
     def session(self, group: str) -> Optional[GroupSession]:
@@ -190,13 +171,6 @@ class GroupCommService:
             self._peer_iors[peer], "receive", (self.name, message), oneway=True, net_kind=kind
         )
         return alive
-
-    def send_protocol(self, peer: str, message: Any) -> None:
-        """Send a membership-protocol message (reliably, FIFO with data)."""
-        if peer == self.name:
-            self._route(peer, message)
-        else:
-            self.channels.send(peer, message, "membership")
 
     # ------------------------------------------------------------------
     # inbound routing

@@ -9,7 +9,8 @@ using group communication directly) hold on a group.  It owns
   stability tracking;
 - the ordering strategy (symmetric / asymmetric / causal / FIFO);
 - the time-silence + failure-suspicion machinery;
-- the membership engine.
+- the membership engine, and the shell that carries out what it decides
+  (``membership_step``).
 
 Sends issued while the session is joining or flushing are queued and go out
 in the next active period, preserving the caller's FIFO order.
@@ -26,7 +27,8 @@ The file is staged in the order a message travels:
    debt (the ``_null_timer`` deadline) → the ordering strategy;
 3. **deliver** — ``_deliver_app``, the one upcall seam the strategies and
    mergers release messages through;
-4. **view install** — ``apply_view_install`` / ``_close``.
+4. **view install** — ``membership_step`` (the membership engine's inputs
+   and outputs) → ``apply_view_install`` / ``_close``.
 
 Payloads are opaque: the session reads none.  The invocation layer's
 latency tiling gets times from it (``stamps``, ``on_hold``), and maps
@@ -41,11 +43,13 @@ from repro.errors import NotMember
 from repro.groupcomm.config import GroupConfig, Liveliness
 from repro.groupcomm.failuredetector import FailureDetector
 from repro.groupcomm.flowcontrol import FlowController
-from repro.groupcomm.membership import MembershipEngine
+from repro.groupcomm.membership import CLOSE, CRASH, TIMEOUT, MembershipEngine
 from repro.groupcomm.messages import (
     DataMsg,
+    FlushOk,
     KIND_DATA,
     KIND_NULL,
+    LeaveReq,
     TicketBatchMsg,
     TicketMsg,
     ViewInstall,
@@ -160,7 +164,13 @@ class GroupSession:
         self._views_counter = obs.metrics.counter("gc.views_installed")
         self._unstable_hist = obs.metrics.histogram("gc.unstable_depth")
         self._adopt_config(config)
-        self.membership = MembershipEngine(self)
+        self.membership = MembershipEngine(self.member_id, group, initial_view, config)
+        self._flush_timer = Deadline(self.sim, self._flush_timer_fired)
+        metrics = obs.metrics
+        self._flushes_started = metrics.counter("gc.membership.flushes_started")
+        self._flushes_completed = metrics.counter("gc.membership.flushes_completed")
+        self._flush_timeouts = metrics.counter("gc.membership.flush_timeouts")
+        self._suspicions = metrics.counter("gc.membership.suspicions")
         if initial_view is not None:
             self.ordering.attach()
             self.detector.start()
@@ -231,7 +241,7 @@ class GroupSession:
         if self.view is not None and len(self.view.members) == 1:
             self._close()
             return self.left
-        self.membership.request_leave()
+        self.membership_step(self.member_id, LeaveReq(self.group, self.member_id))
         return self.left
 
     def group_details(self) -> Optional[GroupView]:
@@ -665,8 +675,54 @@ class GroupSession:
             self._tracer.end_span(span)
 
     # ------------------------------------------------------------------
-    # flush / view change support
+    # membership: the shell around the engine's transition function
     # ------------------------------------------------------------------
+    def membership_step(self, peer: str, event: Any) -> None:
+        """Feed the membership engine one input (a routed message or a local
+        input) and carry out each output before it goes on; a message to
+        this member re-enters at once (``repro.groupcomm.membership``)."""
+        me = self.member_id
+        for out in self.membership.step(peer, event):
+            op = out[0]
+            if op == "answer":
+                req = out[1]
+                detail = f"v{req.view_id} attempt={req.attempt} coord={req.coordinator}"
+                self._flight.record(me, "flush", self.group, detail)
+                if self.state == "active":
+                    self.state = "flushing"
+                unstable, tickets = self.collect_flush_state()
+                ok = FlushOk(self.group, req.view_id, req.attempt, me, unstable, tickets)
+                op, out = "send", ("send", req.coordinator, ok)
+            if op == "send":
+                if out[1] == me:
+                    self.membership_step(me, out[2])
+                else:
+                    self.service.channels.send(out[1], out[2], "membership")
+            elif op == "install":
+                self.apply_view_install(out[1])
+            elif op == "arm":
+                self._flush_timer.arm(self.config.flush_timeout)
+            elif op == "complete":
+                self._flushes_completed.inc()
+                self._flush_timer.due = None
+            elif op == "flush":
+                self._flushes_started.inc()
+                detail = f"attempt={out[1]} proposed={out[2]}"
+                self._flight.record(me, "flush_start", self.group, detail)
+            elif op == "suspect":
+                self._suspicions.inc()
+                self._flight.record(me, "suspect", self.group, out[1])
+                self._tracer.event("gc.suspicion", group=self.group, suspect=out[1])
+            elif op == "timeout":
+                self._flush_timeouts.inc()
+            else:  # "close"
+                self._close()
+
+    def _flush_timer_fired(self) -> None:
+        if not self.service.node.alive:  # a dead node's timer still fires
+            self.membership_step(self.member_id, CRASH)
+        self.membership_step(self.member_id, TIMEOUT)
+
     def collect_flush_state(self):
         """(unstable messages, tickets a survivor may lack) for FlushOk."""
         if self.view is None:
@@ -737,7 +793,7 @@ class GroupSession:
             if len(self.view.members) == 1:
                 self._close()
             else:
-                self.membership.request_leave()
+                self.membership_step(self.member_id, LeaveReq(self.group, self.member_id))
 
     def _reset_view_state(self, members: List[str]) -> None:
         """Per-view message state starts fresh — at every install, and at
@@ -767,7 +823,8 @@ class GroupSession:
             return
         self.state = "closed"
         self.detector.stop()
-        self.membership.stop()
+        self._flush_timer.due = None
+        self.membership_step(self.member_id, CLOSE)
         self.ordering.detach()
         self._reset_view_state([])
         self.service.drop_session(self.group)

@@ -26,14 +26,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from repro.groupcomm.messages import (
-    FlushOk,
-    FlushReq,
-    JoinReq,
-    LeaveReq,
-    SuspectMsg,
-    ViewInstall,
-)
+from repro.groupcomm.membership import MESSAGES
 
 __all__ = ["state_digest", "convergence_status"]
 
@@ -46,17 +39,13 @@ def state_digest(servant) -> Optional[str]:
     return hashlib.sha256(repr(get_state()).encode()).hexdigest()[:16]
 
 
-#: the frames of the membership protocol: one still unacknowledged can change a view
-_MEMBERSHIP_FRAMES = (JoinReq, LeaveReq, SuspectMsg, FlushReq, FlushOk, ViewInstall)
-
-
 def _membership_unsettled(session, nodes) -> bool:
     """Is ``session``'s membership still moving: a flush in progress, or one
     of its group's membership frames unacknowledged by a live node?"""
     if session.state == "flushing" or session.membership.coordinating:
         return True
     return any(
-        type(message) in _MEMBERSHIP_FRAMES
+        type(message) in MESSAGES
         and message.group == session.group
         and nodes[peer].alive
         for peer, message in session.service.channels.unacked()

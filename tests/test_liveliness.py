@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.groupcomm import GroupConfig, Liveliness, LivelinessConfig, Ordering
 from repro.groupcomm.failuredetector import SUSPICION_PERIODS, FailureDetector
+from repro.groupcomm.membership import Suspect
 from repro.groupcomm.messages import KIND_NULL, DataMsg
 from repro.obs.metrics import MetricsRegistry
 from repro.scenario.slo import SloContext, build_slos, evaluate_slos
@@ -136,7 +137,14 @@ def test_a_silent_peer_is_suspected_the_instant_its_deadline_passes(base, timeou
     member, _peer = build_group(c, config)
     view = member.view
     suspected = []
-    member.membership.on_local_suspicion = lambda m: suspected.append((c.sim.now, m))
+    step = member.membership.step
+
+    def record_suspicions(peer, event):
+        if isinstance(event, Suspect):
+            suspected.extend((c.sim.now, m) for m in event.members)
+        return step(peer, event)
+
+    member.membership.step = record_suspicions
     c.net.crash("n1")
 
     # the peer's last real NULL left within one heartbeat of the crash, so

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.groupcomm.membership import Suspect
 from repro.groupcomm.messages import SuspectMsg
 from tests.conftest import Cluster, Collector
 from tests.invariants import check_invariants, record_protocol
@@ -201,7 +202,7 @@ def test_a_view_install_from_a_dead_era_does_not_close_the_new_one():
     assert (session.view.view_id, session.view.members) == (1, ["n0"])
     assert session.view.era != old_era
     island = ViewInstall("g", GroupView("g", 4, ["n2"], era=old_era), 0, config, [], [])
-    session.membership.on_view_install(island)
+    c.service(0)._route("n2", island)
     assert session.state != "closed"
     assert c.service(0).session("g") is session
     assert (session.view.view_id, session.view.members) == (1, ["n0"])
@@ -213,9 +214,9 @@ def _coordinating_a_flush_that_n2_cannot_answer():
     c = Cluster(4)
     sessions = build_group(c, GroupConfig())
     c.net.crash("n2")
-    sessions[0].membership.on_local_suspicion("n3")
+    sessions[0].membership_step("n0", Suspect(["n3"]))
     c.run(0.01)
-    assert sessions[0].membership.coordinating
+    assert sessions[0].state == "flushing" and sessions[0]._flush_timer.due is not None
     return c, sessions
 
 
@@ -228,7 +229,7 @@ def test_a_closed_coordinator_starts_no_flush_round_when_its_timer_would_fire():
     n0, n1 = sessions[0], sessions[1]
     before = len(_flush_records_of(c, "n0")), len(_flush_records_of(c, "n1"))
     n0._close()
-    assert not n0.membership.coordinating
+    assert n0._flush_timer.due is None
     c.run(1.0)
     # no attempt 2 from the closed n0, and so no FlushReq for n1 to answer
     assert (len(_flush_records_of(c, "n0")), len(_flush_records_of(c, "n1"))) == before
@@ -299,7 +300,7 @@ def test_a_ticket_only_one_survivor_holds_reaches_every_survivor_through_the_flu
     order, and ``k`` after both, which they can only do if n1's FlushOk
     carries ``m``'s ticket.  The tickets of the warm-up messages, stable
     everywhere, travel in no FlushOk."""
-    from repro.groupcomm.messages import DataMsg, TicketMsg
+    from repro.groupcomm.messages import DataMsg, FlushOk, TicketMsg
 
     c = Cluster(4)
     with record_protocol() as record:
@@ -321,8 +322,15 @@ def test_a_ticket_only_one_survivor_holds_reaches_every_survivor_through_the_flu
         is_k = lambda msg: isinstance(msg, DataMsg) and msg.payload == "k"
         is_t = lambda msg: isinstance(msg, TicketMsg) and msg.target_sender == "n3"
         rules += [("n2", "n0", is_k), ("n0", "n2", is_t), ("n0", "n3", is_t)]
-        coordinator_flush_ok = n1.membership.on_flush_ok
-        n1.membership.on_flush_ok = lambda ok: (oks.append(ok), coordinator_flush_ok(ok))
+        step = n1.membership.step
+
+        def own_flush_ok_too(peer, event):
+            # n1's own FlushOk reaches its engine directly, not through the net
+            if peer == "n1" and isinstance(event, FlushOk):
+                oks.append(event)
+            return step(peer, event)
+
+        n1.membership.step = own_flush_ok_too
         n2.send("k")
         c.run(0.002)
         n3.send("m")
@@ -333,8 +341,7 @@ def test_a_ticket_only_one_survivor_holds_reaches_every_survivor_through_the_flu
         assert "m" not in delivered["n2"] and "m" not in delivered["n3"]
         c.net.crash("n0")
         for session in sessions[1:]:
-            session.detector.suspected.add("n0")
-        n1.membership.on_local_suspicion("n0")
+            session.membership_step(session.member_id, Suspect(["n0"]))
         c.run(1.0)
 
     assert [(s.view.view_id, s.view.members) for s in sessions[1:]] == [

@@ -14,6 +14,8 @@ from repro.core import BindingStyle, Mode
 from repro.core.messages import InvokeMsg
 from repro.errors import BindingBroken, CommFailure, GroupError
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.groupcomm.messages import SuspectMsg, ViewInstall
+from repro.groupcomm.views import GroupView
 from repro.recovery import (
     RecoveryManager,
     RetryPolicy,
@@ -449,12 +451,14 @@ def test_stuck_solo_minority_is_force_rejoined():
     recovery = RecoveryManager(c.sim, c.net, c.services, "svc")
     c.net.partition({"s2"})
     session = servers[2].group
-    # s2 gives up on both peers at once and flushes alone.  Not through
-    # on_local_suspicion: that also queues a ViewInstall for the first
-    # suspect, which the reliable channel delivers after the heal and which
-    # expels it — here the majority must hear nothing at all
-    session.detector.suspected.update({"s0", "s1"})
-    session.membership._start_flush()
+    # s2 gives up on both peers at once and installs a view of its own: the
+    # install its solo flush ends with.  Not through a suspicion: that also
+    # queues a ViewInstall for the first suspect, which the reliable channel
+    # delivers after the heal and which expels it — here the majority must
+    # hear nothing at all
+    view = session.view
+    solo = GroupView(view.group, view.view_id + 1, ["s2"], era=view.era)
+    session.membership_step("s2", ViewInstall(view.group, solo, 1, session.config, [], []))
     c.run(0.05)
     c.net.heal()
     recovery.after_heal()
@@ -477,9 +481,9 @@ def test_stuck_solo_minority_is_force_rejoined():
 
 
 def test_a_suspicion_delivered_after_the_heal_does_not_end_the_watch_early():
-    """s2, partitioned alone, suspects s0 and s1.  Its ``SuspectMsg``s wait
-    in its channel and reach the coordinator after the heal, which then
-    expels s1 although every view is still equal at the first poll.  The
+    """s2, partitioned alone, reports s0 and s1 to its coordinator s0.  The
+    ``SuspectMsg``s wait in its channel and reach s0 after the heal, which
+    then expels s1 although every view is still equal at the first poll.  The
     group is not converged while a membership frame is unacknowledged, and
     the watch stays on for one suspicion timeout after it first sees
     convergence, so it restarts s1 and the group ends whole.
@@ -492,9 +496,9 @@ def test_a_suspicion_delivered_after_the_heal_does_not_end_the_watch_early():
     bind_scheme(c)
     recovery = RecoveryManager(c.sim, c.net, c.services, "svc")
     c.net.partition({"s2"})
-    membership = c.services["s2"].servers["svc"].group.membership
-    membership.on_local_suspicion("s0")
-    membership.on_local_suspicion("s1")
+    session = c.services["s2"].servers["svc"].group
+    for suspect in ("s0", "s1"):
+        session.service.channels.send("s0", SuspectMsg(session.group, suspect), "membership")
     c.run(0.05)
     c.net.heal()
     recovery.after_heal()

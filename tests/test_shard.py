@@ -16,6 +16,7 @@ from repro.apps import ShardedKVClient, ShardKVServant
 from repro.core import Mode
 from repro.errors import ProvisioningError
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
+from repro.groupcomm.membership import Suspect
 from repro.recovery import RecoveryManager
 from repro.shard import key_to_shard, round_robin, sharded_convergence_status
 from repro.sim import all_of, run_process
@@ -376,7 +377,7 @@ def test_an_exclusion_mid_retirement_tears_down_at_once_and_counts_once(monkeypa
     )
     # shard 0's coordinator suspects s2 and installs a view without it
     coordinator = c.services["s0"].servers["kv"].shard_server(0).group
-    coordinator.membership.on_local_suspicion("s2")
+    coordinator.membership_step(coordinator.member_id, Suspect(["s2"]))
     c.run(3.0)  # well past the deadline the retirement had
     [(torn_down, _)] = flight_times(c, "s2", "shard.retired", "svc:kv#0")
     assert at_close == [(torn_down, before + 1)]

@@ -374,7 +374,7 @@ TIMER_ALLOW_LIST = {
         "re-NACKs a receive gap until it fills, at most NACK_MAX_RETRIES times",
     "groupcomm.session:GroupSession._null_timer_fired":
         "the time-silence NULL: a data send re-arms it only while NULLs are owed",
-    "groupcomm.membership:MembershipEngine._flush_timed_out":
+    "groupcomm.session:GroupSession._flush_timer_fired":
         "each timeout drops the non-responders, so the proposed view shrinks to an end",
     "recovery.manager:RecoveryManager._watch":
         "the omniscient harness watcher: convergence is a predicate over every "
@@ -630,6 +630,107 @@ def test_every_stored_attribute_has_a_reader():
         "with a reason), and allow-listed ones that gained a reader: "
         f"{sorted(unread ^ set(WRITE_ONLY_ALLOW_LIST))}"
     )
+
+
+# ---------------------------------------------------------------------------
+# a bug is never an outcome: every catch-all handler is listed
+# ---------------------------------------------------------------------------
+#: the functions under src/repro that catch ``Exception`` or
+#: ``BaseException``, each with its reason.  A programming error caught
+#: there passes as a failed call or process, so the list may only shrink
+#: (ROADMAP item 6): narrow a handler to the errors it is documented to
+#: turn into an outcome, or to the one frame that runs user code.
+CATCH_ALL_ALLOW_LIST = {
+    "orb.orb:ORB._execute":
+        "CORBA semantics: a servant's exception reaches a two-way caller as "
+        "ApplicationError (user code)",
+    "sim.process:Process._step":
+        "a process's exception becomes its future's failure, its own bugs too",
+    "sim.futures:Future.then.hand_on":
+        "the callback's exception becomes the chained future's failure, its own bugs too",
+    "scenario.spec:TrafficSpec.build_scheme_config":
+        "any SchemeConfig validation error becomes one spec error line",
+    "core.client:GroupBinding._complete":
+        "a user reducer's exception fails the call; so does one of the binding's "
+        "own reply shaping",
+    "core.scheme:validate_reducer":
+        "a reducer probe that leaves the reducer's domain is a ConfigurationError",
+    "core.server:ObjectGroupServer._run_servant":
+        "a servant's exception goes back to the client in its reply (user code)",
+}
+
+_CATCH_ALL = {"Exception", "BaseException"}
+
+
+def _catch_all_handlers(root):
+    """``module:qualname`` of each function under ``src/repro`` with an
+    ``except`` that catches ``Exception``, ``BaseException`` or everything.
+    Read with ``ast`` (no import)."""
+    src = root / "src" / "repro"
+    found = set()
+
+    def catches_all(handler):
+        kind = handler.type
+        names = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+        return kind is None or any(getattr(n, "id", None) in _CATCH_ALL for n in names)
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + [child.name])
+            else:
+                if isinstance(child, ast.ExceptHandler) and catches_all(child):
+                    found.add(f"{module}:{'.'.join(scope)}")
+                visit(child, module, scope)
+
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        visit(ast.parse(path.read_text(encoding="utf-8")), module, [])
+    return found
+
+
+def test_every_catch_all_handler_is_listed_with_its_reason():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    found = _catch_all_handlers(root)
+    assert found == set(CATCH_ALL_ALLOW_LIST), (
+        "handlers that catch Exception/BaseException (narrow them, or allow-list "
+        "them with a reason), and allow-listed ones that are gone: "
+        f"{sorted(found ^ set(CATCH_ALL_ALLOW_LIST))}"
+    )
+    assert all(reason for reason in CATCH_ALL_ALLOW_LIST.values())
+
+
+def test_the_catch_all_audit_sees_bare_tuple_and_nested_handlers(tmp_path):
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "engine.py").write_text(textwrap.dedent("""
+        class Engine:
+            def narrow(self):
+                try:
+                    pass
+                except ValueError:
+                    pass
+            def bare(self):
+                try:
+                    pass
+                except:
+                    pass
+            def outer(self):
+                def inner():
+                    try:
+                        pass
+                    except (KeyError, BaseException):
+                        pass
+                return inner
+        def free():
+            try:
+                pass
+            except Exception as exc:
+                raise ValueError() from exc
+    """))
+    assert _catch_all_handlers(tmp_path) == {
+        "engine:Engine.bare", "engine:Engine.outer.inner", "engine:free"
+    }
 
 
 # ---------------------------------------------------------------------------

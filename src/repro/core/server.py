@@ -572,9 +572,12 @@ class ObjectGroupServer:
             if hint is not None:
                 self._send_shed(reply_group, invoke, hint)
                 return
-        if self.async_forwarding and invoke.mode == Mode.FIRST:
+        if self.async_forwarding and invoke.mode == Mode.FIRST and (
+            self.policy == ReplicationPolicy.ACTIVE or self.is_primary
+        ):
             # §4.2: answer locally, forward one-way — no reply gathering.
             # Mark the call so our own loopback of the forward is skipped.
+            # A passive backup collects instead: the primary runs the forward
             _remember(self._async_handled, call_id, True)
             if not self._forward(invoke, Mode.ONE_WAY, reply_group):
                 del self._async_handled[call_id]

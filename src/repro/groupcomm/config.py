@@ -143,7 +143,10 @@ class GroupConfig:
         self.suspicion_timeout = suspicion_timeout
         self.flush_timeout = flush_timeout
         #: preferred sequencer member for asymmetric groups; lets the
-        #: invocation layer pin sequencer = request manager = primary (§4.2)
+        #: invocation layer pin sequencer = request manager = primary (§4.2).
+        #: It picks the first sequencer only: the install that removes the
+        #: hinted member clears it, so rank 0 (the manager clients fail over
+        #: to) keeps sequencing and a restarted member rejoins as a backup
         self.sequencer_hint = sequencer_hint
         if send_window < 1:
             raise ValueError("send_window must be at least 1")

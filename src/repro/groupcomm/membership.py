@@ -244,11 +244,17 @@ class MembershipEngine:
             for value, sender, gseq in ok.tickets:
                 tickets.setdefault((sender, gseq), value)
         new_view = GroupView(self.group, view.view_id + 1, self._proposed, era=view.era)
+        config = self.config
+        hint = config.sequencer_hint
+        if hint in view.members and hint not in self._proposed:
+            # no failback: once the hinted member leaves, rank 0 sequences
+            # for good, and a restarted incarnation rejoins as a backup
+            config = config.replace(sequencer_hint="")
         install = ViewInstall(
             self.group,
             new_view,
             self.attempt,
-            self.config,
+            config,
             list(union.values()),
             [(v, s, g) for (s, g), v in tickets.items()],
         )
@@ -289,8 +295,7 @@ class MembershipEngine:
         if not member:
             yield ("close",)
             return
-        if view is None:
-            self.config = install.config
+        self.config = install.config
         self.view = new
         self.suspected.clear()
         yield ("install", install)

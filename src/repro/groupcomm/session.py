@@ -190,7 +190,11 @@ class GroupSession:
 
     def _keep_sequencer(self) -> None:
         """Set ``sequencer``, the ordering sequencer: the config hint if the
-        view holds it, else rank 0.  Only a view or a config changes it."""
+        view holds it, else rank 0.  Only a view or a config changes it.
+        The hint picks the first sequencer: an install without the hinted
+        member carries a config without the hint, so a restarted member
+        rejoins as a backup rather than take the sequencer away from the
+        request manager clients failed over to (no failback)."""
         hint = self.config.sequencer_hint
         view = self.view
         if not view:
@@ -730,7 +734,8 @@ class GroupSession:
         return list(self.unstable.values()), self.ordering.flush_tickets()
 
     def apply_view_install(self, install: ViewInstall) -> None:
-        """Deliver the closing set, then adopt the new view."""
+        """Deliver the closing set, then adopt the new view and its config
+        (which may have dropped the sequencer hint)."""
         joining = self.state == "joining"
         if joining:
             self._adopt_config(install.config)
@@ -738,6 +743,7 @@ class GroupSession:
             self.ordering.detach()
             for msg in self.ordering.finalize(install.unstable, install.tickets):
                 self._deliver_app(msg)
+            self.config = install.config
 
         old_members = set(self.view.members) if self.view else set()
         self.view = install.view

@@ -3,8 +3,12 @@
 A view is the agreed membership of a group at a point in its history.
 Member order is **creation order** (creator first, joiners appended); the
 first member of a view doubles as the membership coordinator and — for
-asymmetric groups — the sequencer.  This is what lets the invocation layer
-pin the request manager / primary / sequencer to the same member (§4.2).
+asymmetric groups — the sequencer, unless the config's ``sequencer_hint``
+names another member.  The hint picks only the first sequencer: the install
+that removes the hinted member drops it, so a restarted member rejoins as a
+backup (no failback).  Rank 0 is also what the registry lists first, so a
+rebinding client picks it as request manager, and the request manager /
+primary / sequencer stay the same member (§4.2).
 """
 
 from __future__ import annotations

@@ -242,6 +242,83 @@ def test_passive_failover_preserves_state():
     assert servers[1].is_primary or servers[2].is_primary
 
 
+def _first_calls(c, binding, count):
+    """Issue ``count`` FIRST-mode ``incr`` calls one after another; their
+    reply values."""
+
+    def proc():
+        values = []
+        for _ in range(count):
+            result = yield binding.invoke("incr", (1,), mode=Mode.FIRST)
+            values.append(result.value)
+        return values
+
+    return run_process(c.sim, proc(), until=c.sim.now + 10.0)
+
+
+def test_a_passive_backup_manager_leaves_a_first_call_to_the_primary():
+    # the restricted manager is rank 0 (s0) but the hint makes s1 the
+    # primary: answering locally would run each call at s0 and again at s1
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all(
+        "svc",
+        Counter,
+        policy=ReplicationPolicy.PASSIVE,
+        async_forwarding=True,
+        config=LIVELY_FAST.replace(sequencer_hint="s1"),
+    )
+    binding = bound_binding(
+        c, style=BindingStyle.OPEN, restricted=True, liveliness=Liveliness.LIVELY
+    )
+    assert binding.manager == "s0" and servers[1].is_primary
+    assert _first_calls(c, binding, 10) == list(range(1, 11))
+    c.run(1.0)
+    assert [s.servant.value for s in servers] == [10, 10, 10]
+
+
+def _restart_the_hinted_manager(policy, async_forwarding):
+    """Three servers with s0 hinted as sequencer and restricted manager:
+    3 calls, crash s0, 2 calls, restart s0, 10 calls."""
+    c = AppCluster(servers=3, clients=1)
+    servers = c.serve_all(
+        "svc",
+        Counter,
+        policy=policy,
+        async_forwarding=async_forwarding,
+        config=LIVELY_FAST.replace(sequencer_hint="s0"),
+    )
+    binding = bound_binding(
+        c, style=BindingStyle.OPEN, restricted=True, liveliness=Liveliness.LIVELY
+    )
+    values = _first_calls(c, binding, 3)
+    c.net.crash("s0")
+    values += _first_calls(c, binding, 2)
+    c.net.recover("s0")
+    rejoined = servers[0].restart()
+    c.run(3.0)
+    assert rejoined.done and servers[0].members == ["s1", "s2", "s0"]
+    values += _first_calls(c, binding, 10)
+    c.run(1.0)
+    return servers, binding, values
+
+
+def test_a_restarted_primary_rejoins_as_a_backup_and_no_update_is_lost():
+    servers, binding, values = _restart_the_hinted_manager(
+        ReplicationPolicy.PASSIVE, async_forwarding=True
+    )
+    assert values == list(range(1, 16))
+    assert [s.servant.value for s in servers] == [15, 15, 15]
+    assert binding.manager == "s1" and servers[1].is_primary
+
+
+def test_after_a_restart_the_request_manager_stays_the_sequencer():
+    servers, binding, values = _restart_the_hinted_manager(
+        ReplicationPolicy.ACTIVE, async_forwarding=False
+    )
+    assert values == list(range(1, 16))
+    assert [binding.manager] * 3 == [s.group.sequencer for s in servers]
+
+
 # ---------------------------------------------------------------------------
 # errors and edge cases
 # ---------------------------------------------------------------------------

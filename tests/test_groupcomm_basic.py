@@ -151,8 +151,8 @@ def test_leave_reforms_group():
 # the kept sequencer: recomputed at every config or view change only
 # ---------------------------------------------------------------------------
 def formula_sequencer(session):
-    """The sequencer by its definition: the config hint if the view holds
-    it, else rank 0 (no view: none)."""
+    """The sequencer by its definition: the install's hint if the view
+    holds it, else rank 0 (no view: none)."""
     hint = session.config.sequencer_hint
     if hint and session.view is not None and hint in session.view.members:
         return hint
@@ -195,6 +195,32 @@ def test_the_kept_sequencer_follows_rank_zero_when_it_crashes():
     c.run(2.0)
     assert [s.sequencer for s in sessions[1:]] == ["n1", "n1"]
     assert ("n2", sessions[2].view.view_id, "n1") in seen
+
+
+def test_a_restarted_hinted_member_rejoins_as_a_backup():
+    c = Cluster(3)
+    seen = []
+    sessions = [c.service(0).create_group("g", lively_asymmetric(sequencer_hint="n0"))]
+    for name in c.names[1:]:
+        sessions.append(c.services[name].join_group("g", "n0"))
+    for session in sessions:
+        watch_sequencer(session, seen)
+    c.run(1.0)
+    assert {s.sequencer for s in sessions} == {"n0"}
+    c.net.crash("n0")
+    c.run(2.0)
+    # the install that removed n0 dropped the hint: rank 0 sequences for good
+    assert [s.sequencer for s in sessions[1:]] == ["n1", "n1"]
+    assert [s.config.sequencer_hint for s in sessions[1:]] == ["", ""]
+    c.net.recover("n0")
+    sessions[0]._close()
+    c.service(0).drop_session("g")
+    sessions[0] = c.service(0).join_group("g", "n1")
+    watch_sequencer(sessions[0], seen)
+    c.run(2.0)
+    assert [s.view.members for s in sessions] == [["n1", "n2", "n0"]] * 3
+    assert [s.sequencer for s in sessions] == ["n1", "n1", "n1"]
+    assert ("n0", sessions[0].view.view_id, "n1") in seen
 
 
 def test_the_kept_sequencer_moves_to_a_hinted_member_that_joins_late():
